@@ -35,8 +35,8 @@ import numpy as np
 
 from .fields import ScalarField2D
 from .moduli import (DEFAULT_GAMMA, DEFAULT_KAPPA, ModulusConstructionError,
-                     ModulusMember, _envelope_breakpoints, build_modulus,
-                     envelope_tail_over_r)
+                     ModulusMember, _envelope_breakpoints, _omega_array,
+                     build_modulus, envelope_tail_over_r)
 from .quadrature import graded_edges, panel_nodes
 from .symbols import DissipationSymbol
 
@@ -63,17 +63,6 @@ def default_xi_grid(lo: float = XI_GRID_LO, hi: float = XI_GRID_HI,
 # ---------------------------------------------------------------------------
 # shared quadrature plumbing
 # ---------------------------------------------------------------------------
-
-def _eval_omega(omega: Callable, arr: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation with a scalar-callable fallback."""
-    try:
-        out = np.asarray(omega(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(omega(float(v))) for v in arr])
-
 
 def _omega_callable(omega) -> Callable:
     """Scalar/array evaluator for a member, duck-typed modulus, or callable."""
@@ -147,7 +136,7 @@ def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
     for j in range(200):
         hi = 2.0 * lo
         eta, w = _log_panel_nodes(lo, hi, 4.0, order, kinks)
-        v = float(np.dot(w, _eval_omega(omega, eta) / eta ** 2))
+        v = float(np.dot(w, _omega_array(omega, eta) / eta ** 2))
         total += v
         q = math.log2(max(float(omega(hi)), tiny) / max(float(omega(lo)), tiny))
         if j >= 60 and q >= 0.995:
@@ -200,7 +189,7 @@ def _low_riesz(omega, xi: float, kinks: Sequence[float],
     """
     floor = 1e-12 * xi
     eta, w = _log_panel_nodes(floor, xi, 2.0, order, kinks)
-    val = float(np.dot(w, _eval_omega(omega, eta) / eta))
+    val = float(np.dot(w, _omega_array(omega, eta) / eta))
     stub = float(omega(floor))
     return val + stub, 1e-2 * stub + 1e-14 * val
 
@@ -272,8 +261,8 @@ def _near_integral(omega_fn, sym, xi, kinks, per_decade, order):
         eta_kinks.add(0.5 * sym.core_radius)
     eta, w = _log_panel_nodes(floor, half, per_decade, order, eta_kinks)
     w_xi = float(omega_fn(xi))
-    g = 2.0 * w_xi - _eval_omega(omega_fn, xi + 2.0 * eta) \
-        - _eval_omega(omega_fn, xi - 2.0 * eta)
+    g = 2.0 * w_xi - _omega_array(omega_fn, xi + 2.0 * eta) \
+        - _omega_array(omega_fn, xi - 2.0 * eta)
     kern = sym.m(2.0 * eta) / eta
     val = float(np.dot(w, g * kern))
     # stub below the floor: g ~ |omega''(xi)| (2 eta)^2 and eta*m(2 eta) is
@@ -297,8 +286,8 @@ def _far_direct(omega_fn, sym, xi, R1, kinks, per_decade, order):
         eta_kinks.add(0.5 * sym.core_radius)
     eta, w = _log_panel_nodes(half, R1, per_decade, order, eta_kinks)
     w_xi = float(omega_fn(xi))
-    up = _eval_omega(omega_fn, 2.0 * eta + xi)
-    dn = _eval_omega(omega_fn, 2.0 * eta - xi)
+    up = _omega_array(omega_fn, 2.0 * eta + xi)
+    dn = _omega_array(omega_fn, 2.0 * eta - xi)
     kern = sym.m(2.0 * eta) / eta
     val = float(np.dot(w, (2.0 * w_xi - up + dn) * kern))
     noise = 4e-16 * float(np.dot(w, (2.0 * w_xi + up + dn) * kern))
@@ -354,8 +343,8 @@ def _callable_far_windows(omega_fn, sym, xi, R0, kinks, order):
         eta, w = _log_panel_nodes(lo, hi, 4.0, order,
                                   {c for c in eta_kinks if lo < c < hi})
         w_xi = float(omega_fn(xi))
-        g = 2.0 * w_xi - _eval_omega(omega_fn, 2.0 * eta + xi) \
-            + _eval_omega(omega_fn, 2.0 * eta - xi)
+        g = 2.0 * w_xi - _omega_array(omega_fn, 2.0 * eta + xi) \
+            + _omega_array(omega_fn, 2.0 * eta - xi)
         v = float(np.dot(w, g * sym.m(2.0 * eta) / eta))
         total += v
         if prev is not None and v <= 1e-13 * max(scale_ref, total):
@@ -484,7 +473,7 @@ class PlainModulus:
     kinks: tuple = ()
 
     def omega(self, xi):
-        return _eval_omega(self.omega_fn, np.asarray(xi, dtype=float)) \
+        return _omega_array(self.omega_fn, xi) \
             if np.ndim(xi) else float(self.omega_fn(float(xi)))
 
     def omega_prime(self, xi):
@@ -768,7 +757,7 @@ def perp_pair(fld: ScalarField2D, x, y, sym: DissipationSymbol,
     g_pp, g_mp, g_pm, g_mm = vals
 
     omega_fn = omega.omega if isinstance(omega, ModulusMember) else omega
-    w2eta = _eval_omega(omega_fn, 2.0 * eta_n)[:, None]
+    w2eta = _omega_array(omega_fn, 2.0 * eta_n)[:, None]
 
     adv = (g_pp - g_mp - g_pm + g_mm) * Nu / (rho2 * rho)
     slack = 2.0 * w2eta - (g_pp - g_mp) - (g_pm - g_mm)

@@ -31,6 +31,7 @@ DEFAULT_KAPPA = 0.1
 DEFAULT_GAMMA = 0.01
 
 TWO_PI = 2.0 * math.pi
+_LN10 = math.log(10.0)
 
 
 class ModulusConstructionError(ValueError):
@@ -51,8 +52,12 @@ class _CumulativeMoments:
     g(eta) = (3 + ln(delta/eta)) / (eta * m(eta)); the table stores cumulative
     integrals of g and of eta * g, so both the slope (B - pref * M0) and the
     value (B*xi - pref*(xi*M0 - M1), by Fubini) come out of one structure.
-    Queries land on a node plus one partial Gauss-Legendre panel; below the
-    table floor they fall back to live quadrature.
+    Queries land on a node plus one partial Gauss-Legendre panel, batched
+    over an array of separations. A query below the table floor first
+    deepens the table: the depth doubles (as often as needed) and each new
+    stretch is seeded by one adaptive quadrature at its floor and prepended,
+    so entries above the old floor never move and a query's value does not
+    depend on which queries came before it.
 
     ``scale`` multiplies the stored integrals. Members carry scale = B so the
     slope formula reads B - [B/(2 C_alpha kappa)] * scaled_M0: certified B
@@ -61,6 +66,8 @@ class _CumulativeMoments:
     """
 
     _ORDER = 20
+    # deepest floor: below it the panel nodes would be subnormal radii
+    _S_MIN = math.log(np.finfo(float).tiny)
 
     def __init__(self, sym: DissipationSymbol, delta: float, scale: float = 1.0,
                  nodes_per_decade: int = 32, floor_decades: int = 12):
@@ -68,17 +75,37 @@ class _CumulativeMoments:
         self._delta = delta
         self._scale = scale
         self._log_delta = math.log(delta)
-        n = floor_decades * nodes_per_decade + 1
-        s = np.linspace(self._log_delta - floor_decades * math.log(10.0),
-                        self._log_delta, n)
-        self._s = s
-        seed0, seed1 = self._below_floor(math.exp(s[0]))
+        self._per_decade = nodes_per_decade
+        self._decades = floor_decades
+        self._s, self._m0, self._m1 = self._stretch(
+            self._log_delta - floor_decades * _LN10, self._log_delta,
+            floor_decades * nodes_per_decade)
+
+    def _stretch(self, s_lo: float, s_hi: float, panels: int):
+        # node grid on [s_lo, s_hi] and its cumulative moments, seeded by
+        # the integral below s_lo
+        n = panels + 1
+        s = np.linspace(s_lo, s_hi, n)
+        seed0, seed1 = self._below_floor(math.exp(s_lo))
         nodes, weights = panel_nodes(s, self._ORDER)
         f0, f1 = self._integrands(nodes)
         p0 = (weights * f0).reshape(n - 1, self._ORDER).sum(axis=1)
         p1 = (weights * f1).reshape(n - 1, self._ORDER).sum(axis=1)
-        self._m0 = np.concatenate(([seed0], seed0 + np.cumsum(p0)))
-        self._m1 = np.concatenate(([seed1], seed1 + np.cumsum(p1)))
+        return (s, np.concatenate(([seed0], seed0 + np.cumsum(p0))),
+                np.concatenate(([seed1], seed1 + np.cumsum(p1))))
+
+    def _deepen(self, s_query: float) -> None:
+        # double the depth until the floor is at or below s_query
+        while self._s[0] > max(s_query, self._S_MIN):
+            self._decades *= 2
+            s_hi = float(self._s[0])
+            s_lo = max(self._log_delta - self._decades * _LN10, self._S_MIN)
+            panels = max(1, math.ceil(
+                self._per_decade * (s_hi - s_lo) / _LN10 - 1e-6))
+            s, m0, m1 = self._stretch(s_lo, s_hi, panels)
+            self._s = np.concatenate((s[:-1], self._s))
+            self._m0 = np.concatenate((m0[:-1], self._m0))
+            self._m1 = np.concatenate((m1[:-1], self._m1))
 
     def _integrands(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # in the log variable: g deta -> (3 + ln delta - s) / m(e^s) ds
@@ -105,23 +132,27 @@ class _CumulativeMoments:
         v1 = quad(f1, t0, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
         return self._scale * v0, self._scale * v1
 
-    def moments(self, xi: float) -> tuple[float, float]:
-        if not 0.0 < xi <= self._delta * (1.0 + 1e-12):
+    def moments(self, xi) -> tuple[np.ndarray, np.ndarray]:
+        """(M0, M1) at every separation of the 1-D array ``xi``."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if not np.all((xi > 0.0) & (xi <= self._delta * (1.0 + 1e-12))):
             raise ValueError("low-part moment queried outside (0, delta]")
-        sq = min(math.log(xi), self._log_delta)
-        if sq < self._s[0]:
-            return self._below_floor(xi)
-        i = int(np.searchsorted(self._s, sq, side="right") - 1)
-        i = min(i, len(self._s) - 2)
-        m0, m1 = self._m0[i], self._m1[i]
-        if sq > self._s[i]:
-            x, w = gauss_legendre(self._ORDER)
-            half = 0.5 * (sq - self._s[i])
-            nodes = self._s[i] + half * (x + 1.0)
-            f0, f1 = self._integrands(nodes)
-            m0 += half * float(np.dot(w, f0))
-            m1 += half * float(np.dot(w, f1))
-        return float(m0), float(m1)
+        sq = np.minimum(np.log(xi), self._log_delta)
+        if xi.size and sq.min() < self._s[0]:
+            self._deepen(float(sq.min()))
+        s = self._s
+        # subnormal separations sit below the deepest floor
+        deep = sq < s[0]
+        sq = np.maximum(sq, s[0])
+        i = np.minimum(np.searchsorted(s, sq, side="right") - 1, len(s) - 2)
+        x, w = gauss_legendre(self._ORDER)
+        half = 0.5 * (sq - s[i])
+        f0, f1 = self._integrands(s[i][:, None] + half[:, None] * (x + 1.0))
+        m0 = self._m0[i] + half * (f0 @ w)
+        m1 = self._m1[i] + half * (f1 @ w)
+        for k in np.flatnonzero(deep):
+            m0[k], m1[k] = self._below_floor(float(xi[k]))
+        return m0, m1
 
 
 def _envelope_breakpoints(sym: DissipationSymbol) -> list[float]:
@@ -171,22 +202,22 @@ class _EnvelopeIntegral:
         self._cum = np.concatenate(
             (self._cum, self._cum[-1] + np.cumsum(vals)))
 
-    def value(self, v: float) -> float:
-        if v < self._edges[0] * (1.0 - 1e-12):
+    def value(self, v) -> np.ndarray:
+        """Integral from the origin to every point of the 1-D array ``v``."""
+        v = np.asarray(v, dtype=float)
+        if np.any(v < self._edges[0] * (1.0 - 1e-12)):
             raise ValueError("envelope integral queried left of its origin")
-        v = max(v, float(self._edges[0]))
-        if v > self._edges[-1]:
-            self._grow(2.0 * v)
-        i = int(np.searchsorted(self._edges, v, side="right") - 1)
-        i = min(i, len(self._edges) - 2)
-        out = self._cum[i]
-        if v > self._edges[i]:
-            x, w = gauss_legendre(self._ORDER)
-            half = 0.5 * (math.log(v) - math.log(self._edges[i]))
-            nodes = math.log(self._edges[i]) + half * (x + 1.0)
-            eta = np.exp(nodes)
-            out += half * float(np.dot(w, eta * self._sym.envelope(eta)))
-        return float(out)
+        v = np.maximum(v, self._edges[0])
+        if v.size and v.max() > self._edges[-1]:
+            self._grow(2.0 * float(v.max()))
+        edges = self._edges
+        i = np.minimum(np.searchsorted(edges, v, side="right") - 1,
+                       len(edges) - 2)
+        x, w = gauss_legendre(self._ORDER)
+        left = np.log(edges[i])
+        half = 0.5 * (np.log(v) - left)
+        eta = np.exp(left[:, None] + half[:, None] * (x + 1.0))
+        return self._cum[i] + half * ((eta * self._sym.envelope(eta)) @ w)
 
 
 def envelope_tail_over_r(sym: DissipationSymbol, R: float) -> float:
@@ -217,6 +248,33 @@ def envelope_tail_over_r(sym: DissipationSymbol, R: float) -> float:
 # the modulus family
 # ---------------------------------------------------------------------------
 
+def _separations(xi) -> tuple[np.ndarray, tuple | None]:
+    # flat float array of separations, and the shape to restore (None for
+    # a scalar argument)
+    arr = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("modulus evaluated at a non-finite separation")
+    return arr.ravel(), (None if arr.ndim == 0 else arr.shape)
+
+
+def _shaped(out: np.ndarray, shape: tuple | None):
+    return float(out[0]) if shape is None else out.reshape(shape)
+
+
+def _omega_array(omega: Callable, xi) -> np.ndarray:
+    """omega on an array of separations, with a per-point fallback for
+    callables that only take scalars."""
+    arr = np.asarray(xi, dtype=float)
+    try:
+        out = np.asarray(omega(arr), dtype=float)
+        if out.shape == arr.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(omega(float(v))) for v in arr.ravel()]).reshape(
+        arr.shape)
+
+
 @dataclass(eq=False)
 class ModulusMember:
     """One modulus of the two-piece family; immutable after construction."""
@@ -237,59 +295,58 @@ class ModulusMember:
     _high: _EnvelopeIntegral = field(repr=False, default=None)
 
     def omega(self, xi):
-        return self._vectorized(self._omega_scalar, xi)
+        x, shape = _separations(xi)
+        if np.any(x < 0.0):
+            raise ValueError("modulus evaluated at negative separation")
+        out = np.zeros_like(x)
+        low = (x > 0.0) & (x <= self.delta)
+        if low.any():
+            xl = x[low]
+            m0, m1 = self._low.moments(xl)
+            out[low] = self.B * xl - self._slope_factor * (xl * m0 - m1)
+        high = x > self.delta
+        if high.any():
+            out[high] = (self.omega_at_delta
+                         + 0.5 * self.gamma * self._high.value(2.0 * x[high]))
+        return _shaped(out, shape)
 
     def omega_prime(self, xi):
-        return self._vectorized(self._omega_prime_scalar, xi)
+        x, shape = _separations(xi)
+        if not np.all(x > 0.0):
+            raise ValueError("slope evaluated at non-positive separation")
+        out = np.empty_like(x)
+        low = x < self.delta
+        if low.any():
+            m0, _ = self._low.moments(x[low])
+            out[low] = self.B - self._slope_factor * m0
+        if not low.all():
+            out[~low] = self.gamma * self.sym.envelope(2.0 * x[~low])
+        return _shaped(out, shape)
 
     def omega_second(self, xi):
-        return self._vectorized(self._omega_second_scalar, xi)
+        x, shape = _separations(xi)
+        if not np.all(x > 0.0):
+            raise ValueError("curvature evaluated at non-positive separation")
+        out = np.empty_like(x)
+        low = x <= self.delta
+        if low.any():
+            xl = x[low]
+            m = self.sym.envelope(xl)
+            with np.errstate(over="ignore"):  # curvature beyond float range
+                out[low] = -self._slope_factor * (
+                    self.B * (3.0 + np.log(self.delta / xl)) / (xl * m))
+        if not low.all():
+            # differentiate gamma * env(2 xi); the envelope may only have
+            # one-sided slopes at its kinks, so central differences
+            xh = x[~low]
+            h = 1e-6 * xh
+            env = self.sym.envelope(2.0 * np.concatenate((xh - h, xh + h)))
+            lo, hi = env[:xh.size], env[xh.size:]
+            out[~low] = self.gamma * (hi - lo) / (2.0 * h)
+        return _shaped(out, shape)
 
     def evaluate(self, xi: float) -> tuple[float, float, float]:
-        return (self._omega_scalar(xi), self._omega_prime_scalar(xi),
-                self._omega_second_scalar(xi))
-
-    @staticmethod
-    def _vectorized(fn, xi):
-        arr = np.asarray(xi, dtype=float)
-        if arr.ndim == 0:
-            return fn(float(arr))
-        return np.array([fn(float(v)) for v in arr.ravel()]).reshape(arr.shape)
-
-    def _omega_scalar(self, xi: float) -> float:
-        if xi < 0.0:
-            raise ValueError("modulus evaluated at negative separation")
-        if xi == 0.0:
-            return 0.0
-        if xi <= self.delta:
-            m0, m1 = self._low.moments(xi)
-            return self.B * xi - self._slope_factor * (xi * m0 - m1)
-        return self.omega_at_delta + 0.5 * self.gamma * self._high.value(2.0 * xi)
-
-    def _omega_prime_scalar(self, xi: float) -> float:
-        if not xi > 0.0:
-            raise ValueError("slope evaluated at non-positive separation")
-        if xi < self.delta:
-            m0, _ = self._low.moments(xi)
-            return self.B - self._slope_factor * m0
-        return self.gamma * float(self.sym.envelope(2.0 * xi))
-
-    def _omega_second_scalar(self, xi: float) -> float:
-        if not xi > 0.0:
-            raise ValueError("curvature evaluated at non-positive separation")
-        if xi <= self.delta:
-            m = float(self.sym.envelope(xi))
-            try:
-                return -self._slope_factor * (
-                    self.B * (3.0 + math.log(self.delta / xi)) / (xi * m))
-            except OverflowError:
-                return -math.inf  # curvature beyond float range
-        # differentiate gamma * env(2 xi); the envelope may only have
-        # one-sided slopes at its kinks, so central differences
-        h = 1e-6 * xi
-        lo = float(self.sym.envelope(2.0 * (xi - h)))
-        hi = float(self.sym.envelope(2.0 * (xi + h)))
-        return self.gamma * (hi - lo) / (2.0 * h)
+        return self.omega(xi), self.omega_prime(xi), self.omega_second(xi)
 
     def to_dict(self) -> dict:
         return {"B": self.B, "kappa": self.kappa, "gamma": self.gamma,
@@ -329,7 +386,8 @@ def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
     slope_factor = B / (2.0 * C_alpha * kappa)
     low = _CumulativeMoments(sym, delta, scale=B)
 
-    m0_d, m1_d = low.moments(delta)
+    m0, m1 = low.moments(delta)
+    m0_d, m1_d = float(m0[0]), float(m1[0])
     slope_left = B - slope_factor * m0_d
     if slope_left < 0.5 * B * (1.0 - 1e-8):
         raise ModulusConstructionError(
@@ -426,7 +484,7 @@ def validate_modulus(mem, xi_grid: np.ndarray | None = None,
     """
     is_member = isinstance(mem, ModulusMember)
     if is_member:
-        omega = mem._omega_scalar
+        omega = mem.omega
         delta = mem.delta
         B = mem.B
         label = (f"B={mem.B:g} kappa={mem.kappa:g} gamma={mem.gamma:g} "
@@ -442,7 +500,7 @@ def validate_modulus(mem, xi_grid: np.ndarray | None = None,
         xi_grid = np.geomspace(lo, 1e3, n)
     xi = np.asarray(xi_grid, dtype=float)
 
-    w = np.array([omega(float(v)) for v in xi])
+    w = _omega_array(omega, xi)
     checks: list[CheckResult] = []
 
     if B is None:
@@ -483,7 +541,7 @@ def validate_modulus(mem, xi_grid: np.ndarray | None = None,
     if is_member:
         below = xi[xi <= delta]
         if below.size:
-            gap = B * below - np.array([omega(float(v)) for v in below])
+            gap = B * below - omega(below)
             k = int(np.argmin(gap))
             checks.append(CheckResult(
                 "below_B_xi", bool(gap[k] >= -tol * B * delta), float(gap[k]),
@@ -496,8 +554,8 @@ def validate_modulus(mem, xi_grid: np.ndarray | None = None,
             float(mem.omega_at_delta - 0.5 * delta * B), delta * B,
             at=float(delta)))
         above = xi[xi >= delta]
-        wa = np.array([omega(float(v)) for v in above])
-        w2 = np.array([omega(float(2.0 * v)) for v in above])
+        wa = omega(above)
+        w2 = omega(2.0 * above)
         dmarg = mem.doubling_bound * wa - w2
         k = int(np.argmin(dmarg / wa))
         checks.append(CheckResult(
@@ -544,9 +602,9 @@ class ObedienceReport:
         return buf.getvalue()
 
 
-def _omega_of(mem) -> Callable[[float], float]:
+def _omega_of(mem) -> Callable:
     if isinstance(mem, ModulusMember):
-        return mem._omega_scalar
+        return mem.omega
     return mem
 
 
@@ -574,12 +632,13 @@ def _check_obeys_1d(fld: ScalarField1D, mem) -> ObedienceReport:
     h = TWO_PI / N
     rows: list[StratumRow] = []
     worst = (math.inf, 0, 0)  # (margin, lag, base index)
-    for lag in range(1, N // 2 + 1):
+    lags = np.arange(1, N // 2 + 1)
+    oms = _omega_array(omega, lags * h)
+    for lag, om in zip(lags.tolist(), oms.tolist()):
         diff = np.abs(v - np.roll(v, -lag))
         j = int(np.argmax(diff))
         inc = float(diff[j])
         sep = lag * h
-        om = float(omega(sep))
         margin = om - inc
         rows.append(StratumRow(sep, om, inc, margin,
                                x=(j * h,), y=(((j + lag) % N) * h,)))
@@ -590,7 +649,7 @@ def _check_obeys_1d(fld: ScalarField1D, mem) -> ObedienceReport:
         margin=float(margin),
         worst_pair=((j * h,), (((j + lag) % N) * h,)),
         worst_separation=lag * h,
-        worst_increment=float(omega(lag * h) - margin),
+        worst_increment=float(oms[lag - 1] - margin),
         rows=rows)
 
 
@@ -631,7 +690,7 @@ class StratifiedPairSearch:
         order = np.argsort(sep)
         self.offsets = offs[order]
         self.separations = sep[order]
-        self.omegas = np.array([omega(float(s)) for s in self.separations])
+        self.omegas = _omega_array(omega, self.separations)
 
     def run(self, fld: ScalarField2D, subset: np.ndarray | None = None,
             refine: bool = True) -> ObedienceReport:
@@ -695,7 +754,7 @@ class StratifiedPairSearch:
             th_x = fld.evaluate_at(X)
             th_y = fld.evaluate_at(X + V)
             incs = np.abs(th_y - th_x)
-            oms = np.array([self.omega(float(s)) for s in norms])
+            oms = _omega_array(self.omega, norms)
             margins = oms - incs
             k = int(np.argmin(margins))
             if margins[k] < margin:

@@ -56,9 +56,7 @@ def graded_edges(a: float, b: float, levels: int, toward: str = "left") -> np.nd
             pts = np.concatenate(([a], pts))
         return np.unique(pts)
     pts = b - (b - a) * fracs[::-1]
-    if b > 0.0 or True:
-        pts = np.concatenate((pts, [b]))
-    return np.unique(pts)
+    return np.unique(np.concatenate((pts, [b])))
 
 
 def integrate_panels(f, edges: np.ndarray, order: int = 16) -> float:

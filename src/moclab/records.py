@@ -51,7 +51,7 @@ class RunRecord:
         UNRESOLVED; verdict logic overwrites it.
     termination : str
         Why the run stopped: "completed", "gradient-threshold",
-        "dt-floor", or "unresolved-tail".
+        "dt-floor", or "spectral-tail".
     meta : dict
         Scalar facts about the run (JSON-serializable).
     wall_time : float

@@ -141,10 +141,12 @@ def test_member_and_callable_routes_agree():
     kinks = (mem.delta,)
     for xi in (0.02, 0.5, 8.0):
         assert_allclose(omega_riesz(mem, xi),
-                        omega_riesz(mem._omega_scalar, xi, kinks=kinks),
+                        omega_riesz(lambda x: float(mem.omega(x)), xi,
+                                    kinks=kinks),
                         rtol=1e-9)
         assert_allclose(omega_tilde(mem, xi),
-                        omega_tilde(mem._omega_scalar, xi, kinks=kinks),
+                        omega_tilde(lambda x: float(mem.omega(x)), xi,
+                                    kinks=kinks),
                         rtol=1e-9)
 
 
@@ -187,8 +189,8 @@ def test_dissipation_member_routes_agree():
     mem = base_member()
     for xi in (0.03, 0.5, 20.0):
         fast = dissipation_lower(mem, mem.sym, xi)
-        generic = dissipation_lower(mem._omega_scalar, mem.sym, xi,
-                                    kinks=(mem.delta,))
+        generic = dissipation_lower(lambda x: float(mem.omega(x)), mem.sym,
+                                    xi, kinks=(mem.delta,))
         assert_allclose(fast, generic, rtol=1e-6)
 
 

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from moclab import moduli
+from moclab.certificates import default_xi_grid, sqg_criterion
 from moclab.fields import ScalarField1D, ScalarField2D
+from moclab.kernels import fractional_normalization
 from moclab.moduli import (
     ModulusConstructionError,
     ModulusSearchError,
@@ -97,6 +100,67 @@ def test_astronomic_B_stays_representable():
     assert_allclose(mem.omega(0.56),
                     0.071875 + 0.005 * math.log(0.56 * 2.0 ** 556 / 0.1),
                     rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation and the moment table
+# ---------------------------------------------------------------------------
+
+NORMALIZED = make_symbol("power", a=1.0,
+                         scale=fractional_normalization(2, 1.0))
+
+
+@pytest.mark.parametrize("sym", [NORMALIZED, make_symbol("power", a=0.5),
+                                 make_symbol("log", a=1.0)],
+                         ids=["power1-normalized", "power0.5", "log1"])
+def test_array_and_scalar_routes_agree(sym):
+    # log(a=1) has an envelope plateau, so the high part crosses kinks
+    mem = build_modulus(sym, 0.05, 0.01, 1.0)
+    xi = np.geomspace(1e-20, 10.0, 500)
+    for fn in (mem.omega, mem.omega_prime, mem.omega_second):
+        batched = fn(xi)
+        single = np.array([fn(float(v)) for v in xi])
+        assert all(type(fn(float(v))) is float for v in xi[::50])
+        assert np.all(np.abs(batched - single)
+                      <= 4.0 * np.finfo(float).eps * np.abs(single))
+    assert mem.omega(0.0) == 0.0
+    with pytest.raises(ValueError, match="negative separation"):
+        mem.omega(-1e-3)
+    with pytest.raises(ValueError, match="negative separation"):
+        mem.omega(np.array([1e-3, -1e-3]))
+
+
+def test_moment_table_grows_below_its_floor():
+    mem = build_modulus(NORMALIZED, 0.05, 0.01, 1.0)
+    low = mem._low
+    before = [arr.copy() for arr in (low._s, low._m0, low._m1)]
+    xi = mem.delta * np.geomspace(1e-30, 1e-13, 9)
+    m0, m1 = low.moments(xi)
+    direct = np.array([low._below_floor(float(v)) for v in xi])
+    assert_allclose(m0, direct[:, 0], rtol=1e-12)
+    assert_allclose(m1, direct[:, 1], rtol=1e-12)
+    # the deeper stretch is prepended; every old entry keeps its bits
+    assert len(low._s) > len(before[0])
+    for old, new in zip(before, (low._s, low._m0, low._m1)):
+        assert np.array_equal(new[-len(old):], old)
+
+
+def test_sqg_criterion_runs_few_adaptive_quadratures(monkeypatch):
+    # the criterion probes omega twelve decades below each separation;
+    # the table deepens a bounded number of times instead of running
+    # quadrature per query
+    calls = []
+    real_quad = moduli.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, "quad", counting_quad)
+    mem = build_modulus(NORMALIZED, 0.05, 0.01, 1.0)
+    rep = sqg_criterion(mem, xi_grid=default_xi_grid(1e-5, 1e2, 16))
+    assert rep.passed
+    assert len(calls) <= 8
 
 
 # ---------------------------------------------------------------------------
