@@ -148,6 +148,7 @@ class ScalarField2D:
         self.values = values
         self.N = values.shape[0]
         self._spec: np.ndarray | None = None
+        self._coef: np.ndarray | None = None
 
     @classmethod
     def from_function(cls, N: int, fn: Callable) -> "ScalarField2D":
@@ -209,16 +210,32 @@ class ScalarField2D:
         gy = ScalarField2D.from_spectrum(1j * ky * self.spec, self.N)
         return gx, gy
 
+    def _interp_coeffs(self) -> np.ndarray:
+        # full-plane c[a, b] = fft2/N^2 of the interpolant
+        # theta(x, y) = Re sum_{a,b} c[a, b] e^{i a x} e^{i b y}
+        if self._coef is None:
+            self._coef = np.fft.fft2(self.values) / self.N ** 2
+        return self._coef
+
+    def _phases(self, coords) -> np.ndarray:
+        k1 = np.fft.fftfreq(self.N, d=1.0 / self.N)
+        return np.exp(1j * np.asarray(coords, dtype=float)[:, None]
+                      * k1[None, :])
+
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Interpolant at an (M, 2) array of points; cost O(M N^2)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c = np.fft.fft2(self.values) / self.N ** 2
-        k1 = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        phase_x = np.exp(1j * pts[:, 0][:, None] * k1[None, :])
-        phase_y = np.exp(1j * pts[:, 1][:, None] * k1[None, :])
-        # theta(p) = sum_{a,b} c[a,b] e^{i a x} e^{i b y}
-        return np.real(np.einsum("ma,ab,mb->m", phase_x, c, phase_y,
-                                 optimize=True))
+        return np.real(np.einsum("ma,ab,mb->m", self._phases(pts[:, 0]),
+                                 self._interp_coeffs(),
+                                 self._phases(pts[:, 1]), optimize=True))
+
+    def evaluate_on_grid(self, xs, ys) -> np.ndarray:
+        """Interpolant on the tensor product of 1-D coordinate arrays:
+        out[i, j] = theta(xs[i], ys[j]); cost O((len(xs) + len(ys)) N^2)."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        return np.real(self._phases(xs) @ self._interp_coeffs()
+                       @ self._phases(ys).T)
 
     # -- diagnostics -------------------------------------------------------
 

@@ -732,36 +732,43 @@ class StratifiedPairSearch:
 
     def _refine(self, fld, pair, margin, sep, inc):
         # continuous descent of omega(|v|) - |theta(x+v) - theta(x)| around
-        # the worst lattice pair; 5^4 local grid shrinking by 4 per round
+        # the worst lattice pair: a 5x5 grid of base points x times a 5x5
+        # grid of offsets v, shrinking by 4 per round. Per axis, x + v takes
+        # the 25 sums of a base and an offset coordinate, so theta is read
+        # on a 5x5 base lattice and a 25x25 sum lattice, and omega once per
+        # offset; margins[iy, ix, jy, jx] pairs x = (bx[ix], by[iy]) with
+        # v = (vx[jx], vy[jy]).
         h = TWO_PI / self.N
         x = np.asarray(pair[0], dtype=float)
         vvec = np.asarray(pair[1], dtype=float) - x
         span = h
         steps = np.linspace(-1.0, 1.0, 5)
+        n = steps.size
         for _ in range(3):
             dxs = span * steps
-            cand_x = x[None, :] + np.stack(
-                np.meshgrid(dxs, dxs), axis=-1).reshape(-1, 2)
-            cand_v = vvec[None, :] + np.stack(
-                np.meshgrid(dxs, dxs), axis=-1).reshape(-1, 2)
-            X = np.repeat(cand_x, len(cand_v), axis=0)
-            V = np.tile(cand_v, (len(cand_x), 1))
-            norms = np.hypot(V[:, 0], V[:, 1])
+            bx, by = x[0] + dxs, x[1] + dxs
+            vx, vy = vvec[0] + dxs, vvec[1] + dxs
+            norms = np.hypot(vx[None, :], vy[:, None])
             keep = norms > h / 8.0  # below grid scale the slope check owns it
-            X, V, norms = X[keep], V[keep], norms[keep]
-            if norms.size == 0:
+            if not keep.any():
                 break
-            th_x = fld.evaluate_at(X)
-            th_y = fld.evaluate_at(X + V)
-            incs = np.abs(th_y - th_x)
-            oms = _omega_array(self.omega, norms)
+            th_x = fld.evaluate_on_grid(bx, by).T
+            th_y = fld.evaluate_on_grid(
+                (bx[:, None] + vx[None, :]).ravel(),
+                (by[:, None] + vy[None, :]).ravel(),
+            ).reshape(n, n, n, n).transpose(2, 0, 3, 1)
+            incs = np.abs(th_y - th_x[:, :, None, None])
+            oms = np.full(norms.shape, np.inf)
+            oms[keep] = _omega_array(self.omega, norms[keep])
             margins = oms - incs
-            k = int(np.argmin(margins))
-            if margins[k] < margin:
-                margin = float(margins[k])
-                x, vvec = X[k], V[k]
-                sep = float(norms[k])
-                inc = float(incs[k])
+            best = int(np.argmin(margins))
+            if margins.flat[best] < margin:
+                iy, ix, jy, jx = np.unravel_index(best, margins.shape)
+                margin = float(margins.flat[best])
+                x = np.array([bx[ix], by[iy]])
+                vvec = np.array([vx[jx], vy[jy]])
+                sep = float(norms[jy, jx])
+                inc = float(incs.flat[best])
             span /= 4.0
         return margin, (x, x + vvec), sep, inc
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .fields import ScalarField2D, dealias_cutoff
-from .moduli import _omega_of
+from .moduli import StratifiedPairSearch, _omega_of
 from .quadrature import gauss_legendre
 from .records import REGULAR, UNRESOLVED, RunRecord
 
@@ -49,19 +49,12 @@ _OSG_DIV_RATIO = 0.96
 # spectral plumbing
 # ----------------------------------------------------------------------
 
-_GRID_CACHE: dict = {}
-
-
 def _grids(N):
-    try:
-        return _GRID_CACHE[N]
-    except KeyError:
-        kx = np.fft.fftfreq(N, d=1.0 / N)[:, None]
-        ky = np.arange(N // 2 + 1, dtype=float)[None, :]
-        kmod = np.hypot(kx, ky)
-        mask = (kmod <= dealias_cutoff(N)).astype(float)
-        _GRID_CACHE[N] = (kx, ky, kmod, mask)
-        return _GRID_CACHE[N]
+    kx = np.fft.fftfreq(N, d=1.0 / N)[:, None]
+    ky = np.arange(N // 2 + 1, dtype=float)[None, :]
+    kmod = np.hypot(kx, ky)
+    mask = (kmod <= dealias_cutoff(N)).astype(float)
+    return kx, ky, kmod, mask
 
 
 def velocity_multipliers(N, law, P=None):
@@ -92,15 +85,15 @@ class _AdvectionCore:
         self.kx, self.ky, self.mask = kx, ky, mask
         self.mx, self.my = mx, my
 
-    def velocity_sup(self, spec):
-        ux = np.fft.irfft2(self.mx * spec, s=(self.N, self.N))
-        uy = np.fft.irfft2(self.my * spec, s=(self.N, self.N))
-        return float(np.max(np.hypot(ux, uy)))
-
-    def nonlinear(self, spec):
+    def velocity(self, spec):
         n = self.N
-        ux = np.fft.irfft2(self.mx * spec, s=(n, n))
-        uy = np.fft.irfft2(self.my * spec, s=(n, n))
+        return (np.fft.irfft2(self.mx * spec, s=(n, n)),
+                np.fft.irfft2(self.my * spec, s=(n, n)))
+
+    def nonlinear(self, spec, velocity=None):
+        """Pass ``velocity`` when the grid velocity of ``spec`` is at hand."""
+        n = self.N
+        ux, uy = self.velocity(spec) if velocity is None else velocity
         gx = np.fft.irfft2(1j * self.kx * spec, s=(n, n))
         gy = np.fft.irfft2(1j * self.ky * spec, s=(n, n))
         return -self.mask * np.fft.rfft2(ux * gx + uy * gy)
@@ -122,7 +115,6 @@ class ObedienceMonitor:
 
     def __init__(self, member, N, *, directions=32, separations_per_decade=8,
                  hot_size=48, full_every=16):
-        from .moduli import StratifiedPairSearch
         self._search = StratifiedPairSearch(
             N, _omega_of(member), directions=directions,
             separations_per_decade=separations_per_decade)
@@ -185,14 +177,15 @@ def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
     if fld.spectral_tail_fraction() > tail_limit:
         raise ValueError("initial data is not resolved at this N")
     while t < T:
-        sup_u = core.velocity_sup(spec)
+        u = core.velocity(spec)
+        sup_u = float(np.max(np.hypot(*u)))
         dt = min(dt_max, cfl * h / max(sup_u, 1e-300), T - t)
         if dt < dt_floor and (T - t) > dt_floor:
             termination = "dt-floor"
             break
         E = np.exp(-0.5 * dt * Pk)
         E2 = E * E
-        a = core.nonlinear(spec)
+        a = core.nonlinear(spec, u)
         b = core.nonlinear(E * (spec + 0.5 * dt * a))
         c = core.nonlinear(E * spec + 0.5 * dt * b)
         d = core.nonlinear(E2 * spec + dt * E * c)
@@ -265,15 +258,6 @@ def simulate_p_euler(theta0, T, *, P, member=None, monitor=None, cfl=0.4,
                    dt_max=dt_max, dt_floor=dt_floor,
                    record_every=record_every, member=member, monitor=monitor,
                    tail_limit=tail_limit, meta=m)
-
-
-def monitor_Mstar(record):
-    """Observed sup-norm ceiling of a run.
-
-    This is the measured stand-in for the non-constructive bound: finite
-    by inspection, with no claim about the optimal constant.
-    """
-    return float(np.max(record["linf"]))
 
 
 # ----------------------------------------------------------------------

@@ -207,6 +207,17 @@ def test_design_hits_algebraic_threshold():
     assert_allclose(rep.field.linf(), rep.lam, rtol=1e-12)
 
 
+@pytest.mark.parametrize("N", [1024, 2048, 4096, 8192])
+def test_design_passes_its_measured_condition(N):
+    rep = design_blowup_data(HALF, N=N, instrumentation=INST)
+    assert rep.passes
+    assert rep.condition_value == blowup_condition(
+        rep.field, INST.kernel_functional, rep.margin)
+    # the ulp steps stay at the bisection's threshold
+    lam_exact = rep.margin * INST.kernel_functional / L_SIN ** 2
+    assert_allclose(rep.lam, lam_exact, rtol=1e-10)
+
+
 def test_design_threshold_is_sharp():
     rep = design_blowup_data(HALF, N=512, instrumentation=INST)
     halved = ScalarField1D(0.5 * rep.field.values)

@@ -82,3 +82,19 @@ def test_2d_random_band_limited():
     spec = f.spec
     assert np.max(np.abs(spec[kk > 8.0 * math.sqrt(2.0) + 1e-9])) \
         < 1e-12 * np.max(np.abs(spec))
+
+
+def test_evaluate_on_grid_matches_evaluate_at():
+    # white noise: every mode up to Nyquist is present, so the interpolant
+    # is not the field's own band-limited form
+    rng = np.random.default_rng(2)
+    f = ScalarField2D(rng.standard_normal((32, 32)))
+    xs = np.array([0.0, 0.37, 1.9, 3.3, 6.1])
+    ys = np.array([0.05, 2.2, 4.75, 6.28])
+    grid = f.evaluate_on_grid(xs, ys)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    assert grid.shape == (5, 4)
+    assert np.max(np.abs(grid.ravel() - f.evaluate_at(pts))) <= 1e-14
+    nodes = ScalarField1D.grid_of(32)
+    assert_allclose(f.evaluate_on_grid(nodes, nodes), f.values, atol=1e-13)

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from moclab.fields import ScalarField2D
 from moclab.moduli import StratifiedPairSearch, build_modulus, check_obeys
-from moclab.sqg_euler import ObedienceMonitor
-from moclab.symbols import make_symbol
+from moclab.sqg_euler import (ObedienceMonitor, _AdvectionCore,
+                              simulate_p_euler, simulate_sqg,
+                              velocity_multipliers)
+from moclab.symbols import make_multiplier, make_symbol
 
 CRITICAL = make_symbol("power", a=1.0)
 
@@ -28,6 +33,7 @@ def test_monitor_full_sweep_equals_pair_search():
         assert monitor.margin(moved) == swept[-1]
     assert monitor.min_margin == min(swept)
 
+
 def test_check_obeys_scalar_only_callable_matches_member():
     mem, fld = _member_and_field()
 
@@ -42,3 +48,164 @@ def test_check_obeys_scalar_only_callable_matches_member():
                                separations_per_decade=6)
     assert_allclose(via_callable.margin, via_member.margin, rtol=1e-13)
     assert via_callable.worst_separation == via_member.worst_separation
+
+
+# ----------------------------------------------------------------------
+# off-lattice refinement: tensor-lattice route vs the per-point route
+# ----------------------------------------------------------------------
+
+def _refine_per_point(search, fld, pair, margin, sep, inc):
+    # the 625-point route: every (x, v) candidate evaluated on its own
+    h = 2.0 * np.pi / search.N
+    x = np.asarray(pair[0], dtype=float)
+    vvec = np.asarray(pair[1], dtype=float) - x
+    span = h
+    steps = np.linspace(-1.0, 1.0, 5)
+    for _ in range(3):
+        dxs = span * steps
+        cand_x = x[None, :] + np.stack(
+            np.meshgrid(dxs, dxs), axis=-1).reshape(-1, 2)
+        cand_v = vvec[None, :] + np.stack(
+            np.meshgrid(dxs, dxs), axis=-1).reshape(-1, 2)
+        X = np.repeat(cand_x, len(cand_v), axis=0)
+        V = np.tile(cand_v, (len(cand_x), 1))
+        norms = np.hypot(V[:, 0], V[:, 1])
+        keep = norms > h / 8.0
+        X, V, norms = X[keep], V[keep], norms[keep]
+        if norms.size == 0:
+            break
+        incs = np.abs(fld.evaluate_at(X + V) - fld.evaluate_at(X))
+        margins = np.array([search.omega(float(s)) for s in norms]) - incs
+        k = int(np.argmin(margins))
+        if margins[k] < margin:
+            margin = float(margins[k])
+            x, vvec = X[k], V[k]
+            sep = float(norms[k])
+            inc = float(incs[k])
+        span /= 4.0
+    return margin, (x, x + vvec), sep, inc
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_refinement_matches_per_point_route(seed):
+    mem = build_modulus(CRITICAL, 0.1, 0.01, 2.0 ** 10)
+    fld = ScalarField2D.random_band_limited(64, kmax=6, amplitude=0.05,
+                                            seed=seed)
+    search = StratifiedPairSearch(64, mem.omega, directions=32,
+                                  separations_per_decade=8)
+    lattice = search.run(fld, refine=False)
+    refined = search.run(fld)
+    margin, pair, sep, inc = _refine_per_point(
+        search, fld, [np.array(p) for p in lattice.worst_pair],
+        lattice.margin, lattice.worst_separation, lattice.worst_increment)
+    assert refined.margin < lattice.margin  # the refinement did move
+    tol = 1e-14 * fld.linf()
+    assert abs(refined.margin - margin) <= tol
+    assert abs(refined.worst_increment - inc) <= tol
+    assert refined.worst_separation == sep
+    assert refined.worst_pair == (tuple(pair[0]), tuple(pair[1]))
+
+
+# ----------------------------------------------------------------------
+# stepper oracles
+# ----------------------------------------------------------------------
+
+def _plane_wave(N, amp=0.3):
+    return ScalarField2D.from_function(
+        N, lambda x, y: amp * np.sin(3.0 * x + 4.0 * y))
+
+
+def test_sqg_plane_wave_decays_by_the_semigroup():
+    P = make_multiplier("power", s=1.0)
+    theta0 = _plane_wave(32)
+    T = 0.3
+    rec = simulate_sqg(theta0, T, P=P, dt_max=T / 16)
+    assert rec.termination == "completed"
+    exact = math.exp(-float(P(np.array([5.0]))[0]) * T) * theta0.values
+    assert np.max(np.abs(rec.final_state.values - exact)) <= 1e-14
+
+
+def test_p_euler_plane_wave_is_steady():
+    P = make_multiplier("log-damped", a=1.0)
+    theta0 = _plane_wave(32)
+    rec = simulate_p_euler(theta0, 0.5, P=P)
+    assert np.max(np.abs(rec.final_state.values - theta0.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("law", ["sqg", "p_euler"])
+def test_velocity_is_divergence_free(law):
+    N = 32
+    P = make_multiplier("log-damped", a=1.0)
+    fld = ScalarField2D.random_band_limited(N, kmax=8, amplitude=1.0, seed=7)
+    mx, my = velocity_multipliers(N, law, P=P)
+    kx, ky = fld.wavenumber_grids()
+    ux = np.fft.irfft2(mx * fld.spec, s=(N, N))
+    uy = np.fft.irfft2(my * fld.spec, s=(N, N))
+    div = np.fft.irfft2(1j * kx * mx * fld.spec + 1j * ky * my * fld.spec,
+                        s=(N, N))
+    assert np.max(np.hypot(ux, uy)) > 0.1
+    assert np.max(np.abs(div)) <= 1e-14 * np.max(np.hypot(ux, uy))
+
+
+def test_p_euler_conserves_l2():
+    P = make_multiplier("log-damped", a=1.0)
+    theta0 = ScalarField2D.random_band_limited(64, kmax=8, amplitude=0.5,
+                                               seed=4)
+    rec = simulate_p_euler(theta0, 0.5, P=P)
+    assert rec.termination == "completed"
+    l2 = rec["l2"]
+    assert np.max(np.abs(l2 / l2[0] - 1.0)) <= 1e-12
+    assert rec["grad_linf"][-1] != rec["grad_linf"][0]  # the field moved
+
+
+def _series_with_separate_cfl_velocity(theta0, T, P, dt_max):
+    # the stepper with the CFL velocity computed apart from stage 1
+    N = theta0.N
+    kx = np.fft.fftfreq(N, d=1.0 / N)[:, None]
+    ky = np.arange(N // 2 + 1, dtype=float)[None, :]
+    Pk = np.asarray(P(np.hypot(kx, ky)), dtype=float)
+    mx, my = velocity_multipliers(N, "sqg")
+    core = _AdvectionCore(N, mx, my)
+    h = 2.0 * np.pi / N
+    spec = theta0.spec.astype(complex).copy()
+    rows = {c: [] for c in ("t", "linf", "grad_linf", "l2")}
+
+    def record(t):
+        fld = ScalarField2D.from_spectrum(spec, N)
+        for c, v in (("t", t), ("linf", fld.linf()),
+                     ("grad_linf", fld.grad_linf()), ("l2", fld.l2())):
+            rows[c].append(v)
+
+    t = 0.0
+    record(t)
+    while t < T:
+        ux = np.fft.irfft2(mx * spec, s=(N, N))
+        uy = np.fft.irfft2(my * spec, s=(N, N))
+        dt = min(dt_max, 0.4 * h / max(float(np.max(np.hypot(ux, uy))),
+                                       1e-300), T - t)
+        E = np.exp(-0.5 * dt * Pk)
+        E2 = E * E
+        a = core.nonlinear(spec)
+        b = core.nonlinear(E * (spec + 0.5 * dt * a))
+        c = core.nonlinear(E * spec + 0.5 * dt * b)
+        d = core.nonlinear(E2 * spec + dt * E * c)
+        spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
+        t += dt
+        record(t)
+    return rows, spec
+
+
+def test_stage_one_velocity_reuse_leaves_the_run_bitwise_unchanged():
+    P = make_multiplier("power", s=1.0)
+    theta0 = ScalarField2D.random_band_limited(32, kmax=4, amplitude=1.0,
+                                               seed=11)
+    T = 0.5
+    # dt_max = T leaves every step to the CFL bound
+    rec = simulate_sqg(theta0, T, P=P, dt_max=T)
+    reference, spec = _series_with_separate_cfl_velocity(theta0, T, P, T)
+    assert rec.termination == "completed"
+    assert rec.meta["steps"] == len(reference["t"]) - 1 >= 4
+    for c, ref in reference.items():
+        assert np.array_equal(rec[c], np.asarray(ref)), c
+    assert np.array_equal(rec.final_state.values,
+                          ScalarField2D.from_spectrum(spec, 32).values)
