@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from .fields import ScalarField1D, ScalarField2D
 from .quadrature import gauss_legendre, panel_nodes
-from .symbols import DissipationSymbol, delta_of_B, symbol_from_json
+from .symbols import DissipationSymbol, crossover_scale, symbol_from_json
 
 DEFAULT_KAPPA = 0.1
 DEFAULT_GAMMA = 0.01
@@ -55,9 +55,11 @@ class _CumulativeMoments:
     Queries land on a node plus one partial Gauss-Legendre panel, batched
     over an array of separations. A query below the table floor first
     deepens the table: the depth doubles (as often as needed) and each new
-    stretch is seeded by one adaptive quadrature at its floor and prepended,
-    so entries above the old floor never move and a query's value does not
-    depend on which queries came before it.
+    stretch is seeded by the integral below its floor and prepended, so
+    entries above the old floor never move and a query's value does not
+    depend on which queries came before it. Seeds use the table's own panel
+    rule on a truncated window; only subnormal separations, below the
+    deepest floor, fall back to adaptive quadrature.
 
     ``scale`` multiplies the stored integrals. Members carry scale = B so the
     slope formula reads B - [B/(2 C_alpha kappa)] * scaled_M0: certified B
@@ -86,7 +88,7 @@ class _CumulativeMoments:
         # the integral below s_lo
         n = panels + 1
         s = np.linspace(s_lo, s_hi, n)
-        seed0, seed1 = self._below_floor(math.exp(s_lo))
+        seed0, seed1 = self._seed(s_lo)
         nodes, weights = panel_nodes(s, self._ORDER)
         f0, f1 = self._integrands(nodes)
         p0 = (weights * f0).reshape(n - 1, self._ORDER).sum(axis=1)
@@ -113,13 +115,29 @@ class _CumulativeMoments:
         base = self._scale * (3.0 + self._log_delta - s) / self._sym.envelope(eta)
         return base, eta * base
 
-    def _below_floor(self, xi: float) -> tuple[float, float]:
-        # integral over (0, xi] via t = ln(1/eta); integrands decay like
-        # e^{-alpha t}, so a truncated window is exact to machine precision
+    def _window(self, t0: float) -> float:
+        # integrands decay like e^{-alpha t} in t = ln(1/eta), so the integral
+        # over t in [t0, inf) truncated here is exact to machine precision
         # (an infinite upper limit would sample radii that underflow to 0)
-        t0 = -math.log(xi)
         hi = min(t0 + 48.0 / max(self._sym.alpha, 0.05), 700.0)
-        hi = max(hi, t0 + 1.0)
+        return max(hi, t0 + 1.0)
+
+    def _seed(self, s_lo: float) -> tuple[float, float]:
+        # integral over (0, e^s_lo] on the table's own panels, one envelope
+        # evaluation for both moments
+        s_min = -self._window(-s_lo)
+        panels = max(1, math.ceil(
+            self._per_decade * (s_lo - s_min) / _LN10 - 1e-6))
+        nodes, weights = panel_nodes(np.linspace(s_min, s_lo, panels + 1),
+                                     self._ORDER)
+        f0, f1 = self._integrands(nodes)
+        return float(weights @ f0), float(weights @ f1)
+
+    def _below_floor(self, xi: float) -> tuple[float, float]:
+        # integral over (0, xi] by adaptive quadrature in t = ln(1/eta), for
+        # subnormal separations only
+        t0 = -math.log(xi)
+        hi = self._window(t0)
         ld = self._log_delta
 
         def f0(t: float) -> float:
@@ -190,9 +208,9 @@ class _EnvelopeIntegral:
             return
         decades = math.log10(hi / lo)
         n = max(2, int(math.ceil(self._per_decade * decades)) + 1)
-        pts = set(np.geomspace(lo, hi, n))
-        pts.update(p for p in _envelope_breakpoints(self._sym) if lo < p < hi)
-        edges = np.array(sorted(pts))
+        edges = np.unique(np.concatenate((
+            np.geomspace(lo, hi, n),
+            [p for p in _envelope_breakpoints(self._sym) if lo < p < hi])))
         s_edges = np.log(edges)
         nodes, weights = panel_nodes(s_edges, self._ORDER)
         eta = np.exp(nodes)
@@ -376,7 +394,7 @@ def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
         raise ModulusConstructionError(
             f"requires kappa < r0/(4*C0) = {bound:.6g}, got kappa = {kappa}")
 
-    delta = delta_of_B(sym, kappa, B)
+    delta = crossover_scale(sym, kappa, B)
     if not delta > 1e-300:
         raise ModulusConstructionError(
             f"crossover scale m(delta) = B/kappa underflowed float64 at "
@@ -408,11 +426,6 @@ def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
         C_alpha=C_alpha, doubling_bound=1.0 + 1.5 ** (-alpha),
         slope_at_delta_left=slope_left, omega_at_delta=omega_delta,
         _slope_factor=slope_factor, _low=low, _high=high)
-
-
-def eval_modulus(mem: ModulusMember, xi: float) -> tuple[float, float, float]:
-    """(omega, omega', omega'') at xi > 0."""
-    return mem.evaluate(xi)
 
 
 def modulus_from_dict(doc: dict) -> ModulusMember:

@@ -176,7 +176,7 @@ def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
     fld = record(0.0, spec)
     if fld.spectral_tail_fraction() > tail_limit:
         raise ValueError("initial data is not resolved at this N")
-    while t < T:
+    while t < T * (1.0 - 1e-14):
         u = core.velocity(spec)
         sup_u = float(np.max(np.hypot(*u)))
         dt = min(dt_max, cfl * h / max(sup_u, 1e-300), T - t)
@@ -192,7 +192,7 @@ def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
         spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
         t += dt
         steps += 1
-        if steps % record_every == 0 or t >= T:
+        if steps % record_every == 0 or t >= T * (1.0 - 1e-14):
             fld = record(t, spec)
             if rows["spectral_tail"][-1] > tail_limit:
                 termination = "spectral-tail"

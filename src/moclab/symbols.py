@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,8 +34,6 @@ from scipy.optimize import bisect
 from .quadrature import quad_log
 
 LN2 = math.log(2.0)
-
-_DELTA_GUARD: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +61,15 @@ class DissipationSymbol:
 
     def m(self, r):
         """Evaluate m(r), vectorized; r must be positive."""
+        if type(r) is float:
+            # scalar fast path (the crossover bisection), bitwise equal to
+            # the array route: Python's ** can differ from np.power by an ulp
+            if r <= 0.0:
+                raise ValueError("symbol evaluated at non-positive radius")
+            if r <= self.core_radius:
+                return float(self._core(np.array([r]))[0])
+            return float(self.tail_coeff
+                         * np.power(np.float64(r), -self.alpha))
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
@@ -482,24 +488,7 @@ def crossover_scale(sym: DissipationSymbol, kappa: float, B: float) -> float:
     if resid > 1e-12 * target:
         raise RuntimeError(
             f"crossover residual {resid:.3e} exceeds 1e-12 relative tolerance")
-    _guard_delta_monotone(sym, kappa, B, delta)
     return delta
-
-
-# canonical name used throughout the construction formulas
-delta_of_B = crossover_scale
-
-
-def _guard_delta_monotone(sym, kappa, B, delta) -> None:
-    # cross-call sanity: delta(B) must be non-increasing in B per symbol/kappa
-    per_sym = _DELTA_GUARD.setdefault(sym, {})
-    hist = per_sym.setdefault(round(kappa, 15), [])
-    for B_prev, d_prev in hist:
-        if (B - B_prev) * (delta - d_prev) > 1e-12 * delta * max(B, B_prev):
-            raise AssertionError(
-                "crossover scale failed cross-call monotonicity in B")
-    hist.append((B, delta))
-    del hist[:-32]
 
 
 # ---------------------------------------------------------------------------

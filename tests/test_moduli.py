@@ -15,12 +15,11 @@ from moclab.moduli import (
     ModulusSearchError,
     build_modulus,
     check_obeys,
-    eval_modulus,
     find_B_for_data,
     modulus_from_dict,
     validate_modulus,
 )
-from moclab.symbols import make_symbol
+from moclab.symbols import make_symbol, symbol_from_table
 
 CRITICAL = make_symbol("power", a=1.0)
 
@@ -48,7 +47,7 @@ def test_base_member_closed_forms():
 def test_slope_formula_past_crossover():
     mem = base_member()
     xi = 2.0 * mem.delta
-    _, d1, _ = eval_modulus(mem, xi)
+    _, d1, _ = mem.evaluate(xi)
     assert_allclose(d1, 0.01 * CRITICAL.m(4.0 * mem.delta), rtol=1e-12)
 
 
@@ -64,8 +63,8 @@ def test_second_derivative_blows_up_at_zero():
     # critical-family curvature steepens like log(delta/xi): unbounded,
     # but slowly
     mem = base_member()
-    _, _, d2_mid = eval_modulus(mem, 1e-2 * mem.delta)
-    _, _, d2_small = eval_modulus(mem, 1e-4 * mem.delta)
+    _, _, d2_mid = mem.evaluate(1e-2 * mem.delta)
+    _, _, d2_small = mem.evaluate(1e-4 * mem.delta)
     assert d2_small < d2_mid < 0.0
     assert_allclose(d2_mid, -1.25 * (3.0 + math.log(1e2)), rtol=1e-9)
 
@@ -147,8 +146,8 @@ def test_moment_table_grows_below_its_floor():
 
 def test_sqg_criterion_runs_few_adaptive_quadratures(monkeypatch):
     # the criterion probes omega twelve decades below each separation;
-    # the table deepens a bounded number of times instead of running
-    # quadrature per query
+    # the table deepens instead of running quadrature per query, and seeds
+    # each deeper stretch on its own panels
     calls = []
     real_quad = moduli.quad
 
@@ -160,7 +159,83 @@ def test_sqg_criterion_runs_few_adaptive_quadratures(monkeypatch):
     mem = build_modulus(NORMALIZED, 0.05, 0.01, 1.0)
     rep = sqg_criterion(mem, xi_grid=default_xi_grid(1e-5, 1e2, 16))
     assert rep.passed
-    assert len(calls) <= 8
+    assert calls == []
+
+
+_TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
+SEED_SYMBOLS = {
+    "power1": make_symbol("power", a=1.0),
+    "power0.5": make_symbol("power", a=0.5),
+    "power0.1": make_symbol("power", a=0.1),
+    "log1": make_symbol("log", a=1.0),
+    "log0.3": make_symbol("log", a=0.3),
+    "tabulated": symbol_from_table(
+        _TABLE_RADII, _TABLE_RADII ** -0.8 * (1.0 + 0.1 * np.log1p(
+            1.0 / _TABLE_RADII))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_SYMBOLS))
+def test_table_seed_matches_adaptive_quadrature(name):
+    # the panel-rule seed below the floor against the adaptive quad route
+    # over the same truncated window
+    sym = SEED_SYMBOLS[name]
+    for delta in (1e-2, 1e-6, 1e-20, 1e-60):
+        low = moduli._CumulativeMoments(sym, delta)
+        s_lo = float(low._s[0])
+        seed = low._seed(s_lo)
+        assert (low._m0[0], low._m1[0]) == seed
+        assert_allclose(seed, low._below_floor(math.exp(s_lo)), rtol=1e-13,
+                        atol=0.0)
+
+
+def _set_sorted_edges(sym, lo, hi, per_decade):
+    # reference edges for _EnvelopeIntegral._grow: a set of the log grid
+    # and the envelope's kinks, sorted
+    n = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
+    pts = set(np.geomspace(lo, hi, n))
+    pts.update(p for p in moduli._envelope_breakpoints(sym) if lo < p < hi)
+    return np.array(sorted(pts))
+
+
+@pytest.mark.parametrize("name", ["power1", "log1", "log0.3", "tabulated"])
+def test_envelope_integral_edges_match_the_set_builder(name):
+    sym = SEED_SYMBOLS[name]
+    integ = moduli._EnvelopeIntegral(sym, 2e-7, 16.0)
+    expect = _set_sorted_edges(sym, 2e-7, 16.0, 16)
+    assert np.array_equal(integ._edges, expect)
+    integ.value(np.array([100.0]))  # grows the grid to 200
+    expect = np.concatenate(
+        (expect, _set_sorted_edges(sym, 16.0, 200.0, 16)[1:]))
+    assert np.array_equal(integ._edges, expect)
+
+
+def test_build_modulus_runs_no_adaptive_quadrature(monkeypatch):
+    calls = []
+    real_quad = moduli.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, "quad", counting_quad)
+    for sym, kappa in ((CRITICAL, 0.1), (NORMALIZED, 0.05),
+                       (SEED_SYMBOLS["power0.5"], 0.1),
+                       (SEED_SYMBOLS["log1"], 0.05)):
+        for b in (1.0, 2.0 ** 20, 2.0 ** 200):
+            mem = build_modulus(sym, kappa, 0.01, b)
+    # deepening the table seeds the new stretch the same way
+    mem.omega(1e-40 * mem.delta)
+    assert calls == []
+
+
+def test_bench_ladder_fields_keep_their_certified_B():
+    base = ScalarField1D.random_band_limited(256, kmax=20, amplitude=1.0,
+                                             seed=1)
+    got = [find_B_for_data(ScalarField1D(lam * base.values), CRITICAL,
+                           kappa=0.1, gamma=0.01)
+           for lam in (0.05, 0.1, 0.2, 0.4, 0.8)]
+    assert got == [2.0 ** k for k in (6, 35, 93, 208, 439)]
 
 
 # ---------------------------------------------------------------------------

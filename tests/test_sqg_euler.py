@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from moclab.fields import ScalarField2D
 from moclab.moduli import StratifiedPairSearch, build_modulus, check_obeys
 from moclab.sqg_euler import (ObedienceMonitor, _AdvectionCore,
-                              simulate_p_euler, simulate_sqg,
+                              osgood_check, simulate_p_euler, simulate_sqg,
                               velocity_multipliers)
 from moclab.symbols import make_multiplier, make_symbol
 
@@ -125,6 +125,19 @@ def test_sqg_plane_wave_decays_by_the_semigroup():
     assert np.max(np.abs(rec.final_state.values - exact)) <= 1e-14
 
 
+def test_run_ends_on_the_horizon_without_a_rounding_step():
+    # sixteen steps of T/16 add up to just short of T; closing that gap
+    # would take a ~1e-16 step and record t twice
+    P = make_multiplier("power", s=1.0)
+    T = 0.3
+    rec = simulate_sqg(_plane_wave(32), T, P=P, dt_max=T / 16)
+    assert rec.termination == "completed"
+    assert rec.meta["steps"] == 16
+    assert len(rec["t"]) == 17
+    assert np.all(np.diff(rec["t"]) > 0.0)
+    assert_allclose(rec["t"][-1], T, rtol=1e-14)
+
+
 def test_p_euler_plane_wave_is_steady():
     P = make_multiplier("log-damped", a=1.0)
     theta0 = _plane_wave(32)
@@ -178,7 +191,7 @@ def _series_with_separate_cfl_velocity(theta0, T, P, dt_max):
 
     t = 0.0
     record(t)
-    while t < T:
+    while t < T * (1.0 - 1e-14):
         ux = np.fft.irfft2(mx * spec, s=(N, N))
         uy = np.fft.irfft2(my * spec, s=(N, N))
         dt = min(dt_max, 0.4 * h / max(float(np.max(np.hypot(ux, uy))),
@@ -209,3 +222,16 @@ def test_stage_one_velocity_reuse_leaves_the_run_bitwise_unchanged():
         assert np.array_equal(rec[c], np.asarray(ref)), c
     assert np.array_equal(rec.final_state.values,
                           ScalarField2D.from_spectrum(spec, 32).values)
+
+
+# ----------------------------------------------------------------------
+# Osgood condition
+# ----------------------------------------------------------------------
+
+def test_osgood_classifies_known_multipliers():
+    # 1/(r ln(2r) r^1.5) is integrable at infinity; 1/(r ln(2r) ln ln r)
+    # is not
+    fast = osgood_check(make_multiplier("power", s=1.5))
+    assert fast.classification == "convergent-consistent" and fast.convergent
+    slow = osgood_check(make_multiplier("loglog"))
+    assert slow.classification == "divergent-consistent" and slow.divergent

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from moclab.fields import ScalarField1D
@@ -12,6 +14,7 @@ from moclab.symbols import (
     crossover_scale,
     make_multiplier,
     make_symbol,
+    symbol_from_callable,
     symbol_from_json,
     symbol_from_multiplier,
     symbol_from_table,
@@ -149,12 +152,68 @@ def test_crossover_scale_monotone_in_B():
     assert all(x > y for x, y in zip(deltas, deltas[1:]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(["power", "log"]),
+       a=st.floats(min_value=0.2, max_value=1.0),
+       B=st.floats(min_value=1.0, max_value=1e30),
+       factor=st.floats(min_value=1.0, max_value=1e3))
+def test_crossover_scale_non_increasing_in_B(family, a, B, factor):
+    s = make_symbol(family, a=a)
+    low = crossover_scale(s, 0.05, B)
+    high = crossover_scale(s, 0.05, B * factor)
+    assert high <= low * (1.0 + 1e-12)
+
+
 def test_crossover_scale_rejections():
     s = make_symbol("power", a=1.0)
     with pytest.raises(ValueError, match="kappa must lie in"):
         crossover_scale(s, 0.5, 2.0)
     with pytest.raises(ValueError, match="B >= 1"):
         crossover_scale(s, 0.1, 0.5)
+
+
+_TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
+EVERY_FAMILY = {
+    "power1": make_symbol("power", a=1.0, scale=1.0 / math.pi),
+    "power0.5": make_symbol("power", a=0.5),
+    "log1": make_symbol("log", a=1.0),
+    "log0.3": make_symbol("log", a=0.3),
+    "tabulated": symbol_from_table(_TABLE_RADII, _TABLE_RADII ** -0.8),
+    "multiplier": symbol_from_multiplier(
+        make_multiplier("log-damped", a=1.0)),
+    "callable": symbol_from_callable(
+        lambda r: 1.0 / (r * (1.0 - np.log(r))), core_radius=0.5, alpha=0.9,
+        r0=0.5, C0=1.0, sqg_admissible=True),
+}
+
+
+def _probe_radii(s):
+    # a wide log grid plus both sides of every branch point
+    pts = [s.core_radius, *(s._env_plateau or ())[::2]]
+    if s._table is not None:
+        pts += [s._table[0][0], s._table[0][-1]]
+    pts = np.array([p for p in pts if p > 0.0])
+    return np.concatenate((np.geomspace(1e-300, 1e3, 20011), pts,
+                           np.nextafter(pts, 0.0), np.nextafter(pts, 1e3)))
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
+def test_scalar_m_and_envelope_match_the_array_route_bitwise(name):
+    s = EVERY_FAMILY[name]
+    r = _probe_radii(s)
+    for fn in (s.m, s.envelope):
+        single = [fn(v) for v in r.tolist()]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(np.array(single), fn(r))
+
+
+def test_scalar_m_refuses_non_positive_radii_and_passes_nan():
+    for s in EVERY_FAMILY.values():
+        for bad in (0.0, -0.0, -1e-3):
+            with pytest.raises(ValueError, match="non-positive radius"):
+                s.m(bad)
+        assert math.isnan(s.m(math.nan))
+        assert np.isnan(s.m(np.array([math.nan]))[0])
 
 
 # ---------------------------------------------------------------------------
