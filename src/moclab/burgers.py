@@ -47,7 +47,8 @@ from scipy.optimize import brentq
 
 from .fields import ScalarField1D, dealias_cutoff
 from .kernels import multiplier_of_symbol_1d
-from .quadrature import gauss_legendre, graded_edges, panel_nodes, quad_log
+from .quadrature import (classify_decades, decade_increments, graded_edges,
+                         log_edges, panel_nodes)
 from .records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
 from .symbols import DissipationSymbol
 
@@ -142,23 +143,21 @@ def kernel_mass(m, *, decades=_MASS_DECADES):
 
     Returns (mass, err).
     """
-    v = np.empty(decades)
-    quad_err = 0.0
-    for j in range(decades):
-        val, err = quad_log(m, 10.0 ** (-(j + 1)), 10.0 ** (-j))
-        v[j] = val
-        quad_err += err
+    inc, quad_err = decade_increments(m, 1.0, decades)
+    v = np.array(inc)
     if np.any(v < 0.0):
         raise ValueError("kernel density must be nonnegative")
     if v[-1] <= 1e-280:
         return float(np.sum(v)), quad_err
-    window = v[-_MASS_WINDOW:] / v[-_MASS_WINDOW - 1:-1]
-    if np.min(window) >= _DIV_RATIO:
+    label, window = classify_decades(v, _MASS_WINDOW, _CONV_RATIO,
+                                     _DIV_RATIO, _CONV_DRIFT)
+    if label == "divergent":
         raise KernelDivergenceError(
             "per-decade kernel mass does not decay (last ratio %.6f); "
             "integral_0^1 m is divergent" % window[-1])
-    if np.max(window) <= _CONV_RATIO and np.max(window) - np.min(window) <= _CONV_DRIFT:
-        r = float(np.max(window))
+    if label == "convergent":
+        # no ratio left (every denominator zero) leaves no remainder
+        r = float(np.max(window, initial=0.0))
         rem = float(v[-1]) * r / (1.0 - r)
         return float(np.sum(v)) + rem, quad_err + rem
     raise KernelUndecidedError(
@@ -171,28 +170,11 @@ def kernel_mass(m, *, decades=_MASS_DECADES):
 # dissipation of the hat profile
 # ----------------------------------------------------------------------
 
-def _log_edges(lo, hi, per_decade, kinks=()):
-    n = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
-    e = np.geomspace(lo, hi, n + 1)
-    inner = [k for k in kinks if lo < k < hi]
-    if inner:
-        e = np.unique(np.concatenate([e, inner]))
-    return e
-
-
 def _panel_quad(f, lo, hi, *, per_decade, order, kinks=()):
     if hi <= lo:
         return 0.0
-    nodes, weights = panel_nodes(_log_edges(lo, hi, per_decade, kinks), order)
+    nodes, weights = panel_nodes(log_edges(lo, hi, per_decade, kinks), order)
     return float(np.dot(weights, f(nodes)))
-
-
-def _m_over_r_tail(sym, R):
-    """integral_R^inf m(u)/u du, exact on the power tail."""
-    if R >= sym.core_radius:
-        return sym.tail_integral_over_r(R)
-    val, _ = quad_log(lambda u: sym(u) / u, R, sym.core_radius)
-    return val + sym.tail_integral_over_r(sym.core_radius)
 
 
 def _m_over_r2_tail(sym, R):
@@ -205,7 +187,7 @@ def _wedge_diss_inside(sym, x, per_decade, order):
     # Windows of the increment form for 0 < x < 1; the linear region of w
     # cancels exactly and never enters.
     kinks = (sym.core_radius,)
-    t_tail = 2.0 * (1.0 - x) * _m_over_r_tail(sym, 1.0 + x)
+    t_tail = 2.0 * (1.0 - x) * sym.tail_integral_over_r(1.0 + x)
     mid_lo = max(x, 1.0 - x)
 
     def far(z):
@@ -364,7 +346,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass):
     gl_nodes, gl_weights = panel_nodes(np.linspace(0.0, 0.5, 9), order)
     p_tail = 2.0 * float(np.dot(
         gl_weights,
-        [(1.0 - xx) * _m_over_r_tail(sym, 1.0 + xx) for xx in gl_nodes]))
+        [(1.0 - xx) * sym.tail_integral_over_r(1.0 + xx) for xx in gl_nodes]))
 
     # [1/2, 1): pointwise evaluation; the x-derivative degenerates at 1, so
     # panels grade toward that edge and sign changes are pinned.
@@ -391,7 +373,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass):
         X *= 4.0
     out_edges = np.unique(np.concatenate([
         1.0 + graded_edges(0.0, 1.0, 30, toward="left"),
-        _log_edges(2.0, X, per_decade)]))
+        log_edges(2.0, X, per_decade)]))
     nodes, weights = panel_nodes(out_edges, order)
     vals = np.array([outside(v) for v in nodes])
     far_rem = ((C + 1.0) / 3.0) * _m_over_r2_tail(sym, X - 1.0)

@@ -33,11 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import ScalarField2D
+from .fields import TWO_PI, ScalarField2D
 from .moduli import (DEFAULT_GAMMA, DEFAULT_KAPPA, ModulusConstructionError,
-                     ModulusMember, _envelope_breakpoints, _omega_array,
-                     build_modulus, envelope_tail_over_r)
-from .quadrature import graded_edges, panel_nodes
+                     ModulusMember, _omega_array, build_modulus)
+from .quadrature import graded_edges, log_panel_nodes, panel_nodes
 from .symbols import DissipationSymbol
 
 DEFAULT_A = 2.0
@@ -75,46 +74,13 @@ def _omega_callable(omega) -> Callable:
     raise TypeError(f"cannot evaluate {type(omega).__name__} as a modulus")
 
 
-def _log_panel_nodes(lo: float, hi: float, per_decade: float, order: int,
-                     kinks: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integrating f(eta) d(eta) on log-spaced panels.
-
-    Kink locations inside (lo, hi) are pinned as panel edges so each panel
-    sees a smooth integrand.
-    """
-    pts = sorted({lo, hi} | {float(k) for k in kinks if lo < k < hi})
-    s_edges = [math.log(pts[0])]
-    for a, b in zip(pts[:-1], pts[1:]):
-        span = math.log10(b / a)
-        n = max(1, int(math.ceil(per_decade * span)))
-        s_edges.extend(np.linspace(math.log(a), math.log(b), n + 1)[1:])
-    nodes_s, w_s = panel_nodes(np.array(s_edges), order)
-    eta = np.exp(nodes_s)
-    return eta, w_s * eta
-
-
 def _omega_kinks(omega) -> list[float]:
     """Argument values where a modulus may lose smoothness."""
     if isinstance(omega, ModulusMember):
-        return [omega.delta] + [0.5 * p for p in _envelope_breakpoints(omega.sym)]
+        return [omega.delta] + [0.5 * p for p in omega.sym.breakpoints]
     delta = getattr(omega, "delta", math.inf)
     kinks = [] if math.isinf(delta) else [delta]
     return kinks + list(getattr(omega, "kinks", ()))
-
-
-def _m_tail_over_r(sym: DissipationSymbol, R: float) -> float:
-    """Integral of m(u)/u over (R, inf), exact beyond the core radius."""
-    if R >= sym.core_radius:
-        return sym.tail_integral_over_r(R)
-    eta, w = _log_panel_nodes(R, sym.core_radius, 8.0, 12)
-    inner = float(np.dot(w / eta, sym.m(eta)))
-    return inner + sym.tail_integral_over_r(sym.core_radius)
-
-
-def _env_tail_start(sym: DissipationSymbol) -> float:
-    if sym._env_plateau is not None:
-        return sym._env_plateau[2]
-    return sym.core_radius
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +101,7 @@ def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
     tiny = 1e-300
     for j in range(200):
         hi = 2.0 * lo
-        eta, w = _log_panel_nodes(lo, hi, 4.0, order, kinks)
+        eta, w = log_panel_nodes(lo, hi, 4.0, order, kinks)
         v = float(np.dot(w, _omega_array(omega, eta) / eta ** 2))
         total += v
         q = math.log2(max(float(omega(hi)), tiny) / max(float(omega(lo)), tiny))
@@ -164,13 +130,13 @@ def _riesz_tail(omega, xi: float, kinks: Sequence[float],
         sym, delta, gamma = omega.sym, omega.delta, omega.gamma
         if xi >= delta:
             # by parts: the slope past the crossover is gamma * env(2 eta)
-            return (float(omega.omega(xi))
-                    + gamma * xi * envelope_tail_over_r(sym, 2.0 * xi), 0.0)
-        eta, w = _log_panel_nodes(xi, delta, 3.0, order,
-                                  _omega_kinks(omega))
+            tail = sym.envelope_tail_integral_over_r(2.0 * xi)
+            return float(omega.omega(xi)) + gamma * xi * tail, 0.0
+        eta, w = log_panel_nodes(xi, delta, 3.0, order,
+                                 _omega_kinks(omega))
         mid = float(np.dot(w, omega.omega(eta) / eta ** 2))
         at_delta = (float(omega.omega(delta)) / delta
-                    + gamma * envelope_tail_over_r(sym, 2.0 * delta))
+                    + gamma * sym.envelope_tail_integral_over_r(2.0 * delta))
         val = xi * (mid + at_delta)
         return val, 1e-14 * val
     tail, err = _callable_tail_over_eta2(_omega_callable(omega), xi, kinks,
@@ -188,7 +154,7 @@ def _low_riesz(omega, xi: float, kinks: Sequence[float],
     since omega/eta is flat there.
     """
     floor = 1e-12 * xi
-    eta, w = _log_panel_nodes(floor, xi, 2.0, order, kinks)
+    eta, w = log_panel_nodes(floor, xi, 2.0, order, kinks)
     val = float(np.dot(w, _omega_array(omega, eta) / eta))
     stub = float(omega(floor))
     return val + stub, 1e-2 * stub + 1e-14 * val
@@ -259,7 +225,7 @@ def _near_integral(omega_fn, sym, xi, kinks, per_decade, order):
                 eta_kinks.add(cand)
     if floor < 0.5 * sym.core_radius < half:
         eta_kinks.add(0.5 * sym.core_radius)
-    eta, w = _log_panel_nodes(floor, half, per_decade, order, eta_kinks)
+    eta, w = log_panel_nodes(floor, half, per_decade, order, eta_kinks)
     w_xi = float(omega_fn(xi))
     g = 2.0 * w_xi - _omega_array(omega_fn, xi + 2.0 * eta) \
         - _omega_array(omega_fn, xi - 2.0 * eta)
@@ -284,7 +250,7 @@ def _far_direct(omega_fn, sym, xi, R1, kinks, per_decade, order):
                 eta_kinks.add(cand)
     if half < 0.5 * sym.core_radius < R1:
         eta_kinks.add(0.5 * sym.core_radius)
-    eta, w = _log_panel_nodes(half, R1, per_decade, order, eta_kinks)
+    eta, w = log_panel_nodes(half, R1, per_decade, order, eta_kinks)
     w_xi = float(omega_fn(xi))
     up = _omega_array(omega_fn, 2.0 * eta + xi)
     dn = _omega_array(omega_fn, 2.0 * eta - xi)
@@ -307,7 +273,7 @@ def _member_far_closed(mem: ModulusMember, xi: float, R1: float):
     c = sym.tail_coeff
     alpha = sym.alpha
     w_xi = float(mem.omega(xi))
-    base = 2.0 * w_xi * _m_tail_over_r(sym, 2.0 * R1)
+    base = 2.0 * w_xi * sym.tail_integral_over_r(2.0 * R1)
 
     def increment(eta):
         lo = 4.0 * eta - 2.0 * xi
@@ -321,7 +287,7 @@ def _member_far_closed(mem: ModulusMember, xi: float, R1: float):
     # bound drops sixteen orders, then close with the exact power remainder
     decades = 8.0 / alpha
     R_inf = R1 * 10.0 ** decades
-    eta, w = _log_panel_nodes(R1, R_inf, 4.0, 10)
+    eta, w = log_panel_nodes(R1, R_inf, 4.0, 10)
     kern = c * (2.0 * eta) ** (-alpha) / eta
     correction = float(np.dot(w, increment(eta) * kern))
     # beyond R_inf: increment ~ 2 gamma xi c (4 eta)^-alpha, exact integral
@@ -332,7 +298,7 @@ def _member_far_closed(mem: ModulusMember, xi: float, R1: float):
 
 def _callable_far_windows(omega_fn, sym, xi, R0, kinks, order):
     """Far contribution beyond R0 for a generic callable omega."""
-    scale_ref = 2.0 * float(omega_fn(xi)) * _m_tail_over_r(sym, xi)
+    scale_ref = 2.0 * float(omega_fn(xi)) * sym.tail_integral_over_r(xi)
     total = 0.0
     prev = None
     lo = R0
@@ -340,8 +306,8 @@ def _callable_far_windows(omega_fn, sym, xi, R0, kinks, order):
         hi = 2.0 * lo
         eta_kinks = {(k - xi) / 2.0 for k in kinks} \
             | {(k + xi) / 2.0 for k in kinks} | {0.5 * sym.core_radius}
-        eta, w = _log_panel_nodes(lo, hi, 4.0, order,
-                                  {c for c in eta_kinks if lo < c < hi})
+        eta, w = log_panel_nodes(lo, hi, 4.0, order,
+                                 {c for c in eta_kinks if lo < c < hi})
         w_xi = float(omega_fn(xi))
         g = 2.0 * w_xi - _omega_array(omega_fn, 2.0 * eta + xi) \
             + _omega_array(omega_fn, 2.0 * eta - xi)
@@ -350,11 +316,11 @@ def _callable_far_windows(omega_fn, sym, xi, R0, kinks, order):
         if prev is not None and v <= 1e-13 * max(scale_ref, total):
             ratio = v / prev if prev > 0.0 else 0.0
             rem = v * ratio / (1.0 - ratio) if ratio < 0.95 else \
-                2.0 * w_xi * _m_tail_over_r(sym, 2.0 * hi)
+                2.0 * w_xi * sym.tail_integral_over_r(2.0 * hi)
             return total + rem, rem + 1e-15 * scale_ref
         prev = v
         lo = hi
-    rem = 2.0 * float(omega_fn(xi)) * _m_tail_over_r(sym, 2.0 * lo)
+    rem = 2.0 * float(omega_fn(xi)) * sym.tail_integral_over_r(2.0 * lo)
     return total + rem, rem
 
 
@@ -373,8 +339,7 @@ def _dissipation_err(omega, sym: DissipationSymbol | None, xi: float,
 
     near, err_n = _near_integral(omega_fn, sym, xi, ks, per_decade, order)
     if member is not None:
-        R1 = max(2.0 * xi, 2.0 * member.delta, _env_tail_start(sym),
-                 sym.core_radius)
+        R1 = max(2.0 * xi, 2.0 * member.delta, sym.tail_start)
         direct, err_d = _far_direct(omega_fn, sym, xi, R1, ks,
                                     per_decade, order)
         closed, err_c = _member_far_closed(member, xi, R1)
@@ -725,7 +690,7 @@ def perp_pair(fld: ScalarField2D, x, y, sym: DissipationSymbol,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xi = float(np.hypot(*(x - y)))
-    cell = 2.0 * math.pi / fld.N
+    cell = TWO_PI / fld.N
     if xi < 4.0 * cell:
         raise DegeneratePairError(
             f"pair separation {xi:.3g} is below four grid cells "
@@ -814,7 +779,7 @@ def calibrate_A(fld: ScalarField2D, omega, *, pairs: int = 128,
     rng = np.random.default_rng(seed)
     u1, u2 = _riesz_velocity(fld)
     N = fld.N
-    h = 2.0 * math.pi / N
+    h = TWO_PI / N
     idx = rng.integers(0, N, size=(pairs, 4))
     best = (0.0, math.nan)
     for i1, j1, i2, j2 in idx:
@@ -906,15 +871,3 @@ def tune_parameters(sym: DissipationSymbol, A: float = DEFAULT_A, *,
         kappa *= 0.5
         gamma *= 0.5
     return TuningResult(kappa, gamma, A, False, steps)
-
-
-def admissible_region(sym: DissipationSymbol, A_values: Sequence[float], *,
-                      B_values: Sequence[float] = (1.0,),
-                      xi_grid: np.ndarray | None = None) -> list[dict]:
-    """Tuned (kappa, gamma) per A; rows report the first passing rung."""
-    rows = []
-    for A in A_values:
-        res = tune_parameters(sym, A, B_values=B_values, xi_grid=xi_grid)
-        rows.append({"A": A, "kappa": res.kappa, "gamma": res.gamma,
-                     "pass": res.passed, "halvings": len(res.steps) - 1})
-    return rows

@@ -33,11 +33,10 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import j0, zeta
 
-from .fields import ScalarField1D, ScalarField2D
+from .fields import TWO_PI, ScalarField1D, ScalarField2D
 from .quadrature import SmoothCutoff, oscillation_resolved_edges, panel_nodes
-from .symbols import DissipationSymbol, Multiplier
+from .symbols import DissipationSymbol
 
-TWO_PI = 2.0 * math.pi
 # beyond this argument the large-x Bessel expansion is used (7 terms each
 # series; truncation error ~ 1e-16 relative at x = 35)
 X_ASYM = 35.0
@@ -598,6 +597,4 @@ def multiplier_to_kernel(P, d: int = 1, radii: np.ndarray | None = None,
         sigma=sigma, lower_constant=lower_c, upper_constant=upper_c,
         window_counts=wins, error_estimates=errs,
     )
-    if isinstance(P, Multiplier):
-        P.c0 = sigma
     return table

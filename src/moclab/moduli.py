@@ -23,14 +23,13 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .fields import ScalarField1D, ScalarField2D
-from .quadrature import gauss_legendre, panel_nodes
+from .fields import TWO_PI, ScalarField1D, ScalarField2D
+from .quadrature import gauss_legendre, log_edges, panel_nodes
 from .symbols import DissipationSymbol, crossover_scale, symbol_from_json
 
 DEFAULT_KAPPA = 0.1
 DEFAULT_GAMMA = 0.01
 
-TWO_PI = 2.0 * math.pi
 _LN10 = math.log(10.0)
 
 
@@ -173,18 +172,6 @@ class _CumulativeMoments:
         return m0, m1
 
 
-def _envelope_breakpoints(sym: DissipationSymbol) -> list[float]:
-    pts = []
-    if sym._env_plateau is not None:
-        r_lo, _, r_hi = sym._env_plateau
-        pts += [r_lo, r_hi]
-    else:
-        pts.append(sym.core_radius)
-    if sym._table is not None:
-        pts += list(sym._table[0])
-    return [p for p in pts if p > 0.0]
-
-
 class _EnvelopeIntegral:
     """Running integral of the envelope of m from a fixed left endpoint.
 
@@ -206,11 +193,7 @@ class _EnvelopeIntegral:
         lo = float(self._edges[-1])
         if hi <= lo:
             return
-        decades = math.log10(hi / lo)
-        n = max(2, int(math.ceil(self._per_decade * decades)) + 1)
-        edges = np.unique(np.concatenate((
-            np.geomspace(lo, hi, n),
-            [p for p in _envelope_breakpoints(self._sym) if lo < p < hi])))
+        edges = log_edges(lo, hi, self._per_decade, self._sym.breakpoints)
         s_edges = np.log(edges)
         nodes, weights = panel_nodes(s_edges, self._ORDER)
         eta = np.exp(nodes)
@@ -236,30 +219,6 @@ class _EnvelopeIntegral:
         half = 0.5 * (np.log(v) - left)
         eta = np.exp(left[:, None] + half[:, None] * (x + 1.0))
         return self._cum[i] + half * ((eta * self._sym.envelope(eta)) @ w)
-
-
-def envelope_tail_over_r(sym: DissipationSymbol, R: float) -> float:
-    """Exact-or-quadrature integral of envelope(u)/u over (R, infinity).
-
-    The far part is the symbol's power tail, integrated in closed form; any
-    plateau or core portion of the envelope between R and the tail start is
-    added by panel quadrature.
-    """
-    if not R > 0.0:
-        raise ValueError("tail integral needs R > 0")
-    if sym._env_plateau is not None:
-        tail_start = sym._env_plateau[2]
-    else:
-        tail_start = sym.core_radius
-    out = sym.tail_coeff * max(R, tail_start) ** (-sym.alpha) / sym.alpha
-    if R < tail_start:
-        edges = sorted({R, tail_start}
-                       | {p for p in _envelope_breakpoints(sym)
-                          if R < p < tail_start})
-        nodes, weights = panel_nodes(np.log(np.array(edges)), 20)
-        eta = np.exp(nodes)
-        out += float(np.dot(weights, sym.envelope(eta)))
-    return out
 
 
 # ---------------------------------------------------------------------------

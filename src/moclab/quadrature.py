@@ -8,7 +8,10 @@ Gauss-Legendre panels. The conventions used throughout the package:
 * oscillatory integrals go through QUADPACK's cos/sin weights (QAWO on a
   finite window, QAWF for convergent tails);
 * every numerical value that feeds a pass/fail decision carries an error
-  estimate alongside it.
+  estimate alongside it;
+* convergence of an integral toward an endpoint is read from the trailing
+  ratios of its per-decade increments (``classify_decades``), each caller
+  with its own thresholds.
 """
 from __future__ import annotations
 
@@ -59,12 +62,6 @@ def graded_edges(a: float, b: float, levels: int, toward: str = "left") -> np.nd
     return np.unique(np.concatenate((pts, [b])))
 
 
-def integrate_panels(f, edges: np.ndarray, order: int = 16) -> float:
-    """Composite Gauss-Legendre integral of a vectorized callable."""
-    nodes, weights = panel_nodes(edges, order)
-    return float(np.dot(weights, f(nodes)))
-
-
 def quad_log(f, lo: float, hi: float, **kw) -> tuple[float, float]:
     """Integrate f on [lo, hi], 0 < lo < hi, in the variable s = log r.
 
@@ -81,21 +78,72 @@ def quad_log(f, lo: float, hi: float, **kw) -> tuple[float, float]:
     return val, err
 
 
-def quad_decaying(f, lo: float, decade_span: float = 14.0, rate: float = 1.0,
-                  **kw) -> tuple[float, float]:
-    """Integrate f on [lo, inf) when f decays at least like r**-(1+rate).
+def log_edges(lo: float, hi: float, per_decade: float,
+              kinks=()) -> np.ndarray:
+    """Geometric panel edges on [lo, hi], ``per_decade`` panels per decade
+    (at least one), with the kinks inside (lo, hi) pinned as extra edges."""
+    n = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
+    e = np.geomspace(lo, hi, n + 1)
+    inner = [k for k in kinks if lo < k < hi]
+    if inner:
+        e = np.unique(np.concatenate([e, inner]))
+    return e
 
-    Log-substitutes and truncates where the transformed integrand has
-    decayed by ``decade_span`` decades relative to its start.
+
+def log_panel_nodes(lo: float, hi: float, per_decade: float, order: int,
+                    kinks=()) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for integrating f(eta) d(eta) on log-spaced panels.
+
+    The rule is Gauss-Legendre in s = ln(eta). Kink locations inside
+    (lo, hi) are pinned as panel edges so each panel sees a smooth
+    integrand.
     """
-    smax = math.log(lo) + decade_span * math.log(10.0) / max(rate, 1e-3)
+    pts = sorted({lo, hi} | {float(k) for k in kinks if lo < k < hi})
+    s_edges = [math.log(pts[0])]
+    for a, b in zip(pts[:-1], pts[1:]):
+        span = math.log10(b / a)
+        n = max(1, int(math.ceil(per_decade * span)))
+        s_edges.extend(np.linspace(math.log(a), math.log(b), n + 1)[1:])
+    nodes_s, w_s = panel_nodes(np.array(s_edges), order)
+    eta = np.exp(nodes_s)
+    return eta, w_s * eta
 
-    def g(s: float) -> float:
-        r = math.exp(s)
-        return f(r) * r
 
-    val, err = quad(g, math.log(lo), smax, limit=200, **kw)
-    return val, err
+def decade_increments(fn, hi: float, decades: int) -> tuple[list, float]:
+    """Per-decade integrals of fn toward 0 over [hi/10^(k+1), hi/10^k].
+
+    Returns the increments, nearest decade first, and the sum of their
+    quadrature error estimates.
+    """
+    out = []
+    err_sum = 0.0
+    for k in range(decades):
+        val, err = quad_log(fn, hi * 10.0 ** -(k + 1), hi * 10.0 ** -k)
+        out.append(val)
+        err_sum += err
+    return out, err_sum
+
+
+def classify_decades(increments, window: int, conv: float, div: float,
+                     drift: float = math.inf) -> tuple[str, np.ndarray]:
+    """Classify the sum of per-decade increments by its trailing ratios.
+
+    The ratios are inc[k+1] / inc[k] over the last ``window`` + 1
+    increments, dropping those with a non-positive denominator. All at or
+    above ``div`` reads "divergent"; all at or below ``conv`` with a spread
+    of at most ``drift`` reads "convergent"; anything else "ambiguous". No
+    ratio at all reads "convergent". Returns (label, ratios).
+    """
+    tail = np.asarray(increments, dtype=float)[-(window + 1):]
+    den = tail[:-1]
+    ratios = tail[1:][den > 0.0] / den[den > 0.0]
+    if ratios.size == 0:
+        return "convergent", ratios
+    if ratios.min() >= div:
+        return "divergent", ratios
+    if ratios.max() <= conv and ratios.max() - ratios.min() <= drift:
+        return "convergent", ratios
+    return "ambiguous", ratios
 
 
 class SmoothCutoff:

@@ -28,7 +28,7 @@ from scipy.integrate import quad, solve_ivp
 
 from .fields import ScalarField2D, dealias_cutoff
 from .moduli import StratifiedPairSearch, _omega_of
-from .quadrature import gauss_legendre
+from .quadrature import classify_decades, gauss_legendre
 from .records import REGULAR, UNRESOLVED, RunRecord
 
 COLUMNS_2D = ("t", "linf", "grad_linf", "l2", "obedience_margin",
@@ -329,14 +329,10 @@ def osgood_check(P, M_values=None, *, decades=_OSG_DECADES):
             rest = 0.0
         partials[i] = cum[j] + rest
 
-    tail = inc[-(_OSG_WINDOW + 1):]
-    ratios = tail[1:] / tail[:-1]
-    if ratios.min() >= _OSG_DIV_RATIO:
-        label = "divergent-consistent"
-    elif ratios.max() <= _OSG_CONV_RATIO:
-        label = "convergent-consistent"
-    else:
-        label = "ambiguous"
+    label, ratios = classify_decades(inc, _OSG_WINDOW, _OSG_CONV_RATIO,
+                                     _OSG_DIV_RATIO)
+    if label != "ambiguous":
+        label += "-consistent"
     return OsgoodReport(
         M_values=M_values, partials=partials, decade_increments=inc,
         tail_ratios=ratios, classification=label,

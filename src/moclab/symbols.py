@@ -28,12 +28,20 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import bisect
 
-from .quadrature import quad_log
+from .quadrature import (classify_decades, decade_increments,
+                         log_panel_nodes, panel_nodes)
 
 LN2 = math.log(2.0)
+
+# Decade-ratio thresholds over the last _TREND_WINDOW ratios: a divergence
+# flag needs every ratio at or above _TREND_DIV_RATIO; check_conditions
+# reads a trend only outside its (_CHECK_CONV_RATIO, _CHECK_DIV_RATIO) gap.
+_TREND_WINDOW = 3
+_TREND_DIV_RATIO = 0.9
+_CHECK_CONV_RATIO = 0.85
+_CHECK_DIV_RATIO = 0.93
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +101,8 @@ class DissipationSymbol:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        out = np.empty_like(r)
+        # a NaN radius falls in none of the three pieces and stays NaN
+        out = np.full_like(r, np.nan)
         low = r < r_lo
         mid = (r >= r_lo) & (r < r_hi)
         high = r >= r_hi
@@ -104,11 +113,57 @@ class DissipationSymbol:
             out[high] = self.tail_coeff * r[high] ** (-self.alpha)
         return float(out[0]) if scalar else out
 
+    @property
+    def breakpoints(self) -> list[float]:
+        """Positive radii where m or its envelope may lose smoothness: the
+        plateau edges (else the core radius) and any table radii."""
+        if self._env_plateau is not None:
+            pts = [self._env_plateau[0], self._env_plateau[2]]
+        else:
+            pts = [self.core_radius]
+        if self._table is not None:
+            pts += list(self._table[0])
+        return [p for p in pts if p > 0.0]
+
+    @property
+    def tail_start(self) -> float:
+        """Radius from which the envelope is the exact power tail."""
+        if self._env_plateau is not None:
+            return self._env_plateau[2]
+        return self.core_radius
+
     def tail_integral_over_r(self, R: float) -> float:
-        """Exact integral of m(r)/r over (R, inf) for R >= core_radius."""
-        if R < self.core_radius:
-            raise ValueError("tail starts inside the core region")
-        return self.tail_coeff * R ** (-self.alpha) / self.alpha
+        """Integral of m(u)/u over (R, inf) for R > 0.
+
+        Exact on the power tail; the core part below core_radius uses log
+        panels, 8 per decade of order 12.
+        """
+        if not R > 0.0:
+            raise ValueError("tail integral needs R > 0")
+        if R >= self.core_radius:
+            return self.tail_coeff * R ** (-self.alpha) / self.alpha
+        eta, w = log_panel_nodes(R, self.core_radius, 8.0, 12)
+        inner = float(np.dot(w / eta, self.m(eta)))
+        return inner + self.tail_integral_over_r(self.core_radius)
+
+    def envelope_tail_integral_over_r(self, R: float) -> float:
+        """Integral of envelope(u)/u over (R, inf) for R > 0.
+
+        The far part is the power tail, in closed form; any plateau or core
+        portion of the envelope between R and tail_start is added by one
+        order-20 panel in ln(u) per gap between breakpoints.
+        """
+        if not R > 0.0:
+            raise ValueError("tail integral needs R > 0")
+        tail_start = self.tail_start
+        out = self.tail_integral_over_r(max(R, tail_start))
+        if R < tail_start:
+            edges = sorted({R, tail_start}
+                           | {p for p in self.breakpoints
+                              if R < p < tail_start})
+            nodes, weights = panel_nodes(np.log(np.array(edges)), 20)
+            out += float(np.dot(weights, self.envelope(np.exp(nodes))))
+        return out
 
     def to_dict(self) -> dict:
         if self.family == "log":
@@ -320,8 +375,8 @@ def symbol_from_multiplier(P: "Multiplier", scale: float = 1.0,
     zz = np.logspace(0.0, 9.0, 400)
     C0 = float(np.max(P(zz) / zz)) / scale
     m1 = float(P(np.array([1.0]))[0]) / scale
-    # integral of m over (0,1) = integral of P(z)/z^2 over (1,inf)
-    admissible = _trend_divergent(lambda z: P(z) / z ** 2, 1.0, 16)
+    # does the integral of m = P(1/r) over (0, 1) diverge?
+    admissible = _trend_divergent(core, 1.0, 16)
     return DissipationSymbol(
         family="multiplier-derived", a=None, alpha=alpha, r0=r0,
         C0=C0, sqg_admissible=admissible,
@@ -353,26 +408,13 @@ class ConditionReport:
         return self.rm_bounded and self.trend_consistent
 
 
-def _decade_increments(fn, hi: float, decades: int) -> list[float]:
-    """Per-decade integrals of fn toward 0: [hi/10^(k+1), hi/10^k]."""
-    out = []
-    for k in range(decades):
-        a = hi * 10.0 ** -(k + 1)
-        b = hi * 10.0 ** -k
-        val, _ = quad_log(fn, a, b)
-        out.append(val)
-    return out
-
-
 def _trend_divergent(fn, hi: float, decades: int) -> bool:
     """Heuristic: does the integral of fn toward 0 (or toward infinity when
     read through 1/r) diverge? Geometric extrapolation of decade increments."""
-    inc = _decade_increments(fn, hi, decades)
-    tail = inc[-4:]
-    ratios = [tail[i + 1] / tail[i] for i in range(3) if tail[i] > 0.0]
-    if not ratios:
-        return False
-    return min(ratios) >= 0.9
+    inc, _ = decade_increments(fn, hi, decades)
+    label, _ = classify_decades(inc, _TREND_WINDOW, _TREND_DIV_RATIO,
+                                _TREND_DIV_RATIO)
+    return label == "divergent"
 
 
 def check_conditions(sym: DissipationSymbol, grid: np.ndarray | None = None,
@@ -416,18 +458,11 @@ def check_conditions(sym: DissipationSymbol, grid: np.ndarray | None = None,
         warnings.append(
             f"r^alpha*m increases on ~({win_alpha[0]:.3g}, {win_alpha[1]:.3g})")
 
-    partial = _decade_increments(sym.m, 1.0, depth_decades)
-    tail = partial[-4:]
-    ratios = [tail[i + 1] / tail[i] for i in range(3) if tail[i] > 0.0]
-    trend: bool | None
-    if not ratios:
-        trend = False
-    elif min(ratios) >= 0.93:
-        trend = True
-    elif max(ratios) <= 0.85:
-        trend = False
-    else:
-        trend = None
+    partial, _ = decade_increments(sym.m, 1.0, depth_decades)
+    label, _ = classify_decades(partial, _TREND_WINDOW, _CHECK_CONV_RATIO,
+                                _CHECK_DIV_RATIO)
+    # None when the trend is ambiguous
+    trend = {"divergent": True, "convergent": False}.get(label)
     consistent = trend is None or trend == sym.sqg_admissible
     if not consistent:
         warnings.append(
@@ -506,7 +541,6 @@ class Multiplier:
     sub_linear: bool        # integral of P(1/z) z dz near 0 converges
     cD: float               # sampled doubling constant sup P(2z)/P(z)
     cH: float               # sampled Hormander constant, derivatives to order 4
-    c0: float | None = None  # lower-bound validity radius (from kernel table)
     label: str = ""
 
     def __call__(self, z):
@@ -520,7 +554,7 @@ class Multiplier:
         return {
             "kind": self.kind, "params": self.params, "alpha": self.alpha,
             "sub_linear": self.sub_linear, "cD": self.cD, "cH": self.cH,
-            "c0": self.c0, "label": self.label,
+            "label": self.label,
         }
 
 
@@ -632,30 +666,3 @@ def _sampled_hormander(form, params, zs: np.ndarray) -> float:
             deriv = float(np.dot(coef, vals)) / h ** order
             worst = max(worst, abs(deriv) * z0 ** order / base)
     return worst
-
-
-def check_euler_hypotheses(P: Multiplier, grid: np.ndarray | None = None) -> dict:
-    """Sampled check of the velocity-multiplier hypotheses: doubling and
-    z^-alpha P(z) non-increasing for some alpha < 1 (slow growth)."""
-    if grid is None:
-        grid = np.logspace(-2.0, 8.0, 400)
-    vals = P(grid)
-    pos = vals > 0.0
-    doubling = float(np.max(P(2.0 * grid[pos]) / vals[pos])) if pos.any() else 1.0
-    return {
-        "doubling": doubling,
-        "slope_sup": P.slope_sup,
-        "slow_growth": P.slope_sup < 1.0 - 1e-9,
-    }
-
-
-# ---------------------------------------------------------------------------
-# spectral application
-# ---------------------------------------------------------------------------
-
-def apply_dissipation_spectral(P: Multiplier | Callable, fld):
-    """Apply the multiplier pointwise on the spectrum: new_hat = P(|k|) * hat.
-
-    Works for both 1-D and 2-D fields; exact for band-limited data.
-    """
-    return fld.apply_multiplier(P)

@@ -23,6 +23,7 @@ from moclab.burgers import (
 )
 from moclab.fields import ScalarField1D
 from moclab.moduli import find_B_for_data
+from moclab.quadrature import decade_increments, quad_log
 from moclab.records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
 from moclab.symbols import make_symbol, symbol_from_callable
 
@@ -69,6 +70,24 @@ def test_kernel_mass_integrable_power():
     mass, err = kernel_mass(HALF)
     assert_allclose(mass, 2.0, rtol=1e-10)
     assert err < 1e-8
+
+
+@pytest.mark.parametrize("m", [HALF, lambda r: r ** -0.9],
+                         ids=["power0.5", "power0.9"])
+def test_kernel_mass_decades_match_the_per_decade_quad_loop(m):
+    # a test-local copy of the decade loop and the geometric remainder that
+    # kernel_mass ran before it shared decade_increments/classify_decades
+    v = np.empty(40)
+    err = 0.0
+    for j in range(40):
+        v[j], e = quad_log(m, 10.0 ** (-(j + 1)), 10.0 ** (-j))
+        err += e
+    inc, err_sum = decade_increments(m, 1.0, 40)
+    assert np.array_equal(np.array(inc), v) and err_sum == err
+    window = v[-6:] / v[-7:-1]
+    r = float(np.max(window))
+    rem = float(v[-1]) * r / (1.0 - r)
+    assert kernel_mass(m) == (float(np.sum(v)) + rem, err + rem)
 
 
 def test_kernel_mass_near_critical_power():

@@ -194,7 +194,7 @@ def _set_sorted_edges(sym, lo, hi, per_decade):
     # and the envelope's kinks, sorted
     n = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
     pts = set(np.geomspace(lo, hi, n))
-    pts.update(p for p in moduli._envelope_breakpoints(sym) if lo < p < hi)
+    pts.update(p for p in sym.breakpoints if lo < p < hi)
     return np.array(sorted(pts))
 
 

@@ -6,12 +6,14 @@ from numpy.testing import assert_allclose
 
 from moclab.quadrature import (
     SmoothCutoff,
+    classify_decades,
+    decade_increments,
     gauss_legendre,
     graded_edges,
-    integrate_panels,
+    log_edges,
+    log_panel_nodes,
     oscillation_resolved_edges,
     panel_nodes,
-    quad_decaying,
     quad_log,
 )
 
@@ -35,12 +37,6 @@ def test_panel_nodes_sin():
     assert_allclose(np.dot(w, np.sin(x)), 2.0, rtol=1e-14)
 
 
-def test_integrate_panels_matches_panel_nodes():
-    edges = np.linspace(0.0, 2.0, 7)
-    val = integrate_panels(np.exp, edges, order=12)
-    assert_allclose(val, math.expm1(2.0), rtol=1e-13)
-
-
 def test_graded_edges_geometric_toward_left():
     e = graded_edges(0.0, 1.0, 4)
     assert_allclose(e, [0.0625, 0.125, 0.25, 0.5, 1.0])
@@ -52,11 +48,6 @@ def test_quad_log_endpoint_singularity():
     val, err = quad_log(lambda x: math.log(1.0 / x), 1e-30, 1.0)
     assert_allclose(val, 1.0, rtol=1e-12)
     assert err < 1e-10
-
-
-def test_quad_decaying_exponential_tail():
-    val, err = quad_decaying(lambda r: math.exp(-r), 1.0)
-    assert_allclose(val, math.exp(-1.0), rtol=1e-11)
 
 
 def test_smooth_cutoff_shape():
@@ -74,3 +65,52 @@ def test_oscillation_resolved_edges_resolve_period():
     e = oscillation_resolved_edges(1.0, 5.0, freq, panels_per_period=4.0)
     assert e[0] == 1.0 and e[-1] == pytest.approx(5.0)
     assert np.max(np.diff(e)) <= 2.0 * math.pi / freq / 4.0 + 1e-12
+
+
+def test_log_edges_pin_kinks_and_keep_the_endpoints():
+    e = log_edges(1e-4, 1.0, 2, kinks=(1e-5, 3e-3, 1.0, 2.0))
+    assert e[0] == 1e-4 and e[-1] == 1.0
+    assert 3e-3 in e and 1e-5 not in e and 2.0 not in e
+    assert e.size == 8 + 1 + 1 and np.all(np.diff(e) > 0.0)
+    # a span shorter than one panel still gets one
+    assert_allclose(log_edges(1.0, 1.01, 4), [1.0, 1.01])
+
+
+def test_log_panel_nodes_integrate_a_power_singularity():
+    eta, w = log_panel_nodes(1e-6, 1.0, 8.0, 12, kinks=(1e-3,))
+    assert_allclose(np.dot(w, eta ** -0.5), 2.0 * (1.0 - 1e-3), rtol=1e-13)
+
+
+def test_decade_increments_of_inverse_square_root():
+    inc, err = decade_increments(lambda r: r ** -0.5, 2.0, 5)
+    k = np.arange(5)
+    exact = 2.0 * np.sqrt(2.0) * (10.0 ** (-k / 2) - 10.0 ** (-(k + 1) / 2))
+    assert_allclose(inc, exact, rtol=1e-13)
+    assert 0.0 <= err < 1e-10
+
+
+_GEOMETRIC = [0.3 ** k for k in range(10)]
+_DRIFTING = list(np.cumprod([1.0, 0.5, 0.6, 0.7, 0.8, 0.9, 0.94]))
+
+
+@pytest.mark.parametrize("inc, window, drift, label, ratios", [
+    (_GEOMETRIC, 6, 0.005, "convergent", [0.3] * 6),
+    ([2.0] * 10, 6, 0.005, "divergent", [1.0] * 6),
+    (_DRIFTING, 6, 0.005, "ambiguous", [0.5, 0.6, 0.7, 0.8, 0.9, 0.94]),
+    (_DRIFTING, 6, math.inf, "convergent", [0.5, 0.6, 0.7, 0.8, 0.9, 0.94]),
+    ([1.0, 0.97, 0.97 ** 2, 0.97 ** 3], 3, 0.005, "ambiguous", [0.97] * 3),
+    # only the trailing window counts
+    ([1.0, 1.0, 1.0, 0.1, 0.01], 2, 0.005, "convergent", [0.1, 0.1]),
+    # short: fewer ratios than the window
+    ([1.0, 0.5], 6, 0.005, "convergent", [0.5]),
+    ([1.0], 6, 0.005, "convergent", []),
+    # non-positive denominators are dropped; none left reads convergent
+    ([1.0, 0.0, 0.0, 0.0], 3, 0.005, "convergent", [0.0]),
+    ([0.0, 0.0, 0.0, 0.0], 3, 0.005, "convergent", []),
+    ([-1.0, 2.0, 2.0], 2, 0.005, "divergent", [1.0]),
+])
+def test_classify_decades_table(inc, window, drift, label, ratios):
+    got, r = classify_decades(inc, window, 0.95, 0.999, drift)
+    assert got == label
+    assert r.shape == (len(ratios),)
+    assert_allclose(r, ratios, rtol=1e-12)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from moclab.fields import ScalarField1D
 from moclab.symbols import (
-    apply_dissipation_spectral,
     check_conditions,
     crossover_scale,
     make_multiplier,
@@ -207,6 +207,73 @@ def test_scalar_m_and_envelope_match_the_array_route_bitwise(name):
         assert np.array_equal(np.array(single), fn(r))
 
 
+@pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
+def test_envelope_passes_nan_through(name):
+    s = EVERY_FAMILY[name]
+    assert math.isnan(s.envelope(math.nan))
+    assert math.isnan(s.envelope(np.array(math.nan)))
+    out = s.envelope(np.array([math.nan, 0.5, math.nan]))
+    assert np.isnan(out[[0, 2]]).all()
+    assert out[1] == s.envelope(0.5)
+
+
+def _tail_reference(s, R):
+    # integral of m(u)/u over (R, core_radius) by adaptive quad in ln(u),
+    # split at the table radii, plus the closed-form power tail
+    pts = [R, *(p for p in s.breakpoints if R < p < s.core_radius),
+           s.core_radius]
+    inner = sum(quad(lambda t: s.m(math.exp(t)), math.log(a), math.log(b),
+                     epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(pts[:-1], pts[1:]))
+    return inner + s.tail_coeff * s.core_radius ** -s.alpha / s.alpha
+
+
+_TAIL_RADII = np.geomspace(1e-6, 5.0, 40)
+
+
+@pytest.mark.parametrize("s", [
+    make_symbol("log", a=1.0),
+    make_symbol("log", a=0.3),
+    symbol_from_table(_TAIL_RADII, _TAIL_RADII ** -0.8),
+    EVERY_FAMILY["multiplier"],
+    EVERY_FAMILY["callable"],
+], ids=["log1", "log0.3", "tabulated", "multiplier", "callable"])
+def test_tail_integral_inside_the_core_matches_quad(s):
+    for f in (0.999, 0.5, 1e-2, 1e-6):
+        R = f * s.core_radius
+        assert_allclose(s.tail_integral_over_r(R), _tail_reference(s, R),
+                        rtol=1e-11, atol=0.0)
+    # from the core radius outward it is the closed form
+    R = 2.0 * s.core_radius
+    assert s.tail_integral_over_r(R) == \
+        s.tail_coeff * R ** -s.alpha / s.alpha
+    with pytest.raises(ValueError, match="R > 0"):
+        s.tail_integral_over_r(0.0)
+
+
+def test_breakpoints_and_tail_start():
+    log1 = make_symbol("log", a=1.0)
+    r_lo, _, r_hi = log1._env_plateau
+    assert log1.breakpoints == [r_lo, r_hi] and log1.tail_start == r_hi
+    assert log1.tail_start > log1.core_radius
+    power = make_symbol("power", a=0.5)
+    assert power.breakpoints == [] and power.tail_start == 0.0
+    tab = EVERY_FAMILY["tabulated"]
+    assert tab.breakpoints == [tab.core_radius, *_TABLE_RADII]
+    assert tab.tail_start == tab.core_radius
+
+
+@pytest.mark.parametrize("R", [1e-4, 0.5, 0.9, 1.5, 40.0])
+def test_envelope_tail_integral_matches_quad(R):
+    s = make_symbol("log", a=1.0)
+    pts = [R, *(p for p in s.breakpoints if R < p), 1e300]
+    ref = sum(quad(lambda t: s.envelope(math.exp(t)), math.log(a),
+                   math.log(b), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for a, b in zip(pts[:-2], pts[1:-1]))
+    ref += s.tail_coeff * max(R, s.tail_start) ** -s.alpha / s.alpha
+    assert_allclose(s.envelope_tail_integral_over_r(R), ref, rtol=1e-12)
+
+
 def test_scalar_m_refuses_non_positive_radii_and_passes_nan():
     for s in EVERY_FAMILY.values():
         for bad in (0.0, -0.0, -1e-3):
@@ -242,14 +309,28 @@ def test_multiplier_sampled_growth_exponent():
 
 def test_symbol_from_multiplier_admissibility():
     s = symbol_from_multiplier(make_multiplier("log-damped", a=1.0))
-    # P(z)/z^2 = 1/(z ln(2+z)) has a divergent integral at infinity
+    # m(r) = P(1/r) = 1/(r ln(2 + 1/r)) has a divergent integral at 0
     assert s.sqg_admissible
     r = np.geomspace(1e-6, 0.5, 50)
     assert np.all(np.diff(s.m(r)) < 0.0)
 
 
-def test_apply_dissipation_spectral_pure_mode():
+@pytest.mark.parametrize("kind, params, divergent", [
+    ("power", {"s": 0.5}, False),
+    ("power", {"s": 0.9}, False),
+    ("power", {"s": 1.0}, True),
+    ("log-damped", {}, True),
+])
+def test_multiplier_admissibility_classifies_m_toward_zero(kind, params,
+                                                           divergent):
+    # m = P(1/r) = r^-s is integrable at 0 exactly when s < 1
+    s = symbol_from_multiplier(make_multiplier(kind, **params))
+    assert s.sqg_admissible is divergent
+    assert check_conditions(s).trend_consistent
+
+
+def test_log_damped_multiplier_applies_to_a_pure_mode():
     f = ScalarField1D.from_function(64, lambda x: np.sin(5.0 * x))
     P = make_multiplier("log-damped", a=1.0)
-    g = apply_dissipation_spectral(P, f)
+    g = f.apply_multiplier(P)
     assert_allclose(g.values, P(5.0) * f.values, atol=1e-12)
