@@ -38,17 +38,19 @@ the bound.  Everything else stays UNRESOLVED.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, rfft
 from scipy.optimize import brentq
 
 from .fields import ScalarField1D, dealias_cutoff
 from .kernels import multiplier_of_symbol_1d
 from .quadrature import (classify_decades, decade_increments, graded_edges,
-                         log_edges, panel_nodes)
+                         log_edge_groups, log_edges, panel_nodes)
 from .records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
 from .symbols import DissipationSymbol
 
@@ -107,9 +109,6 @@ def _lyapunov_weights(N):
     return w * out
 
 
-_LY_CACHE = {}
-
-
 def lyapunov(fld):
     """integral_0^1 theta(x) (1 - x) dx, exact for the trig interpolant.
 
@@ -117,14 +116,7 @@ def lyapunov(fld):
     so band-limited fields are handled without quadrature error and the
     value is deterministic.
     """
-    N = fld.N
-    u = _LY_CACHE.get(N)
-    if u is None:
-        u = _lyapunov_weights(N)
-        if len(_LY_CACHE) > 16:
-            _LY_CACHE.clear()
-        _LY_CACHE[N] = u
-    return float(np.real(np.dot(fld.coeffs(), u)))
+    return float(np.real(np.dot(fld.coeffs(), _lyapunov_weights(fld.N))))
 
 
 # ----------------------------------------------------------------------
@@ -170,11 +162,31 @@ def kernel_mass(m, *, decades=_MASS_DECADES):
 # dissipation of the hat profile
 # ----------------------------------------------------------------------
 
-def _panel_quad(f, lo, hi, *, per_decade, order, kinks=()):
-    if hi <= lo:
-        return 0.0
-    nodes, weights = panel_nodes(log_edges(lo, hi, per_decade, kinks), order)
-    return float(np.dot(weights, f(nodes)))
+# nodes per integrand call of the batched window rule (64 kB per array):
+# 2,000 points just above x = 1 peak at ~1.1 MB, and at ~15 MB unchunked
+_CHUNK_NODES = 2 ** 13
+
+
+def _panel_quad(f, lo, hi, x, *, per_decade, order, kinks=()):
+    """Integrals of f(z, x) over the windows [lo[i], hi[i]] on log panels.
+
+    Each window gets the rule of ``log_edges(lo[i], hi[i], ...)``; f is
+    called once per chunk of windows, with their nodes as rows and their x
+    as a column. Each row is summed by its own BLAS dot, so every value is
+    bitwise that of the one-window rule. Empty windows give 0.
+    """
+    lo, hi, x = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, x)))
+    out = np.zeros(lo.shape)
+    live = np.flatnonzero(hi > lo)
+    for index, edges in log_edge_groups(lo[live], hi[live], per_decade,
+                                        kinks):
+        rows = max(1, _CHUNK_NODES // ((edges.shape[1] - 1) * order))
+        for s in range(0, index.size, rows):
+            at = live[index[s:s + rows]]
+            nodes, weights = panel_nodes(edges[s:s + rows], order)
+            vals = f(nodes, x[at, None])
+            out[at] = (weights[:, None, :] @ vals[:, :, None])[:, 0, 0]
+    return out
 
 
 def _m_over_r2_tail(sym, R):
@@ -184,60 +196,48 @@ def _m_over_r2_tail(sym, R):
 
 
 def _wedge_diss_inside(sym, x, per_decade, order):
-    # Windows of the increment form for 0 < x < 1; the linear region of w
-    # cancels exactly and never enters.
-    kinks = (sym.core_radius,)
-    t_tail = 2.0 * (1.0 - x) * sym.tail_integral_over_r(1.0 + x)
-    mid_lo = max(x, 1.0 - x)
-
-    def far(z):
-        return (3.0 - x - z) * sym(z) / z
-
-    t_far = _panel_quad(far, mid_lo, 1.0 + x,
-                        per_decade=per_decade, order=order, kinks=kinks)
-    if x <= 0.5:
-        t_near = 2.0 * _panel_quad(lambda z: sym(z) / z, x, 1.0 - x,
-                                   per_decade=per_decade, order=order,
-                                   kinks=kinks)
-    else:
-        t_near = _panel_quad(lambda z: ((1.0 - x) - z) * sym(z) / z,
-                             1.0 - x, x,
-                             per_decade=per_decade, order=order, kinks=kinks)
+    # Windows of the increment form for an array of 0 < x < 1; the linear
+    # region of w cancels exactly and never enters.
+    windows = functools.partial(_panel_quad, per_decade=per_decade,
+                                order=order, kinks=(sym.core_radius,))
+    # one call per point: the closed-form tail takes the scalar **, which
+    # can differ from np.power by an ulp
+    t_tail = 2.0 * (1.0 - x) * np.array(
+        [sym.tail_integral_over_r(R) for R in 1.0 + x])
+    t_far = windows(lambda z, xc: (3.0 - xc - z) * sym(z) / z,
+                    np.maximum(x, 1.0 - x), 1.0 + x, x)
+    t_near = np.empty_like(x)
+    low = x <= 0.5
+    xl, xh = x[low], x[~low]
+    t_near[low] = 2.0 * windows(lambda z, xc: sym(z) / z, xl, 1.0 - xl, xl)
+    t_near[~low] = windows(lambda z, xc: ((1.0 - xc) - z) * sym(z) / z,
+                           1.0 - xh, xh, xh)
     return t_near + t_far + t_tail
 
 
 def _wedge_diss_outside(sym, x, per_decade, order):
-    kinks = (sym.core_radius,)
-    lo = max(x - 1.0, 1e-18 * x)
-
-    def near(y):
-        return (1.0 - x + y) * sym(y) / y
-
-    def far(y):
-        return (1.0 + x - y) * sym(y) / y
-
-    t_near = _panel_quad(near, lo, x,
-                         per_decade=per_decade, order=order, kinks=kinks)
-    t_far = _panel_quad(far, x, x + 1.0,
-                        per_decade=per_decade, order=order, kinks=kinks)
+    windows = functools.partial(_panel_quad, per_decade=per_decade,
+                                order=order, kinks=(sym.core_radius,))
+    t_near = windows(lambda y, xc: (1.0 - xc + y) * sym(y) / y,
+                     np.maximum(x - 1.0, 1e-18 * x), x, x)
+    t_far = windows(lambda y, xc: (1.0 + xc - y) * sym(y) / y, x, x + 1.0, x)
     return t_far - t_near
 
 
 def wedge_dissipation(sym, x, *, per_decade=4, order=10):
     """Pointwise L w at x (scalar or array), odd in x by construction."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        a = abs(xi)
-        if a == 0.0:
-            out[i] = 0.0
-            continue
-        if a < 1.0:
-            val = _wedge_diss_inside(sym, a, per_decade, order)
-        else:
-            val = _wedge_diss_outside(sym, a, per_decade, order)
-        out[i] = val if xi > 0.0 else -val
-    return out if np.ndim(x) else float(out[0])
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("wedge_dissipation needs finite x")
+    x1 = np.atleast_1d(xs)
+    a = np.abs(x1)
+    out = np.zeros_like(a)
+    inside = (a > 0.0) & (a < 1.0)
+    out[inside] = _wedge_diss_inside(sym, a[inside], per_decade, order)
+    outside = a >= 1.0
+    out[outside] = _wedge_diss_outside(sym, a[outside], per_decade, order)
+    out = np.where(x1 < 0.0, -out, out)
+    return out if xs.ndim else float(out[0])
 
 
 def _log_slope_sup(m, lo=1e-10, hi=1e2, samples=1200):
@@ -251,21 +251,19 @@ def _log_slope_sup(m, lo=1e-10, hi=1e2, samples=1200):
 
 def _abs_integral(f, a, b, edges, order):
     # integral of |f| over panels; any sign change is located and pinned so
-    # the absolute value stays smooth inside every panel.
+    # the absolute value stays smooth inside every panel. f takes arrays
+    # for the scan and the nodes, and scalars for brentq.
     scan = np.linspace(a, b, 65)[1:-1]
-    vals = np.array([f(s) for s in scan])
+    vals = f(np.concatenate(([a + 1e-12 * (b - a)], scan)))
     pts = [a, b]
-    prev_s, prev_v = a, f(a + 1e-12 * (b - a))
-    for s, vv in zip(scan, vals):
-        if prev_v == 0.0 or vv == 0.0 or (prev_v < 0.0) != (vv < 0.0):
-            if prev_v * vv < 0.0:
-                pts.append(brentq(f, prev_s, s, xtol=1e-13))
-        prev_s, prev_v = s, vv
+    for lo, hi, v_lo, v_hi in zip(np.concatenate(([a], scan[:-1])), scan,
+                                  vals[:-1], vals[1:]):
+        if v_lo * v_hi < 0.0:
+            pts.append(brentq(f, lo, hi, xtol=1e-13))
     full = np.unique(np.concatenate([edges, np.asarray(pts)]))
     full = full[(full >= a) & (full <= b)]
     nodes, weights = panel_nodes(full, order)
-    fv = np.array([abs(f(v)) for v in nodes])
-    return float(np.dot(weights, fv))
+    return float(np.dot(weights, np.abs(f(nodes))))
 
 
 @dataclass
@@ -328,20 +326,22 @@ def _abs_lw_integrals(sym, per_decade, order, mass):
     kinks = (sym.core_radius,)
     C = _log_slope_sup(sym)
 
+    def window(f, lo, hi, kinks=kinks):
+        return float(_panel_quad(lambda z, _: f(z), lo, hi, 0.0,
+                                 per_decade=per_decade, order=order,
+                                 kinks=kinks)[0])
+
     # (0, 1/2]: every window of Lw is nonnegative, so Fubini collapses the
     # x-integral onto proper integrals of m against explicit weights.
-    p_near = (mass - _panel_quad(sym, 0.5, 1.0, per_decade=per_decade,
-                                 order=order, kinks=kinks)) \
-        + _panel_quad(lambda z: (1.0 - z) * sym(z) / z, 0.5, 1.0,
-                      per_decade=per_decade, order=order, kinks=kinks)
+    p_near = (mass - window(sym, 0.5, 1.0)) \
+        + window(lambda z: (1.0 - z) * sym(z) / z, 0.5, 1.0)
     p_near *= 2.0
 
     def mid_weight(z):
         az = np.maximum(1.0 - z, z - 1.0)
         return sym(z) / z * ((3.0 - z) * (0.5 - az) - (0.25 - az * az) / 2.0)
 
-    p_mid = _panel_quad(mid_weight, 0.5, 1.5, per_decade=per_decade,
-                        order=order, kinks=(1.0,) + kinks)
+    p_mid = window(mid_weight, 0.5, 1.5, kinks=(1.0,) + kinks)
 
     gl_nodes, gl_weights = panel_nodes(np.linspace(0.0, 0.5, 9), order)
     p_tail = 2.0 * float(np.dot(
@@ -351,7 +351,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass):
     # [1/2, 1): pointwise evaluation; the x-derivative degenerates at 1, so
     # panels grade toward that edge and sign changes are pinned.
     def inside(xx):
-        return _wedge_diss_inside(sym, xx, per_decade, order)
+        return wedge_dissipation(sym, xx, per_decade=per_decade, order=order)
 
     in_edges = np.concatenate([np.linspace(0.5, 0.75, 5)[:-1],
                                1.0 - graded_edges(0.0, 0.25, 26,
@@ -364,9 +364,6 @@ def _abs_lw_integrals(sym, per_decade, order, mass):
     # [1, X]: Lw is negative (the closer window sees the larger kernel), and
     # beyond X the second-order window asymptote |Lw| ~ ((C+1)/3) m(x)/x^2
     # integrates exactly against the power tail.
-    def outside(xx):
-        return -_wedge_diss_outside(sym, xx, per_decade, order)
-
     target = 1e-9 * max(i_inside, 1.0)
     X = 8.0
     while ((C + 1.0) / 3.0) * _m_over_r2_tail(sym, X - 1.0) > target and X < 1e6:
@@ -375,7 +372,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass):
         1.0 + graded_edges(0.0, 1.0, 30, toward="left"),
         log_edges(2.0, X, per_decade)]))
     nodes, weights = panel_nodes(out_edges, order)
-    vals = np.array([outside(v) for v in nodes])
+    vals = -_wedge_diss_outside(sym, nodes, per_decade, order)
     far_rem = ((C + 1.0) / 3.0) * _m_over_r2_tail(sym, X - 1.0)
     i_outside = float(np.dot(weights, vals)) + far_rem
     return i_inside, i_outside, far_rem
@@ -582,9 +579,11 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     record_every : int
         Sampling cadence of the diagnostic series, in steps.
 
-    Returns a RunRecord with series (t, linf, grad_linf, l2, lyapunov, dt);
-    the gradient sup is monitored every step regardless of cadence and its
-    running maximum lands in the metadata.
+    Returns a RunRecord with series (t, linf, grad_linf, l2, lyapunov, dt).
+    sup |theta| and the gradient sup are evaluated every step, since the
+    step size and the stop rule read them, and the running gradient maximum
+    lands in the metadata; l2 and lyapunov are evaluated on recorded rows
+    only.
     """
     if T <= 0.0:
         raise ValueError("horizon must be positive")
@@ -598,36 +597,40 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     if dt_max is None:
         dt_max = T / 64.0
 
+    # real factors of complex spectra are stored complex: numpy would cast
+    # them on every product, to the same values
     kcut = dealias_cutoff(N)
-    mask = (k <= kcut).astype(float)
+    mask = (k <= kcut).astype(complex)
     ik = 1j * k
+    half_ik = 0.5 * ik
 
     def nl(spec_hat, v=None):
         if v is None:
-            v = np.fft.irfft(spec_hat, n=N)
-        q = np.fft.rfft(v * v)
+            v = irfft(spec_hat, n=N)
+        q = rfft(v * v)
         q *= mask
-        return 0.5 * ik * q
+        return half_ik * q
 
     spec = theta0.spec.astype(complex).copy()
     rows = {c: [] for c in ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")}
-    ly_u = _LY_CACHE.get(N)
-    if ly_u is None:
-        lyapunov(theta0)
-        ly_u = _LY_CACHE[N]
+    ly_u = _lyapunov_weights(N)
 
-    def diagnostics(v):
-        linf = float(np.max(np.abs(v))) if N else 0.0
-        grad = float(np.max(np.abs(np.fft.irfft(ik * spec, n=N))))
+    def sup_abs(a):
+        return float(max(a.max(), -a.min()))
+
+    # linf and grad feed the step and the stop rule every step; l2 and the
+    # Lyapunov value only feed recorded rows
+    def record(v):
         l2 = math.sqrt(2.0 * np.pi * float(np.mean(v * v)))
         ly = float(np.real(np.dot(spec / N, ly_u)))
-        return linf, grad, l2, ly
+        for col, val in zip(rows, (t, linf, grad, l2, ly, dt)):
+            rows[col].append(val)
 
     t = 0.0
     steps = 0
     termination = "completed"
-    v = np.fft.irfft(spec, n=N)
-    linf, grad, l2, ly = diagnostics(v)
+    v = irfft(spec, n=N)
+    linf, grad = sup_abs(v), sup_abs(irfft(ik * spec, n=N))
     linf0, grad0 = linf, grad
     max_grad, max_grad_t = grad, 0.0
     tiny = 1e-300
@@ -639,8 +642,7 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
         return min(dt, T - t)
 
     dt = select_dt()
-    for c, val in zip(rows, (t, linf, grad, l2, ly, dt)):
-        rows[c].append(val)
+    record(v)
 
     started = time.perf_counter()
     while t < T * (1.0 - 1e-14):
@@ -648,7 +650,7 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
         if dt < dt_floor and (T - t) > dt_floor:
             termination = "dt-floor"
             break
-        E = np.exp(-0.5 * dt * Pk)
+        E = np.exp(-0.5 * dt * Pk).astype(complex)
         E2 = E * E
         if nonlinear:
             a = nl(spec, v)
@@ -660,14 +662,13 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
             spec = E2 * spec
         t += dt
         steps += 1
-        v = np.fft.irfft(spec, n=N)
-        linf, grad, l2, ly = diagnostics(v)
+        v = irfft(spec, n=N)
+        linf, grad = sup_abs(v), sup_abs(irfft(ik * spec, n=N))
         if grad > max_grad:
             max_grad, max_grad_t = grad, t
         hit_stop = grad_stop is not None and grad >= grad_stop
         if steps % record_every == 0 or t >= T * (1.0 - 1e-14) or hit_stop:
-            for col, val in zip(rows, (t, linf, grad, l2, ly, dt)):
-                rows[col].append(val)
+            record(v)
         if hit_stop:
             termination = "gradient-threshold"
             break

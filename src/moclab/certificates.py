@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import irfft2
 
 from .fields import TWO_PI, ScalarField2D
 from .moduli import (DEFAULT_GAMMA, DEFAULT_KAPPA, ModulusConstructionError,
@@ -754,8 +755,8 @@ def _riesz_velocity(fld: ScalarField2D) -> tuple[np.ndarray, np.ndarray]:
     kmod = np.hypot(kx, ky)
     kmod[0, 0] = 1.0
     spec = fld.spec
-    u1 = np.fft.irfft2(-1j * ky / kmod * spec, s=(fld.N, fld.N))
-    u2 = np.fft.irfft2(1j * kx / kmod * spec, s=(fld.N, fld.N))
+    u1 = irfft2(-1j * ky / kmod * spec, s=(fld.N, fld.N))
+    u2 = irfft2(1j * kx / kmod * spec, s=(fld.N, fld.N))
     return u1, u2
 
 

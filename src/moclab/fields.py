@@ -11,6 +11,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from scipy.fft import irfft, irfft2, rfft, rfft2
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,7 +40,7 @@ class ScalarField1D:
 
     @classmethod
     def from_spectrum(cls, spec: np.ndarray, N: int) -> "ScalarField1D":
-        fld = cls(np.fft.irfft(spec, n=N))
+        fld = cls(irfft(spec, n=N))
         fld._spec = np.asarray(spec, dtype=complex)
         return fld
 
@@ -76,7 +77,7 @@ class ScalarField1D:
     def spec(self) -> np.ndarray:
         """Unnormalized rfft of the values."""
         if self._spec is None:
-            self._spec = np.fft.rfft(self.values)
+            self._spec = rfft(self.values)
         return self._spec
 
     def coeffs(self) -> np.ndarray:
@@ -158,7 +159,7 @@ class ScalarField2D:
 
     @classmethod
     def from_spectrum(cls, spec: np.ndarray, N: int) -> "ScalarField2D":
-        fld = cls(np.fft.irfft2(spec, s=(N, N)))
+        fld = cls(irfft2(spec, s=(N, N)))
         fld._spec = np.asarray(spec, dtype=complex)
         return fld
 
@@ -175,7 +176,7 @@ class ScalarField2D:
                 if 1.0 <= kmag2 <= kmax ** 2:
                     amp = rng.standard_normal(2) / kmag2 ** 0.5
                     spec[i, ky] = amp[0] + 1j * amp[1]
-        vals = np.fft.irfft2(spec, s=(N, N))
+        vals = irfft2(spec, s=(N, N))
         sup = np.max(np.abs(vals))
         if sup == 0.0:
             raise ValueError("degenerate random draw")
@@ -186,7 +187,7 @@ class ScalarField2D:
     @property
     def spec(self) -> np.ndarray:
         if self._spec is None:
-            self._spec = np.fft.rfft2(self.values)
+            self._spec = rfft2(self.values)
         return self._spec
 
     def wavenumber_grids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -214,6 +215,8 @@ class ScalarField2D:
         # full-plane c[a, b] = fft2/N^2 of the interpolant
         # theta(x, y) = Re sum_{a,b} c[a, b] e^{i a x} e^{i b y}
         if self._coef is None:
+            # numpy's fft2: scipy's differs in the last bits, which would
+            # move the obedience-monitor margins
             self._coef = np.fft.fft2(self.values) / self.N ** 2
         return self._coef
 

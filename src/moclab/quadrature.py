@@ -32,16 +32,18 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def panel_nodes(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights for the panels defined by ``edges``.
 
-    ``edges`` is an increasing 1-D array; panel i is [edges[i], edges[i+1]].
-    Returns flat arrays of nodes and weights covering all panels.
+    ``edges`` is increasing along its last axis; panel i is
+    [edges[..., i], edges[..., i+1]]. Returns nodes and weights covering all
+    panels, flat along the last axis (one row per row of a 2-D ``edges``).
     """
     x, w = gauss_legendre(order)
     edges = np.asarray(edges, dtype=float)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
+    lo = edges[..., :-1, None]
+    hi = edges[..., 1:, None]
     half = 0.5 * (hi - lo)
-    nodes = (lo + half * (x[None, :] + 1.0)).ravel()
-    weights = (half * w[None, :]).ravel()
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (lo + half * (x + 1.0)).reshape(shape)
+    weights = (half * w).reshape(shape)
     return nodes, weights
 
 
@@ -82,12 +84,50 @@ def log_edges(lo: float, hi: float, per_decade: float,
               kinks=()) -> np.ndarray:
     """Geometric panel edges on [lo, hi], ``per_decade`` panels per decade
     (at least one), with the kinks inside (lo, hi) pinned as extra edges."""
-    n = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
-    e = np.geomspace(lo, hi, n + 1)
-    inner = [k for k in kinks if lo < k < hi]
-    if inner:
-        e = np.unique(np.concatenate([e, inner]))
-    return e
+    ((_, edges),) = log_edge_groups([lo], [hi], per_decade, kinks)
+    return edges[0]
+
+
+def log_edge_groups(lo, hi, per_decade: float,
+                    kinks=()) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``log_edges`` for many intervals [lo[i], hi[i]] at once.
+
+    Rows with the same edge count share one 2-D array: returns a list of
+    (index, edges) pairs, ``edges[j]`` being the edges of interval
+    ``index[j]``.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    # math.log10 per interval: the panel count must not hinge on an ulp
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    by_count = {}
+    for i, (a, b) in enumerate(bounds):
+        n = max(1, int(math.ceil(per_decade * math.log10(b / a))))
+        by_count.setdefault(n, []).append(i)
+    groups = []
+    for n, rows in by_count.items():
+        index = np.array(rows)
+        # a lone interval takes the scalar form: the same edges, sooner
+        ends = (lo[index], hi[index]) if len(rows) > 1 else bounds[rows[0]]
+        groups.append((index, np.geomspace(*ends, n + 1).T
+                       .reshape(len(rows), -1)))
+    for k in sorted(set(kinks)):
+        inside = (lo < k) & (k < hi)
+        if not inside.any():
+            continue
+        split = []
+        for index, edges in groups:
+            add = inside[index] & ~np.any(edges == k, axis=1)
+            if add.any():
+                # k is on none of these rows' edges: sorting adds it once
+                grown = np.concatenate(
+                    [edges[add], np.full((np.count_nonzero(add), 1), k)],
+                    axis=1)
+                split.append((index[add], np.sort(grown, axis=1)))
+            if not add.all():
+                split.append((index[~add], edges[~add]))
+        groups = split
+    return groups
 
 
 def log_panel_nodes(lo: float, hi: float, per_decade: float, order: int,

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 from scipy.integrate import quad, solve_ivp
 
 from .fields import ScalarField2D, dealias_cutoff
@@ -87,16 +88,16 @@ class _AdvectionCore:
 
     def velocity(self, spec):
         n = self.N
-        return (np.fft.irfft2(self.mx * spec, s=(n, n)),
-                np.fft.irfft2(self.my * spec, s=(n, n)))
+        return (irfft2(self.mx * spec, s=(n, n)),
+                irfft2(self.my * spec, s=(n, n)))
 
     def nonlinear(self, spec, velocity=None):
         """Pass ``velocity`` when the grid velocity of ``spec`` is at hand."""
         n = self.N
         ux, uy = self.velocity(spec) if velocity is None else velocity
-        gx = np.fft.irfft2(1j * self.kx * spec, s=(n, n))
-        gy = np.fft.irfft2(1j * self.ky * spec, s=(n, n))
-        return -self.mask * np.fft.rfft2(ux * gx + uy * gy)
+        gx = irfft2(1j * self.kx * spec, s=(n, n))
+        gy = irfft2(1j * self.ky * spec, s=(n, n))
+        return -self.mask * rfft2(ux * gx + uy * gy)
 
 
 # ----------------------------------------------------------------------
@@ -480,8 +481,8 @@ def gradient_of_velocity_sup(fld, law, P=None):
     n = fld.N
     sup = 0.0
     for m in (mx, my):
-        gx = np.fft.irfft2(1j * kx * m * fld.spec, s=(n, n))
-        gy = np.fft.irfft2(1j * ky * m * fld.spec, s=(n, n))
+        gx = irfft2(1j * kx * m * fld.spec, s=(n, n))
+        gy = irfft2(1j * ky * m * fld.spec, s=(n, n))
         sup = max(sup, float(np.max(np.hypot(gx, gy))))
     return sup
 

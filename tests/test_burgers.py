@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from moclab import burgers
 from moclab.burgers import (
     BlowupInstrumentation,
     KernelDivergenceError,
@@ -23,9 +25,11 @@ from moclab.burgers import (
 )
 from moclab.fields import ScalarField1D
 from moclab.moduli import find_B_for_data
-from moclab.quadrature import decade_increments, quad_log
+from moclab.quadrature import (decade_increments, log_edges, panel_nodes,
+                               quad_log)
 from moclab.records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
-from moclab.symbols import make_symbol, symbol_from_callable
+from moclab.symbols import (make_multiplier, make_symbol,
+                            symbol_from_callable, symbol_from_table)
 
 HALF = make_symbol("power", a=0.5)
 CRIT = make_symbol("power", a=1.0)
@@ -165,6 +169,68 @@ def test_dissipation_tail_dominated_by_kernel():
     assert 0.05 < ratio.max() < 0.55
 
 
+# every branch of the increment form: 0, negative x, (0, 1/2], (1/2, 1), the
+# kink at 1 and beyond the support
+X_BRANCHES = np.array([0.0, -0.3, -1.7, 1e-6, 0.25, 0.5, 0.6, 0.999, 1.0,
+                       1.0 + 1e-9, 1.5, 2.5, 3.2, 40.0])
+# symbols whose core radius (2 and 3) falls inside some windows, so the
+# kink is pinned as an extra panel edge
+CORE2 = symbol_from_callable(lambda r: np.asarray(r) ** -0.6, core_radius=2.0,
+                             alpha=0.6, r0=1.0, C0=1.0, sqg_admissible=False)
+TABLE = symbol_from_table(np.geomspace(1e-3, 3.0, 12),
+                          np.geomspace(1e-3, 3.0, 12) ** -0.7)
+
+
+def _one_window_at_a_time(sym, x, per_decade=4, order=10):
+    # L w at one x, one np.dot per window: the rule the array route must
+    # reproduce bit for bit
+    def window(f, lo, hi):
+        if hi <= lo:
+            return 0.0
+        nodes, weights = panel_nodes(
+            log_edges(lo, hi, per_decade, (sym.core_radius,)), order)
+        return float(np.dot(weights, f(nodes)))
+
+    a = abs(x)
+    if a == 0.0:
+        return 0.0
+    if a < 1.0:
+        tail = 2.0 * (1.0 - a) * sym.tail_integral_over_r(1.0 + a)
+        far = window(lambda z: (3.0 - a - z) * sym(z) / z,
+                     max(a, 1.0 - a), 1.0 + a)
+        if a <= 0.5:
+            near = 2.0 * window(lambda z: sym(z) / z, a, 1.0 - a)
+        else:
+            near = window(lambda z: ((1.0 - a) - z) * sym(z) / z, 1.0 - a, a)
+        val = near + far + tail
+    else:
+        near = window(lambda y: (1.0 - a + y) * sym(y) / y,
+                      max(a - 1.0, 1e-18 * a), a)
+        val = window(lambda y: (1.0 + a - y) * sym(y) / y, a, a + 1.0) - near
+    return val if x > 0.0 else -val
+
+
+@pytest.mark.parametrize("sym", [HALF, CORE2, TABLE],
+                         ids=["power", "callable-core2", "tabulated"])
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_dissipation_array_route_equals_the_scalar_route(sym, chunk,
+                                                         monkeypatch):
+    if chunk is not None:
+        # one window per integrand call
+        monkeypatch.setattr(burgers, "_CHUNK_NODES", chunk)
+    batch = wedge_dissipation(sym, X_BRANCHES)
+    loop = np.array([wedge_dissipation(sym, float(x)) for x in X_BRANCHES])
+    reference = np.array([_one_window_at_a_time(sym, x) for x in X_BRANCHES])
+    assert_array_equal(batch, loop)
+    assert_array_equal(batch, reference)
+    assert batch[0] == 0.0 and np.all(batch[1:] != 0.0)
+
+
+def test_dissipation_refuses_non_finite_x():
+    with pytest.raises(ValueError, match="finite"):
+        wedge_dissipation(HALF, np.array([0.5, np.nan]))
+
+
 # ---------------------------------------------------------------------------
 # instrumentation
 # ---------------------------------------------------------------------------
@@ -198,6 +264,23 @@ def test_instrumentation_json():
     doc = json.loads(INST.to_json())
     assert doc["bounds_hold"] is True
     assert_allclose(doc["kernel_functional"], INST.kernel_functional)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compute_Lw_memory_stays_chunked():
+    # the array route evaluates its windows in bounded chunks of nodes
+    assert _peak_bytes(lambda: compute_Lw(HALF)) <= 2 * 2 ** 20
+    # ~600k nodes in a few panel-count groups: ~15 MB if taken at once
+    x = 1.0 + np.linspace(1e-8, 1e-7, 2000)
+    assert _peak_bytes(lambda: wedge_dissipation(HALF, x)) <= 2 * 2 ** 20
 
 
 def test_compute_Lw_rejects_bare_callable():
@@ -342,6 +425,147 @@ def test_record_columns():
     rec = simulate_burgers(fld, 0.1, sym=HALF)
     assert rec.columns == ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")
     assert rec.to_csv().splitlines()[0] == "t,linf,grad_linf,l2,lyapunov,dt"
+
+
+def _numpy_fft_stepper(theta0, T, Pk, *, nonlinear=True, cfl=0.4,
+                       dt_max=None, dt_floor=1e-10, grad_stop=None,
+                       record_every=1):
+    # the integrating-factor RK4 loop on np.fft, with every diagnostic
+    # evaluated every step: the reference the stepper must match bit for bit
+    N = theta0.N
+    h = 2.0 * np.pi / N
+    k = theta0.wavenumbers()
+    dt_max = T / 64.0 if dt_max is None else dt_max
+    mask = (k <= N // 3).astype(float)
+    ik = 1j * k
+
+    def nl(spec_hat, v=None):
+        if v is None:
+            v = np.fft.irfft(spec_hat, n=N)
+        q = np.fft.rfft(v * v)
+        q *= mask
+        return 0.5 * ik * q
+
+    spec = theta0.spec.astype(complex).copy()
+    rows = {c: [] for c in ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")}
+    ly_u = burgers._lyapunov_weights(N)
+
+    def diagnostics(v):
+        linf = float(np.max(np.abs(v)))
+        grad = float(np.max(np.abs(np.fft.irfft(ik * spec, n=N))))
+        l2 = math.sqrt(2.0 * np.pi * float(np.mean(v * v)))
+        ly = float(np.real(np.dot(spec / N, ly_u)))
+        return linf, grad, l2, ly
+
+    t, steps = 0.0, 0
+    v = np.fft.irfft(spec, n=N)
+    linf, grad, l2, ly = diagnostics(v)
+    max_grad, max_grad_t = grad, 0.0
+
+    def select_dt():
+        dt = dt_max
+        if nonlinear:
+            dt = min(dt, cfl * h / max(linf, 1e-300))
+        return min(dt, T - t)
+
+    for c, val in zip(rows, (t, linf, grad, l2, ly, select_dt())):
+        rows[c].append(val)
+    while t < T * (1.0 - 1e-14):
+        dt = select_dt()
+        if dt < dt_floor and (T - t) > dt_floor:
+            break
+        E = np.exp(-0.5 * dt * Pk)
+        E2 = E * E
+        if nonlinear:
+            a = nl(spec, v)
+            b = nl(E * (spec + 0.5 * dt * a))
+            c = nl(E * spec + 0.5 * dt * b)
+            d = nl(E2 * spec + dt * E * c)
+            spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
+        else:
+            spec = E2 * spec
+        t += dt
+        steps += 1
+        v = np.fft.irfft(spec, n=N)
+        linf, grad, l2, ly = diagnostics(v)
+        if grad > max_grad:
+            max_grad, max_grad_t = grad, t
+        hit_stop = grad_stop is not None and grad >= grad_stop
+        if steps % record_every == 0 or t >= T * (1.0 - 1e-14) or hit_stop:
+            for c, val in zip(rows, (t, linf, grad, l2, ly, dt)):
+                rows[c].append(val)
+        if hit_stop:
+            break
+    return rows, spec, steps, max_grad, max_grad_t
+
+
+def _designed_case():
+    rep = design_blowup_data(HALF, N=1024, instrumentation=INST)
+    return rep.field, 0.5, {"sym": HALF,
+                            "grad_stop": 50.0 * rep.field.grad_linf(),
+                            "record_every": 5}
+
+
+def _band_limited_case():
+    # slow data: every step is capped by dt_max = T/64, not by the CFL rule
+    fld = ScalarField1D.random_band_limited(256, 8, 0.05, seed=7)
+    return fld, 1.0, {"sym": HALF}
+
+
+GOLDEN_CASES = {
+    "designed-blowup": _designed_case,
+    "dt-max-limited": _band_limited_case,
+    "linear": lambda: (small_smooth_field(128, 1.0), 0.5,
+                       {"sym": HALF, "nonlinear": False, "dt_max": 0.05}),
+    "inviscid": lambda: (small_smooth_field(128, 0.3), 0.5,
+                         {"sym": HALF, "dissipate": False}),
+    "multiplier": lambda: (ScalarField1D.random_band_limited(128, 6, 0.5,
+                                                             seed=2),
+                           0.5, {"P": make_multiplier("power", s=1.0)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_stepper_matches_the_numpy_fft_reference(case):
+    theta0, T, kw = GOLDEN_CASES[case]()
+    rec = simulate_burgers(theta0, T, **kw)
+    k = theta0.wavenumbers()
+    if kw.get("dissipate", True):
+        Pk, _ = burgers._resolve_multiplier(k, kw.get("sym"), kw.get("P"))
+    else:
+        Pk = np.zeros_like(k)
+    ref_kw = {key: kw[key] for key in ("nonlinear", "dt_max", "grad_stop",
+                                       "record_every") if key in kw}
+    rows, spec, steps, max_grad, max_grad_t = _numpy_fft_stepper(
+        theta0, T, Pk, **ref_kw)
+    assert rec.meta["steps"] == steps >= 8
+    for col, ref in rows.items():
+        assert np.array_equal(rec[col], np.asarray(ref)), col
+    assert np.array_equal(rec.final_state.values, np.fft.irfft(spec, n=theta0.N))
+    assert rec.meta["max_grad"] == max_grad
+    assert rec.meta["max_grad_t"] == max_grad_t
+    if case == "designed-blowup":
+        assert rec.termination == "gradient-threshold"
+        assert len(rec) < steps
+    if case == "dt-max-limited":
+        assert np.all(rec["dt"][:-1] == T / 64.0)
+
+
+@pytest.mark.parametrize("nonlinear,per_step", [(True, 9), (False, 2)])
+def test_stepper_fft_count(nonlinear, per_step, monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        fn = getattr(burgers, name)
+
+        def counted(*args, fn=fn, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(burgers, name, counted)
+    rec = simulate_burgers(small_smooth_field(64, 1.0), 0.2, sym=HALF,
+                           nonlinear=nonlinear, dt_max=0.01)
+    assert rec.meta["steps"] == 20
+    assert len(calls) == 2 + per_step * rec.meta["steps"]
 
 
 # ---------------------------------------------------------------------------

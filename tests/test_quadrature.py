@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from moclab import quadrature
 from moclab.quadrature import (
     SmoothCutoff,
     classify_decades,
     decade_increments,
     gauss_legendre,
     graded_edges,
+    log_edge_groups,
     log_edges,
     log_panel_nodes,
     oscillation_resolved_edges,
@@ -74,6 +76,58 @@ def test_log_edges_pin_kinks_and_keep_the_endpoints():
     assert e.size == 8 + 1 + 1 and np.all(np.diff(e) > 0.0)
     # a span shorter than one panel still gets one
     assert_allclose(log_edges(1.0, 1.01, 4), [1.0, 1.01])
+
+
+def _one_interval_log_edges(lo, hi, per_decade, kinks=()):
+    # the single-interval builder, as written before the batched one
+    n = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
+    e = np.geomspace(lo, hi, n + 1)
+    inner = [k for k in kinks if lo < k < hi]
+    if inner:
+        e = np.unique(np.concatenate([e, inner]))
+    return e
+
+
+def test_log_edge_groups_match_the_one_interval_builder():
+    rng = np.random.default_rng(5)
+    lo = 10.0 ** rng.uniform(-18.0, 2.0, 400)
+    hi = lo * 10.0 ** rng.uniform(1e-3, 12.0, 400)
+    # 10 is an interior edge of [1, 100] at 1, 4 and 8 panels per decade:
+    # it is kept once, not added again
+    lo[:2], hi[:2] = 1.0, 100.0
+    kinks = (10.0, 1e-3, 1.0, 10.0)
+    for per_decade in (1, 4, 8):
+        seen = np.zeros(lo.size, dtype=int)
+        for index, edges in log_edge_groups(lo, hi, per_decade, kinks):
+            assert edges.shape[0] == index.size
+            for i, row in zip(index, edges):
+                assert np.array_equal(row, _one_interval_log_edges(
+                    lo[i], hi[i], per_decade, kinks))
+            seen[index] += 1
+        assert np.all(seen == 1)
+
+
+def test_log_edges_goes_through_the_batched_builder(monkeypatch):
+    calls = []
+    batched = quadrature.log_edge_groups
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "log_edge_groups", counted)
+    assert np.array_equal(quadrature.log_edges(1e-3, 2.0, 4, (0.5,)),
+                          _one_interval_log_edges(1e-3, 2.0, 4, (0.5,)))
+    assert len(calls) == 1
+
+
+def test_panel_nodes_rows_match_one_row_at_a_time():
+    edges = np.array([[0.1, 0.4, 1.0], [2.0, 2.5, 7.0]])
+    nodes, weights = panel_nodes(edges, 6)
+    assert nodes.shape == weights.shape == (2, 12)
+    for row, n, w in zip(edges, nodes, weights):
+        n1, w1 = panel_nodes(row, 6)
+        assert np.array_equal(n, n1) and np.array_equal(w, w1)
 
 
 def test_log_panel_nodes_integrate_a_power_singularity():
