@@ -3,10 +3,14 @@
 The evolution is theta_t = theta theta_x - L theta on the 2*pi circle, with
 L a nonlocal dissipation given either as a Fourier multiplier P(k) or as a
 radial kernel density m (converted through the kernels module).  Time
-stepping is an integrating-factor RK4: the stiff diagonal part is applied
-exactly through exp(-P dt), the quadratic term explicitly with 2/3-rule
-dealiasing, so a run with the nonlinearity disabled reproduces the exact
-linear solution to roundoff.
+stepping is the integrating-factor RK4 loop that the 2-D solvers of
+``sqg_euler`` share (``fields._IntegratingFactorRK4``): the stiff diagonal
+part is applied exactly through exp(-P dt), the quadratic term explicitly
+with 2/3-rule dealiasing, so a run with the nonlinearity disabled
+reproduces the exact linear solution to roundoff.  This module supplies the
+quadratic term, the per-step observation (sup |theta|, the gradient sup and
+its running maximum) and the gradient stop rule; its transforms are the
+only FFTs of a step.
 
 The blow-up side instruments the Lyapunov functional
 
@@ -47,7 +51,7 @@ import numpy as np
 from scipy.fft import irfft, rfft
 from scipy.optimize import brentq
 
-from .fields import ScalarField1D, dealias_cutoff
+from .fields import ScalarField1D, _IntegratingFactorRK4, dealias_cutoff
 from .kernels import multiplier_of_symbol_1d
 from .quadrature import (classify_decades, decade_increments, graded_edges,
                          log_edge_groups, log_edges, panel_nodes)
@@ -321,10 +325,10 @@ class BlowupInstrumentation:
         return json.dumps(keep, sort_keys=True)
 
 
-def _abs_lw_integrals(sym, per_decade, order, mass):
-    """(i_inside, i_outside, far_remainder) at one quadrature refinement."""
+def _abs_lw_integrals(sym, per_decade, order, mass, C):
+    """(i_inside, i_outside, far_remainder) at one quadrature refinement;
+    ``C`` is the symbol's ``_log_slope_sup``."""
     kinks = (sym.core_radius,)
-    C = _log_slope_sup(sym)
 
     def window(f, lo, hi, kinks=kinks):
         return float(_panel_quad(lambda z, _: f(z), lo, hi, 0.0,
@@ -394,11 +398,12 @@ def compute_Lw(sym, x_grid=None, *, per_decade=4, order=10, refine=True):
         warnings.append("symbol flags a divergent kernel mass, yet the "
                         "decade classifier certified it finite")
 
-    i_in, i_out, far_rem = _abs_lw_integrals(sym, per_decade, order, mass)
+    C = _log_slope_sup(sym)
+    i_in, i_out, far_rem = _abs_lw_integrals(sym, per_decade, order, mass, C)
     total = i_in + i_out
     if refine:
         f_in, f_out, f_rem = _abs_lw_integrals(sym, 2 * per_decade, order + 4,
-                                               mass)
+                                               mass, C)
         fine = f_in + f_out
         integral_error = abs(fine - total) / abs(fine)
         i_in, i_out, far_rem, total = f_in, f_out, f_rem, fine
@@ -406,7 +411,6 @@ def compute_Lw(sym, x_grid=None, *, per_decade=4, order=10, refine=True):
         integral_error = float("nan")
 
     C0 = float(sym(1.0))
-    C = _log_slope_sup(sym)
     c1 = 2.0 * mass + C * C0
     c2 = 6.0 * mass + 3.0 * C0 + C0 / sym.alpha
     bounds_hold = (i_out <= c1 * (1.0 + 1e-9)) and (i_in <= c2 * (1.0 + 1e-9))
@@ -544,8 +548,6 @@ def _resolve_multiplier(k, sym, P):
         return np.zeros_like(k), "none"
     if Pk.shape != k.shape:
         raise ValueError("multiplier must evaluate elementwise on wavenumbers")
-    if np.any(Pk < 0.0):
-        raise ValueError("dissipation multiplier must be nonnegative")
     Pk = Pk.copy()
     Pk[0] = 0.0  # mean mode never damped: exact mean conservation
     return Pk, label
@@ -583,19 +585,15 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     sup |theta| and the gradient sup are evaluated every step, since the
     step size and the stop rule read them, and the running gradient maximum
     lands in the metadata; l2 and lyapunov are evaluated on recorded rows
-    only.
+    only. Non-finite data and a non-finite or negative multiplier are
+    refused with a ValueError.
     """
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
     N = theta0.N
-    h = 2.0 * np.pi / N
     k = theta0.wavenumbers()
     if dissipate:
         Pk, label = _resolve_multiplier(k, sym, P)
     else:
         Pk, label = np.zeros_like(k), "none"
-    if dt_max is None:
-        dt_max = T / 64.0
 
     # real factors of complex spectra are stored complex: numpy would cast
     # them on every product, to the same values
@@ -611,76 +609,55 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
         q *= mask
         return half_ik * q
 
-    spec = theta0.spec.astype(complex).copy()
-    rows = {c: [] for c in ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")}
-    ly_u = _lyapunov_weights(N)
-
     def sup_abs(a):
         return float(max(a.max(), -a.min()))
 
-    # linf and grad feed the step and the stop rule every step; l2 and the
-    # Lyapunov value only feed recorded rows
-    def record(v):
+    # v, sup |v| and the gradient sup, every step: the step size and the
+    # stop rule read them
+    def observe(spec):
+        v = irfft(spec, n=N)
+        return v, sup_abs(v), sup_abs(irfft(ik * spec, n=N))
+
+    # each state the loop steps from was observed when it was yielded, so
+    # its grid values are those of the last observation
+    run = _IntegratingFactorRK4(
+        theta0.spec, T, Pk, h=2.0 * np.pi / N, cfl=cfl, dt_max=dt_max,
+        dt_floor=dt_floor, nonlinear=nl if nonlinear else None,
+        grid=lambda spec: (v, linf))
+    rows = {c: [] for c in ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")}
+    ly_u = _lyapunov_weights(N)
+
+    # l2 and the Lyapunov value only feed recorded rows
+    def record(t, dt, spec):
         l2 = math.sqrt(2.0 * np.pi * float(np.mean(v * v)))
         ly = float(np.real(np.dot(spec / N, ly_u)))
         for col, val in zip(rows, (t, linf, grad, l2, ly, dt)):
             rows[col].append(val)
 
-    t = 0.0
-    steps = 0
-    termination = "completed"
-    v = irfft(spec, n=N)
-    linf, grad = sup_abs(v), sup_abs(irfft(ik * spec, n=N))
+    v, linf, grad = observe(run.spec)
     linf0, grad0 = linf, grad
     max_grad, max_grad_t = grad, 0.0
-    tiny = 1e-300
-
-    def select_dt():
-        dt = dt_max
-        if nonlinear:
-            dt = min(dt, cfl * h / max(linf, tiny))
-        return min(dt, T - t)
-
-    dt = select_dt()
-    record(v)
+    record(0.0, run.step_size(0.0, linf), run.spec)
 
     started = time.perf_counter()
-    while t < T * (1.0 - 1e-14):
-        dt = select_dt()
-        if dt < dt_floor and (T - t) > dt_floor:
-            termination = "dt-floor"
-            break
-        E = np.exp(-0.5 * dt * Pk).astype(complex)
-        E2 = E * E
-        if nonlinear:
-            a = nl(spec, v)
-            b = nl(E * (spec + 0.5 * dt * a))
-            c = nl(E * spec + 0.5 * dt * b)
-            d = nl(E2 * spec + dt * E * c)
-            spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
-        else:
-            spec = E2 * spec
-        t += dt
-        steps += 1
-        v = irfft(spec, n=N)
-        linf, grad = sup_abs(v), sup_abs(irfft(ik * spec, n=N))
+    for t, dt, spec in run:
+        v, linf, grad = observe(spec)
         if grad > max_grad:
             max_grad, max_grad_t = grad, t
         hit_stop = grad_stop is not None and grad >= grad_stop
-        if steps % record_every == 0 or t >= T * (1.0 - 1e-14) or hit_stop:
-            record(v)
+        if run.steps % record_every == 0 or run.reached(t) or hit_stop:
+            record(t, dt, spec)
         if hit_stop:
-            termination = "gradient-threshold"
+            run.termination = "gradient-threshold"
             break
     wall = time.perf_counter() - started
 
     run_meta = {
-        "N": N, "T": T, "cfl": cfl, "dt_max": dt_max, "dt_floor": dt_floor,
-        "nonlinear": bool(nonlinear), "multiplier": label,
-        "linf0": linf0, "grad0": grad0, "steps": steps,
-        "max_grad": max_grad, "max_grad_t": max_grad_t,
-        "record_every": record_every,
-        "grad_stop": grad_stop,
+        "N": N, "T": T, "cfl": cfl, "dt_max": run.dt_max,
+        "dt_floor": dt_floor, "nonlinear": bool(nonlinear),
+        "multiplier": label, "linf0": linf0, "grad0": grad0,
+        "steps": run.steps, "max_grad": max_grad, "max_grad_t": max_grad_t,
+        "record_every": record_every, "grad_stop": grad_stop,
     }
     if meta:
         run_meta.update(meta)
@@ -688,10 +665,10 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
         equation="burgers",
         columns=("t", "linf", "grad_linf", "l2", "lyapunov", "dt"),
         series=rows,
-        termination=termination,
+        termination=run.termination,
         meta=run_meta,
         wall_time=wall,
-        final_state=ScalarField1D.from_spectrum(spec, N),
+        final_state=ScalarField1D.from_spectrum(run.spec, N),
     )
 
 

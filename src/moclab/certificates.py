@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.fft import irfft2
 
-from .fields import TWO_PI, ScalarField2D
+from .fields import TWO_PI, ScalarField2D, velocity_multipliers
 from .moduli import (DEFAULT_GAMMA, DEFAULT_KAPPA, ModulusConstructionError,
                      ModulusMember, _omega_array, build_modulus)
 from .quadrature import graded_edges, log_panel_nodes, panel_nodes
@@ -749,17 +749,6 @@ def perp_pair(fld: ScalarField2D, x, y, sym: DissipationSymbol,
 # constant calibration and parameter tuning
 # ---------------------------------------------------------------------------
 
-def _riesz_velocity(fld: ScalarField2D) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity grids of the perpendicular Riesz transform of the field."""
-    kx, ky = fld.wavenumber_grids()
-    kmod = np.hypot(kx, ky)
-    kmod[0, 0] = 1.0
-    spec = fld.spec
-    u1 = irfft2(-1j * ky / kmod * spec, s=(fld.N, fld.N))
-    u2 = irfft2(1j * kx / kmod * spec, s=(fld.N, fld.N))
-    return u1, u2
-
-
 @dataclass
 class CalibrationReport:
     A_hat: float
@@ -778,8 +767,10 @@ def calibrate_A(fld: ScalarField2D, omega, *, pairs: int = 128,
     the sample. Meaningful only when the field obeys ``omega``.
     """
     rng = np.random.default_rng(seed)
-    u1, u2 = _riesz_velocity(fld)
     N = fld.N
+    mx, my = velocity_multipliers(N, "sqg")
+    u1 = irfft2(mx * fld.spec, s=(N, N))
+    u2 = irfft2(my * fld.spec, s=(N, N))
     h = TWO_PI / N
     idx = rng.integers(0, N, size=(pairs, 4))
     best = (0.0, math.nan)

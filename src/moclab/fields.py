@@ -21,6 +21,113 @@ def dealias_cutoff(N: int) -> int:
     return N // 3
 
 
+def wavenumber_grids_2d(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wavenumbers of the N x N rfft2 half-plane: kx as a column, ky as a
+    row, so ``np.hypot(kx, ky)`` is |k| on the spectrum's shape."""
+    kx = np.fft.fftfreq(N, d=1.0 / N)[:, None]
+    ky = np.arange(N // 2 + 1, dtype=float)[None, :]
+    return kx, ky
+
+
+def velocity_multipliers(N: int, law: str, P=None):
+    """Spectral factors (mx, my) with u_hat = (mx, my) * theta_hat.
+
+    ``law`` is "sqg" (stream function Lambda^{-1} theta, the perpendicular
+    Riesz transform) or "p_euler" (stream function Lambda^{-2} P(Lambda)
+    theta).
+    """
+    kx, ky = wavenumber_grids_2d(N)
+    kmod = np.hypot(kx, ky)
+    safe = np.where(kmod == 0.0, np.inf, kmod)
+    if law == "sqg":
+        w = 1.0 / safe
+    elif law == "p_euler":
+        w = np.asarray(P(kmod), dtype=float) / safe ** 2
+    else:
+        raise ValueError(f"unknown velocity law: {law!r}")
+    _refuse_bad_input("velocity multiplier", w)
+    return -1j * ky * w, 1j * kx * w
+
+
+def _refuse_bad_input(name: str, values, *, nonnegative: bool = True):
+    """ValueError naming ``name`` unless every value is finite (and, with
+    ``nonnegative``, >= 0)."""
+    values = np.asarray(values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} has non-finite values")
+    if nonnegative and np.any(values < 0.0):
+        raise ValueError(f"{name} must be nonnegative")
+
+
+class _IntegratingFactorRK4:
+    """The time loop of the spectral solvers, for spec_t = -Pk spec + N(spec).
+
+    The stiff diagonal part is applied exactly through E = exp(-dt Pk / 2)
+    and the nonlinear term ``nonlinear(spec, aux=None)`` explicitly, in RK4.
+    A step from state ``spec`` first takes ``aux, speed = grid(spec)``, a
+    grid quantity of the state and the advecting speed; stage 1 reuses
+    ``aux``. The step is min(dt_max, cfl h / speed, T - t), with the CFL
+    bound only when there is a nonlinear term (``nonlinear=None`` runs the
+    linear flow and never calls ``grid``). A step below ``dt_floor`` that
+    falls short of the horizon ends the run as "dt-floor". No transform is
+    made here: ``grid`` and ``nonlinear`` own every FFT.
+
+    Iterating yields (t, dt, spec) after each step. ``steps``,
+    ``termination`` and ``spec`` hold what the run reached; a caller that
+    stops on its own rule sets ``termination`` before it breaks.
+    """
+
+    def __init__(self, spec, T, Pk, *, h, cfl, dt_max, dt_floor, nonlinear,
+                 grid):
+        if T <= 0.0:
+            raise ValueError("horizon must be positive")
+        _refuse_bad_input("theta0", spec, nonnegative=False)
+        _refuse_bad_input("dissipation multiplier", Pk)
+        self.spec = np.array(spec, dtype=complex)
+        self.T, self.Pk, self.h, self.cfl = T, Pk, h, cfl
+        self.dt_max = T / 64.0 if dt_max is None else dt_max
+        self.dt_floor = dt_floor
+        self.nonlinear, self.grid = nonlinear, grid
+        self.steps = 0
+        self.termination = "completed"
+
+    def reached(self, t) -> bool:
+        """True once t is on the horizon, up to rounding."""
+        return t >= self.T * (1.0 - 1e-14)
+
+    def step_size(self, t, speed) -> float:
+        dt = self.dt_max
+        if self.nonlinear is not None:
+            dt = min(dt, self.cfl * self.h / max(speed, 1e-300))
+        return min(dt, self.T - t)
+
+    def __iter__(self):
+        t, spec, nl = 0.0, self.spec, self.nonlinear
+        while not self.reached(t):
+            aux, speed = (None, 0.0) if nl is None else self.grid(spec)
+            dt = self.step_size(t, speed)
+            if dt < self.dt_floor and (self.T - t) > self.dt_floor:
+                self.termination = "dt-floor"
+                return
+            # stored complex: numpy would cast it on every product, to the
+            # same values
+            E = np.exp(-0.5 * dt * self.Pk).astype(complex)
+            E2 = E * E
+            if nl is None:
+                spec = E2 * spec
+            else:
+                a = nl(spec, aux)
+                b = nl(E * (spec + 0.5 * dt * a))
+                c = nl(E * spec + 0.5 * dt * b)
+                d = nl(E2 * spec + dt * E * c)
+                spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c)
+                                                 + d)
+            t += dt
+            self.steps += 1
+            self.spec = spec
+            yield t, dt, spec
+
+
 class ScalarField1D:
     """Real scalar on x_j = 2 pi j / N, j = 0..N-1."""
 
@@ -191,9 +298,7 @@ class ScalarField2D:
         return self._spec
 
     def wavenumber_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        kx = np.fft.fftfreq(self.N, d=1.0 / self.N)[:, None]
-        ky = np.arange(self.N // 2 + 1, dtype=float)[None, :]
-        return kx, ky
+        return wavenumber_grids_2d(self.N)
 
     def wavenumber_modulus(self) -> np.ndarray:
         kx, ky = self.wavenumber_grids()

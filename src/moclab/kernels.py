@@ -1,6 +1,6 @@
 """Kernels, multipliers, and the nonlocal operator in physical form.
 
-Three jobs live here:
+Two jobs live here:
 
 1. The exact correspondence between power-law symbols and fractional
    multipliers (normalization constants C_{d,a} and their inverses).
@@ -9,10 +9,6 @@ Three jobs live here:
    1-D the lattice sum has a closed Hurwitz-zeta form; in 2-D the far
    field is handled by exact radial Bessel quadrature. Neither route
    truncates the periodization, so the only error is the quadrature's.
-3. Numerical inversion multiplier -> kernel (cosine transform in 1-D,
-   Hankel-type in 2-D) with smooth dyadic frequency windows to tame the
-   oscillatory divergence, feeding the upper/lower kernel-ratio
-   diagnostics (KernelTable).
 
 Translation invariance lets the double-difference quadrature factor
 exactly through Fourier modes: the physical route computes a quadrature
@@ -22,19 +18,16 @@ from the closed-form spectral multiplier.
 """
 from __future__ import annotations
 
-import io
 import math
-import warnings
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.special import j0, zeta
 
 from .fields import TWO_PI, ScalarField1D, ScalarField2D
-from .quadrature import SmoothCutoff, oscillation_resolved_edges, panel_nodes
+from .quadrature import oscillation_resolved_edges, panel_nodes
 from .symbols import DissipationSymbol
 
 # beyond this argument the large-x Bessel expansion is used (7 terms each
@@ -125,9 +118,6 @@ def _sin2_accumulate(ks: np.ndarray, y: np.ndarray, kerw: np.ndarray) -> np.ndar
     return out
 
 
-_SYMMULT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def multiplier_of_symbol_1d(sym: DissipationSymbol, k, order: int = 16):
     """Fourier multiplier of the symbol's operator in one dimension:
 
@@ -143,12 +133,6 @@ def multiplier_of_symbol_1d(sym: DissipationSymbol, k, order: int = 16):
     if sym.family == "power":
         Q = fractional_multiplier_constant(1, sym.alpha)
         out = sym.tail_coeff * Q * np.abs(karr) ** sym.alpha
-        return float(out[0]) if scalar else out
-
-    cached = _SYMMULT_CACHE.setdefault(sym, {})
-    key = (karr.tobytes(), order)
-    if key in cached:
-        out = cached[key]
         return float(out[0]) if scalar else out
 
     out = np.zeros_like(karr)
@@ -168,9 +152,6 @@ def multiplier_of_symbol_1d(sym: DissipationSymbol, k, order: int = 16):
                           weight="cos", wvar=kk, epsabs=1e-12)
             osc[i] = 2.0 * T * val
         out[nz] = core + tail_full - osc
-    cached[key] = out
-    if len(cached) > 8:
-        cached.pop(next(iter(cached)))
     return float(out[0]) if scalar else out
 
 
@@ -203,9 +184,6 @@ class PhysicalApplyReport:
     kmax: int
 
 
-_PHYS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def periodic_increment_multiplier_1d(sym: DissipationSymbol, kmax: int,
                                      eps: float | None = None,
                                      order: int = 16):
@@ -217,15 +195,11 @@ def periodic_increment_multiplier_1d(sym: DissipationSymbol, kmax: int,
     applying v_k diagonally equals the pointwise periodized quadrature."""
     if eps is None:
         eps = math.pi * 2.0 ** -50
-    cache = _PHYS_CACHE.setdefault(sym, {})
-    key = (1, kmax, eps, order)
-    if key not in cache:
-        edges = _graded_osc_edges(math.pi, float(kmax), eps=eps)
-        y, w = panel_nodes(edges, order)
-        kerw = w * periodized_kernel_1d(sym, y)
-        v = _sin2_accumulate(np.arange(kmax + 1, dtype=float), y, kerw)
-        cache[key] = (v, y.size)
-    return cache[key]
+    edges = _graded_osc_edges(math.pi, float(kmax), eps=eps)
+    y, w = panel_nodes(edges, order)
+    kerw = w * periodized_kernel_1d(sym, y)
+    v = _sin2_accumulate(np.arange(kmax + 1, dtype=float), y, kerw)
+    return v, y.size
 
 
 def increment_multiplier_2d(sym: DissipationSymbol, kappas: np.ndarray,
@@ -313,11 +287,7 @@ def apply_dissipation_physical(sym: DissipationSymbol, fld, x=None,
     elif isinstance(fld, ScalarField2D):
         kmod = fld.wavenumber_modulus()
         uniq, inv = np.unique(np.round(kmod, 9), return_inverse=True)
-        cache = _PHYS_CACHE.setdefault(sym, {})
-        key = (2, fld.N, eps, order)
-        if key not in cache:
-            cache[key] = increment_multiplier_2d(sym, uniq, eps, order)
-        v = cache[key]
+        v = increment_multiplier_2d(sym, uniq, eps, order)
         result = ScalarField2D.from_spectrum(
             fld.spec * v[inv].reshape(kmod.shape), fld.N)
         nodes = 0
@@ -362,239 +332,3 @@ def dissipation_direct_1d(sym: DissipationSymbol, fld: ScalarField1D, x,
             - fld.evaluate_at(xv - y)
         out[i] = float(np.dot(g, kerw))
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# multiplier -> kernel inversion
-# ---------------------------------------------------------------------------
-
-class KernelInversionError(RuntimeError):
-    """Raised when the windowed transform fails to settle at some radius."""
-
-    def __init__(self, radius: float, message: str):
-        super().__init__(f"radius {radius:g}: {message}")
-        self.radius = radius
-
-
-_LP_CUT = SmoothCutoff(1.0, 2.0)
-
-
-class _WindowAccumulator:
-    """Stopping logic for the dyadic window sums.
-
-    Past the oscillation gate the true window envelope decays monotonically
-    (superpolynomially in 2^j y), while quadrature roundoff grows with the
-    window, so the measured |I_j| is V-shaped. Success is either two
-    consecutive windows below tol*|total| or two consecutive rises once the
-    envelope minimum is already negligible (the roundoff floor). Rises while
-    increments are still large mean genuine non-convergence."""
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.total = 0.0
-        self.errsum = 0.0
-        self._small = 0
-        self._rises = 0
-        self._prev: float | None = None
-        self._envmin = math.inf
-
-    def add(self, val: float, err: float, phase: float) -> bool:
-        """phase = 2^j * y; below 8 nothing is checked (pre-oscillatory),
-        below 128 only the sub-tolerance success rule runs (the envelope can
-        still be in its hump), beyond that rises are monitored too."""
-        self.total += val
-        self.errsum += abs(err)
-        if phase < 8.0:
-            return False
-        mag = abs(val)
-        scale = max(abs(self.total), 1e-12)
-        if mag <= self.tol * scale:
-            self._small += 1
-            if self._small >= 2:
-                return True
-        else:
-            self._small = 0
-        if phase < 128.0:
-            return False
-        if self._prev is not None and mag > self._prev:
-            self._rises += 1
-            if self._rises >= 2:
-                if self._envmin <= 1e-4 * scale:
-                    self.errsum += self._envmin + mag
-                    return True
-                raise _WindowDivergence
-        else:
-            self._rises = 0
-        self._prev = mag
-        self._envmin = min(self._envmin, mag)
-        return False
-
-
-class _WindowDivergence(Exception):
-    pass
-
-
-def _window(j: int):
-    """Smooth dyadic partition member j and its support."""
-    if j == 0:
-        return (lambda z: _LP_CUT(z)), 0.0, 2.0
-    lo, hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
-
-    def w(z, j=j):
-        return _LP_CUT(z / 2.0 ** j) - _LP_CUT(z / 2.0 ** (j - 1))
-
-    return w, lo, hi
-
-
-def _kernel_value_1d(P, y: float, tol: float, max_windows: int):
-    """K(y) = -(1/pi) integral_0^inf P(z) cos(z y) dz, summed over smooth
-    dyadic windows; each window done by adaptive cosine quadrature."""
-    acc = _WindowAccumulator(tol)
-    for j in range(max_windows):
-        w, lo, hi = _window(j)
-        with warnings.catch_warnings():
-            # roundoff at high windows is expected; the accumulator's
-            # stopping rule is what decides whether it stayed harmless
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(lambda z: w(z) * P(z), lo, hi,
-                            weight="cos", wvar=y, limit=400)
-        try:
-            done = acc.add(val, err, phase=2.0 ** j * y)
-        except _WindowDivergence:
-            raise KernelInversionError(y, "cosine-window sum diverged") from None
-        if done:
-            return -acc.total / math.pi, acc.errsum / math.pi, j + 1
-    raise KernelInversionError(y, "cosine-window sum did not settle")
-
-
-def _kernel_value_2d(P, s: float, tol: float, max_windows: int):
-    """K(y) = -(1/2 pi) integral_0^inf P(rho) J0(rho |y|) rho drho with the
-    same dyadic windows; oscillation-resolved panels below the Bessel
-    asymptotic threshold, cosine/sine quadrature above it."""
-    split = X_ASYM / s
-    acc = _WindowAccumulator(tol)
-    for j in range(max_windows):
-        w, lo, hi = _window(j)
-
-        def f(rho):
-            return w(rho) * P(rho) * rho
-
-        val = 0.0
-        err = 0.0
-        if lo < split:
-            b = min(hi, split)
-            edges = oscillation_resolved_edges(lo, b, s, panels_per_period=6.0)
-            r16, w16 = panel_nodes(edges, 16)
-            r24, w24 = panel_nodes(edges, 24)
-            v16 = float(np.dot(w16, f(r16) * j0(s * r16)))
-            v24 = float(np.dot(w24, f(r24) * j0(s * r24)))
-            val += v24
-            err += abs(v24 - v16)
-        if hi > split:
-            a = max(lo, split)
-
-            def fa(rho):
-                return f(rho) * bessel_j0_osc_parts(s * rho)[0]
-
-            def fb(rho):
-                return f(rho) * bessel_j0_osc_parts(s * rho)[1]
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                ca, ea = quad(fa, a, hi, weight="cos", wvar=s, limit=400)
-                cb, eb = quad(fb, a, hi, weight="sin", wvar=s, limit=400)
-            val += ca + cb
-            err += abs(ea) + abs(eb)
-        try:
-            done = acc.add(val, err, phase=2.0 ** j * s)
-        except _WindowDivergence:
-            raise KernelInversionError(s, "Hankel-window sum diverged") from None
-        if done:
-            return -acc.total / TWO_PI, acc.errsum / TWO_PI, j + 1
-    raise KernelInversionError(s, "Hankel-window sum did not settle")
-
-
-@dataclass
-class KernelTable:
-    """Tabulated kernel K(y) with the bound-ratio diagnostics.
-
-    upper_ratios = |K(y)| |y|^d / P(1/|y|) must stay bounded; lower_ratios
-    (signed) must stay above a positive constant for radii below sigma."""
-
-    dimension: int
-    radii: np.ndarray
-    values: np.ndarray
-    upper_ratios: np.ndarray
-    lower_ratios: np.ndarray
-    sigma: float
-    lower_constant: float
-    upper_constant: float
-    window_counts: list
-    error_estimates: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "radii": self.radii.tolist(),
-            "values": self.values.tolist(),
-            "upper_ratios": self.upper_ratios.tolist(),
-            "lower_ratios": self.lower_ratios.tolist(),
-            "sigma": self.sigma,
-            "lower_constant": self.lower_constant,
-            "upper_constant": self.upper_constant,
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("radius,value,upper_ratio,lower_ratio\n")
-        for r, v, u, low in zip(self.radii, self.values,
-                                self.upper_ratios, self.lower_ratios):
-            buf.write(f"{float(r)!r},{float(v)!r},{float(u)!r},{float(low)!r}\n")
-        return buf.getvalue()
-
-
-def multiplier_to_kernel(P, d: int = 1, radii: np.ndarray | None = None,
-                         tol: float = 1e-7,
-                         max_windows: int = 48) -> KernelTable:
-    """Recover the physical kernel of a radial multiplier on a radius grid.
-
-    1-D: K(y) = -(1/pi) int P(z) cos(zy) dz; 2-D: -(1/2 pi) int P J0 rho drho,
-    both read through a smooth dyadic partition of frequency space. Raises
-    KernelInversionError naming the radius if a sum fails to settle.
-    """
-    if d not in (1, 2):
-        raise ValueError("dimension must be 1 or 2")
-    if radii is None:
-        radii = np.geomspace(1e-3, 0.25, 29)
-    radii = np.asarray(radii, dtype=float)
-    values = np.empty(radii.size)
-    errs = np.empty(radii.size)
-    wins = []
-    for i, y in enumerate(radii):
-        if d == 1:
-            values[i], errs[i], nw = _kernel_value_1d(P, y, tol, max_windows)
-        else:
-            values[i], errs[i], nw = _kernel_value_2d(P, y, tol, max_windows)
-        wins.append(nw)
-
-    ref = np.asarray(P(1.0 / radii), dtype=float) / radii ** d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(ref > 0.0, np.abs(values) / ref, 0.0)
-        lower = np.where(ref > 0.0, values / ref, 0.0)
-
-    positive = lower > 0.0
-    if positive.all():
-        cut = radii.size
-    else:
-        cut = int(np.argmin(positive))  # first index failing the lower bound
-    sigma = float(radii[cut - 1]) if cut > 0 else 0.0
-    lower_c = float(np.min(lower[:cut])) if cut > 0 else math.nan
-    upper_c = float(np.max(upper))
-
-    table = KernelTable(
-        dimension=d, radii=radii, values=values,
-        upper_ratios=upper, lower_ratios=lower,
-        sigma=sigma, lower_constant=lower_c, upper_constant=upper_c,
-        window_counts=wins, error_estimates=errs,
-    )
-    return table

@@ -186,32 +186,6 @@ def classify_decades(increments, window: int, conv: float, div: float,
     return "ambiguous", ratios
 
 
-class SmoothCutoff:
-    """C-infinity transition: 1 on (-inf, a], 0 on [b, inf)."""
-
-    def __init__(self, a: float, b: float):
-        if not b > a:
-            raise ValueError("cutoff needs b > a")
-        self.a = float(a)
-        self.b = float(b)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        t = np.clip((r - self.a) / (self.b - self.a), 0.0, 1.0)
-        out = np.empty_like(t)
-        inner = t <= 0.0
-        outer = t >= 1.0
-        mid = ~(inner | outer)
-        out[inner] = 1.0
-        out[outer] = 0.0
-        tm = t[mid]
-        # bump-function partition h(1-t)/(h(1-t)+h(t)) with h(s)=exp(-1/s)
-        ha = np.exp(-1.0 / (1.0 - tm))
-        hb = np.exp(-1.0 / tm)
-        out[mid] = ha / (ha + hb)
-        return out if out.ndim else float(out)
-
-
 def oscillation_resolved_edges(a: float, b: float, freq: float,
                                min_panels: int = 4,
                                panels_per_period: float = 4.0,

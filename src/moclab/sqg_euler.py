@@ -6,6 +6,11 @@ dissipates through a radial Fourier multiplier P(|k|) applied with an
 integrating factor inside RK4.  The P-Euler law uses i k^perp P(|k|) / |k|^2
 and no dissipation, so the same stepper runs with a unit integrating
 factor and conserves every transported integral up to dealiasing error.
+The velocity multipliers and the wavenumber grids come from ``fields``,
+and the stepper is the integrating-factor RK4 loop that 1-D Burgers
+shares (``fields._IntegratingFactorRK4``); this module supplies the
+advection term, whose step velocity feeds both the CFL rule and stage 1,
+the recorded diagnostics and the spectral-tail stop rule.
 
 Products are formed on the grid with a 2/3-rule mask; both laws produce
 exactly divergence-free velocities, and a plane wave annihilates its own
@@ -27,7 +32,8 @@ import numpy as np
 from scipy.fft import irfft2, rfft2
 from scipy.integrate import quad, solve_ivp
 
-from .fields import ScalarField2D, dealias_cutoff
+from .fields import (ScalarField2D, _IntegratingFactorRK4, dealias_cutoff,
+                     velocity_multipliers, wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_of
 from .quadrature import classify_decades, gauss_legendre
 from .records import REGULAR, UNRESOLVED, RunRecord
@@ -47,49 +53,28 @@ _OSG_DIV_RATIO = 0.96
 
 
 # ----------------------------------------------------------------------
-# spectral plumbing
+# advection
 # ----------------------------------------------------------------------
-
-def _grids(N):
-    kx = np.fft.fftfreq(N, d=1.0 / N)[:, None]
-    ky = np.arange(N // 2 + 1, dtype=float)[None, :]
-    kmod = np.hypot(kx, ky)
-    mask = (kmod <= dealias_cutoff(N)).astype(float)
-    return kx, ky, kmod, mask
-
-
-def velocity_multipliers(N, law, P=None):
-    """Spectral factors (mx, my) with u_hat = (mx, my) * theta_hat.
-
-    ``law`` is "sqg" (stream function Lambda^{-1} theta) or "p_euler"
-    (stream function Lambda^{-2} P(Lambda) theta).
-    """
-    kx, ky, kmod, _ = _grids(N)
-    safe = np.where(kmod == 0.0, np.inf, kmod)
-    if law == "sqg":
-        w = 1.0 / safe
-    elif law == "p_euler":
-        w = np.asarray(P(kmod), dtype=float) / safe ** 2
-    else:
-        raise ValueError(f"unknown velocity law: {law!r}")
-    if np.any(w < 0.0):
-        raise ValueError("velocity multiplier must be nonnegative")
-    return -1j * ky * w, 1j * kx * w
-
 
 class _AdvectionCore:
     """u . grad(theta) in spectral form for a fixed velocity law."""
 
     def __init__(self, N, mx, my):
         self.N = N
-        kx, ky, _, mask = _grids(N)
-        self.kx, self.ky, self.mask = kx, ky, mask
+        self.kx, self.ky = wavenumber_grids_2d(N)
+        self.mask = (np.hypot(self.kx, self.ky)
+                     <= dealias_cutoff(N)).astype(float)
         self.mx, self.my = mx, my
 
     def velocity(self, spec):
         n = self.N
         return (irfft2(self.mx * spec, s=(n, n)),
                 irfft2(self.my * spec, s=(n, n)))
+
+    def speed(self, spec):
+        """The grid velocity of ``spec`` and its sup."""
+        u = self.velocity(spec)
+        return u, float(np.max(np.hypot(*u)))
 
     def nonlinear(self, spec, velocity=None):
         """Pass ``velocity`` when the grid velocity of ``spec`` is at hand."""
@@ -147,18 +132,13 @@ def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
             record_every, member, monitor, tail_limit, meta):
     if not isinstance(theta0, ScalarField2D):
         raise TypeError("need a ScalarField2D initial condition")
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
     N = theta0.N
-    h = 2.0 * np.pi / N
-    if dt_max is None:
-        dt_max = T / 64.0
+    run = _IntegratingFactorRK4(
+        theta0.spec, T, Pk, h=2.0 * np.pi / N, cfl=cfl, dt_max=dt_max,
+        dt_floor=dt_floor, nonlinear=core.nonlinear, grid=core.speed)
     if monitor is None and member is not None:
         monitor = ObedienceMonitor(member, N)
-
-    spec = theta0.spec.astype(complex).copy()
     rows = {c: [] for c in COLUMNS_2D}
-    termination = "completed"
 
     def record(t, spec):
         fld = ScalarField2D.from_spectrum(spec, N)
@@ -171,50 +151,33 @@ def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
         rows["spectral_tail"].append(fld.spectral_tail_fraction())
         return fld
 
-    t = 0.0
-    steps = 0
     wall = time.perf_counter()
-    fld = record(0.0, spec)
+    fld = record(0.0, run.spec)
     if fld.spectral_tail_fraction() > tail_limit:
         raise ValueError("initial data is not resolved at this N")
-    while t < T * (1.0 - 1e-14):
-        u = core.velocity(spec)
-        sup_u = float(np.max(np.hypot(*u)))
-        dt = min(dt_max, cfl * h / max(sup_u, 1e-300), T - t)
-        if dt < dt_floor and (T - t) > dt_floor:
-            termination = "dt-floor"
-            break
-        E = np.exp(-0.5 * dt * Pk)
-        E2 = E * E
-        a = core.nonlinear(spec, u)
-        b = core.nonlinear(E * (spec + 0.5 * dt * a))
-        c = core.nonlinear(E * spec + 0.5 * dt * b)
-        d = core.nonlinear(E2 * spec + dt * E * c)
-        spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
-        t += dt
-        steps += 1
-        if steps % record_every == 0 or t >= T * (1.0 - 1e-14):
-            fld = record(t, spec)
+    for t, _, spec in run:
+        if run.steps % record_every == 0 or run.reached(t):
+            record(t, spec)
             if rows["spectral_tail"][-1] > tail_limit:
-                termination = "spectral-tail"
+                run.termination = "spectral-tail"
                 break
 
     rec = RunRecord(
         equation=equation,
         columns=COLUMNS_2D,
         series={c: np.asarray(v, dtype=float) for c, v in rows.items()},
-        termination=termination,
+        termination=run.termination,
         wall_time=time.perf_counter() - wall,
-        meta={"N": N, "T": T, "cfl": cfl, "dt_max": dt_max,
-              "dt_floor": dt_floor, "steps": steps,
+        meta={"N": N, "T": T, "cfl": cfl, "dt_max": run.dt_max,
+              "dt_floor": dt_floor, "steps": run.steps,
               "record_every": record_every, "tail_limit": tail_limit,
               "linf0": rows["linf"][0], "grad0": rows["grad_linf"][0],
               **(meta or {})},
     )
-    rec.final_state = ScalarField2D.from_spectrum(spec, N)
+    rec.final_state = ScalarField2D.from_spectrum(run.spec, N)
     if monitor is not None:
         rec.meta["min_obedience_margin"] = monitor.min_margin
-    if termination == "completed":
+    if run.termination == "completed":
         if monitor is None or monitor.min_margin > 0.0:
             rec.verdict = REGULAR
     else:
@@ -233,10 +196,7 @@ def simulate_sqg(theta0, T, *, P, member=None, monitor=None, cfl=0.4,
     negative margin, never as an exception.
     """
     N = theta0.N
-    _, _, kmod, _ = _grids(N)
-    Pk = np.asarray(P(kmod), dtype=float)
-    if np.any(Pk < 0.0) or not np.all(np.isfinite(Pk)):
-        raise ValueError("dissipation multiplier must be finite and >= 0")
+    Pk = np.asarray(P(np.hypot(*wavenumber_grids_2d(N))), dtype=float)
     mx, my = velocity_multipliers(N, "sqg")
     core = _AdvectionCore(N, mx, my)
     m = {"multiplier": getattr(P, "label", "") or "callable", **(meta or {})}
@@ -477,7 +437,7 @@ class EulerExperimentReport:
 def gradient_of_velocity_sup(fld, law, P=None):
     """Measured sup |grad u| for either velocity law."""
     mx, my = velocity_multipliers(fld.N, law, P=P)
-    kx, ky, _, _ = _grids(fld.N)
+    kx, ky = wavenumber_grids_2d(fld.N)
     n = fld.N
     sup = 0.0
     for m in (mx, my):

@@ -1,9 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
+from moclab.burgers import simulate_burgers
 from moclab.fields import ScalarField1D, ScalarField2D, dealias_cutoff
+from moclab.sqg_euler import simulate_p_euler, simulate_sqg
+from moclab.symbols import make_multiplier
 
 
 def test_from_function_and_norms():
@@ -98,3 +102,45 @@ def test_evaluate_on_grid_matches_evaluate_at():
     assert np.max(np.abs(grid.ravel() - f.evaluate_at(pts))) <= 1e-14
     nodes = ScalarField1D.grid_of(32)
     assert_allclose(f.evaluate_on_grid(nodes, nodes), f.values, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the spectral solvers refuse what their time loop cannot integrate
+# ---------------------------------------------------------------------------
+
+SOLVERS = {
+    "burgers": (lambda: ScalarField1D.from_function(64, np.sin),
+                simulate_burgers),
+    "sqg": (lambda: ScalarField2D.random_band_limited(16, 3, 0.3, seed=1),
+            simulate_sqg),
+    "p_euler": (lambda: ScalarField2D.random_band_limited(16, 3, 0.3,
+                                                          seed=1),
+                simulate_p_euler),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solvers_refuse_non_finite_data_by_name(solver, bad):
+    make, simulate = SOLVERS[solver]
+    fld = make()
+    values = fld.values.copy()
+    values.flat[5] = bad
+    with pytest.raises(ValueError, match="theta0 has non-finite values"):
+        simulate(type(fld)(values), 0.1, P=make_multiplier("power", s=1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solvers_refuse_a_non_finite_multiplier_by_name(solver, bad):
+    # finite up to |k| = 3, then bad: no low-mode check can miss it
+    make, simulate = SOLVERS[solver]
+
+    def P(k):
+        k = np.abs(np.asarray(k, dtype=float))
+        return np.where(k > 3.0, bad, k)
+
+    name = "velocity" if solver == "p_euler" else "dissipation"
+    with pytest.raises(ValueError,
+                       match=f"{name} multiplier has non-finite values"):
+        simulate(make(), 0.1, P=P)

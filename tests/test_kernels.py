@@ -12,7 +12,6 @@ from moclab.kernels import (
     fractional_normalization,
     increment_multiplier_2d,
     multiplier_of_symbol_1d,
-    multiplier_to_kernel,
     periodic_increment_multiplier_1d,
     periodized_kernel_1d,
 )
@@ -118,31 +117,3 @@ def test_apply_dissipation_physical_2d_single_mode():
     phys = apply_dissipation_physical(s, f)
     lam = increment_multiplier_2d(s, np.array([math.sqrt(5.0)]))[0]
     assert np.max(np.abs(phys.values - lam * f.values)) < 1e-8 * lam
-
-
-# ---------------------------------------------------------------------------
-# kernel recovery from a multiplier
-# ---------------------------------------------------------------------------
-
-def test_multiplier_to_kernel_critical_1d():
-    tab = multiplier_to_kernel(make_multiplier("power", s=1.0), d=1,
-                               radii=np.array([1e-3, 1e-2, 1e-1]))
-    assert_allclose(math.pi * tab.radii ** 2 * tab.values, 1.0, rtol=1e-6)
-    assert_allclose(tab.lower_constant, 1.0 / math.pi, rtol=1e-6)
-    lines = tab.to_csv().splitlines()
-    assert lines[0] == "radius,value,upper_ratio,lower_ratio"
-    assert all(len([float(c) for c in ln.split(",")]) == 4
-               for ln in lines[1:])
-
-
-def test_multiplier_to_kernel_critical_2d():
-    tab = multiplier_to_kernel(make_multiplier("power", s=1.0), d=2,
-                               radii=np.array([1e-2, 1e-1]))
-    assert_allclose(2.0 * math.pi * tab.radii ** 3 * tab.values, 1.0,
-                    rtol=1e-5)
-
-
-def test_multiplier_to_kernel_zero():
-    tab = multiplier_to_kernel(make_multiplier("zero"), d=1,
-                               radii=np.array([1e-2, 1e-1]))
-    assert np.max(np.abs(tab.values)) < 1e-12

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from moclab import quadrature
 from moclab.quadrature import (
-    SmoothCutoff,
     classify_decades,
     decade_increments,
     gauss_legendre,
@@ -50,16 +49,6 @@ def test_quad_log_endpoint_singularity():
     val, err = quad_log(lambda x: math.log(1.0 / x), 1e-30, 1.0)
     assert_allclose(val, 1.0, rtol=1e-12)
     assert err < 1e-10
-
-
-def test_smooth_cutoff_shape():
-    c = SmoothCutoff(1.0, 2.0)
-    assert c(0.5) == 1.0 and c(1.0) == 1.0
-    assert c(2.0) == 0.0 and c(3.0) == 0.0
-    assert_allclose(c(1.5), 0.5, atol=1e-14)
-    r = np.linspace(1.0, 2.0, 101)
-    v = np.asarray(c(r))
-    assert np.all(np.diff(v) <= 1e-15)
 
 
 def test_oscillation_resolved_edges_resolve_period():

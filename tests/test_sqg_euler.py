@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from moclab.fields import ScalarField2D
+from moclab import fields, sqg_euler
+from moclab.fields import ScalarField2D, velocity_multipliers
 from moclab.moduli import StratifiedPairSearch, build_modulus, check_obeys
-from moclab.sqg_euler import (ObedienceMonitor, _AdvectionCore,
-                              osgood_check, simulate_p_euler, simulate_sqg,
-                              velocity_multipliers)
+from moclab.sqg_euler import (ObedienceMonitor, osgood_check,
+                              simulate_p_euler, simulate_sqg)
+from moclab.records import UNRESOLVED
 from moclab.symbols import make_multiplier, make_symbol
 
 CRITICAL = make_symbol("power", a=1.0)
@@ -171,14 +172,30 @@ def test_p_euler_conserves_l2():
     assert rec["grad_linf"][-1] != rec["grad_linf"][0]  # the field moved
 
 
-def _series_with_separate_cfl_velocity(theta0, T, P, dt_max):
-    # the stepper with the CFL velocity computed apart from stage 1
+def _series_with_separate_cfl_velocity(theta0, T, law, P, dt_max):
+    # a self-contained copy of the stepper, with the velocity law, the
+    # advection term and the CFL velocity all written out here; the CFL
+    # velocity is computed apart from stage 1
     N = theta0.N
     kx = np.fft.fftfreq(N, d=1.0 / N)[:, None]
     ky = np.arange(N // 2 + 1, dtype=float)[None, :]
-    Pk = np.asarray(P(np.hypot(kx, ky)), dtype=float)
-    mx, my = velocity_multipliers(N, "sqg")
-    core = _AdvectionCore(N, mx, my)
+    kmod = np.hypot(kx, ky)
+    mask = (kmod <= N // 3).astype(float)
+    safe = np.where(kmod == 0.0, np.inf, kmod)
+    Pv = np.asarray(P(kmod), dtype=float)
+    if law == "sqg":
+        Pk, w = Pv, 1.0 / safe
+    else:
+        Pk, w = np.zeros_like(kmod), Pv / safe ** 2
+    mx, my = -1j * ky * w, 1j * kx * w
+
+    def nonlinear(s):
+        ux = np.fft.irfft2(mx * s, s=(N, N))
+        uy = np.fft.irfft2(my * s, s=(N, N))
+        gx = np.fft.irfft2(1j * kx * s, s=(N, N))
+        gy = np.fft.irfft2(1j * ky * s, s=(N, N))
+        return -mask * np.fft.rfft2(ux * gx + uy * gy)
+
     h = 2.0 * np.pi / N
     spec = theta0.spec.astype(complex).copy()
     rows = {c: [] for c in ("t", "linf", "grad_linf", "l2")}
@@ -198,30 +215,73 @@ def _series_with_separate_cfl_velocity(theta0, T, P, dt_max):
                                        1e-300), T - t)
         E = np.exp(-0.5 * dt * Pk)
         E2 = E * E
-        a = core.nonlinear(spec)
-        b = core.nonlinear(E * (spec + 0.5 * dt * a))
-        c = core.nonlinear(E * spec + 0.5 * dt * b)
-        d = core.nonlinear(E2 * spec + dt * E * c)
+        a = nonlinear(spec)
+        b = nonlinear(E * (spec + 0.5 * dt * a))
+        c = nonlinear(E * spec + 0.5 * dt * b)
+        d = nonlinear(E2 * spec + dt * E * c)
         spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
         t += dt
         record(t)
     return rows, spec
 
 
+LAWS = {"sqg": (simulate_sqg, make_multiplier("power", s=1.0)),
+        "p_euler": (simulate_p_euler, make_multiplier("log-damped", a=1.0))}
+
+
 def test_stage_one_velocity_reuse_leaves_the_run_bitwise_unchanged():
-    P = make_multiplier("power", s=1.0)
     theta0 = ScalarField2D.random_band_limited(32, kmax=4, amplitude=1.0,
                                                seed=11)
     T = 0.5
-    # dt_max = T leaves every step to the CFL bound
-    rec = simulate_sqg(theta0, T, P=P, dt_max=T)
-    reference, spec = _series_with_separate_cfl_velocity(theta0, T, P, T)
-    assert rec.termination == "completed"
-    assert rec.meta["steps"] == len(reference["t"]) - 1 >= 4
-    for c, ref in reference.items():
-        assert np.array_equal(rec[c], np.asarray(ref)), c
-    assert np.array_equal(rec.final_state.values,
-                          ScalarField2D.from_spectrum(spec, 32).values)
+    for law, (simulate, P) in LAWS.items():
+        # dt_max = T leaves every step to the CFL bound
+        rec = simulate(theta0, T, P=P, dt_max=T)
+        reference, spec = _series_with_separate_cfl_velocity(theta0, T, law,
+                                                             P, T)
+        assert rec.termination == "completed", law
+        assert rec.meta["steps"] == len(reference["t"]) - 1 >= 4, law
+        for c, ref in reference.items():
+            assert np.array_equal(rec[c], np.asarray(ref)), (law, c)
+        assert np.array_equal(rec.final_state.values,
+                              ScalarField2D.from_spectrum(spec, 32).values)
+
+
+def test_early_stops_leave_the_2d_run_unresolved():
+    P = make_multiplier("power", s=1.0)
+    floor = simulate_sqg(_plane_wave(32), 0.3, P=P, dt_floor=0.05)
+    assert floor.termination == "dt-floor" and floor.verdict == UNRESOLVED
+    assert floor.meta["steps"] == 0 and len(floor["t"]) == 1
+    # inviscid SQG steepens these strong data until the top shell fills
+    theta0 = ScalarField2D.random_band_limited(32, 8, 20.0, seed=9)
+    tail = simulate_sqg(theta0, 2.0, P=make_multiplier("zero"),
+                        tail_limit=1e-3)
+    assert tail.termination == "spectral-tail" and tail.verdict == UNRESOLVED
+    assert tail["spectral_tail"][-1] > 1e-3 >= tail["spectral_tail"][-2]
+    assert tail["t"][-1] < 2.0
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_stepper_fft_count_2d(law, monkeypatch):
+    # 20 transforms per step in the advection core: 2 for the step's
+    # velocity, reused by stage 1, 3 more in stage 1 and 5 in each later
+    # stage; 3 per recorded row and 1 for the final state in fields
+    theta0 = ScalarField2D.random_band_limited(32, kmax=4, amplitude=0.3,
+                                               seed=11)
+    _ = theta0.spec
+    calls = {"advection": 0, "fields": 0}
+    for module, key in ((sqg_euler, "advection"), (fields, "fields")):
+        for name in ("rfft2", "irfft2"):
+            fn = getattr(module, name)
+
+            def counted(*args, fn=fn, key=key, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    simulate, P = LAWS[law]
+    rec = simulate(theta0, 0.2, P=P, dt_max=0.01, record_every=4)
+    assert rec.meta["steps"] == 20 and len(rec["t"]) == 6
+    assert calls == {"advection": 20 * 20, "fields": 3 * 6 + 1}
 
 
 # ----------------------------------------------------------------------
