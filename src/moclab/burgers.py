@@ -280,7 +280,6 @@ class BlowupInstrumentation:
     used as values.
     """
 
-    w_profile: object
     x_table: np.ndarray
     Lw_table: np.ndarray
     kernel_functional: float
@@ -296,33 +295,7 @@ class BlowupInstrumentation:
     c1_bound: float
     c2_bound: float
     bounds_hold: bool
-    lyapunov_series: object = None
-    gradient_series: object = None
     warnings: list = field(default_factory=list)
-
-    @property
-    def C1_plus_C2(self):
-        return self.kernel_functional
-
-    def to_json(self):
-        import json
-
-        keep = {
-            "kernel_functional": self.kernel_functional,
-            "i_inside": self.i_inside,
-            "i_outside": self.i_outside,
-            "integral_error": self.integral_error,
-            "far_remainder": self.far_remainder,
-            "kernel_mass": self.kernel_mass,
-            "C0": self.C0,
-            "C_ratio": self.C_ratio,
-            "alpha": self.alpha,
-            "c1_bound": self.c1_bound,
-            "c2_bound": self.c2_bound,
-            "bounds_hold": self.bounds_hold,
-            "warnings": list(self.warnings),
-        }
-        return json.dumps(keep, sort_keys=True)
 
 
 def _abs_lw_integrals(sym, per_decade, order, mass, C):
@@ -425,7 +398,6 @@ def compute_Lw(sym, x_grid=None, *, per_decade=4, order=10, refine=True):
     table = wedge_dissipation(sym, x_grid, per_decade=per_decade, order=order)
 
     return BlowupInstrumentation(
-        w_profile=wedge,
         x_table=x_grid,
         Lw_table=table,
         kernel_functional=total,
@@ -724,17 +696,6 @@ class VerdictReport:
     ode_ok: bool = None
     checks: dict = field(default_factory=dict)
 
-    def to_json(self):
-        import json
-
-        out = dict(self.__dict__)
-        out["blowup_bracket"] = (list(self.blowup_bracket)
-                                 if self.blowup_bracket else None)
-        out["checks"] = {key: (None if isinstance(val, float) and
-                               not math.isfinite(val) else val)
-                         for key, val in self.checks.items()}
-        return json.dumps(out, sort_keys=True)
-
 
 def detect_blowup(record, instrumentation=None, *, certified_B=None,
                   grad_factor=1e3, ode_rtol=0.05, regular_tol=1e-2,
@@ -758,14 +719,18 @@ def detect_blowup(record, instrumentation=None, *, certified_B=None,
     checks = {}
 
     linf0 = float(record.meta.get("linf0", linf[0]))
-    if linf0 == 0.0:
+    grad0 = float(record.meta.get("grad0", grad[0]))
+    if grad0 == 0.0:
+        # constant data, zero included, is an exact steady solution:
+        # theta_x = 0, L c = 0 and the mean mode is never damped
         record.verdict = REGULAR
-        return VerdictReport(REGULAR, "zero initial data", certified=True,
+        why = ("zero initial data" if linf0 == 0.0 else
+               "constant initial data is an exact steady solution")
+        return VerdictReport(REGULAR, why, certified=True,
                              certified_B=certified_B, grad_ratio=0.0)
 
-    grad0 = float(record.meta.get("grad0", grad[0]))
     max_grad = float(record.meta.get("max_grad", np.max(grad)))
-    grad_ratio = max_grad / grad0 if grad0 > 0.0 else float("inf")
+    grad_ratio = max_grad / grad0
     checks["grad_ratio"] = grad_ratio
     threshold = grad_factor * grad0
     crossed = np.nonzero(grad >= threshold)[0]

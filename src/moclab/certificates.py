@@ -25,7 +25,6 @@ one.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -161,16 +160,18 @@ def _low_riesz(omega, xi: float, kinks: Sequence[float],
     return val + stub, 1e-2 * stub + 1e-14 * val
 
 
-def _omega_riesz_err(omega, xi: float, kinks: Sequence[float] = (),
-                     order: int = 12) -> tuple[float, float]:
+def _advective_pair(omega, xi: float, kinks: Sequence[float],
+                    order: int) -> tuple[float, float, float]:
+    """(Omega/A, OmegaTilde/A, shared error) reusing one tail integral."""
     if xi == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     if not xi > 0.0:
         raise ValueError("certificates need a positive separation")
     kinks = list(kinks) or _omega_kinks(omega)
-    low, err_low = _low_riesz(_omega_callable(omega), xi, kinks, order)
+    fn = _omega_callable(omega)
+    low, err_low = _low_riesz(fn, xi, kinks, order)
     tail, err_tail = _riesz_tail(omega, xi, kinks, order)
-    return low + tail, err_low + err_tail
+    return low + tail, float(fn(xi)) + tail, err_low + err_tail
 
 
 def omega_riesz(omega, xi: float, *, kinks: Sequence[float] = (),
@@ -191,7 +192,7 @@ def omega_riesz(omega, xi: float, *, kinks: Sequence[float] = (),
     ``kinks`` marks non-smooth points of a callable omega so the quadrature
     can pin them as panel edges.
     """
-    return _omega_riesz_err(omega, xi, kinks, order)[0]
+    return _advective_pair(omega, xi, kinks, order)[0]
 
 
 def omega_tilde(omega, xi: float, *, kinks: Sequence[float] = (),
@@ -202,13 +203,7 @@ def omega_tilde(omega, xi: float, *, kinks: Sequence[float] = (),
     omega(eta)/eta >= omega(xi)/xi on (0, xi); used past the crossover scale
     where the full two-sided average is too generous.
     """
-    if xi == 0.0:
-        return 0.0
-    if not xi > 0.0:
-        raise ValueError("certificates need a positive separation")
-    ks = list(kinks) or _omega_kinks(omega)
-    tail, _ = _riesz_tail(omega, xi, ks, order)
-    return float(_omega_callable(omega)(xi)) + tail
+    return _advective_pair(omega, xi, kinks, order)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -493,36 +488,6 @@ class CertificateReport:
     def worst_margin(self) -> float:
         return float(self.margin[self.worst_index])
 
-    def to_csv(self) -> str:
-        lines = ["xi,regime,Omega,OmegaTilde,D,margin"]
-        for i, xi in enumerate(self.xi_grid):
-            lines.append(
-                f"{float(xi)!r},{self.regime[i]},{float(self.Omega[i])!r},"
-                f"{float(self.OmegaTilde[i])!r},{float(self.D[i])!r},"
-                f"{float(self.margin[i])!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        def _clean(v):
-            return None if (isinstance(v, float) and math.isnan(v)) else v
-
-        return json.dumps({
-            "pass": self.passed,
-            "worst_xi": self.worst_xi,
-            "worst_margin": self.worst_margin,
-            "A_used": self.A_used,
-            "kappa": _clean(self.kappa),
-            "gamma": _clean(self.gamma),
-        }, sort_keys=True)
-
-
-def _advective_pair(mem, xi: float, kinks, order: int):
-    """(Omega/A, OmegaTilde/A, shared error) reusing one tail integral."""
-    fn = _omega_callable(mem)
-    low, err_low = _low_riesz(fn, xi, kinks, order)
-    tail, err_tail = _riesz_tail(mem, xi, kinks, order)
-    return low + tail, float(fn(xi)) + tail, err_low + err_tail
-
 
 def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
                       A: float = DEFAULT_A, per_decade: float = 2.0,
@@ -657,13 +622,6 @@ class PerpReport:
     rho_floor: float
     A_used: float
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "xi": self.xi, "omega_perp": self.omega_perp,
-            "d_perp": self.d_perp, "lemma_ok": self.lemma_ok,
-            "kernel_ok": self.kernel_ok, "A_used": self.A_used,
-        }, sort_keys=True)
-
 
 def perp_pair(fld: ScalarField2D, x, y, sym: DissipationSymbol,
               A: float = DEFAULT_A, *, omega=None, levels: int = 12,
@@ -754,7 +712,6 @@ class CalibrationReport:
     A_hat: float
     pairs: int
     worst_separation: float
-    worst_ratio: float
 
 
 def calibrate_A(fld: ScalarField2D, omega, *, pairs: int = 128,
@@ -785,7 +742,7 @@ def calibrate_A(fld: ScalarField2D, omega, *, pairs: int = 128,
         if ratio > best[0]:
             best = (ratio, sep)
     return CalibrationReport(A_hat=best[0], pairs=pairs,
-                             worst_separation=best[1], worst_ratio=best[0])
+                             worst_separation=best[1])
 
 
 @dataclass
@@ -806,14 +763,6 @@ class TuningResult:
     A: float
     passed: bool
     steps: list
-
-    def trajectory_csv(self) -> str:
-        lines = ["kappa,gamma,built,burgers_pass,sqg_pass,worst_margin"]
-        for s in self.steps:
-            lines.append(f"{s.kappa!r},{s.gamma!r},{int(s.built)},"
-                         f"{int(s.burgers_pass)},{int(s.sqg_pass)},"
-                         f"{s.worst_margin!r}")
-        return "\n".join(lines) + "\n"
 
 
 def tune_parameters(sym: DissipationSymbol, A: float = DEFAULT_A, *,

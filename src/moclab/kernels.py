@@ -93,9 +93,11 @@ def one_minus_j0(x):
 # whole-line multiplier of a symbol (1-D)
 # ---------------------------------------------------------------------------
 
-def _graded_osc_edges(hi: float, freq: float, eps: float) -> np.ndarray:
+def _graded_osc_edges(hi: float, freq: float, eps: float,
+                      kinks=()) -> np.ndarray:
     """Panel edges on [eps, hi]: geometric toward 0, each panel further split
-    to at most a quarter oscillation period of frequency ``freq``."""
+    to at most a quarter oscillation period of frequency ``freq``, plus the
+    ``kinks`` inside, where the integrand may jump in slope."""
     levels = max(4, math.ceil(math.log2(hi / eps)))
     base = (hi * 2.0 ** -np.arange(levels + 1, dtype=float))[::-1].copy()
     base[0] = eps
@@ -104,7 +106,8 @@ def _graded_osc_edges(hi: float, freq: float, eps: float) -> np.ndarray:
     for lo, b in zip(base[:-1], base[1:]):
         n = int(min(4096, max(1, math.ceil((b - lo) / width))))
         parts.append(np.linspace(lo, b, n + 1)[1:])
-    return np.concatenate(parts)
+    inside = [k for k in kinks if eps < k < hi]
+    return np.union1d(np.concatenate(parts), inside)
 
 
 def _sin2_accumulate(ks: np.ndarray, y: np.ndarray, kerw: np.ndarray) -> np.ndarray:
@@ -195,7 +198,7 @@ def periodic_increment_multiplier_1d(sym: DissipationSymbol, kmax: int,
     applying v_k diagonally equals the pointwise periodized quadrature."""
     if eps is None:
         eps = math.pi * 2.0 ** -50
-    edges = _graded_osc_edges(math.pi, float(kmax), eps=eps)
+    edges = _graded_osc_edges(math.pi, float(kmax), eps, (sym.core_radius,))
     y, w = panel_nodes(edges, order)
     kerw = w * periodized_kernel_1d(sym, y)
     v = _sin2_accumulate(np.arange(kmax + 1, dtype=float), y, kerw)
@@ -224,7 +227,7 @@ def increment_multiplier_2d(sym: DissipationSymbol, kappas: np.ndarray,
     mass = TWO_PI * sym.tail_integral_over_r(math.pi)
 
     kmax = float(kappas.max()) if kappas.size else 1.0
-    edges = _graded_osc_edges(math.pi, kmax, eps=eps)
+    edges = _graded_osc_edges(math.pi, kmax, eps, (sym.core_radius,))
     y, w = panel_nodes(edges, order)
     kerw = TWO_PI * w * sym.m(y) / y
 
@@ -323,7 +326,7 @@ def dissipation_direct_1d(sym: DissipationSymbol, fld: ScalarField1D, x,
         eps = math.pi * 2.0 ** -50
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     kmax = fld.N // 2
-    edges = _graded_osc_edges(math.pi, float(kmax), eps=eps)
+    edges = _graded_osc_edges(math.pi, float(kmax), eps, (sym.core_radius,))
     y, w = panel_nodes(edges, order)
     kerw = w * periodized_kernel_1d(sym, y)
     out = np.empty(pts.size)

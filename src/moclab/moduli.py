@@ -14,8 +14,6 @@ refines the worst pair off-lattice.
 """
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -329,9 +327,6 @@ class ModulusMember:
         return {"B": self.B, "kappa": self.kappa, "gamma": self.gamma,
                 "deltaB": self.delta, "symbol": self.sym.to_dict()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
                   B: float) -> ModulusMember:
@@ -426,15 +421,6 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            state = "ok" if c.passed else "FAIL"
-            loc = "" if c.at is None else f" at xi={c.at:.3e}"
-            out.append(f"{state:4s} {c.name}: margin {c.margin:+.3e}"
-                       f" (scale {c.scale:.3e}){loc} {c.note}".rstrip())
-        return out
 
 
 def _sampled_second(omega: Callable[[float], float], xi: float,
@@ -564,14 +550,6 @@ class ObedienceReport:
     @property
     def obeys(self) -> bool:
         return self.margin > 0.0
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("xi,omega,worst_increment,margin\n")
-        for r in self.rows:
-            buf.write(f"{r.separation!r},{r.omega!r},"
-                      f"{r.worst_increment!r},{r.margin!r}\n")
-        return buf.getvalue()
 
 
 def _omega_of(mem) -> Callable:

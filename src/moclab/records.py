@@ -14,14 +14,20 @@ Checkpoints are raw spectral dumps (``numpy.save`` of the unnormalized
 spectrum) next to a JSON sidecar holding the time stamp and enough shape
 information to rebuild the field.  Binary for the payload, JSON for the
 header, so a checkpoint survives inspection with standard tools.
+
+Every report and run record converts to plain data through one function,
+:func:`to_dict`, and named columns to CSV through one, :func:`to_csv`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -32,6 +38,11 @@ BLOWUP = "BLOWUP"
 UNRESOLVED = "UNRESOLVED"
 
 VERDICTS = (REGULAR, BLOWUP, UNRESOLVED)
+
+# Attributes, fields or properties, that state a report's verdict; to_dict
+# adds every one a report has, so each dict carries its verdict.
+VERDICT_KEYS = ("verdict", "reason", "passed", "passes", "obeys", "ok",
+                "worst_xi", "worst_margin")
 
 
 @dataclass
@@ -89,26 +100,65 @@ class RunRecord:
     def t(self):
         return self.series["t"]
 
-    def to_csv(self):
-        """Render the series as CSV with full-precision floats."""
-        lines = [",".join(self.columns)]
-        cols = [self.series[c] for c in self.columns]
-        for row in zip(*cols):
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+def to_dict(report):
+    """Plain data of a report dataclass or run record, which
+    ``json.dumps(..., allow_nan=False)`` accepts.
 
-    def summary(self):
-        """JSON-ready scalar summary of the run."""
-        out = {
-            "equation": self.equation,
-            "verdict": self.verdict,
-            "termination": self.termination,
-            "rows": len(self),
-            "wall_time": self.wall_time,
-        }
-        out.update({k: v for k, v in self.meta.items()
-                    if isinstance(v, (str, int, float, bool, type(None)))})
+    - arrays and tuples become lists, numpy scalars Python scalars;
+    - NaN and +-inf become None;
+    - nested reports become dicts, each with its ``VERDICT_KEYS``;
+    - an object with its own ``to_dict`` (a symbol, a modulus member, a
+      multiplier) becomes that dict, whose keys its loaders read back;
+    - live solver state, a ``ScalarField1D``/``ScalarField2D`` such as
+      ``RunRecord.final_state`` or ``DesignReport.field``, is left out:
+      checkpoints carry it.
+
+    Any other value raises a TypeError that names the field.
+    """
+    return _plain(report, type(report).__name__)
+
+
+def _plain(value, where):
+    if hasattr(value, "to_dict"):
+        return _plain(value.to_dict(), where)
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            v = getattr(value, f.name)
+            if not isinstance(v, (ScalarField1D, ScalarField2D)):
+                out[f.name] = _plain(v, f"{where}.{f.name}")
+        for key in VERDICT_KEYS:
+            if key not in out and hasattr(value, key):
+                out[key] = _plain(getattr(value, key), f"{where}.{key}")
         return out
+    if isinstance(value, dict):
+        return {k: _plain(v, f"{where}[{k!r}]") for k, v in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if value is None or isinstance(value, (str, int)):
+        return value
+    raise TypeError(f"{where}: cannot put a {type(value).__name__} in a "
+                    "report dict")
+
+
+def to_csv(columns):
+    """CSV text of named columns of equal length, e.g. ``RunRecord.series``.
+
+    Floats are written with ``repr``, so they read back bitwise.
+    """
+    names = list(columns)
+    cols = [np.asarray(columns[c]).tolist() for c in names]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError("columns have unequal lengths")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows(zip(*cols))
+    return buf.getvalue()
 
 
 def _atomic_bytes(path, payload):
@@ -141,9 +191,9 @@ def save_checkpoint(path, fld, t, meta=None):
     ``path + ".json"``.  Works for 1-D and 2-D fields.
     """
     path = os.fspath(path)
-    spec = fld.spec
-    buf = _np_tobytes(spec)
-    _atomic_bytes(path, buf)
+    buf = io.BytesIO()
+    np.save(buf, fld.spec)
+    _atomic_bytes(path, buf.getvalue())
     kind = "2d" if isinstance(fld, ScalarField2D) else "1d"
     header = {
         "kind": kind,
@@ -168,11 +218,3 @@ def load_checkpoint(path):
         (n,) = header["shape"]
         fld = ScalarField1D.from_spectrum(spec, n)
     return fld, header["t"], header["meta"]
-
-
-def _np_tobytes(arr):
-    import io
-
-    buf = io.BytesIO()
-    np.save(buf, arr)
-    return buf.getvalue()

@@ -323,11 +323,6 @@ class EulerBound:
         if np.any(np.diff(self.log_B) < -1e-12):
             raise ValueError("comparison bound must be non-decreasing")
 
-    @property
-    def B(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_B)
-
     def at(self, t) -> np.ndarray:
         """Envelope values at arbitrary times (log-space interpolation)."""
         t = np.asarray(t, dtype=float)
@@ -339,15 +334,22 @@ class EulerBound:
             return np.exp(np.interp(t, self.t, self.log_B))
 
 
-def _bound_rhs(C, A, P):
+# The escape fires once the e-folding time 1/(d ln B/dt) of the envelope
+# drops below this fraction of the horizon: past it RK45 at rtol 1e-10
+# needs steps near the float spacing of t.
+_ESCAPE_FRACTION = 1e-8
+
+
+def _bound_speed(C, A, P, b_top):
+    """db/dt of the comparison ODE in b = ln B; autonomous, and read at
+    min(b, b_top) so it stays finite."""
     ln2 = math.log(2.0)
 
-    def rhs(t, y):
-        b = y[0]
-        return [C * A * (1.0 + float(P(math.exp(min(b, 705.0))))
-                         * (1.0 + ln2 + b))]
+    def speed(b):
+        b = min(b, b_top)
+        return C * A * (1.0 + float(P(math.exp(b))) * (1.0 + ln2 + b))
 
-    return rhs
+    return speed
 
 
 def gradient_bound_ode(P, A, C, t_end, *, max_log=700.0, samples=513,
@@ -355,19 +357,30 @@ def gradient_bound_ode(P, A, C, t_end, *, max_log=700.0, samples=513,
     """Integrate dB/dt = C A (1 + P(B)(1 + ln 2B)) B from B(0) = 1.
 
     Works in b = ln B so double-exponential growth stays representable.
-    If b escapes past ``max_log`` the remaining time to the true blow-up
-    is the separable integral of 1/rhs, which converges exactly when the
-    Osgood classification is convergent; both routes are reported and the
-    bracket covers their disagreement.
+    The envelope stops at an escape time if b reaches ``max_log`` or the
+    top of the range where the right-hand side is finite, or if its
+    e-folding time falls below ``_ESCAPE_FRACTION * t_end``.  The ODE is
+    autonomous, so the time left is the separable integral of
+    db/(db/dt), whose tail is the Osgood integral of P: only a convergent
+    Osgood classification yields a blow-up time, from the quadrature of
+    the representable range, and the bracket covers the disagreement
+    between the escape route and the separable integral from b = 0.
     """
     if A <= 0.0 or C < 0.0:
         raise ValueError("need A > 0 and C >= 0")
-    rhs = _bound_rhs(C, A, P)
-    hit = lambda t, y: y[0] - max_log
-    hit.terminal = True
-    hit.direction = 1.0
-    sol = solve_ivp(rhs, (0.0, t_end), [0.0], method="RK45",
-                    rtol=1e-10, atol=1e-12, dense_output=True, events=hit)
+    raw_speed = _bound_speed(C, A, P, math.inf)
+    b_top = max_log
+    with np.errstate(over="ignore", invalid="ignore"):
+        while b_top > 0.0 and not math.isfinite(raw_speed(b_top)):
+            b_top -= 1.0
+    speed = _bound_speed(C, A, P, b_top)
+    escape_speed = 1.0 / (_ESCAPE_FRACTION * t_end)
+    escape = lambda t, y: max(y[0] - b_top, speed(y[0]) - escape_speed)
+    escape.terminal = True
+    escape.direction = 1.0
+    sol = solve_ivp(lambda t, y: [speed(y[0])], (0.0, t_end), [0.0],
+                    method="RK45", rtol=1e-10, atol=1e-12, dense_output=True,
+                    events=escape)
     if not sol.success:
         raise RuntimeError(f"comparison ODE integration failed: {sol.message}")
 
@@ -380,39 +393,28 @@ def gradient_bound_ode(P, A, C, t_end, *, max_log=700.0, samples=513,
             warnings.append("multiplier not positive on [1, inf); Osgood "
                             "classification skipped")
 
-    if sol.t_events[0].size:
-        t_hit = float(sol.t_events[0][0])
-        t_grid = np.linspace(0.0, t_hit, samples)
-        log_B = sol.sol(t_grid)[0]
-        log_B[0] = 0.0
-        blow_time = None
-        bracket = None
-        # time left from b = max_log to b = infinity, by separation
-        def inv_speed(b):
-            return 1.0 / rhs(0.0, [b])[0]
-        rem, rem_err = quad(inv_speed, max_log, np.inf, limit=200)
-        if math.isfinite(rem) and rem_err < 0.5 * max(rem, 1e-300):
-            direct, direct_err = quad(inv_speed, 0.0, np.inf, limit=400)
-            blow_time = t_hit + rem
-            lo = min(blow_time - rem_err, direct - direct_err)
-            hi = max(blow_time + rem_err, direct + direct_err)
-            bracket = (lo, hi)
-            if osgood is not None and osgood.divergent:
-                warnings.append("separable tail converges but the Osgood "
-                                "classification says divergent; bracket "
-                                "suspect")
-        else:
-            warnings.append("bound exceeded the float range but the "
-                            "separable tail diverges; comparison ODE is "
-                            "global, envelope truncated at the escape time")
-        return EulerBound(A=A, C=C, t=t_grid, log_B=log_B,
-                          blowup_time=blow_time, blowup_bracket=bracket,
-                          osgood=osgood, warnings=warnings)
-
-    t_grid = np.linspace(0.0, t_end, samples)
+    escaped = sol.t_events[0].size > 0
+    t_grid = np.linspace(0.0, sol.t_events[0][0] if escaped else t_end,
+                         samples)
     log_B = sol.sol(t_grid)[0]
     log_B[0] = 0.0
+    blow_time = bracket = None
+    if escaped and osgood is not None and osgood.convergent:
+        inv_speed = lambda b: 1.0 / speed(b)
+        rem, rem_err = quad(inv_speed, sol.y_events[0][0][0], b_top,
+                            limit=200)
+        direct, direct_err = quad(inv_speed, 0.0, b_top, limit=400)
+        blow_time = float(sol.t_events[0][0]) + rem
+        bracket = (min(blow_time - rem_err, direct - direct_err),
+                   max(blow_time + rem_err, direct + direct_err))
+    elif escaped:
+        warnings.append(
+            f"bound escaped at t = {t_grid[-1]:.6g} (ln B = {log_B[-1]:.6g}) "
+            f"and the Osgood classification is "
+            f"{osgood.classification if osgood else 'unavailable'}; "
+            "comparison ODE taken as global, envelope truncated there")
     return EulerBound(A=A, C=C, t=t_grid, log_B=np.maximum.accumulate(log_B),
+                      blowup_time=blow_time, blowup_bracket=bracket,
                       osgood=osgood, warnings=warnings)
 
 

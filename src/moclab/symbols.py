@@ -185,9 +185,6 @@ class DissipationSymbol:
             doc["values"] = list(self._table[1])
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def make_symbol(family: str, a: float | None = None, r0: float = 1.0,
                 alpha: float | None = None,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from moclab import burgers
+from moclab import burgers, records
 from moclab.burgers import (
     BlowupInstrumentation,
     KernelDivergenceError,
@@ -261,7 +261,7 @@ def test_instrumentation_table_matches_pointwise():
 
 
 def test_instrumentation_json():
-    doc = json.loads(INST.to_json())
+    doc = json.loads(json.dumps(records.to_dict(INST), allow_nan=False))
     assert doc["bounds_hold"] is True
     assert_allclose(doc["kernel_functional"], INST.kernel_functional)
 
@@ -424,7 +424,8 @@ def test_record_columns():
     fld = small_smooth_field(N=64)
     rec = simulate_burgers(fld, 0.1, sym=HALF)
     assert rec.columns == ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")
-    assert rec.to_csv().splitlines()[0] == "t,linf,grad_linf,l2,lyapunov,dt"
+    assert (records.to_csv(rec.series).splitlines()[0]
+            == "t,linf,grad_linf,l2,lyapunov,dt")
 
 
 def _numpy_fft_stepper(theta0, T, Pk, *, nonlinear=True, cfl=0.4,
@@ -695,10 +696,23 @@ def test_detect_zero_data():
     assert v.certified
 
 
+@pytest.mark.parametrize("inst", [None, INST], ids=["bare", "instrumented"])
+def test_detect_constant_data_is_steady(inst):
+    # theta_x = 0 and L c = 0: constant data is an exact steady solution,
+    # and grad0 = 0 must not read as a crossed gradient threshold
+    rec = simulate_burgers(ScalarField1D(np.full(64, 0.3)), 1.0, sym=HALF)
+    v = detect_blowup(rec, inst)
+    assert v.verdict == REGULAR and rec.verdict == REGULAR
+    assert v.certified
+    assert v.reason == "constant initial data is an exact steady solution"
+    assert v.blowup_bracket is None
+    assert v.grad_ratio == 0.0
+
+
 def test_verdict_report_json():
     rep, rec = designed_run(512)
     v = detect_blowup(rec, INST, grad_factor=50.0)
-    doc = json.loads(v.to_json())
+    doc = json.loads(json.dumps(records.to_dict(v), allow_nan=False))
     assert doc["verdict"] == BLOWUP
     assert doc["blowup_bracket"][1] > doc["blowup_bracket"][0]
 

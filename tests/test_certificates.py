@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from moclab import records
 from moclab.certificates import (
     DEFAULT_A,
     DegeneratePairError,
@@ -88,8 +89,10 @@ def test_riesz_vanishes_with_separation():
 
 def test_tilde_zero_at_zero_and_rejects_negative():
     assert omega_tilde(capped_linear, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        omega_riesz(capped_linear, -1.0)
+    assert omega_riesz(capped_linear, 0.0) == 0.0
+    for certificate in (omega_riesz, omega_tilde):
+        with pytest.raises(ValueError, match="positive separation"):
+            certificate(capped_linear, -1.0)
 
 
 def test_linear_modulus_tail_diverges():
@@ -295,10 +298,16 @@ def test_criteria_stable_under_halving():
 # report serialization
 # ---------------------------------------------------------------------------
 
+def _strict_json(report):
+    return json.loads(json.dumps(records.to_dict(report), allow_nan=False))
+
+
 def test_report_csv_shape():
     rep = burgers_criterion(base_member(), default_xi_grid(1e-2, 1e1, 2))
-    lines = rep.to_csv().strip().split("\n")
-    assert lines[0] == "xi,regime,Omega,OmegaTilde,D,margin"
+    names = ("xi_grid", "regime", "Omega", "OmegaTilde", "D", "margin")
+    lines = records.to_csv({k: getattr(rep, k) for k in names}).strip() \
+        .split("\n")
+    assert lines[0] == ",".join(names)
     assert len(lines) == 1 + len(rep.xi_grid)
     first = lines[1].split(",")
     assert float(first[0]) == rep.xi_grid[0]
@@ -308,12 +317,15 @@ def test_report_csv_shape():
 
 def test_report_json_schema():
     rep = sqg_criterion(base_member(), DEFAULT_A, default_xi_grid(1e-2, 1e1, 2))
-    doc = json.loads(rep.to_json())
-    assert set(doc) == {"pass", "worst_xi", "worst_margin", "A_used",
-                        "kappa", "gamma"}
-    assert doc["pass"] is True
+    doc = _strict_json(rep)
+    assert {"passed", "worst_xi", "worst_margin", "A_used", "kappa",
+            "gamma"} <= set(doc)
+    assert doc["passed"] is True
+    assert doc["worst_xi"] == rep.worst_xi
+    assert doc["worst_margin"] == rep.worst_margin
     assert doc["A_used"] == DEFAULT_A
     assert doc["kappa"] == 0.1
+    assert doc["margin"] == rep.margin.tolist()
 
 
 def test_report_json_nan_metadata_is_null():
@@ -321,9 +333,10 @@ def test_report_json_nan_metadata_is_null():
         omega_fn=lambda r: float(r),
         omega_prime_fn=lambda r: 1.0,
         sym=CRITICAL)
-    doc = json.loads(burgers_criterion(
-        lin, default_xi_grid(1e-1, 1e1, 2)).to_json())
+    doc = _strict_json(burgers_criterion(lin, default_xi_grid(1e-1, 1e1, 2)))
     assert doc["kappa"] is None and doc["gamma"] is None
+    assert doc["B"] is None and doc["delta"] is None
+    assert set(doc["Omega"]) == {None}
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +387,10 @@ def test_perp_pair_json():
     fld = scaled_to_obey(rough_field(5), mem)
     rep = perp_pair(fld, np.array([1.0, 1.0]), np.array([3.0, 2.0]),
                     CRITICAL, omega=mem)
-    doc = json.loads(rep.to_json())
+    doc = _strict_json(rep)
     for key in ("xi", "omega_perp", "d_perp", "lemma_ok", "kernel_ok",
                 "A_used"):
-        assert key in doc
+        assert doc[key] == getattr(rep, key)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +402,6 @@ def test_calibrate_A_on_obeying_field():
     fld = scaled_to_obey(rough_field(3, N=128), mem)
     rep = calibrate_A(fld, mem, pairs=96, seed=1)
     assert 0.0 < rep.A_hat < DEFAULT_A
-    assert rep.worst_ratio == rep.A_hat
     assert rep.pairs == 96
 
 
@@ -414,6 +426,12 @@ def test_tune_parameters_respects_admissibility_clamp():
 def test_tuning_trajectory_csv():
     res = tune_parameters(CRITICAL, DEFAULT_A,
                           xi_grid=default_xi_grid(1e-3, 1e1, 3))
-    lines = res.trajectory_csv().strip().split("\n")
-    assert lines[0] == "kappa,gamma,built,burgers_pass,sqg_pass,worst_margin"
+    names = ("kappa", "gamma", "built", "burgers_pass", "sqg_pass",
+             "worst_margin")
+    lines = records.to_csv({k: [getattr(s, k) for s in res.steps]
+                            for k in names}).strip().split("\n")
+    assert lines[0] == ",".join(names)
     assert len(lines) == 1 + len(res.steps)
+    assert [float(c) for c in lines[1].split(",")[:2]] == \
+        [res.steps[0].kappa, res.steps[0].gamma]
+    assert _strict_json(res)["steps"][0]["kappa"] == res.steps[0].kappa

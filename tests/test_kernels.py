@@ -15,7 +15,9 @@ from moclab.kernels import (
     periodic_increment_multiplier_1d,
     periodized_kernel_1d,
 )
-from moclab.symbols import make_multiplier, make_symbol
+from moclab.symbols import (make_multiplier, make_symbol,
+                            symbol_from_callable, symbol_from_multiplier,
+                            symbol_from_table)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +78,25 @@ def test_periodic_increment_multiplier_matches_fractional_law():
     assert v[0] == 0.0
     ks = np.arange(1, 21, dtype=float)
     assert_allclose(v[1:], q * np.sqrt(ks), rtol=1e-10)
+
+
+_TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
+
+
+@pytest.mark.parametrize("sym", [
+    make_symbol("log", a=1.0),
+    make_symbol("log", a=0.3),
+    symbol_from_multiplier(make_multiplier("log-damped", a=1.0)),
+    symbol_from_table(_TABLE_RADII, _TABLE_RADII ** -0.8),
+    symbol_from_callable(lambda r: np.asarray(r) ** -0.6, core_radius=2.0,
+                         alpha=0.6, r0=1.0, C0=1.0, sqg_admissible=False),
+], ids=["log1", "log0.3", "multiplier", "tabulated", "callable-core2"])
+def test_physical_route_is_the_reference_for_the_symbol_multiplier(sym):
+    # two independent quadratures of the same multiplier; the physical one
+    # must pin the core radius, where m jumps in slope for the log family
+    ks = np.arange(1, 21, dtype=float)
+    v, _ = periodic_increment_multiplier_1d(sym, 20)
+    assert_allclose(multiplier_of_symbol_1d(sym, ks), v[1:], rtol=1e-12)
 
 
 def test_increment_multiplier_2d_critical():

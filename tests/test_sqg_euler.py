@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from moclab import fields, sqg_euler
 from moclab.fields import ScalarField2D, velocity_multipliers
 from moclab.moduli import StratifiedPairSearch, build_modulus, check_obeys
 from moclab.sqg_euler import (ObedienceMonitor, osgood_check,
                               simulate_p_euler, simulate_sqg)
-from moclab.records import UNRESOLVED
+from moclab.records import REGULAR, UNRESOLVED
 from moclab.symbols import make_multiplier, make_symbol
 
 CRITICAL = make_symbol("power", a=1.0)
@@ -295,3 +296,58 @@ def test_osgood_classifies_known_multipliers():
     assert fast.classification == "convergent-consistent" and fast.convergent
     slow = osgood_check(make_multiplier("loglog"))
     assert slow.classification == "divergent-consistent" and slow.divergent
+
+
+# ----------------------------------------------------------------------
+# Lipschitz comparison bound and the regularity experiment
+# ----------------------------------------------------------------------
+
+def test_bound_blowup_bracket_contains_the_separable_time():
+    # dt/db = 1 / (1 + e^(1.5 b)(1 + ln 2 + b)) for P = r^1.5, A = C = 1
+    ln2 = math.log(2.0)
+    t_sep, _ = quad(lambda b: math.exp(-1.5 * b)
+                    / (math.exp(-1.5 * b) + 1.0 + ln2 + b), 0.0, np.inf,
+                    epsabs=1e-14, epsrel=1e-13, limit=200)
+    bound = sqg_euler.gradient_bound_ode(make_multiplier("power", s=1.5),
+                                         1.0, 1.0, 1.0)
+    lo, hi = bound.blowup_bracket
+    assert lo <= t_sep <= hi and hi - lo < 1e-6
+    assert lo <= bound.blowup_time <= hi
+    assert bound.t[-1] < t_sep
+
+
+def test_bound_with_divergent_osgood_integral_stays_global():
+    bound = sqg_euler.gradient_bound_ode(make_multiplier("loglog", g=1.0),
+                                         1.0, 1.0, 10.0)
+    assert bound.blowup_time is None and bound.blowup_bracket is None
+    assert bound.osgood.divergent
+    assert "divergent-consistent" in bound.warnings[0]
+
+
+@pytest.mark.parametrize("kind, params, c_scale, verdict, reason", [
+    ("power", {"s": 1.5}, 1.0, UNRESOLVED, "inside the horizon"),
+    ("loglog", {"g": 1.0}, 1.0, REGULAR, "stayed below"),
+    ("loglog", {"g": 1.0}, 1e-3, UNRESOLVED, "exceeded the envelope"),
+], ids=["power-blows-up", "loglog-regular", "loglog-undercalibrated"])
+def test_euler_experiment_branches(kind, params, c_scale, verdict, reason):
+    fld = ScalarField2D.random_band_limited(32, 4, 1.0, seed=1)
+    rep = sqg_euler.euler_regularity_experiment(
+        fld, make_multiplier(kind, **params), 0.5, c_scale=c_scale)
+    assert rep.verdict == verdict
+    assert rep.passed == (verdict == REGULAR)
+    assert reason in rep.reason
+    if kind == "power":
+        assert 0.1 < rep.bound.blowup_time < 0.11 and rep.record is None
+
+
+def test_gradient_of_velocity_sup_on_a_plane_wave():
+    # theta = cos(x + 2y), k = (1, 2): each velocity component is a plane
+    # wave of amplitude |k^perp_j| M(|k|), so the largest gradient sup is
+    # 2 sqrt(5) M(sqrt 5), with M = 1/|k| (SQG) or P(|k|)/|k|^2 (P-Euler)
+    fld = ScalarField2D.from_function(32, lambda x, y: np.cos(x + 2.0 * y))
+    P = make_multiplier("log-damped", a=1.0)
+    r5 = math.sqrt(5.0)
+    assert_allclose(sqg_euler.gradient_of_velocity_sup(fld, "sqg"), 2.0,
+                    rtol=1e-14)
+    assert_allclose(sqg_euler.gradient_of_velocity_sup(fld, "p_euler", P=P),
+                    2.0 * P(r5) / r5, rtol=1e-14)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from moclab import records
 from moclab.fields import ScalarField1D
 from moclab.symbols import (
     check_conditions,
@@ -80,7 +81,8 @@ def test_symbol_rejects_nonpositive_radius():
 def test_symbol_json_round_trip():
     for s in (make_symbol("power", a=0.5, scale=3.0),
               make_symbol("log", a=1.0, alpha=0.5, scale=2.0)):
-        doc = json.loads(s.to_json())
+        doc = json.loads(json.dumps(records.to_dict(s), allow_nan=False))
+        assert doc == s.to_dict()
         back = symbol_from_json(doc)
         r = np.geomspace(1e-4, 10.0, 40)
         assert_allclose(back.m(r), s.m(r), rtol=1e-12)
