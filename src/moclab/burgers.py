@@ -204,10 +204,7 @@ def _wedge_diss_inside(sym, x, per_decade, order):
     # region of w cancels exactly and never enters.
     windows = functools.partial(_panel_quad, per_decade=per_decade,
                                 order=order, kinks=(sym.core_radius,))
-    # one call per point: the closed-form tail takes the scalar **, which
-    # can differ from np.power by an ulp
-    t_tail = 2.0 * (1.0 - x) * np.array(
-        [sym.tail_integral_over_r(R) for R in 1.0 + x])
+    t_tail = 2.0 * (1.0 - x) * sym.tail_integral_over_r(1.0 + x)
     t_far = windows(lambda z, xc: (3.0 - xc - z) * sym(z) / z,
                     np.maximum(x, 1.0 - x), 1.0 + x, x)
     t_near = np.empty_like(x)
@@ -321,9 +318,8 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
     p_mid = window(mid_weight, 0.5, 1.5, kinks=(1.0,) + kinks)
 
     gl_nodes, gl_weights = panel_nodes(np.linspace(0.0, 0.5, 9), order)
-    p_tail = 2.0 * float(np.dot(
-        gl_weights,
-        [(1.0 - xx) * sym.tail_integral_over_r(1.0 + xx) for xx in gl_nodes]))
+    p_tail = 2.0 * float(np.dot(gl_weights, (1.0 - gl_nodes)
+                                * sym.tail_integral_over_r(1.0 + gl_nodes)))
 
     # [1/2, 1): pointwise evaluation; the x-derivative degenerates at 1, so
     # panels grade toward that edge and sign changes are pinned.

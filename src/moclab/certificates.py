@@ -22,6 +22,15 @@ the symbol's envelope integral, which is an exact power law beyond its core,
 and for generic callables the tail is extrapolated from the measured chord
 exponent, with divergence reported when the exponent does not settle below
 one.
+
+Every functional works on an array of separations. It builds the panels of
+all of them in one pass (``log_panel_rows``), evaluates each set of modulus
+arguments with one ``omega`` call and sums each separation's row on its
+own, so a value is bitwise that of a one-point call; the public scalar
+functionals are that one-point case. A criterion computes omega and omega'
+on its grid once and calls each functional once per grid. Only the
+callables' dyadic tail windows, whose stopping rule is per separation, run
+one separation at a time.
 """
 from __future__ import annotations
 
@@ -35,14 +44,17 @@ from scipy.fft import irfft2
 
 from .fields import TWO_PI, ScalarField2D, velocity_multipliers
 from .moduli import (DEFAULT_GAMMA, DEFAULT_KAPPA, ModulusConstructionError,
-                     ModulusMember, _omega_array, build_modulus)
-from .quadrature import graded_edges, log_panel_nodes, panel_nodes
-from .symbols import DissipationSymbol
+                     ModulusMember, _omega_array, _separations, build_modulus)
+from .quadrature import (graded_edges, log_panel_nodes, log_panel_rows,
+                         panel_nodes)
+from .symbols import DissipationSymbol, _shaped
 
 DEFAULT_A = 2.0
 XI_GRID_LO = 1e-6
 XI_GRID_HI = 1e3
 XI_POINTS_PER_DECADE = 64
+# separations per block of a member's closed-form far rule (320 nodes each)
+_FAR_BLOCK_ROWS = 32
 
 
 class TailDivergenceError(ValueError):
@@ -83,6 +95,33 @@ def _omega_kinks(omega) -> list[float]:
     return kinks + list(getattr(omega, "kinks", ()))
 
 
+def _positive(xi, what: str) -> tuple[np.ndarray, tuple | None]:
+    # flat positive separations and the shape to restore (None for a scalar)
+    x, shape = _separations(xi)
+    if not np.all(x > 0.0):
+        raise ValueError(f"{what} evaluated at non-positive separation")
+    return x, shape
+
+
+def _symbol_of(omega, sym: DissipationSymbol | None) -> DissipationSymbol:
+    if sym is not None:
+        return sym
+    if isinstance(omega, ModulusMember):
+        return omega.sym
+    raise ValueError("dissipation needs a symbol for a callable omega")
+
+
+def _kink_candidates(kinks: Sequence[float], xi: np.ndarray,
+                     signs: Sequence[tuple[float, float]],
+                     core: float) -> np.ndarray:
+    # per-separation panel edges in eta: (s0 * k + s1 * xi) / 2 for every
+    # modulus kink k and each sign pair, plus half the symbol's core radius
+    k = np.asarray(kinks, dtype=float)[None, :]
+    x = xi[:, None]
+    return np.concatenate([(s0 * k + s1 * x) / 2.0 for s0, s1 in signs]
+                          + [np.full((xi.size, 1), 0.5 * core)], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # advective certificates
 # ---------------------------------------------------------------------------
@@ -94,6 +133,7 @@ def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
     Dyadic windows are summed until they stop contributing; the remainder is
     extrapolated from the chord growth exponent of omega over the last
     window. An exponent that stays at or above one marks a divergent tail.
+    The stopping rule is per separation, so this runs one xi at a time.
     """
     total = 0.0
     lo = xi
@@ -123,30 +163,36 @@ def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
     return total + rem, abs(rem)
 
 
-def _riesz_tail(omega, xi: float, kinks: Sequence[float],
-                order: int) -> tuple[float, float]:
-    """(xi * integral of omega/eta^2 over (xi, inf), error)."""
-    if isinstance(omega, ModulusMember):
-        sym, delta, gamma = omega.sym, omega.delta, omega.gamma
-        if xi >= delta:
-            # by parts: the slope past the crossover is gamma * env(2 eta)
-            tail = sym.envelope_tail_integral_over_r(2.0 * xi)
-            return float(omega.omega(xi)) + gamma * xi * tail, 0.0
-        eta, w = log_panel_nodes(xi, delta, 3.0, order,
-                                 _omega_kinks(omega))
-        mid = float(np.dot(w, omega.omega(eta) / eta ** 2))
-        at_delta = (float(omega.omega(delta)) / delta
+def _riesz_tail(omega, xi: np.ndarray, w_xi: np.ndarray,
+                kinks: Sequence[float], order: int):
+    """(xi * integral of omega/eta^2 over (xi, inf), error) per separation."""
+    if not isinstance(omega, ModulusMember):
+        fn = _omega_callable(omega)
+        tail, err = np.array([_callable_tail_over_eta2(fn, x, kinks, order)
+                              for x in xi.tolist()]).reshape(-1, 2).T
+        return xi * tail, xi * err
+    sym, delta, gamma = omega.sym, omega.delta, omega.gamma
+    val = np.empty_like(xi)
+    err = np.zeros_like(xi)
+    above = xi >= delta
+    # by parts: the slope past the crossover is gamma * env(2 eta)
+    xa = xi[above]
+    val[above] = w_xi[above] + gamma * xa * sym.envelope_tail_integral_over_r(
+        2.0 * xa)
+    below = ~above
+    if below.any():
+        xb = xi[below]
+        rows = log_panel_rows(xb, delta, 3.0, order, _omega_kinks(omega))
+        mid = rows.integrate(omega.omega(rows.nodes) / rows.nodes ** 2)
+        at_delta = (omega.omega_at_delta / delta
                     + gamma * sym.envelope_tail_integral_over_r(2.0 * delta))
-        val = xi * (mid + at_delta)
-        return val, 1e-14 * val
-    tail, err = _callable_tail_over_eta2(_omega_callable(omega), xi, kinks,
-                                         order)
-    return xi * tail, xi * err
+        val[below] = xb * (mid + at_delta)
+        err[below] = 1e-14 * val[below]
+    return val, err
 
 
-def _low_riesz(omega, xi: float, kinks: Sequence[float],
-               order: int) -> tuple[float, float]:
-    """(integral of omega/eta over (0, xi), error).
+def _low_riesz(omega_fn, xi: np.ndarray, kinks: Sequence[float], order: int):
+    """(integral of omega/eta over (0, xi), error) per separation.
 
     In the log variable the integrand omega(e^s) decays exponentially to the
     left, so twelve decades of panels below xi capture the integral to
@@ -154,28 +200,37 @@ def _low_riesz(omega, xi: float, kinks: Sequence[float],
     since omega/eta is flat there.
     """
     floor = 1e-12 * xi
-    eta, w = log_panel_nodes(floor, xi, 2.0, order, kinks)
-    val = float(np.dot(w, _omega_array(omega, eta) / eta))
-    stub = float(omega(floor))
+    rows = log_panel_rows(floor, xi, 2.0, order, kinks)
+    val = rows.integrate(_omega_array(omega_fn, rows.nodes) / rows.nodes)
+    stub = _omega_array(omega_fn, floor)
     return val + stub, 1e-2 * stub + 1e-14 * val
 
 
-def _advective_pair(omega, xi: float, kinks: Sequence[float],
-                    order: int) -> tuple[float, float, float]:
-    """(Omega/A, OmegaTilde/A, shared error) reusing one tail integral."""
-    if xi == 0.0:
-        return 0.0, 0.0, 0.0
-    if not xi > 0.0:
-        raise ValueError("certificates need a positive separation")
+def _advective_pair(omega, xi: np.ndarray, w_xi: np.ndarray,
+                    kinks: Sequence[float], order: int):
+    """(Omega/A, OmegaTilde/A, shared error) at positive separations xi,
+    given w_xi = omega(xi), reusing one tail integral."""
     kinks = list(kinks) or _omega_kinks(omega)
-    fn = _omega_callable(omega)
-    low, err_low = _low_riesz(fn, xi, kinks, order)
-    tail, err_tail = _riesz_tail(omega, xi, kinks, order)
-    return low + tail, float(fn(xi)) + tail, err_low + err_tail
+    low, err_low = _low_riesz(_omega_callable(omega), xi, kinks, order)
+    tail, err_tail = _riesz_tail(omega, xi, w_xi, kinks, order)
+    return low + tail, w_xi + tail, err_low + err_tail
 
 
-def omega_riesz(omega, xi: float, *, kinks: Sequence[float] = (),
-                order: int = 12) -> float:
+def _advective(omega, xi, kinks: Sequence[float], order: int, which: int):
+    x, shape = _separations(xi)
+    if np.any(x < 0.0):
+        raise ValueError("certificates need a positive separation")
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    if pos.any():
+        xp = x[pos]
+        w = _omega_array(_omega_callable(omega), xp)
+        out[pos] = _advective_pair(omega, xp, w, kinks, order)[which]
+    return _shaped(out, shape)
+
+
+def omega_riesz(omega, xi, *, kinks: Sequence[float] = (),
+                order: int = 12):
     """Riesz-increment certificate at separation xi, returned as a /A value.
 
     Evaluates the two-sided weighted average of the modulus,
@@ -184,79 +239,71 @@ def omega_riesz(omega, xi: float, *, kinks: Sequence[float] = (),
         + xi * integral of omega(eta)/eta^2 over (xi, inf),
 
     which bounds velocity increments of a field obeying ``omega`` up to the
-    universal constant A (applied by the caller). Family members use their
-    crossover structure for an exact tail; generic callables fall back to
-    chord-exponent extrapolation and may raise TailDivergenceError, e.g. for
-    linear omega whose tail integral is the divergent integral of 1/eta.
+    universal constant A (applied by the caller). ``xi`` is a scalar (a
+    float comes back) or an array of separations, all evaluated together.
+    Family members use their crossover structure for an exact tail; generic
+    callables fall back to chord-exponent extrapolation and may raise
+    TailDivergenceError, e.g. for linear omega whose tail integral is the
+    divergent integral of 1/eta.
 
     ``kinks`` marks non-smooth points of a callable omega so the quadrature
     can pin them as panel edges.
     """
-    return _advective_pair(omega, xi, kinks, order)[0]
+    return _advective(omega, xi, kinks, order, 0)
 
 
-def omega_tilde(omega, xi: float, *, kinks: Sequence[float] = (),
-                order: int = 12) -> float:
+def omega_tilde(omega, xi, *, kinks: Sequence[float] = (),
+                order: int = 12):
     """Flow-aligned advective certificate omega(xi) + tail, as a /A value.
 
     Smaller than the Riesz-increment certificate for concave moduli, since
     omega(eta)/eta >= omega(xi)/xi on (0, xi); used past the crossover scale
-    where the full two-sided average is too generous.
+    where the full two-sided average is too generous. Scalar or array xi.
     """
-    return _advective_pair(omega, xi, kinks, order)[1]
+    return _advective(omega, xi, kinks, order, 1)
 
 
 # ---------------------------------------------------------------------------
 # dissipative certificate
 # ---------------------------------------------------------------------------
 
-def _near_integral(omega_fn, sym, xi, kinks, per_decade, order):
+def _near_integral(omega_fn, sym, xi, w_xi, kinks, per_decade, order):
     """Integral over (0, xi/2) of (2w(xi) - w(xi+2e) - w(xi-2e)) m(2e)/e."""
     half = 0.5 * xi
     floor = 1e-10 * xi
-    eta_kinks = set()
-    for k in kinks:
-        for cand in ((k - xi) / 2.0, (xi - k) / 2.0):
-            if floor < cand < half:
-                eta_kinks.add(cand)
-    if floor < 0.5 * sym.core_radius < half:
-        eta_kinks.add(0.5 * sym.core_radius)
-    eta, w = log_panel_nodes(floor, half, per_decade, order, eta_kinks)
-    w_xi = float(omega_fn(xi))
-    g = 2.0 * w_xi - _omega_array(omega_fn, xi + 2.0 * eta) \
-        - _omega_array(omega_fn, xi - 2.0 * eta)
+    rows = log_panel_rows(floor, half, per_decade, order, _kink_candidates(
+        kinks, xi, ((1.0, -1.0), (-1.0, 1.0)), sym.core_radius))
+    eta = rows.nodes
+    g = 2.0 * rows.spread(w_xi)
+    g -= _omega_array(omega_fn, rows.spread(xi) + 2.0 * eta)
+    g -= _omega_array(omega_fn, rows.spread(xi) - 2.0 * eta)
     kern = sym.m(2.0 * eta) / eta
-    val = float(np.dot(w, g * kern))
+    val = rows.integrate(g * kern)
     # stub below the floor: g ~ |omega''(xi)| (2 eta)^2 and eta*m(2 eta) is
     # bounded by C0/2, so the remainder is linear in the floor radius
-    g_f = 2.0 * w_xi - float(omega_fn(xi + 2.0 * floor)) \
-        - float(omega_fn(xi - 2.0 * floor))
-    rem = abs(g_f) * sym.C0 / (2.0 * floor) if floor < sym.r0 else 0.0
-    noise = 4e-16 * w_xi * float(np.dot(w, kern))
+    ends = _omega_array(omega_fn, np.concatenate((xi + 2.0 * floor,
+                                                  xi - 2.0 * floor)))
+    g_f = 2.0 * w_xi - ends[:xi.size] - ends[xi.size:]
+    rem = np.where(floor < sym.r0, np.abs(g_f) * sym.C0 / (2.0 * floor), 0.0)
+    noise = 4e-16 * w_xi * rows.integrate(kern)
     return val, rem + noise
 
 
-def _far_direct(omega_fn, sym, xi, R1, kinks, per_decade, order):
+def _far_direct(omega_fn, sym, xi, w_xi, R1, kinks, per_decade, order):
     """Integral over (xi/2, R1) of (2w(xi) - w(2e+xi) + w(2e-xi)) m(2e)/e."""
-    half = 0.5 * xi
-    eta_kinks = set()
-    for k in kinks:
-        for cand in ((k - xi) / 2.0, (k + xi) / 2.0):
-            if half < cand < R1:
-                eta_kinks.add(cand)
-    if half < 0.5 * sym.core_radius < R1:
-        eta_kinks.add(0.5 * sym.core_radius)
-    eta, w = log_panel_nodes(half, R1, per_decade, order, eta_kinks)
-    w_xi = float(omega_fn(xi))
-    up = _omega_array(omega_fn, 2.0 * eta + xi)
-    dn = _omega_array(omega_fn, 2.0 * eta - xi)
+    rows = log_panel_rows(0.5 * xi, R1, per_decade, order, _kink_candidates(
+        kinks, xi, ((1.0, -1.0), (1.0, 1.0)), sym.core_radius))
+    eta = rows.nodes
+    up = _omega_array(omega_fn, 2.0 * eta + rows.spread(xi))
+    dn = _omega_array(omega_fn, 2.0 * eta - rows.spread(xi))
+    w_n = rows.spread(w_xi)
     kern = sym.m(2.0 * eta) / eta
-    val = float(np.dot(w, (2.0 * w_xi - up + dn) * kern))
-    noise = 4e-16 * float(np.dot(w, (2.0 * w_xi + up + dn) * kern))
+    val = rows.integrate((2.0 * w_n - up + dn) * kern)
+    noise = 4e-16 * rows.integrate((2.0 * w_n + up + dn) * kern)
     return val, noise
 
 
-def _member_far_closed(mem: ModulusMember, xi: float, R1: float):
+def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
     """Far contribution beyond R1 using the member's power-law tail.
 
     Past R1 both the symbol and the envelope are exact power laws and both
@@ -268,33 +315,36 @@ def _member_far_closed(mem: ModulusMember, xi: float, R1: float):
     sym = mem.sym
     c = sym.tail_coeff
     alpha = sym.alpha
-    w_xi = float(mem.omega(xi))
     base = 2.0 * w_xi * sym.tail_integral_over_r(2.0 * R1)
-
-    def increment(eta):
-        lo = 4.0 * eta - 2.0 * xi
-        hi = 4.0 * eta + 2.0 * xi
-        if alpha == 1.0:
-            return 0.5 * mem.gamma * c * np.log(hi / lo)
-        p = 1.0 - alpha
-        return 0.5 * mem.gamma * c * (hi ** p - lo ** p) / p
-
     # integrand decays like eta^(-1-2 alpha); truncate where the pure-power
     # bound drops sixteen orders, then close with the exact power remainder
-    decades = 8.0 / alpha
-    R_inf = R1 * 10.0 ** decades
-    eta, w = log_panel_nodes(R1, R_inf, 4.0, 10)
-    kern = c * (2.0 * eta) ** (-alpha) / eta
-    correction = float(np.dot(w, increment(eta) * kern))
+    R_inf = R1 * 10.0 ** (8.0 / alpha)
+    correction = np.empty_like(xi)
+    # these rows are a criterion's longest and call no omega, so blocks of
+    # them bound its memory at no cost in calls
+    for a in range(0, xi.size, _FAR_BLOCK_ROWS):
+        at = slice(a, a + _FAR_BLOCK_ROWS)
+        rows = log_panel_rows(R1[at], R_inf[at], 4.0, 10)
+        eta = rows.nodes
+        lo = 4.0 * eta - 2.0 * rows.spread(xi[at])
+        hi = 4.0 * eta + 2.0 * rows.spread(xi[at])
+        if alpha == 1.0:
+            increment = 0.5 * mem.gamma * c * np.log(hi / lo)
+        else:
+            p = 1.0 - alpha
+            increment = 0.5 * mem.gamma * c * (hi ** p - lo ** p) / p
+        kern = c * (2.0 * eta) ** (-alpha) / eta
+        correction[at] = rows.integrate(increment * kern)
     # beyond R_inf: increment ~ 2 gamma xi c (4 eta)^-alpha, exact integral
     rem = (2.0 * mem.gamma * xi * c ** 2 * 8.0 ** (-alpha)
            * R_inf ** (-2.0 * alpha) / (2.0 * alpha))
     return base - correction - rem, rem + 1e-15 * base
 
 
-def _callable_far_windows(omega_fn, sym, xi, R0, kinks, order):
-    """Far contribution beyond R0 for a generic callable omega."""
-    scale_ref = 2.0 * float(omega_fn(xi)) * sym.tail_integral_over_r(xi)
+def _callable_far_windows(omega_fn, sym, xi, w_xi, R0, kinks, order):
+    """Far contribution beyond R0 for a generic callable omega, at one xi:
+    windows double until they stop contributing, a per-separation rule."""
+    scale_ref = 2.0 * w_xi * sym.tail_integral_over_r(xi)
     total = 0.0
     prev = None
     lo = R0
@@ -304,7 +354,6 @@ def _callable_far_windows(omega_fn, sym, xi, R0, kinks, order):
             | {(k + xi) / 2.0 for k in kinks} | {0.5 * sym.core_radius}
         eta, w = log_panel_nodes(lo, hi, 4.0, order,
                                  {c for c in eta_kinks if lo < c < hi})
-        w_xi = float(omega_fn(xi))
         g = 2.0 * w_xi - _omega_array(omega_fn, 2.0 * eta + xi) \
             + _omega_array(omega_fn, 2.0 * eta - xi)
         v = float(np.dot(w, g * sym.m(2.0 * eta) / eta))
@@ -316,39 +365,39 @@ def _callable_far_windows(omega_fn, sym, xi, R0, kinks, order):
             return total + rem, rem + 1e-15 * scale_ref
         prev = v
         lo = hi
-    rem = 2.0 * float(omega_fn(xi)) * sym.tail_integral_over_r(2.0 * lo)
+    rem = 2.0 * w_xi * sym.tail_integral_over_r(2.0 * lo)
     return total + rem, rem
 
 
-def _dissipation_err(omega, sym: DissipationSymbol | None, xi: float,
-                     kinks: Sequence[float] = (), per_decade: float = 2.0,
-                     order: int = 12) -> tuple[float, float]:
-    if not xi > 0.0:
-        raise ValueError("dissipation evaluated at non-positive separation")
-    member = omega if isinstance(omega, ModulusMember) else None
-    if sym is None:
-        if member is None:
-            raise ValueError("dissipation needs a symbol for a callable omega")
-        sym = member.sym
+def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
+                     w_xi: np.ndarray, kinks: Sequence[float],
+                     per_decade: float, order: int):
+    """(raw dissipation, error) at positive separations xi, given
+    w_xi = omega(xi)."""
     omega_fn = _omega_callable(omega)
     ks = list(kinks) or _omega_kinks(omega)
-
-    near, err_n = _near_integral(omega_fn, sym, xi, ks, per_decade, order)
-    if member is not None:
-        R1 = max(2.0 * xi, 2.0 * member.delta, sym.tail_start)
-        direct, err_d = _far_direct(omega_fn, sym, xi, R1, ks,
+    near, err_n = _near_integral(omega_fn, sym, xi, w_xi, ks, per_decade,
+                                 order)
+    if isinstance(omega, ModulusMember):
+        R1 = np.maximum(np.maximum(2.0 * xi, 2.0 * omega.delta),
+                        sym.tail_start)
+        direct, err_d = _far_direct(omega_fn, sym, xi, w_xi, R1, ks,
                                     per_decade, order)
-        closed, err_c = _member_far_closed(member, xi, R1)
+        closed, err_c = _member_far_closed(omega, xi, w_xi, R1)
         return near + direct + closed, err_n + err_d + err_c
-    R0 = max(xi, sym.core_radius, 1.0)
-    direct, err_d = _far_direct(omega_fn, sym, xi, R0, ks, per_decade, order)
-    far, err_f = _callable_far_windows(omega_fn, sym, xi, R0, ks, order)
+    R0 = np.maximum(np.maximum(xi, sym.core_radius), 1.0)
+    direct, err_d = _far_direct(omega_fn, sym, xi, w_xi, R0, ks, per_decade,
+                                order)
+    far, err_f = np.array([
+        _callable_far_windows(omega_fn, sym, x, w, r, ks, order)
+        for x, w, r in zip(xi.tolist(), w_xi.tolist(), R0.tolist())
+    ]).reshape(-1, 2).T
     return near + direct + far, err_n + err_d + err_f
 
 
-def dissipation_lower(omega, sym: DissipationSymbol | None, xi: float, *,
+def dissipation_lower(omega, sym: DissipationSymbol | None, xi, *,
                       kinks: Sequence[float] = (), per_decade: float = 2.0,
-                      order: int = 12) -> float:
+                      order: int = 12):
     """Dissipative lower-bound functional at separation xi, as a *A value.
 
     Two-piece quadrature of the second-difference integrals
@@ -356,39 +405,42 @@ def dissipation_lower(omega, sym: DissipationSymbol | None, xi: float, *,
         integral over (0, xi/2)   of (2w(xi) - w(xi+2e) - w(xi-2e)) m(2e)/e
         integral over (xi/2, inf) of (2w(xi) - w(2e+xi) + w(2e-xi)) m(2e)/e,
 
-    both nonnegative for concave omega. The caller divides by A. The far
+    both nonnegative for concave omega. The caller divides by A. ``xi`` is
+    a scalar (a float comes back) or an array of separations. The far
     tail is handled through the symbol's exact power law for family members
     and by decaying dyadic windows for callables. Values inside quadrature
     noise of zero are clamped to zero; a warning fires if the raw value is
     negative beyond its own error bar, which indicates a non-concave omega.
     """
-    val, err = _dissipation_err(omega, sym, xi, kinks, per_decade, order)
-    if val < 0.0:
-        if val < -(err + 1e-13 * abs(val)):
-            warnings.warn(
-                f"dissipation quadrature returned {val:.3g} at xi = {xi:.3g}, "
-                "below its error bar; is omega concave?", RuntimeWarning,
-                stacklevel=2)
-        return 0.0
-    return val
+    x, shape = _positive(xi, "dissipation")
+    sym = _symbol_of(omega, sym)
+    val, err = _dissipation_err(omega, sym, x,
+                                _omega_array(_omega_callable(omega), x),
+                                kinks, per_decade, order)
+    below = val < -(err + 1e-13 * np.abs(val))
+    if below.any():
+        i = int(np.argmax(below))
+        warnings.warn(
+            f"dissipation quadrature returned {val[i]:.3g} at xi = "
+            f"{x[i]:.3g}, below its error bar; is omega concave?",
+            RuntimeWarning, stacklevel=2)
+    return _shaped(np.where(val < 0.0, 0.0, val), shape)
 
 
-def dissipation_far_window(omega, sym: DissipationSymbol | None, xi: float,
-                           *, order: int = 12) -> float:
+def dissipation_far_window(omega, sym: DissipationSymbol | None, xi, *,
+                           order: int = 12):
     """Far-piece contribution from the single octave eta in (xi/2, xi).
 
     For family members past the crossover this one window already dominates
     (2 - c_alpha) * omega(xi) * m(2 xi), where c_alpha is the doubling bound
     of the family; useful as a quadrature-free floor in tests.
     """
-    member = omega if isinstance(omega, ModulusMember) else None
-    if sym is None:
-        if member is None:
-            raise ValueError("dissipation needs a symbol for a callable omega")
-        sym = member.sym
-    val, _ = _far_direct(_omega_callable(omega), sym, xi, xi,
+    x, shape = _positive(xi, "dissipation")
+    sym = _symbol_of(omega, sym)
+    fn = _omega_callable(omega)
+    val, _ = _far_direct(fn, sym, x, _omega_array(fn, x), x,
                          _omega_kinks(omega), 4.0, order)
-    return val
+    return _shaped(val, shape)
 
 
 def dissipation_doubling_floor(mem: ModulusMember, xi: float) -> float:
@@ -397,18 +449,25 @@ def dissipation_doubling_floor(mem: ModulusMember, xi: float) -> float:
             * float(mem.sym.m(2.0 * xi)))
 
 
-def measured_curvature_constant(mem: ModulusMember, xi: float) -> float:
+def _curvature_constants(mem: ModulusMember, xi: np.ndarray,
+                         D: np.ndarray) -> np.ndarray:
+    # D / (|omega''(xi)| xi^2 m(xi)), D the raw dissipation at xi
+    curv = np.abs(mem.omega_second(xi))
+    return D / (curv * xi ** 2 * mem.sym.m(xi))
+
+
+def measured_curvature_constant(mem: ModulusMember, xi):
     """Ratio of the dissipation integral to |omega''(xi)| xi^2 m(xi).
 
     Below the crossover the dissipation admits a curvature-route lower bound
     with a generic constant; this reports the constant the quadrature
-    actually achieves at xi.
+    actually achieves at xi (a scalar, or an array below the crossover).
     """
-    if not 0.0 < xi < mem.delta:
+    x, shape = _separations(xi)
+    if not np.all((0.0 < x) & (x < mem.delta)):
         raise ValueError("curvature route applies below the crossover scale")
-    val, _ = _dissipation_err(mem, mem.sym, xi)
-    curv = abs(float(mem.omega_second(xi)))
-    return val / (curv * xi ** 2 * float(mem.sym.m(xi)))
+    D, _ = _dissipation_err(mem, mem.sym, x, mem.omega(x), (), 2.0, 12)
+    return _shaped(_curvature_constants(mem, x, D), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +497,8 @@ class PlainModulus:
             if np.ndim(xi) else float(self.omega_fn(float(xi)))
 
     def omega_prime(self, xi):
-        return float(self.omega_prime_fn(float(xi)))
+        return _omega_array(self.omega_prime_fn, xi) \
+            if np.ndim(xi) else float(self.omega_prime_fn(float(xi)))
 
 
 @dataclass
@@ -489,6 +549,28 @@ class CertificateReport:
         return float(self.margin[self.worst_index])
 
 
+def _grid_columns(mem, xi_grid):
+    # the separations, omega and omega' on them, and the member's kinks
+    xi, _ = _positive(default_xi_grid() if xi_grid is None else xi_grid,
+                      "criterion")
+    return (xi, _omega_array(mem.omega, xi), _omega_array(mem.omega_prime, xi),
+            _omega_kinks(mem))
+
+
+def _regimes(xi: np.ndarray, delta: float) -> list[str]:
+    return ["below-delta" if x < delta else "above-delta" for x in xi]
+
+
+def _curvature_side_value(mem, xi: np.ndarray, D: np.ndarray):
+    # smallest measured curvature constant over at most ~8 separations
+    # below the crossover, read off the D column already computed
+    below = np.flatnonzero(xi < mem.delta)
+    if not isinstance(mem, ModulusMember) or below.size == 0:
+        return None
+    pick = below[:: max(1, below.size // 8)]
+    return float(np.min(_curvature_constants(mem, xi[pick], D[pick])))
+
+
 def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
                       A: float = DEFAULT_A, per_decade: float = 2.0,
                       order: int = 12) -> CertificateReport:
@@ -497,37 +579,22 @@ def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
     The advecting velocity is the solution itself, so increments are bounded
     by omega directly and only the dissipation carries the universal
     constant; ``A`` defaults to the suite's conservative estimate. PASS
-    means every margin is negative beyond quadrature error.
+    means every margin is negative beyond quadrature error. The whole grid
+    is evaluated in one batch.
     """
-    xi_grid = default_xi_grid() if xi_grid is None else np.asarray(xi_grid)
-    kinks = _omega_kinks(mem)
-    n = len(xi_grid)
-    D = np.empty(n)
-    margin = np.empty(n)
-    margin_err = np.empty(n)
-    regime = []
-    for i, xi in enumerate(np.asarray(xi_grid, dtype=float)):
-        val, err = _dissipation_err(mem, getattr(mem, "sym"), xi, kinks,
-                                    per_decade, order)
-        w = float(mem.omega(xi))
-        wp = float(mem.omega_prime(xi))
-        D[i] = val
-        margin[i] = w * wp - val / A
-        margin_err[i] = err / A
-        regime.append("below-delta" if xi < mem.delta else "above-delta")
+    xi, w, wp, kinks = _grid_columns(mem, xi_grid)
+    D, err = _dissipation_err(mem, mem.sym, xi, w, kinks, per_decade, order)
     side_vals = {}
-    below = xi_grid < mem.delta
-    if isinstance(mem, ModulusMember) and below.any():
-        side_vals["measured_curvature_constant"] = min(
-            measured_curvature_constant(mem, float(x))
-            for x in xi_grid[below][:: max(1, below.sum() // 8)])
-    nan = np.full(n, math.nan)
+    C = _curvature_side_value(mem, xi, D)
+    if C is not None:
+        side_vals["measured_curvature_constant"] = C
+    nan = np.full(xi.size, math.nan)
     return CertificateReport(
         kind="burgers", A_used=A, kappa=getattr(mem, "kappa", math.nan),
         gamma=getattr(mem, "gamma", math.nan), B=getattr(mem, "B", math.nan),
-        delta=mem.delta, xi_grid=np.asarray(xi_grid, dtype=float),
-        regime=regime, Omega=nan, OmegaTilde=nan.copy(), D=D, margin=margin,
-        margin_err=margin_err, side_values=side_vals)
+        delta=mem.delta, xi_grid=xi, regime=_regimes(xi, mem.delta),
+        Omega=nan, OmegaTilde=nan.copy(), D=D, margin=w * wp - D / A,
+        margin_err=err / A, side_values=side_vals)
 
 
 def sqg_criterion(mem, A: float = DEFAULT_A,
@@ -543,55 +610,38 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
     Omega/A <= B xi (3 + log(delta/xi)), which the construction guarantees
     when gamma <= alpha * kappa, and the sign of the curvature-route factor
     1 - C / (2 A^2 C_alpha kappa) with C the measured quadrature constant.
+    The whole grid is evaluated in one batch.
     """
-    xi_grid = default_xi_grid() if xi_grid is None else np.asarray(xi_grid)
-    kinks = _omega_kinks(mem)
-    n = len(xi_grid)
-    Om = np.empty(n)
-    Omt = np.empty(n)
-    D = np.empty(n)
-    margin = np.empty(n)
-    margin_err = np.empty(n)
-    regime = []
+    xi, w, wp, kinks = _grid_columns(mem, xi_grid)
+    Om, Omt, err_adv = _advective_pair(mem, xi, w, kinks, order)
+    D, err_d = _dissipation_err(mem, mem.sym, xi, w, kinks, per_decade, order)
+    below = xi < mem.delta
+    margin = np.where(below, A * Om * wp, A * Omt * wp) - D / A
     low_bound_ok = True
-    for i, xi in enumerate(np.asarray(xi_grid, dtype=float)):
-        om, omt, err_adv = _advective_pair(mem, xi, kinks, order)
-        val, err_d = _dissipation_err(mem, getattr(mem, "sym"), xi, kinks,
-                                      per_decade, order)
-        wp = float(mem.omega_prime(xi))
-        Om[i], Omt[i], D[i] = om, omt, val
-        if xi < mem.delta:
-            regime.append("below-delta")
-            margin[i] = A * om * wp - val / A
-            B = getattr(mem, "B", math.nan)
-            if math.isfinite(B):
-                envelope = B * xi * (3.0 + math.log(mem.delta / xi))
-                low_bound_ok &= om <= envelope * (1.0 + 1e-9)
-        else:
-            regime.append("above-delta")
-            margin[i] = A * omt * wp - val / A
-        margin_err[i] = A * abs(wp) * err_adv + err_d / A
+    B = getattr(mem, "B", math.nan)
+    if math.isfinite(B) and below.any():
+        xb = xi[below]
+        envelope = B * xb * (3.0 + np.log(mem.delta / xb))
+        low_bound_ok = bool(np.all(Om[below] <= envelope * (1.0 + 1e-9)))
     gamma = getattr(mem, "gamma", math.nan)
     side_cond = {
         "gate:perp_absorption": bool(gamma * A ** 2 <= 1.0),
-        "low_regime_envelope_bound": bool(low_bound_ok),
+        "low_regime_envelope_bound": low_bound_ok,
     }
     side_vals = {}
     if isinstance(mem, ModulusMember):
         side_cond["gamma_le_alpha_kappa"] = \
             bool(mem.gamma <= mem.sym.alpha * mem.kappa)
-        below = xi_grid < mem.delta
-        if below.any():
-            C = min(measured_curvature_constant(mem, float(x))
-                    for x in xi_grid[below][:: max(1, below.sum() // 8)])
+        C = _curvature_side_value(mem, xi, D)
+        if C is not None:
             side_vals["measured_curvature_constant"] = C
             side_vals["curvature_sign_factor"] = \
                 1.0 - C / (2.0 * A ** 2 * mem.C_alpha * mem.kappa)
     return CertificateReport(
         kind="sqg", A_used=A, kappa=getattr(mem, "kappa", math.nan),
-        gamma=gamma, B=getattr(mem, "B", math.nan), delta=mem.delta,
-        xi_grid=np.asarray(xi_grid, dtype=float), regime=regime, Omega=Om,
-        OmegaTilde=Omt, D=D, margin=margin, margin_err=margin_err,
+        gamma=gamma, B=B, delta=mem.delta, xi_grid=xi,
+        regime=_regimes(xi, mem.delta), Omega=Om, OmegaTilde=Omt, D=D,
+        margin=margin, margin_err=A * np.abs(wp) * err_adv + err_d / A,
         side_conditions=side_cond, side_values=side_vals)
 
 
@@ -729,20 +779,24 @@ def calibrate_A(fld: ScalarField2D, omega, *, pairs: int = 128,
     u1 = irfft2(mx * fld.spec, s=(N, N))
     u2 = irfft2(my * fld.spec, s=(N, N))
     h = TWO_PI / N
-    idx = rng.integers(0, N, size=(pairs, 4))
-    best = (0.0, math.nan)
-    for i1, j1, i2, j2 in idx:
-        du = math.hypot(u1[i1, j1] - u1[i2, j2], u2[i1, j1] - u2[i2, j2])
+    du, seps = [], []
+    for i1, j1, i2, j2 in rng.integers(0, N, size=(pairs, 4)):
         dx = h * (((i1 - i2) + N // 2) % N - N // 2)
         dy = h * (((j1 - j2) + N // 2) % N - N // 2)
         sep = math.hypot(dx, dy)
-        if sep < 2.0 * h:
-            continue
-        ratio = du / omega_riesz(omega, sep)
-        if ratio > best[0]:
-            best = (ratio, sep)
-    return CalibrationReport(A_hat=best[0], pairs=pairs,
-                             worst_separation=best[1])
+        if sep >= 2.0 * h:
+            du.append(math.hypot(u1[i1, j1] - u1[i2, j2],
+                                 u2[i1, j1] - u2[i2, j2]))
+            seps.append(sep)
+    if seps:
+        # every certificate in one batch; the first largest ratio wins
+        ratio = np.array(du) / omega_riesz(omega, np.array(seps))
+        k = int(np.argmax(ratio))
+        if ratio[k] > 0.0:
+            return CalibrationReport(A_hat=float(ratio[k]), pairs=pairs,
+                                     worst_separation=seps[k])
+    return CalibrationReport(A_hat=0.0, pairs=pairs,
+                             worst_separation=math.nan)
 
 
 @dataclass

@@ -23,7 +23,8 @@ from scipy.integrate import quad
 
 from .fields import TWO_PI, ScalarField1D, ScalarField2D
 from .quadrature import gauss_legendre, log_edges, panel_nodes
-from .symbols import DissipationSymbol, crossover_scale, symbol_from_json
+from .symbols import (DissipationSymbol, _shaped, crossover_scale,
+                      symbol_from_json)
 
 DEFAULT_KAPPA = 0.1
 DEFAULT_GAMMA = 0.01
@@ -42,6 +43,17 @@ class ModulusSearchError(RuntimeError):
 # ---------------------------------------------------------------------------
 # cached quadrature tables
 # ---------------------------------------------------------------------------
+
+def _partial_panels(left, right, order, integrand):
+    """Gauss-Legendre integrals over [left[i], right[i]] of each array that
+    ``integrand`` returns, one panel per query. Each row is reduced by
+    itself (einsum, not a BLAS gemv whose blocking follows the batch), so a
+    query's value is that of a batch of one."""
+    x, w = gauss_legendre(order)
+    half = 0.5 * (right - left)
+    vals = integrand(left[:, None] + half[:, None] * (x + 1.0))
+    return [half * np.einsum("ij,j->i", f, w) for f in vals]
+
 
 class _CumulativeMoments:
     """Running moments of the low-part integrand on a log grid over (0, delta].
@@ -160,11 +172,9 @@ class _CumulativeMoments:
         deep = sq < s[0]
         sq = np.maximum(sq, s[0])
         i = np.minimum(np.searchsorted(s, sq, side="right") - 1, len(s) - 2)
-        x, w = gauss_legendre(self._ORDER)
-        half = 0.5 * (sq - s[i])
-        f0, f1 = self._integrands(s[i][:, None] + half[:, None] * (x + 1.0))
-        m0 = self._m0[i] + half * (f0 @ w)
-        m1 = self._m1[i] + half * (f1 @ w)
+        m0, m1 = _partial_panels(s[i], sq, self._ORDER, self._integrands)
+        m0 += self._m0[i]
+        m1 += self._m1[i]
         for k in np.flatnonzero(deep):
             m0[k], m1[k] = self._below_floor(float(xi[k]))
         return m0, m1
@@ -207,16 +217,21 @@ class _EnvelopeIntegral:
         if np.any(v < self._edges[0] * (1.0 - 1e-12)):
             raise ValueError("envelope integral queried left of its origin")
         v = np.maximum(v, self._edges[0])
-        if v.size and v.max() > self._edges[-1]:
-            self._grow(2.0 * float(v.max()))
+        # double the top edge until it covers the query, so the table's
+        # edges depend on the member alone, never on the queries so far
+        while v.size and v.max() > self._edges[-1]:
+            self._grow(2.0 * float(self._edges[-1]))
         edges = self._edges
         i = np.minimum(np.searchsorted(edges, v, side="right") - 1,
                        len(edges) - 2)
-        x, w = gauss_legendre(self._ORDER)
-        left = np.log(edges[i])
-        half = 0.5 * (np.log(v) - left)
-        eta = np.exp(left[:, None] + half[:, None] * (x + 1.0))
-        return self._cum[i] + half * ((eta * self._sym.envelope(eta)) @ w)
+
+        def integrand(s):
+            eta = np.exp(s)
+            return (eta * self._sym.envelope(eta),)
+
+        (part,) = _partial_panels(np.log(edges[i]), np.log(v), self._ORDER,
+                                  integrand)
+        return self._cum[i] + part
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +247,18 @@ def _separations(xi) -> tuple[np.ndarray, tuple | None]:
     return arr.ravel(), (None if arr.ndim == 0 else arr.shape)
 
 
-def _shaped(out: np.ndarray, shape: tuple | None):
-    return float(out[0]) if shape is None else out.reshape(shape)
+# separations per chunk when a member evaluates a batch: each chunk's
+# (chunk, 20) table-panel arrays stay at 80 kB however large the batch
+_CHUNK_POINTS = 2 ** 9
+
+
+def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
+    """fn over the flat array x, _CHUNK_POINTS separations at a time; fn is
+    pointwise, so the chunking never changes a value."""
+    out = np.empty_like(x)
+    for a in range(0, x.size, _CHUNK_POINTS):
+        out[a:a + _CHUNK_POINTS] = fn(x[a:a + _CHUNK_POINTS])
+    return out
 
 
 def _omega_array(omega: Callable, xi) -> np.ndarray:
@@ -273,6 +298,9 @@ class ModulusMember:
         x, shape = _separations(xi)
         if np.any(x < 0.0):
             raise ValueError("modulus evaluated at negative separation")
+        return _shaped(_in_chunks(self._omega_chunk, x), shape)
+
+    def _omega_chunk(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         low = (x > 0.0) & (x <= self.delta)
         if low.any():
@@ -283,12 +311,15 @@ class ModulusMember:
         if high.any():
             out[high] = (self.omega_at_delta
                          + 0.5 * self.gamma * self._high.value(2.0 * x[high]))
-        return _shaped(out, shape)
+        return out
 
     def omega_prime(self, xi):
         x, shape = _separations(xi)
         if not np.all(x > 0.0):
             raise ValueError("slope evaluated at non-positive separation")
+        return _shaped(_in_chunks(self._slope_chunk, x), shape)
+
+    def _slope_chunk(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         low = x < self.delta
         if low.any():
@@ -296,7 +327,7 @@ class ModulusMember:
             out[low] = self.B - self._slope_factor * m0
         if not low.all():
             out[~low] = self.gamma * self.sym.envelope(2.0 * x[~low])
-        return _shaped(out, shape)
+        return out
 
     def omega_second(self, xi):
         x, shape = _separations(xi)

@@ -16,6 +16,7 @@ Gauss-Legendre panels. The conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -130,23 +131,84 @@ def log_edge_groups(lo, hi, per_decade: float,
     return groups
 
 
+@dataclass(frozen=True)
+class PanelRows:
+    """Quadrature rules of many intervals, stored back to back.
+
+    Row i owns ``nodes[starts[i]:starts[i + 1]]`` and the matching weights;
+    no row is empty. Every value is computed elementwise and each row is
+    summed on its own, so a row's integral does not depend on which other
+    rows share the batch.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+
+    def spread(self, per_row) -> np.ndarray:
+        """One value per row, repeated onto that row's nodes."""
+        counts = np.diff(np.append(self.starts, self.nodes.size))
+        return np.repeat(per_row, counts)
+
+    def integrate(self, values) -> np.ndarray:
+        """Per-row sums of weights * values (values given at the nodes)."""
+        if self.starts.size == 0:
+            return np.zeros(0)
+        return np.add.reduceat(self.weights * values, self.starts)
+
+
+def log_panel_rows(lo, hi, per_decade: float, order: int,
+                   kinks=()) -> PanelRows:
+    """``log_panel_nodes`` for many intervals [lo[i], hi[i]] at once.
+
+    ``kinks`` is one list shared by every row, or a 2-D array with a row of
+    candidates per interval; a candidate is pinned where it falls strictly
+    inside its interval. Each gap between pinned points gets
+    ceil(per_decade * decades) panels (at least one), uniform in s = ln(eta),
+    and the rule is Gauss-Legendre of ``order`` points per panel.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    if not np.all((lo > 0.0) & (lo < hi)):
+        raise ValueError("log panels need 0 < lo < hi")
+    n = lo.size
+    k = np.atleast_2d(np.asarray(kinks, dtype=float))
+    k = np.broadcast_to(k, (n, k.shape[1]))
+    lo_c, hi_c = lo[:, None], hi[:, None]
+    pinned = np.where((lo_c < k) & (k < hi_c), k, np.nan)
+    # NaN padding sorts last; repeated points and padding make no segment
+    pts = np.sort(np.concatenate((lo_c, pinned, hi_c), axis=1), axis=1)
+    live = pts[:, 1:] > pts[:, :-1]
+    row = np.nonzero(live)[0]
+    a, b = pts[:, :-1][live], pts[:, 1:][live]
+    panels = np.maximum(1, np.ceil(per_decade * np.log10(b / a))).astype(int)
+    # panel j of a segment spans s_a + [j, j + 1] * step, as np.linspace
+    # places its points, with the segment's right end exact
+    seg = np.repeat(np.arange(panels.size), panels)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    log_a, log_b = np.log(a), np.log(b)
+    step = ((log_b - log_a) / panels)[seg]
+    s_a = log_a[seg]
+    left = j * step + s_a
+    right = np.where(j + 1 == panels[seg], log_b[seg], (j + 1) * step + s_a)
+    nodes_s, w_s = panel_nodes(np.stack((left, right), axis=1), order)
+    eta = np.exp(nodes_s.ravel())
+    per_row = np.bincount(row, weights=panels, minlength=n).astype(int)
+    starts = order * np.concatenate(([0], np.cumsum(per_row)[:-1]))
+    return PanelRows(eta, w_s.ravel() * eta, starts)
+
+
 def log_panel_nodes(lo: float, hi: float, per_decade: float, order: int,
                     kinks=()) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for integrating f(eta) d(eta) on log-spaced panels.
 
     The rule is Gauss-Legendre in s = ln(eta). Kink locations inside
     (lo, hi) are pinned as panel edges so each panel sees a smooth
-    integrand.
+    integrand. This is the one-row case of ``log_panel_rows``.
     """
-    pts = sorted({lo, hi} | {float(k) for k in kinks if lo < k < hi})
-    s_edges = [math.log(pts[0])]
-    for a, b in zip(pts[:-1], pts[1:]):
-        span = math.log10(b / a)
-        n = max(1, int(math.ceil(per_decade * span)))
-        s_edges.extend(np.linspace(math.log(a), math.log(b), n + 1)[1:])
-    nodes_s, w_s = panel_nodes(np.array(s_edges), order)
-    eta = np.exp(nodes_s)
-    return eta, w_s * eta
+    rows = log_panel_rows(lo, hi, per_decade, order,
+                          [float(k) for k in kinks])
+    return rows.nodes, rows.weights
 
 
 def decade_increments(fn, hi: float, decades: int) -> tuple[list, float]:

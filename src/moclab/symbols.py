@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import bisect
 
 from .quadrature import (classify_decades, decade_increments,
-                         log_panel_nodes, panel_nodes)
+                         log_panel_rows)
 
 LN2 = math.log(2.0)
 
@@ -47,6 +47,19 @@ _CHECK_DIV_RATIO = 0.93
 # ---------------------------------------------------------------------------
 # dissipation symbols
 # ---------------------------------------------------------------------------
+
+def _radii(R) -> tuple[np.ndarray, tuple | None]:
+    # flat float array of tail radii, and the shape to restore (None for a
+    # scalar argument)
+    arr = np.asarray(R, dtype=float)
+    if not np.all(arr > 0.0):
+        raise ValueError("tail integral needs R > 0")
+    return arr.ravel(), (None if arr.ndim == 0 else arr.shape)
+
+
+def _shaped(out: np.ndarray, shape: tuple | None):
+    return float(out[0]) if shape is None else out.reshape(shape)
+
 
 @dataclass(eq=False)
 class DissipationSymbol:
@@ -83,11 +96,16 @@ class DissipationSymbol:
         r = np.atleast_1d(r)
         if np.any(r <= 0.0):
             raise ValueError("symbol evaluated at non-positive radius")
-        out = np.empty_like(r)
+        # a radius set inside one branch skips the gather and the scatter
+        # (always so for power, whose core radius is 0)
         core = r <= self.core_radius
-        if core.any():
+        if not core.any():
+            out = self.tail_coeff * r ** (-self.alpha)
+        elif core.all():
+            out = self._core(r)
+        else:
+            out = np.empty_like(r)
             out[core] = self._core(r[core])
-        if (~core).any():
             out[~core] = self.tail_coeff * r[~core] ** (-self.alpha)
         return float(out[0]) if scalar else out
 
@@ -102,15 +120,20 @@ class DissipationSymbol:
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         # a NaN radius falls in none of the three pieces and stays NaN
-        out = np.full_like(r, np.nan)
         low = r < r_lo
-        mid = (r >= r_lo) & (r < r_hi)
         high = r >= r_hi
-        if low.any():
-            out[low] = self.m(r[low])
-        out[mid] = m_flat
-        if high.any():
-            out[high] = self.tail_coeff * r[high] ** (-self.alpha)
+        if low.all():
+            out = self.m(r)
+        elif high.all():
+            out = self.tail_coeff * r ** (-self.alpha)
+        else:
+            out = np.full_like(r, np.nan)
+            mid = (r >= r_lo) & (r < r_hi)
+            if low.any():
+                out[low] = self.m(r[low])
+            out[mid] = m_flat
+            if high.any():
+                out[high] = self.tail_coeff * r[high] ** (-self.alpha)
         return float(out[0]) if scalar else out
 
     @property
@@ -132,38 +155,38 @@ class DissipationSymbol:
             return self._env_plateau[2]
         return self.core_radius
 
-    def tail_integral_over_r(self, R: float) -> float:
-        """Integral of m(u)/u over (R, inf) for R > 0.
+    def tail_integral_over_r(self, R):
+        """Integral of m(u)/u over (R, inf) for every R > 0 (scalar or array).
 
-        Exact on the power tail; the core part below core_radius uses log
-        panels, 8 per decade of order 12.
+        Exact on the power tail, through np.power as in ``m``; the core part
+        below core_radius uses log panels, 8 per decade of order 12.
         """
-        if not R > 0.0:
-            raise ValueError("tail integral needs R > 0")
-        if R >= self.core_radius:
-            return self.tail_coeff * R ** (-self.alpha) / self.alpha
-        eta, w = log_panel_nodes(R, self.core_radius, 8.0, 12)
-        inner = float(np.dot(w / eta, self.m(eta)))
-        return inner + self.tail_integral_over_r(self.core_radius)
+        R, shape = _radii(R)
+        out = (self.tail_coeff
+               * np.power(np.maximum(R, self.core_radius), -self.alpha)
+               / self.alpha)
+        inner = R < self.core_radius
+        if inner.any():
+            rows = log_panel_rows(R[inner], self.core_radius, 8.0, 12)
+            out[inner] += rows.integrate(self.m(rows.nodes) / rows.nodes)
+        return _shaped(out, shape)
 
-    def envelope_tail_integral_over_r(self, R: float) -> float:
-        """Integral of envelope(u)/u over (R, inf) for R > 0.
+    def envelope_tail_integral_over_r(self, R):
+        """Integral of envelope(u)/u over (R, inf) for every R > 0.
 
         The far part is the power tail, in closed form; any plateau or core
         portion of the envelope between R and tail_start is added by one
         order-20 panel in ln(u) per gap between breakpoints.
         """
-        if not R > 0.0:
-            raise ValueError("tail integral needs R > 0")
+        R, shape = _radii(R)
         tail_start = self.tail_start
-        out = self.tail_integral_over_r(max(R, tail_start))
-        if R < tail_start:
-            edges = sorted({R, tail_start}
-                           | {p for p in self.breakpoints
-                              if R < p < tail_start})
-            nodes, weights = panel_nodes(np.log(np.array(edges)), 20)
-            out += float(np.dot(weights, self.envelope(np.exp(nodes))))
-        return out
+        out = self.tail_integral_over_r(np.maximum(R, tail_start))
+        gap = R < tail_start
+        if gap.any():
+            rows = log_panel_rows(R[gap], tail_start, 0.0, 20,
+                                  self.breakpoints)
+            out[gap] += rows.integrate(self.envelope(rows.nodes) / rows.nodes)
+        return _shaped(out, shape)
 
     def to_dict(self) -> dict:
         if self.family == "log":

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from moclab import records
+from moclab import certificates, records
 from moclab.certificates import (
     DEFAULT_A,
     DegeneratePairError,
@@ -24,8 +25,9 @@ from moclab.certificates import (
     sqg_criterion,
     tune_parameters,
 )
-from moclab.fields import ScalarField2D
-from moclab.moduli import build_modulus, check_obeys
+from moclab.fields import TWO_PI, ScalarField2D, velocity_multipliers
+from moclab.kernels import fractional_normalization
+from moclab.moduli import ModulusMember, build_modulus, check_obeys
 from moclab.symbols import make_symbol
 
 CRITICAL = make_symbol("power", a=1.0)
@@ -295,6 +297,91 @@ def test_criteria_stable_under_halving():
 
 
 # ---------------------------------------------------------------------------
+# the grid in one batch
+# ---------------------------------------------------------------------------
+
+BENCH_SYMBOL = make_symbol("power", a=1.0,
+                           scale=fractional_normalization(2, 1.0))
+BENCH_GRID = default_xi_grid(1e-5, 1e2, 16)
+COLUMNS = ("Omega", "OmegaTilde", "D", "margin", "margin_err")
+
+
+@pytest.mark.parametrize("B", [1.0, 2.0 ** 20], ids=["B=1", "B=2^20"])
+@pytest.mark.parametrize("family", ["power1", "log1"])
+def test_criteria_columns_are_the_one_point_functionals(family, B):
+    sym = BENCH_SYMBOL if family == "power1" else make_symbol("log", a=1.0)
+    mem = build_modulus(sym, 0.05, 0.005, B)
+    grid = default_xi_grid(min(1e-5, 1e-2 * mem.delta), 1e2, 3)
+    sqg = sqg_criterion(mem, DEFAULT_A, grid)
+    bur = burgers_criterion(mem, grid)
+    assert "below-delta" in sqg.regime and "above-delta" in sqg.regime
+    # a public functional takes the grid as an array
+    assert np.array_equal(omega_riesz(mem, grid), sqg.Omega)
+    assert np.array_equal(omega_tilde(mem, grid), sqg.OmegaTilde)
+    assert np.array_equal(dissipation_lower(mem, None, grid), sqg.D)
+    for i, xi in enumerate(grid.tolist()):
+        for rep, criterion in ((sqg, sqg_criterion),
+                               (bur, burgers_criterion)):
+            one = criterion(mem, xi_grid=grid[i:i + 1])
+            for col in COLUMNS:
+                assert np.array_equal(getattr(one, col),
+                                      getattr(rep, col)[i:i + 1],
+                                      equal_nan=True), (col, xi)
+        assert type(omega_riesz(mem, xi)) is float
+        assert sqg.Omega[i] == omega_riesz(mem, xi)
+        assert sqg.OmegaTilde[i] == omega_tilde(mem, xi)
+        d = dissipation_lower(mem, mem.sym, xi)
+        assert sqg.D[i] == bur.D[i] == d
+        assert bur.margin[i] == mem.omega(xi) * mem.omega_prime(xi) \
+            - d / DEFAULT_A
+    below = grid[grid < mem.delta]
+    pick = below[:: max(1, below.size // 8)]
+    assert sqg.side_values["measured_curvature_constant"] == \
+        bur.side_values["measured_curvature_constant"] == \
+        min(measured_curvature_constant(mem, x) for x in pick.tolist())
+
+
+def test_criteria_evaluate_any_grid_in_a_fixed_number_of_batches(monkeypatch):
+    # omega, omega' and omega'' are called a fixed number of times, however
+    # long the grid, and the dissipation integrals run once per criterion
+    calls = []
+    for name in ("omega", "omega_prime", "omega_second"):
+        real = getattr(ModulusMember, name)
+
+        def counted(self, xi, real=real, name=name):
+            calls.append(name)
+            return real(self, xi)
+        monkeypatch.setattr(ModulusMember, name, counted)
+    real_err = certificates._dissipation_err
+
+    def counted_err(*args):
+        calls.append("dissipation")
+        return real_err(*args)
+    monkeypatch.setattr(certificates, "_dissipation_err", counted_err)
+    mem = build_modulus(BENCH_SYMBOL, 0.05, 0.01, 1.0)
+    for criterion in (sqg_criterion, burgers_criterion):
+        counts = []
+        for grid in (default_xi_grid(1e-5, 1e2, 2), BENCH_GRID):
+            calls.clear()
+            criterion(mem, xi_grid=grid)
+            counts.append(len(calls))
+            assert calls.count("dissipation") == 1
+        assert counts[0] == counts[1] <= 12
+
+
+@pytest.mark.parametrize("criterion", [sqg_criterion, burgers_criterion])
+def test_criterion_memory_stays_bounded_on_the_bench_grid(criterion):
+    mem = build_modulus(BENCH_SYMBOL, 0.05, 0.01, 1.0)
+    tracemalloc.start()
+    try:
+        criterion(mem, xi_grid=BENCH_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+# ---------------------------------------------------------------------------
 # report serialization
 # ---------------------------------------------------------------------------
 
@@ -403,6 +490,30 @@ def test_calibrate_A_on_obeying_field():
     rep = calibrate_A(fld, mem, pairs=96, seed=1)
     assert 0.0 < rep.A_hat < DEFAULT_A
     assert rep.pairs == 96
+
+
+def test_calibrate_A_matches_a_per_pair_loop():
+    # one certificate per sampled pair, the first largest ratio kept
+    mem = base_member()
+    fld = scaled_to_obey(rough_field(3, N=128), mem)
+    rep = calibrate_A(fld, mem, pairs=96, seed=1)
+    N = fld.N
+    mx, my = velocity_multipliers(N, "sqg")
+    u1 = np.fft.irfft2(mx * fld.spec, s=(N, N))
+    u2 = np.fft.irfft2(my * fld.spec, s=(N, N))
+    h = TWO_PI / N
+    best = (0.0, math.nan)
+    for i1, j1, i2, j2 in np.random.default_rng(1).integers(0, N, (96, 4)):
+        dx = h * (((i1 - i2) + N // 2) % N - N // 2)
+        dy = h * (((j1 - j2) + N // 2) % N - N // 2)
+        sep = math.hypot(dx, dy)
+        if sep < 2.0 * h:
+            continue
+        du = math.hypot(u1[i1, j1] - u1[i2, j2], u2[i1, j1] - u2[i2, j2])
+        ratio = du / omega_riesz(mem, sep)
+        if ratio > best[0]:
+            best = (ratio, sep)
+    assert (rep.A_hat, rep.worst_separation) == best
 
 
 def test_tune_parameters_critical_first_rung():

@@ -189,6 +189,52 @@ def test_table_seed_matches_adaptive_quadrature(name):
                         atol=0.0)
 
 
+_INVARIANT_XI = np.concatenate(([0.0], np.geomspace(1e-9, 3e3, 97)))
+
+
+def _invariance_member(name, B):
+    sym = NORMALIZED if name == "power1" else SEED_SYMBOLS[name]
+    kappa = min(0.05, 0.49 * sym.r0 / (4.0 * sym.C0))
+    return build_modulus(sym, kappa, 0.2 * kappa, B)
+
+
+@pytest.mark.parametrize("B", [1.0, 2.0 ** 20], ids=["B=1", "B=2^20"])
+@pytest.mark.parametrize("name", ["power1", "log1", "tabulated"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_omega_is_a_function_of_its_point_alone(name, B, data):
+    # a value may depend neither on the batch it is evaluated in nor on
+    # the queries made before it; log(a=1) has an envelope plateau
+    mem = _invariance_member(name, B)
+    ref = [(mem.omega(v), mem.omega_prime(v) if v > 0.0 else None)
+           for v in _INVARIANT_XI.tolist()]
+    order = data.draw(st.permutations(range(_INVARIANT_XI.size)))
+    cuts = sorted(data.draw(st.lists(
+        st.integers(1, _INVARIANT_XI.size - 1), max_size=4, unique=True)))
+    mem = _invariance_member(name, B)
+    # history: queries far past the envelope table or below the moment
+    # table's floor, made first
+    for far in data.draw(st.lists(st.sampled_from(
+            [5e3, 7.7e5, 1e-30 * mem.delta, 0.5 * mem.delta]), max_size=3)):
+        mem.omega(far)
+    xi = _INVARIANT_XI[list(order)]
+    for piece in np.split(np.arange(xi.size), cuts):
+        for k, v in zip(piece, mem.omega(xi[piece])):
+            assert v == ref[order[k]][0]
+        pos = piece[xi[piece] > 0.0]
+        for k, v in zip(pos, mem.omega_prime(xi[pos])):
+            assert v == ref[order[k]][1]
+
+
+def test_omega_chunks_never_change_a_value(monkeypatch):
+    mem = build_modulus(NORMALIZED, 0.05, 0.01, 1.0)
+    xi = np.geomspace(1e-9, 3e3, 2000)
+    whole = mem.omega(xi), mem.omega_prime(xi)
+    monkeypatch.setattr(moduli, "_CHUNK_POINTS", 7)
+    assert np.array_equal(mem.omega(xi), whole[0])
+    assert np.array_equal(mem.omega_prime(xi), whole[1])
+
+
 def _set_sorted_edges(sym, lo, hi, per_decade):
     # reference edges for _EnvelopeIntegral._grow: a set of the log grid
     # and the envelope's kinks, sorted
@@ -204,9 +250,10 @@ def test_envelope_integral_edges_match_the_set_builder(name):
     integ = moduli._EnvelopeIntegral(sym, 2e-7, 16.0)
     expect = _set_sorted_edges(sym, 2e-7, 16.0, 16)
     assert np.array_equal(integ._edges, expect)
-    integ.value(np.array([100.0]))  # grows the grid to 200
-    expect = np.concatenate(
-        (expect, _set_sorted_edges(sym, 16.0, 200.0, 16)[1:]))
+    integ.value(np.array([100.0]))  # doubles the top edge up to 128
+    for top in (16.0, 32.0, 64.0):
+        expect = np.concatenate(
+            (expect, _set_sorted_edges(sym, top, 2.0 * top, 16)[1:]))
     assert np.array_equal(integ._edges, expect)
 
 

@@ -13,6 +13,7 @@ from moclab.quadrature import (
     log_edge_groups,
     log_edges,
     log_panel_nodes,
+    log_panel_rows,
     oscillation_resolved_edges,
     panel_nodes,
     quad_log,
@@ -122,6 +123,31 @@ def test_panel_nodes_rows_match_one_row_at_a_time():
 def test_log_panel_nodes_integrate_a_power_singularity():
     eta, w = log_panel_nodes(1e-6, 1.0, 8.0, 12, kinks=(1e-3,))
     assert_allclose(np.dot(w, eta ** -0.5), 2.0 * (1.0 - 1e-3), rtol=1e-13)
+
+
+def test_log_panel_rows_match_one_row_at_a_time():
+    # per-row kinks, some outside their interval; every row's rule, its
+    # integral and its spread values are those of a batch of one
+    rng = np.random.default_rng(5)
+    lo = np.exp(rng.uniform(-25.0, 0.0, 40))
+    hi = lo * np.exp(rng.uniform(0.1, 25.0, 40))
+    kinks = np.exp(rng.uniform(-26.0, 2.0, (40, 3)))
+    kinks[0, 1] = kinks[0, 2] = math.sqrt(lo[0] * hi[0])  # a repeated kink
+    rows = log_panel_rows(lo, hi, 3.0, 8, kinks)
+    total = rows.integrate(np.sqrt(rows.nodes))
+    spread = rows.spread(np.arange(40.0))
+    for i in range(40):
+        one = log_panel_rows(lo[i], hi[i], 3.0, 8, kinks[i:i + 1])
+        eta, w = log_panel_nodes(lo[i], hi[i], 3.0, 8, kinks[i])
+        assert np.array_equal(one.nodes, eta)
+        assert np.array_equal(one.weights, w)
+        end = rows.starts[i + 1] if i < 39 else rows.nodes.size
+        assert np.array_equal(rows.nodes[rows.starts[i]:end], eta)
+        assert np.all(spread[rows.starts[i]:end] == i)
+        assert one.integrate(np.sqrt(one.nodes))[0] == total[i]
+    assert_allclose(total, (hi ** 1.5 - lo ** 1.5) / 1.5, rtol=1e-12)
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        log_panel_rows([1.0, 2.0], [3.0, 2.0], 3.0, 8)
 
 
 def test_decade_increments_of_inverse_square_root():

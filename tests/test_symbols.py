@@ -209,6 +209,61 @@ def test_scalar_m_and_envelope_match_the_array_route_bitwise(name):
         assert np.array_equal(np.array(single), fn(r))
 
 
+def _masked_m(s, r):
+    # m through the branch masks on every call, the reference route
+    out = np.empty_like(r)
+    core = r <= s.core_radius
+    out[core] = s._core(r[core])
+    out[~core] = s.tail_coeff * r[~core] ** (-s.alpha)
+    return out
+
+
+def _masked_envelope(s, r):
+    if s._env_plateau is None:
+        return _masked_m(s, r)
+    r_lo, m_flat, r_hi = s._env_plateau
+    out = np.full_like(r, np.nan)
+    low = r < r_lo
+    high = r >= r_hi
+    out[low] = _masked_m(s, r[low])
+    out[(r >= r_lo) & (r < r_hi)] = m_flat
+    out[high] = s.tail_coeff * r[high] ** (-s.alpha)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
+def test_one_branch_radii_skip_the_masks_bitwise(name):
+    # radii inside one branch take the whole-array route; it must give the
+    # masked route's bits, NaN radii and offset views included
+    s = EVERY_FAMILY[name]
+    r = _probe_radii(s)
+    r_lo, _, r_hi = s._env_plateau or (s.core_radius, None, s.core_radius)
+    parts = [r, r[r <= s.core_radius], r[r > s.core_radius], r[r < r_lo],
+             r[r >= r_hi], r[-1:], np.geomspace(2.0, 9.0, 40001)]
+    for part in (p for p in parts if p.size):
+        with_nan = np.insert(part, [0, part.size // 2], np.nan)
+        for view in (part, with_nan, with_nan[1:], with_nan[::3]):
+            assert np.array_equal(s.m(view), _masked_m(s, view),
+                                  equal_nan=True)
+            assert np.array_equal(s.envelope(view), _masked_envelope(s, view),
+                                  equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
+def test_tail_integrals_take_arrays_bitwise(name):
+    s = EVERY_FAMILY[name]
+    R = np.concatenate((np.geomspace(1e-8, 50.0, 61),
+                        [s.core_radius, s.tail_start, *s.breakpoints]))
+    R = R[R > 0.0]
+    for fn in (s.tail_integral_over_r, s.envelope_tail_integral_over_r):
+        single = [fn(v) for v in R.tolist()]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(np.array(single), fn(R))
+        assert fn(R.reshape(1, -1)).shape == (1, R.size)
+        with pytest.raises(ValueError, match="R > 0"):
+            fn(np.array([1.0, 0.0]))
+
+
 @pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
 def test_envelope_passes_nan_through(name):
     s = EVERY_FAMILY[name]
@@ -248,7 +303,7 @@ def test_tail_integral_inside_the_core_matches_quad(s):
     # from the core radius outward it is the closed form
     R = 2.0 * s.core_radius
     assert s.tail_integral_over_r(R) == \
-        s.tail_coeff * R ** -s.alpha / s.alpha
+        s.tail_coeff * np.power(R, -s.alpha) / s.alpha
     with pytest.raises(ValueError, match="R > 0"):
         s.tail_integral_over_r(0.0)
 
