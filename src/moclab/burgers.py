@@ -71,6 +71,14 @@ _DIV_RATIO = 0.999
 # ulps design_blowup_data may add to the bisected amplitude
 _DESIGN_ULP_STEPS = 64
 
+# detect_blowup: the late gradient slope must reach _ACCEL_FACTOR times the
+# early one, the Lyapunov series stay within _ODE_RTOL of the comparison
+# solution, and a certified REGULAR run keep its gradient sup within
+# _REGULAR_TOL of the certified bound
+_ACCEL_FACTOR = 2.0
+_ODE_RTOL = 0.05
+_REGULAR_TOL = 1e-2
+
 
 class KernelIntegrabilityError(ValueError):
     """The kernel mass near 0 could not be certified finite."""
@@ -127,20 +135,19 @@ def lyapunov(fld):
 # kernel-mass certification
 # ----------------------------------------------------------------------
 
-def kernel_mass(m, *, decades=_MASS_DECADES):
+def kernel_mass(m):
     """Certified value of integral_0^1 m(r) dr, or a refusal.
 
-    Decade masses v_j = integral over (10^-(j-1) ... ) are accumulated down
-    to 10^-decades.  Their trailing ratios decide the classification:
-    settled geometric decay certifies convergence (the remainder is summed
-    as a geometric tail and charged to the error), a plateau at 1 certifies
-    divergence, and the slow-decay middle ground raises
-    KernelUndecidedError instead of guessing.
+    Decade masses v_j, the integrals of m over [10^-(j+1), 10^-j] for
+    j < _MASS_DECADES (``decade_increments``), are classified by their
+    trailing ratios: settled geometric decay certifies convergence (the
+    remainder is summed as a geometric tail and charged to the error), a
+    plateau at 1 certifies divergence, and the slow-decay middle ground
+    raises KernelUndecidedError instead of guessing.
 
     Returns (mass, err).
     """
-    inc, quad_err = decade_increments(m, 1.0, decades)
-    v = np.array(inc)
+    v, quad_err = decade_increments(m, 1.0, _MASS_DECADES)
     if np.any(v < 0.0):
         raise ValueError("kernel density must be nonnegative")
     if v[-1] <= 1e-280:
@@ -522,7 +529,7 @@ def _resolve_multiplier(k, sym, P):
 
 
 def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
-                     dissipate=True, cfl=0.4, dt_max=None, dt_floor=1e-10,
+                     cfl=0.4, dt_max=None, dt_floor=1e-10,
                      grad_stop=None, record_every=1, meta=None):
     """Integrate theta_t = theta theta_x - L theta up to time T.
 
@@ -533,8 +540,7 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     T : float
         Time horizon.
     sym, P : DissipationSymbol or multiplier callable, mutually exclusive
-        Dissipation specification; both None (or ``dissipate=False``) runs
-        the inviscid equation.
+        Dissipation specification; both None runs the inviscid equation.
     nonlinear : bool
         Disable to recover the exact linear flow (integrating factor only).
     cfl : float
@@ -558,10 +564,7 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     """
     N = theta0.N
     k = theta0.wavenumbers()
-    if dissipate:
-        Pk, label = _resolve_multiplier(k, sym, P)
-    else:
-        Pk, label = np.zeros_like(k), "none"
+    Pk, label = _resolve_multiplier(k, sym, P)
 
     # real factors of complex spectra are stored complex: numpy would cast
     # them on every product, to the same values
@@ -694,20 +697,25 @@ class VerdictReport:
 
 
 def detect_blowup(record, instrumentation=None, *, certified_B=None,
-                  grad_factor=1e3, ode_rtol=0.05, regular_tol=1e-2,
-                  accel_factor=2.0):
+                  grad_factor=1e3):
     """Classify a run as BLOWUP / REGULAR / UNRESOLVED.
 
     BLOWUP needs three independent signatures: the gradient sup crossing
-    ``grad_factor`` times its initial value, an accelerating growth trend,
-    and the Lyapunov series dominating the comparison Riccati solution
-    within ``ode_rtol`` up to the crossing.  REGULAR needs the horizon
-    reached with the gradient bounded; it is *certified* only when a
-    representable modulus certificate value is supplied and respected.
-    Contradictions surface as UNRESOLVED with the failed checks attached.
+    ``grad_factor`` times its initial value, an accelerating growth trend
+    (late slope at least ``_ACCEL_FACTOR`` times the early one), and the
+    Lyapunov series dominating the comparison Riccati solution within
+    ``_ODE_RTOL`` up to the crossing.  REGULAR needs the horizon reached
+    with the gradient bounded; it is *certified* only when a representable
+    modulus certificate value is supplied and respected (to
+    ``_REGULAR_TOL``).  Contradictions surface as UNRESOLVED with the
+    failed checks attached.
 
     Sets ``record.verdict`` and returns a VerdictReport.
     """
+    def verdict(v, reason, **evidence):
+        record.verdict = v
+        return VerdictReport(v, reason, **evidence)
+
     t = record["t"]
     grad = record["grad_linf"]
     lyap = record["lyapunov"]
@@ -719,11 +727,10 @@ def detect_blowup(record, instrumentation=None, *, certified_B=None,
     if grad0 == 0.0:
         # constant data, zero included, is an exact steady solution:
         # theta_x = 0, L c = 0 and the mean mode is never damped
-        record.verdict = REGULAR
         why = ("zero initial data" if linf0 == 0.0 else
                "constant initial data is an exact steady solution")
-        return VerdictReport(REGULAR, why, certified=True,
-                             certified_B=certified_B, grad_ratio=0.0)
+        return verdict(REGULAR, why, certified=True,
+                       certified_B=certified_B, grad_ratio=0.0)
 
     max_grad = float(record.meta.get("max_grad", np.max(grad)))
     grad_ratio = max_grad / grad0
@@ -742,14 +749,13 @@ def detect_blowup(record, instrumentation=None, *, certified_B=None,
             late = float(np.mean(slopes[-q:]))
             checks["early_slope"] = early
             checks["late_slope"] = late
-            superlinear_ok = late >= accel_factor * max(early, 0.0) > 0.0
+            superlinear_ok = late >= _ACCEL_FACTOR * max(early, 0.0) > 0.0
         else:
             superlinear_ok = False
             checks["slope_samples"] = int(slopes.size)
 
         if instrumentation is None:
-            record.verdict = UNRESOLVED
-            return VerdictReport(
+            return verdict(
                 UNRESOLVED, "gradient threshold crossed but no kernel "
                 "functional supplied for the comparison bound",
                 blowup_bracket=bracket, grad_ratio=grad_ratio,
@@ -767,59 +773,51 @@ def detect_blowup(record, instrumentation=None, *, certified_B=None,
             if np.any(finite):
                 ratio = lyap[sel][finite] / y[finite]
                 checks["ode_worst_ratio"] = float(np.min(ratio))
-                ode_ok = bool(np.all(ratio >= 1.0 - ode_rtol))
+                ode_ok = bool(np.all(ratio >= 1.0 - _ODE_RTOL))
         else:
             checks["ode_worst_ratio"] = float("nan")
 
         if superlinear_ok and ode_ok:
-            record.verdict = BLOWUP
-            return VerdictReport(
+            return verdict(
                 BLOWUP, "gradient threshold crossed with accelerating "
                 "growth; Lyapunov series dominates the comparison solution",
                 blowup_bracket=bracket, ode_time=tstar,
                 grad_ratio=grad_ratio, superlinear_ok=True, ode_ok=True,
                 checks=checks)
-        record.verdict = UNRESOLVED
         why = []
         if not superlinear_ok:
             why.append("growth trend not accelerating")
         if not ode_ok:
             why.append("Lyapunov series fell below the comparison solution")
-        return VerdictReport(
+        return verdict(
             UNRESOLVED, "gradient threshold crossed but " + "; ".join(why),
             blowup_bracket=bracket, ode_time=tstar, grad_ratio=grad_ratio,
             superlinear_ok=superlinear_ok, ode_ok=ode_ok, checks=checks)
 
     if record.termination == "completed":
         if certified_B is not None:
-            if max_grad <= certified_B * (1.0 + regular_tol):
-                record.verdict = REGULAR
-                return VerdictReport(
+            if max_grad <= certified_B * (1.0 + _REGULAR_TOL):
+                return verdict(
                     REGULAR, "horizon reached; gradient within the "
                     "certified modulus bound", certified=True,
                     certified_B=certified_B, grad_ratio=grad_ratio,
                     checks=checks)
-            record.verdict = UNRESOLVED
-            return VerdictReport(
+            return verdict(
                 UNRESOLVED, "gradient exceeded the certified modulus bound "
                 "without crossing the blow-up threshold", certified=False,
                 certified_B=certified_B, grad_ratio=grad_ratio, checks=checks)
-        record.verdict = REGULAR
-        return VerdictReport(
+        return verdict(
             REGULAR, "horizon reached with bounded gradient; no pointwise "
             "certificate supplied", certified=False, grad_ratio=grad_ratio,
             checks=checks)
 
     if record.termination == "dt-floor":
-        record.verdict = UNRESOLVED
-        return VerdictReport(
+        return verdict(
             UNRESOLVED, "time step collapsed before the horizon "
             "(unresolved, blow-up suspected)", grad_ratio=grad_ratio,
             checks=checks)
-    record.verdict = UNRESOLVED
-    return VerdictReport(UNRESOLVED,
-                         "run ended early (%s)" % record.termination,
-                         grad_ratio=grad_ratio, checks=checks)
+    return verdict(UNRESOLVED, "run ended early (%s)" % record.termination,
+                   grad_ratio=grad_ratio, checks=checks)
 
 
 def check_lyapunov_inequality(record, kernel_functional, *,

@@ -19,7 +19,6 @@ from the closed-form spectral multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -178,15 +177,6 @@ def periodized_kernel_1d(sym: DissipationSymbol, y):
     return sym.m(y) / y + images
 
 
-@dataclass
-class PhysicalApplyReport:
-    """Accounting for one physical-space application of L."""
-    eps: float                  # inner cutoff of the symmetrized quadrature
-    removed_core_bound: float   # analytic bound on the discarded (0, eps) part
-    quad_nodes: int
-    kmax: int
-
-
 def periodic_increment_multiplier_1d(sym: DissipationSymbol, kmax: int,
                                      eps: float | None = None,
                                      order: int = 16):
@@ -267,52 +257,30 @@ def _bessel_tail(T: float, al: float, kap: float) -> float:
     return total + ca + cb
 
 
-def apply_dissipation_physical(sym: DissipationSymbol, fld, x=None,
-                               eps: float | None = None, order: int = 16,
-                               return_report: bool = False):
+def apply_dissipation_physical(sym: DissipationSymbol, fld, x=None):
     """Apply L by quadrature of the periodized kernel against the
     symmetrized double difference of the field.
 
     Returns the value(s) at ``x`` (trig-interpolated from the quadrature
-    result), or a new field when ``x`` is None. The inner cutoff defaults to
-    a scale where the discarded core is negligible; its analytic bound is
-    in the report either way.
+    result), or a new field when ``x`` is None. The inner cutoff is the
+    multipliers' default, a scale where the discarded core is negligible.
     """
-    if eps is None:
-        eps = math.pi * 2.0 ** -50
     if isinstance(fld, ScalarField1D):
-        kmax = fld.N // 2
-        v, nodes = periodic_increment_multiplier_1d(sym, kmax, eps, order)
+        v, _ = periodic_increment_multiplier_1d(sym, fld.N // 2)
         result = ScalarField1D.from_spectrum(fld.spec * v, fld.N)
-        k = fld.wavenumbers()
-        second_sup = ScalarField1D.from_spectrum(-k * k * fld.spec, fld.N).linf()
-        bound = second_sup * sym.C0 * min(eps, sym.r0)  # integral_0^eps y m <= C0 eps
     elif isinstance(fld, ScalarField2D):
         kmod = fld.wavenumber_modulus()
         uniq, inv = np.unique(np.round(kmod, 9), return_inverse=True)
-        v = increment_multiplier_2d(sym, uniq, eps, order)
+        v = increment_multiplier_2d(sym, uniq)
         result = ScalarField2D.from_spectrum(
             fld.spec * v[inv].reshape(kmod.shape), fld.N)
-        nodes = 0
-        kx, ky = fld.wavenumber_grids()
-
-        def dsup(mult):
-            return ScalarField2D.from_spectrum(mult * fld.spec, fld.N).linf()
-
-        hess = dsup(-kx * kx) + dsup(-ky * ky) + 2.0 * dsup(-kx * ky)
-        bound = math.pi * hess * sym.C0 * min(eps, sym.r0)
-        kmax = int(round(float(uniq.max())))
     else:
         raise TypeError("expected a 1-D or 2-D scalar field")
-
-    report = PhysicalApplyReport(eps=eps, removed_core_bound=float(bound),
-                                 quad_nodes=int(nodes), kmax=kmax)
     if x is None:
-        return (result, report) if return_report else result
+        return result
     vals = result.evaluate_at(x)
-    out = float(vals[0]) if np.ndim(x) <= (0 if result.values.ndim == 1 else 1) \
-        and vals.size == 1 else vals
-    return (out, report) if return_report else out
+    point = np.ndim(x) <= (0 if result.values.ndim == 1 else 1)
+    return float(vals[0]) if point and vals.size == 1 else vals
 
 
 def dissipation_direct_1d(sym: DissipationSymbol, fld: ScalarField1D, x,

@@ -1,17 +1,19 @@
-"""Shared quadrature helpers.
+"""Shared quadrature helpers: vectorized composite Gauss-Legendre panels.
 
-Thin wrappers around scipy.integrate.quad plus vectorized composite
-Gauss-Legendre panels. The conventions used throughout the package:
+The conventions used throughout the package:
 
-* singular endpoints are handled by a log substitution so integrands decay
-  exponentially in the transformed variable;
+* singular endpoints are handled by panels uniform in s = ln r
+  (``log_panel_rows``), on which power-law integrands are smooth, with
+  every kink of the integrand pinned as a panel edge;
+* many intervals are integrated in one batch, the integrand evaluated on
+  one array of nodes and each interval's row summed on its own;
 * oscillatory integrals go through QUADPACK's cos/sin weights (QAWO on a
   finite window, QAWF for convergent tails);
 * every numerical value that feeds a pass/fail decision carries an error
   estimate alongside it;
 * convergence of an integral toward an endpoint is read from the trailing
-  ratios of its per-decade increments (``classify_decades``), each caller
-  with its own thresholds.
+  ratios of its per-decade increments (``decade_increments`` builds them,
+  ``classify_decades`` reads them), each caller with its own thresholds.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 
 @lru_cache(maxsize=32)
@@ -63,22 +64,6 @@ def graded_edges(a: float, b: float, levels: int, toward: str = "left") -> np.nd
         return np.unique(pts)
     pts = b - (b - a) * fracs[::-1]
     return np.unique(np.concatenate((pts, [b])))
-
-
-def quad_log(f, lo: float, hi: float, **kw) -> tuple[float, float]:
-    """Integrate f on [lo, hi], 0 < lo < hi, in the variable s = log r.
-
-    Suits integrands with power-law endpoint behaviour: in s they are
-    smooth and the adaptive rule converges quickly.
-    """
-    slo, shi = math.log(lo), math.log(hi)
-
-    def g(s: float) -> float:
-        r = math.exp(s)
-        return f(r) * r
-
-    val, err = quad(g, slo, shi, limit=200, **kw)
-    return val, err
 
 
 def log_edges(lo: float, hi: float, per_decade: float,
@@ -211,19 +196,38 @@ def log_panel_nodes(lo: float, hi: float, per_decade: float, order: int,
     return rows.nodes, rows.weights
 
 
-def decade_increments(fn, hi: float, decades: int) -> tuple[list, float]:
+# the decade rule: one panel of order _DECADE_ORDER per decade (any gap of
+# at most two decades gets one panel at this density), and the embedded
+# rule of half the order on the same panels for the error
+_DECADE_PER_DECADE = 0.5
+_DECADE_ORDER = 24
+
+
+def decade_increments(fn, hi: float, decades: int) -> tuple[np.ndarray, float]:
     """Per-decade integrals of fn toward 0 over [hi/10^(k+1), hi/10^k].
 
+    Each decade is one row of a batched Gauss-Legendre rule in s = ln r,
+    split where it holds one of ``fn.breakpoints`` (when fn has them, as a
+    ``DissipationSymbol`` does). fn is called once per rule, on the array
+    of all nodes. A row's error is its distance to the order-12 rule on the
+    same panels plus the rounding bound of its order-24 sum.
+
     Returns the increments, nearest decade first, and the sum of their
-    quadrature error estimates.
+    error estimates.
     """
-    out = []
-    err_sum = 0.0
-    for k in range(decades):
-        val, err = quad_log(fn, hi * 10.0 ** -(k + 1), hi * 10.0 ** -k)
-        out.append(val)
-        err_sum += err
-    return out, err_sum
+    edges = hi * 10.0 ** -np.arange(decades + 1.0)
+    kinks = getattr(fn, "breakpoints", ())
+
+    def rule(order):
+        rows = log_panel_rows(edges[1:], edges[:-1], _DECADE_PER_DECADE,
+                              order, kinks)
+        vals = fn(rows.nodes)
+        return rows.integrate(vals), rows.integrate(np.abs(vals))
+
+    fine, size = rule(_DECADE_ORDER)
+    coarse, _ = rule(_DECADE_ORDER // 2)
+    err = np.abs(fine - coarse) + _DECADE_ORDER * np.finfo(float).eps * size
+    return fine, float(np.sum(err))
 
 
 def classify_decades(increments, window: int, conv: float, div: float,

@@ -35,13 +35,11 @@ from scipy.integrate import quad, solve_ivp
 from .fields import (ScalarField2D, _IntegratingFactorRK4, dealias_cutoff,
                      velocity_multipliers, wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_of
-from .quadrature import classify_decades, gauss_legendre
+from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
 
 COLUMNS_2D = ("t", "linf", "grad_linf", "l2", "obedience_margin",
               "spectral_tail")
-
-_LN10 = math.log(10.0)
 
 # Osgood decade-ratio window, mirroring the kernel-mass classifier: the
 # integrand of a convergent tail loses mass geometrically per decade of M,
@@ -50,6 +48,8 @@ _OSG_DECADES = 60
 _OSG_WINDOW = 6
 _OSG_CONV_RATIO = 0.90
 _OSG_DIV_RATIO = 0.96
+# the report's partial integrals run to M = 10^1 ... 10^_OSG_PARTIALS
+_OSG_PARTIALS = 12
 
 
 # ----------------------------------------------------------------------
@@ -245,58 +245,33 @@ class OsgoodReport:
         return self.classification == "convergent-consistent"
 
 
-def _osgood_decades(P, decades, order=24):
-    # integrand in s = ln r: 1 / ((ln 2 + s) P(e^s)); smooth in s
-    z, w = gauss_legendre(order)
-    out = np.empty(decades)
-    ln2 = math.log(2.0)
-    for j in range(decades):
-        lo, hi = j * _LN10, (j + 1) * _LN10
-        s = 0.5 * (hi - lo) * z + 0.5 * (hi + lo)
-        Pv = np.asarray(P(np.exp(s)), dtype=float)
-        if np.any(Pv <= 0.0):
-            raise ValueError("multiplier must be positive on [1, inf)")
-        out[j] = 0.5 * (hi - lo) * np.sum(w / ((ln2 + s) * Pv))
-    return out
-
-
-def osgood_check(P, M_values=None, *, decades=_OSG_DECADES):
+def osgood_check(P):
     """Classify the slow-growth integral of a velocity multiplier.
 
     Divergence of the integral is what rules out a finite-time Lipschitz
     catastrophe; the classification compares per-decade increments in the
     trailing window, so slow logs need the full default depth to settle.
+    The integral over [1, inf) is read through r = 1/u as one
+    ``decade_increments`` call toward u = 0; the partial integral to
+    M = 10^j is the sum of the first j decades.
     """
-    inc = _osgood_decades(P, decades)
-    if M_values is None:
-        M_values = 10.0 ** np.arange(1, 13)
-    M_values = np.asarray(M_values, dtype=float)
-    if np.any(M_values < 1.0):
-        raise ValueError("partial integrals start at M = 1")
+    def integrand(u):
+        # 1/(r ln(2r) P(r)) dr with r = 1/u, dr = r^2 du
+        r = 1.0 / u
+        Pv = np.asarray(P(r), dtype=float)
+        if np.any(Pv <= 0.0):
+            raise ValueError("multiplier must be positive on [1, inf)")
+        return r / (np.log(2.0 * r) * Pv)
 
-    z, w = gauss_legendre(24)
-    ln2 = math.log(2.0)
-    partials = np.empty(len(M_values))
-    cum = np.concatenate([[0.0], np.cumsum(inc)])
-    for i, M in enumerate(M_values):
-        sM = math.log(M)
-        j = min(int(sM / _LN10), decades)
-        lo = j * _LN10
-        if sM > lo:
-            s = 0.5 * (sM - lo) * z + 0.5 * (sM + lo)
-            rest = 0.5 * (sM - lo) * np.sum(
-                w / ((ln2 + s) * np.asarray(P(np.exp(s)), dtype=float)))
-        else:
-            rest = 0.0
-        partials[i] = cum[j] + rest
-
+    inc, _ = decade_increments(integrand, 1.0, _OSG_DECADES)
+    partials = np.cumsum(inc)[:_OSG_PARTIALS]
     label, ratios = classify_decades(inc, _OSG_WINDOW, _OSG_CONV_RATIO,
                                      _OSG_DIV_RATIO)
     if label != "ambiguous":
         label += "-consistent"
     return OsgoodReport(
-        M_values=M_values, partials=partials, decade_increments=inc,
-        tail_ratios=ratios, classification=label,
+        M_values=10.0 ** np.arange(1, _OSG_PARTIALS + 1), partials=partials,
+        decade_increments=inc, tail_ratios=ratios, classification=label,
         window=(_OSG_DIV_RATIO, _OSG_CONV_RATIO))
 
 
@@ -338,6 +313,10 @@ class EulerBound:
 # drops below this fraction of the horizon: past it RK45 at rtol 1e-10
 # needs steps near the float spacing of t.
 _ESCAPE_FRACTION = 1e-8
+# the envelope escapes by ln B = _MAX_LOG_B at the latest, and is sampled
+# at _BOUND_SAMPLES times up to its escape or the horizon
+_MAX_LOG_B = 700.0
+_BOUND_SAMPLES = 513
 
 
 def _bound_speed(C, A, P, b_top):
@@ -352,12 +331,11 @@ def _bound_speed(C, A, P, b_top):
     return speed
 
 
-def gradient_bound_ode(P, A, C, t_end, *, max_log=700.0, samples=513,
-                       with_osgood=True):
+def gradient_bound_ode(P, A, C, t_end):
     """Integrate dB/dt = C A (1 + P(B)(1 + ln 2B)) B from B(0) = 1.
 
     Works in b = ln B so double-exponential growth stays representable.
-    The envelope stops at an escape time if b reaches ``max_log`` or the
+    The envelope stops at an escape time if b reaches ``_MAX_LOG_B`` or the
     top of the range where the right-hand side is finite, or if its
     e-folding time falls below ``_ESCAPE_FRACTION * t_end``.  The ODE is
     autonomous, so the time left is the separable integral of
@@ -369,7 +347,7 @@ def gradient_bound_ode(P, A, C, t_end, *, max_log=700.0, samples=513,
     if A <= 0.0 or C < 0.0:
         raise ValueError("need A > 0 and C >= 0")
     raw_speed = _bound_speed(C, A, P, math.inf)
-    b_top = max_log
+    b_top = _MAX_LOG_B
     with np.errstate(over="ignore", invalid="ignore"):
         while b_top > 0.0 and not math.isfinite(raw_speed(b_top)):
             b_top -= 1.0
@@ -386,16 +364,15 @@ def gradient_bound_ode(P, A, C, t_end, *, max_log=700.0, samples=513,
 
     warnings = []
     osgood = None
-    if with_osgood:
-        try:
-            osgood = osgood_check(P)
-        except ValueError:
-            warnings.append("multiplier not positive on [1, inf); Osgood "
-                            "classification skipped")
+    try:
+        osgood = osgood_check(P)
+    except ValueError:
+        warnings.append("multiplier not positive on [1, inf); Osgood "
+                        "classification skipped")
 
     escaped = sol.t_events[0].size > 0
     t_grid = np.linspace(0.0, sol.t_events[0][0] if escaped else t_end,
-                         samples)
+                         _BOUND_SAMPLES)
     log_B = sol.sol(t_grid)[0]
     log_B[0] = 0.0
     blow_time = bracket = None
@@ -451,12 +428,12 @@ def gradient_of_velocity_sup(fld, law, P=None):
 
 def euler_regularity_experiment(theta0, P, T, *, cfl=0.4, dt_max=None,
                                 record_every=1, tail_limit=1e-6,
-                                C=None, c_scale=1.0, meta=None):
+                                c_scale=1.0, meta=None):
     """Pit measured Lipschitz growth against the comparison envelope.
 
     The generic constant is calibrated as twice the t = 0 ratio of the
-    measured |grad u| to A (1 + P(1)(1 + ln 2)); pass ``C`` to override
-    or ``c_scale`` to stress the calibration.
+    measured |grad u| to A (1 + P(1)(1 + ln 2)); ``c_scale`` scales it
+    to stress the calibration.
     """
     A = max(theta0.linf(), theta0.grad_linf(), theta0.l2())
     if A <= 0.0:
@@ -464,7 +441,7 @@ def euler_regularity_experiment(theta0, P, T, *, cfl=0.4, dt_max=None,
     drive = 1.0 + float(P(1.0)) * (1.0 + math.log(2.0))
     calibrated = 2.0 * gradient_of_velocity_sup(theta0, "p_euler", P=P) \
         / (A * drive)
-    C_used = (C if C is not None else calibrated) * c_scale
+    C_used = calibrated * c_scale
 
     bound = gradient_bound_ode(P, A, C_used, T)
     if bound.blowup_time is not None and bound.blowup_time <= T:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,7 @@ _TREND_WINDOW = 3
 _TREND_DIV_RATIO = 0.9
 _CHECK_CONV_RATIO = 0.85
 _CHECK_DIV_RATIO = 0.93
+_CHECK_DECADES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +332,19 @@ def symbol_from_table(radii, values, alpha: float | None = None,
     r0 = float(r0) if r0 is not None else core_radius
     sample = np.geomspace(max(radii[0], r0 * 1e-9), r0 * (1.0 - 1e-12), 400)
     C0 = float(np.max(sample * core(sample)))
-    if sqg_admissible is None:
-        sqg_admissible = _trend_divergent(core, min(1.0, core_radius), 12)
-    return DissipationSymbol(
+    sym = DissipationSymbol(
         family="tabulated", a=None, alpha=tail_alpha, r0=r0, C0=C0,
         sqg_admissible=bool(sqg_admissible),
         core_radius=core_radius, tail_coeff=tail_coeff,
         label=label, _core=core,
         _table=(radii.tolist(), values.tolist()),
     )
+    if sqg_admissible is None:
+        # the symbol itself is the integrand: its breakpoints pin the
+        # table radii, where the interpolant has kinks
+        sym = replace(sym, sqg_admissible=_trend_divergent(
+            sym, min(1.0, core_radius), 12))
+    return sym
 
 
 def symbol_from_json(doc: str | dict) -> DissipationSymbol:
@@ -420,7 +425,7 @@ class ConditionReport:
     integral_divergent_analytic: bool
     integral_divergent_trend: bool | None   # None when the trend is ambiguous
     trend_consistent: bool
-    partial_integrals: list
+    partial_integrals: np.ndarray
     warnings: list
 
     @property
@@ -430,20 +435,21 @@ class ConditionReport:
 
 def _trend_divergent(fn, hi: float, decades: int) -> bool:
     """Heuristic: does the integral of fn toward 0 (or toward infinity when
-    read through 1/r) diverge? Geometric extrapolation of decade increments."""
+    read through 1/r) diverge? Geometric extrapolation of decade increments;
+    fn takes an array of radii."""
     inc, _ = decade_increments(fn, hi, decades)
     label, _ = classify_decades(inc, _TREND_WINDOW, _TREND_DIV_RATIO,
                                 _TREND_DIV_RATIO)
     return label == "divergent"
 
 
-def check_conditions(sym: DissipationSymbol, grid: np.ndarray | None = None,
-                     depth_decades: int = 16) -> ConditionReport:
+def check_conditions(sym: DissipationSymbol,
+                     grid: np.ndarray | None = None) -> ConditionReport:
     """Verify the structure conditions on a sample grid and classify the
     integral of m near zero.
 
     The divergence trend is a heuristic (geometric extrapolation of
-    per-decade partial integrals down to ~1e-18); families within a few
+    per-decade partial integrals down to 1e-16); families within a few
     percent of criticality may trip a spurious inconsistency warning, which
     is reported, never silently dropped. The analytic flag stays
     authoritative.
@@ -478,7 +484,7 @@ def check_conditions(sym: DissipationSymbol, grid: np.ndarray | None = None,
         warnings.append(
             f"r^alpha*m increases on ~({win_alpha[0]:.3g}, {win_alpha[1]:.3g})")
 
-    partial, _ = decade_increments(sym.m, 1.0, depth_decades)
+    partial, _ = decade_increments(sym, 1.0, _CHECK_DECADES)
     label, _ = classify_decades(partial, _TREND_WINDOW, _CHECK_CONV_RATIO,
                                 _CHECK_DIV_RATIO)
     # None when the trend is ambiguous
@@ -656,7 +662,7 @@ def make_multiplier(kind: str, label: str | None = None,
         sub_linear = True
     else:
         sub_linear = not _trend_divergent(
-            lambda r: form(1.0 / np.atleast_1d(r), params)[0] * r, 1.0, 14)
+            lambda r: form(1.0 / r, params) * r, 1.0, 14)
 
     return Multiplier(
         kind=kind, params=dict(params), alpha=alpha, slope_sup=slope_sup,

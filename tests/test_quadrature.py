@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from moclab import quadrature
+from moclab import burgers, quadrature, sqg_euler, symbols
 from moclab.quadrature import (
     classify_decades,
     decade_increments,
@@ -16,8 +16,9 @@ from moclab.quadrature import (
     log_panel_rows,
     oscillation_resolved_edges,
     panel_nodes,
-    quad_log,
 )
+from moclab.symbols import (check_conditions, make_multiplier, make_symbol,
+                            symbol_from_multiplier, symbol_from_table)
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -44,12 +45,6 @@ def test_graded_edges_geometric_toward_left():
     assert_allclose(e, [0.0625, 0.125, 0.25, 0.5, 1.0])
     # leftmost edge sits span/2^levels from a; the open core is the caller's
     assert e[0] > 0.0
-
-
-def test_quad_log_endpoint_singularity():
-    val, err = quad_log(lambda x: math.log(1.0 / x), 1e-30, 1.0)
-    assert_allclose(val, 1.0, rtol=1e-12)
-    assert err < 1e-10
 
 
 def test_oscillation_resolved_edges_resolve_period():
@@ -156,6 +151,96 @@ def test_decade_increments_of_inverse_square_root():
     exact = 2.0 * np.sqrt(2.0) * (10.0 ** (-k / 2) - 10.0 ** (-(k + 1) / 2))
     assert_allclose(inc, exact, rtol=1e-13)
     assert 0.0 <= err < 1e-10
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9, 1.0])
+def test_decade_increments_of_a_power_match_the_closed_form(a):
+    # integral of r^-a over [10^-(k+1), 10^-k]: ln 10 at a = 1
+    inc, err = decade_increments(lambda r: r ** -a, 1.0, 40)
+    k = np.arange(40.0)
+    if a == 1.0:
+        exact = np.full(40, math.log(10.0))
+    else:
+        exact = (10.0 ** (-k * (1.0 - a))
+                 - 10.0 ** (-(k + 1.0) * (1.0 - a))) / (1.0 - a)
+    assert_allclose(inc, exact, rtol=1e-13)
+    assert np.sum(np.abs(inc - exact)) <= err
+
+
+def test_decade_increments_call_their_function_once_per_rule():
+    shapes = []
+
+    def fn(r):
+        shapes.append(r.shape)
+        return r ** -0.5
+
+    decade_increments(fn, 1.0, 40)
+    # every decade's nodes in one array, for the order-24 rule and its
+    # embedded order-12 rule
+    assert shapes == [(40 * 24,), (40 * 12,)]
+
+
+_LOGLOG = make_multiplier("loglog", g=1.0)
+DECADE_TESTS = {
+    "kernel_mass": (burgers, lambda: burgers.kernel_mass(
+        make_symbol("power", a=0.5))),
+    "check_conditions": (symbols, lambda: check_conditions(
+        make_symbol("log", a=1.0))),
+    "trend-multiplier": (symbols, lambda: make_multiplier("power", s=0.5)),
+    "trend-from-multiplier": (symbols, lambda: symbol_from_multiplier(
+        _LOGLOG)),
+    "trend-tabulated": (symbols, lambda: symbol_from_table(
+        [1e-3, 1e-2, 1e-1, 1.0], [1e3, 1e2, 1e1, 1.0])),
+    "osgood_check": (sqg_euler, lambda: sqg_euler.osgood_check(_LOGLOG)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECADE_TESTS))
+def test_each_decade_test_builds_its_increments_with_one_call(name,
+                                                              monkeypatch):
+    module, run = DECADE_TESTS[name]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decade_increments(*args)
+
+    monkeypatch.setattr(module, "decade_increments", counted)
+    run()
+    assert len(calls) == 1
+
+
+_RADII = np.geomspace(1e-8, 2.0, 30)
+DECADE_INTEGRANDS = {
+    "power0.5": lambda r: r ** -0.5,
+    "log1": make_symbol("log", a=1.0),
+    "iterated-log": lambda r: 1.0 / (r * np.log(2.0 / r) ** 2),
+    "tabulated": symbol_from_table(
+        _RADII, _RADII ** -0.7 * (1.0 + 0.05 * np.sin(np.log(_RADII)))),
+    "osgood-loglog6": lambda u: 1.0 / (u * np.log(2.0 / u)
+                                       * np.log1p(np.log1p(u ** -2.0)) ** 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECADE_INTEGRANDS))
+def test_an_order_48_recomputation_lands_inside_the_reported_error(name):
+    fn = DECADE_INTEGRANDS[name]
+    inc, err = decade_increments(fn, 1.0, 40)
+    edges = 10.0 ** -np.arange(41.0)
+    rows = log_panel_rows(edges[1:], edges[:-1],
+                          quadrature._DECADE_PER_DECADE, 48,
+                          getattr(fn, "breakpoints", ()))
+    assert np.sum(np.abs(rows.integrate(fn(rows.nodes)) - inc)) <= err
+
+
+def test_decade_increments_pin_the_breakpoints_of_a_symbol():
+    # the tabulated interpolant has kinks at its table radii: a decade's
+    # one panel must stop at them to match a refined rule to rounding
+    sym = DECADE_INTEGRANDS["tabulated"]
+    inc, _ = decade_increments(sym, 1.0, 16)
+    edges = 10.0 ** -np.arange(17.0)
+    rows = log_panel_rows(edges[1:], edges[:-1], 16.0, 40, sym.breakpoints)
+    assert_allclose(inc, rows.integrate(sym(rows.nodes)), rtol=1e-13)
 
 
 _GEOMETRIC = [0.3 ** k for k in range(10)]

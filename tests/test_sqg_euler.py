@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from moclab import fields, sqg_euler
@@ -296,6 +296,18 @@ def test_osgood_classifies_known_multipliers():
     assert fast.classification == "convergent-consistent" and fast.convergent
     slow = osgood_check(make_multiplier("loglog"))
     assert slow.classification == "divergent-consistent" and slow.divergent
+
+
+def test_osgood_of_a_constant_multiplier_matches_the_closed_form():
+    # integral_1^M dr / (r ln(2r) c) = (ln ln 2M - ln ln 2) / c: each decade
+    # and each partial is a log of a ratio of ln(2M), free of cancellation
+    c = 2.0
+    rep = osgood_check(make_multiplier("constant", c=c))
+    L = np.log(2.0 * 10.0 ** np.arange(61.0))
+    assert_allclose(rep.decade_increments, np.log(L[1:] / L[:-1]) / c,
+                    rtol=1e-13)
+    assert_array_equal(rep.M_values, 10.0 ** np.arange(1.0, 13.0))
+    assert_allclose(rep.partials, np.log(L[1:13] / L[0]) / c, rtol=1e-13)
 
 
 # ----------------------------------------------------------------------
