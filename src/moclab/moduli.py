@@ -22,9 +22,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fields import TWO_PI, ScalarField1D, ScalarField2D
-from .quadrature import gauss_legendre, log_edges, panel_nodes
-from .symbols import (DissipationSymbol, _shaped, crossover_scale,
-                      symbol_from_json)
+from .quadrature import (gauss_legendre, log_edges, log_panel_rows,
+                         panel_nodes)
+from .symbols import (DissipationSymbol, _crossover_roots, _shaped,
+                      crossover_scale, symbol_from_json)
 
 DEFAULT_KAPPA = 0.1
 DEFAULT_GAMMA = 0.01
@@ -119,9 +120,21 @@ class _CumulativeMoments:
             self._m1 = np.concatenate((m1[:-1], self._m1))
 
     def _integrands(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # in the log variable: g deta -> (3 + ln delta - s) / m(e^s) ds
+        # in the log variable: g deta -> (3 + ln delta - s) / m(e^s) ds.
+        # m overflowing to +inf near the float floor is its limit (the
+        # integrand vanishes there); a zero or NaN m is the floor of the
+        # float range, where the table cannot be built
         eta = np.exp(s)
-        base = self._scale * (3.0 + self._log_delta - s) / self._sym.envelope(eta)
+        with np.errstate(over="ignore", divide="ignore"):
+            env = self._sym.envelope(eta)
+        bad = ~(env > 0.0)
+        if bad.any():
+            i = int(np.argmax(np.where(bad, eta, -np.inf)))
+            raise ModulusConstructionError(
+                f"moment table floor underflowed float64: m({eta[i]:.6g}) "
+                f"evaluates to {env[i]:.6g} below delta = {self._delta:.6g}; "
+                "no representable member this high on the ladder")
+        base = self._scale * (3.0 + self._log_delta - s) / env
         return base, eta * base
 
     def _window(self, t0: float) -> float:
@@ -188,11 +201,10 @@ class _EnvelopeIntegral:
     """
 
     _ORDER = 20
+    _PER_DECADE = 16
 
-    def __init__(self, sym: DissipationSymbol, lo: float, hi: float,
-                 nodes_per_decade: int = 16):
+    def __init__(self, sym: DissipationSymbol, lo: float, hi: float):
         self._sym = sym
-        self._per_decade = nodes_per_decade
         self._edges = np.array([lo])
         self._cum = np.array([0.0])
         self._grow(hi)
@@ -201,7 +213,7 @@ class _EnvelopeIntegral:
         lo = float(self._edges[-1])
         if hi <= lo:
             return
-        edges = log_edges(lo, hi, self._per_decade, self._sym.breakpoints)
+        edges = log_edges(lo, hi, self._PER_DECADE, self._sym.breakpoints)
         s_edges = np.log(edges)
         nodes, weights = panel_nodes(s_edges, self._ORDER)
         eta = np.exp(nodes)
@@ -359,6 +371,10 @@ class ModulusMember:
                 "deltaB": self.delta, "symbol": self.sym.to_dict()}
 
 
+# a member is built only where its crossover scale lies above this
+_DELTA_FLOOR = 1e-300
+
+
 def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
                   B: float) -> ModulusMember:
     """Construct a family member and verify its built-in invariants.
@@ -380,7 +396,7 @@ def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
             f"requires kappa < r0/(4*C0) = {bound:.6g}, got kappa = {kappa}")
 
     delta = crossover_scale(sym, kappa, B)
-    if not delta > 1e-300:
+    if not delta > _DELTA_FLOOR:
         raise ModulusConstructionError(
             f"crossover scale m(delta) = B/kappa underflowed float64 at "
             f"B = {B:.6g}; no representable member this high on the ladder")
@@ -761,6 +777,47 @@ class StratifiedPairSearch:
 # doubling-ladder ceiling: keeps delta(B) = O(kappa / B) clear of the
 # subnormal range, where the moment quadrature grid would underflow
 _LADDER_CAP = 1000
+# rungs whose crossover scales and coverage bounds are found together
+_SCREEN_BLOCK = 64
+# relative slack on the coverage bound: a rung is built unless the bound,
+# raised by this much, misses the data; it absorbs the rounding of the two
+# quadratures of the same envelope integral
+_SCREEN_SLACK = 1e-9
+
+
+def _coverage_bounds(sym: DissipationSymbol, kappa: float, gamma: float,
+                     a: float, rungs: int):
+    """(delta_B, U_B) for B = 2, 4, ..., 2^(rungs - 1), in order, with
+    U_B = B delta_B + (gamma/2) * integral of env over [2 min(delta_B, a), 2a].
+
+    The rung intervals are nested, so the integral is a running sum of the
+    increments over [2 delta_k, 2 delta_(k-1)]. Each block of rungs gets its
+    deltas from one crossover solve and its increments from one batch of
+    log panels, on the rule of the member's envelope table. delta is NaN
+    where the solve fails, and U is NaN wherever delta is not above
+    _DELTA_FLOOR: the build of such a rung refuses.
+    """
+    top = a       # 2 * top is where the next increment ends
+    total = 0.0   # integral of env over [2 min(delta, a), 2a] so far
+    for first in range(1, rungs, _SCREEN_BLOCK):
+        Bs = np.ldexp(1.0, np.arange(first, min(first + _SCREEN_BLOCK, rungs)))
+        delta = _crossover_roots(sym, kappa, Bs)
+        ok = np.flatnonzero(delta > _DELTA_FLOOR)
+        lo = np.minimum(delta[ok], a)
+        hi = np.concatenate(([top], lo[:-1]))
+        step = np.zeros(lo.size)
+        live = lo < hi
+        if live.any():
+            rows = log_panel_rows(2.0 * lo[live], 2.0 * hi[live],
+                                  _EnvelopeIntegral._PER_DECADE,
+                                  _EnvelopeIntegral._ORDER, sym.breakpoints)
+            step[live] = rows.integrate(sym.envelope(rows.nodes))
+        run = total + np.cumsum(step)
+        bound = np.full(Bs.size, np.nan)
+        bound[ok] = Bs[ok] * delta[ok] + 0.5 * gamma * run
+        if ok.size:
+            top, total = lo[-1], run[-1]
+        yield from zip(delta.tolist(), bound.tolist())
 
 
 def find_B_for_data(fld, sym: DissipationSymbol,
@@ -772,6 +829,20 @@ def find_B_for_data(fld, sym: DissipationSymbol,
     The candidate must cover the data (omega_B(a) >= 2*sup|theta| at
     a = 2*sup|theta| / sup|grad theta|, with a past the crossover) and is
     then certified by check_obeys before being returned.
+
+    Rungs are screened before they are built. Past the crossover,
+    omega_B(a) = omega_B(delta_B) + (gamma/2) * integral of env over
+    [2 delta_B, 2a], and omega_B(delta_B) <= B delta_B because the low
+    part's moments are nonnegative. So U_B = B delta_B + (gamma/2) * that
+    integral bounds the coverage from above, and needs only the crossover
+    scale (``_coverage_bounds``). A rung is built only where a > delta_B
+    and U_B (1 + _SCREEN_SLACK) >= 2 sup|theta|. Every rung the screen
+    skips would fail coverage, so the ladder returns the B it returned
+    when it built every rung, with about ten builds per call instead of
+    one per rung. The first rung is always built, and so is any rung whose
+    crossover scale leaves the float range: their refusals read as the
+    build's. The refusals report the best coverage margin met, or its
+    bound on a skipped rung.
 
     Coverage of the tail grows like (gamma/2) times the envelope integral,
     which for the critical symbol means logarithmically in B: certified
@@ -786,17 +857,27 @@ def find_B_for_data(fld, sym: DissipationSymbol,
         # constant fields have no increments; the base member certifies
         return 1.0
     a = 2.0 * unorm / gnorm
+    need = 2.0 * unorm
     B = 1.0
     best_cover = -math.inf
     rungs = min(max_doublings, _LADDER_CAP)
-    for _ in range(rungs):
+    bounds = _coverage_bounds(sym, kappa, gamma, a, rungs)
+    for rung in range(rungs):
+        if rung:
+            delta, bound = next(bounds)
+            if delta > _DELTA_FLOOR and (
+                    a <= delta or bound * (1.0 + _SCREEN_SLACK) < need):
+                best_cover = max(best_cover, bound - need)
+                B *= 2.0
+                continue
         try:
             mem = build_modulus(sym, kappa, gamma, B)
         except ModulusConstructionError as err:
             raise ModulusSearchError(
                 f"ladder stopped at B = {B:.6g} without a certificate "
-                f"(best coverage margin {best_cover:.6g}): {err}") from err
-        cover = mem.omega(max(a, mem.delta * (1.0 + 1e-12))) - 2.0 * unorm
+                f"(best coverage margin at most {best_cover:.6g}): "
+                f"{err}") from err
+        cover = mem.omega(max(a, mem.delta * (1.0 + 1e-12))) - need
         best_cover = max(best_cover, cover)
         if a > mem.delta and cover >= 0.0:
             if check_obeys(fld, mem).margin > 0.0:
@@ -809,5 +890,5 @@ def find_B_for_data(fld, sym: DissipationSymbol,
         hint = (" (symbol is not sqg_admissible: omega_B(a) saturates at a "
                 "finite supremum, so large data can be uncoverable)")
     raise ModulusSearchError(
-        f"no certified B up to 2^{rungs}; best coverage margin "
+        f"no certified B up to 2^{rungs}; best coverage margin at most "
         f"{best_cover:.6g}{hint}")

@@ -142,15 +142,23 @@ class PanelRows:
         return np.add.reduceat(self.weights * values, self.starts)
 
 
+# a kink candidate closer than this many ulps to an end of its interval is
+# not pinned
+_PIN_ULPS = 4
+
+
 def log_panel_rows(lo, hi, per_decade: float, order: int,
                    kinks=()) -> PanelRows:
     """``log_panel_nodes`` for many intervals [lo[i], hi[i]] at once.
 
     ``kinks`` is one list shared by every row, or a 2-D array with a row of
-    candidates per interval; a candidate is pinned where it falls strictly
-    inside its interval. Each gap between pinned points gets
-    ceil(per_decade * decades) panels (at least one), uniform in s = ln(eta),
-    and the rule is Gauss-Legendre of ``order`` points per panel.
+    candidates per interval; a candidate is pinned where it falls inside
+    its interval by more than _PIN_ULPS ulps of an end (a panel only a few
+    ulps wide has no room for its nodes). Each gap between pinned points
+    gets ceil(per_decade * decades) panels (at least one), uniform in
+    s = ln(eta), and the rule is Gauss-Legendre of ``order`` points per
+    panel. Every node lies inside its gap: exp(s) is clamped to the gap's
+    ends.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.atleast_1d(np.asarray(hi, dtype=float)))
@@ -160,7 +168,9 @@ def log_panel_rows(lo, hi, per_decade: float, order: int,
     k = np.atleast_2d(np.asarray(kinks, dtype=float))
     k = np.broadcast_to(k, (n, k.shape[1]))
     lo_c, hi_c = lo[:, None], hi[:, None]
-    pinned = np.where((lo_c < k) & (k < hi_c), k, np.nan)
+    room = _PIN_ULPS * np.finfo(float).eps
+    pinned = np.where((lo_c * (1.0 + room) < k) & (k < hi_c * (1.0 - room)),
+                      k, np.nan)
     # NaN padding sorts last; repeated points and padding make no segment
     pts = np.sort(np.concatenate((lo_c, pinned, hi_c), axis=1), axis=1)
     live = pts[:, 1:] > pts[:, :-1]
@@ -177,7 +187,8 @@ def log_panel_rows(lo, hi, per_decade: float, order: int,
     left = j * step + s_a
     right = np.where(j + 1 == panels[seg], log_b[seg], (j + 1) * step + s_a)
     nodes_s, w_s = panel_nodes(np.stack((left, right), axis=1), order)
-    eta = np.exp(nodes_s.ravel())
+    # exp(ln a) need not be a: keep every node inside its gap
+    eta = np.clip(np.exp(nodes_s), a[seg][:, None], b[seg][:, None]).ravel()
     per_row = np.bincount(row, weights=panels, minlength=n).astype(int)
     starts = order * np.concatenate(([0], np.cumsum(per_row)[:-1]))
     return PanelRows(eta, w_s.ravel() * eta, starts)

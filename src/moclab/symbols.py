@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .quadrature import (classify_decades, decade_increments,
                          log_panel_rows)
@@ -83,26 +82,20 @@ class DissipationSymbol:
 
     def m(self, r):
         """Evaluate m(r), vectorized; r must be positive."""
-        if type(r) is float:
-            # scalar fast path (the crossover bisection), bitwise equal to
-            # the array route: Python's ** can differ from np.power by an ulp
-            if r <= 0.0:
-                raise ValueError("symbol evaluated at non-positive radius")
-            if r <= self.core_radius:
-                return float(self._core(np.array([r]))[0])
-            return float(self.tail_coeff
-                         * np.power(np.float64(r), -self.alpha))
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if np.any(r <= 0.0):
+        # count_nonzero: a quarter of the cost of .any() on the short arrays
+        # of the crossover bisection
+        if np.count_nonzero(r <= 0.0):
             raise ValueError("symbol evaluated at non-positive radius")
         # a radius set inside one branch skips the gather and the scatter
         # (always so for power, whose core radius is 0)
         core = r <= self.core_radius
-        if not core.any():
+        n_core = np.count_nonzero(core)
+        if n_core == 0:
             out = self.tail_coeff * r ** (-self.alpha)
-        elif core.all():
+        elif n_core == r.size:
             out = self._core(r)
         else:
             out = np.empty_like(r)
@@ -514,42 +507,98 @@ def check_conditions(sym: DissipationSymbol,
 # crossover scale
 # ---------------------------------------------------------------------------
 
-def crossover_scale(sym: DissipationSymbol, kappa: float, B: float) -> float:
-    """Solve m(delta) = B / kappa by bisection in log radius.
+# the bisection for ln(delta): scipy.optimize.bisect's tolerances, and a
+# cap on its steps (and on the bracket's); the residual every root meets
+_CROSS_XTOL = 1e-15
+_CROSS_RTOL = 8.9e-16
+_CROSS_MAXITER = 400
+_CROSS_RESIDUAL = 1e-12
 
-    Needs kappa < r0 / (4 C0) and B >= 1, which place the root strictly
-    below r0/4, inside the region where every built-in m is monotone.
-    The residual |m(delta) - B/kappa| is verified to 1e-12 relative.
+
+def _bisect(f, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """scipy.optimize.bisect run elementwise over the brackets [xa, xb].
+
+    ``f(x, i)`` evaluates the function of element ``i[j]`` at ``x[j]``, and
+    f(xa), f(xb) must not share a sign. The iteration is scipy's: halve the
+    step, move the left end while f keeps the sign it had there, stop at an
+    exact zero or once the step is below xtol + rtol |x|. An element's
+    iterates depend on its own bracket alone. NaN where maxiter runs out.
     """
+    every = np.arange(xa.size)
+    fa, fb = f(xa, every), f(xb, every)
+    out = np.where(fa == 0.0, xa, np.where(fb == 0.0, xb, np.nan))
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    xa, fa, dm = xa[live], fa[live], (xb - xa)[live]
+    for _ in range(_CROSS_MAXITER):
+        if not live.size:
+            break
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm, live)
+        xa = np.where(fm * fa >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < _CROSS_XTOL
+                              + _CROSS_RTOL * np.abs(xm))
+        if np.count_nonzero(done):
+            out[live[done]] = xm[done]
+            keep = ~done
+            live, xa, fa, dm = live[keep], xa[keep], fa[keep], dm[keep]
+    return out
+
+
+def _crossover_roots(sym: DissipationSymbol, kappa: float,
+                     B: np.ndarray) -> np.ndarray:
+    """delta with m(delta) = B / kappa for every entry of the 1-D array B;
+    NaN where no bracket exists above the float floor or the root misses
+    the residual. Refuses the preconditions by name."""
     if not kappa > 0.0 or kappa >= sym.r0 / (4.0 * sym.C0):
         raise ValueError("kappa must lie in (0, r0 / (4 C0))")
-    if B < 1.0:
+    if np.any(B < 1.0):
         raise ValueError("crossover scale defined for B >= 1")
     target = B / kappa
     hi = sym.r0 / 4.0
-    if sym.m(hi) >= target:
+    if np.any(sym.m(hi) >= target):
         raise ValueError("m(r0/4) >= B/kappa; preconditions violated")
-    lo = hi
-    for _ in range(400):
-        lo *= 1e-3
-        if sym.m(lo) > target:
-            break
-    else:
-        raise RuntimeError("could not bracket the crossover scale")
+    # the bracket steps down from r0/4 by 1e-3 until m exceeds the target.
+    # m is read at every positive step at once; past the first step above
+    # the target nothing is used, so its overflows there are not signalled
+    steps = np.cumprod(np.concatenate(([hi], np.full(_CROSS_MAXITER, 1e-3))))
+    steps = steps[1:][steps[1:] > 0.0]
+    with np.errstate(all="ignore"):
+        above = sym.m(steps)[None, :] > target[:, None]
+    bracketed = above.any(axis=1)
+    lo = np.where(bracketed, steps[np.argmax(above, axis=1)], np.nan)
+    delta = np.full_like(target, np.nan)
+    ok = np.flatnonzero(bracketed)
+    if ok.size:
+        ltarget = np.log(target[ok])
 
-    ltarget = math.log(target)
+        def f(t, i):
+            return np.log(sym.m(np.exp(t))) - ltarget[i]
 
-    def f(t: float) -> float:
-        return math.log(sym.m(math.exp(t))) - ltarget
+        delta[ok] = np.exp(_bisect(f, np.log(lo[ok]),
+                                   np.full(ok.size, math.log(hi))))
+    with np.errstate(over="ignore"):  # an overflowed m misses the residual
+        resid = np.abs(sym.m(np.where(np.isnan(delta), hi, delta)) - target)
+    return np.where(resid <= _CROSS_RESIDUAL * target, delta, np.nan)
 
-    t = bisect(f, math.log(lo), math.log(hi), xtol=1e-15, rtol=8.9e-16,
-               maxiter=400)
-    delta = math.exp(t)
-    resid = abs(sym.m(delta) - target)
-    if resid > 1e-12 * target:
+
+def crossover_scale(sym: DissipationSymbol, kappa: float, B):
+    """Solve m(delta) = B / kappa by bisection in log radius, for a scalar B
+    (a float comes back) or elementwise over an array of B.
+
+    Needs kappa < r0 / (4 C0) and B >= 1, which place the root strictly
+    below r0/4, inside the region where every built-in m is monotone. The
+    bisection is scipy.optimize.bisect's, run on all B at once; each entry
+    equals the scalar call on that B bitwise. The residual
+    |m(delta) - B/kappa| is verified to 1e-12 relative.
+    """
+    arr = np.asarray(B, dtype=float)
+    delta = _crossover_roots(sym, kappa, arr.ravel())
+    if np.isnan(delta).any():
         raise RuntimeError(
-            f"crossover residual {resid:.3e} exceeds 1e-12 relative tolerance")
-    return delta
+            "crossover scale not resolved in float64: no bracket above the "
+            "float floor, or a residual above 1e-12 relative")
+    return _shaped(delta, None if arr.ndim == 0 else arr.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,19 @@ def scaled_to_obey(fld, mem, frac=0.8):
 # advective certificates, generic callables
 # ---------------------------------------------------------------------------
 
+def test_criteria_reach_separations_far_above_the_crossover():
+    # at xi = 1e6 a far-direct panel pinned at (xi + delta)/2 is 2.4e-8
+    # wide at xi/2; a node one ulp below xi/2 gave omega a negative
+    # separation
+    sym = make_symbol("power", a=1.0, scale=fractional_normalization(2, 1.0))
+    mem = build_modulus(sym, 0.05, 0.01, 2.0 ** 20)
+    for criterion in (sqg_criterion, burgers_criterion):
+        rep = criterion(mem, xi_grid=[1e6])
+        assert np.isfinite(rep.worst_margin)
+        assert rep.passed
+
+
+
 def test_riesz_capped_linear_closed_forms():
     # omega = min(eta, 1): low part integrates 1, tail integrates 1
     assert_allclose(omega_riesz(capped_linear, 1.0, kinks=(1.0,)), 2.0,

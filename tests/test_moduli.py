@@ -412,6 +412,73 @@ def test_build_modulus_names_the_underflow():
         build_modulus(CRITICAL, 0.1, 0.01, 1e302)
 
 
+BENCH_LADDER_BASE = ScalarField1D.random_band_limited(
+    256, kmax=20, amplitude=1.0, seed=1)
+
+
+def _counted_ladder(monkeypatch, fld, sym, kappa, **kw):
+    # find_B_for_data with every build_modulus call recorded: (B, built
+    # rungs), B None where the ladder refused
+    built = []
+    real = moduli.build_modulus
+
+    def counting(sym, kappa, gamma, B):
+        built.append(B)
+        return real(sym, kappa, gamma, B)
+
+    monkeypatch.setattr(moduli, "build_modulus", counting)
+    try:
+        B = find_B_for_data(fld, sym, kappa=kappa, gamma=0.01, **kw)
+    except ModulusSearchError:
+        B = None
+    monkeypatch.setattr(moduli, "build_modulus", real)
+    return B, built
+
+
+def test_the_screen_builds_a_few_members_per_ladder(monkeypatch):
+    # the bench ladder fields: 7 + 10 + 10 + 10 + 10 builds, where the
+    # unscreened ladder builds one member per rung (up to 440)
+    for lam, k in zip((0.05, 0.1, 0.2, 0.4, 0.8), (6, 35, 93, 208, 439)):
+        fld = ScalarField1D(lam * BENCH_LADDER_BASE.values)
+        B, built = _counted_ladder(monkeypatch, fld, CRITICAL, 0.1)
+        assert B == 2.0 ** k
+        assert len(built) <= 12
+        assert built[0] == 1.0 and built[-1] == B
+
+
+@pytest.mark.parametrize("name, kappa, lam, doublings", [
+    ("power1", 0.1, 0.4, 1000),       # certified at 2^208
+    ("log1", 0.05, 0.012, 1000),      # certified at 2^118
+    ("power0.5", 0.1, 0.0072, 200),   # saturates: no certificate
+    ("tabulated", 0.1, 0.04, 200),    # saturates just short of the data
+])
+def test_every_rung_the_screen_skips_fails_coverage(monkeypatch, name, kappa,
+                                                    lam, doublings):
+    sym = SEED_SYMBOLS[name]
+    fld = ScalarField1D(lam * BENCH_LADDER_BASE.values)
+    B, built = _counted_ladder(monkeypatch, fld, sym, kappa,
+                               max_doublings=doublings)
+    top = doublings if B is None else int(math.log2(B))
+    skipped = [2.0 ** k for k in range(top) if 2.0 ** k not in built]
+    assert len(skipped) > top // 2
+    unorm = fld.linf()
+    a = 2.0 * unorm / fld.grad_linf()
+    for b in skipped:
+        mem = build_modulus(sym, kappa, 0.01, b)
+        assert a <= mem.delta or mem.omega(a) < 2.0 * unorm, b
+
+
+def test_log_member_at_the_float_floor_is_refused_by_name():
+    # at 2^968 the moment table reaches radii where 2/r overflows, so m
+    # reads 0 there, while delta (~3e-296) is still well inside the range
+    sym = make_symbol("log", a=1.0, alpha=0.5)
+    mem = build_modulus(sym, 0.05, 0.01, 2.0 ** 967)
+    assert 0.0 < mem.delta < 1e-295
+    with pytest.raises(ModulusConstructionError,
+                       match="moment table floor underflowed"):
+        build_modulus(sym, 0.05, 0.01, 2.0 ** 968)
+
+
 def test_find_B_certifies_2d_field():
     f = ScalarField2D.random_band_limited(64, kmax=16, amplitude=0.2, seed=9)
     b = find_B_for_data(f, CRITICAL)

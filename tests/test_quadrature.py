@@ -145,6 +145,30 @@ def test_log_panel_rows_match_one_row_at_a_time():
         log_panel_rows([1.0, 2.0], [3.0, 2.0], 3.0, 8)
 
 
+def test_log_panel_nodes_stay_inside_narrow_intervals():
+    # intervals a few ulps wide: exp(ln lo) may round below lo, and a node
+    # placed there fed omega a negative separation downstream
+    eps = np.finfo(float).eps
+    lo = np.geomspace(1e-3, 1e6, 400)
+    for width in (6, 24, 200):
+        hi = lo * (1.0 + width * eps)
+        rows = log_panel_rows(lo, hi, 16.0, 20)
+        row = rows.spread(np.arange(lo.size))
+        assert np.all(rows.nodes >= lo[row]) and np.all(rows.nodes <= hi[row])
+
+
+def test_log_panel_rows_skip_kinks_within_ulps_of_an_end():
+    eps = np.finfo(float).eps
+    plain = log_panel_rows(1.0, 2.0, 16.0, 20)
+    near = log_panel_rows(1.0, 2.0, 16.0, 20,
+                          [1.0 + 2.0 * eps, 2.0 * (1.0 - 2.0 * eps)])
+    assert np.array_equal(near.nodes, plain.nodes)
+    assert np.array_equal(near.weights, plain.weights)
+    pinned = log_panel_rows(1.0, 2.0, 16.0, 20, [1.0 + 64.0 * eps])
+    assert pinned.nodes.size == plain.nodes.size + 20
+    assert np.all(pinned.nodes[:20] <= 1.0 + 64.0 * eps)
+
+
 def test_decade_increments_of_inverse_square_root():
     inc, err = decade_increments(lambda r: r ** -0.5, 2.0, 5)
     k = np.arange(5)

@@ -174,6 +174,63 @@ def test_crossover_scale_rejections():
         crossover_scale(s, 0.1, 0.5)
 
 
+_CROSSOVER_TABLE = np.geomspace(1e-6, 2.0, 40)
+CROSSOVER_SYMBOLS = {
+    "power1": make_symbol("power", a=1.0),
+    "power0.5": make_symbol("power", a=0.5),
+    "log1": make_symbol("log", a=1.0, alpha=0.5),
+    "log0.3": make_symbol("log", a=0.3),
+    "tabulated": symbol_from_table(_CROSSOVER_TABLE,
+                                   _CROSSOVER_TABLE ** -0.8),
+}
+
+
+def _scalar_crossover(s, B):
+    try:
+        return crossover_scale(s, 0.05, B)
+    except RuntimeError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CROSSOVER_SYMBOLS)),
+       log2_B=st.lists(st.floats(min_value=0.0, max_value=900.0),
+                       min_size=1, max_size=12))
+def test_crossover_scale_takes_arrays_entry_by_entry(name, log2_B):
+    # each entry of an array solve is the scalar solve of that B, bitwise;
+    # an entry whose root leaves the float range refuses the whole array
+    s = CROSSOVER_SYMBOLS[name]
+    Bs = np.exp2(np.array(log2_B))
+    single = [_scalar_crossover(s, float(B)) for B in Bs]
+    if any(d is None for d in single):
+        with pytest.raises(RuntimeError, match="not resolved"):
+            crossover_scale(s, 0.05, Bs)
+        return
+    deltas = crossover_scale(s, 0.05, Bs)
+    assert deltas.shape == Bs.shape
+    assert deltas.tolist() == single
+    target = Bs / 0.05
+    assert np.all(np.abs(s.m(deltas) - target) <= 1e-12 * target)
+    grid = crossover_scale(s, 0.05, Bs.reshape(1, -1))
+    assert grid.shape == (1, Bs.size)
+    assert grid.ravel().tolist() == single
+
+
+def test_crossover_scale_array_refusals_match_the_scalar_ones():
+    s = make_symbol("power", a=1.0)
+    with pytest.raises(ValueError, match="kappa must lie in"):
+        crossover_scale(s, 0.5, np.array([2.0, 4.0]))
+    with pytest.raises(ValueError, match="B >= 1"):
+        crossover_scale(s, 0.1, np.array([2.0, 0.5]))
+    # delta = (kappa/B)^2 underflows for power a = 0.5 past B ~ 2^535
+    half = make_symbol("power", a=0.5)
+    with pytest.raises(RuntimeError, match="not resolved"):
+        crossover_scale(half, 0.05, 2.0 ** 600)
+    with pytest.raises(RuntimeError, match="not resolved"):
+        crossover_scale(half, 0.05, np.array([2.0, 2.0 ** 600]))
+    assert crossover_scale(half, 0.05, 2.0 ** 500) > 0.0
+
+
 _TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
 EVERY_FAMILY = {
     "power1": make_symbol("power", a=1.0, scale=1.0 / math.pi),
