@@ -400,6 +400,14 @@ def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
         raise ModulusConstructionError(
             f"crossover scale m(delta) = B/kappa underflowed float64 at "
             f"B = {B:.6g}; no representable member this high on the ladder")
+    return _member_at(sym, kappa, gamma, B, delta)
+
+
+def _member_at(sym: DissipationSymbol, kappa: float, gamma: float, B: float,
+               delta: float) -> ModulusMember:
+    """The member of ``build_modulus`` from its solved crossover scale
+    delta > _DELTA_FLOOR, with the parameters already validated; checks
+    the slope and the joint."""
     alpha = sym.alpha
     C_alpha = (1.0 + 3.0 * alpha) / alpha ** 2
     slope_factor = B / (2.0 * C_alpha * kappa)
@@ -624,24 +632,20 @@ def check_obeys(fld, mem, directions: int = 64,
 
 def _check_obeys_1d(fld: ScalarField1D, mem) -> ObedienceReport:
     omega = _omega_of(mem)
-    v = fld.values
     N = fld.N
     h = TWO_PI / N
-    rows: list[StratumRow] = []
-    worst = (math.inf, 0, 0)  # (margin, lag, base index)
     lags = np.arange(1, N // 2 + 1)
     oms = _omega_array(omega, lags * h)
-    for lag, om in zip(lags.tolist(), oms.tolist()):
-        diff = np.abs(v - np.roll(v, -lag))
-        j = int(np.argmax(diff))
-        inc = float(diff[j])
-        sep = lag * h
-        margin = om - inc
-        rows.append(StratumRow(sep, om, inc, margin,
-                               x=(j * h,), y=(((j + lag) % N) * h,)))
-        if margin < worst[0]:
-            worst = (margin, lag, j)
-    margin, lag, j = worst
+    js, incs = _increment_scan(fld.values[None, :],
+                               np.column_stack((np.zeros_like(lags), lags)))
+    margins = oms - incs
+    rows = [StratumRow(sep, om, inc, margin, x=(x,), y=(y,))
+            for sep, om, inc, margin, x, y in zip(
+                *(col.tolist() for col in (lags * h, oms, incs, margins,
+                                           js * h, (js + lags) % N * h)))]
+    k = _first_min(margins)
+    margin, lag, j = ((margins[k], int(lags[k]), int(js[k])) if k is not None
+                      else (math.inf, 0, 0))
     return ObedienceReport(
         margin=float(margin),
         worst_pair=((j * h,), (((j + lag) % N) * h,)),
@@ -650,15 +654,54 @@ def _check_obeys_1d(fld: ScalarField1D, mem) -> ObedienceReport:
         rows=rows)
 
 
+def _increment_scan(v: np.ndarray, shifts: np.ndarray):
+    """Largest increment of a periodic 2-D grid field (a 1-D one as a
+    single row) at each shift: for every row (a, b) of ``shifts``, the
+    flat index j and the value of max |v - roll(v, (-a, -b), (0, 1))|,
+    bitwise as ``np.argmax(np.abs(...))`` gives them.
+
+    The field is tiled once, two periods per axis, and each shift is read
+    as a view of the tiling, so no shifted copy is made. The argmax and
+    argmin of the signed difference stand in for its abs: where the two
+    magnitudes tie, the smaller flat index is the first maximum of abs.
+    """
+    n0, n1 = v.shape
+    tiled = np.tile(v, (2, 2))
+    diff = np.empty((n0, n1))
+    flat = diff.reshape(-1)
+    js = np.empty(len(shifts), dtype=np.intp)
+    picked = np.empty(len(shifts))
+    for k, (a, b) in enumerate(np.mod(shifts, (n0, n1)).tolist()):
+        np.subtract(v, tiled[a:a + n0, b:b + n1], out=diff)
+        hi, lo = int(flat.argmax()), int(flat.argmin())
+        top, bottom = flat.item(hi), -flat.item(lo)
+        j = hi if top > bottom or (top == bottom and hi < lo) else lo
+        js[k], picked[k] = j, flat.item(j)
+    return js, np.abs(picked)
+
+
+def _first_min(margins: np.ndarray) -> int | None:
+    """Index of the first smallest margin below +inf, the one a running
+    strict '<' from +inf keeps; None when every margin is +inf or NaN."""
+    below = margins < math.inf
+    if not below.any():
+        return None
+    return int(np.argmin(np.where(below, margins, math.inf)))
+
+
 class StratifiedPairSearch:
     """Reusable 2-D pair search over lattice offsets.
 
     Offsets are the distinct lattice roundings of ``directions`` angles times
     log-spaced radii (torus metric, |v| up to pi*sqrt(2)); omega is evaluated
     once per distinct separation and cached, so repeated runs over an
-    evolving field only pay for the increment scans. ``run`` can sweep a
-    subset of strata (for cheap in-loop monitoring with a warm start) and
-    refines the worst pair continuously off-lattice.
+    evolving field only pay for the increment scans. A run tiles the field
+    once and scans each stratum on a view of the tiling: one subtraction
+    into a reused buffer and the argmax and argmin of the signed increment,
+    no shifted copy and no abs (``_increment_scan``). The margins and the
+    worst stratum then come from arrays. ``run`` can sweep a subset of
+    strata (for cheap in-loop monitoring with a warm start) and refines the
+    worst pair continuously off-lattice.
     """
 
     def __init__(self, N: int, omega: Callable[[float], float],
@@ -693,27 +736,25 @@ class StratifiedPairSearch:
             refine: bool = True) -> ObedienceReport:
         if fld.N != self.N:
             raise ValueError("field resolution does not match the search grid")
-        v = fld.values
-        h = TWO_PI / self.N
+        N = self.N
+        h = TWO_PI / N
         idx = np.arange(len(self.offsets)) if subset is None else subset
-        rows: list[StratumRow] = []
-        worst = (math.inf, -1, -1)
-        for i in idx:
-            dx, dy = int(self.offsets[i, 0]), int(self.offsets[i, 1])
-            diff = np.abs(v - np.roll(v, (-dx, -dy), axis=(0, 1)))
-            j = int(np.argmax(diff))
-            inc = float(diff.flat[j])
-            margin = float(self.omegas[i]) - inc
-            jx, jy = divmod(j, self.N)
-            rows.append(StratumRow(
-                float(self.separations[i]), float(self.omegas[i]), inc, margin,
-                x=(jx * h, jy * h),
-                y=(((jx + dx) % self.N) * h, ((jy + dy) % self.N) * h)))
-            if margin < worst[0]:
-                worst = (margin, i, j)
-        margin, i, j = worst
+        offs = self.offsets[idx]
+        omegas = self.omegas[idx]
+        js, incs = _increment_scan(fld.values, offs)
+        margins = omegas - incs
+        jx, jy = np.divmod(js, N)
+        rows = [StratumRow(sep, om, inc, margin, x=(ax, ay), y=(bx, by))
+                for sep, om, inc, margin, ax, ay, bx, by in zip(*(
+                    col.tolist() for col in (
+                        self.separations[idx], omegas, incs, margins,
+                        jx * h, jy * h, (jx + offs[:, 0]) % N * h,
+                        (jy + offs[:, 1]) % N * h)))]
+        k = _first_min(margins)
+        margin, i, j = ((margins[k], idx[k], js[k]) if k is not None
+                        else (math.inf, -1, -1))
         dx, dy = self.offsets[i]
-        jx, jy = divmod(j, self.N)
+        jx, jy = divmod(int(j), N)
         pair = (np.array([jx * h, jy * h]),
                 np.array([jx * h + dx * h, jy * h + dy * h]))
         sep = float(self.separations[i])
@@ -839,7 +880,9 @@ def find_B_for_data(fld, sym: DissipationSymbol,
     and U_B (1 + _SCREEN_SLACK) >= 2 sup|theta|. Every rung the screen
     skips would fail coverage, so the ladder returns the B it returned
     when it built every rung, with about ten builds per call instead of
-    one per rung. The first rung is always built, and so is any rung whose
+    one per rung. A built rung takes the crossover scale the screen
+    solved, which equals ``crossover_scale`` on that B bitwise. The first
+    rung goes through ``build_modulus``, and so does any rung whose
     crossover scale leaves the float range: their refusals read as the
     build's. The refusals report the best coverage margin met, or its
     bound on a skipped rung.
@@ -871,7 +914,9 @@ def find_B_for_data(fld, sym: DissipationSymbol,
                 B *= 2.0
                 continue
         try:
-            mem = build_modulus(sym, kappa, gamma, B)
+            mem = (_member_at(sym, kappa, gamma, B, delta)
+                   if rung and delta > _DELTA_FLOOR
+                   else build_modulus(sym, kappa, gamma, B))
         except ModulusConstructionError as err:
             raise ModulusSearchError(
                 f"ladder stopped at B = {B:.6g} without a certificate "

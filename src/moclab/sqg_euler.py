@@ -33,7 +33,7 @@ from scipy.fft import irfft2, rfft2
 from scipy.integrate import quad, solve_ivp
 
 from .fields import (ScalarField2D, _IntegratingFactorRK4, dealias_cutoff,
-                     velocity_multipliers, wavenumber_grids_2d)
+                     max_hypot, velocity_multipliers, wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_of
 from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
@@ -61,9 +61,11 @@ class _AdvectionCore:
 
     def __init__(self, N, mx, my):
         self.N = N
-        self.kx, self.ky = wavenumber_grids_2d(N)
-        self.mask = (np.hypot(self.kx, self.ky)
-                     <= dealias_cutoff(N)).astype(float)
+        kx, ky = wavenumber_grids_2d(N)
+        # 1j * kx * spec evaluates left to right, so these factors give
+        # the products of the unfactored expressions bitwise
+        self.ikx, self.iky = 1j * kx, 1j * ky
+        self.neg_mask = -(np.hypot(kx, ky) <= dealias_cutoff(N)).astype(float)
         self.mx, self.my = mx, my
 
     def velocity(self, spec):
@@ -74,15 +76,15 @@ class _AdvectionCore:
     def speed(self, spec):
         """The grid velocity of ``spec`` and its sup."""
         u = self.velocity(spec)
-        return u, float(np.max(np.hypot(*u)))
+        return u, max_hypot(*u)
 
     def nonlinear(self, spec, velocity=None):
         """Pass ``velocity`` when the grid velocity of ``spec`` is at hand."""
         n = self.N
         ux, uy = self.velocity(spec) if velocity is None else velocity
-        gx = irfft2(1j * self.kx * spec, s=(n, n))
-        gy = irfft2(1j * self.ky * spec, s=(n, n))
-        return -self.mask * rfft2(ux * gx + uy * gy)
+        gx = irfft2(self.ikx * spec, s=(n, n))
+        gy = irfft2(self.iky * spec, s=(n, n))
+        return self.neg_mask * rfft2(ux * gx + uy * gy)
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +98,10 @@ class ObedienceMonitor:
     sweeps only the ``hot_size`` worst strata are rescanned, each call
     refining around the current worst pair.  The temporal coherence of
     the breakthrough point makes this sound in practice; the periodic
-    full sweep bounds how long a migrating worst pair can hide.
+    full sweep bounds how long a migrating worst pair can hide.  Every
+    sweep reads its strata as views of one tiling of the field, so a call
+    costs one subtraction and two arg-reductions per stratum, plus the
+    off-lattice refinement.
     """
 
     def __init__(self, member, N, *, directions=32, separations_per_decade=8,

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from moclab.burgers import simulate_burgers
-from moclab.fields import ScalarField1D, ScalarField2D, dealias_cutoff
+from moclab.fields import (ScalarField1D, ScalarField2D, dealias_cutoff,
+                           max_hypot)
 from moclab.sqg_euler import simulate_p_euler, simulate_sqg
 from moclab.symbols import make_multiplier
 
@@ -102,6 +104,57 @@ def test_evaluate_on_grid_matches_evaluate_at():
     assert np.max(np.abs(grid.ravel() - f.evaluate_at(pts))) <= 1e-14
     nodes = ScalarField1D.grid_of(32)
     assert_allclose(f.evaluate_on_grid(nodes, nodes), f.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [8, 32, 128])
+def test_phases_equal_the_direct_exponential_bitwise(N):
+    # the negative wavenumbers are conjugates of the positive ones; +0 and
+    # -0 differ in the sign of the imaginary zero
+    rng = np.random.default_rng(N)
+    coords = np.concatenate((
+        [0.0, -0.0, 5e-324, -5e-324, 0.37, -2.9, 6.28, -1e3, 12345.678,
+         -9.87e5, 1e12, -3e15],
+        rng.uniform(-10.0, 10.0, 100), rng.uniform(-1e6, 1e6, 100)))
+    f = ScalarField2D(np.zeros((N, N)))
+    want = np.exp(1j * coords[:, None]
+                  * np.fft.fftfreq(N, d=1.0 / N)[None, :])
+    assert np.array_equal(f._phases(coords).view(np.int64),
+                          want.view(np.int64))
+
+
+def _near_ties(seed):
+    # 50 vectors of one length up to rounding, in every direction
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, 2.0 * math.pi, 50)
+    r = 3.0 * (1.0 + rng.integers(-3, 4, 50) * np.finfo(float).eps)
+    return r * np.cos(th), r * np.sin(th)
+
+
+MAX_HYPOT_CASES = {
+    "near-ties": _near_ties(1),
+    "near-ties-2": _near_ties(2),
+    # the larger square belongs to the smaller hypot, by one ulp each
+    "squares-out-of-order": ([-0.14175432228945012, 0.5081335890080602],
+                             [-0.5985310431924191, 0.34660345248501867]),
+    "equal-magnitudes": ([3.0, 4.0, -4.0, 0.0, -5.0], [4.0, 3.0, -3.0, 5.0,
+                                                       0.0]),
+    "zeros": (np.zeros(6), -np.zeros(6)),
+    "subnormal-squares": ([1e-170, 2e-170, -3e-170], [1e-170, 0.0, 1e-171]),
+    "overflowing-squares": ([1e200, -3e200, 2e200], [1e200, 0.0, -2.3e200]),
+    "nan": ([1.0, math.nan, 2.0], [0.0, 1.0, 1.0]),
+    "inf-and-nan": ([math.inf, math.nan], [0.0, 1.0]),
+    "inf": ([math.inf, 1.0], [0.0, -math.inf]),
+    "random-2d": tuple(np.random.default_rng(3).standard_normal((2, 32, 32))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAX_HYPOT_CASES))
+def test_max_hypot_equals_the_max_of_hypot_bitwise(case):
+    x, y = (np.asarray(a, dtype=float) for a in MAX_HYPOT_CASES[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = max_hypot(x, y)
+    assert got.hex() == float(np.max(np.hypot(x, y))).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,115 @@ def test_obedience_rows_margin_is_omega_minus_increment():
     assert rep.margin == min(r.margin for r in rep.rows)
 
 
+# the increment scans against np.roll, abs and argmax: values from a small
+# integer set, so increments tie, |min| == max included
+LEVELS = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+TWO_PI = 2.0 * math.pi
+
+
+def _bits(obj):
+    # floats as float.hex, so that equality is bitwise (signed zeros too)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, (tuple, list, np.ndarray)):
+        return [_bits(o) for o in obj]
+    return obj
+
+
+def _report_bits(rep):
+    rows = [(r.separation, r.omega, r.worst_increment, r.margin, r.x, r.y)
+            for r in rep.rows]
+    return _bits((rows, rep.margin, rep.worst_pair, rep.worst_separation,
+                  rep.worst_increment))
+
+
+def _rolled_report_1d(v, omega):
+    N = v.size
+    h = TWO_PI / N
+    rows, worst = [], (math.inf, 0, 0)
+    for lag in range(1, N // 2 + 1):
+        om = float(omega(lag * h))
+        diff = np.abs(v - np.roll(v, -lag))
+        j = int(np.argmax(diff))
+        margin = om - float(diff[j])
+        rows.append((lag * h, om, float(diff[j]), margin, (j * h,),
+                     (((j + lag) % N) * h,)))
+        if margin < worst[0]:
+            worst = (margin, lag, j)
+    margin, lag, j = worst
+    return _bits((rows, margin, ((j * h,), (((j + lag) % N) * h,)), lag * h,
+                  float(omega(lag * h)) - margin))
+
+
+def _rolled_report_2d(search, v, idx):
+    N = search.N
+    h = TWO_PI / N
+    rows, worst = [], (math.inf, -1, -1)
+    for i in idx:
+        dx, dy = (int(d) for d in search.offsets[i])
+        diff = np.abs(v - np.roll(v, (-dx, -dy), axis=(0, 1)))
+        j = int(np.argmax(diff))
+        om = float(search.omegas[i])
+        margin = om - float(diff.flat[j])
+        jx, jy = divmod(j, N)
+        rows.append((float(search.separations[i]), om, float(diff.flat[j]),
+                     margin, (jx * h, jy * h),
+                     (((jx + dx) % N) * h, ((jy + dy) % N) * h)))
+        if margin < worst[0]:
+            worst = (margin, i, j)
+    margin, i, j = worst
+    dx, dy = (int(d) for d in search.offsets[i])
+    jx, jy = divmod(j, N)
+    pair = ((jx * h, jy * h), (jx * h + dx * h, jy * h + dy * h))
+    return _bits((rows, margin, pair, float(search.separations[i]),
+                  float(search.omegas[i]) - margin))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([4, 6, 8, 16]),
+       st.sampled_from([0.25, 0.5, 1.0]))
+def test_1d_scan_matches_rolled_argmax_bitwise(data, N, slope):
+    v = np.array(data.draw(st.lists(LEVELS, min_size=N, max_size=N)))
+    def omega(xi):
+        return slope * np.asarray(xi)
+    rep = check_obeys(ScalarField1D(v), omega)
+    assert _report_bits(rep) == _rolled_report_1d(v, omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([4, 6, 8]), st.sampled_from([0.25, 1.0]),
+       st.booleans())
+def test_2d_scan_matches_rolled_argmax_bitwise(data, N, slope, use_subset):
+    v = np.array(data.draw(st.lists(LEVELS, min_size=N * N,
+                                    max_size=N * N))).reshape(N, N)
+    search = moduli.StratifiedPairSearch(
+        N, lambda xi: slope * np.asarray(xi), directions=8,
+        separations_per_decade=4)
+    n = len(search.offsets)
+    idx = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                       max_size=2 * n)))
+           if use_subset else np.arange(n))
+    rep = search.run(ScalarField2D(v), subset=idx if use_subset else None,
+                     refine=False)
+    assert _report_bits(rep) == _rolled_report_2d(search, v, idx)
+
+
+def test_scan_tie_goes_to_the_first_index():
+    # lag 1: v - roll(v, -1) = (-1, 1, 0, ...); |min| == max and the
+    # minimum comes first, so abs's first maximum is index 0
+    v = np.zeros(8)
+    v[1] = 1.0
+    j, inc = moduli._increment_scan(v[None, :], np.array([[0, 1]]))
+    assert (j.tolist(), inc.tolist()) == ([0], [1.0])
+    # the maximum first: (1, -1, 0, ...)
+    j, inc = moduli._increment_scan(-v[None, :], np.array([[0, 1]]))
+    assert (j.tolist(), inc.tolist()) == ([0], [1.0])
+    # a later maximum beats an earlier, smaller minimum
+    v = np.array([[0.0, 1.0, -1.0, 0.0]])
+    j, inc = moduli._increment_scan(v, np.array([[0, 1]]))
+    assert (j.tolist(), inc.tolist()) == ([1], [2.0])
+
+
 # ---------------------------------------------------------------------------
 # fitting B to data
 # ---------------------------------------------------------------------------
@@ -417,21 +526,22 @@ BENCH_LADDER_BASE = ScalarField1D.random_band_limited(
 
 
 def _counted_ladder(monkeypatch, fld, sym, kappa, **kw):
-    # find_B_for_data with every build_modulus call recorded: (B, built
-    # rungs), B None where the ladder refused
+    # find_B_for_data with every member construction recorded, whether
+    # through build_modulus or from a crossover scale the screen solved:
+    # (B, built rungs), B None where the ladder refused
     built = []
-    real = moduli.build_modulus
+    real = moduli._member_at
 
-    def counting(sym, kappa, gamma, B):
+    def counting(sym, kappa, gamma, B, delta):
         built.append(B)
-        return real(sym, kappa, gamma, B)
+        return real(sym, kappa, gamma, B, delta)
 
-    monkeypatch.setattr(moduli, "build_modulus", counting)
+    monkeypatch.setattr(moduli, "_member_at", counting)
     try:
         B = find_B_for_data(fld, sym, kappa=kappa, gamma=0.01, **kw)
     except ModulusSearchError:
         B = None
-    monkeypatch.setattr(moduli, "build_modulus", real)
+    monkeypatch.setattr(moduli, "_member_at", real)
     return B, built
 
 
