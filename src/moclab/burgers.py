@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, rfft
-from scipy.optimize import brentq
 
 from .fields import ScalarField1D, _IntegratingFactorRK4, dealias_cutoff
 from .kernels import multiplier_of_symbol_1d
@@ -261,6 +260,8 @@ def _abs_integral(f, a, b, edges, order):
     # integral of |f| over panels; any sign change is located and pinned so
     # the absolute value stays smooth inside every panel. f takes arrays
     # for the scan and the nodes, and scalars for brentq.
+    from scipy.optimize import brentq
+
     scan = np.linspace(a, b, 65)[1:-1]
     vals = f(np.concatenate(([a + 1e-12 * (b - a)], scan)))
     pts = [a, b]

@@ -22,7 +22,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import j0, zeta
 
 from .fields import TWO_PI, ScalarField1D, ScalarField2D
@@ -137,6 +136,8 @@ def multiplier_of_symbol_1d(sym: DissipationSymbol, k, order: int = 16):
         out = sym.tail_coeff * Q * np.abs(karr) ** sym.alpha
         return float(out[0]) if scalar else out
 
+    from scipy.integrate import quad
+
     out = np.zeros_like(karr)
     kabs = np.abs(karr)
     nz = kabs > 0.0
@@ -238,6 +239,8 @@ def increment_multiplier_2d(sym: DissipationSymbol, kappas: np.ndarray,
 def _bessel_tail(T: float, al: float, kap: float) -> float:
     """integral_pi^inf J0(kap r) T r^(-1-al) dr, split at the Bessel
     asymptotic threshold."""
+    from scipy.integrate import quad
+
     split = max(math.pi, X_ASYM / kap)
     total = 0.0
     if split > math.pi:

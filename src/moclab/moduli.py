@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .fields import TWO_PI, ScalarField1D, ScalarField2D
+from .fields import TWO_PI, ScalarField1D, ScalarField2D, _refuse_bad_input
 from .quadrature import (gauss_legendre, log_edges, log_panel_rows,
                          panel_nodes)
 from .symbols import (DissipationSymbol, _crossover_roots, _shaped,
@@ -31,6 +30,13 @@ DEFAULT_KAPPA = 0.1
 DEFAULT_GAMMA = 0.01
 
 _LN10 = math.log(10.0)
+
+
+def quad(*args, **kwargs):
+    """Lazy scipy.integrate.quad, a module name the bench tracer patches."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 class ModulusConstructionError(ValueError):
@@ -618,7 +624,8 @@ def check_obeys(fld, mem, directions: int = 64,
                 refine: bool = True) -> ObedienceReport:
     """Breakthrough margin of a field against a modulus.
 
-    ``mem`` may be a ModulusMember or a plain callable omega(xi).
+    ``mem`` may be a ModulusMember or a plain callable omega(xi). A field
+    with a non-finite value is refused: its increments bound nothing.
     """
     if isinstance(fld, ScalarField1D):
         return _check_obeys_1d(fld, mem)
@@ -631,6 +638,7 @@ def check_obeys(fld, mem, directions: int = 64,
 
 
 def _check_obeys_1d(fld: ScalarField1D, mem) -> ObedienceReport:
+    _refuse_bad_input("field", fld.values, nonnegative=False)
     omega = _omega_of(mem)
     N = fld.N
     h = TWO_PI / N
@@ -736,6 +744,7 @@ class StratifiedPairSearch:
             refine: bool = True) -> ObedienceReport:
         if fld.N != self.N:
             raise ValueError("field resolution does not match the search grid")
+        _refuse_bad_input("field", fld.values, nonnegative=False)
         N = self.N
         h = TWO_PI / N
         idx = np.arange(len(self.offsets)) if subset is None else subset

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft2, rfft2
-from scipy.integrate import quad, solve_ivp
 
 from .fields import (ScalarField2D, _IntegratingFactorRK4, dealias_cutoff,
                      max_hypot, velocity_multipliers, wavenumber_grids_2d)
@@ -349,6 +348,8 @@ def gradient_bound_ode(P, A, C, t_end):
     the representable range, and the bracket covers the disagreement
     between the escape route and the separable integral from b = 0.
     """
+    from scipy.integrate import quad, solve_ivp
+
     if A <= 0.0 or C < 0.0:
         raise ValueError("need A > 0 and C >= 0")
     raw_speed = _bound_speed(C, A, P, math.inf)

@@ -467,6 +467,25 @@ def test_scan_tie_goes_to_the_first_index():
     assert (j.tolist(), inc.tolist()) == ([1], [2.0])
 
 
+def test_1d_obedience_refuses_a_nan_field():
+    # a NaN increment is no margin: the field must not read as obeying
+    v = np.sin(ScalarField1D.grid_of(64))
+    v[17] = math.nan
+    with pytest.raises(ValueError, match="field has non-finite values"):
+        check_obeys(ScalarField1D(v), lambda xi: 0.1 * np.asarray(xi))
+
+
+def test_2d_obedience_refuses_a_nan_field():
+    v = np.zeros((16, 16))
+    v[3, 5] = math.nan
+    with pytest.raises(ValueError, match="field has non-finite values"):
+        check_obeys(ScalarField2D(v), lambda xi: 0.1 * np.asarray(xi))
+    search = moduli.StratifiedPairSearch(16, lambda xi: 0.1 * np.asarray(xi))
+    v[3, 5] = math.inf
+    with pytest.raises(ValueError, match="field has non-finite values"):
+        search.run(ScalarField2D(v), refine=False)
+
+
 # ---------------------------------------------------------------------------
 # fitting B to data
 # ---------------------------------------------------------------------------
