@@ -27,10 +27,17 @@ Every functional works on an array of separations. It builds the panels of
 all of them in one pass (``log_panel_rows``), evaluates each set of modulus
 arguments with one ``omega`` call and sums each separation's row on its
 own, so a value is bitwise that of a one-point call; the public scalar
-functionals are that one-point case. A criterion computes omega and omega'
-on its grid once and calls each functional once per grid. Only the
-callables' dyadic tail windows, whose stopping rule is per separation, run
-one separation at a time.
+functionals are that one-point case. Only the callables' dyadic tail
+windows, whose stopping rule is per separation, run one separation at a
+time.
+
+The two criteria weigh different advective terms against the same
+dissipation, so they share one evaluation of a grid: omega, omega', the
+kinks and the dissipation with its error, computed once per family member,
+grid and quadrature rule. A member keeps the evaluation of its most recent
+grid, and a second criterion on that grid reads it instead of recomputing;
+members are immutable and every value is a function of the point alone, so
+the reuse is exact. Other moduli recompute on every call.
 """
 from __future__ import annotations
 
@@ -55,6 +62,9 @@ XI_GRID_HI = 1e3
 XI_POINTS_PER_DECADE = 64
 # separations per block of a member's closed-form far rule (320 nodes each)
 _FAR_BLOCK_ROWS = 32
+# panels per decade and Gauss-Legendre order of the dissipation quadrature
+_DISS_PER_DECADE = 2.0
+_DISS_ORDER = 12
 
 
 class TailDivergenceError(ValueError):
@@ -396,8 +406,9 @@ def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
 
 
 def dissipation_lower(omega, sym: DissipationSymbol | None, xi, *,
-                      kinks: Sequence[float] = (), per_decade: float = 2.0,
-                      order: int = 12):
+                      kinks: Sequence[float] = (),
+                      per_decade: float = _DISS_PER_DECADE,
+                      order: int = _DISS_ORDER):
     """Dissipative lower-bound functional at separation xi, as a *A value.
 
     Two-piece quadrature of the second-difference integrals
@@ -466,7 +477,8 @@ def measured_curvature_constant(mem: ModulusMember, xi):
     x, shape = _separations(xi)
     if not np.all((0.0 < x) & (x < mem.delta)):
         raise ValueError("curvature route applies below the crossover scale")
-    D, _ = _dissipation_err(mem, mem.sym, x, mem.omega(x), (), 2.0, 12)
+    D, _ = _dissipation_err(mem, mem.sym, x, mem.omega(x), (),
+                            _DISS_PER_DECADE, _DISS_ORDER)
     return _shaped(_curvature_constants(mem, x, D), shape)
 
 
@@ -549,12 +561,32 @@ class CertificateReport:
         return float(self.margin[self.worst_index])
 
 
-def _grid_columns(mem, xi_grid):
-    # the separations, omega and omega' on them, and the member's kinks
+def _grid_evaluation(mem, xi_grid, per_decade, order):
+    """(xi, omega, omega', kinks, D, err) of a criterion's grid, with D the
+    raw dissipation and err its error.
+
+    A family member keeps the evaluation of its most recent grid, and a
+    call with the same separations and quadrature rule returns it. Its
+    arrays are read-only; a report copies what it keeps. Other moduli
+    evaluate on every call.
+    """
     xi, _ = _positive(default_xi_grid() if xi_grid is None else xi_grid,
                       "criterion")
-    return (xi, _omega_array(mem.omega, xi), _omega_array(mem.omega_prime, xi),
-            _omega_kinks(mem))
+    rule = (per_decade, order)
+    member = isinstance(mem, ModulusMember)
+    memo = mem._grid_memo if member else None
+    if memo is not None and memo[0] == rule and np.array_equal(memo[1], xi):
+        return memo[1:]
+    xi = xi.copy()
+    w = _omega_array(mem.omega, xi)
+    wp = _omega_array(mem.omega_prime, xi)
+    kinks = tuple(_omega_kinks(mem))
+    D, err = _dissipation_err(mem, mem.sym, xi, w, kinks, per_decade, order)
+    if member:
+        for a in (xi, w, wp, D, err):
+            a.setflags(write=False)
+        mem._grid_memo = (rule, xi, w, wp, kinks, D, err)
+    return xi, w, wp, kinks, D, err
 
 
 def _regimes(xi: np.ndarray, delta: float) -> list[str]:
@@ -572,18 +604,19 @@ def _curvature_side_value(mem, xi: np.ndarray, D: np.ndarray):
 
 
 def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
-                      A: float = DEFAULT_A, per_decade: float = 2.0,
-                      order: int = 12) -> CertificateReport:
+                      A: float = DEFAULT_A,
+                      per_decade: float = _DISS_PER_DECADE,
+                      order: int = _DISS_ORDER) -> CertificateReport:
     """Scalar-advection preservation margins omega * omega' - D over a grid.
 
     The advecting velocity is the solution itself, so increments are bounded
     by omega directly and only the dissipation carries the universal
     constant; ``A`` defaults to the suite's conservative estimate. PASS
     means every margin is negative beyond quadrature error. The whole grid
-    is evaluated in one batch.
+    is evaluated in one batch, which ``sqg_criterion`` on the same member
+    and grid reuses.
     """
-    xi, w, wp, kinks = _grid_columns(mem, xi_grid)
-    D, err = _dissipation_err(mem, mem.sym, xi, w, kinks, per_decade, order)
+    xi, w, wp, _, D, err = _grid_evaluation(mem, xi_grid, per_decade, order)
     side_vals = {}
     C = _curvature_side_value(mem, xi, D)
     if C is not None:
@@ -592,14 +625,15 @@ def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
     return CertificateReport(
         kind="burgers", A_used=A, kappa=getattr(mem, "kappa", math.nan),
         gamma=getattr(mem, "gamma", math.nan), B=getattr(mem, "B", math.nan),
-        delta=mem.delta, xi_grid=xi, regime=_regimes(xi, mem.delta),
-        Omega=nan, OmegaTilde=nan.copy(), D=D, margin=w * wp - D / A,
+        delta=mem.delta, xi_grid=xi.copy(), regime=_regimes(xi, mem.delta),
+        Omega=nan, OmegaTilde=nan.copy(), D=D.copy(), margin=w * wp - D / A,
         margin_err=err / A, side_values=side_vals)
 
 
 def sqg_criterion(mem, A: float = DEFAULT_A,
                   xi_grid: np.ndarray | None = None, *,
-                  per_decade: float = 2.0, order: int = 12) -> CertificateReport:
+                  per_decade: float = _DISS_PER_DECADE,
+                  order: int = _DISS_ORDER) -> CertificateReport:
     """Riesz-velocity preservation margins with the crossover regime split.
 
     Below the crossover the margin is A * (Omega/A) * omega' - D/A; at and
@@ -610,11 +644,12 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
     Omega/A <= B xi (3 + log(delta/xi)), which the construction guarantees
     when gamma <= alpha * kappa, and the sign of the curvature-route factor
     1 - C / (2 A^2 C_alpha kappa) with C the measured quadrature constant.
-    The whole grid is evaluated in one batch.
+    The whole grid is evaluated in one batch, which ``burgers_criterion``
+    on the same member and grid reuses.
     """
-    xi, w, wp, kinks = _grid_columns(mem, xi_grid)
+    xi, w, wp, kinks, D, err_d = _grid_evaluation(mem, xi_grid, per_decade,
+                                                  order)
     Om, Omt, err_adv = _advective_pair(mem, xi, w, kinks, order)
-    D, err_d = _dissipation_err(mem, mem.sym, xi, w, kinks, per_decade, order)
     below = xi < mem.delta
     margin = np.where(below, A * Om * wp, A * Omt * wp) - D / A
     low_bound_ok = True
@@ -639,8 +674,8 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
                 1.0 - C / (2.0 * A ** 2 * mem.C_alpha * mem.kappa)
     return CertificateReport(
         kind="sqg", A_used=A, kappa=getattr(mem, "kappa", math.nan),
-        gamma=gamma, B=B, delta=mem.delta, xi_grid=xi,
-        regime=_regimes(xi, mem.delta), Omega=Om, OmegaTilde=Omt, D=D,
+        gamma=gamma, B=B, delta=mem.delta, xi_grid=xi.copy(),
+        regime=_regimes(xi, mem.delta), Omega=Om, OmegaTilde=Omt, D=D.copy(),
         margin=margin, margin_err=A * np.abs(wp) * err_adv + err_d / A,
         side_conditions=side_cond, side_values=side_vals)
 

@@ -311,6 +311,9 @@ class ModulusMember:
     _slope_factor: float = field(repr=False, default=0.0)
     _low: _CumulativeMoments = field(repr=False, default=None)
     _high: _EnvelopeIntegral = field(repr=False, default=None)
+    # the criteria's evaluation of the most recent separation grid, kept by
+    # certificates._grid_evaluation for the next criterion on that grid
+    _grid_memo: tuple = field(init=False, repr=False, default=None)
 
     def omega(self, xi):
         x, shape = _separations(xi)

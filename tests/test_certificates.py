@@ -356,7 +356,8 @@ def test_criteria_columns_are_the_one_point_functionals(family, B):
 
 def test_criteria_evaluate_any_grid_in_a_fixed_number_of_batches(monkeypatch):
     # omega, omega' and omega'' are called a fixed number of times, however
-    # long the grid, and the dissipation integrals run once per criterion
+    # long the grid, and a criterion on a grid other than the one its member
+    # last evaluated runs the dissipation integrals once
     calls = []
     for name in ("omega", "omega_prime", "omega_second"):
         real = getattr(ModulusMember, name)
@@ -392,6 +393,127 @@ def test_criterion_memory_stays_bounded_on_the_bench_grid(criterion):
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+def test_criteria_share_one_dissipation_per_member_and_grid(monkeypatch):
+    calls = []
+    real_err = certificates._dissipation_err
+
+    def counted_err(*args):
+        calls.append("dissipation")
+        return real_err(*args)
+    monkeypatch.setattr(certificates, "_dissipation_err", counted_err)
+    grid = default_xi_grid(1e-4, 1e2, 3)
+    for first, second in ((sqg_criterion, burgers_criterion),
+                          (burgers_criterion, sqg_criterion)):
+        mem = base_member()
+        calls.clear()
+        first(mem, xi_grid=grid)
+        second(mem, xi_grid=grid)
+        assert len(calls) == 1
+        # another grid or quadrature rule recomputes, then is shared again
+        for change in ({"xi_grid": grid[1:]}, {"per_decade": 3.0},
+                       {"order": 10}):
+            first(mem, xi_grid=grid)
+            calls.clear()
+            kw = {"xi_grid": grid} | change
+            first(mem, **kw)
+            second(mem, **kw)
+            assert len(calls) == 1, change
+    # the callable route keeps nothing and recomputes on every call
+    mem = base_member()
+    plain = PlainModulus(omega_fn=mem.omega, omega_prime_fn=mem.omega_prime,
+                         sym=mem.sym, delta=mem.delta)
+    small = default_xi_grid(1e-2, 1e0, 1)
+    calls.clear()
+    for criterion in (sqg_criterion, burgers_criterion) * 2:
+        criterion(plain, xi_grid=small)
+    assert len(calls) == 4
+    assert not hasattr(plain, "_grid_memo")
+
+
+def _hex_report(rep):
+    doc = {c: [float(v).hex() for v in getattr(rep, c)]
+           for c in ("xi_grid",) + COLUMNS}
+    doc["side_values"] = {k: float(v).hex()
+                          for k, v in rep.side_values.items()}
+    doc["side_conditions"] = rep.side_conditions
+    doc["regime"] = rep.regime
+    return doc
+
+
+@pytest.mark.parametrize("family, B", [("power1", 1.0), ("power1", 2.0 ** 20),
+                                       ("log1", 1.0)],
+                         ids=["power1-B=1", "power1-B=2^20", "log1-B=1"])
+def test_shared_reports_equal_fresh_members_bitwise(family, B):
+    sym = BENCH_SYMBOL if family == "power1" else make_symbol("log", a=1.0)
+
+    def member():
+        return build_modulus(sym, 0.05, 0.005, B)
+    grid = default_xi_grid(min(1e-5, 1e-2 * member().delta), 1e2, 8)
+    fresh = {c: _hex_report(c(member(), xi_grid=grid))
+             for c in (sqg_criterion, burgers_criterion)}
+    assert "below-delta" in fresh[sqg_criterion]["regime"]
+    for pair in ((sqg_criterion, burgers_criterion),
+                 (burgers_criterion, sqg_criterion)):
+        mem = member()
+        for criterion in pair + pair:
+            assert _hex_report(criterion(mem, xi_grid=grid)) == \
+                fresh[criterion], criterion.__name__
+
+
+def test_tune_parameters_steps_equal_fresh_member_criteria():
+    Bs = (1.0, 2.0 ** 20)
+    res = tune_parameters(BENCH_SYMBOL, 4.0, B_values=Bs)
+    assert len(res.steps) == 2 and not res.steps[0].sqg_pass
+    for step in res.steps:
+        reps = [criterion(build_modulus(BENCH_SYMBOL, step.kappa, step.gamma,
+                                        B), A=4.0, xi_grid=BENCH_GRID)
+                for B in Bs for criterion in (burgers_criterion,
+                                              sqg_criterion)]
+        assert step.burgers_pass == (reps[0].passed and reps[2].passed)
+        assert step.sqg_pass == (reps[1].passed and reps[3].passed)
+        assert step.worst_margin.hex() == \
+            max(r.worst_margin for r in reps).hex()
+
+
+def test_reports_own_their_arrays_and_the_memo_keeps_one_grid():
+    grid = default_xi_grid(1e-4, 1e2, 3)
+    fresh = {c: c(base_member(), xi_grid=grid)
+             for c in (sqg_criterion, burgers_criterion)}
+    for pair in ((sqg_criterion, burgers_criterion),
+                 (burgers_criterion, sqg_criterion)):
+        mem = base_member()
+        first = pair[0](mem, xi_grid=grid)
+        second = pair[1](mem, xi_grid=grid)
+        for c in ("xi_grid", "D", "margin", "margin_err"):
+            getattr(first, c)[:] = -1.0
+        for rep, criterion in ((second, pair[1]),
+                               (pair[0](mem, xi_grid=grid), pair[0]),
+                               (pair[1](mem, xi_grid=grid), pair[1])):
+            for c in ("xi_grid",) + COLUMNS:
+                assert np.array_equal(getattr(rep, c),
+                                      getattr(fresh[criterion], c),
+                                      equal_nan=True), c
+    # the caller's grid is neither the report's nor the memo's: an edit in
+    # place leaves the report alone and is a new grid
+    mem = base_member()
+    moved = grid.copy()
+    rep = burgers_criterion(mem, xi_grid=moved)
+    moved *= 2.0
+    assert np.array_equal(rep.xi_grid, grid)
+    assert np.array_equal(burgers_criterion(mem, xi_grid=moved).D,
+                          burgers_criterion(base_member(), xi_grid=moved).D)
+    # three grids leave the evaluation of the last one only
+    last = default_xi_grid(1e-3, 1e1, 2)
+    for g in (grid, grid[::2], last):
+        sqg_criterion(mem, xi_grid=g)
+        burgers_criterion(mem, xi_grid=g)
+    arrays = [a for a in mem._grid_memo if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5
+    assert np.array_equal(arrays[0], last)
+    assert all(a.shape == last.shape and not a.flags.writeable
+               for a in arrays)
 
 
 # ---------------------------------------------------------------------------
