@@ -92,19 +92,8 @@ class KernelUndecidedError(KernelIntegrabilityError):
 
 
 # ----------------------------------------------------------------------
-# hat profile and Lyapunov functional
+# Lyapunov functional
 # ----------------------------------------------------------------------
-
-def wedge(x):
-    """Odd hat profile: 1 - x on (0, 1), zero beyond, odd reflection below.
-
-    Points are wrapped to (-pi, pi] first so the profile can be sampled on
-    the solver grid.
-    """
-    x = np.asarray(x, dtype=float)
-    xm = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
-    return np.sign(xm) * np.maximum(0.0, 1.0 - np.abs(xm))
-
 
 def _lyapunov_weights(N):
     # u_k = w_k * integral_0^1 (1-x) e^{ikx} dx with the rfft coefficient

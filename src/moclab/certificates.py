@@ -2,16 +2,17 @@
 
 The breakthrough argument compares, at a candidate separation xi, an
 advective bound on velocity increments against a dissipative lower bound.
-This module evaluates the three advective functionals (the Riesz-increment
-bound, its flow-aligned variant, and the perpendicular-pair bound), the
-dissipative functionals, and combines them into signed per-separation
-criterion margins for the scalar (Burgers) and Riesz-velocity (SQG) cases.
+This module evaluates the two advective functionals (the Riesz-increment
+bound and its flow-aligned variant), the dissipative functional, and
+combines them into signed per-separation criterion margins for the scalar
+(Burgers) and Riesz-velocity (SQG) cases. A modulus is a family member,
+any object with an ``omega`` method, or an array-native callable
+(``moduli._omega_fn``).
 
 Normalization: the universal increment constant A enters every functional
 only as an outer factor, so all values are stored A-free. Advective values
 are returned divided by A, dissipative values multiplied by A (the raw
-two-piece integral); criteria reinsert the caller's A. The perpendicular
-comparison m(xi) * (omega_perp/A) <= (d_perp*A) is A-free outright.
+two-piece integral); criteria reinsert the caller's A.
 
 Quadrature strategy: in the log of the integration variable every integrand
 here is piecewise smooth, with kinks only at the crossover scale of the
@@ -47,13 +48,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import irfft2
 
-from .fields import TWO_PI, ScalarField2D, velocity_multipliers
-from .moduli import (DEFAULT_GAMMA, DEFAULT_KAPPA, ModulusConstructionError,
-                     ModulusMember, _omega_array, _separations, build_modulus)
-from .quadrature import (graded_edges, log_panel_nodes, log_panel_rows,
-                         panel_nodes)
+from .moduli import ModulusMember, _omega_array, _omega_fn, _separations
+from .moduli import build_modulus  # bench/selftest.py asserts this alias
+from .quadrature import log_panel_nodes, log_panel_rows
 from .symbols import DissipationSymbol, _shaped
 
 DEFAULT_A = 2.0
@@ -71,10 +69,6 @@ class TailDivergenceError(ValueError):
     """Advective tail integral diverges (omega grows linearly or worse)."""
 
 
-class DegeneratePairError(ValueError):
-    """Perpendicular pair separation below the field's grid resolution."""
-
-
 def default_xi_grid(lo: float = XI_GRID_LO, hi: float = XI_GRID_HI,
                     per_decade: int = XI_POINTS_PER_DECADE) -> np.ndarray:
     n = int(round(per_decade * math.log10(hi / lo)))
@@ -84,17 +78,6 @@ def default_xi_grid(lo: float = XI_GRID_LO, hi: float = XI_GRID_HI,
 # ---------------------------------------------------------------------------
 # shared quadrature plumbing
 # ---------------------------------------------------------------------------
-
-def _omega_callable(omega) -> Callable:
-    """Scalar/array evaluator for a member, duck-typed modulus, or callable."""
-    if isinstance(omega, ModulusMember):
-        return omega.omega
-    if callable(omega):
-        return omega
-    if hasattr(omega, "omega"):
-        return omega.omega
-    raise TypeError(f"cannot evaluate {type(omega).__name__} as a modulus")
-
 
 def _omega_kinks(omega) -> list[float]:
     """Argument values where a modulus may lose smoothness."""
@@ -177,7 +160,7 @@ def _riesz_tail(omega, xi: np.ndarray, w_xi: np.ndarray,
                 kinks: Sequence[float], order: int):
     """(xi * integral of omega/eta^2 over (xi, inf), error) per separation."""
     if not isinstance(omega, ModulusMember):
-        fn = _omega_callable(omega)
+        fn = _omega_fn(omega)
         tail, err = np.array([_callable_tail_over_eta2(fn, x, kinks, order)
                               for x in xi.tolist()]).reshape(-1, 2).T
         return xi * tail, xi * err
@@ -221,7 +204,7 @@ def _advective_pair(omega, xi: np.ndarray, w_xi: np.ndarray,
     """(Omega/A, OmegaTilde/A, shared error) at positive separations xi,
     given w_xi = omega(xi), reusing one tail integral."""
     kinks = list(kinks) or _omega_kinks(omega)
-    low, err_low = _low_riesz(_omega_callable(omega), xi, kinks, order)
+    low, err_low = _low_riesz(_omega_fn(omega), xi, kinks, order)
     tail, err_tail = _riesz_tail(omega, xi, w_xi, kinks, order)
     return low + tail, w_xi + tail, err_low + err_tail
 
@@ -234,7 +217,7 @@ def _advective(omega, xi, kinks: Sequence[float], order: int, which: int):
     pos = x > 0.0
     if pos.any():
         xp = x[pos]
-        w = _omega_array(_omega_callable(omega), xp)
+        w = _omega_array(_omega_fn(omega), xp)
         out[pos] = _advective_pair(omega, xp, w, kinks, order)[which]
     return _shaped(out, shape)
 
@@ -384,7 +367,7 @@ def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
                      per_decade: float, order: int):
     """(raw dissipation, error) at positive separations xi, given
     w_xi = omega(xi)."""
-    omega_fn = _omega_callable(omega)
+    omega_fn = _omega_fn(omega)
     ks = list(kinks) or _omega_kinks(omega)
     near, err_n = _near_integral(omega_fn, sym, xi, w_xi, ks, per_decade,
                                  order)
@@ -426,7 +409,7 @@ def dissipation_lower(omega, sym: DissipationSymbol | None, xi, *,
     x, shape = _positive(xi, "dissipation")
     sym = _symbol_of(omega, sym)
     val, err = _dissipation_err(omega, sym, x,
-                                _omega_array(_omega_callable(omega), x),
+                                _omega_array(_omega_fn(omega), x),
                                 kinks, per_decade, order)
     below = val < -(err + 1e-13 * np.abs(val))
     if below.any():
@@ -436,28 +419,6 @@ def dissipation_lower(omega, sym: DissipationSymbol | None, xi, *,
             f"{x[i]:.3g}, below its error bar; is omega concave?",
             RuntimeWarning, stacklevel=2)
     return _shaped(np.where(val < 0.0, 0.0, val), shape)
-
-
-def dissipation_far_window(omega, sym: DissipationSymbol | None, xi, *,
-                           order: int = 12):
-    """Far-piece contribution from the single octave eta in (xi/2, xi).
-
-    For family members past the crossover this one window already dominates
-    (2 - c_alpha) * omega(xi) * m(2 xi), where c_alpha is the doubling bound
-    of the family; useful as a quadrature-free floor in tests.
-    """
-    x, shape = _positive(xi, "dissipation")
-    sym = _symbol_of(omega, sym)
-    fn = _omega_callable(omega)
-    val, _ = _far_direct(fn, sym, x, _omega_array(fn, x), x,
-                         _omega_kinks(omega), 4.0, order)
-    return _shaped(val, shape)
-
-
-def dissipation_doubling_floor(mem: ModulusMember, xi: float) -> float:
-    """(2 - c_alpha) * omega(xi) * m(2 xi), the analytic far-window floor."""
-    return ((2.0 - mem.doubling_bound) * float(mem.omega(xi))
-            * float(mem.sym.m(2.0 * xi)))
 
 
 def _curvature_constants(mem: ModulusMember, xi: np.ndarray,
@@ -490,13 +451,14 @@ def measured_curvature_constant(mem: ModulusMember, xi):
 class PlainModulus:
     """Duck-typed stand-in for criterion checks on non-family moduli.
 
-    Carries scalar callables plus the metadata the reports record. Used for
+    Carries array-native callables (an array of separations in, an array of
+    the same shape out) plus the metadata the reports record. Used for
     adversarial inputs (e.g. a linear modulus, which every criterion must
     reject with a positive margin).
     """
 
-    omega_fn: Callable[[float], float]
-    omega_prime_fn: Callable[[float], float]
+    omega_fn: Callable[[np.ndarray], np.ndarray]
+    omega_prime_fn: Callable[[np.ndarray], np.ndarray]
     sym: DissipationSymbol
     delta: float = math.inf
     B: float = math.nan
@@ -505,12 +467,10 @@ class PlainModulus:
     kinks: tuple = ()
 
     def omega(self, xi):
-        return _omega_array(self.omega_fn, xi) \
-            if np.ndim(xi) else float(self.omega_fn(float(xi)))
+        return _omega_array(self.omega_fn, xi)
 
     def omega_prime(self, xi):
-        return _omega_array(self.omega_prime_fn, xi) \
-            if np.ndim(xi) else float(self.omega_prime_fn(float(xi)))
+        return _omega_array(self.omega_prime_fn, xi)
 
 
 @dataclass
@@ -678,226 +638,3 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
         regime=_regimes(xi, mem.delta), Omega=Om, OmegaTilde=Omt, D=D.copy(),
         margin=margin, margin_err=A * np.abs(wp) * err_adv + err_d / A,
         side_conditions=side_cond, side_values=side_vals)
-
-
-# ---------------------------------------------------------------------------
-# perpendicular pair certificate
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PerpReport:
-    """Perpendicular-pair quadratures for one (x, y) pair.
-
-    ``omega_perp`` is the /A value, ``d_perp`` the *A value, so the
-    comparison m(xi) * omega_perp <= d_perp is free of A. ``d_perp`` is a
-    truncated lower bound: the kernel is singular at the pair's endpoint and
-    the graded panels stop at ``rho_floor``, which only strengthens the
-    inequality check. ``kernel_worst_ratio`` is the largest observed ratio
-    of the perpendicular kernel to its dissipative majorant; at most one for
-    symbols with a non-increasing power-weighted profile.
-    """
-
-    xi: float
-    omega_perp: float
-    d_perp: float
-    lemma_margin: float
-    lemma_ok: bool
-    kernel_worst_ratio: float
-    kernel_ok: bool
-    rho_floor: float
-    A_used: float
-
-
-def perp_pair(fld: ScalarField2D, x, y, sym: DissipationSymbol,
-              A: float = DEFAULT_A, *, omega=None, levels: int = 12,
-              order: int = 6) -> PerpReport:
-    """Perpendicular advective/dissipative pair certificates at (x, y).
-
-    Rotates coordinates so the pair sits at (+xi/2, 0) and (-xi/2, 0), then
-    integrates over the window (xi/4, 3 xi/4) x (0, xi/4) in the rotated
-    (eta, nu) plane:
-
-      omega_perp: antisymmetrized field increments against nu / rho^3;
-      d_perp:     modulus slack 2 omega(2 eta) minus the same increments,
-                  against m(rho) / rho^2,
-
-    where rho is the distance to the pair endpoint. ``omega`` (a family
-    member or callable modulus the field is measured against) is required
-    for d_perp. Also grid-checks the pointwise kernel domination
-    nu * m(xi) / rho^3 <= m(rho) / rho^2 on the quadrature nodes.
-
-    Pairs closer than four grid cells are rejected: the quadrature would
-    sample the interpolant below its resolution.
-    """
-    if omega is None:
-        raise ValueError("perp_pair needs the modulus the field obeys")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xi = float(np.hypot(*(x - y)))
-    cell = TWO_PI / fld.N
-    if xi < 4.0 * cell:
-        raise DegeneratePairError(
-            f"pair separation {xi:.3g} is below four grid cells "
-            f"({4.0 * cell:.3g}); the quadrature window is unresolved")
-    e = (x - y) / xi
-    e_perp = np.array([-e[1], e[0]])
-    center = 0.5 * (x + y)
-
-    eta_edges = np.concatenate([
-        graded_edges(0.25 * xi, 0.5 * xi, levels, toward="right")[:-1],
-        graded_edges(0.5 * xi, 0.75 * xi, levels, toward="left")])
-    nu_edges = graded_edges(0.0, 0.25 * xi, levels, toward="left")
-    eta_n, eta_w = panel_nodes(eta_edges, order)
-    nu_n, nu_w = panel_nodes(nu_edges, order)
-
-    Eta, Nu = np.meshgrid(eta_n, nu_n, indexing="ij")
-    W = eta_w[:, None] * nu_w[None, :]
-    rho2 = (0.5 * xi - Eta) ** 2 + Nu ** 2
-    rho = np.sqrt(rho2)
-
-    def points(se, sv):
-        p = (center[None, :] + se * Eta.ravel()[:, None] * e[None, :]
-             + sv * Nu.ravel()[:, None] * e_perp[None, :])
-        return p
-
-    pts = np.concatenate([points(1, 1), points(-1, 1),
-                          points(1, -1), points(-1, -1)])
-    vals = fld.evaluate_at(pts).reshape(4, *Eta.shape)
-    g_pp, g_mp, g_pm, g_mm = vals
-
-    omega_fn = omega.omega if isinstance(omega, ModulusMember) else omega
-    w2eta = _omega_array(omega_fn, 2.0 * eta_n)[:, None]
-
-    adv = (g_pp - g_mp - g_pm + g_mm) * Nu / (rho2 * rho)
-    slack = 2.0 * w2eta - (g_pp - g_mp) - (g_pm - g_mm)
-    dis = slack * sym.m(rho) / rho2
-
-    omega_perp = float(np.sum(W * adv))
-    d_perp = float(np.sum(W * dis))
-    m_xi = float(sym.m(xi))
-    lemma_margin = d_perp - m_xi * omega_perp
-
-    ratio = Nu * m_xi / (rho * sym.m(rho))
-    worst = float(np.max(ratio))
-
-    return PerpReport(
-        xi=xi, omega_perp=omega_perp, d_perp=d_perp,
-        lemma_margin=lemma_margin,
-        lemma_ok=bool(lemma_margin >= -1e-12 * max(abs(d_perp), 1e-300)),
-        kernel_worst_ratio=worst, kernel_ok=bool(worst <= 1.0 + 1e-12),
-        rho_floor=float(np.min(rho)), A_used=A)
-
-
-# ---------------------------------------------------------------------------
-# constant calibration and parameter tuning
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CalibrationReport:
-    A_hat: float
-    pairs: int
-    worst_separation: float
-
-
-def calibrate_A(fld: ScalarField2D, omega, *, pairs: int = 128,
-                seed: int = 0) -> CalibrationReport:
-    """Empirical estimate of the universal increment constant.
-
-    Samples grid-point pairs, measures Riesz-velocity increments, and
-    divides by the A-free advective certificate at the pair separation; the
-    maximum ratio is the smallest A for which the increment bound held on
-    the sample. Meaningful only when the field obeys ``omega``.
-    """
-    rng = np.random.default_rng(seed)
-    N = fld.N
-    mx, my = velocity_multipliers(N, "sqg")
-    u1 = irfft2(mx * fld.spec, s=(N, N))
-    u2 = irfft2(my * fld.spec, s=(N, N))
-    h = TWO_PI / N
-    du, seps = [], []
-    for i1, j1, i2, j2 in rng.integers(0, N, size=(pairs, 4)):
-        dx = h * (((i1 - i2) + N // 2) % N - N // 2)
-        dy = h * (((j1 - j2) + N // 2) % N - N // 2)
-        sep = math.hypot(dx, dy)
-        if sep >= 2.0 * h:
-            du.append(math.hypot(u1[i1, j1] - u1[i2, j2],
-                                 u2[i1, j1] - u2[i2, j2]))
-            seps.append(sep)
-    if seps:
-        # every certificate in one batch; the first largest ratio wins
-        ratio = np.array(du) / omega_riesz(omega, np.array(seps))
-        k = int(np.argmax(ratio))
-        if ratio[k] > 0.0:
-            return CalibrationReport(A_hat=float(ratio[k]), pairs=pairs,
-                                     worst_separation=seps[k])
-    return CalibrationReport(A_hat=0.0, pairs=pairs,
-                             worst_separation=math.nan)
-
-
-@dataclass
-class TuningStep:
-    kappa: float
-    gamma: float
-    built: bool
-    burgers_pass: bool
-    sqg_pass: bool
-    worst_margin: float
-    note: str = ""
-
-
-@dataclass
-class TuningResult:
-    kappa: float
-    gamma: float
-    A: float
-    passed: bool
-    steps: list
-
-
-def tune_parameters(sym: DissipationSymbol, A: float = DEFAULT_A, *,
-                    B_values: Sequence[float] = (1.0,),
-                    start: tuple[float, float] = (DEFAULT_KAPPA, DEFAULT_GAMMA),
-                    xi_grid: np.ndarray | None = None,
-                    max_halvings: int = 10,
-                    require: Sequence[str] = ("burgers", "sqg")) -> TuningResult:
-    """Halve (kappa, gamma) from ``start`` until both criteria pass.
-
-    The starting kappa is clamped inside the symbol's admissible range.
-    Shrinking both parameters together preserves 2*gamma <= kappa and moves
-    every margin in the passing direction, so the first passing rung is
-    returned; the trajectory is recorded for the stability property that a
-    further halving never flips the verdict.
-    """
-    if xi_grid is None:
-        xi_grid = default_xi_grid(1e-5, 1e2, 16)
-    bound = sym.r0 / (4.0 * sym.C0)
-    kappa = min(start[0], 0.49 * bound)
-    gamma = min(start[1], 0.5 * kappa)
-    steps: list[TuningStep] = []
-    for _ in range(max_halvings + 1):
-        ok_burgers = ok_sqg = True
-        worst = -math.inf
-        built = True
-        note = ""
-        try:
-            for B in B_values:
-                mem = build_modulus(sym, kappa, gamma, B)
-                if "burgers" in require:
-                    rep = burgers_criterion(mem, xi_grid, A=A)
-                    ok_burgers &= rep.passed
-                    worst = max(worst, rep.worst_margin)
-                if "sqg" in require:
-                    rep = sqg_criterion(mem, A, xi_grid)
-                    ok_sqg &= rep.passed
-                    worst = max(worst, rep.worst_margin)
-        except ModulusConstructionError as exc:
-            built = False
-            ok_burgers = ok_sqg = False
-            note = str(exc)
-        steps.append(TuningStep(kappa, gamma, built, ok_burgers, ok_sqg,
-                                worst, note))
-        if built and ok_burgers and ok_sqg:
-            return TuningResult(kappa, gamma, A, True, steps)
-        kappa *= 0.5
-        gamma *= 0.5
-    return TuningResult(kappa, gamma, A, False, steps)

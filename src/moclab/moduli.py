@@ -23,8 +23,7 @@ import numpy as np
 from .fields import TWO_PI, ScalarField1D, ScalarField2D, _refuse_bad_input
 from .quadrature import (gauss_legendre, log_edges, log_panel_rows,
                          panel_nodes)
-from .symbols import (DissipationSymbol, _crossover_roots, _shaped,
-                      crossover_scale, symbol_from_json)
+from .symbols import DissipationSymbol, _crossover_roots, _shaped
 
 DEFAULT_KAPPA = 0.1
 DEFAULT_GAMMA = 0.01
@@ -33,7 +32,8 @@ _LN10 = math.log(10.0)
 
 
 def quad(*args, **kwargs):
-    """Lazy scipy.integrate.quad, a module name the bench tracer patches."""
+    """Lazy scipy.integrate.quad. Nothing here calls it; it stays because
+    bench/layertrace.py and bench/selftest.py patch it by this name."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -74,8 +74,9 @@ class _CumulativeMoments:
     stretch is seeded by the integral below its floor and prepended, so
     entries above the old floor never move and a query's value does not
     depend on which queries came before it. Seeds use the table's own panel
-    rule on a truncated window; only subnormal separations, below the
-    deepest floor, fall back to adaptive quadrature.
+    rule on a truncated window. A subnormal separation, below the deepest
+    floor, is answered by the seed at its own radius, its window clipped at
+    the smallest subnormal radius.
 
     ``scale`` multiplies the stored integrals. Members carry scale = B so the
     slope formula reads B - [B/(2 C_alpha kappa)] * scaled_M0: certified B
@@ -86,6 +87,8 @@ class _CumulativeMoments:
     _ORDER = 20
     # deepest floor: below it the panel nodes would be subnormal radii
     _S_MIN = math.log(np.finfo(float).tiny)
+    # t = ln(1/eta) of the smallest subnormal radius; past it eta reads 0
+    _T_MAX = -math.log(5e-324)
 
     def __init__(self, sym: DissipationSymbol, delta: float, scale: float = 1.0,
                  nodes_per_decade: int = 32, floor_decades: int = 12):
@@ -148,7 +151,7 @@ class _CumulativeMoments:
         # over t in [t0, inf) truncated here is exact to machine precision
         # (an infinite upper limit would sample radii that underflow to 0)
         hi = min(t0 + 48.0 / max(self._sym.alpha, 0.05), 700.0)
-        return max(hi, t0 + 1.0)
+        return min(max(hi, t0 + 1.0), self._T_MAX)
 
     def _seed(self, s_lo: float) -> tuple[float, float]:
         # integral over (0, e^s_lo] on the table's own panels, one envelope
@@ -161,23 +164,6 @@ class _CumulativeMoments:
         f0, f1 = self._integrands(nodes)
         return float(weights @ f0), float(weights @ f1)
 
-    def _below_floor(self, xi: float) -> tuple[float, float]:
-        # integral over (0, xi] by adaptive quadrature in t = ln(1/eta), for
-        # subnormal separations only
-        t0 = -math.log(xi)
-        hi = self._window(t0)
-        ld = self._log_delta
-
-        def f0(t: float) -> float:
-            return (3.0 + ld + t) / self._sym.envelope(math.exp(-t))
-
-        def f1(t: float) -> float:
-            return math.exp(-t) * f0(t)
-
-        v0 = quad(f0, t0, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
-        v1 = quad(f1, t0, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
-        return self._scale * v0, self._scale * v1
-
     def moments(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """(M0, M1) at every separation of the 1-D array ``xi``."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -187,7 +173,8 @@ class _CumulativeMoments:
         if xi.size and sq.min() < self._s[0]:
             self._deepen(float(sq.min()))
         s = self._s
-        # subnormal separations sit below the deepest floor
+        # subnormal separations sit below the deepest floor: each is the
+        # seed at its own radius
         deep = sq < s[0]
         sq = np.maximum(sq, s[0])
         i = np.minimum(np.searchsorted(s, sq, side="right") - 1, len(s) - 2)
@@ -195,7 +182,7 @@ class _CumulativeMoments:
         m0 += self._m0[i]
         m1 += self._m1[i]
         for k in np.flatnonzero(deep):
-            m0[k], m1[k] = self._below_floor(float(xi[k]))
+            m0[k], m1[k] = self._seed(float(np.log(xi[k])))
         return m0, m1
 
 
@@ -279,18 +266,36 @@ def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
     return out
 
 
+_CONTRACT = ("a modulus is a ModulusMember, an object with an omega method "
+             "or an array-native callable, whose omega takes an array of "
+             "separations and returns an array of its shape")
+
+
+def _omega_fn(modulus) -> Callable:
+    """The omega of a modulus: its ``omega`` method, or the modulus itself
+    when it is an array-native callable."""
+    omega = getattr(modulus, "omega", modulus)
+    if not callable(omega):
+        raise TypeError(f"cannot evaluate {type(modulus).__name__}: "
+                        f"{_CONTRACT}")
+    return omega
+
+
 def _omega_array(omega: Callable, xi) -> np.ndarray:
-    """omega on an array of separations, with a per-point fallback for
-    callables that only take scalars."""
+    """omega on an array of separations, in one call. A callable that
+    raises TypeError on the array, or returns another shape, is refused."""
     arr = np.asarray(xi, dtype=float)
+    name = getattr(omega, "__qualname__", type(omega).__name__)
     try:
         out = np.asarray(omega(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(omega(float(v))) for v in arr.ravel()]).reshape(
-        arr.shape)
+    except TypeError as err:
+        raise TypeError(f"{name} is not array-native ({err}); "
+                        f"{_CONTRACT}") from err
+    if out.shape != arr.shape:
+        raise TypeError(f"{name} is not array-native: it returned shape "
+                        f"{out.shape} for separations of shape {arr.shape}; "
+                        f"{_CONTRACT}")
+    return out
 
 
 @dataclass(eq=False)
@@ -404,10 +409,12 @@ def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
         raise ModulusConstructionError(
             f"requires kappa < r0/(4*C0) = {bound:.6g}, got kappa = {kappa}")
 
-    delta = crossover_scale(sym, kappa, B)
+    # NaN where the root is not resolved, which the refusal below names
+    delta = float(_crossover_roots(sym, kappa, np.array([float(B)]))[0])
     if not delta > _DELTA_FLOOR:
+        what = "not resolved in" if math.isnan(delta) else "underflowed"
         raise ModulusConstructionError(
-            f"crossover scale m(delta) = B/kappa underflowed float64 at "
+            f"crossover scale m(delta) = B/kappa {what} float64 at "
             f"B = {B:.6g}; no representable member this high on the ladder")
     return _member_at(sym, kappa, gamma, B, delta)
 
@@ -444,16 +451,6 @@ def _member_at(sym: DissipationSymbol, kappa: float, gamma: float, B: float,
         C_alpha=C_alpha, doubling_bound=1.0 + 1.5 ** (-alpha),
         slope_at_delta_left=slope_left, omega_at_delta=omega_delta,
         _slope_factor=slope_factor, _low=low, _high=high)
-
-
-def modulus_from_dict(doc: dict) -> ModulusMember:
-    sym = symbol_from_json(doc["symbol"])
-    mem = build_modulus(sym, doc["kappa"], doc["gamma"], doc["B"])
-    if abs(mem.delta - doc["deltaB"]) > 1e-9 * doc["deltaB"]:
-        raise ModulusConstructionError(
-            f"stored crossover {doc['deltaB']:.12g} disagrees with the "
-            f"reconstruction {mem.delta:.12g}")
-    return mem
 
 
 # ---------------------------------------------------------------------------
@@ -499,20 +496,19 @@ def validate_modulus(mem, xi_grid: np.ndarray | None = None,
                      tol: float = 1e-8) -> ValidationReport:
     """Check every property the preservation argument asks of a modulus.
 
-    ``mem`` is a constructed member, or any callable omega(xi) (adversarial
-    inputs); for callables the construction-specific checks are skipped and
-    derivatives come from sampled differences. Failures are report entries,
-    never exceptions.
+    ``mem`` is a constructed member, or any other modulus in the sense of
+    ``_omega_fn`` (adversarial inputs); for those the construction-specific
+    checks are skipped and derivatives come from sampled differences.
+    Failures are report entries, never exceptions.
     """
     is_member = isinstance(mem, ModulusMember)
+    omega = _omega_fn(mem)
     if is_member:
-        omega = mem.omega
         delta = mem.delta
         B = mem.B
         label = (f"B={mem.B:g} kappa={mem.kappa:g} gamma={mem.gamma:g} "
                  f"on {mem.sym.label}")
     else:
-        omega = mem
         delta = 1e-3
         B = None
         label = getattr(mem, "__name__", "callable")
@@ -616,25 +612,20 @@ class ObedienceReport:
         return self.margin > 0.0
 
 
-def _omega_of(mem) -> Callable:
-    if isinstance(mem, ModulusMember):
-        return mem.omega
-    return mem
-
-
 def check_obeys(fld, mem, directions: int = 64,
                 separations_per_decade: int = 12,
                 refine: bool = True) -> ObedienceReport:
     """Breakthrough margin of a field against a modulus.
 
-    ``mem`` may be a ModulusMember or a plain callable omega(xi). A field
-    with a non-finite value is refused: its increments bound nothing.
+    ``mem`` is a modulus in the sense of ``_omega_fn``: a ModulusMember,
+    an object with an ``omega`` method, or an array-native callable. A
+    field with a non-finite value is refused: its increments bound nothing.
     """
     if isinstance(fld, ScalarField1D):
         return _check_obeys_1d(fld, mem)
     if isinstance(fld, ScalarField2D):
         search = StratifiedPairSearch(
-            fld.N, _omega_of(mem), directions=directions,
+            fld.N, _omega_fn(mem), directions=directions,
             separations_per_decade=separations_per_decade)
         return search.run(fld, refine=refine)
     raise TypeError(f"unsupported field type: {type(fld).__name__}")
@@ -642,7 +633,7 @@ def check_obeys(fld, mem, directions: int = 64,
 
 def _check_obeys_1d(fld: ScalarField1D, mem) -> ObedienceReport:
     _refuse_bad_input("field", fld.values, nonnegative=False)
-    omega = _omega_of(mem)
+    omega = _omega_fn(mem)
     N = fld.N
     h = TWO_PI / N
     lags = np.arange(1, N // 2 + 1)

@@ -175,10 +175,6 @@ def _atomic_bytes(path, payload):
         raise
 
 
-def write_text_atomic(path, text):
-    _atomic_bytes(path, text.encode("utf-8"))
-
-
 def write_json_atomic(path, obj):
     _atomic_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n")
                   .encode("utf-8"))

@@ -33,7 +33,7 @@ from scipy.fft import irfft2, rfft2
 
 from .fields import (ScalarField2D, _IntegratingFactorRK4, dealias_cutoff,
                      max_hypot, velocity_multipliers, wavenumber_grids_2d)
-from .moduli import StratifiedPairSearch, _omega_of
+from .moduli import StratifiedPairSearch, _omega_fn
 from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
 
@@ -106,7 +106,7 @@ class ObedienceMonitor:
     def __init__(self, member, N, *, directions=32, separations_per_decade=8,
                  hot_size=48, full_every=16):
         self._search = StratifiedPairSearch(
-            N, _omega_of(member), directions=directions,
+            N, _omega_fn(member), directions=directions,
             separations_per_decade=separations_per_decade)
         self.hot_size = hot_size
         self.full_every = full_every

@@ -20,7 +20,6 @@ from moclab.burgers import (
     kernel_mass,
     lyapunov,
     simulate_burgers,
-    wedge,
     wedge_dissipation,
 )
 from moclab.fields import ScalarField1D
@@ -49,6 +48,14 @@ def designed_run(N, factor=50.0, record_every=5):
 
 def small_smooth_field(N=256, amp=0.05):
     return ScalarField1D.from_function(N, lambda x: amp * np.sin(x))
+
+
+def wedge(x):
+    # the odd hat profile: 1 - x on (0, 1), zero beyond, odd reflection
+    # below, wrapped to (-pi, pi] so it can be sampled on the solver grid
+    x = np.asarray(x, dtype=float)
+    xm = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+    return np.sign(xm) * np.maximum(0.0, 1.0 - np.abs(xm))
 
 
 # ---------------------------------------------------------------------------

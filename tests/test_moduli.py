@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from moclab import moduli
 from moclab.certificates import default_xi_grid, sqg_criterion
@@ -16,10 +17,10 @@ from moclab.moduli import (
     build_modulus,
     check_obeys,
     find_B_for_data,
-    modulus_from_dict,
     validate_modulus,
 )
-from moclab.symbols import make_symbol, symbol_from_table
+from moclab.symbols import (crossover_scale, make_symbol, symbol_from_json,
+                            symbol_from_table)
 
 CRITICAL = make_symbol("power", a=1.0)
 
@@ -129,13 +130,33 @@ def test_array_and_scalar_routes_agree(sym):
         mem.omega(np.array([1e-3, -1e-3]))
 
 
+def _adaptive_moments(low, xi):
+    # (M0, M1) of a moment table over (0, xi] by adaptive quadrature in
+    # t = ln(1/eta), over the table's own truncated window: the oracle for
+    # the table's panel-rule seeds. An m that overflows to +inf reads as a
+    # vanishing integrand, as it does in the table
+    t0 = -math.log(xi)
+    hi = low._window(t0)
+    ld = low._log_delta
+
+    def f0(t):
+        with np.errstate(over="ignore", divide="ignore"):
+            return (3.0 + ld + t) / low._sym.envelope(math.exp(-t))
+
+    def f1(t):
+        return math.exp(-t) * f0(t)
+
+    return tuple(low._scale * quad(f, t0, hi, epsabs=0.0, epsrel=1e-11,
+                                   limit=200)[0] for f in (f0, f1))
+
+
 def test_moment_table_grows_below_its_floor():
     mem = build_modulus(NORMALIZED, 0.05, 0.01, 1.0)
     low = mem._low
     before = [arr.copy() for arr in (low._s, low._m0, low._m1)]
     xi = mem.delta * np.geomspace(1e-30, 1e-13, 9)
     m0, m1 = low.moments(xi)
-    direct = np.array([low._below_floor(float(v)) for v in xi])
+    direct = np.array([_adaptive_moments(low, float(v)) for v in xi])
     assert_allclose(m0, direct[:, 0], rtol=1e-12)
     assert_allclose(m1, direct[:, 1], rtol=1e-12)
     # the deeper stretch is prepended; every old entry keeps its bits
@@ -185,8 +206,31 @@ def test_table_seed_matches_adaptive_quadrature(name):
         s_lo = float(low._s[0])
         seed = low._seed(s_lo)
         assert (low._m0[0], low._m1[0]) == seed
-        assert_allclose(seed, low._below_floor(math.exp(s_lo)), rtol=1e-13,
-                        atol=0.0)
+        assert_allclose(seed, _adaptive_moments(low, math.exp(s_lo)),
+                        rtol=1e-13, atol=0.0)
+
+
+SUBNORMAL_XI = np.array([5e-324, 1e-320, 1e-310, 2e-308, 1e-300])
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5])
+def test_subnormal_separations_answer_on_the_seed(a):
+    # below the deepest table floor a query is the panel-rule seed at its
+    # own radius, its window clipped at the smallest subnormal; there
+    # omega = B xi and omega' = B to the last bit, in a batch or alone
+    mem = build_modulus(make_symbol("power", a=a), 0.05, 0.01, 1.0)
+    w, wp = mem.omega(SUBNORMAL_XI), mem.omega_prime(SUBNORMAL_XI)
+    assert np.array_equal(w, mem.B * SUBNORMAL_XI)
+    assert np.array_equal(wp, np.full(SUBNORMAL_XI.size, mem.B))
+    for k, v in enumerate(SUBNORMAL_XI.tolist()):
+        assert (mem.omega(v), mem.omega_prime(v)) == (w[k], wp[k])
+    # the seeds against the adaptive oracle where a subnormal radius still
+    # carries 40-odd bits; nearer 5e-324 the integrand itself is a staircase
+    low = mem._low
+    for v in (1e-310, 2e-308):
+        m0, m1 = low.moments(v)
+        assert_allclose((m0[0], m1[0]), _adaptive_moments(low, v),
+                        rtol=1e-12, atol=0.0)
 
 
 _INVARIANT_XI = np.concatenate(([0.0], np.geomspace(1e-9, 3e3, 97)))
@@ -540,6 +584,20 @@ def test_build_modulus_names_the_underflow():
         build_modulus(CRITICAL, 0.1, 0.01, 1e302)
 
 
+def test_build_modulus_names_an_unresolved_crossover():
+    # m of power a=0.5 stays below B/kappa at every radius above the float
+    # floor, so the crossover scale has no root there
+    half = make_symbol("power", a=0.5)
+    with pytest.raises(ModulusConstructionError, match="not resolved"):
+        build_modulus(half, 0.05, 0.01, 2.0 ** 600)
+    # a resolved root is crossover_scale's, bit for bit
+    for sym, kappa in ((CRITICAL, 0.1), (half, 0.05),
+                       (make_symbol("log", a=1.0), 0.05)):
+        for b in (1.0, 2.0 ** 20, 2.0 ** 200):
+            assert build_modulus(sym, kappa, 0.01, b).delta == \
+                crossover_scale(sym, kappa, b)
+
+
 BENCH_LADDER_BASE = ScalarField1D.random_band_limited(
     256, kmax=20, amplitude=1.0, seed=1)
 
@@ -623,14 +681,9 @@ def test_find_B_certifies_2d_field():
 
 def test_member_dict_round_trip():
     mem = build_modulus(make_symbol("log", a=1.0, alpha=0.5), 0.05, 0.01, 32.0)
-    back = modulus_from_dict(mem.to_dict())
+    doc = mem.to_dict()
+    back = build_modulus(symbol_from_json(doc["symbol"]), doc["kappa"],
+                         doc["gamma"], doc["B"])
     assert_allclose(back.delta, mem.delta, rtol=1e-12)
     xi = np.geomspace(1e-2 * mem.delta, 3.0, 40)
     assert_allclose(back.omega(xi), mem.omega(xi), rtol=1e-10)
-
-
-def test_member_dict_rejects_tampered_crossover():
-    doc = build_modulus(CRITICAL, 0.1, 0.01, 4.0).to_dict()
-    doc["deltaB"] *= 1.01
-    with pytest.raises(ModulusConstructionError, match="crossover"):
-        modulus_from_dict(doc)

@@ -20,7 +20,6 @@ from moclab.records import (
     to_csv,
     to_dict,
     write_json_atomic,
-    write_text_atomic,
 )
 
 
@@ -74,11 +73,12 @@ def test_record_dict_keeps_meta_and_leaves_out_live_state():
 
 
 def test_dict_nulls_non_finite_and_lists_arrays():
-    cal = certificates.CalibrationReport(A_hat=np.float64(1.5),
-                                         pairs=np.int64(3),
-                                         worst_separation=math.nan)
-    assert to_dict(cal) == {"A_hat": 1.5, "pairs": 3,
-                            "worst_separation": None}
+    check = moduli.CheckResult(name="doubling", passed=True,
+                               margin=np.float64(1.5), scale=np.int64(3),
+                               at=math.nan)
+    assert to_dict(check) == {"name": "doubling", "passed": True,
+                              "margin": 1.5, "scale": 3, "at": None,
+                              "note": ""}
     osg = sqg_euler.OsgoodReport(
         M_values=np.array([1.0, 10.0]), partials=np.array([0.0, math.inf]),
         decade_increments=np.array([[1.0, -math.inf]]),
@@ -108,15 +108,16 @@ def test_dict_of_symbol_member_and_multiplier_is_their_round_trip_form():
     P = symbols.make_multiplier("loglog", g=1.0)
     for obj in (sym, mem, P):
         assert to_dict(obj) == obj.to_dict()
-    back = moduli.modulus_from_dict(json.loads(json.dumps(to_dict(mem))))
+    doc = json.loads(json.dumps(to_dict(mem)))
+    back = moduli.build_modulus(symbols.symbol_from_json(doc["symbol"]),
+                                doc["kappa"], doc["gamma"], doc["B"])
     assert back.delta == pytest.approx(mem.delta, rel=1e-12)
 
 
 def test_atomic_writers(tmp_path):
     p = tmp_path / "doc.json"
     write_json_atomic(p, {"b": 1, "a": [1.5, None]})
-    write_text_atomic(tmp_path / "doc.txt", "line\n")
-    assert sorted(os.listdir(tmp_path)) == ["doc.json", "doc.txt"]
+    assert os.listdir(tmp_path) == ["doc.json"]
     doc = json.loads(p.read_text())
     assert doc == {"a": [1.5, None], "b": 1}
     assert p.read_text().index('"a"') < p.read_text().index('"b"')
@@ -192,14 +193,6 @@ REPORTS = {
         _member(), certificates.DEFAULT_A, XI),
     "CertificateReport-burgers": lambda: certificates.burgers_criterion(
         _member(), XI),
-    "PerpReport": lambda: certificates.perp_pair(
-        ScalarField2D(1e-3 * _field_2d().values), np.array([1.0, 1.0]),
-        np.array([3.0, 2.0]), CRITICAL_2D, omega=_member()),
-    "CalibrationReport": lambda: certificates.calibrate_A(
-        ScalarField2D(1e-3 * _field_2d().values), _member(), pairs=16),
-    "TuningResult": lambda: certificates.tune_parameters(
-        symbols.make_symbol("power", a=1.0),
-        xi_grid=certificates.default_xi_grid(1e-3, 1e1, 3)),
     "BlowupInstrumentation": _instrumentation,
     "BlowupInstrumentation-unrefined": lambda: burgers.compute_Lw(
         HALF, refine=False),

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from moclab import fields, sqg_euler
-from moclab.fields import ScalarField2D, velocity_multipliers
+from moclab.certificates import PlainModulus
+from moclab.fields import ScalarField1D, ScalarField2D, velocity_multipliers
 from moclab.moduli import StratifiedPairSearch, build_modulus, check_obeys
 from moclab.sqg_euler import (ObedienceMonitor, osgood_check,
                               simulate_p_euler, simulate_sqg)
@@ -36,20 +37,45 @@ def test_monitor_full_sweep_equals_pair_search():
     assert monitor.min_margin == min(swept)
 
 
-def test_check_obeys_scalar_only_callable_matches_member():
+def test_check_obeys_refuses_a_scalar_only_callable():
+    # a modulus callable takes an array of separations and returns its
+    # shape; one that takes scalars only is refused by name, in one call
     mem, fld = _member_and_field()
+    calls = []
 
     def scalar_only(xi):
+        calls.append(np.ndim(xi))
         if np.ndim(xi):
             raise TypeError("scalars only")
         return float(mem.omega(xi))
 
-    via_member = check_obeys(fld, mem, directions=16,
-                             separations_per_decade=6)
-    via_callable = check_obeys(fld, scalar_only, directions=16,
-                               separations_per_decade=6)
-    assert_allclose(via_callable.margin, via_member.margin, rtol=1e-13)
-    assert via_callable.worst_separation == via_member.worst_separation
+    line = ScalarField1D.random_band_limited(64, kmax=6, amplitude=0.05,
+                                             seed=3)
+    for f in (fld, line):
+        calls.clear()
+        with pytest.raises(TypeError,
+                           match="scalar_only is not array-native"):
+            check_obeys(f, scalar_only, directions=16,
+                        separations_per_decade=6)
+        assert calls == [1]
+    with pytest.raises(TypeError, match=r"returned shape \(\) for"):
+        check_obeys(fld, lambda xi: 1.0)
+
+
+def test_obedience_takes_any_object_with_an_omega_method():
+    # check_obeys and the monitor take what the criteria take: a
+    # PlainModulus gives the bare callable's margin to the bit
+    mem, fld = _member_and_field()
+    plain = PlainModulus(omega_fn=mem.omega, omega_prime_fn=mem.omega_prime,
+                         sym=mem.sym, delta=mem.delta)
+    line = ScalarField1D.random_band_limited(64, kmax=6, amplitude=0.05,
+                                             seed=3)
+    for f, kw in ((line, {}),
+                  (fld, {"directions": 16, "separations_per_decade": 6})):
+        assert check_obeys(f, plain, **kw).margin.hex() == \
+            check_obeys(f, mem.omega, **kw).margin.hex()
+    assert ObedienceMonitor(plain, fld.N).margin(fld).hex() == \
+        ObedienceMonitor(mem.omega, fld.N).margin(fld).hex()
 
 
 # ----------------------------------------------------------------------
