@@ -26,12 +26,13 @@ finite windows:
     x >= 1:     Lw(x) = I[(1+x-y) m/y; x, 1+x] - I[(1-x+y) m/y; x-1, x],
 
 with T(R) = integral_R^inf m/u du.  All windows are proper integrals of m
-against piecewise-smooth weights; graded log panels handle the kernel
-singularity.  On (0, 1/2) every window is nonnegative, so the singular part
-of integral |Lw| collapses by Fubini to integrals of m itself; the finite
-value of integral_0^1 m dr is certified first by a per-decade ratio test
-that refuses kernels whose decade masses shrink too slowly to trust a
-geometric remainder.
+against piecewise-smooth weights; the one log-panel rule of ``quadrature``
+(in ln z, the core radius pinned, windows batched in node-bounded blocks)
+handles the kernel singularity.  On (0, 1/2) every window is nonnegative,
+so the singular part of integral |Lw| collapses by Fubini to integrals of m
+itself; the finite value of integral_0^1 m dr is certified first by a
+per-decade ratio test that refuses kernels whose decade masses shrink too
+slowly to trust a geometric remainder.
 
 Verdicts are deliberately conservative: BLOWUP needs the gradient threshold
 plus an accelerating trend plus domination of the comparison Riccati
@@ -53,7 +54,8 @@ from scipy.fft import irfft, rfft
 from .fields import ScalarField1D, _IntegratingFactorRK4, dealias_cutoff
 from .kernels import multiplier_of_symbol_1d
 from .quadrature import (classify_decades, decade_increments, graded_edges,
-                         log_edge_groups, log_edges, panel_nodes)
+                         log_edges, log_panel_blocks, log_panel_rows,
+                         panel_nodes)
 from .records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
 from .symbols import DissipationSymbol
 
@@ -161,30 +163,16 @@ def kernel_mass(m):
 # dissipation of the hat profile
 # ----------------------------------------------------------------------
 
-# nodes per integrand call of the batched window rule (64 kB per array):
-# 2,000 points just above x = 1 peak at ~1.1 MB, and at ~15 MB unchunked
-_CHUNK_NODES = 2 ** 13
-
-
 def _panel_quad(f, lo, hi, x, *, per_decade, order, kinks=()):
-    """Integrals of f(z, x) over the windows [lo[i], hi[i]] on log panels.
-
-    Each window gets the rule of ``log_edges(lo[i], hi[i], ...)``; f is
-    called once per chunk of windows, with their nodes as rows and their x
-    as a column. Each row is summed by its own BLAS dot, so every value is
-    bitwise that of the one-window rule. Empty windows give 0.
-    """
+    """Integrals of f(z, x) over the windows [lo[i], hi[i]], f called once
+    per block of the log-panel rule on its nodes; empty windows give 0."""
     lo, hi, x = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, x)))
     out = np.zeros(lo.shape)
     live = np.flatnonzero(hi > lo)
-    for index, edges in log_edge_groups(lo[live], hi[live], per_decade,
-                                        kinks):
-        rows = max(1, _CHUNK_NODES // ((edges.shape[1] - 1) * order))
-        for s in range(0, index.size, rows):
-            at = live[index[s:s + rows]]
-            nodes, weights = panel_nodes(edges[s:s + rows], order)
-            vals = f(nodes, x[at, None])
-            out[at] = (weights[:, None, :] @ vals[:, :, None])[:, 0, 0]
+    for at, rows in log_panel_blocks(lo[live], hi[live], per_decade, order,
+                                     kinks):
+        i = live[at]
+        out[i] = rows.integrate(f(rows.nodes, rows.spread(x[i])))
     return out
 
 
@@ -298,9 +286,8 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
     kinks = (sym.core_radius,)
 
     def window(f, lo, hi, kinks=kinks):
-        return float(_panel_quad(lambda z, _: f(z), lo, hi, 0.0,
-                                 per_decade=per_decade, order=order,
-                                 kinks=kinks)[0])
+        rows = log_panel_rows(lo, hi, per_decade, order, kinks)
+        return float(rows.integrate(f(rows.nodes))[0])
 
     # (0, 1/2]: every window of Lw is nonnegative, so Fubini collapses the
     # x-integral onto proper integrals of m against explicit weights.
@@ -348,13 +335,18 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
     return i_inside, i_outside, far_rem
 
 
-def compute_Lw(sym, x_grid=None, *, per_decade=4, order=10, refine=True):
-    """Hat-profile dissipation table and certified integral of |L w|.
+# the x of compute_Lw's L w table: inside the support, then past it
+_LW_TABLE_X = np.concatenate([np.geomspace(1e-4, 0.96, 40),
+                              np.linspace(1.04, 6.0, 25)])
+
+
+def compute_Lw(sym, *, per_decade=4, order=10):
+    """L w on a fixed table of x, and the certified integral of |L w|.
 
     Refuses kernels whose mass near 0 cannot be certified finite (the
-    hypothesis of the blow-up lemma).  With ``refine`` the whole integral
-    is recomputed at doubled panel density and the relative difference is
-    reported as ``integral_error``.
+    hypothesis of the blow-up lemma).  The whole integral is recomputed at
+    doubled panel density, order + 4, and reported refined, with the
+    relative difference as ``integral_error``.
     """
     if not isinstance(sym, DissipationSymbol):
         raise TypeError("compute_Lw expects a DissipationSymbol")
@@ -365,16 +357,12 @@ def compute_Lw(sym, x_grid=None, *, per_decade=4, order=10, refine=True):
                         "decade classifier certified it finite")
 
     C = _log_slope_sup(sym)
-    i_in, i_out, far_rem = _abs_lw_integrals(sym, per_decade, order, mass, C)
+    i_in, i_out, _ = _abs_lw_integrals(sym, per_decade, order, mass, C)
+    coarse = i_in + i_out
+    i_in, i_out, far_rem = _abs_lw_integrals(sym, 2 * per_decade, order + 4,
+                                             mass, C)
     total = i_in + i_out
-    if refine:
-        f_in, f_out, f_rem = _abs_lw_integrals(sym, 2 * per_decade, order + 4,
-                                               mass, C)
-        fine = f_in + f_out
-        integral_error = abs(fine - total) / abs(fine)
-        i_in, i_out, far_rem, total = f_in, f_out, f_rem, fine
-    else:
-        integral_error = float("nan")
+    integral_error = abs(total - coarse) / abs(total)
 
     C0 = float(sym(1.0))
     c1 = 2.0 * mass + C * C0
@@ -384,14 +372,11 @@ def compute_Lw(sym, x_grid=None, *, per_decade=4, order=10, refine=True):
         warnings.append("measured |Lw| integrals exceed the closed-form "
                         "bounds; quadrature or symbol conditions suspect")
 
-    if x_grid is None:
-        x_grid = np.concatenate([np.geomspace(1e-4, 0.96, 40),
-                                 np.linspace(1.04, 6.0, 25)])
-    x_grid = np.asarray(x_grid, dtype=float)
-    table = wedge_dissipation(sym, x_grid, per_decade=per_decade, order=order)
+    table = wedge_dissipation(sym, _LW_TABLE_X, per_decade=per_decade,
+                              order=order)
 
     return BlowupInstrumentation(
-        x_table=x_grid,
+        x_table=_LW_TABLE_X.copy(),
         Lw_table=table,
         kernel_functional=total,
         i_inside=i_in,

@@ -51,15 +51,13 @@ import numpy as np
 
 from .moduli import ModulusMember, _omega_array, _omega_fn, _separations
 from .moduli import build_modulus  # bench/selftest.py asserts this alias
-from .quadrature import log_panel_nodes, log_panel_rows
+from .quadrature import log_panel_blocks, log_panel_rows
 from .symbols import DissipationSymbol, _shaped
 
 DEFAULT_A = 2.0
 XI_GRID_LO = 1e-6
 XI_GRID_HI = 1e3
 XI_POINTS_PER_DECADE = 64
-# separations per block of a member's closed-form far rule (320 nodes each)
-_FAR_BLOCK_ROWS = 32
 # panels per decade and Gauss-Legendre order of the dissipation quadrature
 _DISS_PER_DECADE = 2.0
 _DISS_ORDER = 12
@@ -134,8 +132,9 @@ def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
     tiny = 1e-300
     for j in range(200):
         hi = 2.0 * lo
-        eta, w = log_panel_nodes(lo, hi, 4.0, order, kinks)
-        v = float(np.dot(w, _omega_array(omega, eta) / eta ** 2))
+        rows = log_panel_rows(lo, hi, 4.0, order, kinks)
+        eta = rows.nodes
+        v = float(np.dot(rows.weights, _omega_array(omega, eta) / eta ** 2))
         total += v
         q = math.log2(max(float(omega(hi)), tiny) / max(float(omega(lo)), tiny))
         if j >= 60 and q >= 0.995:
@@ -315,9 +314,7 @@ def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
     correction = np.empty_like(xi)
     # these rows are a criterion's longest and call no omega, so blocks of
     # them bound its memory at no cost in calls
-    for a in range(0, xi.size, _FAR_BLOCK_ROWS):
-        at = slice(a, a + _FAR_BLOCK_ROWS)
-        rows = log_panel_rows(R1[at], R_inf[at], 4.0, 10)
+    for at, rows in log_panel_blocks(R1, R_inf, 4.0, 10):
         eta = rows.nodes
         lo = 4.0 * eta - 2.0 * rows.spread(xi[at])
         hi = 4.0 * eta + 2.0 * rows.spread(xi[at])
@@ -341,12 +338,12 @@ def _callable_far_windows(omega_fn, sym, xi, w_xi, R0, kinks, order):
     total = 0.0
     prev = None
     lo = R0
+    eta_kinks = _kink_candidates(kinks, np.array([xi]),
+                                 ((1.0, -1.0), (1.0, 1.0)), sym.core_radius)
     for _ in range(250):
         hi = 2.0 * lo
-        eta_kinks = {(k - xi) / 2.0 for k in kinks} \
-            | {(k + xi) / 2.0 for k in kinks} | {0.5 * sym.core_radius}
-        eta, w = log_panel_nodes(lo, hi, 4.0, order,
-                                 {c for c in eta_kinks if lo < c < hi})
+        rows = log_panel_rows(lo, hi, 4.0, order, eta_kinks)
+        eta, w = rows.nodes, rows.weights
         g = 2.0 * w_xi - _omega_array(omega_fn, 2.0 * eta + xi) \
             + _omega_array(omega_fn, 2.0 * eta - xi)
         v = float(np.dot(w, g * sym.m(2.0 * eta) / eta))

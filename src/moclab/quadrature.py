@@ -2,11 +2,13 @@
 
 The conventions used throughout the package:
 
-* singular endpoints are handled by panels uniform in s = ln r
-  (``log_panel_rows``), on which power-law integrands are smooth, with
-  every kink of the integrand pinned as a panel edge;
+* singular endpoints are handled by one log-panel rule (``log_panel_rows``):
+  Gauss-Legendre on panels uniform in s = ln r, on which power-law
+  integrands are smooth, with every kink of the integrand pinned as an edge;
 * many intervals are integrated in one batch, the integrand evaluated on
-  one array of nodes and each interval's row summed on its own;
+  one array of nodes and each interval's row summed on its own, so a row's
+  value does not depend on its batch; long batches run in blocks of at
+  most ``_BLOCK_NODES`` nodes (``log_panel_blocks``);
 * oscillatory integrals go through QUADPACK's cos/sin weights (QAWO on a
   finite window, QAWF for convergent tails);
 * every numerical value that feeds a pass/fail decision carries an error
@@ -70,50 +72,11 @@ def log_edges(lo: float, hi: float, per_decade: float,
               kinks=()) -> np.ndarray:
     """Geometric panel edges on [lo, hi], ``per_decade`` panels per decade
     (at least one), with the kinks inside (lo, hi) pinned as extra edges."""
-    ((_, edges),) = log_edge_groups([lo], [hi], per_decade, kinks)
-    return edges[0]
-
-
-def log_edge_groups(lo, hi, per_decade: float,
-                    kinks=()) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``log_edges`` for many intervals [lo[i], hi[i]] at once.
-
-    Rows with the same edge count share one 2-D array: returns a list of
-    (index, edges) pairs, ``edges[j]`` being the edges of interval
-    ``index[j]``.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    # math.log10 per interval: the panel count must not hinge on an ulp
-    bounds = list(zip(lo.tolist(), hi.tolist()))
-    by_count = {}
-    for i, (a, b) in enumerate(bounds):
-        n = max(1, int(math.ceil(per_decade * math.log10(b / a))))
-        by_count.setdefault(n, []).append(i)
-    groups = []
-    for n, rows in by_count.items():
-        index = np.array(rows)
-        # a lone interval takes the scalar form: the same edges, sooner
-        ends = (lo[index], hi[index]) if len(rows) > 1 else bounds[rows[0]]
-        groups.append((index, np.geomspace(*ends, n + 1).T
-                       .reshape(len(rows), -1)))
-    for k in sorted(set(kinks)):
-        inside = (lo < k) & (k < hi)
-        if not inside.any():
-            continue
-        split = []
-        for index, edges in groups:
-            add = inside[index] & ~np.any(edges == k, axis=1)
-            if add.any():
-                # k is on none of these rows' edges: sorting adds it once
-                grown = np.concatenate(
-                    [edges[add], np.full((np.count_nonzero(add), 1), k)],
-                    axis=1)
-                split.append((index[add], np.sort(grown, axis=1)))
-            if not add.all():
-                split.append((index[~add], edges[~add]))
-        groups = split
-    return groups
+    # math.log10: the panel count must not hinge on an ulp
+    n = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
+    edges = np.geomspace(lo, hi, n + 1)
+    inner = [k for k in kinks if lo < k < hi]
+    return np.unique(np.concatenate([edges, inner])) if inner else edges
 
 
 @dataclass(frozen=True)
@@ -149,7 +112,7 @@ _PIN_ULPS = 4
 
 def log_panel_rows(lo, hi, per_decade: float, order: int,
                    kinks=()) -> PanelRows:
-    """``log_panel_nodes`` for many intervals [lo[i], hi[i]] at once.
+    """Log-panel rules for f(eta) d(eta) on many intervals [lo[i], hi[i]].
 
     ``kinks`` is one list shared by every row, or a 2-D array with a row of
     candidates per interval; a candidate is pinned where it falls inside
@@ -194,17 +157,27 @@ def log_panel_rows(lo, hi, per_decade: float, order: int,
     return PanelRows(eta, w_s.ravel() * eta, starts)
 
 
-def log_panel_nodes(lo: float, hi: float, per_decade: float, order: int,
-                    kinks=()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integrating f(eta) d(eta) on log-spaced panels.
+# nodes per block of log_panel_blocks: 64 kB per array over them
+_BLOCK_NODES = 2 ** 13
 
-    The rule is Gauss-Legendre in s = ln(eta). Kink locations inside
-    (lo, hi) are pinned as panel edges so each panel sees a smooth
-    integrand. This is the one-row case of ``log_panel_rows``.
-    """
-    rows = log_panel_rows(lo, hi, per_decade, order,
-                          [float(k) for k in kinks])
-    return rows.nodes, rows.weights
+
+def log_panel_blocks(lo, hi, per_decade: float, order: int, kinks=()):
+    """``log_panel_rows`` of 1-D arrays ``lo``, ``hi`` in blocks of
+    consecutive rows: yields (slice of row indices, PanelRows of those
+    rows). A block is one row, or holds at most _BLOCK_NODES nodes by each
+    row's bound of ceil(per_decade * decades) + 1 panels plus one per kink
+    candidate."""
+    k = np.atleast_2d(np.asarray(kinks, dtype=float))
+    k = np.broadcast_to(k, (lo.size, k.shape[1]))
+    cost = order * (np.ceil(per_decade * np.log10(hi / lo)) + k.shape[1] + 1)
+    ends = np.cumsum(cost)
+    start = 0
+    while start < lo.size:
+        budget = ends[start] - cost[start] + _BLOCK_NODES
+        stop = max(start + 1, int(np.searchsorted(ends, budget, "right")))
+        at = slice(start, stop)
+        yield at, log_panel_rows(lo[at], hi[at], per_decade, order, k[at])
+        start = stop
 
 
 # the decade rule: one panel of order _DECADE_ORDER per decade (any gap of

@@ -33,6 +33,7 @@ from .quadrature import (classify_decades, decade_increments,
                          log_panel_rows)
 
 LN2 = math.log(2.0)
+_R_OVER = 2.0 / np.finfo(float).max  # 2/r overflows for r <= _R_OVER
 
 # Decade-ratio thresholds over the last _TREND_WINDOW ratios: a divergence
 # flag needs every ratio at or above _TREND_DIV_RATIO; check_conditions
@@ -250,6 +251,10 @@ def make_symbol(family: str, a: float | None = None, r0: float = 1.0,
             raise ValueError("log family tail exponent must lie in (0, 1)")
 
         def core(r, a=a, s=scale):
+            tiny = r <= _R_OVER  # ln(2/r) is ln 2 - ln r there
+            if tiny.any():
+                return np.where(tiny, s / (r * (LN2 - np.log(r)) ** a),
+                                core(np.where(tiny, 1.0, r)))
             return s / (r * np.log(2.0 / r) ** a)
 
         m1 = scale / LN2 ** a

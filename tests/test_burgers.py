@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from moclab import burgers, records
+from moclab import burgers, quadrature, records
 from moclab.burgers import (
     BlowupInstrumentation,
     KernelDivergenceError,
@@ -24,7 +24,8 @@ from moclab.burgers import (
 )
 from moclab.fields import ScalarField1D
 from moclab.moduli import find_B_for_data
-from moclab.quadrature import decade_increments, log_edges, panel_nodes
+from moclab.quadrature import (decade_increments, log_edges, log_panel_rows,
+                               panel_nodes)
 from moclab.records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
 from moclab.symbols import (make_multiplier, make_symbol,
                             symbol_from_callable, symbol_from_table)
@@ -180,15 +181,12 @@ TABLE = symbol_from_table(np.geomspace(1e-3, 3.0, 12),
                           np.geomspace(1e-3, 3.0, 12) ** -0.7)
 
 
-def _one_window_at_a_time(sym, x, per_decade=4, order=10):
-    # L w at one x, one np.dot per window: the rule the array route must
-    # reproduce bit for bit
+def _one_window_at_a_time(sym, x, rule, per_decade=4, order=10):
+    # L w at one x, each window integrated on its own by ``rule``
     def window(f, lo, hi):
         if hi <= lo:
             return 0.0
-        nodes, weights = panel_nodes(
-            log_edges(lo, hi, per_decade, (sym.core_radius,)), order)
-        return float(np.dot(weights, f(nodes)))
+        return rule(f, lo, hi, per_decade, order, (sym.core_radius,))
 
     a = abs(x)
     if a == 0.0:
@@ -209,20 +207,36 @@ def _one_window_at_a_time(sym, x, per_decade=4, order=10):
     return val if x > 0.0 else -val
 
 
+def _log_panel_window(f, lo, hi, per_decade, order, kinks):
+    # the package's rule, Gauss-Legendre in ln z, as a batch of one
+    rows = log_panel_rows(lo, hi, per_decade, order, kinks)
+    return float(rows.integrate(f(rows.nodes))[0])
+
+
+def _geometric_window(f, lo, hi, per_decade, order, kinks):
+    # an independent oracle: Gauss-Legendre in z on geometric panels
+    nodes, weights = panel_nodes(log_edges(lo, hi, per_decade, kinks), order)
+    return float(np.dot(weights, f(nodes)))
+
+
 @pytest.mark.parametrize("sym", [HALF, CORE2, TABLE],
                          ids=["power", "callable-core2", "tabulated"])
-@pytest.mark.parametrize("chunk", [None, 64])
-def test_dissipation_array_route_equals_the_scalar_route(sym, chunk,
+@pytest.mark.parametrize("budget", [None, 64])
+def test_dissipation_array_route_equals_the_scalar_route(sym, budget,
                                                          monkeypatch):
-    if chunk is not None:
+    if budget is not None:
         # one window per integrand call
-        monkeypatch.setattr(burgers, "_CHUNK_NODES", chunk)
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
     batch = wedge_dissipation(sym, X_BRANCHES)
     loop = np.array([wedge_dissipation(sym, float(x)) for x in X_BRANCHES])
-    reference = np.array([_one_window_at_a_time(sym, x) for x in X_BRANCHES])
+    reference = np.array([_one_window_at_a_time(sym, x, _log_panel_window)
+                          for x in X_BRANCHES])
     assert_array_equal(batch, loop)
     assert_array_equal(batch, reference)
     assert batch[0] == 0.0 and np.all(batch[1:] != 0.0)
+    oracle = np.array([_one_window_at_a_time(sym, x, _geometric_window)
+                       for x in X_BRANCHES])
+    assert_allclose(batch, oracle, rtol=1e-11)
 
 
 def test_dissipation_refuses_non_finite_x():

@@ -656,14 +656,21 @@ def test_every_rung_the_screen_skips_fails_coverage(monkeypatch, name, kappa,
 
 
 def test_log_member_at_the_float_floor_is_refused_by_name():
-    # at 2^968 the moment table reaches radii where 2/r overflows, so m
-    # reads 0 there, while delta (~3e-296) is still well inside the range
+    # m keeps its value where 2/r overflows, so the moment tables reach the
+    # float floor; the top member is the last whose delta exceeds 1e-300
     sym = make_symbol("log", a=1.0, alpha=0.5)
-    mem = build_modulus(sym, 0.05, 0.01, 2.0 ** 967)
-    assert 0.0 < mem.delta < 1e-295
+    mem = build_modulus(sym, 0.05, 0.01, 2.0 ** 982)
+    assert 1e-300 < mem.delta < 2e-300
     with pytest.raises(ModulusConstructionError,
-                       match="moment table floor underflowed"):
-        build_modulus(sym, 0.05, 0.01, 2.0 ** 968)
+                       match="crossover scale .* underflowed"):
+        build_modulus(sym, 0.05, 0.01, 2.0 ** 983)
+
+
+def test_log_member_answers_below_the_overflow_of_two_over_r():
+    # below r = 2/DBL_MAX, where 2/r overflows, m keeps its value, so the
+    # moment table reaches the seed of a query at 1e-300
+    mem = build_modulus(make_symbol("log", a=1.0), 0.05, 0.01, 1.0)
+    assert mem.omega(1e-300) == mem.B * 1e-300
 
 
 def test_find_B_certifies_2d_field():

@@ -10,9 +10,8 @@ from moclab.quadrature import (
     decade_increments,
     gauss_legendre,
     graded_edges,
-    log_edge_groups,
     log_edges,
-    log_panel_nodes,
+    log_panel_blocks,
     log_panel_rows,
     oscillation_resolved_edges,
     panel_nodes,
@@ -64,7 +63,7 @@ def test_log_edges_pin_kinks_and_keep_the_endpoints():
 
 
 def _one_interval_log_edges(lo, hi, per_decade, kinks=()):
-    # the single-interval builder, as written before the batched one
+    # the single-interval builder whose edges the envelope tables store
     n = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
     e = np.geomspace(lo, hi, n + 1)
     inner = [k for k in kinks if lo < k < hi]
@@ -73,7 +72,7 @@ def _one_interval_log_edges(lo, hi, per_decade, kinks=()):
     return e
 
 
-def test_log_edge_groups_match_the_one_interval_builder():
+def test_log_edges_match_the_one_interval_builder():
     rng = np.random.default_rng(5)
     lo = 10.0 ** rng.uniform(-18.0, 2.0, 400)
     hi = lo * 10.0 ** rng.uniform(1e-3, 12.0, 400)
@@ -82,28 +81,10 @@ def test_log_edge_groups_match_the_one_interval_builder():
     lo[:2], hi[:2] = 1.0, 100.0
     kinks = (10.0, 1e-3, 1.0, 10.0)
     for per_decade in (1, 4, 8):
-        seen = np.zeros(lo.size, dtype=int)
-        for index, edges in log_edge_groups(lo, hi, per_decade, kinks):
-            assert edges.shape[0] == index.size
-            for i, row in zip(index, edges):
-                assert np.array_equal(row, _one_interval_log_edges(
-                    lo[i], hi[i], per_decade, kinks))
-            seen[index] += 1
-        assert np.all(seen == 1)
-
-
-def test_log_edges_goes_through_the_batched_builder(monkeypatch):
-    calls = []
-    batched = quadrature.log_edge_groups
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return batched(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "log_edge_groups", counted)
-    assert np.array_equal(quadrature.log_edges(1e-3, 2.0, 4, (0.5,)),
-                          _one_interval_log_edges(1e-3, 2.0, 4, (0.5,)))
-    assert len(calls) == 1
+        for a, b in zip(lo, hi):
+            assert np.array_equal(log_edges(a, b, per_decade, kinks),
+                                  _one_interval_log_edges(a, b, per_decade,
+                                                          kinks))
 
 
 def test_panel_nodes_rows_match_one_row_at_a_time():
@@ -115,9 +96,10 @@ def test_panel_nodes_rows_match_one_row_at_a_time():
         assert np.array_equal(n, n1) and np.array_equal(w, w1)
 
 
-def test_log_panel_nodes_integrate_a_power_singularity():
-    eta, w = log_panel_nodes(1e-6, 1.0, 8.0, 12, kinks=(1e-3,))
-    assert_allclose(np.dot(w, eta ** -0.5), 2.0 * (1.0 - 1e-3), rtol=1e-13)
+def test_log_panel_rows_integrate_a_power_singularity():
+    rows = log_panel_rows(1e-6, 1.0, 8.0, 12, kinks=(1e-3,))
+    assert_allclose(np.dot(rows.weights, rows.nodes ** -0.5),
+                    2.0 * (1.0 - 1e-3), rtol=1e-13)
 
 
 def test_log_panel_rows_match_one_row_at_a_time():
@@ -133,9 +115,10 @@ def test_log_panel_rows_match_one_row_at_a_time():
     spread = rows.spread(np.arange(40.0))
     for i in range(40):
         one = log_panel_rows(lo[i], hi[i], 3.0, 8, kinks[i:i + 1])
-        eta, w = log_panel_nodes(lo[i], hi[i], 3.0, 8, kinks[i])
+        flat = log_panel_rows(lo[i], hi[i], 3.0, 8, list(kinks[i]))
+        eta = flat.nodes
         assert np.array_equal(one.nodes, eta)
-        assert np.array_equal(one.weights, w)
+        assert np.array_equal(one.weights, flat.weights)
         end = rows.starts[i + 1] if i < 39 else rows.nodes.size
         assert np.array_equal(rows.nodes[rows.starts[i]:end], eta)
         assert np.all(spread[rows.starts[i]:end] == i)
@@ -143,6 +126,33 @@ def test_log_panel_rows_match_one_row_at_a_time():
     assert_allclose(total, (hi ** 1.5 - lo ** 1.5) / 1.5, rtol=1e-12)
     with pytest.raises(ValueError, match="0 < lo < hi"):
         log_panel_rows([1.0, 2.0], [3.0, 2.0], 3.0, 8)
+
+
+@pytest.mark.parametrize("budget", [None, 64, 700])
+@pytest.mark.parametrize("per_row", [True, False], ids=["row-kinks",
+                                                         "shared-kinks"])
+def test_log_panel_blocks_hold_each_row_once_as_a_batch_of_one(
+        monkeypatch, budget, per_row):
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+    rng = np.random.default_rng(7)
+    lo = np.exp(rng.uniform(-25.0, 0.0, 60))
+    hi = lo * np.exp(rng.uniform(0.1, 25.0, 60))
+    kinks = np.exp(rng.uniform(-26.0, 2.0, (60, 3)))
+    if not per_row:
+        kinks = list(kinks[0])
+    seen = []
+    for at, rows in log_panel_blocks(lo, hi, 3.0, 8, kinks):
+        index = np.arange(lo.size)[at]
+        seen += index.tolist()
+        # over the budget only as a row of its own
+        assert rows.nodes.size <= quadrature._BLOCK_NODES or index.size == 1
+        total = rows.integrate(np.sqrt(rows.nodes))
+        for i, value in zip(index, total):
+            one = log_panel_rows(lo[i], hi[i], 3.0, 8,
+                                 kinks[i:i + 1] if per_row else kinks)
+            assert one.integrate(np.sqrt(one.nodes))[0] == value
+    assert seen == list(range(lo.size))
 
 
 def test_log_panel_nodes_stay_inside_narrow_intervals():

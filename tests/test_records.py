@@ -194,8 +194,6 @@ REPORTS = {
     "CertificateReport-burgers": lambda: certificates.burgers_criterion(
         _member(), XI),
     "BlowupInstrumentation": _instrumentation,
-    "BlowupInstrumentation-unrefined": lambda: burgers.compute_Lw(
-        HALF, refine=False),
     "DesignReport": _design,
     "VerdictReport": lambda: burgers.detect_blowup(
         _burgers_run(), _instrumentation(), grad_factor=50.0),
