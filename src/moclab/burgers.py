@@ -12,6 +12,15 @@ quadratic term, the per-step observation (sup |theta|, the gradient sup and
 its running maximum) and the gradient stop rule; its transforms are the
 only FFTs of a step.
 
+The data's N is a ceiling, not the grid of every step.  A run goes in
+stages N0 < 2 N0 < ... <= N, all through the one loop: it starts on the
+coarsest N / 2^i (at least 64 points) that drops only modes at rounding
+level, and a stage below N whose top-eighth enstrophy share (the measure
+of ``ScalarField1D.spectral_tail_fraction``) passes ``_REFINE_TAIL`` after
+a step is zero-padded to twice its points, exactly, and resumes at the
+same t.  The dissipation multiplier is evaluated once, at N; each stage
+uses its prefix.  Data that needs its full N runs as one stage.
+
 The blow-up side instruments the Lyapunov functional
 
     L(t) = integral_0^1 theta(x, t) (1 - x) dx,
@@ -51,7 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .fields import ScalarField1D, _IntegratingFactorRK4, dealias_cutoff
+from .fields import (ScalarField1D, _IntegratingFactorRK4, _refuse_bad_input,
+                     dealias_cutoff, spectral_tail_1d)
 from .kernels import multiplier_of_symbol_1d
 from .quadrature import (classify_decades, decade_increments, graded_edges,
                          log_edges, log_panel_blocks, log_panel_rows,
@@ -485,6 +495,15 @@ def design_blowup_data(sym, *, N=4096, margin=1.1, profile=None,
 # time stepping
 # ----------------------------------------------------------------------
 
+# Stages of simulate_burgers: a stage below the data's N doubles once the
+# enstrophy share of the top eighth of its active band passes _REFINE_TAIL;
+# the first is the coarsest N / 2^i of at least _MIN_STAGE_N points whose
+# modes above the dealias cutoff carry at most _DROP_RTOL of the l2 norm.
+_REFINE_TAIL = 1e-8
+_MIN_STAGE_N = 64
+_DROP_RTOL = 1e-13
+
+
 def _resolve_multiplier(k, sym, P):
     if P is not None and sym is not None:
         raise ValueError("supply either a symbol or a multiplier, not both")
@@ -503,107 +522,199 @@ def _resolve_multiplier(k, sym, P):
     return Pk, label
 
 
+def _regrid(spec, n, m):
+    """The rfft spectrum of an n-point grid carried to m points (m / n a
+    power of two): modes above min(n, m) / 2 dropped or zero-padded, the
+    scale m / n exact. The coarser grid's Nyquist mode is a cosine there
+    and half of a complex mode on the finer grid, so padding halves it and
+    restricting doubles its real part; padding then restricting returns a
+    spectrum with a real Nyquist mode bit for bit."""
+    if m == n:
+        return spec
+    j = min(n, m) // 2
+    out = np.zeros(m // 2 + 1, dtype=complex)
+    out[:j + 1] = spec[:j + 1] * (m / n)
+    out[j] = out[j].real * (0.5 if m > n else 2.0)
+    return out
+
+
+def _start_grid(spec, N):
+    """Coarsest stage N / 2^i (even, at least _MIN_STAGE_N) of data with
+    rfft spectrum ``spec``: every mode above its dealias cutoff carries at
+    most _DROP_RTOL of the data's l2 norm, and its restriction passes the
+    refine rule."""
+    power = np.abs(spec) ** 2
+    above = np.cumsum(power[::-1])[::-1]  # power in the modes >= k
+    n = N
+    while n % 4 == 0 and n // 2 >= _MIN_STAGE_N:
+        m = n // 2
+        if above[dealias_cutoff(m) + 1] > _DROP_RTOL ** 2 * above[0] or \
+                spectral_tail_1d(_regrid(spec, N, m), m) > _REFINE_TAIL:
+            break
+        n = m
+    return n
+
+
+def _sup_abs(a):
+    return float(max(a.max(), -a.min()))
+
+
+class _Grid:
+    """One stage's grid of n points: its prefix of the run's multiplier,
+    the dealiased quadratic term, the per-step observation and the
+    Lyapunov weights."""
+
+    def __init__(self, n, Pk):
+        self.n = n
+        self.Pk = Pk[:n // 2 + 1]
+        k = np.arange(n // 2 + 1, dtype=float)
+        # real factors of complex spectra are stored complex: numpy would
+        # cast them on every product, to the same values
+        self.mask = (k <= dealias_cutoff(n)).astype(complex)
+        self.ik = 1j * k
+        self.half_ik = 0.5 * self.ik
+        self.ly_u = _lyapunov_weights(n)
+
+    def nl(self, spec_hat, v=None):
+        if v is None:
+            v = irfft(spec_hat, n=self.n)
+        q = rfft(v * v)
+        q *= self.mask
+        return self.half_ik * q
+
+    def observe(self, spec):
+        """v, sup |v| and the gradient sup: the step size and the stop rule
+        read them every step."""
+        v = irfft(spec, n=self.n)
+        return v, _sup_abs(v), _sup_abs(irfft(self.ik * spec, n=self.n))
+
+
 def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
                      cfl=0.4, dt_max=None, dt_floor=1e-10,
                      grad_stop=None, record_every=1, meta=None):
     """Integrate theta_t = theta theta_x - L theta up to time T.
 
+    The data's N is the ceiling of the run, which goes in stages
+    N0 < 2 N0 < ... <= N through one loop. N0 is the coarsest N / 2^i (even,
+    at least 64) whose restriction drops only modes at rounding level and
+    passes the refine rule: after each step, a stage below N whose
+    enstrophy share in the top eighth of its active band (the measure of
+    ``ScalarField1D.spectral_tail_fraction``) passes ``_REFINE_TAIL`` is
+    zero-padded to twice its N, exactly, and the run resumes from the same
+    t. A stage at N runs on; data that needs its full N is one stage.
+
     Parameters
     ----------
     theta0 : ScalarField1D
-        Initial data; assumed adequately band-limited for the grid.
+        Initial data; its N caps the stages.
     T : float
         Time horizon.
     sym, P : DissipationSymbol or multiplier callable, mutually exclusive
-        Dissipation specification; both None runs the inviscid equation.
+        Dissipation specification, evaluated once at N; both None runs the
+        inviscid equation.
     nonlinear : bool
         Disable to recover the exact linear flow (integrating factor only).
     cfl : float
-        Advective step restriction dt <= cfl * dx / sup |theta|.
+        Advective step restriction dt <= cfl * dx / sup |theta|, with the
+        dx of the current stage.
     dt_max : float or None
-        Cap on the step (default T/64).
+        Cap on the step (default T/64), the same for every stage.
     dt_floor : float
         Hard floor; crossing it terminates with code "dt-floor".
     grad_stop : float or None
         Terminate with code "gradient-threshold" once sup |theta_x|
         reaches this value (blow-up bracketing).
     record_every : int
-        Sampling cadence of the diagnostic series, in steps.
+        Sampling cadence of the diagnostic series, in steps of the run.
 
-    Returns a RunRecord with series (t, linf, grad_linf, l2, lyapunov, dt).
-    sup |theta| and the gradient sup are evaluated every step, since the
-    step size and the stop rule read them, and the running gradient maximum
-    lands in the metadata; l2 and lyapunov are evaluated on recorded rows
-    only. Non-finite data and a non-finite or negative multiplier are
-    refused with a ValueError.
+    Returns a RunRecord with series (t, linf, grad_linf, l2, lyapunov, dt),
+    each row observed on the grid of its stage (a refinement step on the
+    new grid). sup |theta| and the gradient sup are evaluated every step,
+    since the step size and the stop rule read them, and the running
+    gradient maximum lands in the metadata; l2 and lyapunov are evaluated
+    on recorded rows only. ``meta["stages"]`` lists each stage's start t, N
+    and step count; ``meta["cap_unresolved_t"]`` is the first t at which
+    the stage at N failed the refine rule (None if never) and
+    ``meta["final_tail"]`` the final state's tail share. Neither decides a
+    verdict. ``final_state`` is padded back to N. Non-finite data and a
+    non-finite or negative multiplier are refused with a ValueError.
     """
     N = theta0.N
-    k = theta0.wavenumbers()
-    Pk, label = _resolve_multiplier(k, sym, P)
+    Pk, label = _resolve_multiplier(theta0.wavenumbers(), sym, P)
+    # refused at N: a stage's prefix could miss what is bad
+    _refuse_bad_input("theta0", theta0.spec, nonnegative=False)
+    _refuse_bad_input("dissipation multiplier", Pk)
+    dt_max = T / 64.0 if dt_max is None else dt_max
+    g = _Grid(_start_grid(theta0.spec, N), Pk)
+    spec = _regrid(theta0.spec, N, g.n)
 
-    # real factors of complex spectra are stored complex: numpy would cast
-    # them on every product, to the same values
-    kcut = dealias_cutoff(N)
-    mask = (k <= kcut).astype(complex)
-    ik = 1j * k
-    half_ik = 0.5 * ik
+    # each state a stage steps from was observed when it was yielded (or
+    # padded), so its grid values are those of the last observation
+    def stage_run(spec, t0):
+        return _IntegratingFactorRK4(
+            spec, T, g.Pk, h=2.0 * np.pi / g.n, cfl=cfl, dt_max=dt_max,
+            dt_floor=dt_floor, nonlinear=g.nl if nonlinear else None,
+            grid=lambda s: (v, linf), t0=t0)
 
-    def nl(spec_hat, v=None):
-        if v is None:
-            v = irfft(spec_hat, n=N)
-        q = rfft(v * v)
-        q *= mask
-        return half_ik * q
-
-    def sup_abs(a):
-        return float(max(a.max(), -a.min()))
-
-    # v, sup |v| and the gradient sup, every step: the step size and the
-    # stop rule read them
-    def observe(spec):
-        v = irfft(spec, n=N)
-        return v, sup_abs(v), sup_abs(irfft(ik * spec, n=N))
-
-    # each state the loop steps from was observed when it was yielded, so
-    # its grid values are those of the last observation
-    run = _IntegratingFactorRK4(
-        theta0.spec, T, Pk, h=2.0 * np.pi / N, cfl=cfl, dt_max=dt_max,
-        dt_floor=dt_floor, nonlinear=nl if nonlinear else None,
-        grid=lambda spec: (v, linf))
     rows = {c: [] for c in ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")}
-    ly_u = _lyapunov_weights(N)
 
     # l2 and the Lyapunov value only feed recorded rows
     def record(t, dt, spec):
         l2 = math.sqrt(2.0 * np.pi * float(np.mean(v * v)))
-        ly = float(np.real(np.dot(spec / N, ly_u)))
+        ly = float(np.real(np.dot(spec / g.n, g.ly_u)))
         for col, val in zip(rows, (t, linf, grad, l2, ly, dt)):
             rows[col].append(val)
 
-    v, linf, grad = observe(run.spec)
+    v, linf, grad = g.observe(spec)
     linf0, grad0 = linf, grad
     max_grad, max_grad_t = grad, 0.0
-    record(0.0, run.step_size(0.0, linf), run.spec)
+    run = stage_run(spec, 0.0)
+    record(0.0, run.step_size(0.0, linf), spec)
+    stages = [{"t": 0.0, "N": g.n, "steps": 0}]
+    cap_t = (0.0 if g.n == N and spectral_tail_1d(spec, N) > _REFINE_TAIL
+             else None)
+    steps, hit_stop = 0, False
 
     started = time.perf_counter()
-    for t, dt, spec in run:
-        v, linf, grad = observe(spec)
-        if grad > max_grad:
-            max_grad, max_grad_t = grad, t
-        hit_stop = grad_stop is not None and grad >= grad_stop
-        if run.steps % record_every == 0 or run.reached(t) or hit_stop:
-            record(t, dt, spec)
-        if hit_stop:
-            run.termination = "gradient-threshold"
+    while True:
+        stage, refine = stages[-1], False
+        for t, dt, spec in run:
+            v, linf, grad = g.observe(spec)
+            if g.n < N or cap_t is None:
+                over = spectral_tail_1d(spec, g.n) > _REFINE_TAIL
+                refine = over and g.n < N
+                if over and not refine:
+                    cap_t = t
+            if refine:
+                spec = _regrid(spec, g.n, 2 * g.n)
+                g = _Grid(2 * g.n, Pk)
+                v, linf, grad = g.observe(spec)
+                stages.append({"t": t, "N": g.n, "steps": 0})
+            if grad > max_grad:
+                max_grad, max_grad_t = grad, t
+            hit_stop = grad_stop is not None and grad >= grad_stop
+            if (steps + run.steps) % record_every == 0 or run.reached(t) \
+                    or hit_stop:
+                record(t, dt, spec)
+            if hit_stop:
+                run.termination = "gradient-threshold"
+            if hit_stop or refine:
+                break
+        stage["steps"] = run.steps
+        steps += run.steps
+        if hit_stop or not refine:
             break
+        run = stage_run(spec, t)
     wall = time.perf_counter() - started
 
     run_meta = {
-        "N": N, "T": T, "cfl": cfl, "dt_max": run.dt_max,
+        "N": N, "T": T, "cfl": cfl, "dt_max": dt_max,
         "dt_floor": dt_floor, "nonlinear": bool(nonlinear),
         "multiplier": label, "linf0": linf0, "grad0": grad0,
-        "steps": run.steps, "max_grad": max_grad, "max_grad_t": max_grad_t,
+        "steps": steps, "max_grad": max_grad, "max_grad_t": max_grad_t,
         "record_every": record_every, "grad_stop": grad_stop,
+        "stages": stages, "cap_unresolved_t": cap_t,
+        "final_tail": spectral_tail_1d(spec, g.n),
     }
     if meta:
         run_meta.update(meta)
@@ -614,7 +725,7 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
         termination=run.termination,
         meta=run_meta,
         wall_time=wall,
-        final_state=ScalarField1D.from_spectrum(run.spec, N),
+        final_state=ScalarField1D.from_spectrum(_regrid(spec, g.n, N), N),
     )
 
 
@@ -803,7 +914,9 @@ def check_lyapunov_inequality(record, kernel_functional, *,
     with forward differences and the sup-norm weakening of the last term.
     It only holds while the solution is resolved, so steps are kept while
     the shock-width proxy sup|theta| / sup|theta_x| stays above
-    ``resolved_width`` grid cells at both endpoints.
+    ``resolved_width`` grid cells at both endpoints, each row's cells those
+    of the stage it was observed on (``meta["stages"]``; a record without
+    stages was observed on ``meta["N"]`` points throughout).
 
     Returns (worst_residual, index); a residual below the discretization
     error on a resolved step signals that the run contradicts the Riccati
@@ -815,7 +928,9 @@ def check_lyapunov_inequality(record, kernel_functional, *,
     grad = record["grad_linf"]
     if len(t) < 2:
         raise ValueError("record too short for a derivative check")
-    h = 2.0 * np.pi / record.meta["N"]
+    stages = record.meta.get("stages") or [{"t": 0.0, "N": record.meta["N"]}]
+    at = np.searchsorted([s["t"] for s in stages], t, side="right") - 1
+    h = 2.0 * np.pi / np.array([s["N"] for s in stages])[at]
     ok = linf / np.maximum(grad, 1e-300) >= resolved_width * h
     keep = ok[:-1] & ok[1:] & (np.diff(t) > 0.0)
     if not np.any(keep):

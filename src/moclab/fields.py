@@ -72,6 +72,17 @@ def max_hypot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.hypot(x, y)))
 
 
+def spectral_tail_1d(spec: np.ndarray, N: int) -> float:
+    """Enstrophy fraction of the top 1/8 of the active band 1 <= k <= N/3,
+    for the rfft spectrum ``spec`` of an N-point grid."""
+    kcut = dealias_cutoff(N)
+    k = np.arange(kcut + 1, dtype=float)
+    ens = k ** 2 * np.abs(spec[:kcut + 1]) ** 2
+    active = ens[1:].sum()
+    shell = ens[k >= 0.875 * kcut].sum()
+    return float(shell / active) if active > 0.0 else 0.0
+
+
 def _refuse_bad_input(name: str, values, *, nonnegative: bool = True):
     """ValueError naming ``name`` unless every value is finite (and, with
     ``nonnegative``, >= 0)."""
@@ -95,13 +106,15 @@ class _IntegratingFactorRK4:
     falls short of the horizon ends the run as "dt-floor". No transform is
     made here: ``grid`` and ``nonlinear`` own every FFT.
 
-    Iterating yields (t, dt, spec) after each step. ``steps``,
-    ``termination`` and ``spec`` hold what the run reached; a caller that
-    stops on its own rule sets ``termination`` before it breaks.
+    Iterating yields (t, dt, spec) after each step, from t = ``t0``.
+    ``steps``, ``termination`` and ``spec`` hold what the run reached; a
+    caller that stops on its own rule sets ``termination`` before it
+    breaks. A loop built from a yielded (t, spec) with ``t0=t`` and the
+    same explicit ``dt_max`` continues the run bit for bit.
     """
 
     def __init__(self, spec, T, Pk, *, h, cfl, dt_max, dt_floor, nonlinear,
-                 grid):
+                 grid, t0=0.0):
         if T <= 0.0:
             raise ValueError("horizon must be positive")
         _refuse_bad_input("theta0", spec, nonnegative=False)
@@ -109,7 +122,7 @@ class _IntegratingFactorRK4:
         self.spec = np.array(spec, dtype=complex)
         self.T, self.Pk, self.h, self.cfl = T, Pk, h, cfl
         self.dt_max = T / 64.0 if dt_max is None else dt_max
-        self.dt_floor = dt_floor
+        self.dt_floor, self.t0 = dt_floor, t0
         self.nonlinear, self.grid = nonlinear, grid
         self.steps = 0
         self.termination = "completed"
@@ -125,7 +138,7 @@ class _IntegratingFactorRK4:
         return min(dt, self.T - t)
 
     def __iter__(self):
-        t, spec, nl = 0.0, self.spec, self.nonlinear
+        t, spec, nl = self.t0, self.spec, self.nonlinear
         while not self.reached(t):
             aux, speed = (None, 0.0) if nl is None else self.grid(spec)
             dt = self.step_size(t, speed)
@@ -260,12 +273,7 @@ class ScalarField1D:
 
     def spectral_tail_fraction(self) -> float:
         """Enstrophy fraction carried by the top 1/8 of the active band."""
-        k = self.wavenumbers()
-        kcut = dealias_cutoff(self.N)
-        ens = k ** 2 * np.abs(self.spec) ** 2
-        active = ens[(k >= 1) & (k <= kcut)].sum()
-        shell = ens[(k >= 0.875 * kcut) & (k <= kcut)].sum()
-        return float(shell / active) if active > 0.0 else 0.0
+        return spectral_tail_1d(self.spec, self.N)
 
 
 class ScalarField2D:

@@ -441,38 +441,64 @@ def test_record_columns():
             == "t,linf,grad_linf,l2,lyapunov,dt")
 
 
-def _numpy_fft_stepper(theta0, T, Pk, *, nonlinear=True, cfl=0.4,
+def _restrict(spec, N, n):
+    # the data's spectrum on n points: modes above n/2 dropped, and the
+    # mode at n/2 read as the coarse grid's Nyquist cosine
+    if n == N:
+        return spec.copy()
+    out = spec[:n // 2 + 1] * (n / N)
+    out[-1] = 2.0 * out[-1].real
+    return out
+
+
+def _pad(spec, n):
+    # zero-padding from n to 2n points: the coarse Nyquist cosine becomes
+    # half of a complex mode
+    out = np.zeros(n + 1, dtype=complex)
+    out[:n // 2 + 1] = 2.0 * spec
+    out[n // 2] = spec[n // 2].real
+    return out
+
+
+def _numpy_fft_stepper(theta0, T, Pk, *, n0=None, nonlinear=True, cfl=0.4,
                        dt_max=None, dt_floor=1e-10, grad_stop=None,
                        record_every=1):
     # the integrating-factor RK4 loop on np.fft, with every diagnostic
-    # evaluated every step: the reference the stepper must match bit for bit
+    # evaluated every step, started on n0 points (default: the data's N)
+    # and padded to twice the points whenever the ScalarField1D tail
+    # measure passes the refine constant below the data's N: the reference
+    # the stepper must match bit for bit
     N = theta0.N
-    h = 2.0 * np.pi / N
-    k = theta0.wavenumbers()
+    n = N if n0 is None else n0
     dt_max = T / 64.0 if dt_max is None else dt_max
-    mask = (k <= N // 3).astype(float)
-    ik = 1j * k
+
+    def on_grid(n):
+        k = np.arange(n // 2 + 1, dtype=float)
+        return (2.0 * np.pi / n, (k <= n // 3).astype(float), 1j * k,
+                burgers._lyapunov_weights(n))
+
+    h, mask, ik, ly_u = on_grid(n)
 
     def nl(spec_hat, v=None):
         if v is None:
-            v = np.fft.irfft(spec_hat, n=N)
+            v = np.fft.irfft(spec_hat, n=n)
         q = np.fft.rfft(v * v)
         q *= mask
         return 0.5 * ik * q
 
-    spec = theta0.spec.astype(complex).copy()
+    spec = _restrict(theta0.spec.astype(complex), N, n)
     rows = {c: [] for c in ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")}
-    ly_u = burgers._lyapunov_weights(N)
 
     def diagnostics(v):
         linf = float(np.max(np.abs(v)))
-        grad = float(np.max(np.abs(np.fft.irfft(ik * spec, n=N))))
+        grad = float(np.max(np.abs(np.fft.irfft(ik * spec, n=n))))
         l2 = math.sqrt(2.0 * np.pi * float(np.mean(v * v)))
-        ly = float(np.real(np.dot(spec / N, ly_u)))
+        ly = float(np.real(np.dot(spec / n, ly_u)))
         return linf, grad, l2, ly
 
     t, steps = 0.0, 0
-    v = np.fft.irfft(spec, n=N)
+    stages = [{"t": 0.0, "N": n, "steps": 0}]
+    v = np.fft.irfft(spec, n=n)
     linf, grad, l2, ly = diagnostics(v)
     max_grad, max_grad_t = grad, 0.0
 
@@ -488,7 +514,7 @@ def _numpy_fft_stepper(theta0, T, Pk, *, nonlinear=True, cfl=0.4,
         dt = select_dt()
         if dt < dt_floor and (T - t) > dt_floor:
             break
-        E = np.exp(-0.5 * dt * Pk)
+        E = np.exp(-0.5 * dt * Pk[:n // 2 + 1])
         E2 = E * E
         if nonlinear:
             a = nl(spec, v)
@@ -500,7 +526,14 @@ def _numpy_fft_stepper(theta0, T, Pk, *, nonlinear=True, cfl=0.4,
             spec = E2 * spec
         t += dt
         steps += 1
-        v = np.fft.irfft(spec, n=N)
+        stages[-1]["steps"] += 1
+        tail = ScalarField1D.from_spectrum(spec, n).spectral_tail_fraction()
+        if n < N and tail > burgers._REFINE_TAIL:
+            spec = _pad(spec, n)
+            n *= 2
+            h, mask, ik, ly_u = on_grid(n)
+            stages.append({"t": t, "N": n, "steps": 0})
+        v = np.fft.irfft(spec, n=n)
         linf, grad, l2, ly = diagnostics(v)
         if grad > max_grad:
             max_grad, max_grad_t = grad, t
@@ -510,7 +543,10 @@ def _numpy_fft_stepper(theta0, T, Pk, *, nonlinear=True, cfl=0.4,
                 rows[c].append(val)
         if hit_stop:
             break
-    return rows, spec, steps, max_grad, max_grad_t
+    while n < N:
+        spec = _pad(spec, n)
+        n *= 2
+    return rows, spec, steps, max_grad, max_grad_t, stages
 
 
 def _designed_case():
@@ -538,27 +574,113 @@ GOLDEN_CASES = {
 }
 
 
+def _reference_kw(kw):
+    return {key: kw[key] for key in ("nonlinear", "cfl", "dt_max",
+                                     "grad_stop", "record_every")
+            if key in kw}
+
+
+def _multiplier(theta0, kw):
+    return burgers._resolve_multiplier(theta0.wavenumbers(), kw.get("sym"),
+                                       kw.get("P"))[0]
+
+
+def _assert_matches_reference(rec, theta0, ref):
+    rows, spec, steps, max_grad, max_grad_t, stages = ref
+    assert rec.meta["steps"] == steps >= 8
+    assert rec.meta["stages"] == stages
+    for col, want in rows.items():
+        assert np.array_equal(rec[col], np.asarray(want)), col
+    assert np.array_equal(rec.final_state.values,
+                          np.fft.irfft(spec, n=theta0.N))
+    assert rec.meta["max_grad"] == max_grad
+    assert rec.meta["max_grad_t"] == max_grad_t
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_stepper_matches_the_numpy_fft_reference(case):
     theta0, T, kw = GOLDEN_CASES[case]()
     rec = simulate_burgers(theta0, T, **kw)
-    k = theta0.wavenumbers()
-    Pk, _ = burgers._resolve_multiplier(k, kw.get("sym"), kw.get("P"))
-    ref_kw = {key: kw[key] for key in ("nonlinear", "dt_max", "grad_stop",
-                                       "record_every") if key in kw}
-    rows, spec, steps, max_grad, max_grad_t = _numpy_fft_stepper(
-        theta0, T, Pk, **ref_kw)
-    assert rec.meta["steps"] == steps >= 8
-    for col, ref in rows.items():
-        assert np.array_equal(rec[col], np.asarray(ref)), col
-    assert np.array_equal(rec.final_state.values, np.fft.irfft(spec, n=theta0.N))
-    assert rec.meta["max_grad"] == max_grad
-    assert rec.meta["max_grad_t"] == max_grad_t
+    n0 = rec.meta["stages"][0]["N"]
+    ref = _numpy_fft_stepper(theta0, T, _multiplier(theta0, kw), n0=n0,
+                             **_reference_kw(kw))
+    _assert_matches_reference(rec, theta0, ref)
+    steps = rec.meta["steps"]
     if case == "designed-blowup":
         assert rec.termination == "gradient-threshold"
         assert len(rec) < steps
+        assert [s["N"] for s in rec.meta["stages"]] == [64, 128, 256, 512,
+                                                        1024]
     if case == "dt-max-limited":
         assert np.all(rec["dt"][:-1] == T / 64.0)
+
+
+def test_data_that_needs_its_full_N_runs_as_one_stage():
+    # modes up to N/3: no coarser grid holds them, so the run is the
+    # fixed-N loop
+    theta0 = ScalarField1D.random_band_limited(256, 256 // 3, 0.5, seed=5)
+    kw = {"sym": HALF, "grad_stop": 1e3}
+    rec = simulate_burgers(theta0, 0.2, **kw)
+    ref = _numpy_fft_stepper(theta0, 0.2, _multiplier(theta0, kw),
+                             **_reference_kw(kw))
+    _assert_matches_reference(rec, theta0, ref)
+    assert rec.meta["stages"] == [{"t": 0.0, "N": 256,
+                                   "steps": rec.meta["steps"]}]
+
+
+def test_start_grid_is_the_coarsest_that_holds_the_data():
+    sine = ScalarField1D.from_function(4096, lambda x: 300.0 * np.sin(x))
+    assert burgers._start_grid(sine.spec, 4096) == 64
+    # below the smallest stage the data's grid is the only one
+    small = ScalarField1D.from_function(32, np.sin)
+    assert burgers._start_grid(small.spec, 32) == 32
+    wide = ScalarField1D.random_band_limited(1024, 60, 1.0, seed=1)
+    assert burgers._start_grid(wide.spec, 1024) == 256
+    full = ScalarField1D.random_band_limited(1024, 1024 // 3, 1.0, seed=1)
+    assert burgers._start_grid(full.spec, 1024) == 1024
+
+
+def test_padding_then_slicing_a_stage_spectrum_round_trips_bitwise():
+    theta0, T, kw = _designed_case()
+    rec = simulate_burgers(theta0, T, **kw)
+    stage = rec.meta["stages"][-1]["N"]
+    spec = _restrict(rec.final_state.spec, rec.meta["N"], stage // 4)
+    for n in (stage // 4, stage // 2, stage):
+        up = burgers._regrid(spec, stage // 4, n)
+        assert np.array_equal(burgers._regrid(up, n, stage // 4), spec)
+    # padding is exact: the fine grid samples the coarse trig interpolant
+    coarse = ScalarField1D.from_spectrum(spec, stage // 4)
+    fine = np.fft.irfft(burgers._regrid(spec, stage // 4, stage), n=stage)
+    assert_allclose(fine, coarse.evaluate_at(ScalarField1D.grid_of(stage)),
+                    rtol=0.0, atol=1e-12 * coarse.linf())
+
+
+def test_staged_bracket_overlaps_the_fixed_N_bracket_at_small_steps():
+    # convergence oracle: the fixed-N loop at cfl 0.1 has a converged
+    # bracket, and the staged run at the default cfl must meet it
+    theta0, T, kw = _designed_case()
+    rec = simulate_burgers(theta0, T, **kw)
+    lo, hi = detect_blowup(rec, INST, grad_factor=50.0).blowup_bracket
+    rows = _numpy_fft_stepper(theta0, T, _multiplier(theta0, kw), cfl=0.1,
+                              **_reference_kw(kw))[0]
+    t, grad = np.asarray(rows["t"]), np.asarray(rows["grad_linf"])
+    i = int(np.flatnonzero(grad >= 50.0 * grad[0])[0])
+    assert lo <= t[i] and t[i - 1] <= hi
+
+
+def test_staged_run_reports_under_resolution_at_the_cap():
+    theta0, T, kw = _designed_case()
+    rec = simulate_burgers(theta0, T, **kw)
+    cap = rec.meta["stages"][-1]
+    assert cap["N"] == rec.meta["N"]
+    assert cap["t"] < rec.meta["cap_unresolved_t"] <= rec.t[-1]
+    assert rec.meta["final_tail"] > burgers._REFINE_TAIL
+    assert rec.meta["final_tail"] == \
+        rec.final_state.spectral_tail_fraction()
+    # a resolved run never fails the rule at the cap
+    calm = simulate_burgers(small_smooth_field(64), 0.5, sym=HALF)
+    assert calm.meta["cap_unresolved_t"] is None
+    assert calm.meta["final_tail"] < burgers._REFINE_TAIL
 
 
 @pytest.mark.parametrize("nonlinear,per_step", [(True, 9), (False, 2)])
@@ -734,6 +856,27 @@ def test_lyapunov_inequality_on_resolved_steps():
     rep, rec = designed_run(1024, record_every=2)
     worst, _ = check_lyapunov_inequality(rec, INST.kernel_functional)
     assert worst >= 0.0
+
+
+def test_lyapunov_inequality_reads_each_rows_grid_from_the_stages():
+    # the shock-width proxy is two cells of the 256-point stage, half a
+    # cell of the 64-point one: only rows from t = 0.5 on are resolved,
+    # and the early rows, which break the inequality, are not checked
+    cols = ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")
+    t = np.linspace(0.0, 1.0, 9)
+    series = {"t": t, "linf": np.ones(9),
+              "grad_linf": np.full(9, 256.0 / (4.0 * np.pi)),
+              "l2": np.ones(9), "dt": np.full(9, 0.125),
+              "lyapunov": np.where(t < 0.5, 4.0 - t, 1.0 + t)}
+    stages = [{"t": 0.0, "N": 64, "steps": 4},
+              {"t": 0.5, "N": 256, "steps": 4}]
+    rec = RunRecord(equation="burgers", columns=cols, series=series,
+                    meta={"N": 256, "stages": stages})
+    worst, i = check_lyapunov_inequality(rec, 10.0)
+    assert worst >= 0.0 and i >= 4
+    # read at N alone, every row counts as resolved
+    rec.meta.pop("stages")
+    assert check_lyapunov_inequality(rec, 10.0)[0] < 0.0
 
 
 def test_lyapunov_inequality_needs_two_rows():

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from moclab.burgers import simulate_burgers
-from moclab.fields import (ScalarField1D, ScalarField2D, dealias_cutoff,
-                           max_hypot)
+from moclab.fields import (ScalarField1D, ScalarField2D,
+                           _IntegratingFactorRK4, dealias_cutoff, max_hypot)
 from moclab.sqg_euler import simulate_p_euler, simulate_sqg
 from moclab.symbols import make_multiplier
 
@@ -60,6 +60,16 @@ def test_random_band_limited_odd():
 def test_spectral_tail_fraction_band_limited():
     f = ScalarField1D.random_band_limited(256, kmax=10, amplitude=1.0, seed=3)
     assert f.spectral_tail_fraction() < 1e-12
+
+
+def test_spectral_tail_fraction_is_the_top_eighth_enstrophy_share():
+    f = ScalarField1D.random_band_limited(96, 32, 1.0, seed=4)
+    k = f.wavenumbers()
+    ens = k ** 2 * np.abs(f.spec) ** 2
+    shell = ens[(k >= 28.0) & (k <= 32.0)].sum()
+    assert_allclose(f.spectral_tail_fraction(),
+                    shell / ens[(k >= 1.0) & (k <= 32.0)].sum(), rtol=1e-14)
+    assert f.spectral_tail_fraction() > 1e-3
 
 
 def test_dealias_cutoff():
@@ -155,6 +165,47 @@ def test_max_hypot_equals_the_max_of_hypot_bitwise(case):
         warnings.simplefilter("error")
         got = max_hypot(x, y)
     assert got.hex() == float(np.max(np.hypot(x, y))).hex()
+
+
+# ---------------------------------------------------------------------------
+# the shared time loop resumes where it left off
+# ---------------------------------------------------------------------------
+
+def _loop_1d(spec, t0, nonlinear):
+    # a 1-D Burgers right-hand side on 64 points; the grid quantity is the
+    # state's values, which the first RK4 stage reuses
+    N = 64
+    k = np.arange(N // 2 + 1, dtype=float)
+
+    def nl(s, v=None):
+        v = np.fft.irfft(s, n=N) if v is None else v
+        return 0.5j * k * np.fft.rfft(v * v) * (k <= N // 3)
+
+    def grid(s):
+        v = np.fft.irfft(s, n=N)
+        return v, float(np.max(np.abs(v)))
+
+    return _IntegratingFactorRK4(
+        spec, 1.0, np.sqrt(k), h=2.0 * np.pi / N, cfl=0.4, dt_max=0.02,
+        dt_floor=1e-10, nonlinear=nl if nonlinear else None, grid=grid,
+        t0=t0)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_loop_resumed_from_a_yielded_state_continues_bitwise(nonlinear):
+    spec = ScalarField1D.from_function(64, lambda x: 2.0 * np.sin(x)).spec
+    whole = [(t, dt, s.copy()) for t, dt, s in _loop_1d(spec, 0.0,
+                                                           nonlinear)]
+    assert len(whole) >= 50
+    j = 17
+    t0, _, s0 = whole[j]
+    resumed = _loop_1d(s0, t0, nonlinear)
+    rest = list(resumed)
+    assert resumed.steps == len(whole) - j - 1 == len(rest)
+    assert resumed.termination == "completed"
+    for (t, dt, s), (rt, rdt, rs) in zip(whole[j + 1:], rest):
+        assert (t, dt) == (rt, rdt)
+        assert np.array_equal(s, rs)
 
 
 # ---------------------------------------------------------------------------
