@@ -60,8 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .fields import (ScalarField1D, _IntegratingFactorRK4, _refuse_bad_input,
-                     dealias_cutoff, spectral_tail_1d)
+from .fields import (_CFL, _DT_FLOOR, ScalarField1D, _IntegratingFactorRK4,
+                     _refuse_bad_input, dealias_cutoff, spectral_tail_1d)
 from .kernels import multiplier_of_symbol_1d
 from .quadrature import (classify_decades, decade_increments, graded_edges,
                          log_edges, log_panel_blocks, log_panel_rows,
@@ -79,8 +79,16 @@ _CONV_RATIO = 0.95
 _CONV_DRIFT = 0.005
 _DIV_RATIO = 0.999
 
+# the log-panel rule of L w: panels per decade and Gauss-Legendre order;
+# compute_Lw refines it once to check the integral of |L w|
+_LW_PER_DECADE = 4
+_LW_ORDER = 10
+
 # ulps design_blowup_data may add to the bisected amplitude
 _DESIGN_ULP_STEPS = 64
+# the blow-up condition asks L(0)^2 to beat this multiple of
+# (integral |Lw|) * sup |theta0|, so that it holds strictly
+_BLOWUP_MARGIN = 1.1
 
 # detect_blowup: the late gradient slope must reach _ACCEL_FACTOR times the
 # early one, the Lyapunov series stay within _ODE_RTOL of the comparison
@@ -218,7 +226,7 @@ def _wedge_diss_outside(sym, x, per_decade, order):
     return t_far - t_near
 
 
-def wedge_dissipation(sym, x, *, per_decade=4, order=10):
+def wedge_dissipation(sym, x, *, per_decade=_LW_PER_DECADE, order=_LW_ORDER):
     """Pointwise L w at x (scalar or array), odd in x by construction."""
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
@@ -321,8 +329,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
         return wedge_dissipation(sym, xx, per_decade=per_decade, order=order)
 
     in_edges = np.concatenate([np.linspace(0.5, 0.75, 5)[:-1],
-                               1.0 - graded_edges(0.0, 0.25, 26,
-                                                  toward="left")[::-1]])
+                               1.0 - graded_edges(0.0, 0.25, 26)[::-1]])
     i_upper = _abs_integral(inside, 0.5, 1.0 - 1e-13,
                             np.unique(np.clip(in_edges, 0.5, 1.0 - 1e-13)),
                             order)
@@ -336,7 +343,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
     while ((C + 1.0) / 3.0) * _m_over_r2_tail(sym, X - 1.0) > target and X < 1e6:
         X *= 4.0
     out_edges = np.unique(np.concatenate([
-        1.0 + graded_edges(0.0, 1.0, 30, toward="left"),
+        1.0 + graded_edges(0.0, 1.0, 30),
         log_edges(2.0, X, per_decade)]))
     nodes, weights = panel_nodes(out_edges, order)
     vals = -_wedge_diss_outside(sym, nodes, per_decade, order)
@@ -350,11 +357,12 @@ _LW_TABLE_X = np.concatenate([np.geomspace(1e-4, 0.96, 40),
                               np.linspace(1.04, 6.0, 25)])
 
 
-def compute_Lw(sym, *, per_decade=4, order=10):
+def compute_Lw(sym):
     """L w on a fixed table of x, and the certified integral of |L w|.
 
     Refuses kernels whose mass near 0 cannot be certified finite (the
-    hypothesis of the blow-up lemma).  The whole integral is recomputed at
+    hypothesis of the blow-up lemma).  The integral is computed on the rule
+    of ``_LW_PER_DECADE`` panels per decade at order ``_LW_ORDER``, then at
     doubled panel density, order + 4, and reported refined, with the
     relative difference as ``integral_error``.
     """
@@ -367,10 +375,11 @@ def compute_Lw(sym, *, per_decade=4, order=10):
                         "decade classifier certified it finite")
 
     C = _log_slope_sup(sym)
-    i_in, i_out, _ = _abs_lw_integrals(sym, per_decade, order, mass, C)
+    i_in, i_out, _ = _abs_lw_integrals(sym, _LW_PER_DECADE, _LW_ORDER, mass,
+                                       C)
     coarse = i_in + i_out
-    i_in, i_out, far_rem = _abs_lw_integrals(sym, 2 * per_decade, order + 4,
-                                             mass, C)
+    i_in, i_out, far_rem = _abs_lw_integrals(sym, 2 * _LW_PER_DECADE,
+                                             _LW_ORDER + 4, mass, C)
     total = i_in + i_out
     integral_error = abs(total - coarse) / abs(total)
 
@@ -382,8 +391,7 @@ def compute_Lw(sym, *, per_decade=4, order=10):
         warnings.append("measured |Lw| integrals exceed the closed-form "
                         "bounds; quadrature or symbol conditions suspect")
 
-    table = wedge_dissipation(sym, _LW_TABLE_X, per_decade=per_decade,
-                              order=order)
+    table = wedge_dissipation(sym, _LW_TABLE_X)
 
     return BlowupInstrumentation(
         x_table=_LW_TABLE_X.copy(),
@@ -413,9 +421,9 @@ def compute_Lw(sym, *, per_decade=4, order=10):
 class DesignReport:
     """Initial data scaled to the Lyapunov blow-up condition.
 
-    ``condition_value`` is L(0)^2 - margin * kernel_functional * sup,
-    measured on the returned grid data; positive means the certificate
-    holds strictly.
+    ``condition_value`` is L(0)^2 - margin * kernel_functional * sup, with
+    margin ``_BLOWUP_MARGIN``, measured on the returned grid data; positive
+    means the certificate holds strictly.
     """
 
     field: ScalarField1D
@@ -431,14 +439,16 @@ class DesignReport:
         return self.condition_value > 0.0
 
 
-def blowup_condition(fld, kernel_functional, margin=1.1):
-    """L(0)^2 - margin * (integral |Lw|) * sup |theta0| for given data."""
-    return lyapunov(fld) ** 2 - margin * kernel_functional * fld.linf()
+def blowup_condition(fld, kernel_functional):
+    """L(0)^2 - margin * (integral |Lw|) * sup |theta0| for given data, with
+    margin ``_BLOWUP_MARGIN``."""
+    return (lyapunov(fld) ** 2
+            - _BLOWUP_MARGIN * kernel_functional * fld.linf())
 
 
-def design_blowup_data(sym, *, N=4096, margin=1.1, profile=None,
-                       instrumentation=None):
-    """Scale an odd profile until the Lyapunov condition holds strictly.
+def design_blowup_data(sym, *, N=4096, instrumentation=None):
+    """Scale the odd profile sin x until the Lyapunov condition holds
+    strictly.
 
     The amplitude enters the condition quadratically through L(0)^2 and
     linearly through the sup norm, so a doubling search always exits; a
@@ -446,15 +456,12 @@ def design_blowup_data(sym, *, N=4096, margin=1.1, profile=None,
     """
     instr = instrumentation if instrumentation is not None else compute_Lw(sym)
     I = instr.kernel_functional
-    base = ScalarField1D.from_function(N, profile if profile is not None
-                                       else np.sin)
+    base = ScalarField1D.from_function(N, np.sin)
     L_phi = lyapunov(base)
-    if L_phi <= 0.0:
-        raise ValueError("profile must have a positive hat-weighted mean")
     sup_phi = base.linf()
 
     def condition(lam):
-        return (lam * L_phi) ** 2 - margin * I * lam * sup_phi
+        return (lam * L_phi) ** 2 - _BLOWUP_MARGIN * I * lam * sup_phi
 
     hi = 1.0
     while condition(hi) <= 0.0:
@@ -473,7 +480,7 @@ def design_blowup_data(sym, *, N=4096, margin=1.1, profile=None,
     lam = hi
     for _ in range(_DESIGN_ULP_STEPS):
         fld = ScalarField1D(lam * base.values)
-        value = blowup_condition(fld, I, margin)
+        value = blowup_condition(fld, I)
         if value > 0.0:
             break
         lam = math.nextafter(lam, math.inf)
@@ -486,7 +493,7 @@ def design_blowup_data(sym, *, N=4096, margin=1.1, profile=None,
         lyapunov0=lyapunov(fld),
         sup0=fld.linf(),
         kernel_functional=I,
-        margin=margin,
+        margin=_BLOWUP_MARGIN,
         condition_value=value,
     )
 
@@ -590,8 +597,8 @@ class _Grid:
 
 
 def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
-                     cfl=0.4, dt_max=None, dt_floor=1e-10,
-                     grad_stop=None, record_every=1, meta=None):
+                     dt_max=None, dt_floor=_DT_FLOOR, grad_stop=None,
+                     record_every=1):
     """Integrate theta_t = theta theta_x - L theta up to time T.
 
     The data's N is the ceiling of the run, which goes in stages
@@ -614,11 +621,10 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
         inviscid equation.
     nonlinear : bool
         Disable to recover the exact linear flow (integrating factor only).
-    cfl : float
-        Advective step restriction dt <= cfl * dx / sup |theta|, with the
-        dx of the current stage.
     dt_max : float or None
-        Cap on the step (default T/64), the same for every stage.
+        Cap on the step (default T/64), the same for every stage. The
+        advective restriction dt <= 0.4 dx / sup |theta| (``fields._CFL``)
+        takes the dx of the current stage.
     dt_floor : float
         Hard floor; crossing it terminates with code "dt-floor".
     grad_stop : float or None
@@ -644,15 +650,15 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     # refused at N: a stage's prefix could miss what is bad
     _refuse_bad_input("theta0", theta0.spec, nonnegative=False)
     _refuse_bad_input("dissipation multiplier", Pk)
-    dt_max = T / 64.0 if dt_max is None else dt_max
     g = _Grid(_start_grid(theta0.spec, N), Pk)
     spec = _regrid(theta0.spec, N, g.n)
 
     # each state a stage steps from was observed when it was yielded (or
-    # padded), so its grid values are those of the last observation
+    # padded), so its grid values are those of the last observation; every
+    # stage has the run's horizon, so the same default step cap
     def stage_run(spec, t0):
         return _IntegratingFactorRK4(
-            spec, T, g.Pk, h=2.0 * np.pi / g.n, cfl=cfl, dt_max=dt_max,
+            spec, T, g.Pk, h=2.0 * np.pi / g.n, dt_max=dt_max,
             dt_floor=dt_floor, nonlinear=g.nl if nonlinear else None,
             grid=lambda s: (v, linf), t0=t0)
 
@@ -707,23 +713,20 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
         run = stage_run(spec, t)
     wall = time.perf_counter() - started
 
-    run_meta = {
-        "N": N, "T": T, "cfl": cfl, "dt_max": dt_max,
-        "dt_floor": dt_floor, "nonlinear": bool(nonlinear),
-        "multiplier": label, "linf0": linf0, "grad0": grad0,
-        "steps": steps, "max_grad": max_grad, "max_grad_t": max_grad_t,
-        "record_every": record_every, "grad_stop": grad_stop,
-        "stages": stages, "cap_unresolved_t": cap_t,
-        "final_tail": spectral_tail_1d(spec, g.n),
-    }
-    if meta:
-        run_meta.update(meta)
     return RunRecord(
         equation="burgers",
         columns=("t", "linf", "grad_linf", "l2", "lyapunov", "dt"),
         series=rows,
         termination=run.termination,
-        meta=run_meta,
+        meta={
+            "N": N, "T": T, "cfl": _CFL, "dt_max": run.dt_max,
+            "dt_floor": dt_floor, "nonlinear": bool(nonlinear),
+            "multiplier": label, "linf0": linf0, "grad0": grad0,
+            "steps": steps, "max_grad": max_grad, "max_grad_t": max_grad_t,
+            "record_every": record_every, "grad_stop": grad_stop,
+            "stages": stages, "cap_unresolved_t": cap_t,
+            "final_tail": spectral_tail_1d(spec, g.n),
+        },
         wall_time=wall,
         final_state=ScalarField1D.from_spectrum(_regrid(spec, g.n, N), N),
     )
@@ -906,17 +909,16 @@ def detect_blowup(record, instrumentation=None, *, certified_B=None,
                    grad_ratio=grad_ratio, checks=checks)
 
 
-def check_lyapunov_inequality(record, kernel_functional, *,
-                              resolved_width=1.0):
+def check_lyapunov_inequality(record, kernel_functional):
     """Worst residual of the discrete Lyapunov differential inequality.
 
     The inequality dL/dt >= (3/2) L^2 - integral |theta| |Lw| is checked
     with forward differences and the sup-norm weakening of the last term.
     It only holds while the solution is resolved, so steps are kept while
-    the shock-width proxy sup|theta| / sup|theta_x| stays above
-    ``resolved_width`` grid cells at both endpoints, each row's cells those
-    of the stage it was observed on (``meta["stages"]``; a record without
-    stages was observed on ``meta["N"]`` points throughout).
+    the shock-width proxy sup|theta| / sup|theta_x| stays above one grid
+    cell at both endpoints, each row's cell that of the stage it was
+    observed on (``meta["stages"]``; a record without stages was observed
+    on ``meta["N"]`` points throughout).
 
     Returns (worst_residual, index); a residual below the discretization
     error on a resolved step signals that the run contradicts the Riccati
@@ -931,7 +933,7 @@ def check_lyapunov_inequality(record, kernel_functional, *,
     stages = record.meta.get("stages") or [{"t": 0.0, "N": record.meta["N"]}]
     at = np.searchsorted([s["t"] for s in stages], t, side="right") - 1
     h = 2.0 * np.pi / np.array([s["N"] for s in stages])[at]
-    ok = linf / np.maximum(grad, 1e-300) >= resolved_width * h
+    ok = linf / np.maximum(grad, 1e-300) >= h
     keep = ok[:-1] & ok[1:] & (np.diff(t) > 0.0)
     if not np.any(keep):
         raise ValueError("no resolved steps to check")

@@ -58,7 +58,8 @@ DEFAULT_A = 2.0
 XI_GRID_LO = 1e-6
 XI_GRID_HI = 1e3
 XI_POINTS_PER_DECADE = 64
-# panels per decade and Gauss-Legendre order of the dissipation quadrature
+# panels per decade and Gauss-Legendre order of the dissipation quadrature;
+# the advective functionals take the order
 _DISS_PER_DECADE = 2.0
 _DISS_ORDER = 12
 
@@ -78,7 +79,9 @@ def default_xi_grid(lo: float = XI_GRID_LO, hi: float = XI_GRID_HI,
 # ---------------------------------------------------------------------------
 
 def _omega_kinks(omega) -> list[float]:
-    """Argument values where a modulus may lose smoothness."""
+    """Argument values where a modulus may lose smoothness: a member's
+    crossover scale and symbol breakpoints, or the ``delta`` and ``kinks``
+    attributes of any other modulus (a callable's are set on it)."""
     if isinstance(omega, ModulusMember):
         return [omega.delta] + [0.5 * p for p in omega.sym.breakpoints]
     delta = getattr(omega, "delta", math.inf)
@@ -201,14 +204,14 @@ def _low_riesz(omega_fn, xi: np.ndarray, kinks: Sequence[float], order: int):
 def _advective_pair(omega, xi: np.ndarray, w_xi: np.ndarray,
                     kinks: Sequence[float], order: int):
     """(Omega/A, OmegaTilde/A, shared error) at positive separations xi,
-    given w_xi = omega(xi), reusing one tail integral."""
-    kinks = list(kinks) or _omega_kinks(omega)
+    given w_xi = omega(xi) and kinks = _omega_kinks(omega), reusing one
+    tail integral."""
     low, err_low = _low_riesz(_omega_fn(omega), xi, kinks, order)
     tail, err_tail = _riesz_tail(omega, xi, w_xi, kinks, order)
     return low + tail, w_xi + tail, err_low + err_tail
 
 
-def _advective(omega, xi, kinks: Sequence[float], order: int, which: int):
+def _advective(omega, xi, which: int):
     x, shape = _separations(xi)
     if np.any(x < 0.0):
         raise ValueError("certificates need a positive separation")
@@ -217,12 +220,12 @@ def _advective(omega, xi, kinks: Sequence[float], order: int, which: int):
     if pos.any():
         xp = x[pos]
         w = _omega_array(_omega_fn(omega), xp)
-        out[pos] = _advective_pair(omega, xp, w, kinks, order)[which]
+        out[pos] = _advective_pair(omega, xp, w, _omega_kinks(omega),
+                                   _DISS_ORDER)[which]
     return _shaped(out, shape)
 
 
-def omega_riesz(omega, xi, *, kinks: Sequence[float] = (),
-                order: int = 12):
+def omega_riesz(omega, xi):
     """Riesz-increment certificate at separation xi, returned as a /A value.
 
     Evaluates the two-sided weighted average of the modulus,
@@ -238,21 +241,20 @@ def omega_riesz(omega, xi, *, kinks: Sequence[float] = (),
     TailDivergenceError, e.g. for linear omega whose tail integral is the
     divergent integral of 1/eta.
 
-    ``kinks`` marks non-smooth points of a callable omega so the quadrature
-    can pin them as panel edges.
+    A ``kinks`` attribute on a callable omega marks its non-smooth points,
+    which the quadrature pins as panel edges.
     """
-    return _advective(omega, xi, kinks, order, 0)
+    return _advective(omega, xi, 0)
 
 
-def omega_tilde(omega, xi, *, kinks: Sequence[float] = (),
-                order: int = 12):
+def omega_tilde(omega, xi):
     """Flow-aligned advective certificate omega(xi) + tail, as a /A value.
 
     Smaller than the Riesz-increment certificate for concave moduli, since
     omega(eta)/eta >= omega(xi)/xi on (0, xi); used past the crossover scale
     where the full two-sided average is too generous. Scalar or array xi.
     """
-    return _advective(omega, xi, kinks, order, 1)
+    return _advective(omega, xi, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +362,11 @@ def _callable_far_windows(omega_fn, sym, xi, w_xi, R0, kinks, order):
 
 
 def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
-                     w_xi: np.ndarray, kinks: Sequence[float],
+                     w_xi: np.ndarray, ks: Sequence[float],
                      per_decade: float, order: int):
     """(raw dissipation, error) at positive separations xi, given
-    w_xi = omega(xi)."""
+    w_xi = omega(xi) and ks = _omega_kinks(omega)."""
     omega_fn = _omega_fn(omega)
-    ks = list(kinks) or _omega_kinks(omega)
     near, err_n = _near_integral(omega_fn, sym, xi, w_xi, ks, per_decade,
                                  order)
     if isinstance(omega, ModulusMember):
@@ -385,10 +386,7 @@ def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
     return near + direct + far, err_n + err_d + err_f
 
 
-def dissipation_lower(omega, sym: DissipationSymbol | None, xi, *,
-                      kinks: Sequence[float] = (),
-                      per_decade: float = _DISS_PER_DECADE,
-                      order: int = _DISS_ORDER):
+def dissipation_lower(omega, sym: DissipationSymbol | None, xi):
     """Dissipative lower-bound functional at separation xi, as a *A value.
 
     Two-piece quadrature of the second-difference integrals
@@ -407,7 +405,8 @@ def dissipation_lower(omega, sym: DissipationSymbol | None, xi, *,
     sym = _symbol_of(omega, sym)
     val, err = _dissipation_err(omega, sym, x,
                                 _omega_array(_omega_fn(omega), x),
-                                kinks, per_decade, order)
+                                _omega_kinks(omega), _DISS_PER_DECADE,
+                                _DISS_ORDER)
     below = val < -(err + 1e-13 * np.abs(val))
     if below.any():
         i = int(np.argmax(below))
@@ -435,7 +434,7 @@ def measured_curvature_constant(mem: ModulusMember, xi):
     x, shape = _separations(xi)
     if not np.all((0.0 < x) & (x < mem.delta)):
         raise ValueError("curvature route applies below the crossover scale")
-    D, _ = _dissipation_err(mem, mem.sym, x, mem.omega(x), (),
+    D, _ = _dissipation_err(mem, mem.sym, x, mem.omega(x), _omega_kinks(mem),
                             _DISS_PER_DECADE, _DISS_ORDER)
     return _shaped(_curvature_constants(mem, x, D), shape)
 
@@ -561,14 +560,13 @@ def _curvature_side_value(mem, xi: np.ndarray, D: np.ndarray):
 
 
 def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
-                      A: float = DEFAULT_A,
                       per_decade: float = _DISS_PER_DECADE,
                       order: int = _DISS_ORDER) -> CertificateReport:
-    """Scalar-advection preservation margins omega * omega' - D over a grid.
+    """Scalar-advection preservation margins omega * omega' - D/A over a grid.
 
     The advecting velocity is the solution itself, so increments are bounded
     by omega directly and only the dissipation carries the universal
-    constant; ``A`` defaults to the suite's conservative estimate. PASS
+    constant, the suite's conservative estimate ``DEFAULT_A``. PASS
     means every margin is negative beyond quadrature error. The whole grid
     is evaluated in one batch, which ``sqg_criterion`` on the same member
     and grid reuses.
@@ -580,11 +578,13 @@ def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
         side_vals["measured_curvature_constant"] = C
     nan = np.full(xi.size, math.nan)
     return CertificateReport(
-        kind="burgers", A_used=A, kappa=getattr(mem, "kappa", math.nan),
+        kind="burgers", A_used=DEFAULT_A,
+        kappa=getattr(mem, "kappa", math.nan),
         gamma=getattr(mem, "gamma", math.nan), B=getattr(mem, "B", math.nan),
         delta=mem.delta, xi_grid=xi.copy(), regime=_regimes(xi, mem.delta),
-        Omega=nan, OmegaTilde=nan.copy(), D=D.copy(), margin=w * wp - D / A,
-        margin_err=err / A, side_values=side_vals)
+        Omega=nan, OmegaTilde=nan.copy(), D=D.copy(),
+        margin=w * wp - D / DEFAULT_A, margin_err=err / DEFAULT_A,
+        side_values=side_vals)
 
 
 def sqg_criterion(mem, A: float = DEFAULT_A,

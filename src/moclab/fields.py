@@ -93,6 +93,12 @@ def _refuse_bad_input(name: str, values, *, nonnegative: bool = True):
         raise ValueError(f"{name} must be nonnegative")
 
 
+# the advective step restriction of every solver, dt <= _CFL h / speed,
+# and the solvers' default floor on a step short of the horizon
+_CFL = 0.4
+_DT_FLOOR = 1e-10
+
+
 class _IntegratingFactorRK4:
     """The time loop of the spectral solvers, for spec_t = -Pk spec + N(spec).
 
@@ -100,27 +106,28 @@ class _IntegratingFactorRK4:
     and the nonlinear term ``nonlinear(spec, aux=None)`` explicitly, in RK4.
     A step from state ``spec`` first takes ``aux, speed = grid(spec)``, a
     grid quantity of the state and the advecting speed; stage 1 reuses
-    ``aux``. The step is min(dt_max, cfl h / speed, T - t), with the CFL
+    ``aux``. The step is min(dt_max, _CFL h / speed, T - t), with the CFL
     bound only when there is a nonlinear term (``nonlinear=None`` runs the
-    linear flow and never calls ``grid``). A step below ``dt_floor`` that
+    linear flow and never calls ``grid``); ``dt_max`` None caps it at T/64,
+    the solvers' default. A step below ``dt_floor`` that
     falls short of the horizon ends the run as "dt-floor". No transform is
     made here: ``grid`` and ``nonlinear`` own every FFT.
 
     Iterating yields (t, dt, spec) after each step, from t = ``t0``.
     ``steps``, ``termination`` and ``spec`` hold what the run reached; a
     caller that stops on its own rule sets ``termination`` before it
-    breaks. A loop built from a yielded (t, spec) with ``t0=t`` and the
-    same explicit ``dt_max`` continues the run bit for bit.
+    breaks. A loop built from a yielded (t, spec) with ``t0=t``, the same
+    horizon and the same ``dt_max`` continues the run bit for bit.
     """
 
-    def __init__(self, spec, T, Pk, *, h, cfl, dt_max, dt_floor, nonlinear,
-                 grid, t0=0.0):
+    def __init__(self, spec, T, Pk, *, h, dt_max, dt_floor, nonlinear, grid,
+                 t0=0.0):
         if T <= 0.0:
             raise ValueError("horizon must be positive")
         _refuse_bad_input("theta0", spec, nonnegative=False)
         _refuse_bad_input("dissipation multiplier", Pk)
         self.spec = np.array(spec, dtype=complex)
-        self.T, self.Pk, self.h, self.cfl = T, Pk, h, cfl
+        self.T, self.Pk, self.h = T, Pk, h
         self.dt_max = T / 64.0 if dt_max is None else dt_max
         self.dt_floor, self.t0 = dt_floor, t0
         self.nonlinear, self.grid = nonlinear, grid
@@ -134,7 +141,7 @@ class _IntegratingFactorRK4:
     def step_size(self, t, speed) -> float:
         dt = self.dt_max
         if self.nonlinear is not None:
-            dt = min(dt, self.cfl * self.h / max(speed, 1e-300))
+            dt = min(dt, _CFL * self.h / max(speed, 1e-300))
         return min(dt, self.T - t)
 
     def __iter__(self):
@@ -189,9 +196,9 @@ class ScalarField1D:
 
     @classmethod
     def random_band_limited(cls, N: int, kmax: int, amplitude: float,
-                            seed: int, odd: bool = False) -> "ScalarField1D":
+                            seed: int) -> "ScalarField1D":
         """Zero-mean random field with modes 1..kmax, scaled to the requested
-        sup norm. odd=True builds a pure sine series."""
+        sup norm."""
         rng = np.random.default_rng(seed)
         kmax = min(kmax, dealias_cutoff(N))
         x = cls.grid_of(N)
@@ -199,8 +206,7 @@ class ScalarField1D:
         for k in range(1, kmax + 1):
             b = rng.standard_normal() / k
             v += b * np.sin(k * x)
-            if not odd:
-                v += (rng.standard_normal() / k) * np.cos(k * x)
+            v += (rng.standard_normal() / k) * np.cos(k * x)
         sup = np.max(np.abs(v))
         if sup == 0.0:
             raise ValueError("degenerate random draw")
@@ -266,10 +272,12 @@ class ScalarField1D:
     def grad_linf(self) -> float:
         return self.derivative().linf()
 
-    def is_odd(self, tol: float = 1e-10) -> bool:
+    def is_odd(self) -> bool:
+        """theta(-x) = -theta(x) on the grid, to 1e-10 max(1, sup|theta|)."""
         v = self.values
         mirrored = np.concatenate(([v[0]], v[-1:0:-1]))
-        return bool(np.max(np.abs(v + mirrored)) <= tol * max(1.0, self.linf()))
+        return bool(np.max(np.abs(v + mirrored))
+                    <= 1e-10 * max(1.0, self.linf()))
 
     def spectral_tail_fraction(self) -> float:
         """Enstrophy fraction carried by the top 1/8 of the active band."""
@@ -404,10 +412,10 @@ class ScalarField2D:
     def spectral_tail_fraction(self) -> float:
         kmod = self.wavenumber_modulus()
         kcut = dealias_cutoff(self.N)
+        # N is even: the last column is the Nyquist one, counted once
         weight = np.full(kmod.shape, 2.0)
         weight[:, 0] = 1.0
-        if self.N % 2 == 0:
-            weight[:, -1] = 1.0
+        weight[:, -1] = 1.0
         ens = weight * kmod ** 2 * np.abs(self.spec) ** 2
         active = ens[(kmod >= 1.0) & (kmod <= kcut)].sum()
         shell = ens[(kmod >= 0.875 * kcut) & (kmod <= kcut)].sum()

@@ -31,6 +31,8 @@ from .symbols import DissipationSymbol
 # beyond this argument the large-x Bessel expansion is used (7 terms each
 # series; truncation error ~ 1e-16 relative at x = 35)
 X_ASYM = 35.0
+# every panel rule here is Gauss-Legendre of this order
+_ORDER = 16
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ def _sin2_accumulate(ks: np.ndarray, y: np.ndarray, kerw: np.ndarray) -> np.ndar
     return out
 
 
-def multiplier_of_symbol_1d(sym: DissipationSymbol, k, order: int = 16):
+def multiplier_of_symbol_1d(sym: DissipationSymbol, k):
     """Fourier multiplier of the symbol's operator in one dimension:
 
         P_m(k) = 2 * integral_0^inf (1 - cos(k y)) m(y) / y dy.
@@ -145,7 +147,7 @@ def multiplier_of_symbol_1d(sym: DissipationSymbol, k, order: int = 16):
         ks = kabs[nz]
         Rc = sym.core_radius
         edges = _graded_osc_edges(Rc, float(ks.max()), eps=Rc * 2.0 ** -48)
-        y, w = panel_nodes(edges, order)
+        y, w = panel_nodes(edges, _ORDER)
         core = _sin2_accumulate(ks, y, w * sym.m(y) / y)
         T, al = sym.tail_coeff, sym.alpha
         tail_full = 2.0 * T * Rc ** (-al) / al
@@ -161,6 +163,15 @@ def multiplier_of_symbol_1d(sym: DissipationSymbol, k, order: int = 16):
 # ---------------------------------------------------------------------------
 # periodized kernel and physical application
 # ---------------------------------------------------------------------------
+
+def _physical_panels(sym: DissipationSymbol, kmax: float):
+    """Nodes and weights of the physical route on [eps, pi], eps = pi 2^-50
+    (a scale where the discarded core is negligible), resolving
+    wavenumbers up to kmax with the core radius pinned."""
+    edges = _graded_osc_edges(math.pi, float(kmax), math.pi * 2.0 ** -50,
+                              (sym.core_radius,))
+    return panel_nodes(edges, _ORDER)
+
 
 def periodized_kernel_1d(sym: DissipationSymbol, y):
     """K_per(y) = sum over lattice images of m(|y + 2 pi n|)/|y + 2 pi n|,
@@ -178,48 +189,40 @@ def periodized_kernel_1d(sym: DissipationSymbol, y):
     return sym.m(y) / y + images
 
 
-def periodic_increment_multiplier_1d(sym: DissipationSymbol, kmax: int,
-                                     eps: float | None = None,
-                                     order: int = 16):
+def periodic_increment_multiplier_1d(sym: DissipationSymbol, kmax: int):
     """Quadrature multiplier of the physical route in 1-D:
 
-        v_k = integral_eps^pi 4 sin^2(k y / 2) K_per(y) dy,  k = 0..kmax.
+        v_k = integral_eps^pi 4 sin^2(k y / 2) K_per(y) dy,  k = 0..kmax,
 
-    sin^2(k y / 2) is the exact double difference of the mode e^{ikx}, so
-    applying v_k diagonally equals the pointwise periodized quadrature."""
-    if eps is None:
-        eps = math.pi * 2.0 ** -50
-    edges = _graded_osc_edges(math.pi, float(kmax), eps, (sym.core_radius,))
-    y, w = panel_nodes(edges, order)
+    with eps that of ``_physical_panels``. sin^2(k y / 2) is the exact double
+    difference of the mode e^{ikx}, so applying v_k diagonally equals the
+    pointwise periodized quadrature."""
+    y, w = _physical_panels(sym, kmax)
     kerw = w * periodized_kernel_1d(sym, y)
     v = _sin2_accumulate(np.arange(kmax + 1, dtype=float), y, kerw)
     return v, y.size
 
 
-def increment_multiplier_2d(sym: DissipationSymbol, kappas: np.ndarray,
-                            eps: float | None = None,
-                            order: int = 16) -> np.ndarray:
+def increment_multiplier_2d(sym: DissipationSymbol,
+                            kappas: np.ndarray) -> np.ndarray:
     """Physical-route multiplier in 2-D at radial wavenumbers ``kappas``:
 
         v(K) = 2 pi [ integral_eps^pi (1 - J0(K r)) m(r)/r dr        (near)
                       + integral_pi^inf m(r)/r dr                    (mass)
                       - integral_pi^inf J0(K r) m(r)/r dr ]          (osc)
 
-    The angular integral over directions of y is J0 in closed form, so the
-    2-D double-difference quadrature reduces to radial integrals. The far
-    field is exact (power tail), evaluated by Bessel-asymptotic cosine/sine
-    quadrature: no lattice truncation anywhere."""
+    with eps that of ``_physical_panels``. The angular integral over
+    directions of y is J0 in closed form, so the 2-D double-difference
+    quadrature reduces to radial integrals. The far field is exact (power
+    tail), evaluated by Bessel-asymptotic cosine/sine quadrature: no
+    lattice truncation anywhere."""
     if sym.core_radius > math.pi:
         raise ValueError("far-field split needs the power tail to start by pi")
-    if eps is None:
-        eps = math.pi * 2.0 ** -50
     kappas = np.asarray(kappas, dtype=float)
     T, al = sym.tail_coeff, sym.alpha
     mass = TWO_PI * sym.tail_integral_over_r(math.pi)
 
-    kmax = float(kappas.max()) if kappas.size else 1.0
-    edges = _graded_osc_edges(math.pi, kmax, eps, (sym.core_radius,))
-    y, w = panel_nodes(edges, order)
+    y, w = _physical_panels(sym, kappas.max() if kappas.size else 1.0)
     kerw = TWO_PI * w * sym.m(y) / y
 
     out = np.empty(kappas.size)
@@ -244,9 +247,8 @@ def _bessel_tail(T: float, al: float, kap: float) -> float:
     split = max(math.pi, X_ASYM / kap)
     total = 0.0
     if split > math.pi:
-        edges = oscillation_resolved_edges(math.pi, split, kap,
-                                           panels_per_period=6.0)
-        r, w = panel_nodes(edges, 16)
+        r, w = panel_nodes(oscillation_resolved_edges(math.pi, split, kap),
+                           _ORDER)
         total += float(np.dot(w, j0(kap * r) * T * r ** (-1.0 - al)))
 
     def fa(r):
@@ -260,13 +262,11 @@ def _bessel_tail(T: float, al: float, kap: float) -> float:
     return total + ca + cb
 
 
-def apply_dissipation_physical(sym: DissipationSymbol, fld, x=None):
+def apply_dissipation_physical(sym: DissipationSymbol, fld):
     """Apply L by quadrature of the periodized kernel against the
-    symmetrized double difference of the field.
+    symmetrized double difference of the field; returns a new field.
 
-    Returns the value(s) at ``x`` (trig-interpolated from the quadrature
-    result), or a new field when ``x`` is None. The inner cutoff is the
-    multipliers' default, a scale where the discarded core is negligible.
+    Its inner cutoff is that of the multipliers (``_physical_panels``).
     """
     if isinstance(fld, ScalarField1D):
         v, _ = periodic_increment_multiplier_1d(sym, fld.N // 2)
@@ -279,26 +279,18 @@ def apply_dissipation_physical(sym: DissipationSymbol, fld, x=None):
             fld.spec * v[inv].reshape(kmod.shape), fld.N)
     else:
         raise TypeError("expected a 1-D or 2-D scalar field")
-    if x is None:
-        return result
-    vals = result.evaluate_at(x)
-    point = np.ndim(x) <= (0 if result.values.ndim == 1 else 1)
-    return float(vals[0]) if point and vals.size == 1 else vals
+    return result
 
 
-def dissipation_direct_1d(sym: DissipationSymbol, fld: ScalarField1D, x,
-                          eps: float | None = None, order: int = 16):
+def dissipation_direct_1d(sym: DissipationSymbol, fld: ScalarField1D, x):
     """Literal pointwise quadrature: int_eps^pi (2 th(x) - th(x+y) - th(x-y))
-    K_per(y) dy, with the field differences formed by naive subtraction.
+    K_per(y) dy with eps that of ``_physical_panels``, the field
+    differences formed by naive subtraction.
 
     Exists to cross-check the factored route; subtraction noise limits it
     to ~1e-9 relative, which is ample for that purpose."""
-    if eps is None:
-        eps = math.pi * 2.0 ** -50
     pts = np.atleast_1d(np.asarray(x, dtype=float))
-    kmax = fld.N // 2
-    edges = _graded_osc_edges(math.pi, float(kmax), eps, (sym.core_radius,))
-    y, w = panel_nodes(edges, order)
+    y, w = _physical_panels(sym, fld.N // 2)
     kerw = w * periodized_kernel_1d(sym, y)
     out = np.empty(pts.size)
     for i, xv in enumerate(pts):

@@ -85,22 +85,25 @@ class _CumulativeMoments:
     """
 
     _ORDER = 20
+    # panels per decade of ln(eta), and the decades below delta of the
+    # first table, before any deepening
+    _PER_DECADE = 32
+    _FLOOR_DECADES = 12
     # deepest floor: below it the panel nodes would be subnormal radii
     _S_MIN = math.log(np.finfo(float).tiny)
     # t = ln(1/eta) of the smallest subnormal radius; past it eta reads 0
     _T_MAX = -math.log(5e-324)
 
-    def __init__(self, sym: DissipationSymbol, delta: float, scale: float = 1.0,
-                 nodes_per_decade: int = 32, floor_decades: int = 12):
+    def __init__(self, sym: DissipationSymbol, delta: float,
+                 scale: float = 1.0):
         self._sym = sym
         self._delta = delta
         self._scale = scale
         self._log_delta = math.log(delta)
-        self._per_decade = nodes_per_decade
-        self._decades = floor_decades
+        self._decades = self._FLOOR_DECADES
         self._s, self._m0, self._m1 = self._stretch(
-            self._log_delta - floor_decades * _LN10, self._log_delta,
-            floor_decades * nodes_per_decade)
+            self._log_delta - self._FLOOR_DECADES * _LN10, self._log_delta,
+            self._FLOOR_DECADES * self._PER_DECADE)
 
     def _stretch(self, s_lo: float, s_hi: float, panels: int):
         # node grid on [s_lo, s_hi] and its cumulative moments, seeded by
@@ -122,7 +125,7 @@ class _CumulativeMoments:
             s_hi = float(self._s[0])
             s_lo = max(self._log_delta - self._decades * _LN10, self._S_MIN)
             panels = max(1, math.ceil(
-                self._per_decade * (s_hi - s_lo) / _LN10 - 1e-6))
+                self._PER_DECADE * (s_hi - s_lo) / _LN10 - 1e-6))
             s, m0, m1 = self._stretch(s_lo, s_hi, panels)
             self._s = np.concatenate((s[:-1], self._s))
             self._m0 = np.concatenate((m0[:-1], self._m0))
@@ -158,7 +161,7 @@ class _CumulativeMoments:
         # evaluation for both moments
         s_min = -self._window(-s_lo)
         panels = max(1, math.ceil(
-            self._per_decade * (s_lo - s_min) / _LN10 - 1e-6))
+            self._PER_DECADE * (s_lo - s_min) / _LN10 - 1e-6))
         nodes, weights = panel_nodes(np.linspace(s_min, s_lo, panels + 1),
                                      self._ORDER)
         f0, f1 = self._integrands(nodes)
@@ -492,14 +495,15 @@ def _sampled_second(omega: Callable[[float], float], xi: float,
     return (omega(xi + h) - 2.0 * omega(xi) + omega(xi - h)) / h ** 2
 
 
-def validate_modulus(mem, xi_grid: np.ndarray | None = None,
-                     tol: float = 1e-8) -> ValidationReport:
+def validate_modulus(mem) -> ValidationReport:
     """Check every property the preservation argument asks of a modulus.
 
     ``mem`` is a constructed member, or any other modulus in the sense of
     ``_omega_fn`` (adversarial inputs); for those the construction-specific
     checks are skipped and derivatives come from sampled differences.
-    Failures are report entries, never exceptions.
+    The checks read 24 separations per decade from 1e-6 delta to 1e3 and
+    allow a relative tolerance of 1e-8. Failures are report entries, never
+    exceptions.
     """
     is_member = isinstance(mem, ModulusMember)
     omega = _omega_fn(mem)
@@ -512,11 +516,9 @@ def validate_modulus(mem, xi_grid: np.ndarray | None = None,
         delta = 1e-3
         B = None
         label = getattr(mem, "__name__", "callable")
-    if xi_grid is None:
-        lo = 1e-6 * delta
-        n = int(math.ceil(24 * math.log10(1e3 / lo))) + 1
-        xi_grid = np.geomspace(lo, 1e3, n)
-    xi = np.asarray(xi_grid, dtype=float)
+    tol = 1e-8
+    lo = 1e-6 * delta
+    xi = np.geomspace(lo, 1e3, int(math.ceil(24 * math.log10(1e3 / lo))) + 1)
 
     w = _omega_array(omega, xi)
     checks: list[CheckResult] = []
@@ -612,22 +614,19 @@ class ObedienceReport:
         return self.margin > 0.0
 
 
-def check_obeys(fld, mem, directions: int = 64,
-                separations_per_decade: int = 12,
-                refine: bool = True) -> ObedienceReport:
+def check_obeys(fld, mem) -> ObedienceReport:
     """Breakthrough margin of a field against a modulus.
 
     ``mem`` is a modulus in the sense of ``_omega_fn``: a ModulusMember,
-    an object with an ``omega`` method, or an array-native callable. A
-    field with a non-finite value is refused: its increments bound nothing.
+    an object with an ``omega`` method, or an array-native callable. A 1-D
+    field tests every grid pair; a 2-D one runs a refined
+    ``StratifiedPairSearch`` with its default strata. A field with a
+    non-finite value is refused: its increments bound nothing.
     """
     if isinstance(fld, ScalarField1D):
         return _check_obeys_1d(fld, mem)
     if isinstance(fld, ScalarField2D):
-        search = StratifiedPairSearch(
-            fld.N, _omega_fn(mem), directions=directions,
-            separations_per_decade=separations_per_decade)
-        return search.run(fld, refine=refine)
+        return StratifiedPairSearch(fld.N, _omega_fn(mem)).run(fld)
     raise TypeError(f"unsupported field type: {type(fld).__name__}")
 
 
@@ -897,6 +896,8 @@ def find_B_for_data(fld, sym: DissipationSymbol,
     no representable certificate at all; raising gamma (admissible up to
     kappa/2) is the only way to certify more data per rung.
     """
+    if max_doublings < 1:
+        raise ValueError("the ladder needs max_doublings >= 1 (B = 1)")
     unorm = fld.linf()
     gnorm = fld.grad_linf()
     if unorm == 0.0 or gnorm == 0.0:
@@ -938,5 +939,5 @@ def find_B_for_data(fld, sym: DissipationSymbol,
         hint = (" (symbol is not sqg_admissible: omega_B(a) saturates at a "
                 "finite supremum, so large data can be uncoverable)")
     raise ModulusSearchError(
-        f"no certified B up to 2^{rungs}; best coverage margin at most "
+        f"no certified B up to 2^{rungs - 1}; best coverage margin at most "
         f"{best_cover:.6g}{hint}")

@@ -51,21 +51,17 @@ def panel_nodes(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
-def graded_edges(a: float, b: float, levels: int, toward: str = "left") -> np.ndarray:
-    """Geometrically graded panel edges on [a, b].
+def graded_edges(a: float, b: float, levels: int) -> np.ndarray:
+    """Panel edges on [a, b] graded geometrically toward ``a``.
 
     ``levels`` panels shrink by factors of 2 toward the singular endpoint.
-    ``a`` may be 0 when grading toward the left; the innermost panel then
-    starts at b * 2**-levels.
+    ``a`` may be 0; the innermost panel then starts at b * 2**-levels.
     """
     fracs = 2.0 ** -np.arange(levels + 1, dtype=float)
-    if toward == "left":
-        pts = a + (b - a) * fracs[::-1]
-        if a > 0.0:
-            pts = np.concatenate(([a], pts))
-        return np.unique(pts)
-    pts = b - (b - a) * fracs[::-1]
-    return np.unique(np.concatenate((pts, [b])))
+    pts = a + (b - a) * fracs[::-1]
+    if a > 0.0:
+        pts = np.concatenate(([a], pts))
+    return np.unique(pts)
 
 
 def log_edges(lo: float, hi: float, per_decade: float,
@@ -236,11 +232,9 @@ def classify_decades(increments, window: int, conv: float, div: float,
     return "ambiguous", ratios
 
 
-def oscillation_resolved_edges(a: float, b: float, freq: float,
-                               min_panels: int = 4,
-                               panels_per_period: float = 4.0,
-                               max_panels: int = 4096) -> np.ndarray:
-    """Panel edges on [a, b] fine enough for GL-16 against cos(freq * r)."""
+def oscillation_resolved_edges(a: float, b: float, freq: float) -> np.ndarray:
+    """Panel edges on [a, b] fine enough for GL-16 against cos(freq * r):
+    six panels per period, at least 4 and at most 4096."""
     periods = abs(freq) * (b - a) / (2.0 * math.pi)
-    n = int(min(max_panels, max(min_panels, math.ceil(panels_per_period * periods))))
+    n = int(min(4096, max(4, math.ceil(6.0 * periods))))
     return np.linspace(a, b, n + 1)

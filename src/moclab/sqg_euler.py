@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft2, rfft2
 
-from .fields import (ScalarField2D, _IntegratingFactorRK4, dealias_cutoff,
-                     max_hypot, velocity_multipliers, wavenumber_grids_2d)
+from .fields import (_CFL, _DT_FLOOR, ScalarField2D, _IntegratingFactorRK4,
+                     dealias_cutoff, max_hypot, velocity_multipliers,
+                     wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_fn
 from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
@@ -49,6 +50,10 @@ _OSG_CONV_RATIO = 0.90
 _OSG_DIV_RATIO = 0.96
 # the report's partial integrals run to M = 10^1 ... 10^_OSG_PARTIALS
 _OSG_PARTIALS = 12
+
+# a 2-D run stops as "spectral-tail" once the top eighth of its active band
+# carries more than this share of the enstrophy
+_TAIL_LIMIT = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -93,22 +98,20 @@ class _AdvectionCore:
 class ObedienceMonitor:
     """Warm-started obedience margin for an evolving 2D field.
 
-    A full stratified sweep ranks all lattice offsets once; between full
-    sweeps only the ``hot_size`` worst strata are rescanned, each call
-    refining around the current worst pair.  The temporal coherence of
-    the breakthrough point makes this sound in practice; the periodic
-    full sweep bounds how long a migrating worst pair can hide.  Every
-    sweep reads its strata as views of one tiling of the field, so a call
-    costs one subtraction and two arg-reductions per stratum, plus the
+    A full stratified sweep (32 directions, 8 separations per decade),
+    every ``full_every`` calls, ranks all lattice offsets; between full
+    sweeps only the 48 worst strata are rescanned, each call refining
+    around the current worst pair.  The temporal coherence of the
+    breakthrough point makes this sound in practice; the periodic full
+    sweep bounds how long a migrating worst pair can hide.  Every sweep
+    reads its strata as views of one tiling of the field, so a call costs
+    one subtraction and two arg-reductions per stratum, plus the
     off-lattice refinement.
     """
 
-    def __init__(self, member, N, *, directions=32, separations_per_decade=8,
-                 hot_size=48, full_every=16):
+    def __init__(self, member, N, *, full_every=16):
         self._search = StratifiedPairSearch(
-            N, _omega_fn(member), directions=directions,
-            separations_per_decade=separations_per_decade)
-        self.hot_size = hot_size
+            N, _omega_fn(member), directions=32, separations_per_decade=8)
         self.full_every = full_every
         self._hot = None
         self._calls = 0
@@ -121,7 +124,7 @@ class ObedienceMonitor:
         rep = self._search.run(fld, subset=subset)
         if full:
             order = np.argsort([r.margin for r in rep.rows])
-            self._hot = order[: self.hot_size]
+            self._hot = order[:48]
         self._calls += 1
         self.last_report = rep
         self.min_margin = min(self.min_margin, rep.margin)
@@ -132,18 +135,18 @@ class ObedienceMonitor:
 # time stepping
 # ----------------------------------------------------------------------
 
-def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
-            record_every, member, monitor, tail_limit, meta):
+def _run_2d(theta0, T, P, core, Pk, *, equation, dt_max, dt_floor, member,
+            tail_limit):
     if not isinstance(theta0, ScalarField2D):
         raise TypeError("need a ScalarField2D initial condition")
     N = theta0.N
     run = _IntegratingFactorRK4(
-        theta0.spec, T, Pk, h=2.0 * np.pi / N, cfl=cfl, dt_max=dt_max,
+        theta0.spec, T, Pk, h=2.0 * np.pi / N, dt_max=dt_max,
         dt_floor=dt_floor, nonlinear=core.nonlinear, grid=core.speed)
-    if monitor is None and member is not None:
-        monitor = ObedienceMonitor(member, N)
+    monitor = None if member is None else ObedienceMonitor(member, N)
     rows = {c: [] for c in COLUMNS_2D}
 
+    # every step is a row: the monitor follows the field step by step
     def record(t, spec):
         fld = ScalarField2D.from_spectrum(spec, N)
         rows["t"].append(t)
@@ -153,18 +156,15 @@ def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
         rows["obedience_margin"].append(
             monitor.margin(fld) if monitor is not None else math.nan)
         rows["spectral_tail"].append(fld.spectral_tail_fraction())
-        return fld
+        return rows["spectral_tail"][-1] > tail_limit
 
     wall = time.perf_counter()
-    fld = record(0.0, run.spec)
-    if fld.spectral_tail_fraction() > tail_limit:
+    if record(0.0, run.spec):
         raise ValueError("initial data is not resolved at this N")
     for t, _, spec in run:
-        if run.steps % record_every == 0 or run.reached(t):
-            record(t, spec)
-            if rows["spectral_tail"][-1] > tail_limit:
-                run.termination = "spectral-tail"
-                break
+        if record(t, spec):
+            run.termination = "spectral-tail"
+            break
 
     rec = RunRecord(
         equation=equation,
@@ -172,11 +172,11 @@ def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
         series={c: np.asarray(v, dtype=float) for c, v in rows.items()},
         termination=run.termination,
         wall_time=time.perf_counter() - wall,
-        meta={"N": N, "T": T, "cfl": cfl, "dt_max": run.dt_max,
+        meta={"N": N, "T": T, "cfl": _CFL, "dt_max": run.dt_max,
               "dt_floor": dt_floor, "steps": run.steps,
-              "record_every": record_every, "tail_limit": tail_limit,
-              "linf0": rows["linf"][0], "grad0": rows["grad_linf"][0],
-              **(meta or {})},
+              "tail_limit": tail_limit, "linf0": rows["linf"][0],
+              "grad0": rows["grad_linf"][0],
+              "multiplier": getattr(P, "label", "") or "callable"},
     )
     rec.final_state = ScalarField2D.from_spectrum(run.spec, N)
     if monitor is not None:
@@ -189,40 +189,32 @@ def _run_2d(theta0, T, core, Pk, *, equation, cfl, dt_max, dt_floor,
     return rec
 
 
-def simulate_sqg(theta0, T, *, P, member=None, monitor=None, cfl=0.4,
-                 dt_max=None, dt_floor=1e-10, record_every=1,
-                 tail_limit=1e-6, meta=None):
+def simulate_sqg(theta0, T, *, P, member=None, dt_max=None,
+                 dt_floor=_DT_FLOOR, tail_limit=_TAIL_LIMIT):
     """Dissipative SQG run; returns a RunRecord with 2D diagnostics.
 
     ``P`` is the radial dissipation multiplier (callable on |k|).  With a
-    ``member`` (or a prebuilt ``monitor``) the obedience margin of that
-    modulus is tracked on every recorded row; breakthrough shows up as a
-    negative margin, never as an exception.
+    ``member`` the obedience margin of that modulus is tracked on every
+    step; breakthrough shows up as a negative margin, never as an
+    exception.  ``dt_max`` caps the step (default T/64); the run stops
+    early as "dt-floor" or "spectral-tail" (see ``_run_2d``).
     """
     N = theta0.N
     Pk = np.asarray(P(np.hypot(*wavenumber_grids_2d(N))), dtype=float)
     mx, my = velocity_multipliers(N, "sqg")
-    core = _AdvectionCore(N, mx, my)
-    m = {"multiplier": getattr(P, "label", "") or "callable", **(meta or {})}
-    return _run_2d(theta0, T, core, Pk, equation="sqg", cfl=cfl,
-                   dt_max=dt_max, dt_floor=dt_floor,
-                   record_every=record_every, member=member, monitor=monitor,
-                   tail_limit=tail_limit, meta=m)
+    return _run_2d(theta0, T, P, _AdvectionCore(N, mx, my), Pk,
+                   equation="sqg", dt_max=dt_max, dt_floor=dt_floor,
+                   member=member, tail_limit=tail_limit)
 
 
-def simulate_p_euler(theta0, T, *, P, member=None, monitor=None, cfl=0.4,
-                     dt_max=None, dt_floor=1e-10, record_every=1,
-                     tail_limit=1e-6, meta=None):
+def simulate_p_euler(theta0, T, *, P, dt_max=None):
     """Inviscid P-Euler run (velocity i k^perp P(|k|)/|k|^2)."""
     N = theta0.N
     mx, my = velocity_multipliers(N, "p_euler", P=P)
-    core = _AdvectionCore(N, mx, my)
-    Pk = np.zeros((N, N // 2 + 1))
-    m = {"multiplier": getattr(P, "label", "") or "callable", **(meta or {})}
-    return _run_2d(theta0, T, core, Pk, equation="p_euler", cfl=cfl,
-                   dt_max=dt_max, dt_floor=dt_floor,
-                   record_every=record_every, member=member, monitor=monitor,
-                   tail_limit=tail_limit, meta=m)
+    return _run_2d(theta0, T, P, _AdvectionCore(N, mx, my),
+                   np.zeros((N, N // 2 + 1)), equation="p_euler",
+                   dt_max=dt_max, dt_floor=_DT_FLOOR, member=None,
+                   tail_limit=_TAIL_LIMIT)
 
 
 # ----------------------------------------------------------------------
@@ -428,13 +420,11 @@ def gradient_of_velocity_sup(fld, law, P=None):
     for m in (mx, my):
         gx = irfft2(1j * kx * m * fld.spec, s=(n, n))
         gy = irfft2(1j * ky * m * fld.spec, s=(n, n))
-        sup = max(sup, float(np.max(np.hypot(gx, gy))))
+        sup = max(sup, max_hypot(gx, gy))
     return sup
 
 
-def euler_regularity_experiment(theta0, P, T, *, cfl=0.4, dt_max=None,
-                                record_every=1, tail_limit=1e-6,
-                                c_scale=1.0, meta=None):
+def euler_regularity_experiment(theta0, P, T, *, c_scale=1.0):
     """Pit measured Lipschitz growth against the comparison envelope.
 
     The generic constant is calibrated as twice the t = 0 ratio of the
@@ -459,9 +449,7 @@ def euler_regularity_experiment(theta0, P, T, *, cfl=0.4, dt_max=None,
             worst_margin=-math.inf, worst_time=float("nan"),
             record=None, bound=bound)
 
-    rec = simulate_p_euler(theta0, T, P=P, cfl=cfl, dt_max=dt_max,
-                           record_every=record_every, tail_limit=tail_limit,
-                           meta=meta)
+    rec = simulate_p_euler(theta0, T, P=P)
     growth = rec["grad_linf"] / rec["grad_linf"][0]
     envelope = bound.at(rec["t"])
     margins = envelope - growth

@@ -351,10 +351,10 @@ def symbol_from_json(doc: str | dict) -> DissipationSymbol:
         doc = json.loads(doc)
     family = doc["family"]
     if family in ("power", "log"):
-        kw = {"scale": doc.get("scale", 1.0)}
-        if family == "log":
-            kw["alpha"] = doc.get("alpha")
-        return make_symbol(family, a=doc["a"], r0=doc["r0"], **kw)
+        # a power symbol's alpha is its a, which make_symbol accepts
+        return make_symbol(family, a=doc["a"], r0=doc["r0"],
+                           alpha=doc.get("alpha"),
+                           scale=doc.get("scale", 1.0))
     if family == "tabulated":
         return symbol_from_table(
             doc["radii"], doc["values"], alpha=doc.get("alpha"),
@@ -364,8 +364,8 @@ def symbol_from_json(doc: str | dict) -> DissipationSymbol:
 
 
 def symbol_from_callable(fn: Callable, core_radius: float, alpha: float,
-                         r0: float, C0: float, sqg_admissible: bool,
-                         label: str = "callable") -> DissipationSymbol:
+                         r0: float, C0: float,
+                         sqg_admissible: bool) -> DissipationSymbol:
     """Wrap a user-supplied monotone core m(r) on (0, core_radius].
 
     The caller vouches for monotonicity of the core; the power tail with the
@@ -377,13 +377,13 @@ def symbol_from_callable(fn: Callable, core_radius: float, alpha: float,
         sqg_admissible=sqg_admissible,
         core_radius=core_radius,
         tail_coeff=tail * core_radius ** alpha,
-        label=label, _core=fn,
+        label="callable", _core=fn,
     )
 
 
-def symbol_from_multiplier(P: "Multiplier", scale: float = 1.0,
-                           r0: float = 1.0) -> DissipationSymbol:
-    """Physical-side stand-in m(r) = P(1/r) / scale for a sub-linear multiplier.
+def symbol_from_multiplier(P: "Multiplier") -> DissipationSymbol:
+    """Physical-side stand-in m(r) = P(1/r) for a sub-linear multiplier,
+    valid on (0, 1).
 
     P non-decreasing makes the core automatically non-increasing; the tail
     exponent is the multiplier's sampled growth exponent.
@@ -393,15 +393,15 @@ def symbol_from_multiplier(P: "Multiplier", scale: float = 1.0,
         raise ValueError("multiplier growth exponent outside (0, 1]")
 
     def core(r):
-        return P(1.0 / np.asarray(r, dtype=float)) / scale
+        return P(1.0 / np.asarray(r, dtype=float))
 
     zz = np.logspace(0.0, 9.0, 400)
-    C0 = float(np.max(P(zz) / zz)) / scale
-    m1 = float(P(np.array([1.0]))[0]) / scale
+    C0 = float(np.max(P(zz) / zz))
+    m1 = float(P(np.array([1.0]))[0])
     # does the integral of m = P(1/r) over (0, 1) diverge?
     admissible = _trend_divergent(core, 1.0, 16)
     return DissipationSymbol(
-        family="multiplier-derived", a=None, alpha=alpha, r0=r0,
+        family="multiplier-derived", a=None, alpha=alpha, r0=1.0,
         C0=C0, sqg_admissible=admissible,
         core_radius=1.0, tail_coeff=m1,
         label=f"from[{P.label}]", _core=core,
@@ -441,10 +441,9 @@ def _trend_divergent(fn, hi: float, decades: int) -> bool:
     return label == "divergent"
 
 
-def check_conditions(sym: DissipationSymbol,
-                     grid: np.ndarray | None = None) -> ConditionReport:
-    """Verify the structure conditions on a sample grid and classify the
-    integral of m near zero.
+def check_conditions(sym: DissipationSymbol) -> ConditionReport:
+    """Verify the structure conditions on a sample grid (48 radii per
+    decade over [1e-9, 1e2]) and classify the integral of m near zero.
 
     The divergence trend is a heuristic (geometric extrapolation of
     per-decade partial integrals down to 1e-16); families within a few
@@ -452,9 +451,7 @@ def check_conditions(sym: DissipationSymbol,
     is reported, never silently dropped. The analytic flag stays
     authoritative.
     """
-    if grid is None:
-        grid = np.logspace(-9.0, 2.0, 48 * 11)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.logspace(-9.0, 2.0, 48 * 11)
     warnings: list[str] = []
 
     mvals = sym.m(grid)
@@ -681,20 +678,17 @@ _FD_STENCILS = {
 }
 
 
-def make_multiplier(kind: str, label: str | None = None,
-                    sample_grid: np.ndarray | None = None,
-                    **params) -> Multiplier:
+def make_multiplier(kind: str, **params) -> Multiplier:
     """Build a multiplier and sample its structure constants.
 
     Doubling, Hormander (derivative orders <= 4), growth exponent and
-    sub-linearity are measured on a log grid, not assumed.
+    sub-linearity are measured on a log grid of 600 points over
+    [1e-3, 1e8], not assumed.
     """
     if kind not in _MULTIPLIER_FORMS:
         raise ValueError(f"unknown multiplier kind: {kind!r}")
     form = _MULTIPLIER_FORMS[kind]
-    if sample_grid is None:
-        sample_grid = np.logspace(-3.0, 8.0, 600)
-    z = np.asarray(sample_grid, dtype=float)
+    z = np.logspace(-3.0, 8.0, 600)
     P = form(z, params)
 
     pos = P > 0.0
@@ -721,7 +715,7 @@ def make_multiplier(kind: str, label: str | None = None,
     return Multiplier(
         kind=kind, params=dict(params), alpha=alpha, slope_sup=slope_sup,
         sub_linear=sub_linear, cD=cD, cH=cH,
-        label=label or _default_label(kind, params),
+        label=_default_label(kind, params),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -120,7 +121,7 @@ def test_kernel_mass_refuses_iterated_log():
     sym = symbol_from_callable(
         lambda r: 1.0 / (r * np.log(2.0 / r) ** 2), core_radius=1.0,
         alpha=1.0, r0=1.0, C0=1.0 / math.log(2.0) ** 2,
-        sqg_admissible=False, label="iterated-log")
+        sqg_admissible=False)
     with pytest.raises(KernelUndecidedError):
         kernel_mass(sym)
 
@@ -327,7 +328,7 @@ def test_design_passes_its_measured_condition(N):
     rep = design_blowup_data(HALF, N=N, instrumentation=INST)
     assert rep.passes
     assert rep.condition_value == blowup_condition(
-        rep.field, INST.kernel_functional, rep.margin)
+        rep.field, INST.kernel_functional)
     # the ulp steps stay at the bisection's threshold
     lam_exact = rep.margin * INST.kernel_functional / L_SIN ** 2
     assert_allclose(rep.lam, lam_exact, rtol=1e-10)
@@ -339,16 +340,13 @@ def test_design_threshold_is_sharp():
     assert blowup_condition(halved, INST.kernel_functional) < 0.0
 
 
-def test_design_margin_scales_amplitude():
-    lo = design_blowup_data(HALF, N=512, margin=1.1, instrumentation=INST)
-    hi = design_blowup_data(HALF, N=512, margin=2.2, instrumentation=INST)
+def test_design_amplitude_scales_with_the_kernel_functional():
+    # the amplitude is margin * I / L(sin)^2: doubling I doubles it
+    lo = design_blowup_data(HALF, N=512, instrumentation=INST)
+    doubled = dataclasses.replace(
+        INST, kernel_functional=2.0 * INST.kernel_functional)
+    hi = design_blowup_data(HALF, N=512, instrumentation=doubled)
     assert_allclose(hi.lam / lo.lam, 2.0, rtol=1e-10)
-
-
-def test_design_rejects_useless_profile():
-    with pytest.raises(ValueError, match="positive"):
-        design_blowup_data(HALF, N=512, instrumentation=INST,
-                           profile=lambda x: -np.sin(x))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,7 @@ def test_linear_mode_matches_semigroup():
 def test_inviscid_run_follows_characteristics():
     N, T, amp = 1024, 1.0, 0.1
     fld = ScalarField1D.from_function(N, lambda x: amp * np.sin(x))
-    rec = simulate_burgers(fld, T, cfl=0.2, dt_max=2e-3)
+    rec = simulate_burgers(fld, T, dt_max=2e-3)
     x = ScalarField1D.grid_of(N)
     x0 = x.copy()
     for _ in range(100):
@@ -381,7 +379,9 @@ def test_mean_is_conserved():
 
 
 def test_oddness_is_preserved():
-    fld = ScalarField1D.random_band_limited(256, 8, 1.0, seed=3, odd=True)
+    v = ScalarField1D.random_band_limited(256, 8, 1.0, seed=3).values
+    fld = ScalarField1D(0.5 * (v - np.roll(v[::-1], 1)))  # its odd part
+    assert fld.is_odd()
     rec = simulate_burgers(fld, 0.5, sym=HALF)
     v = rec.final_state.values
     assert np.max(np.abs(v + np.roll(v[::-1], 1))) < 1e-9 * rec["linf"][0]

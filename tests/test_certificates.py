@@ -35,6 +35,15 @@ def capped_linear(eta):
     return np.minimum(np.asarray(eta, dtype=float), 1.0)
 
 
+# the functionals pin a callable's kinks as panel edges
+capped_linear.kinks = (1.0,)
+
+
+def _with_kinks(fn, *kinks):
+    fn.kinks = kinks
+    return fn
+
+
 # ---------------------------------------------------------------------------
 # advective certificates, generic callables
 # ---------------------------------------------------------------------------
@@ -54,15 +63,15 @@ def test_criteria_reach_separations_far_above_the_crossover():
 
 def test_riesz_capped_linear_closed_forms():
     # omega = min(eta, 1): low part integrates 1, tail integrates 1
-    assert_allclose(omega_riesz(capped_linear, 1.0, kinks=(1.0,)), 2.0,
+    assert_allclose(omega_riesz(capped_linear, 1.0), 2.0,
                     rtol=1e-9)
     # at xi = 1/2 the tail picks up an extra log: 1 + log(2)/2
-    assert_allclose(omega_riesz(capped_linear, 0.5, kinks=(1.0,)),
+    assert_allclose(omega_riesz(capped_linear, 0.5),
                     1.0 + math.log(2.0) / 2.0, rtol=1e-9)
 
 
 def test_tilde_capped_linear_closed_form():
-    assert_allclose(omega_tilde(capped_linear, 1.0, kinks=(1.0,)), 2.0,
+    assert_allclose(omega_tilde(capped_linear, 1.0), 2.0,
                     rtol=1e-9)
 
 
@@ -74,7 +83,7 @@ def test_sqrt_modulus_closed_forms():
 
 
 def test_riesz_vanishes_with_separation():
-    vals = [omega_riesz(capped_linear, xi, kinks=(1.0,))
+    vals = [omega_riesz(capped_linear, xi)
             for xi in (1e-2, 1e-5, 1e-8)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-6
@@ -105,10 +114,10 @@ def test_riesz_dominates_tilde_for_concave():
 
 
 def test_riesz_monotone_in_omega():
-    bigger = lambda e: 1.5 * capped_linear(e)
+    bigger = _with_kinks(lambda e: 1.5 * capped_linear(e), 1.0)
     for xi in (0.25, 1.0, 4.0):
-        assert (omega_riesz(bigger, xi, kinks=(1.0,))
-                > omega_riesz(capped_linear, xi, kinks=(1.0,)))
+        assert (omega_riesz(bigger, xi)
+                > omega_riesz(capped_linear, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +143,10 @@ def test_member_tilde_closed_form_subcritical_tail():
 
 def test_member_and_callable_routes_agree():
     mem = base_member()
-    kinks = (mem.delta,)
+    fn = _with_kinks(lambda x: mem.omega(x), mem.delta)
     for xi in (0.02, 0.5, 8.0):
-        assert_allclose(omega_riesz(mem, xi),
-                        omega_riesz(lambda x: mem.omega(x), xi,
-                                    kinks=kinks),
-                        rtol=1e-9)
-        assert_allclose(omega_tilde(mem, xi),
-                        omega_tilde(lambda x: mem.omega(x), xi,
-                                    kinks=kinks),
-                        rtol=1e-9)
+        assert_allclose(omega_riesz(mem, xi), omega_riesz(fn, xi), rtol=1e-9)
+        assert_allclose(omega_tilde(mem, xi), omega_tilde(fn, xi), rtol=1e-9)
 
 
 def test_member_tilde_within_family_bound():
@@ -161,7 +164,7 @@ def test_member_tilde_within_family_bound():
 def test_dissipation_capped_linear_log3_oracle():
     # omega = min(eta, 1), m = 1/r, xi = 2: near piece log2 - 1/2, far
     # piece 1 - (1/2 - log3 + log2); the pieces sum to log(3)
-    got = dissipation_lower(capped_linear, CRITICAL, 2.0, kinks=(1.0,))
+    got = dissipation_lower(capped_linear, CRITICAL, 2.0)
     assert_allclose(got, math.log(3.0), rtol=1e-9)
 
 
@@ -174,8 +177,8 @@ def test_dissipation_linear_is_zero():
 
 def test_dissipation_scales_linearly_in_multiplier():
     doubled = make_symbol("power", a=1.0, scale=2.0)
-    one = dissipation_lower(capped_linear, CRITICAL, 2.0, kinks=(1.0,))
-    two = dissipation_lower(capped_linear, doubled, 2.0, kinks=(1.0,))
+    one = dissipation_lower(capped_linear, CRITICAL, 2.0)
+    two = dissipation_lower(capped_linear, doubled, 2.0)
     assert_allclose(two / one, 2.0, rtol=1e-12)
 
 
@@ -185,8 +188,8 @@ def test_dissipation_member_routes_agree():
     mem = base_member()
     for xi in (0.03, 0.5, 20.0):
         fast = dissipation_lower(mem, mem.sym, xi)
-        generic = dissipation_lower(lambda x: mem.omega(x), mem.sym,
-                                    xi, kinks=(mem.delta,))
+        generic = dissipation_lower(
+            _with_kinks(lambda x: mem.omega(x), mem.delta), mem.sym, xi)
         assert_allclose(fast, generic, rtol=1e-6)
 
 

@@ -128,7 +128,7 @@ def test_dissipation_direct_cross_checks_factored_route():
     f = ScalarField1D.from_function(128, np.sin)
     x = 0.7
     direct = dissipation_direct_1d(s, f, x)
-    factored = apply_dissipation_physical(s, f, x=np.array([x]))
+    factored = apply_dissipation_physical(s, f).evaluate_at(np.array([x]))
     assert_allclose(direct, factored[0], rtol=1e-8)
 
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -117,3 +118,133 @@ def test_every_public_name_has_a_caller():
             unused.append(f"{path.stem}.{name}")
     assert unused == [], unused
     assert set(ORACLES) <= defined, "an oracle left src/moclab"
+
+
+# defaulted public parameters that only tests set, each kept for a
+# behaviour a test can reach through it alone
+TEST_OPTIONS = {
+    "burgers.simulate_burgers(P)": "the multiplier route: the exact linear "
+                                   "semigroup of P(k) = |k|",
+    "burgers.simulate_burgers(nonlinear)": "the exact linear flow",
+    "burgers.simulate_burgers(dt_max)": "a step cap below T/64: a final step "
+                                        "under the dt floor, and the inviscid "
+                                        "run on its characteristics",
+    "burgers.simulate_burgers(dt_floor)": "the dt-floor exit",
+    "burgers.detect_blowup(certified_B)": "a REGULAR verdict certified by a "
+                                          "modulus bound",
+    "certificates.sqg_criterion(A)": "the perpendicular-absorption gate, "
+                                     "which fails above the default A",
+    "certificates.sqg_criterion(per_decade)": "another quadrature rule is "
+                                              "another grid evaluation "
+                                              "(ROADMAP item 3)",
+    "certificates.sqg_criterion(order)": "as per_decade",
+    "certificates.burgers_criterion(per_decade)": "as sqg_criterion's",
+    "certificates.burgers_criterion(order)": "as sqg_criterion's",
+    "moduli.StratifiedPairSearch.run(refine)": "the lattice margin before "
+                                               "the off-lattice refinement",
+    "moduli.find_B_for_data(max_doublings)": "the refusal of a ladder cut "
+                                             "short",
+    "records.save_checkpoint(meta)": "the run metadata a restart reads back "
+                                     "(ROADMAP item 4)",
+    "sqg_euler.ObedienceMonitor.__init__(full_every)": "a full sweep on every "
+                                                       "call, against the "
+                                                       "pair search",
+    "sqg_euler.simulate_sqg(dt_floor)": "the dt-floor exit",
+    "sqg_euler.simulate_sqg(tail_limit)": "the spectral-tail exit",
+    "sqg_euler.simulate_p_euler(dt_max)": "steps left to the CFL bound, "
+                                          "against the stepper reference",
+    "sqg_euler.euler_regularity_experiment(c_scale)": "an undercalibrated "
+                                                      "envelope",
+}
+
+
+def _defaulted(fn, method):
+    # (name, position after self or None for keyword-only) of each
+    # parameter with a default
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    for i, a in enumerate(pos[first:], start=first):
+        yield a.arg, i - method
+    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if d is not None:
+            yield a.arg, None
+
+
+def _options(tree):
+    # (owner, callee name, parameter, position) of every defaulted
+    # parameter of a public function, or of a public method of a public
+    # class (its __init__ called by the class name)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+            for p, i in _defaulted(node, 0):
+                yield node.name, node.name, p, i
+        elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name[0] == "_" and fn.name != "__init__"):
+                    continue
+                static = any(getattr(d, "id", "") == "staticmethod"
+                             for d in fn.decorator_list)
+                callee = node.name if fn.name == "__init__" else fn.name
+                for p, i in _defaulted(fn, 0 if static else 1):
+                    yield f"{node.name}.{fn.name}", callee, p, i
+
+
+def _callee(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _calls(tree):
+    # (callee name, positional count, keywords set) of every call; a loop
+    # variable over a literal tuple of functions calls each of them
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and isinstance(node.iter,
+                                                    (ast.Tuple, ast.List)):
+            unpack = isinstance(node.target, ast.Tuple)
+            targets = node.target.elts if unpack else [node.target]
+            for item in node.iter.elts:
+                values = item.elts if unpack and isinstance(
+                    item, ast.Tuple) else [item]
+                for t, v in zip(targets, values):
+                    if isinstance(t, ast.Name) and _callee(v):
+                        aliases.setdefault(t.id, set()).add(_callee(v))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node.func):
+            npos = (math.inf if any(isinstance(a, ast.Starred)
+                                    for a in node.args) else len(node.args))
+            kws = {k.arg for k in node.keywords}
+            name = _callee(node.func)
+            for n in aliases.get(name, {name}):
+                yield n, npos, kws
+
+
+def _unset_options():
+    sources = sorted((ROOT / "src" / "moclab").glob("*.py"))
+    trees = {p: ast.parse(p.read_text())
+             for p in sources + sorted((ROOT / "bench").glob("*.py"))}
+    trees.update((f"README block {i}", ast.parse(block)) for i, block in
+                 enumerate(re.findall(r"```python\n(.*?)```",
+                                      (ROOT / "README.md").read_text(),
+                                      re.S)))
+    setters = [c for t in trees.values() for c in _calls(t)]
+    options, unset = [], []
+    for path in sources:
+        for owner, callee, param, at in _options(trees[path]):
+            options.append(f"{path.stem}.{owner}({param})")
+            if not any(n == callee and (param in kws or (
+                    at is not None and npos > at))
+                       for n, npos, kws in setters):
+                unset.append(options[-1])
+    return options, unset
+
+
+def test_every_option_has_a_setter():
+    # a defaulted public parameter of src/moclab is set by a call in src/,
+    # bench/ or a README example, or names in TEST_OPTIONS the behaviour a
+    # test reaches through it alone; any other is a constant
+    _, unset = _unset_options()
+    constants = [o for o in unset if o not in TEST_OPTIONS]
+    assert constants == [], constants
+    assert set(TEST_OPTIONS) <= set(unset), \
+        "a test option is set outside the tests, or left src/moclab"

@@ -48,9 +48,9 @@ def test_graded_edges_geometric_toward_left():
 
 def test_oscillation_resolved_edges_resolve_period():
     freq = 10.0
-    e = oscillation_resolved_edges(1.0, 5.0, freq, panels_per_period=4.0)
+    e = oscillation_resolved_edges(1.0, 5.0, freq)
     assert e[0] == 1.0 and e[-1] == pytest.approx(5.0)
-    assert np.max(np.diff(e)) <= 2.0 * math.pi / freq / 4.0 + 1e-12
+    assert np.max(np.diff(e)) <= 2.0 * math.pi / freq / 6.0 + 1e-12
 
 
 def test_log_edges_pin_kinks_and_keep_the_endpoints():

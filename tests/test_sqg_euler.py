@@ -55,8 +55,7 @@ def test_check_obeys_refuses_a_scalar_only_callable():
         calls.clear()
         with pytest.raises(TypeError,
                            match="scalar_only is not array-native"):
-            check_obeys(f, scalar_only, directions=16,
-                        separations_per_decade=6)
+            check_obeys(f, scalar_only)
         assert calls == [1]
     with pytest.raises(TypeError, match=r"returned shape \(\) for"):
         check_obeys(fld, lambda xi: 1.0)
@@ -70,10 +69,9 @@ def test_obedience_takes_any_object_with_an_omega_method():
                          sym=mem.sym, delta=mem.delta)
     line = ScalarField1D.random_band_limited(64, kmax=6, amplitude=0.05,
                                              seed=3)
-    for f, kw in ((line, {}),
-                  (fld, {"directions": 16, "separations_per_decade": 6})):
-        assert check_obeys(f, plain, **kw).margin.hex() == \
-            check_obeys(f, mem.omega, **kw).margin.hex()
+    for f in (line, fld):
+        assert check_obeys(f, plain).margin.hex() == \
+            check_obeys(f, mem.omega).margin.hex()
     assert ObedienceMonitor(plain, fld.N).margin(fld).hex() == \
         ObedienceMonitor(mem.omega, fld.N).margin(fld).hex()
 
@@ -291,7 +289,8 @@ def test_early_stops_leave_the_2d_run_unresolved():
 def test_stepper_fft_count_2d(law, monkeypatch):
     # 20 transforms per step in the advection core: 2 for the step's
     # velocity, reused by stage 1, 3 more in stage 1 and 5 in each later
-    # stage; 3 per recorded row and 1 for the final state in fields
+    # stage; 3 per row (one per step, plus t = 0) and 1 for the final
+    # state in fields
     theta0 = ScalarField2D.random_band_limited(32, kmax=4, amplitude=0.3,
                                                seed=11)
     _ = theta0.spec
@@ -306,9 +305,9 @@ def test_stepper_fft_count_2d(law, monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
     simulate, P = LAWS[law]
-    rec = simulate(theta0, 0.2, P=P, dt_max=0.01, record_every=4)
-    assert rec.meta["steps"] == 20 and len(rec["t"]) == 6
-    assert calls == {"advection": 20 * 20, "fields": 3 * 6 + 1}
+    rec = simulate(theta0, 0.2, P=P, dt_max=0.01)
+    assert rec.meta["steps"] == 20 and len(rec["t"]) == 21
+    assert calls == {"advection": 20 * 20, "fields": 3 * 21 + 1}
 
 
 # ----------------------------------------------------------------------
