@@ -329,7 +329,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
         return wedge_dissipation(sym, xx, per_decade=per_decade, order=order)
 
     in_edges = np.concatenate([np.linspace(0.5, 0.75, 5)[:-1],
-                               1.0 - graded_edges(0.0, 0.25, 26)[::-1]])
+                               1.0 - graded_edges(0.25, 26)[::-1]])
     i_upper = _abs_integral(inside, 0.5, 1.0 - 1e-13,
                             np.unique(np.clip(in_edges, 0.5, 1.0 - 1e-13)),
                             order)
@@ -343,7 +343,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
     while ((C + 1.0) / 3.0) * _m_over_r2_tail(sym, X - 1.0) > target and X < 1e6:
         X *= 4.0
     out_edges = np.unique(np.concatenate([
-        1.0 + graded_edges(0.0, 1.0, 30),
+        1.0 + graded_edges(1.0, 30),
         log_edges(2.0, X, per_decade)]))
     nodes, weights = panel_nodes(out_edges, order)
     vals = -_wedge_diss_outside(sym, nodes, per_decade, order)

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.special import j0, zeta
 
 from .fields import TWO_PI, ScalarField1D, ScalarField2D
-from .quadrature import oscillation_resolved_edges, panel_nodes
+from .quadrature import (graded_edges, oscillation_resolved_edges,
+                         panel_nodes)
 from .symbols import DissipationSymbol
 
 # beyond this argument the large-x Bessel expansion is used (7 terms each
@@ -99,7 +100,7 @@ def _graded_osc_edges(hi: float, freq: float, eps: float,
     to at most a quarter oscillation period of frequency ``freq``, plus the
     ``kinks`` inside, where the integrand may jump in slope."""
     levels = max(4, math.ceil(math.log2(hi / eps)))
-    base = (hi * 2.0 ** -np.arange(levels + 1, dtype=float))[::-1].copy()
+    base = graded_edges(hi, levels)
     base[0] = eps
     width = math.pi / (2.0 * max(freq, 1e-12))
     parts = [np.array([eps])]

@@ -591,22 +591,28 @@ def validate_modulus(mem) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StratumRow:
-    separation: float
-    omega: float
-    worst_increment: float
-    margin: float
-    x: tuple = ()
-    y: tuple = ()
-
-
-@dataclass
 class ObedienceReport:
+    """Breakthrough margins of a grid field against a modulus.
+
+    One stratum is one lattice offset v (a lag in 1-D): ``separations``
+    holds |v|, ``omegas`` omega(|v|), ``increments`` the largest
+    |theta(x + v) - theta(x)| over the grid and ``margins`` omega minus
+    that increment, four arrays of one length in stratum order. ``margin``
+    is the first smallest of them below +inf (+inf when there is none),
+    reached at ``worst_pair`` = (x, x + v), ``worst_separation`` and
+    ``worst_increment``. A ``refined`` report moved these four off the
+    lattice; the columns stay the lattice's. ``records.to_dict`` gives
+    each column as a list.
+    """
+
     margin: float
-    worst_pair: tuple          # ((x...), (y...)) coordinates of the arg-min
+    worst_pair: tuple          # ((x...), (x + v...)) of the arg-min
     worst_separation: float
     worst_increment: float
-    rows: list[StratumRow]
+    separations: np.ndarray
+    omegas: np.ndarray
+    increments: np.ndarray
+    margins: np.ndarray
     refined: bool = False
 
     @property
@@ -619,53 +625,61 @@ def check_obeys(fld, mem) -> ObedienceReport:
 
     ``mem`` is a modulus in the sense of ``_omega_fn``: a ModulusMember,
     an object with an ``omega`` method, or an array-native callable. A 1-D
-    field tests every grid pair; a 2-D one runs a refined
-    ``StratifiedPairSearch`` with its default strata. A field with a
-    non-finite value is refused: its increments bound nothing.
+    field tests every grid pair, one stratum per lag 1..N/2; a 2-D one
+    runs a refined ``StratifiedPairSearch`` with its default strata. Both
+    scan through ``_scan_report``. A field with a non-finite value is
+    refused: its increments bound nothing.
     """
     if isinstance(fld, ScalarField1D):
-        return _check_obeys_1d(fld, mem)
+        lags = np.arange(1, fld.N // 2 + 1)
+        seps = lags * (TWO_PI / fld.N)
+        return _scan_report(fld.values, lags[:, None], seps,
+                            _omega_array(_omega_fn(mem), seps))
     if isinstance(fld, ScalarField2D):
         return StratifiedPairSearch(fld.N, _omega_fn(mem)).run(fld)
     raise TypeError(f"unsupported field type: {type(fld).__name__}")
 
 
-def _check_obeys_1d(fld: ScalarField1D, mem) -> ObedienceReport:
-    _refuse_bad_input("field", fld.values, nonnegative=False)
-    omega = _omega_fn(mem)
-    N = fld.N
-    h = TWO_PI / N
-    lags = np.arange(1, N // 2 + 1)
-    oms = _omega_array(omega, lags * h)
-    js, incs = _increment_scan(fld.values[None, :],
-                               np.column_stack((np.zeros_like(lags), lags)))
-    margins = oms - incs
-    rows = [StratumRow(sep, om, inc, margin, x=(x,), y=(y,))
-            for sep, om, inc, margin, x, y in zip(
-                *(col.tolist() for col in (lags * h, oms, incs, margins,
-                                           js * h, (js + lags) % N * h)))]
-    k = _first_min(margins)
-    margin, lag, j = ((margins[k], int(lags[k]), int(js[k])) if k is not None
-                      else (math.inf, 0, 0))
+def _scan_report(v: np.ndarray, offsets: np.ndarray, separations: np.ndarray,
+                 omegas: np.ndarray) -> ObedienceReport:
+    """Lattice ObedienceReport of the periodic grid field ``v`` (1-D or
+    2-D, spacing 2 pi / N) over the strata ``offsets``, one lattice offset
+    per row and one column per axis, with their separations and omega
+    values. The worst stratum is the first smallest margin below +inf, the
+    one a running strict '<' from +inf keeps; with none, the first stratum
+    stands in at margin +inf.
+    """
+    _refuse_bad_input("field", v, nonnegative=False)
+    h = TWO_PI / v.shape[0]
+    js, increments = _increment_scan(v, offsets)
+    margins = omegas - increments
+    below = margins < math.inf
+    k = int(np.argmin(np.where(below, margins, math.inf)))
+    margin = margins[k] if below[k] else math.inf
+    x = h * np.array(np.unravel_index(js[k], v.shape))
     return ObedienceReport(
         margin=float(margin),
-        worst_pair=((j * h,), (((j + lag) % N) * h,)),
-        worst_separation=lag * h,
-        worst_increment=float(oms[lag - 1] - margin),
-        rows=rows)
+        worst_pair=(tuple(x), tuple(x + offsets[k] * h)),
+        worst_separation=float(separations[k]),
+        worst_increment=float(omegas[k] - margin),
+        separations=separations, omegas=omegas, increments=increments,
+        margins=margins)
 
 
 def _increment_scan(v: np.ndarray, shifts: np.ndarray):
-    """Largest increment of a periodic 2-D grid field (a 1-D one as a
-    single row) at each shift: for every row (a, b) of ``shifts``, the
-    flat index j and the value of max |v - roll(v, (-a, -b), (0, 1))|,
-    bitwise as ``np.argmax(np.abs(...))`` gives them.
+    """Largest increment of a periodic 1-D or 2-D grid field at each
+    shift: for every row of ``shifts`` (one column per axis of ``v``), the
+    flat index j and the value of max |v - roll(v, -shift)|, bitwise as
+    ``np.argmax(np.abs(...))`` gives them.
 
+    A 1-D field is scanned as a single row, its lag l as the shift (0, l).
     The field is tiled once, two periods per axis, and each shift is read
     as a view of the tiling, so no shifted copy is made. The argmax and
     argmin of the signed difference stand in for its abs: where the two
     magnitudes tie, the smaller flat index is the first maximum of abs.
     """
+    shifts = np.pad(shifts, ((0, 0), (2 - v.ndim, 0)))
+    v = np.atleast_2d(v)
     n0, n1 = v.shape
     tiled = np.tile(v, (2, 2))
     diff = np.empty((n0, n1))
@@ -681,15 +695,6 @@ def _increment_scan(v: np.ndarray, shifts: np.ndarray):
     return js, np.abs(picked)
 
 
-def _first_min(margins: np.ndarray) -> int | None:
-    """Index of the first smallest margin below +inf, the one a running
-    strict '<' from +inf keeps; None when every margin is +inf or NaN."""
-    below = margins < math.inf
-    if not below.any():
-        return None
-    return int(np.argmin(np.where(below, margins, math.inf)))
-
-
 class StratifiedPairSearch:
     """Reusable 2-D pair search over lattice offsets.
 
@@ -699,10 +704,12 @@ class StratifiedPairSearch:
     evolving field only pay for the increment scans. A run tiles the field
     once and scans each stratum on a view of the tiling: one subtraction
     into a reused buffer and the argmax and argmin of the signed increment,
-    no shifted copy and no abs (``_increment_scan``). The margins and the
-    worst stratum then come from arrays. ``run`` can sweep a subset of
-    strata (for cheap in-loop monitoring with a warm start) and refines the
-    worst pair continuously off-lattice.
+    no shifted copy and no abs (``_increment_scan``). It reports through
+    ``_scan_report``, as the 1-D ``check_obeys`` does: one column entry per
+    stratum swept, in the order of ``subset`` (all strata, by separation,
+    when it is None). ``run`` can sweep a subset of strata (for cheap
+    in-loop monitoring with a warm start) and refines the worst pair
+    continuously off-lattice.
     """
 
     def __init__(self, N: int, omega: Callable[[float], float],
@@ -737,50 +744,26 @@ class StratifiedPairSearch:
             refine: bool = True) -> ObedienceReport:
         if fld.N != self.N:
             raise ValueError("field resolution does not match the search grid")
-        _refuse_bad_input("field", fld.values, nonnegative=False)
-        N = self.N
-        h = TWO_PI / N
         idx = np.arange(len(self.offsets)) if subset is None else subset
-        offs = self.offsets[idx]
-        omegas = self.omegas[idx]
-        js, incs = _increment_scan(fld.values, offs)
-        margins = omegas - incs
-        jx, jy = np.divmod(js, N)
-        rows = [StratumRow(sep, om, inc, margin, x=(ax, ay), y=(bx, by))
-                for sep, om, inc, margin, ax, ay, bx, by in zip(*(
-                    col.tolist() for col in (
-                        self.separations[idx], omegas, incs, margins,
-                        jx * h, jy * h, (jx + offs[:, 0]) % N * h,
-                        (jy + offs[:, 1]) % N * h)))]
-        k = _first_min(margins)
-        margin, i, j = ((margins[k], idx[k], js[k]) if k is not None
-                        else (math.inf, -1, -1))
-        dx, dy = self.offsets[i]
-        jx, jy = divmod(int(j), N)
-        pair = (np.array([jx * h, jy * h]),
-                np.array([jx * h + dx * h, jy * h + dy * h]))
-        sep = float(self.separations[i])
-        inc = float(self.omegas[i] - margin)
-        refined = False
+        rep = _scan_report(fld.values, self.offsets[idx],
+                           self.separations[idx], self.omegas[idx])
         if refine:
-            margin, pair, sep, inc = self._refine(fld, pair, margin, sep, inc)
-            refined = True
-        return ObedienceReport(
-            margin=float(margin), worst_pair=(tuple(pair[0]), tuple(pair[1])),
-            worst_separation=sep, worst_increment=inc, rows=rows,
-            refined=refined)
+            self._refine(fld, rep)
+        return rep
 
-    def _refine(self, fld, pair, margin, sep, inc):
+    def _refine(self, fld, rep):
         # continuous descent of omega(|v|) - |theta(x+v) - theta(x)| around
-        # the worst lattice pair: a 5x5 grid of base points x times a 5x5
-        # grid of offsets v, shrinking by 4 per round. Per axis, x + v takes
-        # the 25 sums of a base and an offset coordinate, so theta is read
-        # on a 5x5 base lattice and a 25x25 sum lattice, and omega once per
-        # offset; margins[iy, ix, jy, jx] pairs x = (bx[ix], by[iy]) with
+        # the worst lattice pair of rep, moving its worst fields in place:
+        # a 5x5 grid of base points x times a 5x5 grid of offsets v,
+        # shrinking by 4 per round. Per axis, x + v takes the 25 sums of a
+        # base and an offset coordinate, so theta is read on a 5x5 base
+        # lattice and a 25x25 sum lattice, and omega once per offset;
+        # margins[iy, ix, jy, jx] pairs x = (bx[ix], by[iy]) with
         # v = (vx[jx], vy[jy]).
         h = TWO_PI / self.N
-        x = np.asarray(pair[0], dtype=float)
-        vvec = np.asarray(pair[1], dtype=float) - x
+        margin = rep.margin
+        x = np.asarray(rep.worst_pair[0], dtype=float)
+        vvec = np.asarray(rep.worst_pair[1], dtype=float) - x
         span = h
         steps = np.linspace(-1.0, 1.0, 5)
         n = steps.size
@@ -807,10 +790,12 @@ class StratifiedPairSearch:
                 margin = float(margins.flat[best])
                 x = np.array([bx[ix], by[iy]])
                 vvec = np.array([vx[jx], vy[jy]])
-                sep = float(norms[jy, jx])
-                inc = float(incs.flat[best])
+                rep.worst_separation = float(norms[jy, jx])
+                rep.worst_increment = float(incs.flat[best])
             span /= 4.0
-        return margin, (x, x + vvec), sep, inc
+        rep.margin = margin
+        rep.worst_pair = (tuple(x), tuple(x + vvec))
+        rep.refined = True
 
 
 # ---------------------------------------------------------------------------

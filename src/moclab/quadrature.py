@@ -51,17 +51,15 @@ def panel_nodes(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
-def graded_edges(a: float, b: float, levels: int) -> np.ndarray:
-    """Panel edges on [a, b] graded geometrically toward ``a``.
+def graded_edges(b: float, levels: int) -> np.ndarray:
+    """Panel edges on [0, b] graded geometrically toward 0.
 
-    ``levels`` panels shrink by factors of 2 toward the singular endpoint.
-    ``a`` may be 0; the innermost panel then starts at b * 2**-levels.
+    ``levels`` panels shrink by factors of 2 toward the singular endpoint;
+    the innermost panel starts at b * 2**-levels, and the open core below
+    it is the caller's.
     """
     fracs = 2.0 ** -np.arange(levels + 1, dtype=float)
-    pts = a + (b - a) * fracs[::-1]
-    if a > 0.0:
-        pts = np.concatenate(([a], pts))
-    return np.unique(pts)
+    return b * fracs[::-1]
 
 
 def log_edges(lo: float, hi: float, per_decade: float,

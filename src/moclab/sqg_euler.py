@@ -99,14 +99,14 @@ class ObedienceMonitor:
     """Warm-started obedience margin for an evolving 2D field.
 
     A full stratified sweep (32 directions, 8 separations per decade),
-    every ``full_every`` calls, ranks all lattice offsets; between full
-    sweeps only the 48 worst strata are rescanned, each call refining
-    around the current worst pair.  The temporal coherence of the
-    breakthrough point makes this sound in practice; the periodic full
-    sweep bounds how long a migrating worst pair can hide.  Every sweep
-    reads its strata as views of one tiling of the field, so a call costs
-    one subtraction and two arg-reductions per stratum, plus the
-    off-lattice refinement.
+    every ``full_every`` calls, ranks all lattice offsets by the report's
+    ``margins`` column; between full sweeps only the 48 worst strata are
+    rescanned, each call refining around the current worst pair.  The
+    temporal coherence of the breakthrough point makes this sound in
+    practice; the periodic full sweep bounds how long a migrating worst
+    pair can hide.  Every sweep reads its strata as views of one tiling of
+    the field, so a call costs one subtraction and two arg-reductions per
+    stratum, plus the off-lattice refinement.
     """
 
     def __init__(self, member, N, *, full_every=16):
@@ -123,7 +123,7 @@ class ObedienceMonitor:
         subset = None if full else self._hot
         rep = self._search.run(fld, subset=subset)
         if full:
-            order = np.argsort([r.margin for r in rep.rows])
+            order = np.argsort(rep.margins)
             self._hot = order[:48]
         self._calls += 1
         self.last_report = rep

@@ -609,15 +609,11 @@ def crossover_scale(sym: DissipationSymbol, kappa: float, B):
 
 @dataclass(eq=False)
 class Multiplier:
-    """Radial Fourier multiplier P(|k|) with sampled structure constants."""
+    """Radial Fourier multiplier P(|k|) with its sampled growth exponent."""
 
     kind: str
     params: dict
     alpha: float            # inf of the sampled log-log slope, clipped to [0, 1]
-    slope_sup: float        # sup of the sampled log-log slope
-    sub_linear: bool        # integral of P(1/z) z dz near 0 converges
-    cD: float               # sampled doubling constant sup P(2z)/P(z)
-    cH: float               # sampled Hormander constant, derivatives to order 4
     label: str = ""
 
     def __call__(self, z):
@@ -630,7 +626,6 @@ class Multiplier:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind, "params": self.params, "alpha": self.alpha,
-            "sub_linear": self.sub_linear, "cD": self.cD, "cH": self.cH,
             "label": self.label,
         }
 
@@ -669,52 +664,30 @@ _MULTIPLIER_FORMS = {
     "zero": _form_zero,
 }
 
-# central finite-difference stencils (7-point), orders 1..4
-_FD_STENCILS = {
-    1: (np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0, 1),
-    2: (np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0, 2),
-    3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3),
-    4: (np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0, 4),
-}
-
 
 def make_multiplier(kind: str, **params) -> Multiplier:
-    """Build a multiplier and sample its structure constants.
+    """Build a multiplier and sample its growth exponent.
 
-    Doubling, Hormander (derivative orders <= 4), growth exponent and
-    sub-linearity are measured on a log grid of 600 points over
-    [1e-3, 1e8], not assumed.
+    ``alpha`` is the smallest log-log slope of P, clipped to [0, 1],
+    measured on a log grid of 600 points over [1e-3, 1e8], not assumed.
     """
     if kind not in _MULTIPLIER_FORMS:
         raise ValueError(f"unknown multiplier kind: {kind!r}")
-    form = _MULTIPLIER_FORMS[kind]
     z = np.logspace(-3.0, 8.0, 600)
-    P = form(z, params)
+    P = _MULTIPLIER_FORMS[kind](z, params)
 
+    # smallest log-log slope
     pos = P > 0.0
-    cD = float(np.max(form(2.0 * z[pos], params) / P[pos])) if pos.any() else 1.0
-
-    # log-log slope range
     lp = np.full_like(P, -np.inf)
     lp[pos] = np.log(P[pos])
     with np.errstate(invalid="ignore"):
         slopes = np.diff(lp) / np.diff(np.log(z))
     slopes = slopes[np.isfinite(slopes)]
     slope_inf = float(np.min(slopes)) if slopes.size else 0.0
-    slope_sup = float(np.max(slopes)) if slopes.size else 0.0
     alpha = min(max(slope_inf, 0.0), 1.0)
 
-    cH = _sampled_hormander(form, params, z[(z > 1e-2) & (z < 1e7)][::6])
-
-    if kind == "zero":
-        sub_linear = True
-    else:
-        sub_linear = not _trend_divergent(
-            lambda r: form(1.0 / r, params) * r, 1.0, 14)
-
     return Multiplier(
-        kind=kind, params=dict(params), alpha=alpha, slope_sup=slope_sup,
-        sub_linear=sub_linear, cD=cD, cH=cH,
+        kind=kind, params=dict(params), alpha=alpha,
         label=_default_label(kind, params),
     )
 
@@ -724,19 +697,3 @@ def _default_label(kind: str, params: dict) -> str:
         return kind
     inner = ",".join(f"{k}={v:g}" for k, v in sorted(params.items()))
     return f"{kind}({inner})"
-
-
-def _sampled_hormander(form, params, zs: np.ndarray) -> float:
-    """max over sampled z and orders j <= 4 of |z^j P^(j)(z)| / P(z)."""
-    worst = 0.0
-    offsets = np.arange(-3, 4, dtype=float)
-    for z0 in zs:
-        h = 0.04 * z0
-        vals = form(z0 + h * offsets, params)
-        base = form(np.array([z0]), params)[0]
-        if base <= 0.0:
-            continue
-        for j, (coef, order) in _FD_STENCILS.items():
-            deriv = float(np.dot(coef, vals)) / h ** order
-            worst = max(worst, abs(deriv) * z0 ** order / base)
-    return worst

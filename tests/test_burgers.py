@@ -848,6 +848,83 @@ def test_verdict_report_json():
     assert doc["blowup_bracket"][1] > doc["blowup_bracket"][0]
 
 
+# hand-built records for the verdicts no simulated run reaches: the
+# comparison constant is c = kernel_functional * linf0 = 1, so a Lyapunov
+# series starting at y0 = 1.1 > sqrt(c) blows up at t* ~ 1.52, past t = 1
+UNIT_INST = dataclasses.replace(INST, kernel_functional=1.0)
+T11 = np.linspace(0.0, 1.0, 11)
+
+
+def _hand_record(grad, lyap, termination="completed"):
+    n = len(grad)
+    series = {"t": T11[:n], "linf": np.ones(n), "grad_linf": grad,
+              "l2": np.ones(n), "lyapunov": lyap, "dt": np.full(n, 0.1)}
+    return RunRecord(equation="burgers", columns=tuple(series),
+                     series=series, termination=termination,
+                     meta={"N": 64})
+
+
+def test_detect_crossing_with_linear_growth_is_unresolved():
+    # eight equal slopes: late == early, short of the acceleration factor;
+    # the series dominates the comparison, so that is the only reason
+    y, _ = comparison_lyapunov(T11, 1.1, 1.0)
+    rec = _hand_record(1.0 + 5.0 * T11, y * (1.0 + T11))
+    v = detect_blowup(rec, UNIT_INST, grad_factor=5.0)
+    assert v.verdict == UNRESOLVED and rec.verdict == UNRESOLVED
+    assert v.reason == ("gradient threshold crossed but growth trend not "
+                        "accelerating")
+    assert v.blowup_bracket == (T11[7], T11[8])
+    assert v.superlinear_ok is False and v.ode_ok is True
+    assert v.checks["late_slope"] == pytest.approx(v.checks["early_slope"])
+    assert v.checks["ode_worst_ratio"] >= 1.0
+
+
+def test_detect_crossing_below_the_comparison_is_unresolved():
+    # accelerating growth, but a flat Lyapunov series falls below the
+    # comparison solution that starts from its own first value
+    rec = _hand_record(np.exp(4.0 * T11), np.full(11, 1.1))
+    v = detect_blowup(rec, UNIT_INST, grad_factor=20.0)
+    assert v.verdict == UNRESOLVED
+    assert v.reason == ("gradient threshold crossed but Lyapunov series "
+                        "fell below the comparison solution")
+    assert v.superlinear_ok is True and v.ode_ok is False
+    assert v.checks["ode_worst_ratio"] < 1.0 - burgers._ODE_RTOL
+    assert v.ode_time == pytest.approx(0.5 * math.log(2.1 / 0.1))
+
+
+def test_detect_crossing_with_y0_below_sqrt_c_has_no_comparison():
+    # y0 <= sqrt(c): the comparison solution does not blow up, so the
+    # ODE signature fails and its worst ratio is NaN
+    rec = _hand_record(np.exp(4.0 * T11), np.full(11, 1.0))
+    v = detect_blowup(rec, UNIT_INST, grad_factor=20.0)
+    assert v.verdict == UNRESOLVED
+    assert v.reason == ("gradient threshold crossed but Lyapunov series "
+                        "fell below the comparison solution")
+    assert v.ode_ok is False and v.ode_time is None
+    assert math.isnan(v.checks["ode_worst_ratio"])
+
+
+def test_detect_crossing_within_four_slopes_is_not_accelerating():
+    # the threshold is crossed at the third row: two slopes are too few
+    # to compare an early and a late trend
+    rec = _hand_record(np.array([1.0, 2.0, 100.0, 100.0]), np.full(4, 1.1))
+    v = detect_blowup(rec, grad_factor=50.0)
+    assert v.verdict == UNRESOLVED
+    assert v.superlinear_ok is False
+    assert v.checks["slope_samples"] == 2
+    assert "early_slope" not in v.checks
+    assert v.blowup_bracket == (T11[1], T11[2])
+
+
+def test_detect_run_ended_early_is_unresolved():
+    rec = _hand_record(1.0 + T11, np.full(11, 1.1),
+                       termination="spectral-tail")
+    v = detect_blowup(rec, UNIT_INST)
+    assert v.verdict == UNRESOLVED
+    assert v.reason == "run ended early (spectral-tail)"
+    assert v.grad_ratio == 2.0
+
+
 # ---------------------------------------------------------------------------
 # discrete differential inequality
 # ---------------------------------------------------------------------------

@@ -394,13 +394,13 @@ def test_sin_breaks_tight_modulus_at_known_pair():
                abs(mid - 2.0 * math.pi)) < 1e-2
 
 
-def test_obedience_rows_margin_is_omega_minus_increment():
+def test_obedience_margins_are_omega_minus_increment():
     f = ScalarField1D.random_band_limited(256, kmax=20, amplitude=0.2, seed=5)
     rep = check_obeys(f, build_modulus(CRITICAL, 0.1, 0.01, 2.0 ** 35))
-    assert len(rep.rows) == f.N // 2
-    for r in rep.rows:
-        assert r.margin == r.omega - r.worst_increment
-    assert rep.margin == min(r.margin for r in rep.rows)
+    for col in (rep.separations, rep.omegas, rep.increments, rep.margins):
+        assert col.shape == (f.N // 2,)
+    assert np.array_equal(rep.margins, rep.omegas - rep.increments)
+    assert rep.margin == rep.margins.min()
 
 
 # the increment scans against np.roll, abs and argmax: values from a small
@@ -419,52 +419,53 @@ def _bits(obj):
 
 
 def _report_bits(rep):
-    rows = [(r.separation, r.omega, r.worst_increment, r.margin, r.x, r.y)
-            for r in rep.rows]
-    return _bits((rows, rep.margin, rep.worst_pair, rep.worst_separation,
+    return _bits((rep.separations, rep.omegas, rep.increments, rep.margins,
+                  rep.margin, rep.worst_pair, rep.worst_separation,
                   rep.worst_increment))
 
 
 def _rolled_report_1d(v, omega):
+    # (the argmax index of every lag, the report's bits)
     N = v.size
     h = TWO_PI / N
-    rows, worst = [], (math.inf, 0, 0)
+    cols, js, worst = [], [], (math.inf, 0, 0)
     for lag in range(1, N // 2 + 1):
         om = float(omega(lag * h))
         diff = np.abs(v - np.roll(v, -lag))
         j = int(np.argmax(diff))
         margin = om - float(diff[j])
-        rows.append((lag * h, om, float(diff[j]), margin, (j * h,),
-                     (((j + lag) % N) * h,)))
+        cols.append((lag * h, om, float(diff[j]), margin))
+        js.append(j)
         if margin < worst[0]:
             worst = (margin, lag, j)
     margin, lag, j = worst
-    return _bits((rows, margin, ((j * h,), (((j + lag) % N) * h,)), lag * h,
-                  float(omega(lag * h)) - margin))
+    return js, _bits((*zip(*cols), margin, ((j * h,), (j * h + lag * h,)),
+                      lag * h, float(omega(lag * h)) - margin))
 
 
 def _rolled_report_2d(search, v, idx):
+    # (the argmax index of every stratum, the report's bits)
     N = search.N
     h = TWO_PI / N
-    rows, worst = [], (math.inf, -1, -1)
+    cols, js, worst = [], [], (math.inf, -1, -1)
     for i in idx:
         dx, dy = (int(d) for d in search.offsets[i])
         diff = np.abs(v - np.roll(v, (-dx, -dy), axis=(0, 1)))
         j = int(np.argmax(diff))
         om = float(search.omegas[i])
         margin = om - float(diff.flat[j])
-        jx, jy = divmod(j, N)
-        rows.append((float(search.separations[i]), om, float(diff.flat[j]),
-                     margin, (jx * h, jy * h),
-                     (((jx + dx) % N) * h, ((jy + dy) % N) * h)))
+        cols.append((float(search.separations[i]), om, float(diff.flat[j]),
+                     margin))
+        js.append(j)
         if margin < worst[0]:
             worst = (margin, i, j)
     margin, i, j = worst
     dx, dy = (int(d) for d in search.offsets[i])
     jx, jy = divmod(j, N)
     pair = ((jx * h, jy * h), (jx * h + dx * h, jy * h + dy * h))
-    return _bits((rows, margin, pair, float(search.separations[i]),
-                  float(search.omegas[i]) - margin))
+    return js, _bits((*zip(*cols), margin, pair,
+                      float(search.separations[i]),
+                      float(search.omegas[i]) - margin))
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,8 +475,10 @@ def test_1d_scan_matches_rolled_argmax_bitwise(data, N, slope):
     v = np.array(data.draw(st.lists(LEVELS, min_size=N, max_size=N)))
     def omega(xi):
         return slope * np.asarray(xi)
-    rep = check_obeys(ScalarField1D(v), omega)
-    assert _report_bits(rep) == _rolled_report_1d(v, omega)
+    js, bits = _rolled_report_1d(v, omega)
+    scanned, _ = moduli._increment_scan(v, np.arange(1, N // 2 + 1)[:, None])
+    assert scanned.tolist() == js
+    assert _report_bits(check_obeys(ScalarField1D(v), omega)) == bits
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,7 +496,10 @@ def test_2d_scan_matches_rolled_argmax_bitwise(data, N, slope, use_subset):
            if use_subset else np.arange(n))
     rep = search.run(ScalarField2D(v), subset=idx if use_subset else None,
                      refine=False)
-    assert _report_bits(rep) == _rolled_report_2d(search, v, idx)
+    js, bits = _rolled_report_2d(search, v, idx)
+    scanned, _ = moduli._increment_scan(v, search.offsets[idx])
+    assert scanned.tolist() == js
+    assert _report_bits(rep) == bits
 
 
 def test_scan_tie_goes_to_the_first_index():
@@ -501,14 +507,14 @@ def test_scan_tie_goes_to_the_first_index():
     # minimum comes first, so abs's first maximum is index 0
     v = np.zeros(8)
     v[1] = 1.0
-    j, inc = moduli._increment_scan(v[None, :], np.array([[0, 1]]))
+    j, inc = moduli._increment_scan(v, np.array([[1]]))
     assert (j.tolist(), inc.tolist()) == ([0], [1.0])
     # the maximum first: (1, -1, 0, ...)
-    j, inc = moduli._increment_scan(-v[None, :], np.array([[0, 1]]))
+    j, inc = moduli._increment_scan(-v, np.array([[1]]))
     assert (j.tolist(), inc.tolist()) == ([0], [1.0])
     # a later maximum beats an earlier, smaller minimum
-    v = np.array([[0.0, 1.0, -1.0, 0.0]])
-    j, inc = moduli._increment_scan(v, np.array([[0, 1]]))
+    v = np.array([0.0, 1.0, -1.0, 0.0])
+    j, inc = moduli._increment_scan(v, np.array([[1]]))
     assert (j.tolist(), inc.tolist()) == ([1], [2.0])
 
 

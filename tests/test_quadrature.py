@@ -40,9 +40,9 @@ def test_panel_nodes_sin():
 
 
 def test_graded_edges_geometric_toward_left():
-    e = graded_edges(0.0, 1.0, 4)
+    e = graded_edges(1.0, 4)
     assert_allclose(e, [0.0625, 0.125, 0.25, 0.5, 1.0])
-    # leftmost edge sits span/2^levels from a; the open core is the caller's
+    # leftmost edge sits b/2^levels from 0; the open core is the caller's
     assert e[0] > 0.0
 
 
@@ -220,7 +220,6 @@ DECADE_TESTS = {
         make_symbol("power", a=0.5))),
     "check_conditions": (symbols, lambda: check_conditions(
         make_symbol("log", a=1.0))),
-    "trend-multiplier": (symbols, lambda: make_multiplier("power", s=0.5)),
     "trend-from-multiplier": (symbols, lambda: symbol_from_multiplier(
         _LOGLOG)),
     "trend-tabulated": (symbols, lambda: symbol_from_table(

@@ -90,6 +90,21 @@ def test_symbol_json_round_trip():
         assert back.alpha == s.alpha
 
 
+def test_tabulated_symbol_json_round_trip_is_bitwise():
+    # the table travels as radii and values, so the rebuilt symbol
+    # interpolates the same knots to the bit
+    r = np.geomspace(1e-6, 2.0, 40)
+    s = symbol_from_table(r, r ** -0.8)
+    doc = json.loads(json.dumps(s.to_dict(), allow_nan=False))
+    assert doc["family"] == "tabulated"
+    assert doc["radii"] == r.tolist() and doc["values"] == (r ** -0.8).tolist()
+    back = symbol_from_json(json.dumps(doc))
+    x = np.geomspace(1e-7, 10.0, 50)
+    assert back.m(x).tobytes() == s.m(x).tobytes()
+    assert (back.alpha, back.C0, back.sqg_admissible) == \
+        (s.alpha, s.C0, s.sqg_admissible)
+
+
 def test_symbol_from_table_interpolates_knots():
     r = np.geomspace(1e-3, 10.0, 25)
     vals = 1.0 / r
