@@ -3,23 +3,17 @@
 The evolution is theta_t = theta theta_x - L theta on the 2*pi circle, with
 L a nonlocal dissipation given either as a Fourier multiplier P(k) or as a
 radial kernel density m (converted through the kernels module).  Time
-stepping is the integrating-factor RK4 loop that the 2-D solvers of
-``sqg_euler`` share (``fields._IntegratingFactorRK4``): the stiff diagonal
-part is applied exactly through exp(-P dt), the quadratic term explicitly
-with 2/3-rule dealiasing, so a run with the nonlinearity disabled
-reproduces the exact linear solution to roundoff.  This module supplies the
-quadratic term, the per-step observation (sup |theta|, the gradient sup and
-its running maximum) and the gradient stop rule; its transforms are the
-only FFTs of a step.
+stepping is the staged integrating-factor RK4 loop that the 2-D solvers
+of ``sqg_euler`` share (``fields._StagedRun``): the stiff diagonal part is
+applied exactly through exp(-P dt), the quadratic term explicitly with
+2/3-rule dealiasing, so a run with the nonlinearity disabled reproduces
+the exact linear solution to roundoff.  This module supplies the quadratic
+term, the per-step observation (sup |theta|, the gradient sup and its
+running maximum) and the gradient stop rule; its transforms are the only
+FFTs of a step.
 
-The data's N is a ceiling, not the grid of every step.  A run goes in
-stages N0 < 2 N0 < ... <= N, all through the one loop: it starts on the
-coarsest N / 2^i (at least 64 points) that drops only modes at rounding
-level, and a stage below N whose top-eighth enstrophy share (the measure
-of ``ScalarField1D.spectral_tail_fraction``) passes ``_REFINE_TAIL`` after
-a step is zero-padded to twice its points, exactly, and resumes at the
-same t.  The dissipation multiplier is evaluated once, at N; each stage
-uses its prefix.  Data that needs its full N runs as one stage.
+The data's N is a ceiling, not the grid of every step: the shared loop
+runs in stages N0 < 2 N0 < ... <= N.
 
 The blow-up side instruments the Lyapunov functional
 
@@ -60,8 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .fields import (_CFL, _DT_FLOOR, ScalarField1D, _IntegratingFactorRK4,
-                     _refuse_bad_input, dealias_cutoff, spectral_tail_1d)
+from .fields import _DT_FLOOR, ScalarField1D, _StagedRun, dealias_cutoff
 from .kernels import multiplier_of_symbol_1d
 from .quadrature import (classify_decades, decade_increments, graded_edges,
                          log_edges, log_panel_blocks, log_panel_rows,
@@ -502,78 +495,17 @@ def design_blowup_data(sym, *, N=4096, instrumentation=None):
 # time stepping
 # ----------------------------------------------------------------------
 
-# Stages of simulate_burgers: a stage below the data's N doubles once the
-# enstrophy share of the top eighth of its active band passes _REFINE_TAIL;
-# the first is the coarsest N / 2^i of at least _MIN_STAGE_N points whose
-# modes above the dealias cutoff carry at most _DROP_RTOL of the l2 norm.
-_REFINE_TAIL = 1e-8
-_MIN_STAGE_N = 64
-_DROP_RTOL = 1e-13
-
-
-def _resolve_multiplier(k, sym, P):
-    if P is not None and sym is not None:
-        raise ValueError("supply either a symbol or a multiplier, not both")
-    if P is not None:
-        Pk = np.asarray(P(k), dtype=float)
-        label = getattr(P, "label", "multiplier")
-    elif sym is not None:
-        Pk = np.asarray(multiplier_of_symbol_1d(sym, k), dtype=float)
-        label = getattr(sym, "label", "symbol")
-    else:
-        return np.zeros_like(k), "none"
-    if Pk.shape != k.shape:
-        raise ValueError("multiplier must evaluate elementwise on wavenumbers")
-    Pk = Pk.copy()
-    Pk[0] = 0.0  # mean mode never damped: exact mean conservation
-    return Pk, label
-
-
-def _regrid(spec, n, m):
-    """The rfft spectrum of an n-point grid carried to m points (m / n a
-    power of two): modes above min(n, m) / 2 dropped or zero-padded, the
-    scale m / n exact. The coarser grid's Nyquist mode is a cosine there
-    and half of a complex mode on the finer grid, so padding halves it and
-    restricting doubles its real part; padding then restricting returns a
-    spectrum with a real Nyquist mode bit for bit."""
-    if m == n:
-        return spec
-    j = min(n, m) // 2
-    out = np.zeros(m // 2 + 1, dtype=complex)
-    out[:j + 1] = spec[:j + 1] * (m / n)
-    out[j] = out[j].real * (0.5 if m > n else 2.0)
-    return out
-
-
-def _start_grid(spec, N):
-    """Coarsest stage N / 2^i (even, at least _MIN_STAGE_N) of data with
-    rfft spectrum ``spec``: every mode above its dealias cutoff carries at
-    most _DROP_RTOL of the data's l2 norm, and its restriction passes the
-    refine rule."""
-    power = np.abs(spec) ** 2
-    above = np.cumsum(power[::-1])[::-1]  # power in the modes >= k
-    n = N
-    while n % 4 == 0 and n // 2 >= _MIN_STAGE_N:
-        m = n // 2
-        if above[dealias_cutoff(m) + 1] > _DROP_RTOL ** 2 * above[0] or \
-                spectral_tail_1d(_regrid(spec, N, m), m) > _REFINE_TAIL:
-            break
-        n = m
-    return n
-
-
 def _sup_abs(a):
     return float(max(a.max(), -a.min()))
 
 
 class _Grid:
-    """One stage's grid of n points: its prefix of the run's multiplier,
-    the dealiased quadratic term, the per-step observation and the
-    Lyapunov weights."""
+    """One stage's grid of n points: the dealiased quadratic term (None
+    for the linear flow), the per-step observation and the Lyapunov
+    weights."""
 
-    def __init__(self, n, Pk):
+    def __init__(self, n, nonlinear):
         self.n = n
-        self.Pk = Pk[:n // 2 + 1]
         k = np.arange(n // 2 + 1, dtype=float)
         # real factors of complex spectra are stored complex: numpy would
         # cast them on every product, to the same values
@@ -581,8 +513,12 @@ class _Grid:
         self.ik = 1j * k
         self.half_ik = 0.5 * self.ik
         self.ly_u = _lyapunov_weights(n)
+        if not nonlinear:
+            # the exact linear flow; a bound method stored on self instead
+            # would make each stage's grid a reference cycle
+            self.nonlinear = None
 
-    def nl(self, spec_hat, v=None):
+    def nonlinear(self, spec_hat, v=None):
         if v is None:
             v = irfft(spec_hat, n=self.n)
         q = rfft(v * v)
@@ -590,10 +526,15 @@ class _Grid:
         return self.half_ik * q
 
     def observe(self, spec):
-        """v, sup |v| and the gradient sup: the step size and the stop rule
-        read them every step."""
-        v = irfft(spec, n=self.n)
-        return v, _sup_abs(v), _sup_abs(irfft(self.ik * spec, n=self.n))
+        """v, sup |v| and the gradient sup of a yielded (or padded) state:
+        the step size and the stop rule read them every step."""
+        self.v = irfft(spec, n=self.n)
+        self.linf = _sup_abs(self.v)
+        self.grad = _sup_abs(irfft(self.ik * spec, n=self.n))
+
+    def grid(self, spec):
+        # a step starts from the state observed last
+        return self.v, self.linf
 
 
 def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
@@ -602,13 +543,8 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     """Integrate theta_t = theta theta_x - L theta up to time T.
 
     The data's N is the ceiling of the run, which goes in stages
-    N0 < 2 N0 < ... <= N through one loop. N0 is the coarsest N / 2^i (even,
-    at least 64) whose restriction drops only modes at rounding level and
-    passes the refine rule: after each step, a stage below N whose
-    enstrophy share in the top eighth of its active band (the measure of
-    ``ScalarField1D.spectral_tail_fraction``) passes ``_REFINE_TAIL`` is
-    zero-padded to twice its N, exactly, and the run resumes from the same
-    t. A stage at N runs on; data that needs its full N is one stage.
+    N0 < 2 N0 < ... <= N by the rules of ``fields._StagedRun``, the loop
+    every spectral solver shares.
 
     Parameters
     ----------
@@ -617,8 +553,8 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     T : float
         Time horizon.
     sym, P : DissipationSymbol or multiplier callable, mutually exclusive
-        Dissipation specification, evaluated once at N; both None runs the
-        inviscid equation.
+        Dissipation specification, evaluated once at N on the array of
+        wavenumbers; both None runs the inviscid equation.
     nonlinear : bool
         Disable to recover the exact linear flow (integrating factor only).
     dt_max : float or None
@@ -638,97 +574,65 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     new grid). sup |theta| and the gradient sup are evaluated every step,
     since the step size and the stop rule read them, and the running
     gradient maximum lands in the metadata; l2 and lyapunov are evaluated
-    on recorded rows only. ``meta["stages"]`` lists each stage's start t, N
-    and step count; ``meta["cap_unresolved_t"]`` is the first t at which
-    the stage at N failed the refine rule (None if never) and
-    ``meta["final_tail"]`` the final state's tail share. Neither decides a
-    verdict. ``final_state`` is padded back to N. Non-finite data and a
-    non-finite or negative multiplier are refused with a ValueError.
+    on recorded rows only. ``meta["stages"]``, ``meta["cap_unresolved_t"]``
+    and ``meta["final_tail"]`` are the loop's (see ``_StagedRun``); none
+    decides a verdict. ``final_state`` is padded back to N. Non-finite data
+    and a non-finite or negative multiplier are refused with a ValueError,
+    a multiplier that is not array-native with a TypeError.
     """
+    if P is not None and sym is not None:
+        raise ValueError("supply either a symbol or a multiplier, not both")
+    if sym is not None:
+        label = getattr(sym, "label", "symbol")
+        P = functools.partial(multiplier_of_symbol_1d, sym)
+    else:
+        label = "none" if P is None else getattr(P, "label", "multiplier")
     N = theta0.N
-    Pk, label = _resolve_multiplier(theta0.wavenumbers(), sym, P)
-    # refused at N: a stage's prefix could miss what is bad
-    _refuse_bad_input("theta0", theta0.spec, nonnegative=False)
-    _refuse_bad_input("dissipation multiplier", Pk)
-    g = _Grid(_start_grid(theta0.spec, N), Pk)
-    spec = _regrid(theta0.spec, N, g.n)
-
-    # each state a stage steps from was observed when it was yielded (or
-    # padded), so its grid values are those of the last observation; every
-    # stage has the run's horizon, so the same default step cap
-    def stage_run(spec, t0):
-        return _IntegratingFactorRK4(
-            spec, T, g.Pk, h=2.0 * np.pi / g.n, dt_max=dt_max,
-            dt_floor=dt_floor, nonlinear=g.nl if nonlinear else None,
-            grid=lambda s: (v, linf), t0=t0)
-
+    run = _StagedRun(theta0.spec, N, T, P,
+                     lambda n, index: _Grid(n, nonlinear),
+                     dt_max=dt_max, dt_floor=dt_floor)
     rows = {c: [] for c in ("t", "linf", "grad_linf", "l2", "lyapunov", "dt")}
 
     # l2 and the Lyapunov value only feed recorded rows
-    def record(t, dt, spec):
-        l2 = math.sqrt(2.0 * np.pi * float(np.mean(v * v)))
+    def record(t, dt, spec, g):
+        l2 = math.sqrt(2.0 * np.pi * float(np.mean(g.v * g.v)))
         ly = float(np.real(np.dot(spec / g.n, g.ly_u)))
-        for col, val in zip(rows, (t, linf, grad, l2, ly, dt)):
+        for col, val in zip(rows, (t, g.linf, g.grad, l2, ly, dt)):
             rows[col].append(val)
 
-    v, linf, grad = g.observe(spec)
-    linf0, grad0 = linf, grad
-    max_grad, max_grad_t = grad, 0.0
-    run = stage_run(spec, 0.0)
-    record(0.0, run.step_size(0.0, linf), spec)
-    stages = [{"t": 0.0, "N": g.n, "steps": 0}]
-    cap_t = (0.0 if g.n == N and spectral_tail_1d(spec, N) > _REFINE_TAIL
-             else None)
-    steps, hit_stop = 0, False
+    g = run.physics
+    g.observe(run.spec)
+    linf0, grad0 = g.linf, g.grad
+    max_grad, max_grad_t = g.grad, 0.0
+    record(0.0, run.step_size(0.0, g.linf), run.spec, g)
 
     started = time.perf_counter()
-    while True:
-        stage, refine = stages[-1], False
-        for t, dt, spec in run:
-            v, linf, grad = g.observe(spec)
-            if g.n < N or cap_t is None:
-                over = spectral_tail_1d(spec, g.n) > _REFINE_TAIL
-                refine = over and g.n < N
-                if over and not refine:
-                    cap_t = t
-            if refine:
-                spec = _regrid(spec, g.n, 2 * g.n)
-                g = _Grid(2 * g.n, Pk)
-                v, linf, grad = g.observe(spec)
-                stages.append({"t": t, "N": g.n, "steps": 0})
-            if grad > max_grad:
-                max_grad, max_grad_t = grad, t
-            hit_stop = grad_stop is not None and grad >= grad_stop
-            if (steps + run.steps) % record_every == 0 or run.reached(t) \
-                    or hit_stop:
-                record(t, dt, spec)
-            if hit_stop:
-                run.termination = "gradient-threshold"
-            if hit_stop or refine:
-                break
-        stage["steps"] = run.steps
-        steps += run.steps
-        if hit_stop or not refine:
+    for t, dt, spec in run:
+        g = run.physics
+        g.observe(spec)
+        if g.grad > max_grad:
+            max_grad, max_grad_t = g.grad, t
+        hit_stop = grad_stop is not None and g.grad >= grad_stop
+        if run.steps % record_every == 0 or run.reached(t) or hit_stop:
+            record(t, dt, spec, g)
+        if hit_stop:
+            run.termination = "gradient-threshold"
             break
-        run = stage_run(spec, t)
     wall = time.perf_counter() - started
 
     return RunRecord(
         equation="burgers",
-        columns=("t", "linf", "grad_linf", "l2", "lyapunov", "dt"),
+        columns=tuple(rows),
         series=rows,
         termination=run.termination,
         meta={
-            "N": N, "T": T, "cfl": _CFL, "dt_max": run.dt_max,
-            "dt_floor": dt_floor, "nonlinear": bool(nonlinear),
-            "multiplier": label, "linf0": linf0, "grad0": grad0,
-            "steps": steps, "max_grad": max_grad, "max_grad_t": max_grad_t,
-            "record_every": record_every, "grad_stop": grad_stop,
-            "stages": stages, "cap_unresolved_t": cap_t,
-            "final_tail": spectral_tail_1d(spec, g.n),
+            "nonlinear": bool(nonlinear), "multiplier": label,
+            "linf0": linf0, "grad0": grad0, "max_grad": max_grad,
+            "max_grad_t": max_grad_t, "record_every": record_every,
+            "grad_stop": grad_stop, **run.meta(),
         },
         wall_time=wall,
-        final_state=ScalarField1D.from_spectrum(_regrid(spec, g.n, N), N),
+        final_state=ScalarField1D.from_spectrum(run.at_cap(run.spec), N),
     )
 
 

@@ -42,11 +42,18 @@ def velocity_multipliers(N: int, law: str, P=None):
     if law == "sqg":
         w = 1.0 / safe
     elif law == "p_euler":
-        w = np.asarray(P(kmod), dtype=float) / safe ** 2
+        w = _multiplier_values(P, kmod, "velocity multiplier") / safe ** 2
     else:
         raise ValueError(f"unknown velocity law: {law!r}")
-    _refuse_bad_input("velocity multiplier", w)
     return -1j * ky * w, 1j * kx * w
+
+
+def _wavenumber_modulus(N: int, ndim: int) -> np.ndarray:
+    """|k| on the rfft spectrum of an N-point line (ndim 1) or of the
+    N x N grid (ndim 2)."""
+    if ndim == 1:
+        return np.arange(N // 2 + 1, dtype=float)
+    return np.hypot(*wavenumber_grids_2d(N))
 
 
 # the float64 machine epsilon and smallest normal number
@@ -72,17 +79,6 @@ def max_hypot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.hypot(x, y)))
 
 
-def spectral_tail_1d(spec: np.ndarray, N: int) -> float:
-    """Enstrophy fraction of the top 1/8 of the active band 1 <= k <= N/3,
-    for the rfft spectrum ``spec`` of an N-point grid."""
-    kcut = dealias_cutoff(N)
-    k = np.arange(kcut + 1, dtype=float)
-    ens = k ** 2 * np.abs(spec[:kcut + 1]) ** 2
-    active = ens[1:].sum()
-    shell = ens[k >= 0.875 * kcut].sum()
-    return float(shell / active) if active > 0.0 else 0.0
-
-
 def _refuse_bad_input(name: str, values, *, nonnegative: bool = True):
     """ValueError naming ``name`` unless every value is finite (and, with
     ``nonnegative``, >= 0)."""
@@ -93,6 +89,33 @@ def _refuse_bad_input(name: str, values, *, nonnegative: bool = True):
         raise ValueError(f"{name} must be nonnegative")
 
 
+def _array_call(fn, x: np.ndarray, name: str, of: str, contract: str):
+    """``fn`` on the array ``x`` in one call, as floats of its shape. A
+    ``fn`` that raises TypeError on the array, or returns another shape, is
+    refused with a TypeError naming ``name`` and stating ``contract``."""
+    try:
+        out = np.asarray(fn(x), dtype=float)
+    except TypeError as err:
+        raise TypeError(f"{name} is not array-native ({err}); "
+                        f"{contract}") from err
+    if out.shape != x.shape:
+        raise TypeError(f"{name} is not array-native: it returned shape "
+                        f"{out.shape} for {of} of shape {x.shape}; {contract}")
+    return out
+
+
+def _multiplier_values(P, k: np.ndarray, name: str) -> np.ndarray:
+    """The multiplier ``P`` on the wavenumber moduli ``k``, with the mean
+    mode's entry 0: the mean is never damped and never advects. A ``P``
+    that is not array-native, or has a non-finite or negative value, is
+    refused by ``name``."""
+    values = _array_call(P, k, name, "wavenumbers", "a multiplier maps an "
+                         "array of |k| to an array of its shape").copy()
+    values.flat[0] = 0.0
+    _refuse_bad_input(name, values)
+    return values
+
+
 # the advective step restriction of every solver, dt <= _CFL h / speed,
 # and the solvers' default floor on a step short of the horizon
 _CFL = 0.4
@@ -100,7 +123,7 @@ _DT_FLOOR = 1e-10
 
 
 class _IntegratingFactorRK4:
-    """The time loop of the spectral solvers, for spec_t = -Pk spec + N(spec).
+    """The step loop of ``_StagedRun``, for spec_t = -Pk spec + N(spec).
 
     The stiff diagonal part is applied exactly through E = exp(-dt Pk / 2)
     and the nonlinear term ``nonlinear(spec, aux=None)`` explicitly, in RK4.
@@ -113,7 +136,8 @@ class _IntegratingFactorRK4:
     falls short of the horizon ends the run as "dt-floor". No transform is
     made here: ``grid`` and ``nonlinear`` own every FFT.
 
-    Iterating yields (t, dt, spec) after each step, from t = ``t0``.
+    Iterating yields (t, dt, spec) after each step, from t = ``t0``; each
+    step reads ``spec``, ``Pk``, ``h``, ``nonlinear`` and ``grid`` afresh.
     ``steps``, ``termination`` and ``spec`` hold what the run reached; a
     caller that stops on its own rule sets ``termination`` before it
     breaks. A loop built from a yielded (t, spec) with ``t0=t``, the same
@@ -124,8 +148,6 @@ class _IntegratingFactorRK4:
                  t0=0.0):
         if T <= 0.0:
             raise ValueError("horizon must be positive")
-        _refuse_bad_input("theta0", spec, nonnegative=False)
-        _refuse_bad_input("dissipation multiplier", Pk)
         self.spec = np.array(spec, dtype=complex)
         self.T, self.Pk, self.h = T, Pk, h
         self.dt_max = T / 64.0 if dt_max is None else dt_max
@@ -145,8 +167,9 @@ class _IntegratingFactorRK4:
         return min(dt, self.T - t)
 
     def __iter__(self):
-        t, spec, nl = self.t0, self.spec, self.nonlinear
+        t = self.t0
         while not self.reached(t):
+            spec, nl = self.spec, self.nonlinear
             aux, speed = (None, 0.0) if nl is None else self.grid(spec)
             dt = self.step_size(t, speed)
             if dt < self.dt_floor and (self.T - t) > self.dt_floor:
@@ -168,6 +191,144 @@ class _IntegratingFactorRK4:
             t += dt
             self.steps += 1
             self.spec = spec
+            yield t, dt, spec
+
+
+# The stage rules of every run: the first stage is the coarsest N / 2^i of
+# at least _MIN_STAGE_N points per axis whose modes above the dealias
+# cutoff carry at most _DROP_RTOL of the l2 norm, and a stage below the
+# data's N doubles once the enstrophy share of the top eighth of its active
+# band passes _REFINE_TAIL.
+_REFINE_TAIL = 1e-8
+_MIN_STAGE_N = 64
+_DROP_RTOL = 1e-13
+
+
+def _tail_band(N: int, ndim: int):
+    """What ``_spectral_tail`` reads on N points per axis, on the columns up
+    to N/3: |k|^2 times the half-plane count (2 past the first column, so
+    in 1-D on every active mode, where it cancels), the active band
+    1 <= |k| <= N/3 and its top eighth."""
+    kcut = dealias_cutoff(N)
+    kmod = _wavenumber_modulus(N, ndim)[..., :kcut + 1]
+    weight = kmod ** 2
+    weight[..., 1:] *= 2.0
+    inside = kmod <= kcut
+    return weight, inside & (kmod >= 1.0), inside & (kmod >= 0.875 * kcut)
+
+
+def _spectral_tail(spec: np.ndarray, band) -> float:
+    """Enstrophy fraction of the top 1/8 of the active band of an rfft
+    spectrum, ``band`` the ``_tail_band`` of its grid."""
+    weight, active, shell = band
+    ens = weight * np.abs(spec[..., :weight.shape[-1]]) ** 2
+    total = ens[active].sum()
+    return float(ens[shell].sum() / total) if total > 0.0 else 0.0
+
+
+def _regrid(spec: np.ndarray, n: int, m: int) -> np.ndarray:
+    """An rfft spectrum on n points per axis carried to m (m / n a power of
+    two), exactly. A coarse Nyquist mode is a cosine, two halves on the
+    finer grid: padding splits the Nyquist row and halves the Hermitian part
+    of the Nyquist column (the real part in 1-D), restricting adds up what
+    folds onto them, and so undoes padding bit for bit."""
+    if m == n:
+        return spec
+    j = min(n, m) // 2
+    part = spec[..., :j + 1] * (m / n) ** spec.ndim
+    out = np.zeros((m,) * (spec.ndim - 1) + (m // 2 + 1,), dtype=complex)
+    if spec.ndim == 1:
+        out[:j + 1] = part
+    else:
+        out[:j, :j + 1] = part[:j]
+        out[m - j + 1:, :j + 1] = part[n - j + 1:]
+        if m > n:
+            out[j, :j + 1] = out[m - j, :j + 1] = 0.5 * part[j]
+        else:
+            out[j, :j + 1] = part[j] + part[n - j]
+    nyq = out[..., j]
+    fold = nyq + np.conj(nyq if nyq.ndim == 0 else np.roll(nyq[::-1], 1))
+    out[..., j] = 0.25 * fold if m > n else fold
+    return out
+
+
+def _start_grid(spec: np.ndarray, N: int) -> int:
+    """The first stage of data with rfft spectrum ``spec`` on N points per
+    axis (see the stage rules above)."""
+    power = np.abs(spec) ** 2
+    kmod = _wavenumber_modulus(N, spec.ndim)
+    n = N
+    while n % 4 == 0 and n // 2 >= _MIN_STAGE_N:
+        m = n // 2
+        dropped = power[kmod > dealias_cutoff(m)].sum()
+        if dropped > _DROP_RTOL ** 2 * power.sum() or \
+                _spectral_tail(_regrid(spec, N, m),
+                               _tail_band(m, spec.ndim)) > _REFINE_TAIL:
+            break
+        n = m
+    return n
+
+
+class _StagedRun(_IntegratingFactorRK4):
+    """The run loop of every spectral solver: the step loop in stages
+    N0 < 2 N0 < ... <= N of the data's N per axis, by the stage rules. A
+    stage that passes the refine rule after a step is padded to twice its N
+    and the run goes on from the same t.
+
+    The data and the dissipation multiplier ``P`` (None for none) are
+    refused at N, where ``P`` is evaluated once. ``physics(n, index)``
+    builds a stage's ``nonlinear`` and ``grid``; ``index`` picks its modes
+    out of an array on the N grid. A yielded spec is on the stage of ``n``
+    and ``physics``. ``stages`` lists each stage's start t, N and steps;
+    ``cap_unresolved_t`` is the first t the stage at N failed the refine
+    rule (None if never).
+    """
+
+    def __init__(self, spec, N, T, P, physics, *, dt_max, dt_floor):
+        _refuse_bad_input("theta0", spec, nonnegative=False)
+        kmod = _wavenumber_modulus(N, spec.ndim)
+        self.Pk_N = (np.zeros_like(kmod) if P is None else
+                     _multiplier_values(P, kmod, "dissipation multiplier"))
+        self.N, self.physics_of, self.stages = N, physics, []
+        n = _start_grid(spec, N)
+        super().__init__(_regrid(spec, N, n), T, None, h=None, dt_max=dt_max,
+                         dt_floor=dt_floor, nonlinear=None, grid=None)
+        self._enter(n, 0.0)
+        self.cap_unresolved_t = (0.0 if n == N and _spectral_tail(
+            self.spec, self.band) > _REFINE_TAIL else None)
+
+    def _enter(self, n, t):
+        index = slice(0, n // 2 + 1)
+        if self.spec.ndim == 2:
+            index = np.r_[0:n // 2, self.N - n // 2:self.N], index
+        self.n, self.physics = n, self.physics_of(n, index)
+        self.Pk, self.h = self.Pk_N[index], TWO_PI / n
+        self.band = _tail_band(n, self.spec.ndim)
+        self.nonlinear, self.grid = self.physics.nonlinear, self.physics.grid
+        self.stages.append({"t": t, "N": n, "steps": 0})
+
+    def at_cap(self, spec):
+        """A state of the current stage padded to N."""
+        return _regrid(spec, self.n, self.N)
+
+    def meta(self) -> dict:
+        """The run record's entries of the loop."""
+        return {"N": self.N, "T": self.T, "cfl": _CFL, "dt_max": self.dt_max,
+                "dt_floor": self.dt_floor, "steps": self.steps,
+                "stages": self.stages,
+                "cap_unresolved_t": self.cap_unresolved_t,
+                "final_tail": _spectral_tail(self.spec, self.band)}
+
+    def __iter__(self):
+        for t, dt, spec in super().__iter__():
+            self.stages[-1]["steps"] += 1
+            if (self.n < self.N or self.cap_unresolved_t is None) and \
+                    _spectral_tail(spec, self.band) > _REFINE_TAIL:
+                if self.n == self.N:
+                    self.cap_unresolved_t = t
+                else:
+                    self.spec = spec = _regrid(spec, self.n, 2 * self.n)
+                    self._enter(2 * self.n, t)
             yield t, dt, spec
 
 
@@ -234,7 +395,7 @@ class ScalarField1D:
         return self.spec / self.N
 
     def wavenumbers(self) -> np.ndarray:
-        return np.arange(self.N // 2 + 1, dtype=float)
+        return _wavenumber_modulus(self.N, 1)
 
     # -- operations --------------------------------------------------------
 
@@ -281,7 +442,7 @@ class ScalarField1D:
 
     def spectral_tail_fraction(self) -> float:
         """Enstrophy fraction carried by the top 1/8 of the active band."""
-        return spectral_tail_1d(self.spec, self.N)
+        return _spectral_tail(self.spec, _tail_band(self.N, 1))
 
 
 class ScalarField2D:
@@ -340,8 +501,7 @@ class ScalarField2D:
         return wavenumber_grids_2d(self.N)
 
     def wavenumber_modulus(self) -> np.ndarray:
-        kx, ky = self.wavenumber_grids()
-        return np.hypot(kx, ky)
+        return _wavenumber_modulus(self.N, 2)
 
     # -- operations --------------------------------------------------------
 
@@ -410,13 +570,5 @@ class ScalarField2D:
         return max_hypot(gx.values, gy.values)
 
     def spectral_tail_fraction(self) -> float:
-        kmod = self.wavenumber_modulus()
-        kcut = dealias_cutoff(self.N)
-        # N is even: the last column is the Nyquist one, counted once
-        weight = np.full(kmod.shape, 2.0)
-        weight[:, 0] = 1.0
-        weight[:, -1] = 1.0
-        ens = weight * kmod ** 2 * np.abs(self.spec) ** 2
-        active = ens[(kmod >= 1.0) & (kmod <= kcut)].sum()
-        shell = ens[(kmod >= 0.875 * kcut) & (kmod <= kcut)].sum()
-        return float(shell / active) if active > 0.0 else 0.0
+        """Enstrophy fraction carried by the top 1/8 of the active band."""
+        return _spectral_tail(self.spec, _tail_band(self.N, 2))

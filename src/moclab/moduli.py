@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import TWO_PI, ScalarField1D, ScalarField2D, _refuse_bad_input
+from .fields import (TWO_PI, ScalarField1D, ScalarField2D, _array_call,
+                     _refuse_bad_input)
 from .quadrature import (gauss_legendre, log_edges, log_panel_rows,
                          panel_nodes)
 from .symbols import DissipationSymbol, _crossover_roots, _shaped
@@ -285,19 +286,18 @@ def _omega_fn(modulus) -> Callable:
 
 
 def _omega_array(omega: Callable, xi) -> np.ndarray:
-    """omega on an array of separations, in one call. A callable that
-    raises TypeError on the array, or returns another shape, is refused."""
-    arr = np.asarray(xi, dtype=float)
-    name = getattr(omega, "__qualname__", type(omega).__name__)
-    try:
-        out = np.asarray(omega(arr), dtype=float)
-    except TypeError as err:
-        raise TypeError(f"{name} is not array-native ({err}); "
-                        f"{_CONTRACT}") from err
-    if out.shape != arr.shape:
-        raise TypeError(f"{name} is not array-native: it returned shape "
-                        f"{out.shape} for separations of shape {arr.shape}; "
-                        f"{_CONTRACT}")
+    """omega on an array of separations, in one call; a callable that is
+    not array-native is refused (``fields._array_call``)."""
+    return _array_call(omega, np.asarray(xi, dtype=float),
+                       getattr(omega, "__qualname__", type(omega).__name__),
+                       "separations", _CONTRACT)
+
+
+def _obedience_omegas(omega: Callable, xi) -> np.ndarray:
+    """``_omega_array``, refusing a non-finite omega: it bounds no
+    increment. (``validate_modulus`` reports one instead.)"""
+    out = _omega_array(omega, xi)
+    _refuse_bad_input("omega", out, nonnegative=False)
     return out
 
 
@@ -598,11 +598,10 @@ class ObedienceReport:
     holds |v|, ``omegas`` omega(|v|), ``increments`` the largest
     |theta(x + v) - theta(x)| over the grid and ``margins`` omega minus
     that increment, four arrays of one length in stratum order. ``margin``
-    is the first smallest of them below +inf (+inf when there is none),
-    reached at ``worst_pair`` = (x, x + v), ``worst_separation`` and
-    ``worst_increment``. A ``refined`` report moved these four off the
-    lattice; the columns stay the lattice's. ``records.to_dict`` gives
-    each column as a list.
+    is the first smallest of them, reached at ``worst_pair`` = (x, x + v),
+    ``worst_separation`` and ``worst_increment``. A ``refined`` report
+    moved these four off the lattice; the columns stay the lattice's.
+    ``records.to_dict`` gives each column as a list.
     """
 
     margin: float
@@ -628,13 +627,14 @@ def check_obeys(fld, mem) -> ObedienceReport:
     field tests every grid pair, one stratum per lag 1..N/2; a 2-D one
     runs a refined ``StratifiedPairSearch`` with its default strata. Both
     scan through ``_scan_report``. A field with a non-finite value is
-    refused: its increments bound nothing.
+    refused, as is a modulus with a non-finite omega on a stratum: neither
+    bounds anything.
     """
     if isinstance(fld, ScalarField1D):
         lags = np.arange(1, fld.N // 2 + 1)
         seps = lags * (TWO_PI / fld.N)
         return _scan_report(fld.values, lags[:, None], seps,
-                            _omega_array(_omega_fn(mem), seps))
+                            _obedience_omegas(_omega_fn(mem), seps))
     if isinstance(fld, ScalarField2D):
         return StratifiedPairSearch(fld.N, _omega_fn(mem)).run(fld)
     raise TypeError(f"unsupported field type: {type(fld).__name__}")
@@ -645,17 +645,17 @@ def _scan_report(v: np.ndarray, offsets: np.ndarray, separations: np.ndarray,
     """Lattice ObedienceReport of the periodic grid field ``v`` (1-D or
     2-D, spacing 2 pi / N) over the strata ``offsets``, one lattice offset
     per row and one column per axis, with their separations and omega
-    values. The worst stratum is the first smallest margin below +inf, the
-    one a running strict '<' from +inf keeps; with none, the first stratum
-    stands in at margin +inf.
+    values. The worst stratum is the first smallest margin, the one a
+    running strict '<' keeps: the omegas are finite
+    (``_obedience_omegas``) and so are the increments of a field that is
+    not refused.
     """
     _refuse_bad_input("field", v, nonnegative=False)
     h = TWO_PI / v.shape[0]
     js, increments = _increment_scan(v, offsets)
     margins = omegas - increments
-    below = margins < math.inf
-    k = int(np.argmin(np.where(below, margins, math.inf)))
-    margin = margins[k] if below[k] else math.inf
+    k = int(np.argmin(margins))
+    margin = margins[k]
     x = h * np.array(np.unravel_index(js[k], v.shape))
     return ObedienceReport(
         margin=float(margin),
@@ -738,7 +738,7 @@ class StratifiedPairSearch:
         order = np.argsort(sep)
         self.offsets = offs[order]
         self.separations = sep[order]
-        self.omegas = _omega_array(omega, self.separations)
+        self.omegas = _obedience_omegas(omega, self.separations)
 
     def run(self, fld: ScalarField2D, subset: np.ndarray | None = None,
             refine: bool = True) -> ObedienceReport:
@@ -782,7 +782,7 @@ class StratifiedPairSearch:
             ).reshape(n, n, n, n).transpose(2, 0, 3, 1)
             incs = np.abs(th_y - th_x[:, :, None, None])
             oms = np.full(norms.shape, np.inf)
-            oms[keep] = _omega_array(self.omega, norms[keep])
+            oms[keep] = _obedience_omegas(self.omega, norms[keep])
             margins = oms - incs
             best = int(np.argmin(margins))
             if margins.flat[best] < margin:

@@ -7,10 +7,11 @@ integrating factor inside RK4.  The P-Euler law uses i k^perp P(|k|) / |k|^2
 and no dissipation, so the same stepper runs with a unit integrating
 factor and conserves every transported integral up to dealiasing error.
 The velocity multipliers and the wavenumber grids come from ``fields``,
-and the stepper is the integrating-factor RK4 loop that 1-D Burgers
-shares (``fields._IntegratingFactorRK4``); this module supplies the
-advection term, whose step velocity feeds both the CFL rule and stage 1,
-the recorded diagnostics and the spectral-tail stop rule.
+and the run loop is the staged integrating-factor RK4 loop that 1-D
+Burgers shares (``fields._StagedRun``), so a 2-D run goes in stages of
+N / 2^i per axis too.  This module supplies the advection term, whose step
+velocity feeds both the CFL rule and stage 1, the diagnostics recorded on
+the state padded to N, and the spectral-tail stop rule at N.
 
 Products are formed on the grid with a 2/3-rule mask; both laws produce
 exactly divergence-free velocities, and a plane wave annihilates its own
@@ -31,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft2, rfft2
 
-from .fields import (_CFL, _DT_FLOOR, ScalarField2D, _IntegratingFactorRK4,
-                     dealias_cutoff, max_hypot, velocity_multipliers,
-                     wavenumber_grids_2d)
+from .fields import (_DT_FLOOR, ScalarField2D, _StagedRun, dealias_cutoff,
+                     max_hypot, velocity_multipliers, wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_fn
 from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
@@ -77,8 +77,9 @@ class _AdvectionCore:
         return (irfft2(self.mx * spec, s=(n, n)),
                 irfft2(self.my * spec, s=(n, n)))
 
-    def speed(self, spec):
-        """The grid velocity of ``spec`` and its sup."""
+    def grid(self, spec):
+        """The grid velocity of ``spec`` and its sup: a step's speed, and
+        the velocity its first RK4 stage reuses."""
         u = self.velocity(spec)
         return u, max_hypot(*u)
 
@@ -135,27 +136,26 @@ class ObedienceMonitor:
 # time stepping
 # ----------------------------------------------------------------------
 
-def _run_2d(theta0, T, P, core, Pk, *, equation, dt_max, dt_floor, member,
-            tail_limit):
+def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
     if not isinstance(theta0, ScalarField2D):
         raise TypeError("need a ScalarField2D initial condition")
     N = theta0.N
-    run = _IntegratingFactorRK4(
-        theta0.spec, T, Pk, h=2.0 * np.pi / N, dt_max=dt_max,
-        dt_floor=dt_floor, nonlinear=core.nonlinear, grid=core.speed)
+    mx, my = velocity_multipliers(N, law, P=P)
+    run = _StagedRun(theta0.spec, N, T, P if law == "sqg" else None,
+                     lambda n, index: _AdvectionCore(n, mx[index],
+                                                     my[index]),
+                     dt_max=dt_max, dt_floor=dt_floor)
     monitor = None if member is None else ObedienceMonitor(member, N)
     rows = {c: [] for c in COLUMNS_2D}
 
-    # every step is a row: the monitor follows the field step by step
+    # every step is a row, read on the state padded to N: the monitor
+    # follows the field step by step on the data's grid
     def record(t, spec):
-        fld = ScalarField2D.from_spectrum(spec, N)
-        rows["t"].append(t)
-        rows["linf"].append(fld.linf())
-        rows["grad_linf"].append(fld.grad_linf())
-        rows["l2"].append(fld.l2())
-        rows["obedience_margin"].append(
-            monitor.margin(fld) if monitor is not None else math.nan)
-        rows["spectral_tail"].append(fld.spectral_tail_fraction())
+        fld = ScalarField2D.from_spectrum(run.at_cap(spec), N)
+        margin = monitor.margin(fld) if monitor is not None else math.nan
+        for col, val in zip(rows, (t, fld.linf(), fld.grad_linf(), fld.l2(),
+                                   margin, fld.spectral_tail_fraction())):
+            rows[col].append(val)
         return rows["spectral_tail"][-1] > tail_limit
 
     wall = time.perf_counter()
@@ -167,18 +167,17 @@ def _run_2d(theta0, T, P, core, Pk, *, equation, dt_max, dt_floor, member,
             break
 
     rec = RunRecord(
-        equation=equation,
+        equation=law,
         columns=COLUMNS_2D,
-        series={c: np.asarray(v, dtype=float) for c, v in rows.items()},
+        series=rows,
         termination=run.termination,
         wall_time=time.perf_counter() - wall,
-        meta={"N": N, "T": T, "cfl": _CFL, "dt_max": run.dt_max,
-              "dt_floor": dt_floor, "steps": run.steps,
-              "tail_limit": tail_limit, "linf0": rows["linf"][0],
+        meta={"tail_limit": tail_limit, "linf0": rows["linf"][0],
               "grad0": rows["grad_linf"][0],
-              "multiplier": getattr(P, "label", "") or "callable"},
+              "multiplier": getattr(P, "label", "") or "callable",
+              **run.meta()},
     )
-    rec.final_state = ScalarField2D.from_spectrum(run.spec, N)
+    rec.final_state = ScalarField2D.from_spectrum(run.at_cap(run.spec), N)
     if monitor is not None:
         rec.meta["min_obedience_margin"] = monitor.min_margin
     if run.termination == "completed":
@@ -193,28 +192,26 @@ def simulate_sqg(theta0, T, *, P, member=None, dt_max=None,
                  dt_floor=_DT_FLOOR, tail_limit=_TAIL_LIMIT):
     """Dissipative SQG run; returns a RunRecord with 2D diagnostics.
 
-    ``P`` is the radial dissipation multiplier (callable on |k|).  With a
+    ``P`` is the radial dissipation multiplier, an array-native callable
+    on |k|. The run goes in stages as Burgers runs do
+    (``fields._StagedRun``), with the same ``meta["stages"]``,
+    ``meta["cap_unresolved_t"]`` and ``meta["final_tail"]``; every row, the
+    monitor and ``final_state`` read the state padded to N.  With a
     ``member`` the obedience margin of that modulus is tracked on every
     step; breakthrough shows up as a negative margin, never as an
     exception.  ``dt_max`` caps the step (default T/64); the run stops
-    early as "dt-floor" or "spectral-tail" (see ``_run_2d``).
+    early as "dt-floor", or as "spectral-tail" once the top-eighth share
+    at N passes ``tail_limit``.
     """
-    N = theta0.N
-    Pk = np.asarray(P(np.hypot(*wavenumber_grids_2d(N))), dtype=float)
-    mx, my = velocity_multipliers(N, "sqg")
-    return _run_2d(theta0, T, P, _AdvectionCore(N, mx, my), Pk,
-                   equation="sqg", dt_max=dt_max, dt_floor=dt_floor,
+    return _run_2d(theta0, T, P, "sqg", dt_max=dt_max, dt_floor=dt_floor,
                    member=member, tail_limit=tail_limit)
 
 
 def simulate_p_euler(theta0, T, *, P, dt_max=None):
-    """Inviscid P-Euler run (velocity i k^perp P(|k|)/|k|^2)."""
-    N = theta0.N
-    mx, my = velocity_multipliers(N, "p_euler", P=P)
-    return _run_2d(theta0, T, P, _AdvectionCore(N, mx, my),
-                   np.zeros((N, N // 2 + 1)), equation="p_euler",
-                   dt_max=dt_max, dt_floor=_DT_FLOOR, member=None,
-                   tail_limit=_TAIL_LIMIT)
+    """Inviscid P-Euler run (velocity i k^perp P(|k|)/|k|^2), staged as
+    ``simulate_sqg`` is."""
+    return _run_2d(theta0, T, P, "p_euler", dt_max=dt_max,
+                   dt_floor=_DT_FLOOR, member=None, tail_limit=_TAIL_LIMIT)
 
 
 # ----------------------------------------------------------------------

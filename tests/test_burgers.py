@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from moclab import burgers, quadrature, records
+from moclab import burgers, fields, quadrature, records
 from moclab.burgers import (
     BlowupInstrumentation,
     KernelDivergenceError,
@@ -23,7 +23,7 @@ from moclab.burgers import (
     simulate_burgers,
     wedge_dissipation,
 )
-from moclab.fields import ScalarField1D
+from moclab.fields import ScalarField1D, ScalarField2D
 from moclab.moduli import find_B_for_data
 from moclab.quadrature import (decade_increments, log_edges, log_panel_rows,
                                panel_nodes)
@@ -528,7 +528,7 @@ def _numpy_fft_stepper(theta0, T, Pk, *, n0=None, nonlinear=True, cfl=0.4,
         steps += 1
         stages[-1]["steps"] += 1
         tail = ScalarField1D.from_spectrum(spec, n).spectral_tail_fraction()
-        if n < N and tail > burgers._REFINE_TAIL:
+        if n < N and tail > fields._REFINE_TAIL:
             spec = _pad(spec, n)
             n *= 2
             h, mask, ik, ly_u = on_grid(n)
@@ -581,8 +581,12 @@ def _reference_kw(kw):
 
 
 def _multiplier(theta0, kw):
-    return burgers._resolve_multiplier(theta0.wavenumbers(), kw.get("sym"),
-                                       kw.get("P"))[0]
+    k = theta0.wavenumbers()
+    if "sym" in kw:
+        return burgers.multiplier_of_symbol_1d(kw["sym"], k) * (k > 0.0)
+    if "P" in kw:
+        return kw["P"](k) * (k > 0.0)
+    return np.zeros_like(k)
 
 
 def _assert_matches_reference(rec, theta0, ref):
@@ -630,29 +634,62 @@ def test_data_that_needs_its_full_N_runs_as_one_stage():
 
 def test_start_grid_is_the_coarsest_that_holds_the_data():
     sine = ScalarField1D.from_function(4096, lambda x: 300.0 * np.sin(x))
-    assert burgers._start_grid(sine.spec, 4096) == 64
+    assert fields._start_grid(sine.spec, 4096) == 64
     # below the smallest stage the data's grid is the only one
     small = ScalarField1D.from_function(32, np.sin)
-    assert burgers._start_grid(small.spec, 32) == 32
+    assert fields._start_grid(small.spec, 32) == 32
     wide = ScalarField1D.random_band_limited(1024, 60, 1.0, seed=1)
-    assert burgers._start_grid(wide.spec, 1024) == 256
+    assert fields._start_grid(wide.spec, 1024) == 256
     full = ScalarField1D.random_band_limited(1024, 1024 // 3, 1.0, seed=1)
-    assert burgers._start_grid(full.spec, 1024) == 1024
+    assert fields._start_grid(full.spec, 1024) == 1024
 
 
-def test_padding_then_slicing_a_stage_spectrum_round_trips_bitwise():
+def _stage_spectrum_1d():
+    # a quarter of the designed run's last stage, whose Nyquist mode is
+    # the real cosine the restriction leaves
     theta0, T, kw = _designed_case()
     rec = simulate_burgers(theta0, T, **kw)
     stage = rec.meta["stages"][-1]["N"]
     spec = _restrict(rec.final_state.spec, rec.meta["N"], stage // 4)
+    return ScalarField1D.from_spectrum(spec, stage // 4), stage
+
+
+def _stage_spectrum_2d():
+    # white noise on 32 x 32, every Nyquist row and column entry set, with
+    # the Nyquist column made Hermitian exactly as a restriction makes it
+    rng = np.random.default_rng(3)
+    spec = np.fft.rfft2(rng.standard_normal((32, 32)))
+    col = spec[:, -1]
+    spec[:, -1] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    return ScalarField2D.from_spectrum(spec, 32), 128
+
+
+@pytest.mark.parametrize("stage_spectrum",
+                         [_stage_spectrum_1d, _stage_spectrum_2d],
+                         ids=["1d", "2d"])
+def test_padding_then_slicing_a_stage_spectrum_round_trips_bitwise(
+        stage_spectrum):
+    coarse, stage = stage_spectrum()
+    spec = coarse.spec
     for n in (stage // 4, stage // 2, stage):
-        up = burgers._regrid(spec, stage // 4, n)
-        assert np.array_equal(burgers._regrid(up, n, stage // 4), spec)
+        up = fields._regrid(spec, stage // 4, n)
+        assert np.array_equal(fields._regrid(up, n, stage // 4), spec)
     # padding is exact: the fine grid samples the coarse trig interpolant
-    coarse = ScalarField1D.from_spectrum(spec, stage // 4)
-    fine = np.fft.irfft(burgers._regrid(spec, stage // 4, stage), n=stage)
-    assert_allclose(fine, coarse.evaluate_at(ScalarField1D.grid_of(stage)),
-                    rtol=0.0, atol=1e-12 * coarse.linf())
+    x = ScalarField1D.grid_of(stage)
+    if spec.ndim == 1:
+        up = fields._regrid(spec, stage // 4, stage)
+        fine, want = np.fft.irfft(up, n=stage), coarse.evaluate_at(x)
+    else:
+        # padding reads the Nyquist corner as cos(n x / 2) cos(n y / 2) and
+        # evaluate_on_grid as cos(n (x + y) / 2); they agree on the coarse
+        # grid only, so the corner is left out here
+        spec = spec.copy()
+        spec[stage // 8, -1] = 0.0
+        coarse = ScalarField2D.from_spectrum(spec, stage // 4)
+        up = fields._regrid(spec, stage // 4, stage)
+        fine = np.fft.irfft2(up, s=(stage, stage))
+        want = coarse.evaluate_on_grid(x, x)
+    assert_allclose(fine, want, rtol=0.0, atol=1e-12 * coarse.linf())
 
 
 def test_staged_bracket_overlaps_the_fixed_N_bracket_at_small_steps():
@@ -674,13 +711,13 @@ def test_staged_run_reports_under_resolution_at_the_cap():
     cap = rec.meta["stages"][-1]
     assert cap["N"] == rec.meta["N"]
     assert cap["t"] < rec.meta["cap_unresolved_t"] <= rec.t[-1]
-    assert rec.meta["final_tail"] > burgers._REFINE_TAIL
+    assert rec.meta["final_tail"] > fields._REFINE_TAIL
     assert rec.meta["final_tail"] == \
         rec.final_state.spectral_tail_fraction()
     # a resolved run never fails the rule at the cap
     calm = simulate_burgers(small_smooth_field(64), 0.5, sym=HALF)
     assert calm.meta["cap_unresolved_t"] is None
-    assert calm.meta["final_tail"] < burgers._REFINE_TAIL
+    assert calm.meta["final_tail"] < fields._REFINE_TAIL
 
 
 @pytest.mark.parametrize("nonlinear,per_step", [(True, 9), (False, 2)])

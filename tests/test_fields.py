@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -240,3 +241,44 @@ def test_solvers_refuse_a_non_finite_multiplier_by_name(solver, bad):
     with pytest.raises(ValueError,
                        match=f"{name} multiplier has non-finite values"):
         simulate(make(), 0.1, P=P)
+
+
+@pytest.mark.parametrize("P, says", [
+    (lambda k: math.sqrt(k), r"is not array-native \("),
+    (lambda k: 1.0, r"is not array-native: it returned shape \(\)"),
+], ids=["scalar-only", "constant"])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solvers_refuse_a_multiplier_that_is_not_array_native(solver, P,
+                                                               says):
+    # a multiplier maps the array of wavenumbers to an array of its shape
+    make, simulate = SOLVERS[solver]
+    name = "velocity" if solver == "p_euler" else "dissipation"
+    with pytest.raises(TypeError, match=f"{name} multiplier {says}"):
+        simulate(make(), 0.1, P=P)
+
+
+def test_a_constant_multiplier_conserves_the_2d_mean():
+    # the mean mode is never damped: only the fluctuation decays
+    theta0 = ScalarField2D(0.5 + ScalarField2D.random_band_limited(
+        32, 3, 0.3, seed=1).values)
+    rec = simulate_sqg(theta0, 0.5, P=make_multiplier("constant", c=2.0))
+    assert rec.termination == "completed"
+    assert abs(rec.final_state.mean() - 0.5) <= 1e-15
+    # e^(-cT) = e^(-1) of the fluctuation is left, up to its advection
+    left = np.max(np.abs(rec.final_state.values - 0.5)) / 0.3
+    assert 0.3 < left < 0.45
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_run_leaves_no_reference_cycle(solver):
+    # a cycle through a stage's arrays lives until the cyclic collector
+    # runs, and repeated runs then hold many stages at once
+    make, simulate = SOLVERS[solver]
+    fld = make()
+    gc.collect()
+    gc.disable()
+    try:
+        simulate(fld, 0.1, P=make_multiplier("power", s=1.0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

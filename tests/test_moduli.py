@@ -537,6 +537,36 @@ def test_2d_obedience_refuses_a_nan_field():
         search.run(ScalarField2D(v), refine=False)
 
 
+def _nan_modulus(xi):
+    return np.full_like(xi, math.nan)
+
+
+def test_1d_obedience_refuses_a_nan_modulus():
+    # a NaN omega bounds no increment: the field must not read as obeying
+    fld = ScalarField1D(np.sin(ScalarField1D.grid_of(16)))
+    with pytest.raises(ValueError, match="omega has non-finite values"):
+        check_obeys(fld, _nan_modulus)
+
+
+def test_2d_obedience_refuses_a_nan_modulus():
+    fld = ScalarField2D.random_band_limited(8, 2, 0.3, seed=1)
+    with pytest.raises(ValueError, match="omega has non-finite values"):
+        check_obeys(fld, _nan_modulus)
+    # finite on the lattice, NaN where the refinement reads it off the
+    # lattice
+    calls = []
+
+    def nan_off_lattice(xi):
+        calls.append(np.size(xi))
+        return 0.1 * xi if len(calls) == 1 else _nan_modulus(xi)
+
+    search = moduli.StratifiedPairSearch(8, nan_off_lattice)
+    assert search.run(fld, refine=False).margin < math.inf
+    with pytest.raises(ValueError, match="omega has non-finite values"):
+        search.run(fld)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # fitting B to data
 # ---------------------------------------------------------------------------

@@ -248,3 +248,42 @@ def test_every_option_has_a_setter():
     assert constants == [], constants
     assert set(TEST_OPTIONS) <= set(unset), \
         "a test option is set outside the tests, or left src/moclab"
+
+
+# the stage rules of a run: their helpers and constants live in fields
+STAGE_RULES = re.compile(r"regrid|start_grid|spectral_tail|tail_band|"
+                         r"_REFINE_TAIL|_MIN_STAGE_N|_DROP_RTOL")
+
+
+def _second_loop_sites(tree):
+    # what a second time loop would need: the step loop built outside
+    # fields, or a stage-rule helper or constant defined there
+    for name, line in _references(tree):
+        if name == "_IntegratingFactorRK4":
+            yield f"builds _IntegratingFactorRK4 (line {line})"
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [t.id for t in (node.targets if isinstance(
+                node, ast.Assign) else [node.target])
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if STAGE_RULES.search(name):
+                yield f"defines {name} (line {node.lineno})"
+
+
+def test_fields_owns_the_only_time_loop():
+    # every spectral solver runs through fields._StagedRun: no other
+    # module steps a spectrum or re-states the rules of its stages
+    found = [f"{path.stem} {site}"
+             for path in sorted((ROOT / "src" / "moclab").glob("*.py"))
+             if path.stem != "fields"
+             for site in _second_loop_sites(ast.parse(path.read_text()))]
+    assert found == [], found
+    fork = ("from .fields import _IntegratingFactorRK4\n"
+            "_REFINE_TAIL = 1e-8\n"
+            "def _regrid(spec, n, m):\n    return spec\n")
+    assert len(list(_second_loop_sites(ast.parse(fork)))) == 3

@@ -311,6 +311,59 @@ def test_stepper_fft_count_2d(law, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# staged 2-D runs
+# ----------------------------------------------------------------------
+
+def test_start_grid_on_2d_data():
+    wide = ScalarField2D.random_band_limited(128, kmax=4, amplitude=1.0,
+                                             seed=1)
+    assert fields._start_grid(wide.spec, 128) == 64
+    full = ScalarField2D.random_band_limited(128, kmax=128 // 3,
+                                             amplitude=1.0, seed=1)
+    assert fields._start_grid(full.spec, 128) == 128
+    # no stage is below 64 points per axis
+    for N in (16, 32, 64):
+        fld = ScalarField2D.random_band_limited(N, kmax=4, amplitude=1.0,
+                                                seed=1)
+        assert fields._start_grid(fld.spec, N) == N
+
+
+def test_a_128_run_on_its_64_stage_is_the_64_run_padded():
+    # 128 x 128 data that a 64 x 64 grid holds run on that stage to the
+    # end: the run of the same data at N = 64, padded, bit for bit
+    theta0 = ScalarField2D.random_band_limited(128, kmax=4, amplitude=0.05,
+                                               seed=1)
+    P = make_multiplier("power", s=1.0)
+    fine = simulate_sqg(theta0, 0.1, P=P)
+    assert fine.meta["stages"] == [{"t": 0.0, "N": 64,
+                                    "steps": fine.meta["steps"]}]
+    coarse = simulate_sqg(ScalarField2D.from_spectrum(
+        fields._regrid(theta0.spec, 128, 64), 64), 0.1, P=P)
+    assert coarse.meta["steps"] == fine.meta["steps"] >= 64
+    assert np.array_equal(coarse["t"], fine["t"])
+    assert fine.final_state.N == 128
+    assert np.array_equal(fine.final_state.spec,
+                          fields._regrid(coarse.final_state.spec, 64, 128))
+
+
+def test_a_2d_run_doubles_its_stage_on_the_tail_rule():
+    # inviscid SQG steepens strong data until the 64 x 64 stage's top
+    # eighth passes the refine rule
+    theta0 = ScalarField2D.random_band_limited(128, 8, 20.0, seed=9)
+    T = 0.02
+    rec = simulate_sqg(theta0, T, P=make_multiplier("zero"))
+    assert rec.termination == "completed"
+    first, cap = rec.meta["stages"]
+    assert (first["N"], first["t"], cap["N"]) == (64, 0.0, 128)
+    assert 0.0 < cap["t"] < T and cap["t"] in rec["t"]
+    assert first["steps"] + cap["steps"] == rec.meta["steps"]
+    assert rec.meta["cap_unresolved_t"] is None
+    assert rec.final_state.N == 128
+    assert rec.meta["final_tail"] == \
+        rec.final_state.spectral_tail_fraction()
+
+
+# ----------------------------------------------------------------------
 # Osgood condition
 # ----------------------------------------------------------------------
 
