@@ -632,7 +632,7 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
             "grad_stop": grad_stop, **run.meta(),
         },
         wall_time=wall,
-        final_state=ScalarField1D.from_spectrum(run.at_cap(run.spec), N),
+        final_state=ScalarField1D.from_spectrum(run.spec, N),
     )
 
 

@@ -24,9 +24,9 @@ def dealias_cutoff(N: int) -> int:
 def wavenumber_grids_2d(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Wavenumbers of the N x N rfft2 half-plane: kx as a column, ky as a
     row, so ``np.hypot(kx, ky)`` is |k| on the spectrum's shape."""
-    kx = np.fft.fftfreq(N, d=1.0 / N)[:, None]
-    ky = np.arange(N // 2 + 1, dtype=float)[None, :]
-    return kx, ky
+    kx = np.arange(N, dtype=float)
+    kx[(N + 1) // 2:] -= N
+    return kx[:, None], np.arange(N // 2 + 1, dtype=float)[None, :]
 
 
 def velocity_multipliers(N: int, law: str, P=None):
@@ -307,10 +307,6 @@ class _StagedRun(_IntegratingFactorRK4):
         self.nonlinear, self.grid = self.physics.nonlinear, self.physics.grid
         self.stages.append({"t": t, "N": n, "steps": 0})
 
-    def at_cap(self, spec):
-        """A state of the current stage padded to N."""
-        return _regrid(spec, self.n, self.N)
-
     def meta(self) -> dict:
         """The run record's entries of the loop."""
         return {"N": self.N, "T": self.T, "cfl": _CFL, "dt_max": self.dt_max,
@@ -351,8 +347,10 @@ class ScalarField1D:
 
     @classmethod
     def from_spectrum(cls, spec: np.ndarray, N: int) -> "ScalarField1D":
+        """The field of an rfft spectrum on n <= N points, padded to N."""
+        spec = _regrid(np.asarray(spec, dtype=complex), 2 * (len(spec) - 1), N)
         fld = cls(irfft(spec, n=N))
-        fld._spec = np.asarray(spec, dtype=complex)
+        fld._spec = spec
         return fld
 
     @classmethod
@@ -446,7 +444,18 @@ class ScalarField1D:
 
 
 class ScalarField2D:
-    """Real scalar on the N x N grid of the 2 pi x 2 pi torus."""
+    """Real scalar on the N x N grid of the 2 pi x 2 pi torus.
+
+    A field keeps the rfft2 spectrum it was built from, on its own n x n
+    grid: a run's stage spectrum (``from_spectrum``, n <= N) or the rfft2
+    of its values (n = N). Its interpolant, which ``evaluate_at`` and
+    ``evaluate_on_grid`` read, sums that spectrum's (n + 1) x (n/2 + 1)
+    half-plane modes over n^2: rows kx = 0..n/2, -n/2..-1 with the Nyquist
+    row split into halves, and columns ky = 0..n/2, doubled between the
+    first and the Nyquist one for their conjugates. That is ``_regrid``'s
+    padding rule, so a stage's interpolant is that of its padding, and a
+    Nyquist mode reads as a cosine.
+    """
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -456,7 +465,8 @@ class ScalarField2D:
         self.values = values
         self.N = values.shape[0]
         self._spec: np.ndarray | None = None
-        self._coef: np.ndarray | None = None
+        self._stage: np.ndarray | None = None
+        self._band: np.ndarray | None = None
 
     @classmethod
     def from_function(cls, N: int, fn: Callable) -> "ScalarField2D":
@@ -466,8 +476,12 @@ class ScalarField2D:
 
     @classmethod
     def from_spectrum(cls, spec: np.ndarray, N: int) -> "ScalarField2D":
-        fld = cls(irfft2(spec, s=(N, N)))
-        fld._spec = np.asarray(spec, dtype=complex)
+        """The field of an rfft2 spectrum on n x n points, n <= N, padded
+        to N; the field keeps ``spec`` for its interpolant."""
+        spec = np.asarray(spec, dtype=complex)
+        padded = _regrid(spec, spec.shape[0], N)
+        fld = cls(irfft2(padded, s=(N, N)))
+        fld._spec, fld._stage = padded, spec
         return fld
 
     @classmethod
@@ -515,44 +529,34 @@ class ScalarField2D:
         gy = ScalarField2D.from_spectrum(1j * ky * self.spec, self.N)
         return gx, gy
 
-    def _interp_coeffs(self) -> np.ndarray:
-        # full-plane c[a, b] = fft2/N^2 of the interpolant
-        # theta(x, y) = Re sum_{a,b} c[a, b] e^{i a x} e^{i b y}
-        if self._coef is None:
-            # numpy's fft2: scipy's differs in the last bits, which would
-            # move the obedience-monitor margins
-            self._coef = np.fft.fft2(self.values) / self.N ** 2
-        return self._coef
-
-    def _phases(self, coords) -> np.ndarray:
-        # np.exp(1j * x * k) over the fftfreq wavenumbers, bitwise. Only
-        # k = 0..N/2-1 and -N/2 are exponentiated: the phase at -k is the
-        # conjugate of the one at k (cos is even and sin odd), except at
-        # x = +0, where the direct route gives the imaginary part +0 at
-        # every k and the conjugate -0
-        half = self.N // 2
-        k1 = np.fft.fftfreq(self.N, d=1.0 / self.N)[:half + 1]
-        x = np.asarray(coords, dtype=float)
-        out = np.empty((x.size, self.N), dtype=complex)
-        out[:, :half + 1] = np.exp(1j * x[:, None] * k1[None, :])
-        np.conjugate(out[:, half - 1:0:-1], out=out[:, half + 1:])
-        out[(x == 0.0) & ~np.signbit(x), half + 1:] = 1.0
-        return out
+    def _phased_band(self, xs, ys):
+        # (e^{i kx x} @ band, e^{i ky y}), the band of the class docstring:
+        # theta(x, y) is the real part of their product summed over ky
+        if self._band is None:
+            spec = self.spec if self._stage is None else self._stage
+            half = spec.shape[0] // 2
+            c = np.insert(spec, half, spec[half], axis=0)
+            c[half:half + 2] *= 0.5
+            c[:, 1:half] *= 2.0
+            self._band = c / (2 * half) ** 2
+        half = self._band.shape[1] - 1
+        k = np.arange(half + 1.0)
+        ex, ey = (np.exp(1j * np.asarray(z, dtype=float).reshape(-1, 1) * k)
+                  for z in (xs, ys))
+        ex = np.concatenate((ex, np.conj(ex[:, half:0:-1])), axis=1)
+        return ex @ self._band, ey
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        """Interpolant at an (M, 2) array of points; cost O(M N^2)."""
+        """Interpolant at an (M, 2) array of points; cost O(M n^2)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.real(np.einsum("ma,ab,mb->m", self._phases(pts[:, 0]),
-                                 self._interp_coeffs(),
-                                 self._phases(pts[:, 1]), optimize=True))
+        rows, ey = self._phased_band(pts[:, 0], pts[:, 1])
+        return np.real(np.sum(rows * ey, axis=1))
 
     def evaluate_on_grid(self, xs, ys) -> np.ndarray:
-        """Interpolant on the tensor product of 1-D coordinate arrays:
-        out[i, j] = theta(xs[i], ys[j]); cost O((len(xs) + len(ys)) N^2)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return np.real(self._phases(xs) @ self._interp_coeffs()
-                       @ self._phases(ys).T)
+        """Interpolant on the tensor product of 1-D coordinate arrays,
+        out[i, j] = theta(xs[i], ys[j]), in O(len(xs) (n + len(ys)) n)."""
+        rows, ey = self._phased_band(xs, ys)
+        return np.real(rows @ ey.T)
 
     # -- diagnostics -------------------------------------------------------
 

@@ -755,9 +755,10 @@ class StratifiedPairSearch:
         # continuous descent of omega(|v|) - |theta(x+v) - theta(x)| around
         # the worst lattice pair of rep, moving its worst fields in place:
         # a 5x5 grid of base points x times a 5x5 grid of offsets v,
-        # shrinking by 4 per round. Per axis, x + v takes the 25 sums of a
-        # base and an offset coordinate, so theta is read on a 5x5 base
-        # lattice and a 25x25 sum lattice, and omega once per offset;
+        # shrinking by 4 per round. Per axis, x + v takes only the 9 values
+        # x0 + v0 + span * (steps[i] + steps[j]), so theta is read once per
+        # round, off the field's own spectrum, on the tensor lattice of the
+        # 5 base and 9 sum coordinates, and omega once per offset;
         # margins[iy, ix, jy, jx] pairs x = (bx[ix], by[iy]) with
         # v = (vx[jx], vy[jy]).
         h = TWO_PI / self.N
@@ -767,6 +768,7 @@ class StratifiedPairSearch:
         span = h
         steps = np.linspace(-1.0, 1.0, 5)
         n = steps.size
+        pick = np.add.outer(np.arange(n), np.arange(n))
         for _ in range(3):
             dxs = span * steps
             bx, by = x[0] + dxs, x[1] + dxs
@@ -775,11 +777,12 @@ class StratifiedPairSearch:
             keep = norms > h / 8.0  # below grid scale the slope check owns it
             if not keep.any():
                 break
-            th_x = fld.evaluate_on_grid(bx, by).T
-            th_y = fld.evaluate_on_grid(
-                (bx[:, None] + vx[None, :]).ravel(),
-                (by[:, None] + vy[None, :]).ravel(),
-            ).reshape(n, n, n, n).transpose(2, 0, 3, 1)
+            # sums[pick[i, j]] is (bx[i] + vx[j], by[i] + vy[j])
+            sums = x + vvec + span * np.linspace(-2.0, 2.0, 2 * n - 1)[:, None]
+            th = fld.evaluate_on_grid(np.r_[bx, sums[:, 0]],
+                                      np.r_[by, sums[:, 1]])
+            th_x = th[:n, :n].T
+            th_y = th[n:, n:][pick[None, :, None, :], pick[:, None, :, None]]
             incs = np.abs(th_y - th_x[:, :, None, None])
             oms = np.full(norms.shape, np.inf)
             oms[keep] = _obedience_omegas(self.omega, norms[keep])

@@ -151,7 +151,7 @@ def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
     # every step is a row, read on the state padded to N: the monitor
     # follows the field step by step on the data's grid
     def record(t, spec):
-        fld = ScalarField2D.from_spectrum(run.at_cap(spec), N)
+        fld = ScalarField2D.from_spectrum(spec, N)
         margin = monitor.margin(fld) if monitor is not None else math.nan
         for col, val in zip(rows, (t, fld.linf(), fld.grad_linf(), fld.l2(),
                                    margin, fld.spectral_tail_fraction())):
@@ -177,14 +177,12 @@ def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
               "multiplier": getattr(P, "label", "") or "callable",
               **run.meta()},
     )
-    rec.final_state = ScalarField2D.from_spectrum(run.at_cap(run.spec), N)
+    rec.final_state = ScalarField2D.from_spectrum(run.spec, N)
     if monitor is not None:
         rec.meta["min_obedience_margin"] = monitor.min_margin
-    if run.termination == "completed":
-        if monitor is None or monitor.min_margin > 0.0:
-            rec.verdict = REGULAR
-    else:
-        rec.verdict = UNRESOLVED
+    if run.termination == "completed" and run.cap_unresolved_t is None and \
+            (monitor is None or monitor.min_margin > 0.0):
+        rec.verdict = REGULAR
     return rec
 
 
@@ -196,12 +194,16 @@ def simulate_sqg(theta0, T, *, P, member=None, dt_max=None,
     on |k|. The run goes in stages as Burgers runs do
     (``fields._StagedRun``), with the same ``meta["stages"]``,
     ``meta["cap_unresolved_t"]`` and ``meta["final_tail"]``; every row, the
-    monitor and ``final_state`` read the state padded to N.  With a
-    ``member`` the obedience margin of that modulus is tracked on every
-    step; breakthrough shows up as a negative margin, never as an
+    monitor's lattice scan and ``final_state`` read the state padded to N,
+    and its off-lattice refinement the stage spectrum (``ScalarField2D``).
+    With a ``member`` the obedience margin of that modulus is tracked on
+    every step; breakthrough shows up as a negative margin, never as an
     exception.  ``dt_max`` caps the step (default T/64); the run stops
     early as "dt-floor", or as "spectral-tail" once the top-eighth share
-    at N passes ``tail_limit``.
+    at N passes ``tail_limit``.  A run is REGULAR only if it completed,
+    its stage at N never failed the refine rule
+    (``meta["cap_unresolved_t"]`` is None) and, with a ``member``, every
+    margin was positive; it is UNRESOLVED otherwise.
     """
     return _run_2d(theta0, T, P, "sqg", dt_max=dt_max, dt_floor=dt_floor,
                    member=member, tail_limit=tail_limit)

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .fields import _array_call, _refuse_bad_input
 from .quadrature import (classify_decades, decade_increments,
                          log_panel_rows)
 
@@ -369,9 +370,19 @@ def symbol_from_callable(fn: Callable, core_radius: float, alpha: float,
     """Wrap a user-supplied monotone core m(r) on (0, core_radius].
 
     The caller vouches for monotonicity of the core; the power tail with the
-    given alpha is attached at core_radius.
+    given alpha is attached at core_radius. A core that is not array-native
+    (``fields._array_call``, or an ``if`` on the radius), or is non-finite
+    or negative on 25 radii in [1e-12, 1] core_radius, is refused by name.
     """
-    tail = float(np.atleast_1d(fn(np.array([core_radius])))[0])
+    contract = "a symbol core maps an array of radii to an array of its shape"
+    try:
+        core = _array_call(fn, core_radius * np.logspace(-12.0, 0.0, 25),
+                           "symbol core", "radii", contract)
+    except ValueError as err:
+        raise TypeError(f"symbol core is not array-native ({err}); "
+                        f"{contract}") from err
+    _refuse_bad_input("symbol core", core)
+    tail = float(core[-1])
     return DissipationSymbol(
         family="callable", a=None, alpha=alpha, r0=r0, C0=C0,
         sqg_admissible=sqg_admissible,

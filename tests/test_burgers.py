@@ -676,17 +676,12 @@ def test_padding_then_slicing_a_stage_spectrum_round_trips_bitwise(
         assert np.array_equal(fields._regrid(up, n, stage // 4), spec)
     # padding is exact: the fine grid samples the coarse trig interpolant
     x = ScalarField1D.grid_of(stage)
+    up = fields._regrid(spec, stage // 4, stage)
     if spec.ndim == 1:
-        up = fields._regrid(spec, stage // 4, stage)
         fine, want = np.fft.irfft(up, n=stage), coarse.evaluate_at(x)
     else:
-        # padding reads the Nyquist corner as cos(n x / 2) cos(n y / 2) and
-        # evaluate_on_grid as cos(n (x + y) / 2); they agree on the coarse
-        # grid only, so the corner is left out here
-        spec = spec.copy()
-        spec[stage // 8, -1] = 0.0
-        coarse = ScalarField2D.from_spectrum(spec, stage // 4)
-        up = fields._regrid(spec, stage // 4, stage)
+        # the Nyquist corner included: padding and evaluate_on_grid both
+        # read it as cos(n x / 2) cos(n y / 2)
         fine = np.fft.irfft2(up, s=(stage, stage))
         want = coarse.evaluate_on_grid(x, x)
     assert_allclose(fine, want, rtol=0.0, atol=1e-12 * coarse.linf())

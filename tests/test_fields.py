@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from moclab import fields
 from moclab.burgers import simulate_burgers
 from moclab.fields import (ScalarField1D, ScalarField2D,
                            _IntegratingFactorRK4, dealias_cutoff, max_hypot)
@@ -109,20 +110,70 @@ def test_evaluate_on_grid_matches_evaluate_at():
     assert_allclose(f.evaluate_on_grid(nodes, nodes), f.values, atol=1e-13)
 
 
-@pytest.mark.parametrize("N", [8, 32, 128])
-def test_phases_equal_the_direct_exponential_bitwise(N):
-    # the negative wavenumbers are conjugates of the positive ones; +0 and
-    # -0 differ in the sign of the imaginary zero
+def _wave(k, z, N):
+    # e^{i k z}, a Nyquist wavenumber read as the cosine its samples take
+    return np.cos(k * z) if abs(k) == N // 2 else np.exp(1j * k * z)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_every_mode_reads_as_its_own_wave_off_the_grid(N):
+    # samples of Re e^{i (phi + kx x + ky y)} read back as that wave at
+    # off-grid points through both routes, for every mode of the rfft2
+    # half-plane: the conjugate rows of negative kx, the doubled columns,
+    # the split Nyquist row and the Nyquist column of weight 1
     rng = np.random.default_rng(N)
-    coords = np.concatenate((
-        [0.0, -0.0, 5e-324, -5e-324, 0.37, -2.9, 6.28, -1e3, 12345.678,
-         -9.87e5, 1e12, -3e15],
-        rng.uniform(-10.0, 10.0, 100), rng.uniform(-1e6, 1e6, 100)))
-    f = ScalarField2D(np.zeros((N, N)))
-    want = np.exp(1j * coords[:, None]
-                  * np.fft.fftfreq(N, d=1.0 / N)[None, :])
-    assert np.array_equal(f._phases(coords).view(np.int64),
-                          want.view(np.int64))
+    pts = rng.uniform(-7.0, 7.0, (20, 2))
+    for kx in range(-N // 2, N // 2):
+        for ky in range(N // 2 + 1):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            f = ScalarField2D.from_function(
+                N, lambda x, y: np.cos(phi + kx * x + ky * y))
+            want = np.real(np.exp(1j * phi) * _wave(kx, pts[:, 0], N)
+                           * _wave(ky, pts[:, 1], N))
+            assert_allclose(f.evaluate_at(pts), want, rtol=0.0, atol=1e-13)
+            assert_allclose(np.diagonal(f.evaluate_on_grid(*pts.T)), want,
+                            rtol=0.0, atol=1e-13)
+
+
+def test_the_nyquist_corner_reads_as_cos_cos():
+    # the field whose only mode is kx = ky = -N/2 is
+    # cos(N x / 2) cos(N y / 2) off the grid too, as its padding reads it
+    N = 16
+    spec = np.zeros((N, N // 2 + 1), dtype=complex)
+    spec[N // 2, N // 2] = N ** 2
+    f = ScalarField2D.from_spectrum(spec, N)
+    g = ScalarField1D.grid_of(N)
+    assert_allclose(f.values, np.outer(np.cos(N * g / 2), np.cos(N * g / 2)),
+                    rtol=0.0, atol=1e-14)
+    pts = np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, (30, 2))
+    want = np.cos(N * pts[:, 0] / 2) * np.cos(N * pts[:, 1] / 2)
+    assert_allclose(f.evaluate_at(pts), want, rtol=0.0, atol=1e-13)
+    assert_allclose(np.diagonal(f.evaluate_on_grid(*pts.T)), want, rtol=0.0,
+                    atol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_padded_stage_reads_as_the_n2_plane_of_its_values(seed):
+    # the monitor's field: data on 128 x 128 run on its 64 x 64 stage. The
+    # stage's half-plane band gives what the N^2 coefficient plane of the
+    # padded values gives, to 1e-15 sup off the grid, and the values on it
+    stage = fields._regrid(ScalarField2D.random_band_limited(
+        128, kmax=4, amplitude=0.05, seed=seed).spec, 128, 64)
+    f = ScalarField2D.from_spectrum(stage, 128)
+    assert np.array_equal(f.values, ScalarField2D.from_spectrum(
+        fields._regrid(stage, 64, 128), 128).values)
+    plane = np.fft.fft2(f.values) / 128 ** 2
+    k = np.fft.fftfreq(128, d=1.0 / 128)
+    pts = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (40, 2))
+    want = np.real(np.einsum("ma,ab,mb->m", np.exp(1j * pts[:, :1] * k),
+                             plane, np.exp(1j * pts[:, 1:] * k)))
+    tol = 1e-15 * f.linf()
+    assert np.max(np.abs(f.evaluate_at(pts) - want)) <= tol
+    assert np.max(np.abs(np.diagonal(f.evaluate_on_grid(*pts.T)) - want)) \
+        <= tol
+    nodes = ScalarField1D.grid_of(128)
+    assert np.max(np.abs(f.evaluate_on_grid(nodes, nodes) - f.values)) \
+        <= 10.0 * tol
 
 
 def _near_ties(seed):

@@ -132,6 +132,43 @@ def test_refinement_matches_per_point_route(seed):
     assert refined.worst_pair == (tuple(pair[0]), tuple(pair[1]))
 
 
+def test_one_refinement_reads_theta_once_per_round(monkeypatch):
+    # each of the 3 rounds reads theta on one tensor lattice: the 5 base
+    # and the 9 distinct sum coordinates per axis
+    mem, fld = _member_and_field()
+    search = StratifiedPairSearch(32, mem.omega)
+    lattice = search.run(fld, refine=False)
+    reads = []
+    on_grid = ScalarField2D.evaluate_on_grid
+
+    def counted(self, xs, ys):
+        reads.append((len(xs), len(ys)))
+        return on_grid(self, xs, ys)
+
+    monkeypatch.setattr(ScalarField2D, "evaluate_on_grid", counted)
+    monkeypatch.setattr(ScalarField2D, "evaluate_at", None)
+    rep = search.run(fld)
+    assert rep.refined and rep.margin < lattice.margin
+    assert reads == [(14, 14)] * 3
+
+
+def test_a_monitored_run_makes_no_numpy_fft_call(monkeypatch):
+    # the monitor reads its interpolant off the run's own stage spectrum
+    mem = build_modulus(CRITICAL, 0.1, 0.01, 2.0 ** 10)
+    theta0 = ScalarField2D.random_band_limited(128, kmax=4, amplitude=0.05,
+                                               seed=1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, refused)
+    rec = simulate_sqg(theta0, 0.01, P=make_multiplier("power", s=1.0),
+                       member=mem, dt_max=0.0025)
+    assert rec.meta["stages"] == [{"t": 0.0, "N": 64, "steps": 4}]
+    assert np.all(np.isfinite(rec["obedience_margin"]))
+
+
 # ----------------------------------------------------------------------
 # stepper oracles
 # ----------------------------------------------------------------------
@@ -361,6 +398,19 @@ def test_a_2d_run_doubles_its_stage_on_the_tail_rule():
     assert rec.final_state.N == 128
     assert rec.meta["final_tail"] == \
         rec.final_state.spectral_tail_fraction()
+
+
+def test_a_run_unresolved_at_its_cap_is_not_regular():
+    # inviscid SQG refines 64 -> 128 and then fails the refine rule at
+    # N = 128 (cap_unresolved_t), yet ends under the tail limit
+    theta0 = ScalarField2D.random_band_limited(128, 8, 20.0, seed=9)
+    rec = simulate_sqg(theta0, 0.04, P=lambda k: 0.0 * k)
+    assert rec.termination == "completed"
+    assert [stage["N"] for stage in rec.meta["stages"]] == [64, 128]
+    assert 0.0 < rec.meta["cap_unresolved_t"] < 0.04
+    assert fields._REFINE_TAIL < rec.meta["final_tail"] \
+        < sqg_euler._TAIL_LIMIT
+    assert rec.verdict == UNRESOLVED
 
 
 # ----------------------------------------------------------------------

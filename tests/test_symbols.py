@@ -412,6 +412,25 @@ def test_scalar_m_refuses_non_positive_radii_and_passes_nan():
         assert np.isnan(s.m(np.array([math.nan]))[0])
 
 
+@pytest.mark.parametrize("core, error, message", [
+    # an `if` on the radius works on one radius only
+    (lambda r: 2.0 if r < 0.5 else 1.0, TypeError,
+     r"symbol core is not array-native \(The truth value"),
+    (lambda r: math.exp(-r), TypeError, r"symbol core is not array-native \("),
+    (lambda r: 1.0, TypeError,
+     r"symbol core is not array-native: it returned shape \(\) for radii"),
+    (lambda r: np.where(r < 0.5, np.nan, 1.0 / r), ValueError,
+     "symbol core has non-finite values"),
+    (lambda r: 1.0 - 1.0 / r, ValueError, "symbol core must be nonnegative"),
+], ids=["branch-on-r", "scalar-only", "constant", "nan-below-half",
+        "negative"])
+def test_symbol_from_callable_refuses_a_bad_core_by_name(core, error,
+                                                         message):
+    with pytest.raises(error, match=message):
+        symbol_from_callable(core, core_radius=2.0, alpha=0.6, r0=1.0,
+                             C0=1.0, sqg_admissible=True)
+
+
 # ---------------------------------------------------------------------------
 # multipliers
 # ---------------------------------------------------------------------------
