@@ -131,6 +131,7 @@ def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
     """
     total = 0.0
     lo = xi
+    w_lo = float(_omega_array(omega, lo))
     q = 1.0
     tiny = 1e-300
     for j in range(200):
@@ -139,22 +140,22 @@ def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
         eta = rows.nodes
         v = float(np.dot(rows.weights, _omega_array(omega, eta) / eta ** 2))
         total += v
-        q = math.log2(max(float(omega(hi)), tiny) / max(float(omega(lo)), tiny))
+        w_hi = float(_omega_array(omega, hi))
+        q = math.log2(max(w_hi, tiny) / max(w_lo, tiny))
         if j >= 60 and q >= 0.995:
             raise TailDivergenceError(
                 "tail integral of omega/eta^2 diverges: growth exponent "
                 f"{q:.4f} after {j + 1} doublings from {xi:.3g}")
+        lo, w_lo = hi, w_hi
         if v <= 1e-13 * max(total, tiny) and q < 0.995:
-            lo = hi
             break
-        lo = hi
     else:
         if q >= 0.995:
             raise TailDivergenceError(
                 "tail integral of omega/eta^2 diverges: growth exponent "
                 f"{q:.4f} did not settle below one")
     # chord-exponent remainder: omega(eta) ~ omega(lo) * (eta/lo)^q
-    rem = float(omega(lo)) / (lo * max(1.0 - q, 5e-3))
+    rem = w_lo / (lo * max(1.0 - q, 5e-3))
     return total + rem, abs(rem)
 
 

@@ -104,6 +104,15 @@ def _array_call(fn, x: np.ndarray, name: str, of: str, contract: str):
     return out
 
 
+def _in_chunks(fn, x: np.ndarray, size: int) -> np.ndarray:
+    """``fn`` over the flat array ``x``, ``size`` entries at a time; ``fn``
+    is pointwise, so the chunking never changes a value."""
+    out = np.empty_like(x)
+    for a in range(0, x.size, size):
+        out[a:a + size] = fn(x[a:a + size])
+    return out
+
+
 def _multiplier_values(P, k: np.ndarray, name: str) -> np.ndarray:
     """The multiplier ``P`` on the wavenumber moduli ``k``, with the mean
     mode's entry 0: the mean is never damped and never advects. A ``P``
@@ -120,78 +129,6 @@ def _multiplier_values(P, k: np.ndarray, name: str) -> np.ndarray:
 # and the solvers' default floor on a step short of the horizon
 _CFL = 0.4
 _DT_FLOOR = 1e-10
-
-
-class _IntegratingFactorRK4:
-    """The step loop of ``_StagedRun``, for spec_t = -Pk spec + N(spec).
-
-    The stiff diagonal part is applied exactly through E = exp(-dt Pk / 2)
-    and the nonlinear term ``nonlinear(spec, aux=None)`` explicitly, in RK4.
-    A step from state ``spec`` first takes ``aux, speed = grid(spec)``, a
-    grid quantity of the state and the advecting speed; stage 1 reuses
-    ``aux``. The step is min(dt_max, _CFL h / speed, T - t), with the CFL
-    bound only when there is a nonlinear term (``nonlinear=None`` runs the
-    linear flow and never calls ``grid``); ``dt_max`` None caps it at T/64,
-    the solvers' default. A step below ``dt_floor`` that
-    falls short of the horizon ends the run as "dt-floor". No transform is
-    made here: ``grid`` and ``nonlinear`` own every FFT.
-
-    Iterating yields (t, dt, spec) after each step, from t = ``t0``; each
-    step reads ``spec``, ``Pk``, ``h``, ``nonlinear`` and ``grid`` afresh.
-    ``steps``, ``termination`` and ``spec`` hold what the run reached; a
-    caller that stops on its own rule sets ``termination`` before it
-    breaks. A loop built from a yielded (t, spec) with ``t0=t``, the same
-    horizon and the same ``dt_max`` continues the run bit for bit.
-    """
-
-    def __init__(self, spec, T, Pk, *, h, dt_max, dt_floor, nonlinear, grid,
-                 t0=0.0):
-        if T <= 0.0:
-            raise ValueError("horizon must be positive")
-        self.spec = np.array(spec, dtype=complex)
-        self.T, self.Pk, self.h = T, Pk, h
-        self.dt_max = T / 64.0 if dt_max is None else dt_max
-        self.dt_floor, self.t0 = dt_floor, t0
-        self.nonlinear, self.grid = nonlinear, grid
-        self.steps = 0
-        self.termination = "completed"
-
-    def reached(self, t) -> bool:
-        """True once t is on the horizon, up to rounding."""
-        return t >= self.T * (1.0 - 1e-14)
-
-    def step_size(self, t, speed) -> float:
-        dt = self.dt_max
-        if self.nonlinear is not None:
-            dt = min(dt, _CFL * self.h / max(speed, 1e-300))
-        return min(dt, self.T - t)
-
-    def __iter__(self):
-        t = self.t0
-        while not self.reached(t):
-            spec, nl = self.spec, self.nonlinear
-            aux, speed = (None, 0.0) if nl is None else self.grid(spec)
-            dt = self.step_size(t, speed)
-            if dt < self.dt_floor and (self.T - t) > self.dt_floor:
-                self.termination = "dt-floor"
-                return
-            # stored complex: numpy would cast it on every product, to the
-            # same values
-            E = np.exp(-0.5 * dt * self.Pk).astype(complex)
-            E2 = E * E
-            if nl is None:
-                spec = E2 * spec
-            else:
-                a = nl(spec, aux)
-                b = nl(E * (spec + 0.5 * dt * a))
-                c = nl(E * spec + 0.5 * dt * b)
-                d = nl(E2 * spec + dt * E * c)
-                spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c)
-                                                 + d)
-            t += dt
-            self.steps += 1
-            self.spec = spec
-            yield t, dt, spec
 
 
 # The stage rules of every run: the first stage is the coarsest N / 2^i of
@@ -269,32 +206,43 @@ def _start_grid(spec: np.ndarray, N: int) -> int:
     return n
 
 
-class _StagedRun(_IntegratingFactorRK4):
-    """The run loop of every spectral solver: the step loop in stages
-    N0 < 2 N0 < ... <= N of the data's N per axis, by the stage rules. A
-    stage that passes the refine rule after a step is padded to twice its N
-    and the run goes on from the same t.
+class _StagedRun:
+    """The run loop of every spectral solver: RK4 for spec_t = -P spec +
+    N(spec), the diagonal part exact through exp(-dt P / 2), in stages
+    N0 < 2 N0 < ... <= N of the data's N per axis by the stage rules.
 
-    The data and the dissipation multiplier ``P`` (None for none) are
-    refused at N, where ``P`` is evaluated once. ``physics(n, index)``
-    builds a stage's ``nonlinear`` and ``grid``; ``index`` picks its modes
-    out of an array on the N grid. A yielded spec is on the stage of ``n``
-    and ``physics``. ``stages`` lists each stage's start t, N and steps;
-    ``cap_unresolved_t`` is the first t the stage at N failed the refine
-    rule (None if never).
+    The data and ``P`` (None for none) are refused at N, where ``P`` is
+    evaluated once. ``physics(n, index)`` builds a stage's
+    ``nonlinear(spec, aux=None)`` (None for the linear flow) and
+    ``grid(spec)``, the (aux, speed) a step reuses in its first RK4 stage
+    and limits its size by; the two own every FFT. ``index`` picks the
+    stage's modes out of an array on the N grid. ``dt_max`` None is T/64; a
+    step below ``dt_floor`` short of the horizon ends the run "dt-floor".
+
+    Iterating yields (t, dt, spec) after each step, on the stage of ``n``
+    and ``physics``. A caller that stops on its own rule sets
+    ``termination`` before it breaks. ``stages`` lists each stage's start
+    t, N and steps; ``cap_unresolved_t`` is the first t the stage at N
+    failed the refine rule (None if never). A one-stage run rebuilt from a
+    yielded (t, spec) with ``t0=t`` continues it bit for bit.
     """
 
-    def __init__(self, spec, N, T, P, physics, *, dt_max, dt_floor):
+    def __init__(self, spec, N, T, P, physics, *, dt_max, dt_floor,
+                 t0=0.0):
         _refuse_bad_input("theta0", spec, nonnegative=False)
         kmod = _wavenumber_modulus(N, spec.ndim)
         self.Pk_N = (np.zeros_like(kmod) if P is None else
                      _multiplier_values(P, kmod, "dissipation multiplier"))
-        self.N, self.physics_of, self.stages = N, physics, []
+        if T <= 0.0:
+            raise ValueError("horizon must be positive")
+        self.N, self.T, self.t0, self.physics_of = N, T, t0, physics
+        self.dt_max = T / 64.0 if dt_max is None else dt_max
+        self.dt_floor, self.steps, self.stages = dt_floor, 0, []
+        self.termination = "completed"
         n = _start_grid(spec, N)
-        super().__init__(_regrid(spec, N, n), T, None, h=None, dt_max=dt_max,
-                         dt_floor=dt_floor, nonlinear=None, grid=None)
-        self._enter(n, 0.0)
-        self.cap_unresolved_t = (0.0 if n == N and _spectral_tail(
+        self.spec = np.array(_regrid(spec, N, n), dtype=complex)
+        self._enter(n, t0)
+        self.cap_unresolved_t = (t0 if n == N and _spectral_tail(
             self.spec, self.band) > _REFINE_TAIL else None)
 
     def _enter(self, n, t):
@@ -304,7 +252,6 @@ class _StagedRun(_IntegratingFactorRK4):
         self.n, self.physics = n, self.physics_of(n, index)
         self.Pk, self.h = self.Pk_N[index], TWO_PI / n
         self.band = _tail_band(n, self.spec.ndim)
-        self.nonlinear, self.grid = self.physics.nonlinear, self.physics.grid
         self.stages.append({"t": t, "N": n, "steps": 0})
 
     def meta(self) -> dict:
@@ -315,16 +262,49 @@ class _StagedRun(_IntegratingFactorRK4):
                 "cap_unresolved_t": self.cap_unresolved_t,
                 "final_tail": _spectral_tail(self.spec, self.band)}
 
+    def reached(self, t) -> bool:
+        """True once t is on the horizon, up to rounding."""
+        return t >= self.T * (1.0 - 1e-14)
+
+    def step_size(self, t, speed) -> float:
+        dt = self.dt_max
+        if self.physics.nonlinear is not None:
+            dt = min(dt, _CFL * self.h / max(speed, 1e-300))
+        return min(dt, self.T - t)
+
     def __iter__(self):
-        for t, dt, spec in super().__iter__():
+        t = self.t0
+        while not self.reached(t):
+            spec, nl = self.spec, self.physics.nonlinear
+            aux, speed = (None, 0.0) if nl is None else self.physics.grid(spec)
+            dt = self.step_size(t, speed)
+            if dt < self.dt_floor and (self.T - t) > self.dt_floor:
+                self.termination = "dt-floor"
+                return
+            # stored complex: numpy would cast it on every product, to the
+            # same values
+            E = np.exp(-0.5 * dt * self.Pk).astype(complex)
+            E2 = E * E
+            if nl is None:
+                spec = E2 * spec
+            else:
+                a = nl(spec, aux)
+                b = nl(E * (spec + 0.5 * dt * a))
+                c = nl(E * spec + 0.5 * dt * b)
+                d = nl(E2 * spec + dt * E * c)
+                spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c)
+                                                 + d)
+            t += dt
+            self.steps += 1
             self.stages[-1]["steps"] += 1
             if (self.n < self.N or self.cap_unresolved_t is None) and \
                     _spectral_tail(spec, self.band) > _REFINE_TAIL:
                 if self.n == self.N:
                     self.cap_unresolved_t = t
                 else:
-                    self.spec = spec = _regrid(spec, self.n, 2 * self.n)
+                    spec = _regrid(spec, self.n, 2 * self.n)
                     self._enter(2 * self.n, t)
+            self.spec = spec
             yield t, dt, spec
 
 
@@ -490,7 +470,7 @@ class ScalarField2D:
         rng = np.random.default_rng(seed)
         kmax = min(kmax, dealias_cutoff(N))
         spec = np.zeros((N, N // 2 + 1), dtype=complex)
-        kx = np.fft.fftfreq(N, d=1.0 / N)
+        kx = wavenumber_grids_2d(N)[0][:, 0]
         for i in range(N):
             for ky in range(0, kmax + 1):
                 kmag2 = kx[i] ** 2 + ky ** 2

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0, zeta
 
-from .fields import TWO_PI, ScalarField1D, ScalarField2D
+from .fields import TWO_PI, ScalarField1D, ScalarField2D, _in_chunks
 from .quadrature import (graded_edges, oscillation_resolved_edges,
                          panel_nodes)
 from .symbols import DissipationSymbol
@@ -113,13 +113,9 @@ def _graded_osc_edges(hi: float, freq: float, eps: float,
 
 def _sin2_accumulate(ks: np.ndarray, y: np.ndarray, kerw: np.ndarray) -> np.ndarray:
     """sum_q 4 sin^2(k y_q / 2) kerw_q for each k, chunked to bound memory."""
-    out = np.empty(ks.size)
-    chunk = max(1, int(4e6 // max(y.size, 1)))
-    for lo in range(0, ks.size, chunk):
-        sl = slice(lo, lo + chunk)
-        S = np.sin(np.outer(ks[sl], 0.5 * y)) ** 2
-        out[sl] = 4.0 * (S @ kerw)
-    return out
+    return _in_chunks(
+        lambda k: 4.0 * (np.sin(np.outer(k, 0.5 * y)) ** 2 @ kerw), ks,
+        max(1, int(4e6 // max(y.size, 1))))
 
 
 def multiplier_of_symbol_1d(sym: DissipationSymbol, k):
@@ -226,12 +222,8 @@ def increment_multiplier_2d(sym: DissipationSymbol,
     y, w = _physical_panels(sym, kappas.max() if kappas.size else 1.0)
     kerw = TWO_PI * w * sym.m(y) / y
 
-    out = np.empty(kappas.size)
-    chunk = max(1, int(4e6 // max(y.size, 1)))
-    for lo in range(0, kappas.size, chunk):
-        sl = slice(lo, lo + chunk)
-        near = one_minus_j0(np.outer(kappas[sl], y)) @ kerw
-        out[sl] = near
+    out = _in_chunks(lambda k: one_minus_j0(np.outer(k, y)) @ kerw, kappas,
+                     max(1, int(4e6 // max(y.size, 1))))
     for i, kap in enumerate(kappas):
         if kap == 0.0:
             out[i] = 0.0  # near term vanishes and osc tail equals the mass

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import (TWO_PI, ScalarField1D, ScalarField2D, _array_call,
-                     _refuse_bad_input)
+                     _in_chunks, _refuse_bad_input)
 from .quadrature import (gauss_legendre, log_edges, log_panel_rows,
                          panel_nodes)
 from .symbols import DissipationSymbol, _crossover_roots, _shaped
@@ -261,15 +261,6 @@ def _separations(xi) -> tuple[np.ndarray, tuple | None]:
 _CHUNK_POINTS = 2 ** 9
 
 
-def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
-    """fn over the flat array x, _CHUNK_POINTS separations at a time; fn is
-    pointwise, so the chunking never changes a value."""
-    out = np.empty_like(x)
-    for a in range(0, x.size, _CHUNK_POINTS):
-        out[a:a + _CHUNK_POINTS] = fn(x[a:a + _CHUNK_POINTS])
-    return out
-
-
 _CONTRACT = ("a modulus is a ModulusMember, an object with an omega method "
              "or an array-native callable, whose omega takes an array of "
              "separations and returns an array of its shape")
@@ -327,7 +318,8 @@ class ModulusMember:
         x, shape = _separations(xi)
         if np.any(x < 0.0):
             raise ValueError("modulus evaluated at negative separation")
-        return _shaped(_in_chunks(self._omega_chunk, x), shape)
+        return _shaped(_in_chunks(self._omega_chunk, x, _CHUNK_POINTS),
+                       shape)
 
     def _omega_chunk(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -346,7 +338,8 @@ class ModulusMember:
         x, shape = _separations(xi)
         if not np.all(x > 0.0):
             raise ValueError("slope evaluated at non-positive separation")
-        return _shaped(_in_chunks(self._slope_chunk, x), shape)
+        return _shaped(_in_chunks(self._slope_chunk, x, _CHUNK_POINTS),
+                       shape)
 
     def _slope_chunk(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -487,12 +480,13 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _sampled_second(omega: Callable[[float], float], xi: float,
+def _sampled_second(omega: Callable, xi: float,
                     h_rel: float = 3e-2) -> float:
     # wide relative step: the curvature varies logarithmically, and a narrow
     # one runs into cancellation noise for members with tiny crossover scales
     h = h_rel * xi
-    return (omega(xi + h) - 2.0 * omega(xi) + omega(xi - h)) / h ** 2
+    up, mid, dn = _omega_array(omega, (xi + h, xi, xi - h))
+    return (up - 2.0 * mid + dn) / h ** 2
 
 
 def validate_modulus(mem) -> ValidationReport:
@@ -524,7 +518,8 @@ def validate_modulus(mem) -> ValidationReport:
     checks: list[CheckResult] = []
 
     if B is None:
-        B = omega(xi[0] * 1e-2) / (xi[0] * 1e-2)  # sampled initial slope
+        # sampled initial slope
+        B = _omega_array(omega, xi[0] * 1e-2) / (xi[0] * 1e-2)
 
     # vanishing at 0 and monotonicity
     checks.append(CheckResult(
@@ -545,7 +540,8 @@ def validate_modulus(mem) -> ValidationReport:
 
     # initial slope and curvature blow-up from sampled differences
     xi_a = xi[0]
-    slope0 = (omega(xi_a * (1.0 + 1e-4)) - omega(xi_a)) / (xi_a * 1e-4)
+    ahead, at = _omega_array(omega, (xi_a * (1.0 + 1e-4), xi_a))
+    slope0 = (ahead - at) / (xi_a * 1e-4)
     checks.append(CheckResult(
         "initial_slope", abs(slope0 - B) <= 1e-3 * B, float(B - abs(slope0 - B)),
         B, at=float(xi_a), note=f"omega'(0+) ~ {slope0:.6g} vs B = {B:.6g}"))

@@ -321,7 +321,8 @@ def _bound_speed(C, A, P, b_top):
 
     def speed(b):
         b = min(b, b_top)
-        return C * A * (1.0 + float(P(math.exp(b))) * (1.0 + ln2 + b))
+        p = float(P(np.asarray(math.exp(b))))
+        return C * A * (1.0 + p * (1.0 + ln2 + b))
 
     return speed
 
@@ -433,7 +434,7 @@ def euler_regularity_experiment(theta0, P, T, *, c_scale=1.0):
     A = max(theta0.linf(), theta0.grad_linf(), theta0.l2())
     if A <= 0.0:
         raise ValueError("data constant A vanished; nothing to bound")
-    drive = 1.0 + float(P(1.0)) * (1.0 + math.log(2.0))
+    drive = 1.0 + float(P(np.asarray(1.0))) * (1.0 + math.log(2.0))
     calibrated = 2.0 * gradient_of_velocity_sup(theta0, "p_euler", P=P) \
         / (A * drive)
     C_used = calibrated * c_scale

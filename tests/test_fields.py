@@ -1,5 +1,6 @@
 import gc
 import math
+import types
 import warnings
 
 import numpy as np
@@ -8,9 +9,9 @@ from numpy.testing import assert_allclose
 
 from moclab import fields
 from moclab.burgers import simulate_burgers
-from moclab.fields import (ScalarField1D, ScalarField2D,
-                           _IntegratingFactorRK4, dealias_cutoff, max_hypot)
-from moclab.sqg_euler import simulate_p_euler, simulate_sqg
+from moclab.fields import (ScalarField1D, ScalarField2D, _StagedRun,
+                           dealias_cutoff, max_hypot, velocity_multipliers)
+from moclab.sqg_euler import _AdvectionCore, simulate_p_euler, simulate_sqg
 from moclab.symbols import make_multiplier
 
 
@@ -211,45 +212,76 @@ def test_max_hypot_equals_the_max_of_hypot_bitwise(case):
     assert got.hex() == float(np.max(np.hypot(x, y))).hex()
 
 
+def test_random_2d_field_draws_exactly_its_band():
+    # kx from np.fft.fftfreq is 8.000000000000002 at N = 98, which dropped
+    # the (+-kmax, 0) modes and kept (0, kmax)
+    N, kmax = 98, 8
+    power = np.abs(ScalarField2D.random_band_limited(N, kmax, 1.0,
+                                                     seed=1).spec)
+    kx, ky = fields.wavenumber_grids_2d(N)
+    k2 = kx ** 2 + ky ** 2
+    band = (k2 >= 1.0) & (k2 <= kmax ** 2)
+    assert np.array_equal(power > 1e-9 * power.max(), band)
+
+
 # ---------------------------------------------------------------------------
 # the shared time loop resumes where it left off
 # ---------------------------------------------------------------------------
 
-def _loop_1d(spec, t0, nonlinear):
-    # a 1-D Burgers right-hand side on 64 points; the grid quantity is the
-    # state's values, which the first RK4 stage reuses
-    N = 64
-    k = np.arange(N // 2 + 1, dtype=float)
+def _burgers_physics(nonlinear):
+    # a 1-D Burgers right-hand side; the grid quantity is the state's
+    # values, which the first RK4 stage reuses
+    def physics(n, index):
+        k = np.arange(n // 2 + 1, dtype=float)
 
-    def nl(s, v=None):
-        v = np.fft.irfft(s, n=N) if v is None else v
-        return 0.5j * k * np.fft.rfft(v * v) * (k <= N // 3)
+        def nl(s, v=None):
+            v = np.fft.irfft(s, n=n) if v is None else v
+            return 0.5j * k * np.fft.rfft(v * v) * (k <= n // 3)
 
-    def grid(s):
-        v = np.fft.irfft(s, n=N)
-        return v, float(np.max(np.abs(v)))
+        def grid(s):
+            v = np.fft.irfft(s, n=n)
+            return v, float(np.max(np.abs(v)))
 
-    return _IntegratingFactorRK4(
-        spec, 1.0, np.sqrt(k), h=2.0 * np.pi / N, dt_max=0.02,
-        dt_floor=1e-10, nonlinear=nl if nonlinear else None, grid=grid,
-        t0=t0)
+        return types.SimpleNamespace(nonlinear=nl if nonlinear else None,
+                                     grid=grid)
+    return physics
 
 
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_loop_resumed_from_a_yielded_state_continues_bitwise(nonlinear):
-    spec = ScalarField1D.from_function(64, lambda x: 2.0 * np.sin(x)).spec
-    whole = [(t, dt, s.copy()) for t, dt, s in _loop_1d(spec, 0.0,
-                                                           nonlinear)]
+def _assert_resumes_bitwise(spec, P, physics):
+    # a one-stage run, and the run rebuilt from its 18th yielded state
+    def loop(s, t0):
+        return _StagedRun(s, 2 * (s.shape[-1] - 1), 1.0, P, physics,
+                          dt_max=0.02, dt_floor=1e-10, t0=t0)
+
+    whole = [(t, dt, s.copy()) for t, dt, s in loop(spec, 0.0)]
     assert len(whole) >= 50
     j = 17
     t0, _, s0 = whole[j]
-    resumed = _loop_1d(s0, t0, nonlinear)
+    resumed = loop(s0, t0)
     rest = list(resumed)
+    assert len(resumed.stages) == 1
     assert resumed.steps == len(whole) - j - 1 == len(rest)
     assert resumed.termination == "completed"
     for (t, dt, s), (rt, rdt, rs) in zip(whole[j + 1:], rest):
         assert (t, dt) == (rt, rdt)
         assert np.array_equal(s, rs)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_loop_resumed_from_a_yielded_state_continues_bitwise(nonlinear):
+    # on 64 points, the smallest stage: the run is one stage
+    fld = ScalarField1D.from_function(64, lambda x: 2.0 * np.sin(x))
+    _assert_resumes_bitwise(fld.spec, np.sqrt, _burgers_physics(nonlinear))
+
+
+def test_2d_loop_resumed_from_a_yielded_state_continues_bitwise():
+    # SQG on one 32^2 stage
+    N = 32
+    mx, my = velocity_multipliers(N, "sqg")
+    _assert_resumes_bitwise(
+        ScalarField2D.random_band_limited(N, 4, 1.0, seed=1).spec,
+        make_multiplier("power", s=1.0),
+        lambda n, index: _AdvectionCore(n, mx[index], my[index]))
 
 
 # ---------------------------------------------------------------------------

@@ -256,12 +256,13 @@ STAGE_RULES = re.compile(r"regrid|start_grid|spectral_tail|tail_band|"
 
 
 def _second_loop_sites(tree):
-    # what a second time loop would need: the step loop built outside
+    # what a second time loop would need: the run loop subclassed outside
     # fields, or a stage-rule helper or constant defined there
-    for name, line in _references(tree):
-        if name == "_IntegratingFactorRK4":
-            yield f"builds _IntegratingFactorRK4 (line {line})"
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                name == "_StagedRun" for base in node.bases
+                for name, _ in _references(base)):
+            yield f"subclasses _StagedRun (line {node.lineno})"
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -283,7 +284,8 @@ def test_fields_owns_the_only_time_loop():
              if path.stem != "fields"
              for site in _second_loop_sites(ast.parse(path.read_text()))]
     assert found == [], found
-    fork = ("from .fields import _IntegratingFactorRK4\n"
+    fork = ("from .fields import _StagedRun\n"
+            "class _Loop(_StagedRun):\n    pass\n"
             "_REFINE_TAIL = 1e-8\n"
             "def _regrid(spec, n, m):\n    return spec\n")
     assert len(list(_second_loop_sites(ast.parse(fork)))) == 3

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from moclab import fields, sqg_euler
-from moclab.certificates import PlainModulus
+from moclab.certificates import PlainModulus, omega_riesz, omega_tilde
 from moclab.fields import ScalarField1D, ScalarField2D, velocity_multipliers
-from moclab.moduli import StratifiedPairSearch, build_modulus, check_obeys
+from moclab.moduli import (StratifiedPairSearch, build_modulus,
+                           check_obeys, validate_modulus)
 from moclab.sqg_euler import (ObedienceMonitor, osgood_check,
                               simulate_p_euler, simulate_sqg)
 from moclab.records import REGULAR, UNRESOLVED
@@ -478,6 +479,29 @@ def test_euler_experiment_branches(kind, params, c_scale, verdict, reason):
     assert reason in rep.reason
     if kind == "power":
         assert 0.1 < rep.bound.blowup_time < 0.11 and rep.record is None
+
+
+def test_user_callables_are_called_on_arrays():
+    # an array-native modulus or multiplier need not take a float (a float
+    # has no .clip); each entry point answers as on the same callable made
+    # to take floats too
+    omega = lambda x: x.clip(0.0, 1.0) ** 0.5
+    loglog = make_multiplier("loglog", g=1.0)
+    P = lambda k: loglog(k.clip(0.0, None))
+    either = lambda fn: lambda x: fn(np.asarray(x, dtype=float))
+    for certificate in (omega_riesz, omega_tilde):
+        assert certificate(omega, 0.5) == certificate(either(omega), 0.5)
+    reps = [validate_modulus(fn) for fn in (omega, either(omega))]
+    assert [(c.name, c.passed, c.margin) for c in reps[0].checks] == \
+        [(c.name, c.passed, c.margin) for c in reps[1].checks]
+    bounds = [sqg_euler.gradient_bound_ode(fn, 1.0, 1.0, 1.0)
+              for fn in (P, either(P))]
+    assert_array_equal(bounds[0].log_B, bounds[1].log_B)
+    fld = ScalarField2D.random_band_limited(16, 3, 0.3, seed=1)
+    reps = [sqg_euler.euler_regularity_experiment(fld, fn, 0.1)
+            for fn in (P, either(P))]
+    assert reps[0].verdict == reps[1].verdict == REGULAR
+    assert reps[0].worst_margin == reps[1].worst_margin
 
 
 def test_gradient_of_velocity_sup_on_a_plane_wave():
