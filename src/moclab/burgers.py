@@ -54,11 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .fields import _DT_FLOOR, ScalarField1D, _StagedRun, dealias_cutoff
+from .fields import (_DT_FLOOR, ScalarField1D, _refuse_bad_cadence,
+                     _StagedRun, dealias_cutoff)
 from .kernels import multiplier_of_symbol_1d
 from .quadrature import (classify_decades, decade_increments, graded_edges,
-                         log_edges, log_panel_blocks, log_panel_rows,
-                         panel_nodes)
+                         log_edges, log_panel_integrals, panel_nodes)
 from .records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
 from .symbols import DissipationSymbol
 
@@ -77,7 +77,7 @@ _DIV_RATIO = 0.999
 _LW_PER_DECADE = 4
 _LW_ORDER = 10
 
-# ulps design_blowup_data may add to the bisected amplitude
+# ulps design_blowup_data may add to the closed-form amplitude
 _DESIGN_ULP_STEPS = 64
 # the blow-up condition asks L(0)^2 to beat this multiple of
 # (integral |Lw|) * sup |theta0|, so that it holds strictly
@@ -174,49 +174,10 @@ def kernel_mass(m):
 # dissipation of the hat profile
 # ----------------------------------------------------------------------
 
-def _panel_quad(f, lo, hi, x, *, per_decade, order, kinks=()):
-    """Integrals of f(z, x) over the windows [lo[i], hi[i]], f called once
-    per block of the log-panel rule on its nodes; empty windows give 0."""
-    lo, hi, x = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, x)))
-    out = np.zeros(lo.shape)
-    live = np.flatnonzero(hi > lo)
-    for at, rows in log_panel_blocks(lo[live], hi[live], per_decade, order,
-                                     kinks):
-        i = live[at]
-        out[i] = rows.integrate(f(rows.nodes, rows.spread(x[i])))
-    return out
-
-
 def _m_over_r2_tail(sym, R):
     """integral_R^inf m(u)/u^2 du for R at or beyond the power tail."""
     R = max(R, sym.core_radius)
     return sym.tail_coeff * R ** (-1.0 - sym.alpha) / (1.0 + sym.alpha)
-
-
-def _wedge_diss_inside(sym, x, per_decade, order):
-    # Windows of the increment form for an array of 0 < x < 1; the linear
-    # region of w cancels exactly and never enters.
-    windows = functools.partial(_panel_quad, per_decade=per_decade,
-                                order=order, kinks=(sym.core_radius,))
-    t_tail = 2.0 * (1.0 - x) * sym.tail_integral_over_r(1.0 + x)
-    t_far = windows(lambda z, xc: (3.0 - xc - z) * sym(z) / z,
-                    np.maximum(x, 1.0 - x), 1.0 + x, x)
-    t_near = np.empty_like(x)
-    low = x <= 0.5
-    xl, xh = x[low], x[~low]
-    t_near[low] = 2.0 * windows(lambda z, xc: sym(z) / z, xl, 1.0 - xl, xl)
-    t_near[~low] = windows(lambda z, xc: ((1.0 - xc) - z) * sym(z) / z,
-                           1.0 - xh, xh, xh)
-    return t_near + t_far + t_tail
-
-
-def _wedge_diss_outside(sym, x, per_decade, order):
-    windows = functools.partial(_panel_quad, per_decade=per_decade,
-                                order=order, kinks=(sym.core_radius,))
-    t_near = windows(lambda y, xc: (1.0 - xc + y) * sym(y) / y,
-                     np.maximum(x - 1.0, 1e-18 * x), x, x)
-    t_far = windows(lambda y, xc: (1.0 + xc - y) * sym(y) / y, x, x + 1.0, x)
-    return t_far - t_near
 
 
 def wedge_dissipation(sym, x, *, per_decade=_LW_PER_DECADE, order=_LW_ORDER):
@@ -227,10 +188,30 @@ def wedge_dissipation(sym, x, *, per_decade=_LW_PER_DECADE, order=_LW_ORDER):
     x1 = np.atleast_1d(xs)
     a = np.abs(x1)
     out = np.zeros_like(a)
-    inside = (a > 0.0) & (a < 1.0)
-    out[inside] = _wedge_diss_inside(sym, a[inside], per_decade, order)
-    outside = a >= 1.0
-    out[outside] = _wedge_diss_outside(sym, a[outside], per_decade, order)
+    pos = a > 0.0
+    x = a[pos]
+    inside = x < 1.0
+    # L w integrates m(z)/z against weights c0 + c1 z on two windows per
+    # x. Below 1 they are those of the increment form, in which the linear
+    # region of w cancels exactly: the near weight is 2 on [x, 1 - x] up to
+    # x = 1/2, then (1 - x) - z on [1 - x, x], and the far one (3 - x) - z
+    # on [max(x, 1 - x), 1 + x]. From 1 on, L w is the far window of
+    # (1 + x) - z on [x, 1 + x] less the near one of (1 - x) + z on
+    # [x - 1, x].
+    low = x <= 0.5
+    mid = np.maximum(x, 1.0 - x)
+    lo = np.where(inside, np.minimum(x, 1.0 - x),
+                  np.maximum(x - 1.0, 1e-18 * x))
+    c0 = np.where(low, 2.0, np.where(inside, 1.0 - x, x - 1.0))
+    c1 = np.where(low, 0.0, -1.0)
+    both = log_panel_integrals(
+        lambda z, c0, c1: (c0 + c1 * z) * sym(z) / z,
+        np.concatenate((lo, mid)), np.concatenate((mid, 1.0 + x)),
+        per_decade, order, (sym.core_radius,),
+        np.concatenate((c0, np.where(inside, 3.0 - x, 1.0 + x))),
+        np.concatenate((c1, np.full(x.size, -1.0))))
+    out[pos] = both[:x.size] + both[x.size:] + np.where(
+        inside, 2.0 * (1.0 - x) * sym.tail_integral_over_r(1.0 + x), 0.0)
     out = np.where(x1 < 0.0, -out, out)
     return out if xs.ndim else float(out[0])
 
@@ -297,8 +278,8 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
     kinks = (sym.core_radius,)
 
     def window(f, lo, hi, kinks=kinks):
-        rows = log_panel_rows(lo, hi, per_decade, order, kinks)
-        return float(rows.integrate(f(rows.nodes))[0])
+        return float(log_panel_integrals(f, lo, hi, per_decade, order,
+                                         kinks)[0])
 
     # (0, 1/2]: every window of Lw is nonnegative, so Fubini collapses the
     # x-integral onto proper integrals of m against explicit weights.
@@ -339,7 +320,7 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
         1.0 + graded_edges(1.0, 30),
         log_edges(2.0, X, per_decade)]))
     nodes, weights = panel_nodes(out_edges, order)
-    vals = -_wedge_diss_outside(sym, nodes, per_decade, order)
+    vals = -wedge_dissipation(sym, nodes, per_decade=per_decade, order=order)
     far_rem = ((C + 1.0) / 3.0) * _m_over_r2_tail(sym, X - 1.0)
     i_outside = float(np.dot(weights, vals)) + far_rem
     return i_inside, i_outside, far_rem
@@ -444,8 +425,8 @@ def design_blowup_data(sym, *, N=4096, instrumentation=None):
     strictly.
 
     The amplitude enters the condition quadratically through L(0)^2 and
-    linearly through the sup norm, so a doubling search always exits; a
-    bisection then pins the smallest passing amplitude.
+    linearly through the sup norm, so it holds exactly past one root; ulp
+    steps from that root pin the smallest passing amplitude.
     """
     instr = instrumentation if instrumentation is not None else compute_Lw(sym)
     I = instr.kernel_functional
@@ -456,21 +437,13 @@ def design_blowup_data(sym, *, N=4096, instrumentation=None):
     def condition(lam):
         return (lam * L_phi) ** 2 - _BLOWUP_MARGIN * I * lam * sup_phi
 
-    hi = 1.0
-    while condition(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e15:
-            raise RuntimeError("amplitude search failed to close")
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if condition(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lam = _BLOWUP_MARGIN * I * sup_phi / L_phi ** 2
+    while condition(math.nextafter(lam, 0.0)) > 0.0:
+        lam = math.nextafter(lam, 0.0)
+    while condition(lam) <= 0.0:
+        lam = math.nextafter(lam, math.inf)
     # the closed form and the condition measured on the scaled grid data
     # differ by rounding: step up by ulps until the measured one holds
-    lam = hi
     for _ in range(_DESIGN_ULP_STEPS):
         fld = ScalarField1D(lam * base.values)
         value = blowup_condition(fld, I)
@@ -578,8 +551,10 @@ def simulate_burgers(theta0, T, *, sym=None, P=None, nonlinear=True,
     and ``meta["final_tail"]`` are the loop's (see ``_StagedRun``); none
     decides a verdict. ``final_state`` is padded back to N. Non-finite data
     and a non-finite or negative multiplier are refused with a ValueError,
-    a multiplier that is not array-native with a TypeError.
+    a multiplier that is not array-native with a TypeError, and a
+    ``record_every`` that is not an int >= 1 with a ValueError.
     """
+    _refuse_bad_cadence("record_every", record_every)
     if P is not None and sym is not None:
         raise ValueError("supply either a symbol or a multiplier, not both")
     if sym is not None:

@@ -24,13 +24,13 @@ and for generic callables the tail is extrapolated from the measured chord
 exponent, with divergence reported when the exponent does not settle below
 one.
 
-Every functional works on an array of separations. It builds the panels of
-all of them in one pass (``log_panel_rows``), evaluates each set of modulus
-arguments with one ``omega`` call and sums each separation's row on its
-own, so a value is bitwise that of a one-point call; the public scalar
-functionals are that one-point case. Only the callables' dyadic tail
-windows, whose stopping rule is per separation, run one separation at a
-time.
+Every functional works on an array of separations, through one
+``log_panel_integrals`` call per integral. It evaluates each set of
+modulus arguments with one ``omega`` call per block of panels and sums
+each separation's row on its own, so a value is bitwise that of a
+one-point call; the public scalar functionals are that one-point case.
+Only the callables' dyadic tail windows, whose stopping rule is per
+separation, run one separation at a time.
 
 The two criteria weigh different advective terms against the same
 dissipation, so they share one evaluation of a grid: omega, omega', the
@@ -51,7 +51,7 @@ import numpy as np
 
 from .moduli import ModulusMember, _omega_array, _omega_fn, _separations
 from .moduli import build_modulus  # bench/selftest.py asserts this alias
-from .quadrature import log_panel_blocks, log_panel_rows
+from .quadrature import log_panel_integrals
 from .symbols import DissipationSymbol, _shaped
 
 DEFAULT_A = 2.0
@@ -136,9 +136,9 @@ def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
     tiny = 1e-300
     for j in range(200):
         hi = 2.0 * lo
-        rows = log_panel_rows(lo, hi, 4.0, order, kinks)
-        eta = rows.nodes
-        v = float(np.dot(rows.weights, _omega_array(omega, eta) / eta ** 2))
+        v = float(log_panel_integrals(
+            lambda eta: _omega_array(omega, eta) / eta ** 2, lo, hi, 4.0,
+            order, kinks)[0])
         total += v
         w_hi = float(_omega_array(omega, hi))
         q = math.log2(max(w_hi, tiny) / max(w_lo, tiny))
@@ -178,8 +178,8 @@ def _riesz_tail(omega, xi: np.ndarray, w_xi: np.ndarray,
     below = ~above
     if below.any():
         xb = xi[below]
-        rows = log_panel_rows(xb, delta, 3.0, order, _omega_kinks(omega))
-        mid = rows.integrate(omega.omega(rows.nodes) / rows.nodes ** 2)
+        mid = log_panel_integrals(lambda eta: omega.omega(eta) / eta ** 2,
+                                  xb, delta, 3.0, order, _omega_kinks(omega))
         at_delta = (omega.omega_at_delta / delta
                     + gamma * sym.envelope_tail_integral_over_r(2.0 * delta))
         val[below] = xb * (mid + at_delta)
@@ -196,8 +196,8 @@ def _low_riesz(omega_fn, xi: np.ndarray, kinks: Sequence[float], order: int):
     since omega/eta is flat there.
     """
     floor = 1e-12 * xi
-    rows = log_panel_rows(floor, xi, 2.0, order, kinks)
-    val = rows.integrate(_omega_array(omega_fn, rows.nodes) / rows.nodes)
+    val = log_panel_integrals(lambda eta: _omega_array(omega_fn, eta) / eta,
+                              floor, xi, 2.0, order, kinks)
     stub = _omega_array(omega_fn, floor)
     return val + stub, 1e-2 * stub + 1e-14 * val
 
@@ -264,38 +264,40 @@ def omega_tilde(omega, xi):
 
 def _near_integral(omega_fn, sym, xi, w_xi, kinks, per_decade, order):
     """Integral over (0, xi/2) of (2w(xi) - w(xi+2e) - w(xi-2e)) m(2e)/e."""
-    half = 0.5 * xi
     floor = 1e-10 * xi
-    rows = log_panel_rows(floor, half, per_decade, order, _kink_candidates(
-        kinks, xi, ((1.0, -1.0), (-1.0, 1.0)), sym.core_radius))
-    eta = rows.nodes
-    g = 2.0 * rows.spread(w_xi)
-    g -= _omega_array(omega_fn, rows.spread(xi) + 2.0 * eta)
-    g -= _omega_array(omega_fn, rows.spread(xi) - 2.0 * eta)
-    kern = sym.m(2.0 * eta) / eta
-    val = rows.integrate(g * kern)
+
+    def near(eta, x, w):
+        up, dn = np.split(_omega_array(omega_fn, np.concatenate(
+            (x + 2.0 * eta, x - 2.0 * eta))), 2)
+        kern = sym.m(2.0 * eta) / eta
+        return (2.0 * w - up - dn) * kern, kern
+
+    val, kern_int = log_panel_integrals(
+        near, floor, 0.5 * xi, per_decade, order, _kink_candidates(
+            kinks, xi, ((1.0, -1.0), (-1.0, 1.0)), sym.core_radius), xi, w_xi)
     # stub below the floor: g ~ |omega''(xi)| (2 eta)^2 and eta*m(2 eta) is
     # bounded by C0/2, so the remainder is linear in the floor radius
     ends = _omega_array(omega_fn, np.concatenate((xi + 2.0 * floor,
                                                   xi - 2.0 * floor)))
     g_f = 2.0 * w_xi - ends[:xi.size] - ends[xi.size:]
     rem = np.where(floor < sym.r0, np.abs(g_f) * sym.C0 / (2.0 * floor), 0.0)
-    noise = 4e-16 * w_xi * rows.integrate(kern)
+    noise = 4e-16 * w_xi * kern_int
     return val, rem + noise
 
 
 def _far_direct(omega_fn, sym, xi, w_xi, R1, kinks, per_decade, order):
     """Integral over (xi/2, R1) of (2w(xi) - w(2e+xi) + w(2e-xi)) m(2e)/e."""
-    rows = log_panel_rows(0.5 * xi, R1, per_decade, order, _kink_candidates(
-        kinks, xi, ((1.0, -1.0), (1.0, 1.0)), sym.core_radius))
-    eta = rows.nodes
-    up = _omega_array(omega_fn, 2.0 * eta + rows.spread(xi))
-    dn = _omega_array(omega_fn, 2.0 * eta - rows.spread(xi))
-    w_n = rows.spread(w_xi)
-    kern = sym.m(2.0 * eta) / eta
-    val = rows.integrate((2.0 * w_n - up + dn) * kern)
-    noise = 4e-16 * rows.integrate((2.0 * w_n + up + dn) * kern)
-    return val, noise
+
+    def far(eta, x, w):
+        up, dn = np.split(_omega_array(omega_fn, np.concatenate(
+            (2.0 * eta + x, 2.0 * eta - x))), 2)
+        kern = sym.m(2.0 * eta) / eta
+        return (2.0 * w - up + dn) * kern, (2.0 * w + up + dn) * kern
+
+    val, size = log_panel_integrals(
+        far, 0.5 * xi, R1, per_decade, order, _kink_candidates(
+            kinks, xi, ((1.0, -1.0), (1.0, 1.0)), sym.core_radius), xi, w_xi)
+    return val, 4e-16 * size
 
 
 def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
@@ -314,20 +316,18 @@ def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
     # integrand decays like eta^(-1-2 alpha); truncate where the pure-power
     # bound drops sixteen orders, then close with the exact power remainder
     R_inf = R1 * 10.0 ** (8.0 / alpha)
-    correction = np.empty_like(xi)
-    # these rows are a criterion's longest and call no omega, so blocks of
-    # them bound its memory at no cost in calls
-    for at, rows in log_panel_blocks(R1, R_inf, 4.0, 10):
-        eta = rows.nodes
-        lo = 4.0 * eta - 2.0 * rows.spread(xi[at])
-        hi = 4.0 * eta + 2.0 * rows.spread(xi[at])
+
+    def closed(eta, x):
+        lo = 4.0 * eta - 2.0 * x
+        hi = 4.0 * eta + 2.0 * x
         if alpha == 1.0:
             increment = 0.5 * mem.gamma * c * np.log(hi / lo)
         else:
             p = 1.0 - alpha
             increment = 0.5 * mem.gamma * c * (hi ** p - lo ** p) / p
-        kern = c * (2.0 * eta) ** (-alpha) / eta
-        correction[at] = rows.integrate(increment * kern)
+        return increment * (c * (2.0 * eta) ** (-alpha) / eta)
+
+    correction = log_panel_integrals(closed, R1, R_inf, 4.0, 10, (), xi)
     # beyond R_inf: increment ~ 2 gamma xi c (4 eta)^-alpha, exact integral
     rem = (2.0 * mem.gamma * xi * c ** 2 * 8.0 ** (-alpha)
            * R_inf ** (-2.0 * alpha) / (2.0 * alpha))
@@ -343,13 +343,16 @@ def _callable_far_windows(omega_fn, sym, xi, w_xi, R0, kinks, order):
     lo = R0
     eta_kinks = _kink_candidates(kinks, np.array([xi]),
                                  ((1.0, -1.0), (1.0, 1.0)), sym.core_radius)
-    for _ in range(250):
-        hi = 2.0 * lo
-        rows = log_panel_rows(lo, hi, 4.0, order, eta_kinks)
-        eta, w = rows.nodes, rows.weights
+
+    def window(eta):
         g = 2.0 * w_xi - _omega_array(omega_fn, 2.0 * eta + xi) \
             + _omega_array(omega_fn, 2.0 * eta - xi)
-        v = float(np.dot(w, g * sym.m(2.0 * eta) / eta))
+        return g * sym.m(2.0 * eta) / eta
+
+    for _ in range(250):
+        hi = 2.0 * lo
+        v = float(log_panel_integrals(window, lo, hi, 4.0, order,
+                                      eta_kinks)[0])
         total += v
         if prev is not None and v <= 1e-13 * max(scale_ref, total):
             ratio = v / prev if prev > 0.0 else 0.0
@@ -525,10 +528,12 @@ def _grid_evaluation(mem, xi_grid, per_decade, order):
     A family member keeps the evaluation of its most recent grid, and a
     call with the same separations and quadrature rule returns it. Its
     arrays are read-only; a report copies what it keeps. Other moduli
-    evaluate on every call.
+    evaluate on every call. An empty grid, which would pass, is refused.
     """
     xi, _ = _positive(default_xi_grid() if xi_grid is None else xi_grid,
                       "criterion")
+    if xi.size == 0:
+        raise ValueError("a criterion needs at least one separation")
     rule = (per_decade, order)
     member = isinstance(mem, ModulusMember)
     memo = mem._grid_memo if member else None
@@ -568,9 +573,9 @@ def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
     The advecting velocity is the solution itself, so increments are bounded
     by omega directly and only the dissipation carries the universal
     constant, the suite's conservative estimate ``DEFAULT_A``. PASS
-    means every margin is negative beyond quadrature error. The whole grid
-    is evaluated in one batch, which ``sqg_criterion`` on the same member
-    and grid reuses.
+    means every margin is negative beyond quadrature error. The grid is
+    evaluated per block of quadrature nodes, and ``sqg_criterion`` on the
+    same member and grid reuses the evaluation.
     """
     xi, w, wp, _, D, err = _grid_evaluation(mem, xi_grid, per_decade, order)
     side_vals = {}
@@ -602,8 +607,8 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
     Omega/A <= B xi (3 + log(delta/xi)), which the construction guarantees
     when gamma <= alpha * kappa, and the sign of the curvature-route factor
     1 - C / (2 A^2 C_alpha kappa) with C the measured quadrature constant.
-    The whole grid is evaluated in one batch, which ``burgers_criterion``
-    on the same member and grid reuses.
+    The grid is evaluated per block of quadrature nodes, and
+    ``burgers_criterion`` on the same member and grid reuses the evaluation.
     """
     xi, w, wp, kinks, D, err_d = _grid_evaluation(mem, xi_grid, per_decade,
                                                   order)

@@ -89,6 +89,13 @@ def _refuse_bad_input(name: str, values, *, nonnegative: bool = True):
         raise ValueError(f"{name} must be nonnegative")
 
 
+def _refuse_bad_cadence(name: str, every):
+    """ValueError naming ``name`` unless ``every`` is an int >= 1."""
+    if isinstance(every, bool) or not isinstance(every, (int, np.integer)) \
+            or every < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {every!r}")
+
+
 def _array_call(fn, x: np.ndarray, name: str, of: str, contract: str):
     """``fn`` on the array ``x`` in one call, as floats of its shape. A
     ``fn`` that raises TypeError on the array, or returns another shape, is

@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import (TWO_PI, ScalarField1D, ScalarField2D, _array_call,
                      _in_chunks, _refuse_bad_input)
-from .quadrature import (gauss_legendre, log_edges, log_panel_rows,
+from .quadrature import (gauss_legendre, log_edges, log_panel_integrals,
                          panel_nodes)
 from .symbols import DissipationSymbol, _crossover_roots, _shaped
 
@@ -819,8 +819,8 @@ def _coverage_bounds(sym: DissipationSymbol, kappa: float, gamma: float,
 
     The rung intervals are nested, so the integral is a running sum of the
     increments over [2 delta_k, 2 delta_(k-1)]. Each block of rungs gets its
-    deltas from one crossover solve and its increments from one batch of
-    log panels, on the rule of the member's envelope table. delta is NaN
+    deltas from one crossover solve and its increments from log panels per
+    block of nodes, on the rule of the member's envelope table. delta is NaN
     where the solve fails, and U is NaN wherever delta is not above
     _DELTA_FLOOR: the build of such a rung refuses.
     """
@@ -831,14 +831,10 @@ def _coverage_bounds(sym: DissipationSymbol, kappa: float, gamma: float,
         delta = _crossover_roots(sym, kappa, Bs)
         ok = np.flatnonzero(delta > _DELTA_FLOOR)
         lo = np.minimum(delta[ok], a)
-        hi = np.concatenate(([top], lo[:-1]))
-        step = np.zeros(lo.size)
-        live = lo < hi
-        if live.any():
-            rows = log_panel_rows(2.0 * lo[live], 2.0 * hi[live],
-                                  _EnvelopeIntegral._PER_DECADE,
-                                  _EnvelopeIntegral._ORDER, sym.breakpoints)
-            step[live] = rows.integrate(sym.envelope(rows.nodes))
+        step = log_panel_integrals(
+            sym.envelope, 2.0 * lo, 2.0 * np.concatenate(([top], lo[:-1])),
+            _EnvelopeIntegral._PER_DECADE, _EnvelopeIntegral._ORDER,
+            sym.breakpoints)
         run = total + np.cumsum(step)
         bound = np.full(Bs.size, np.nan)
         bound[ok] = Bs[ok] * delta[ok] + 0.5 * gamma * run

@@ -5,10 +5,10 @@ The conventions used throughout the package:
 * singular endpoints are handled by one log-panel rule (``log_panel_rows``):
   Gauss-Legendre on panels uniform in s = ln r, on which power-law
   integrands are smooth, with every kink of the integrand pinned as an edge;
-* many intervals are integrated in one batch, the integrand evaluated on
-  one array of nodes and each interval's row summed on its own, so a row's
-  value does not depend on its batch; long batches run in blocks of at
-  most ``_BLOCK_NODES`` nodes (``log_panel_blocks``);
+* every log-panel integral is one ``log_panel_integrals`` call over many
+  intervals: the integrand is evaluated per block of at most
+  ``_BLOCK_NODES`` nodes and each interval's row summed on its own, so a
+  row's value does not depend on its block;
 * oscillatory integrals go through QUADPACK's cos/sin weights (QAWO on a
   finite window, QAWF for convergent tails);
 * every numerical value that feeds a pass/fail decision carries an error
@@ -94,8 +94,6 @@ class PanelRows:
 
     def integrate(self, values) -> np.ndarray:
         """Per-row sums of weights * values (values given at the nodes)."""
-        if self.starts.size == 0:
-            return np.zeros(0)
         return np.add.reduceat(self.weights * values, self.starts)
 
 
@@ -151,27 +149,50 @@ def log_panel_rows(lo, hi, per_decade: float, order: int,
     return PanelRows(eta, w_s.ravel() * eta, starts)
 
 
-# nodes per block of log_panel_blocks: 64 kB per array over them
+# nodes per block of log_panel_integrals: 64 kB per array over them
 _BLOCK_NODES = 2 ** 13
 
 
-def log_panel_blocks(lo, hi, per_decade: float, order: int, kinks=()):
-    """``log_panel_rows`` of 1-D arrays ``lo``, ``hi`` in blocks of
-    consecutive rows: yields (slice of row indices, PanelRows of those
-    rows). A block is one row, or holds at most _BLOCK_NODES nodes by each
-    row's bound of ceil(per_decade * decades) + 1 panels plus one per kink
-    candidate."""
+def log_panel_integrals(f, lo, hi, per_decade: float, order: int, kinks,
+                        *per_row):
+    """Integrals of f over the windows [lo[i], hi[i]] on the log-panel rule.
+
+    ``lo``, ``hi`` and each ``per_row`` array broadcast to one value per
+    window. f is called once per block of consecutive windows (one window,
+    or at most _BLOCK_NODES nodes by each window's bound of
+    ceil(per_decade * decades) + 1 panels plus one per kink candidate) on
+    its nodes and its ``per_row`` values spread onto them. f returns an
+    array, or a tuple of arrays for several integrals on the same nodes,
+    and so does this, each window summed on its own. A window with
+    lo == hi integrates to 0; when every window is empty f gets empty arrays.
+    """
+    lo, hi, *per_row = np.broadcast_arrays(*map(np.atleast_1d,
+                                                (lo, hi) + per_row))
     k = np.atleast_2d(np.asarray(kinks, dtype=float))
     k = np.broadcast_to(k, (lo.size, k.shape[1]))
-    cost = order * (np.ceil(per_decade * np.log10(hi / lo)) + k.shape[1] + 1)
+    live = np.flatnonzero(lo != hi)
+    if not np.all((lo[live] > 0.0) & (lo[live] < hi[live])):
+        raise ValueError("log panels need 0 < lo <= hi")
+    cost = order * (np.ceil(per_decade * np.log10(hi[live] / lo[live]))
+                    + k.shape[1] + 1)
     ends = np.cumsum(cost)
-    start = 0
-    while start < lo.size:
+    stops = [0]
+    while (start := stops[-1]) < live.size:
         budget = ends[start] - cost[start] + _BLOCK_NODES
-        stop = max(start + 1, int(np.searchsorted(ends, budget, "right")))
-        at = slice(start, stop)
-        yield at, log_panel_rows(lo[at], hi[at], per_decade, order, k[at])
-        start = stop
+        stops.append(max(start + 1, int(np.searchsorted(ends, budget,
+                                                        "right"))))
+    sums = None
+    for i in np.split(live, stops[1:-1]):
+        rows = (log_panel_rows(lo[i], hi[i], per_decade, order, k[i])
+                if i.size else PanelRows(lo[i], lo[i], i))
+        vals = f(rows.nodes, *(rows.spread(p[i]) for p in per_row))
+        many = isinstance(vals, tuple)
+        vals = vals if many else (vals,)
+        if sums is None:
+            sums = [np.zeros(lo.shape) for _ in vals]
+        for total, v in zip(sums, vals):
+            total[i] = rows.integrate(v)
+    return tuple(sums) if many else sums[0]
 
 
 # the decade rule: one panel of order _DECADE_ORDER per decade (any gap of
@@ -186,9 +207,9 @@ def decade_increments(fn, hi: float, decades: int) -> tuple[np.ndarray, float]:
 
     Each decade is one row of a batched Gauss-Legendre rule in s = ln r,
     split where it holds one of ``fn.breakpoints`` (when fn has them, as a
-    ``DissipationSymbol`` does). fn is called once per rule, on the array
-    of all nodes. A row's error is its distance to the order-12 rule on the
-    same panels plus the rounding bound of its order-24 sum.
+    ``DissipationSymbol`` does). fn is called per block of each rule. A
+    row's error is its distance to the order-12 rule on the same panels
+    plus the rounding bound of its order-24 sum.
 
     Returns the increments, nearest decade first, and the sum of their
     error estimates.
@@ -196,14 +217,14 @@ def decade_increments(fn, hi: float, decades: int) -> tuple[np.ndarray, float]:
     edges = hi * 10.0 ** -np.arange(decades + 1.0)
     kinks = getattr(fn, "breakpoints", ())
 
-    def rule(order):
-        rows = log_panel_rows(edges[1:], edges[:-1], _DECADE_PER_DECADE,
-                              order, kinks)
-        vals = fn(rows.nodes)
-        return rows.integrate(vals), rows.integrate(np.abs(vals))
+    def both(r):
+        vals = fn(r)
+        return vals, np.abs(vals)
 
-    fine, size = rule(_DECADE_ORDER)
-    coarse, _ = rule(_DECADE_ORDER // 2)
+    (fine, size), (coarse, _) = (
+        log_panel_integrals(both, edges[1:], edges[:-1], _DECADE_PER_DECADE,
+                            order, kinks)
+        for order in (_DECADE_ORDER, _DECADE_ORDER // 2))
     err = np.abs(fine - coarse) + _DECADE_ORDER * np.finfo(float).eps * size
     return fine, float(np.sum(err))
 

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft2, rfft2
 
-from .fields import (_DT_FLOOR, ScalarField2D, _StagedRun, dealias_cutoff,
-                     max_hypot, velocity_multipliers, wavenumber_grids_2d)
+from .fields import (_DT_FLOOR, ScalarField2D, _refuse_bad_cadence,
+                     _StagedRun, dealias_cutoff, max_hypot,
+                     velocity_multipliers, wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_fn
 from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
@@ -107,17 +108,18 @@ class ObedienceMonitor:
     practice; the periodic full sweep bounds how long a migrating worst
     pair can hide.  Every sweep reads its strata as views of one tiling of
     the field, so a call costs one subtraction and two arg-reductions per
-    stratum, plus the off-lattice refinement.
+    stratum, plus the off-lattice refinement. A ``full_every`` that is not
+    an int >= 1 is refused with a ValueError.
     """
 
     def __init__(self, member, N, *, full_every=16):
+        _refuse_bad_cadence("full_every", full_every)
         self._search = StratifiedPairSearch(
             N, _omega_fn(member), directions=32, separations_per_decade=8)
         self.full_every = full_every
         self._hot = None
         self._calls = 0
         self.min_margin = math.inf
-        self.last_report = None
 
     def margin(self, fld):
         full = self._hot is None or self._calls % self.full_every == 0
@@ -127,7 +129,6 @@ class ObedienceMonitor:
             order = np.argsort(rep.margins)
             self._hot = order[:48]
         self._calls += 1
-        self.last_report = rep
         self.min_margin = min(self.min_margin, rep.margin)
         return rep.margin
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .fields import _array_call, _refuse_bad_input
 from .quadrature import (classify_decades, decade_increments,
-                         log_panel_rows)
+                         log_panel_integrals)
 
 LN2 = math.log(2.0)
 _R_OVER = 2.0 / np.finfo(float).max  # 2/r overflows for r <= _R_OVER
@@ -163,8 +163,9 @@ class DissipationSymbol:
                / self.alpha)
         inner = R < self.core_radius
         if inner.any():
-            rows = log_panel_rows(R[inner], self.core_radius, 8.0, 12)
-            out[inner] += rows.integrate(self.m(rows.nodes) / rows.nodes)
+            out[inner] += log_panel_integrals(lambda r: self.m(r) / r,
+                                              R[inner], self.core_radius,
+                                              8.0, 12, ())
         return _shaped(out, shape)
 
     def envelope_tail_integral_over_r(self, R):
@@ -179,9 +180,9 @@ class DissipationSymbol:
         out = self.tail_integral_over_r(np.maximum(R, tail_start))
         gap = R < tail_start
         if gap.any():
-            rows = log_panel_rows(R[gap], tail_start, 0.0, 20,
-                                  self.breakpoints)
-            out[gap] += rows.integrate(self.envelope(rows.nodes) / rows.nodes)
+            out[gap] += log_panel_integrals(
+                lambda r: self.envelope(r) / r, R[gap], tail_start, 0.0, 20,
+                self.breakpoints)
         return _shaped(out, shape)
 
     def to_dict(self) -> dict:

@@ -425,6 +425,14 @@ def test_record_thinning():
     assert_allclose(rec.t[-1], 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("every", [0, -1, 2.5])
+def test_a_record_cadence_that_is_not_a_positive_int_is_refused(every):
+    # 0 divided by zero once the run was set up; -1 and 2.5 ran on
+    fld = small_smooth_field(N=64)
+    with pytest.raises(ValueError, match="record_every must be an int >= 1"):
+        simulate_burgers(fld, 1.0, sym=HALF, record_every=every)
+
+
 def test_multiplier_validation():
     fld = small_smooth_field(N=64)
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from moclab.quadrature import (
     gauss_legendre,
     graded_edges,
     log_edges,
-    log_panel_blocks,
+    log_panel_integrals,
     log_panel_rows,
     oscillation_resolved_edges,
     panel_nodes,
@@ -133,26 +133,53 @@ def test_log_panel_rows_match_one_row_at_a_time():
                                                          "shared-kinks"])
 def test_log_panel_blocks_hold_each_row_once_as_a_batch_of_one(
         monkeypatch, budget, per_row):
+    # log_panel_integrals calls f once per block of consecutive rows; each
+    # row's integral is that of its rule as a batch of one, two integrals
+    # on the same nodes included, and an empty window integrates to 0
     if budget is not None:
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
     rng = np.random.default_rng(7)
     lo = np.exp(rng.uniform(-25.0, 0.0, 60))
     hi = lo * np.exp(rng.uniform(0.1, 25.0, 60))
+    empty = [3, 17, 18, 59]
+    hi[empty] = lo[empty]
     kinks = np.exp(rng.uniform(-26.0, 2.0, (60, 3)))
     if not per_row:
         kinks = list(kinks[0])
-    seen = []
-    for at, rows in log_panel_blocks(lo, hi, 3.0, 8, kinks):
-        index = np.arange(lo.size)[at]
-        seen += index.tolist()
-        # over the budget only as a row of its own
-        assert rows.nodes.size <= quadrature._BLOCK_NODES or index.size == 1
-        total = rows.integrate(np.sqrt(rows.nodes))
-        for i, value in zip(index, total):
-            one = log_panel_rows(lo[i], hi[i], 3.0, 8,
-                                 kinks[i:i + 1] if per_row else kinks)
-            assert one.integrate(np.sqrt(one.nodes))[0] == value
-    assert seen == list(range(lo.size))
+    blocks = []
+
+    def f(eta, index):
+        blocks.append((eta.size, np.unique(index).astype(int).tolist()))
+        return np.sqrt(eta), index * eta
+
+    total, scaled = log_panel_integrals(f, lo, hi, 3.0, 8, kinks,
+                                        np.arange(60.0))
+    seen = [i for _, index in blocks for i in index]
+    assert seen == [i for i in range(60) if i not in empty]
+    # over the budget only as a row of its own
+    assert all(size <= quadrature._BLOCK_NODES or len(index) == 1
+               for size, index in blocks)
+    assert np.all(total[empty] == 0.0) and np.all(scaled[empty] == 0.0)
+    for i in seen:
+        one = log_panel_rows(lo[i], hi[i], 3.0, 8,
+                             kinks[i:i + 1] if per_row else kinks)
+        assert one.integrate(np.sqrt(one.nodes))[0] == total[i]
+        assert one.integrate(i * one.nodes)[0] == scaled[i]
+
+
+def test_log_panel_integrals_call_f_once_on_empty_arrays_without_a_window():
+    shapes = []
+
+    def f(eta, x):
+        shapes.append((eta.shape, x.shape))
+        return eta, x
+
+    out = log_panel_integrals(f, [1.0, 2.0], [1.0, 2.0], 3.0, 8, (), 5.0)
+    assert shapes == [((0,), (0,))]
+    assert isinstance(out, tuple) and all(np.array_equal(v, [0.0, 0.0])
+                                          for v in out)
+    with pytest.raises(ValueError, match="0 < lo <= hi"):
+        log_panel_integrals(np.sqrt, [1.0, 2.0], [3.0, 1.0], 3.0, 8, ())
 
 
 def test_log_panel_nodes_stay_inside_narrow_intervals():

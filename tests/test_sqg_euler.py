@@ -38,6 +38,14 @@ def test_monitor_full_sweep_equals_pair_search():
     assert monitor.min_margin == min(swept)
 
 
+@pytest.mark.parametrize("every", [0, -1])
+def test_a_monitor_cadence_that_is_not_a_positive_int_is_refused(every):
+    # 0 divided by zero on the second call; -1 swept in full every call
+    mem, _ = _member_and_field()
+    with pytest.raises(ValueError, match="full_every must be an int >= 1"):
+        ObedienceMonitor(mem, 32, full_every=every)
+
+
 def test_check_obeys_refuses_a_scalar_only_callable():
     # a modulus callable takes an array of separations and returns its
     # shape; one that takes scalars only is refused by name, in one call
