@@ -57,8 +57,9 @@ from scipy.fft import irfft, rfft
 from .fields import (_DT_FLOOR, ScalarField1D, _refuse_bad_cadence,
                      _StagedRun, dealias_cutoff)
 from .kernels import multiplier_of_symbol_1d
-from .quadrature import (classify_decades, decade_increments, graded_edges,
-                         log_edges, log_panel_integrals, panel_nodes)
+from .quadrature import (classify_decades, decade_increments, decade_sum,
+                         graded_edges, log_edges, log_panel_integrals,
+                         panel_nodes)
 from .records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
 from .symbols import DissipationSymbol
 
@@ -142,9 +143,9 @@ def kernel_mass(m):
     Decade masses v_j, the integrals of m over [10^-(j+1), 10^-j] for
     j < _MASS_DECADES (``decade_increments``), are classified by their
     trailing ratios: settled geometric decay certifies convergence (the
-    remainder is summed as a geometric tail and charged to the error), a
-    plateau at 1 certifies divergence, and the slow-decay middle ground
-    raises KernelUndecidedError instead of guessing.
+    remainder is closed as a geometric tail by ``decade_sum`` and charged
+    to the error), a plateau at 1 certifies divergence, and the slow-decay
+    middle ground raises KernelUndecidedError instead of guessing.
 
     Returns (mass, err).
     """
@@ -160,10 +161,8 @@ def kernel_mass(m):
             "per-decade kernel mass does not decay (last ratio %.6f); "
             "integral_0^1 m is divergent" % window[-1])
     if label == "convergent":
-        # no ratio left (every denominator zero) leaves no remainder
-        r = float(np.max(window, initial=0.0))
-        rem = float(v[-1]) * r / (1.0 - r)
-        return float(np.sum(v)) + rem, quad_err + rem
+        total, rem = decade_sum(v, window)
+        return total + rem, quad_err + rem
     raise KernelUndecidedError(
         "per-decade kernel mass shrinks too slowly to certify a finite "
         "integral (trailing ratios %.4f..%.4f); refusing to run the "

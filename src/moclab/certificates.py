@@ -20,17 +20,17 @@ modulus and the breakpoint radii of the symbol, so composite Gauss-Legendre
 panels with those points pinned as edges converge spectrally. Improper
 tails are never truncated blindly: for family members the tail reduces to
 the symbol's envelope integral, which is an exact power law beyond its core,
-and for generic callables the tail is extrapolated from the measured chord
-exponent, with divergence reported when the exponent does not settle below
-one.
+and a generic callable's tail beyond R is read as 40 decades of u = R/eta
+in (0, 1], closed by their geometric remainder when their trailing ratios
+sit below those of omega = eta^0.995 and refused otherwise.
 
 Every functional works on an array of separations, through one
 ``log_panel_integrals`` call per integral. It evaluates each set of
 modulus arguments with one ``omega`` call per block of panels and sums
 each separation's row on its own, so a value is bitwise that of a
 one-point call; the public scalar functionals are that one-point case.
-Only the callables' dyadic tail windows, whose stopping rule is per
-separation, run one separation at a time.
+Only a callable's tails, one ``decade_increments`` call per separation,
+run one separation at a time.
 
 The two criteria weigh different advective terms against the same
 dissipation, so they share one evaluation of a grid: omega, omega', the
@@ -51,7 +51,8 @@ import numpy as np
 
 from .moduli import ModulusMember, _omega_array, _omega_fn, _separations
 from .moduli import build_modulus  # bench/selftest.py asserts this alias
-from .quadrature import log_panel_integrals
+from .quadrature import (classify_decades, decade_increments, decade_sum,
+                         log_panel_integrals)
 from .symbols import DissipationSymbol, _shaped
 
 DEFAULT_A = 2.0
@@ -62,14 +63,25 @@ XI_POINTS_PER_DECADE = 64
 # the advective functionals take the order
 _DISS_PER_DECADE = 2.0
 _DISS_ORDER = 12
+# a callable's tail to infinity: decades of u = R/eta in (0, 1], read by
+# their trailing ratios, which must sit below those of omega = eta^q at
+# q = 0.995 (a Riesz tail of ratio 10^(q - 1) per decade)
+_TAIL_DECADES = 40
+_TAIL_WINDOW = 6
+_TAIL_RATIO = 10.0 ** -0.005
 
 
 class TailDivergenceError(ValueError):
-    """Advective tail integral diverges (omega grows linearly or worse)."""
+    """A callable's tail to infinity whose decade increments do not shrink
+    faster than those of omega = eta^0.995 (linear omega, say)."""
 
 
 def default_xi_grid(lo: float = XI_GRID_LO, hi: float = XI_GRID_HI,
                     per_decade: int = XI_POINTS_PER_DECADE) -> np.ndarray:
+    """Geometric separations from lo to hi, ``per_decade`` per decade."""
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError("a separation grid needs finite bounds with "
+                         f"0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
     n = int(round(per_decade * math.log10(hi / lo)))
     return np.geomspace(lo, hi, n + 1)
 
@@ -116,57 +128,38 @@ def _kink_candidates(kinks: Sequence[float], xi: np.ndarray,
                           + [np.full((xi.size, 1), 0.5 * core)], axis=1)
 
 
+def _decade_tail(fn, R: float, kinks, what: str) -> tuple[float, float]:
+    """(integral of fn over u in (0, 1], error) of a tail beyond R read
+    through eta = R/u: one ``decade_increments`` call (the ``kinks`` in eta
+    past R set on fn as its ``breakpoints`` in u) read by
+    ``classify_decades``, closed by ``decade_sum`` or refused."""
+    # a kink at or below R has no u in (0, 1]: a power symbol puts one at 0
+    fn.breakpoints = [R / k for k in kinks if k > R]
+    inc, quad_err = decade_increments(fn, 1.0, _TAIL_DECADES)
+    label, ratios = classify_decades(inc, _TAIL_WINDOW, _TAIL_RATIO,
+                                     _TAIL_RATIO)
+    if label != "convergent":
+        raise TailDivergenceError(
+            f"{what} beyond {R:.3g}: its decade increments read {label}, "
+            f"trailing ratios {np.array2string(ratios, precision=4)}")
+    total, rem = decade_sum(inc, ratios)
+    return total + rem, quad_err + rem
+
+
 # ---------------------------------------------------------------------------
 # advective certificates
 # ---------------------------------------------------------------------------
-
-def _callable_tail_over_eta2(omega, xi: float, kinks: Sequence[float],
-                             order: int) -> tuple[float, float]:
-    """(integral of omega/eta^2 over (xi, inf), error) for a generic callable.
-
-    Dyadic windows are summed until they stop contributing; the remainder is
-    extrapolated from the chord growth exponent of omega over the last
-    window. An exponent that stays at or above one marks a divergent tail.
-    The stopping rule is per separation, so this runs one xi at a time.
-    """
-    total = 0.0
-    lo = xi
-    w_lo = float(_omega_array(omega, lo))
-    q = 1.0
-    tiny = 1e-300
-    for j in range(200):
-        hi = 2.0 * lo
-        v = float(log_panel_integrals(
-            lambda eta: _omega_array(omega, eta) / eta ** 2, lo, hi, 4.0,
-            order, kinks)[0])
-        total += v
-        w_hi = float(_omega_array(omega, hi))
-        q = math.log2(max(w_hi, tiny) / max(w_lo, tiny))
-        if j >= 60 and q >= 0.995:
-            raise TailDivergenceError(
-                "tail integral of omega/eta^2 diverges: growth exponent "
-                f"{q:.4f} after {j + 1} doublings from {xi:.3g}")
-        lo, w_lo = hi, w_hi
-        if v <= 1e-13 * max(total, tiny) and q < 0.995:
-            break
-    else:
-        if q >= 0.995:
-            raise TailDivergenceError(
-                "tail integral of omega/eta^2 diverges: growth exponent "
-                f"{q:.4f} did not settle below one")
-    # chord-exponent remainder: omega(eta) ~ omega(lo) * (eta/lo)^q
-    rem = w_lo / (lo * max(1.0 - q, 5e-3))
-    return total + rem, abs(rem)
-
 
 def _riesz_tail(omega, xi: np.ndarray, w_xi: np.ndarray,
                 kinks: Sequence[float], order: int):
     """(xi * integral of omega/eta^2 over (xi, inf), error) per separation."""
     if not isinstance(omega, ModulusMember):
         fn = _omega_fn(omega)
-        tail, err = np.array([_callable_tail_over_eta2(fn, x, kinks, order)
-                              for x in xi.tolist()]).reshape(-1, 2).T
-        return xi * tail, xi * err
+        # eta = x/u: x * omega(eta)/eta^2 d(eta) = omega(x/u) du
+        return np.array([
+            _decade_tail(lambda u, x=x: _omega_array(fn, x / u), x, kinks,
+                         "Riesz tail of omega/eta^2")
+            for x in xi.tolist()]).reshape(-1, 2).T
     sym, delta, gamma = omega.sym, omega.delta, omega.gamma
     val = np.empty_like(xi)
     err = np.zeros_like(xi)
@@ -237,10 +230,10 @@ def omega_riesz(omega, xi):
     which bounds velocity increments of a field obeying ``omega`` up to the
     universal constant A (applied by the caller). ``xi`` is a scalar (a
     float comes back) or an array of separations, all evaluated together.
-    Family members use their crossover structure for an exact tail; generic
-    callables fall back to chord-exponent extrapolation and may raise
-    TailDivergenceError, e.g. for linear omega whose tail integral is the
-    divergent integral of 1/eta.
+    Family members use their crossover structure for an exact tail; a
+    generic callable's tail, the integral of omega(xi/u) over u in (0, 1],
+    raises TailDivergenceError unless its decades shrink faster than those
+    of omega = eta^0.995, e.g. for linear omega (the integral of 1/eta).
 
     A ``kinks`` attribute on a callable omega marks its non-smooth points,
     which the quadrature pins as panel edges.
@@ -334,37 +327,6 @@ def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
     return base - correction - rem, rem + 1e-15 * base
 
 
-def _callable_far_windows(omega_fn, sym, xi, w_xi, R0, kinks, order):
-    """Far contribution beyond R0 for a generic callable omega, at one xi:
-    windows double until they stop contributing, a per-separation rule."""
-    scale_ref = 2.0 * w_xi * sym.tail_integral_over_r(xi)
-    total = 0.0
-    prev = None
-    lo = R0
-    eta_kinks = _kink_candidates(kinks, np.array([xi]),
-                                 ((1.0, -1.0), (1.0, 1.0)), sym.core_radius)
-
-    def window(eta):
-        g = 2.0 * w_xi - _omega_array(omega_fn, 2.0 * eta + xi) \
-            + _omega_array(omega_fn, 2.0 * eta - xi)
-        return g * sym.m(2.0 * eta) / eta
-
-    for _ in range(250):
-        hi = 2.0 * lo
-        v = float(log_panel_integrals(window, lo, hi, 4.0, order,
-                                      eta_kinks)[0])
-        total += v
-        if prev is not None and v <= 1e-13 * max(scale_ref, total):
-            ratio = v / prev if prev > 0.0 else 0.0
-            rem = v * ratio / (1.0 - ratio) if ratio < 0.95 else \
-                2.0 * w_xi * sym.tail_integral_over_r(2.0 * hi)
-            return total + rem, rem + 1e-15 * scale_ref
-        prev = v
-        lo = hi
-    rem = 2.0 * w_xi * sym.tail_integral_over_r(2.0 * lo)
-    return total + rem, rem
-
-
 def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
                      w_xi: np.ndarray, ks: Sequence[float],
                      per_decade: float, order: int):
@@ -383,10 +345,21 @@ def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
     R0 = np.maximum(np.maximum(xi, sym.core_radius), 1.0)
     direct, err_d = _far_direct(omega_fn, sym, xi, w_xi, R0, ks, per_decade,
                                 order)
+    eta_kinks = _kink_candidates(ks, xi, ((1.0, -1.0), (1.0, 1.0)),
+                                 sym.core_radius)
+
+    def tail(x, w, R, kinks):
+        def fn(u):
+            # eta = R/u: g(eta) m(2 eta)/eta d(eta) = g(R/u) m(2R/u)/u du
+            eta = R / u
+            g = 2.0 * w - _omega_array(omega_fn, 2.0 * eta + x) \
+                + _omega_array(omega_fn, 2.0 * eta - x)
+            return g * sym.m(2.0 * eta) / u
+        return _decade_tail(fn, R, kinks, "far dissipation")
+
     far, err_f = np.array([
-        _callable_far_windows(omega_fn, sym, x, w, r, ks, order)
-        for x, w, r in zip(xi.tolist(), w_xi.tolist(), R0.tolist())
-    ]).reshape(-1, 2).T
+        tail(*row) for row in zip(xi.tolist(), w_xi.tolist(), R0.tolist(),
+                                  eta_kinks)]).reshape(-1, 2).T
     return near + direct + far, err_n + err_d + err_f
 
 
@@ -400,10 +373,12 @@ def dissipation_lower(omega, sym: DissipationSymbol | None, xi):
 
     both nonnegative for concave omega. The caller divides by A. ``xi`` is
     a scalar (a float comes back) or an array of separations. The far
-    tail is handled through the symbol's exact power law for family members
-    and by decaying dyadic windows for callables. Values inside quadrature
-    noise of zero are clamped to zero; a warning fires if the raw value is
-    negative beyond its own error bar, which indicates a non-concave omega.
+    tail is the symbol's exact power law for family members, and for
+    callables the decades of u = R0/eta past R0 = max(xi, core, 1), which
+    must shrink geometrically (else TailDivergenceError). Values inside
+    quadrature noise of zero are clamped to zero; a warning fires if the
+    raw value is negative beyond its own error bar, which indicates a
+    non-concave omega.
     """
     x, shape = _positive(xi, "dissipation")
     sym = _symbol_of(omega, sym)

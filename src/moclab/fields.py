@@ -223,7 +223,8 @@ class _StagedRun:
     ``nonlinear(spec, aux=None)`` (None for the linear flow) and
     ``grid(spec)``, the (aux, speed) a step reuses in its first RK4 stage
     and limits its size by; the two own every FFT. ``index`` picks the
-    stage's modes out of an array on the N grid. ``dt_max`` None is T/64; a
+    stage's modes out of an array on the N grid. ``T`` must be finite and
+    > 0, ``dt_max`` > 0 or None for T/64, else no step would end the run. A
     step below ``dt_floor`` short of the horizon ends the run "dt-floor".
 
     Iterating yields (t, dt, spec) after each step, on the stage of ``n``
@@ -236,12 +237,14 @@ class _StagedRun:
 
     def __init__(self, spec, N, T, P, physics, *, dt_max, dt_floor,
                  t0=0.0):
+        if not (math.isfinite(T) and T > 0.0):
+            raise ValueError(f"horizon T must be finite and > 0, got {T!r}")
+        if dt_max is not None and not dt_max > 0.0:
+            raise ValueError(f"dt_max must be > 0, got {dt_max!r}")
         _refuse_bad_input("theta0", spec, nonnegative=False)
         kmod = _wavenumber_modulus(N, spec.ndim)
         self.Pk_N = (np.zeros_like(kmod) if P is None else
                      _multiplier_values(P, kmod, "dissipation multiplier"))
-        if T <= 0.0:
-            raise ValueError("horizon must be positive")
         self.N, self.T, self.t0, self.physics_of = N, T, t0, physics
         self.dt_max = T / 64.0 if dt_max is None else dt_max
         self.dt_floor, self.steps, self.stages = dt_floor, 0, []

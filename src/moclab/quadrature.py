@@ -15,7 +15,9 @@ The conventions used throughout the package:
   estimate alongside it;
 * convergence of an integral toward an endpoint is read from the trailing
   ratios of its per-decade increments (``decade_increments`` builds them,
-  ``classify_decades`` reads them), each caller with its own thresholds.
+  ``classify_decades`` reads them, ``decade_sum`` closes a convergent sum),
+  each caller with its own thresholds; a tail to infinity is read through
+  r = R/u toward u = 0.
 """
 from __future__ import annotations
 
@@ -249,6 +251,14 @@ def classify_decades(increments, window: int, conv: float, div: float,
     if ratios.max() <= conv and ratios.max() - ratios.min() <= drift:
         return "convergent", ratios
     return "ambiguous", ratios
+
+
+def decade_sum(increments, ratios) -> tuple[float, float]:
+    """(sum, remainder) of convergent increments: the remainder continues
+    the last at the largest of ``classify_decades``'s ratios (none: 0)."""
+    r = float(np.max(ratios, initial=0.0))
+    return (float(np.sum(increments)),
+            float(np.asarray(increments)[-1]) * r / (1.0 - r))
 
 
 def oscillation_resolved_edges(a: float, b: float, freq: float) -> np.ndarray:

@@ -3,12 +3,15 @@
 A solver run produces a :class:`RunRecord`: named diagnostic series sampled
 along the run, a termination code, a verdict slot, and a metadata dict that
 carries scalar facts about the run (initial norms, grid size, multiplier
-label, config hash when launched through the harness).  The record is the
-only object that crosses from the solvers to verdict logic and persistence,
-which keeps the solver modules import-independent of the harness.
+label, the stages of its run loop).  The record is the object that crosses
+from the solvers to verdict logic and persistence.
 
 Verdicts are plain strings so they serialize without ceremony.  A fresh
-record is UNRESOLVED; only the detection step may promote it.
+record is UNRESOLVED.  A Burgers run gets its verdict from
+``burgers.detect_blowup``; a 2-D run promotes its own record to REGULAR
+when it completed resolved (and, with a monitored modulus, obeyed it),
+and ``sqg_euler.euler_regularity_experiment`` overwrites the verdict of
+the P-Euler run it makes.
 
 Checkpoints are raw spectral dumps (``numpy.save`` of the unnormalized
 spectrum) next to a JSON sidecar holding the time stamp and enough shape
@@ -58,8 +61,8 @@ class RunRecord:
     series : dict
         Column name to 1-D float array, all of equal length.
     verdict : str
-        One of REGULAR / BLOWUP / UNRESOLVED.  Solvers leave this
-        UNRESOLVED; verdict logic overwrites it.
+        One of REGULAR / BLOWUP / UNRESOLVED; UNRESOLVED until a verdict
+        is set (the module docstring says where).
     termination : str
         Why the run stopped: "completed", "gradient-threshold",
         "dt-floor", or "spectral-tail".

@@ -433,6 +433,17 @@ def test_a_record_cadence_that_is_not_a_positive_int_is_refused(every):
         simulate_burgers(fld, 1.0, sym=HALF, record_every=every)
 
 
+@pytest.mark.parametrize("T, kw, name", [
+    (math.nan, {}, "horizon T"), (math.inf, {}, "horizon T"),
+    (0.0, {}, "horizon T"), (1.0, {"dt_max": math.nan}, "dt_max"),
+    (1.0, {"dt_max": 0.0}, "dt_max")])
+def test_a_horizon_or_step_cap_that_would_never_end_is_refused(T, kw, name):
+    # a NaN or infinite horizon, or a NaN step cap, stepped forever; a zero
+    # cap ended the run "dt-floor" at t = 0
+    with pytest.raises(ValueError, match=name):
+        simulate_burgers(small_smooth_field(N=64), T, sym=HALF, **kw)
+
+
 def test_multiplier_validation():
     fld = small_smooth_field(N=64)
     with pytest.raises(ValueError):

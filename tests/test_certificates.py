@@ -99,10 +99,33 @@ def test_tilde_zero_at_zero_and_rejects_negative():
 
 def test_linear_modulus_tail_diverges():
     lin = lambda e: np.asarray(e, dtype=float)
-    with pytest.raises(TailDivergenceError):
+    with pytest.raises(TailDivergenceError, match="read divergent"):
         omega_riesz(lin, 1.0)
     with pytest.raises(TailDivergenceError):
         omega_tilde(lin, 1.0)
+
+
+@pytest.mark.parametrize("xi", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+def test_power_modulus_closed_forms(q, xi):
+    # omega = eta^q: the low part is xi^q / q (less the floor's stub, ~1e-6
+    # at q = 1/2) and xi * the tail is xi^q / (1 - q)
+    power = lambda e: np.asarray(e, dtype=float) ** q
+    assert_allclose(omega_riesz(power, xi),
+                    xi ** q * (1.0 / q + 1.0 / (1.0 - q)), rtol=1e-6)
+    assert_allclose(omega_tilde(power, xi),
+                    xi ** q * (1.0 + 1.0 / (1.0 - q)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("xi", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("q", [0.995, 0.999, 1.0])
+def test_power_modulus_tail_at_or_past_the_cut_diverges(q, xi):
+    # the tail converges for q < 1, but from q = 0.995 on its decade
+    # increments shrink too slowly to be closed
+    power = lambda e: np.asarray(e, dtype=float) ** q
+    for certificate in (omega_riesz, omega_tilde):
+        with pytest.raises(TailDivergenceError):
+            certificate(power, xi)
 
 
 def test_riesz_dominates_tilde_for_concave():
@@ -141,12 +164,30 @@ def test_member_tilde_closed_form_subcritical_tail():
                         2.0 * float(mem.omega(xi)) + tail, rtol=1e-12)
 
 
+MEMBERS = {
+    "power1": base_member,
+    "power0.5": lambda: build_modulus(make_symbol("power", a=0.5), 0.1, 0.01,
+                                      1.0),
+    "log1": lambda: build_modulus(make_symbol("log", a=1.0), 0.05, 0.005,
+                                  1.0),
+}
+
+
+def _as_callable(mem):
+    # the member read as a plain callable, with its kinks
+    return _with_kinks(lambda x: mem.omega(x),
+                       *certificates._omega_kinks(mem))
+
+
 def test_member_and_callable_routes_agree():
-    mem = base_member()
-    fn = _with_kinks(lambda x: mem.omega(x), mem.delta)
-    for xi in (0.02, 0.5, 8.0):
-        assert_allclose(omega_riesz(mem, xi), omega_riesz(fn, xi), rtol=1e-9)
-        assert_allclose(omega_tilde(mem, xi), omega_tilde(fn, xi), rtol=1e-9)
+    for family, member in MEMBERS.items():
+        mem = member()
+        fn = _as_callable(mem)
+        for xi in (0.02, 0.5, 8.0):
+            assert_allclose(omega_riesz(mem, xi), omega_riesz(fn, xi),
+                            rtol=1e-9, err_msg=family)
+            assert_allclose(omega_tilde(mem, xi), omega_tilde(fn, xi),
+                            rtol=1e-9, err_msg=family)
 
 
 def test_member_tilde_within_family_bound():
@@ -183,14 +224,15 @@ def test_dissipation_scales_linearly_in_multiplier():
 
 
 def test_dissipation_member_routes_agree():
-    # the generic route swaps the exact far-field power law for dyadic
-    # windows, so agreement is at quadrature accuracy, not machine epsilon
-    mem = base_member()
-    for xi in (0.03, 0.5, 20.0):
-        fast = dissipation_lower(mem, mem.sym, xi)
-        generic = dissipation_lower(
-            _with_kinks(lambda x: mem.omega(x), mem.delta), mem.sym, xi)
-        assert_allclose(fast, generic, rtol=1e-6)
+    # the generic route swaps the exact far-field power law for decade
+    # increments of the tail, so agreement is at quadrature accuracy, not
+    # machine epsilon
+    for family, member in MEMBERS.items():
+        mem = member()
+        for xi in (0.03, 0.5, 20.0):
+            fast = dissipation_lower(mem, mem.sym, xi)
+            generic = dissipation_lower(_as_callable(mem), mem.sym, xi)
+            assert_allclose(fast, generic, rtol=1e-6, err_msg=family)
 
 
 def test_dissipation_nonnegative_battery():
@@ -285,6 +327,15 @@ def test_sqg_rejects_linear_modulus():
         sym=CRITICAL)
     with pytest.raises(TailDivergenceError):
         sqg_criterion(lin, DEFAULT_A, default_xi_grid(1e-2, 1e2, 2))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (1e2, 1e-5),
+                                    (math.nan, 1.0), (1.0, math.inf)])
+def test_a_separation_grid_refuses_bounds_it_cannot_span(lo, hi):
+    # (0, 1) divided by zero, (-1, 1) hit a math domain error and
+    # (1e2, 1e-5) asked numpy for a negative number of samples
+    with pytest.raises(ValueError, match="0 < lo <= hi"):
+        default_xi_grid(lo, hi)
 
 
 @pytest.mark.parametrize("criterion", [sqg_criterion, burgers_criterion])

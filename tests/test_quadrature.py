@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from moclab import burgers, quadrature, sqg_euler, symbols
+from moclab import burgers, certificates, quadrature, sqg_euler, symbols
 from moclab.quadrature import (
     classify_decades,
     decade_increments,
+    decade_sum,
     gauss_legendre,
     graded_edges,
     log_edges,
@@ -252,6 +253,10 @@ DECADE_TESTS = {
     "trend-tabulated": (symbols, lambda: symbol_from_table(
         [1e-3, 1e-2, 1e-1, 1.0], [1e3, 1e2, 1e1, 1.0])),
     "osgood_check": (sqg_euler, lambda: sqg_euler.osgood_check(_LOGLOG)),
+    "riesz-tail": (certificates, lambda: certificates.omega_riesz(np.sqrt,
+                                                                   1.0)),
+    "far-dissipation": (certificates, lambda: certificates.dissipation_lower(
+        np.sqrt, make_symbol("power", a=1.0), 2.0)),
 }
 
 
@@ -305,6 +310,16 @@ def test_decade_increments_pin_the_breakpoints_of_a_symbol():
 
 _GEOMETRIC = [0.3 ** k for k in range(10)]
 _DRIFTING = list(np.cumprod([1.0, 0.5, 0.6, 0.7, 0.8, 0.9, 0.94]))
+
+
+def test_decade_sum_closes_a_geometric_sum():
+    # 0.3^k for k < 10, closed by the remainder of ratio 0.3: 1 / 0.7
+    inc = np.array(_GEOMETRIC)
+    total, rem = decade_sum(inc, inc[1:] / inc[:-1])
+    assert total == float(np.sum(inc))
+    assert_allclose(total + rem, 1.0 / 0.7, rtol=1e-15)
+    # no ratio leaves no remainder
+    assert decade_sum([1.0, 0.0], []) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("inc, window, drift, label, ratios", [

@@ -46,6 +46,16 @@ def test_a_monitor_cadence_that_is_not_a_positive_int_is_refused(every):
         ObedienceMonitor(mem, 32, full_every=every)
 
 
+@pytest.mark.parametrize("T, kw, name", [
+    (math.nan, {}, "horizon T"), (math.inf, {}, "horizon T"),
+    (1.0, {"dt_max": math.nan}, "dt_max")])
+def test_a_horizon_or_step_cap_that_would_never_end_is_refused(T, kw, name):
+    # a NaN or infinite horizon, or a NaN step cap, stepped forever
+    with pytest.raises(ValueError, match=name):
+        simulate_sqg(_plane_wave(32), T, P=make_multiplier("power", s=1.0),
+                     **kw)
+
+
 def test_check_obeys_refuses_a_scalar_only_callable():
     # a modulus callable takes an array of separations and returns its
     # shape; one that takes scalars only is refused by name, in one call
