@@ -702,10 +702,8 @@ class StratifiedPairSearch:
     into a reused buffer and the argmax and argmin of the signed increment,
     no shifted copy and no abs (``_increment_scan``). It reports through
     ``_scan_report``, as the 1-D ``check_obeys`` does: one column entry per
-    stratum swept, in the order of ``subset`` (all strata, by separation,
-    when it is None). ``run`` can sweep a subset of strata (for cheap
-    in-loop monitoring with a warm start) and refines the worst pair
-    continuously off-lattice.
+    stratum, by separation. ``run`` sweeps every stratum and refines the
+    worst pair continuously off-lattice.
     """
 
     def __init__(self, N: int, omega: Callable[[float], float],
@@ -736,13 +734,11 @@ class StratifiedPairSearch:
         self.separations = sep[order]
         self.omegas = _obedience_omegas(omega, self.separations)
 
-    def run(self, fld: ScalarField2D, subset: np.ndarray | None = None,
-            refine: bool = True) -> ObedienceReport:
+    def run(self, fld: ScalarField2D, refine: bool = True) -> ObedienceReport:
         if fld.N != self.N:
             raise ValueError("field resolution does not match the search grid")
-        idx = np.arange(len(self.offsets)) if subset is None else subset
-        rep = _scan_report(fld.values, self.offsets[idx],
-                           self.separations[idx], self.omegas[idx])
+        rep = _scan_report(fld.values, self.offsets, self.separations.copy(),
+                           self.omegas.copy())
         if refine:
             self._refine(fld, rep)
         return rep

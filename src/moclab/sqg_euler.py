@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft2, rfft2
 
-from .fields import (_DT_FLOOR, ScalarField2D, _refuse_bad_cadence,
-                     _StagedRun, dealias_cutoff, max_hypot,
-                     velocity_multipliers, wavenumber_grids_2d)
+from .fields import (_DT_FLOOR, ScalarField2D, _regrid, _StagedRun,
+                     dealias_cutoff, max_hypot, velocity_multipliers,
+                     wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_fn
 from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
@@ -97,40 +97,77 @@ class _AdvectionCore:
 # breakthrough monitor
 # ----------------------------------------------------------------------
 
-class ObedienceMonitor:
-    """Warm-started obedience margin for an evolving 2D field.
+def _wiener_norm(spec):
+    """Sum of |c_k| / n^2 over the full plane of an rfft2 spectrum on n x n
+    points (columns 0 and n/2 once, the others twice for their
+    conjugates): a bound on the sup of its grid values, and of those of
+    its padding to any finer grid."""
+    a = np.abs(spec)
+    n = a.shape[0]
+    return float(2.0 * a.sum() - a[:, 0].sum() - a[:, n // 2].sum()) / n ** 2
 
-    A full stratified sweep (32 directions, 8 separations per decade),
-    every ``full_every`` calls, ranks all lattice offsets by the report's
-    ``margins`` column; between full sweeps only the 48 worst strata are
-    rescanned, each call refining around the current worst pair.  The
-    temporal coherence of the breakthrough point makes this sound in
-    practice; the periodic full sweep bounds how long a migrating worst
-    pair can hide.  Every sweep reads its strata as views of one tiling of
-    the field, so a call costs one subtraction and two arg-reductions per
-    stratum, plus the off-lattice refinement. A ``full_every`` that is not
-    an int >= 1 is refused with a ValueError.
+
+# each row of a carry is charged this many ulps of its state's Wiener norm
+# per log2(N), for the rounding of the grid values at both ends: an irfft2
+# on N x N points errs by at most about 2 log2(N^2) ulps of it
+_ROUNDING_ULPS = 8.0
+
+
+class ObedienceMonitor:
+    """Obedience margin of an evolving 2D field, scanned only on the rows
+    that a carried bound cannot clear.
+
+    A scan (``margin``) is a full stratified sweep (32 directions, 8
+    separations per decade) of the state padded to N, refined off-lattice
+    around its worst pair; every sweep reads its strata as views of one
+    tiling of the field. Between scans the monitor carries a lower bound
+    on the lattice margin: an increment moves by at most twice the sup of
+    the field's change, and the change of a step is at most the Wiener
+    norm of its stage spectrum's change (the previous stage spectrum
+    padded first when the stage doubled, which is exact). So the bound
+    starts at the smallest lattice margin of the last scan, not its
+    refined margin (the refinement's off-lattice pairs differ from scan to
+    scan), and loses twice each step's Wiener norm plus a rounding charge.
+
+    ``row`` takes the step-end states in turn. It scans row 0 and every
+    row whose carried bound is not > 0, and returns that scan's refined
+    margin; any other row returns its carried bound, which is positive.
+    ``rows`` lists the scanned row indices and ``min_margin`` is the
+    smallest margin they returned. The bound covers the step ends only,
+    not the times between them.
     """
 
-    def __init__(self, member, N, *, full_every=16):
-        _refuse_bad_cadence("full_every", full_every)
+    def __init__(self, member, N):
         self._search = StratifiedPairSearch(
             N, _omega_fn(member), directions=32, separations_per_decade=8)
-        self.full_every = full_every
-        self._hot = None
-        self._calls = 0
+        self._rounding = _ROUNDING_ULPS * math.log2(N) * np.finfo(float).eps
+        self.rows = []
         self.min_margin = math.inf
+        self._seen = 0
+        self._prev = None
+        self._bound = -math.inf
 
     def margin(self, fld):
-        full = self._hot is None or self._calls % self.full_every == 0
-        subset = None if full else self._hot
-        rep = self._search.run(fld, subset=subset)
-        if full:
-            order = np.argsort(rep.margins)
-            self._hot = order[:48]
-        self._calls += 1
+        """The refined margin of one full sweep of ``fld``; the carried
+        bound restarts at its smallest lattice margin."""
+        rep = self._search.run(fld)
+        self._bound = float(np.min(rep.margins))
         self.min_margin = min(self.min_margin, rep.margin)
         return rep.margin
+
+    def row(self, spec, fld):
+        """The margin of the next step-end state: ``spec`` its stage
+        spectrum and ``fld`` its field padded to N."""
+        if self._prev is not None:
+            prev = _regrid(self._prev, self._prev.shape[0], spec.shape[0])
+            self._bound -= 2.0 * _wiener_norm(spec - prev) + \
+                self._rounding * _wiener_norm(spec)
+        self._prev = spec
+        self._seen += 1
+        if self._bound > 0.0:
+            return self._bound
+        self.rows.append(self._seen - 1)
+        return self.margin(fld)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +175,12 @@ class ObedienceMonitor:
 # ----------------------------------------------------------------------
 
 def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
+    """The staged run of either law, one row per step end on the state
+    padded to N. With a ``member`` each row's ``obedience_margin`` comes
+    from ``ObedienceMonitor.row``: a full refined sweep on the rows its
+    carried bound cannot clear (listed in ``meta["monitor_rows"]``, whose
+    smallest margin is ``meta["min_obedience_margin"]``), that bound on
+    the others."""
     if not isinstance(theta0, ScalarField2D):
         raise TypeError("need a ScalarField2D initial condition")
     N = theta0.N
@@ -150,10 +193,11 @@ def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
     rows = {c: [] for c in COLUMNS_2D}
 
     # every step is a row, read on the state padded to N: the monitor
-    # follows the field step by step on the data's grid
+    # follows the field step by step on the data's grid, scanning the rows
+    # its carried bound cannot clear
     def record(t, spec):
         fld = ScalarField2D.from_spectrum(spec, N)
-        margin = monitor.margin(fld) if monitor is not None else math.nan
+        margin = math.nan if monitor is None else monitor.row(spec, fld)
         for col, val in zip(rows, (t, fld.linf(), fld.grad_linf(), fld.l2(),
                                    margin, fld.spectral_tail_fraction())):
             rows[col].append(val)
@@ -181,6 +225,9 @@ def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
     rec.final_state = ScalarField2D.from_spectrum(run.spec, N)
     if monitor is not None:
         rec.meta["min_obedience_margin"] = monitor.min_margin
+        rec.meta["monitor_rows"] = monitor.rows
+    # a skipped row's margin is a positive bound, so the scanned rows
+    # decide whether every row's margin is positive
     if run.termination == "completed" and run.cap_unresolved_t is None and \
             (monitor is None or monitor.min_margin > 0.0):
         rec.verdict = REGULAR
@@ -197,14 +244,19 @@ def simulate_sqg(theta0, T, *, P, member=None, dt_max=None,
     ``meta["cap_unresolved_t"]`` and ``meta["final_tail"]``; every row, the
     monitor's lattice scan and ``final_state`` read the state padded to N,
     and its off-lattice refinement the stage spectrum (``ScalarField2D``).
-    With a ``member`` the obedience margin of that modulus is tracked on
-    every step; breakthrough shows up as a negative margin, never as an
-    exception.  ``dt_max`` caps the step (default T/64); the run stops
+    With a ``member`` every step end gets the obedience margin of that
+    modulus (``ObedienceMonitor``): a full sweep on row 0 and on each row
+    that the bound carried from the last sweep cannot clear
+    (``meta["monitor_rows"]``), and that positive bound on the others.
+    The bound covers the step ends only; the time between them is left
+    open (ROADMAP item 17). ``meta["min_obedience_margin"]`` is the
+    smallest swept margin, and breakthrough shows up as a non-positive
+    margin, never as an exception.  ``dt_max`` caps the step (default T/64); the run stops
     early as "dt-floor", or as "spectral-tail" once the top-eighth share
     at N passes ``tail_limit``.  A run is REGULAR only if it completed,
     its stage at N never failed the refine rule
     (``meta["cap_unresolved_t"]`` is None) and, with a ``member``, every
-    margin was positive; it is UNRESOLVED otherwise.
+    row's margin was positive; it is UNRESOLVED otherwise.
     """
     return _run_2d(theta0, T, P, "sqg", dt_max=dt_max, dt_floor=dt_floor,
                    member=member, tail_limit=tail_limit)

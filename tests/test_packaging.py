@@ -146,9 +146,6 @@ TEST_OPTIONS = {
                                              "short",
     "records.save_checkpoint(meta)": "the run metadata a restart reads back "
                                      "(ROADMAP item 4)",
-    "sqg_euler.ObedienceMonitor.__init__(full_every)": "a full sweep on every "
-                                                       "call, against the "
-                                                       "pair search",
     "sqg_euler.simulate_sqg(dt_floor)": "the dt-floor exit",
     "sqg_euler.simulate_sqg(tail_limit)": "the spectral-tail exit",
     "sqg_euler.simulate_p_euler(dt_max)": "steps left to the CFL bound, "

@@ -8,8 +8,9 @@ from scipy.integrate import quad
 from moclab import fields, sqg_euler
 from moclab.certificates import PlainModulus, omega_riesz, omega_tilde
 from moclab.fields import ScalarField1D, ScalarField2D, velocity_multipliers
+from moclab.kernels import fractional_normalization
 from moclab.moduli import (StratifiedPairSearch, build_modulus,
-                           check_obeys, validate_modulus)
+                           check_obeys, find_B_for_data, validate_modulus)
 from moclab.sqg_euler import (ObedienceMonitor, osgood_check,
                               simulate_p_euler, simulate_sqg)
 from moclab.records import REGULAR, UNRESOLVED
@@ -27,7 +28,7 @@ def _member_and_field():
 
 def test_monitor_full_sweep_equals_pair_search():
     mem, fld = _member_and_field()
-    monitor = ObedienceMonitor(mem, 32, full_every=1)
+    monitor = ObedienceMonitor(mem, 32)
     search = StratifiedPairSearch(32, mem.omega, directions=32,
                                   separations_per_decade=8)
     swept = []
@@ -38,12 +39,89 @@ def test_monitor_full_sweep_equals_pair_search():
     assert monitor.min_margin == min(swept)
 
 
-@pytest.mark.parametrize("every", [0, -1])
-def test_a_monitor_cadence_that_is_not_a_positive_int_is_refused(every):
-    # 0 divided by zero on the second call; -1 swept in full every call
-    mem, _ = _member_and_field()
-    with pytest.raises(ValueError, match="full_every must be an int >= 1"):
-        ObedienceMonitor(mem, 32, full_every=every)
+def test_the_bench_run_scans_six_of_its_65_rows():
+    # the monitored run of the README and of the sqg_monitored bench at
+    # seed 1: the t = 0 sweep holds the smallest margin
+    fld = ScalarField2D.random_band_limited(128, kmax=4, amplitude=0.05,
+                                            seed=1)
+    sym = make_symbol("power", a=1.0,
+                      scale=fractional_normalization(2, 1.0))
+    B = find_B_for_data(fld, sym, kappa=0.05, gamma=0.01)
+    rec = simulate_sqg(fld, 0.5, P=make_multiplier("power", s=1.0),
+                       member=build_modulus(sym, 0.05, 0.01, B))
+    assert rec.meta["steps"] == 64 and rec.verdict == REGULAR
+    assert rec.meta["monitor_rows"] == [0, 3, 8, 16, 30, 62]
+    assert rec.meta["min_obedience_margin"] == rec["obedience_margin"][0]
+
+
+def _monitored_rows(monkeypatch, theta0, T, omega, **kw):
+    # the run's record and the padded state of each of its rows, as the
+    # monitor was handed them
+    states = []
+    row = ObedienceMonitor.row
+
+    def kept(self, spec, fld):
+        states.append(fld)
+        return row(self, spec, fld)
+
+    monkeypatch.setattr(ObedienceMonitor, "row", kept)
+    rec = simulate_sqg(theta0, T, member=omega, **kw)
+    assert len(states) == len(rec["t"])
+    return rec, states
+
+
+def test_the_carried_bound_is_a_lower_bound_on_every_row(monkeypatch):
+    # a skipped row stores a bound on its lattice margin; a scanned row
+    # stores the full refined sweep's margin to the bit
+    mem, fld = _member_and_field()
+    rec, states = _monitored_rows(monkeypatch, fld, 0.25, mem,
+                                  P=make_multiplier("power", s=1.0),
+                                  dt_max=0.0125)
+    search = StratifiedPairSearch(32, mem.omega, directions=32,
+                                  separations_per_decade=8)
+    scanned = rec.meta["monitor_rows"]
+    assert rec.meta["steps"] >= 16 and scanned[0] == 0
+    assert 1 < len(scanned) < len(states)
+    for i, (stored, state) in enumerate(zip(rec["obedience_margin"],
+                                            states)):
+        assert stored <= search.run(state, refine=False).margin
+        if i in scanned:
+            assert stored.hex() == search.run(state).margin.hex()
+        else:
+            assert stored > 0.0
+    assert rec.meta["min_obedience_margin"] == \
+        min(rec["obedience_margin"][i] for i in scanned)
+
+
+def test_a_breakthrough_is_found_at_the_row_a_scan_of_every_row_finds(
+        monkeypatch):
+    # a Lipschitz modulus 1.3 times the data's lattice slope: the saddle
+    # data of Constantin, Majda and Tabak steepen into a front, and the
+    # margin at the grid scale falls through 0 mid-run
+    N = 32
+    theta0 = ScalarField2D.from_function(
+        N, lambda x, y: np.sin(x) * np.sin(y) + np.cos(y))
+    lattice = StratifiedPairSearch(N, lambda xi: np.asarray(xi),
+                                   directions=32, separations_per_decade=8)
+    rep = lattice.run(theta0, refine=False)
+    slope = 1.3 * np.max(rep.increments / rep.separations)
+
+    def omega(xi):
+        return slope * np.asarray(xi)
+
+    rec, states = _monitored_rows(monkeypatch, theta0, 3.5, omega,
+                                  P=lambda k: 0.0 * k, dt_max=0.05,
+                                  tail_limit=1e-2)
+    search = StratifiedPairSearch(N, omega, directions=32,
+                                  separations_per_decade=8)
+    every = np.array([search.run(state).margin for state in states])
+    stored = np.asarray(rec["obedience_margin"])
+    first = int(np.argmax(every <= 0.0))
+    assert every[0] > 0.0 and every[first] <= 0.0
+    assert int(np.argmax(stored <= 0.0)) == first
+    # the monitor skipped rows before it found the breakthrough
+    assert len([i for i in rec.meta["monitor_rows"] if i < first]) < first
+    assert rec.termination == "completed" and rec.verdict == UNRESOLVED
 
 
 @pytest.mark.parametrize("T, kw, name", [
