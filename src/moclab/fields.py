@@ -560,8 +560,12 @@ class ScalarField2D:
         return float(math.sqrt(TWO_PI ** 2 * np.mean(self.values ** 2)))
 
     def grad_linf(self) -> float:
-        gx, gy = self.gradient()
-        return max_hypot(gx.values, gy.values)
+        """sup |grad theta| on the grid: ``gradient``'s two fields, inverted
+        straight from the spectrum."""
+        kx, ky = self.wavenumber_grids()
+        n = self.N
+        return max_hypot(irfft2(1j * kx * self.spec, s=(n, n)),
+                         irfft2(1j * ky * self.spec, s=(n, n)))
 
     def spectral_tail_fraction(self) -> float:
         """Enstrophy fraction carried by the top 1/8 of the active band."""

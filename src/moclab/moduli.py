@@ -716,17 +716,13 @@ class StratifiedPairSearch:
             separations_per_decade * math.log10(smax / h))) + 1)
         radii = np.geomspace(h, smax, n_sep)
         angles = np.pi * np.arange(directions) / directions
-        seen = {}
-        for s in radii:
-            for phi in angles:
-                dx = int(round(s * math.cos(phi) / h))
-                dy = int(round(s * math.sin(phi) / h))
-                if dx == 0 and dy == 0:
-                    continue
-                dx = (dx + N // 2) % N - N // 2
-                dy = (dy + N // 2) % N - N // 2
-                seen[(dx, dy)] = True
-        offs = np.array(sorted(seen))
+        # every radius times direction rounded to the lattice but the
+        # origin, wrapped to the torus (|v| < N h, so no other offset wraps
+        # onto it), distinct and in lexicographic order
+        units = np.stack((np.cos(angles), np.sin(angles)), axis=-1)
+        offs = np.rint(radii[:, None, None] * units / h).astype(int)
+        offs = offs[np.any(offs != 0, axis=-1)]
+        offs = np.unique((offs + N // 2) % N - N // 2, axis=0)
         sep = h * np.hypot(np.minimum(np.abs(offs[:, 0]), N - np.abs(offs[:, 0])),
                            np.minimum(np.abs(offs[:, 1]), N - np.abs(offs[:, 1])))
         order = np.argsort(sep)

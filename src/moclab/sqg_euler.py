@@ -10,8 +10,9 @@ The velocity multipliers and the wavenumber grids come from ``fields``,
 and the run loop is the staged integrating-factor RK4 loop that 1-D
 Burgers shares (``fields._StagedRun``), so a 2-D run goes in stages of
 N / 2^i per axis too.  This module supplies the advection term, whose step
-velocity feeds both the CFL rule and stage 1, the diagnostics recorded on
-the state padded to N, and the spectral-tail stop rule at N.
+grid fields (velocity and gradient, one batched transform) feed both the
+CFL rule and stage 1, the diagnostics recorded on the state padded to N,
+and the spectral-tail stop rule at N.
 
 Products are formed on the grid with a 2/3-rule mask; both laws produce
 exactly divergence-free velocities, and a plane wave annihilates its own
@@ -32,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft2, rfft2
 
-from .fields import (_DT_FLOOR, ScalarField2D, _regrid, _StagedRun,
-                     dealias_cutoff, max_hypot, velocity_multipliers,
-                     wavenumber_grids_2d)
+from .fields import (_DT_FLOOR, _EPS, ScalarField2D, _spectral_tail,
+                     _StagedRun, _tail_band, dealias_cutoff, max_hypot,
+                     velocity_multipliers, wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_fn
 from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
@@ -62,56 +63,43 @@ _TAIL_LIMIT = 1e-6
 # ----------------------------------------------------------------------
 
 class _AdvectionCore:
-    """u . grad(theta) in spectral form for a fixed velocity law."""
+    """u . grad(theta) in spectral form for a fixed velocity law.
+
+    The four grid fields of a spectrum (ux, uy, d_x theta, d_y theta) come
+    from one batched inverse transform of the stacked factors (mx, my,
+    i kx, i ky) times it, which returns each field bit for bit as its own
+    ``irfft2`` would: a step takes 4 inverse calls of 4 fields and 4
+    forward calls, 8 transforms of 20 fields.
+    """
 
     def __init__(self, N, mx, my):
         self.N = N
         kx, ky = wavenumber_grids_2d(N)
         # 1j * kx * spec evaluates left to right, so these factors give
         # the products of the unfactored expressions bitwise
-        self.ikx, self.iky = 1j * kx, 1j * ky
+        self.factors = np.stack(np.broadcast_arrays(mx, my, 1j * kx, 1j * ky))
         self.neg_mask = -(np.hypot(kx, ky) <= dealias_cutoff(N)).astype(float)
-        self.mx, self.my = mx, my
 
-    def velocity(self, spec):
+    def fields(self, spec):
+        """(ux, uy, gx, gy) of ``spec`` on the grid, stacked."""
         n = self.N
-        return (irfft2(self.mx * spec, s=(n, n)),
-                irfft2(self.my * spec, s=(n, n)))
+        return irfft2(self.factors * spec, s=(n, n), axes=(-2, -1))
 
     def grid(self, spec):
-        """The grid velocity of ``spec`` and its sup: a step's speed, and
-        the velocity its first RK4 stage reuses."""
-        u = self.velocity(spec)
-        return u, max_hypot(*u)
+        """The grid fields of ``spec`` and the sup of its velocity: a step's
+        speed, and the fields its first RK4 stage reuses."""
+        fields = self.fields(spec)
+        return fields, max_hypot(fields[0], fields[1])
 
-    def nonlinear(self, spec, velocity=None):
-        """Pass ``velocity`` when the grid velocity of ``spec`` is at hand."""
-        n = self.N
-        ux, uy = self.velocity(spec) if velocity is None else velocity
-        gx = irfft2(self.ikx * spec, s=(n, n))
-        gy = irfft2(self.iky * spec, s=(n, n))
+    def nonlinear(self, spec, fields=None):
+        """Pass ``fields`` when the grid fields of ``spec`` are at hand."""
+        ux, uy, gx, gy = self.fields(spec) if fields is None else fields
         return self.neg_mask * rfft2(ux * gx + uy * gy)
 
 
 # ----------------------------------------------------------------------
 # breakthrough monitor
 # ----------------------------------------------------------------------
-
-def _wiener_norm(spec):
-    """Sum of |c_k| / n^2 over the full plane of an rfft2 spectrum on n x n
-    points (columns 0 and n/2 once, the others twice for their
-    conjugates): a bound on the sup of its grid values, and of those of
-    its padding to any finer grid."""
-    a = np.abs(spec)
-    n = a.shape[0]
-    return float(2.0 * a.sum() - a[:, 0].sum() - a[:, n // 2].sum()) / n ** 2
-
-
-# each row of a carry is charged this many ulps of its state's Wiener norm
-# per log2(N), for the rounding of the grid values at both ends: an irfft2
-# on N x N points errs by at most about 2 log2(N^2) ulps of it
-_ROUNDING_ULPS = 8.0
-
 
 class ObedienceMonitor:
     """Obedience margin of an evolving 2D field, scanned only on the rows
@@ -120,52 +108,61 @@ class ObedienceMonitor:
     A scan (``margin``) is a full stratified sweep (32 directions, 8
     separations per decade) of the state padded to N, refined off-lattice
     around its worst pair; every sweep reads its strata as views of one
-    tiling of the field. Between scans the monitor carries a lower bound
-    on the lattice margin: an increment moves by at most twice the sup of
-    the field's change, and the change of a step is at most the Wiener
-    norm of its stage spectrum's change (the previous stage spectrum
-    padded first when the stage doubled, which is exact). So the bound
-    starts at the smallest lattice margin of the last scan, not its
-    refined margin (the refinement's off-lattice pairs differ from scan to
-    scan), and loses twice each step's Wiener norm plus a rounding charge.
+    tiling of the field. The monitor keeps the grid values theta_s of the
+    last swept row and its smallest lattice margin mu_s (not its refined
+    margin: the refinement's off-lattice pairs differ from sweep to sweep).
+    Every lattice pair joins two points of the N grid, so on a later row r
+    each increment has moved by at most 2 d, d = max |theta_r - theta_s|
+    over the grid, and row r's lattice margin is at least
+
+        mu_s - 2 d - charge.
+
+    The charge covers the rounding, u = eps / 2 per operation. With w the
+    largest |omega| of a stratum and S = sup|theta_r| + sup|theta_s|, to
+    first order in u: the two rows' scan subtractions err by 2 u S, their
+    omega - increment by 2 u (w + S), the computed d by u S (2 u S on the
+    bound) and the bound's own two subtractions by 2 u (w + 4 S). That is
+    2 eps w + 7 eps S in all, and the charge is 4 eps (w + 2 S), with
+    sup|theta_r| taken as sup|theta_s| + d. Both states are on the N grid
+    whatever the run's stage, so a stage doubling needs no special case.
 
     ``row`` takes the step-end states in turn. It scans row 0 and every
-    row whose carried bound is not > 0, and returns that scan's refined
-    margin; any other row returns its carried bound, which is positive.
-    ``rows`` lists the scanned row indices and ``min_margin`` is the
-    smallest margin they returned. The bound covers the step ends only,
-    not the times between them.
+    row whose bound is not > 0, and returns that scan's refined margin;
+    any other row returns its bound, which is positive. ``rows`` lists the
+    scanned row indices and ``min_margin`` is the smallest margin they
+    returned. The bound covers the step ends only, not the times between
+    them.
     """
 
     def __init__(self, member, N):
         self._search = StratifiedPairSearch(
             N, _omega_fn(member), directions=32, separations_per_decade=8)
-        self._rounding = _ROUNDING_ULPS * math.log2(N) * np.finfo(float).eps
+        self._omega_top = float(np.max(np.abs(self._search.omegas)))
         self.rows = []
         self.min_margin = math.inf
         self._seen = 0
-        self._prev = None
-        self._bound = -math.inf
+        self._swept = None
 
     def margin(self, fld):
         """The refined margin of one full sweep of ``fld``; the carried
-        bound restarts at its smallest lattice margin."""
+        bound restarts from its grid values and smallest lattice margin."""
         rep = self._search.run(fld)
-        self._bound = float(np.min(rep.margins))
+        self._swept = fld.values
+        self._swept_sup = fld.linf()
+        self._swept_margin = float(np.min(rep.margins))
         self.min_margin = min(self.min_margin, rep.margin)
         return rep.margin
 
-    def row(self, spec, fld):
-        """The margin of the next step-end state: ``spec`` its stage
-        spectrum and ``fld`` its field padded to N."""
-        if self._prev is not None:
-            prev = _regrid(self._prev, self._prev.shape[0], spec.shape[0])
-            self._bound -= 2.0 * _wiener_norm(spec - prev) + \
-                self._rounding * _wiener_norm(spec)
-        self._prev = spec
+    def row(self, fld):
+        """The margin of the next step-end state ``fld``, padded to N."""
         self._seen += 1
-        if self._bound > 0.0:
-            return self._bound
+        if self._swept is not None:
+            change = float(np.max(np.abs(fld.values - self._swept)))
+            charge = 4.0 * _EPS * (self._omega_top + 2.0 * (
+                2.0 * self._swept_sup + change))
+            bound = self._swept_margin - 2.0 * change - charge
+            if bound > 0.0:
+                return bound
         self.rows.append(self._seen - 1)
         return self.margin(fld)
 
@@ -180,7 +177,8 @@ def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
     from ``ObedienceMonitor.row``: a full refined sweep on the rows its
     carried bound cannot clear (listed in ``meta["monitor_rows"]``, whose
     smallest margin is ``meta["min_obedience_margin"]``), that bound on
-    the others."""
+    the others. A row reads the padded state with one inverse transform
+    and its gradient with two more, and its tail on a band built once."""
     if not isinstance(theta0, ScalarField2D):
         raise TypeError("need a ScalarField2D initial condition")
     N = theta0.N
@@ -190,6 +188,7 @@ def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
                                                      my[index]),
                      dt_max=dt_max, dt_floor=dt_floor)
     monitor = None if member is None else ObedienceMonitor(member, N)
+    band = _tail_band(N, 2)
     rows = {c: [] for c in COLUMNS_2D}
 
     # every step is a row, read on the state padded to N: the monitor
@@ -197,9 +196,9 @@ def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
     # its carried bound cannot clear
     def record(t, spec):
         fld = ScalarField2D.from_spectrum(spec, N)
-        margin = math.nan if monitor is None else monitor.row(spec, fld)
+        margin = math.nan if monitor is None else monitor.row(fld)
         for col, val in zip(rows, (t, fld.linf(), fld.grad_linf(), fld.l2(),
-                                   margin, fld.spectral_tail_fraction())):
+                                   margin, _spectral_tail(fld.spec, band))):
             rows[col].append(val)
         return rows["spectral_tail"][-1] > tail_limit
 
@@ -248,10 +247,12 @@ def simulate_sqg(theta0, T, *, P, member=None, dt_max=None,
     modulus (``ObedienceMonitor``): a full sweep on row 0 and on each row
     that the bound carried from the last sweep cannot clear
     (``meta["monitor_rows"]``), and that positive bound on the others.
-    The bound covers the step ends only; the time between them is left
-    open (ROADMAP item 17). ``meta["min_obedience_margin"]`` is the
-    smallest swept margin, and breakthrough shows up as a non-positive
-    margin, never as an exception.  ``dt_max`` caps the step (default T/64); the run stops
+    The bound is the last sweep's smallest lattice margin less twice the
+    grid change since that sweep and a rounding charge. It covers the step
+    ends only; the time between them is left open (ROADMAP item 17).
+    ``meta["min_obedience_margin"]`` is the smallest swept margin, and
+    breakthrough shows up as a non-positive margin, never as an
+    exception. ``dt_max`` caps the step (default T/64); the run stops
     early as "dt-floor", or as "spectral-tail" once the top-eighth share
     at N passes ``tail_limit``.  A run is REGULAR only if it completed,
     its stage at N never failed the refine rule

@@ -77,9 +77,11 @@ def test_2d_basics():
         64, lambda x, y: np.sin(x) * np.cos(2.0 * y))
     assert_allclose(f.linf(), 1.0, rtol=1e-12)
     g = ScalarField1D.grid_of(64)
-    gx, _ = f.gradient()
+    gx, gy = f.gradient()
     assert_allclose(gx.values, np.cos(g)[:, None] * np.cos(2.0 * g)[None, :],
                     atol=1e-12)
+    # grad_linf reads the gradient's two fields off the spectrum directly
+    assert f.grad_linf() == np.max(np.hypot(gx.values, gy.values))
     pts = np.array([[0.3, 1.1], [4.0, 0.2]])
     assert_allclose(f.evaluate_at(pts),
                     np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1]), atol=1e-12)

@@ -522,6 +522,37 @@ def test_scan_tie_goes_to_the_first_index():
     assert (j.tolist(), inc.tolist()) == ([1], [2.0])
 
 
+def _looped_offsets(N, directions, separations_per_decade):
+    # the pair search's strata rounded one (radius, angle) at a time, in
+    # the order the search keeps them
+    h = 2.0 * math.pi / N
+    smax = math.pi * math.sqrt(2.0)
+    n_sep = max(2, int(math.ceil(
+        separations_per_decade * math.log10(smax / h))) + 1)
+    seen = {}
+    for s in np.geomspace(h, smax, n_sep):
+        for phi in np.pi * np.arange(directions) / directions:
+            dx = int(round(s * math.cos(phi) / h))
+            dy = int(round(s * math.sin(phi) / h))
+            if dx == 0 and dy == 0:
+                continue
+            seen[((dx + N // 2) % N - N // 2, (dy + N // 2) % N - N // 2)] = 1
+    offs = np.array(sorted(seen))
+    wrapped = np.minimum(np.abs(offs), N - np.abs(offs))
+    return offs[np.argsort(h * np.hypot(wrapped[:, 0], wrapped[:, 1]))]
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 96, 128, 256, 512, 1024])
+@pytest.mark.parametrize("directions, per_decade", [(64, 12), (32, 8)])
+def test_pair_search_offsets_equal_the_rounding_loop(N, directions,
+                                                     per_decade):
+    search = moduli.StratifiedPairSearch(
+        N, lambda xi: np.asarray(xi), directions, per_decade)
+    ref = _looped_offsets(N, directions, per_decade)
+    assert search.offsets.dtype == ref.dtype
+    assert np.array_equal(search.offsets, ref)
+
+
 def test_1d_obedience_refuses_a_nan_field():
     # a NaN increment is no margin: the field must not read as obeying
     v = np.sin(ScalarField1D.grid_of(64))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.fft import irfft2
 from scipy.integrate import quad
 
 from moclab import fields, sqg_euler
@@ -39,7 +40,7 @@ def test_monitor_full_sweep_equals_pair_search():
     assert monitor.min_margin == min(swept)
 
 
-def test_the_bench_run_scans_six_of_its_65_rows():
+def test_the_bench_run_sweeps_three_of_its_65_rows():
     # the monitored run of the README and of the sqg_monitored bench at
     # seed 1: the t = 0 sweep holds the smallest margin
     fld = ScalarField2D.random_band_limited(128, kmax=4, amplitude=0.05,
@@ -50,7 +51,7 @@ def test_the_bench_run_scans_six_of_its_65_rows():
     rec = simulate_sqg(fld, 0.5, P=make_multiplier("power", s=1.0),
                        member=build_modulus(sym, 0.05, 0.01, B))
     assert rec.meta["steps"] == 64 and rec.verdict == REGULAR
-    assert rec.meta["monitor_rows"] == [0, 3, 8, 16, 30, 62]
+    assert rec.meta["monitor_rows"] == [0, 6, 20]
     assert rec.meta["min_obedience_margin"] == rec["obedience_margin"][0]
 
 
@@ -60,9 +61,9 @@ def _monitored_rows(monkeypatch, theta0, T, omega, **kw):
     states = []
     row = ObedienceMonitor.row
 
-    def kept(self, spec, fld):
+    def kept(self, fld):
         states.append(fld)
-        return row(self, spec, fld)
+        return row(self, fld)
 
     monkeypatch.setattr(ObedienceMonitor, "row", kept)
     rec = simulate_sqg(theta0, T, member=omega, **kw)
@@ -122,6 +123,37 @@ def test_a_breakthrough_is_found_at_the_row_a_scan_of_every_row_finds(
     # the monitor skipped rows before it found the breakthrough
     assert len([i for i in rec.meta["monitor_rows"] if i < first]) < first
     assert rec.termination == "completed" and rec.verdict == UNRESOLVED
+
+
+def test_the_carried_bound_holds_across_a_stage_doubling(monkeypatch):
+    # the inviscid seed-9 data refine their stage 64 -> 128 mid-run under
+    # a Lipschitz modulus 1.3 times their lattice slope; the monitor reads
+    # every state on the 128 grid, so its bound carries across the change
+    theta0 = ScalarField2D.random_band_limited(128, 8, 20.0, seed=9)
+    lattice = StratifiedPairSearch(128, lambda xi: np.asarray(xi),
+                                   directions=32, separations_per_decade=8)
+    rep = lattice.run(theta0, refine=False)
+    slope = 1.3 * np.max(rep.increments / rep.separations)
+
+    def omega(xi):
+        return slope * np.asarray(xi)
+
+    rec, states = _monitored_rows(monkeypatch, theta0, 0.02, omega,
+                                  P=make_multiplier("zero"))
+    first, cap = rec.meta["stages"]
+    assert (first["N"], cap["N"]) == (64, 128)
+    doubled = first["steps"]
+    search = StratifiedPairSearch(128, omega, directions=32,
+                                  separations_per_decade=8)
+    scanned = rec.meta["monitor_rows"]
+    # a bound carried from a sweep before the doubling clears a row after
+    assert any(i not in scanned and max(j for j in scanned if j < i)
+               < doubled for i in range(doubled + 1, len(states)))
+    for i, (stored, state) in enumerate(zip(rec["obedience_margin"],
+                                            states)):
+        assert stored <= search.run(state, refine=False).margin
+        if i in scanned:
+            assert stored.hex() == search.run(state).margin.hex()
 
 
 @pytest.mark.parametrize("T, kw, name", [
@@ -421,27 +453,50 @@ def test_early_stops_leave_the_2d_run_unresolved():
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_stepper_fft_count_2d(law, monkeypatch):
-    # 20 transforms per step in the advection core: 2 for the step's
-    # velocity, reused by stage 1, 3 more in stage 1 and 5 in each later
-    # stage; 3 per row (one per step, plus t = 0) and 1 for the final
-    # state in fields
+    # 8 transforms of 20 fields per step in the advection core: 1 inverse
+    # of the step's 4 grid fields (velocity and gradient), reused by stage
+    # 1, 1 forward in stage 1, and 1 inverse of 4 fields and 1 forward in
+    # each later stage; 3 transforms of 1 field per row (one per step,
+    # plus t = 0) and 1 for the final state in fields
     theta0 = ScalarField2D.random_band_limited(32, kmax=4, amplitude=0.3,
                                                seed=11)
     _ = theta0.spec
     calls = {"advection": 0, "fields": 0}
+    planes = {"advection": 0, "fields": 0}
     for module, key in ((sqg_euler, "advection"), (fields, "fields")):
         for name in ("rfft2", "irfft2"):
             fn = getattr(module, name)
 
             def counted(*args, fn=fn, key=key, **kwargs):
+                out = fn(*args, **kwargs)
                 calls[key] += 1
-                return fn(*args, **kwargs)
+                planes[key] += out[..., 0, 0].size
+                return out
 
             monkeypatch.setattr(module, name, counted)
     simulate, P = LAWS[law]
     rec = simulate(theta0, 0.2, P=P, dt_max=0.01)
     assert rec.meta["steps"] == 20 and len(rec["t"]) == 21
-    assert calls == {"advection": 20 * 20, "fields": 3 * 21 + 1}
+    assert calls == {"advection": 20 * 8, "fields": 3 * 21 + 1}
+    assert planes == {"advection": 20 * 20, "fields": 3 * 21 + 1}
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_the_batched_advection_fields_equal_four_transforms(n):
+    # one inverse transform of the four stacked factors times a spectrum
+    # gives each grid field bit for bit as its own irfft2
+    theta = ScalarField2D.random_band_limited(n, kmax=n // 3, amplitude=1.0,
+                                              seed=5)
+    mx, my = velocity_multipliers(n, "sqg")
+    kx, ky = fields.wavenumber_grids_2d(n)
+    core = sqg_euler._AdvectionCore(n, mx, my)
+    grid, speed = core.grid(theta.spec)
+    one_by_one = [irfft2(factor * theta.spec, s=(n, n))
+                  for factor in (mx, my, 1j * kx, 1j * ky)]
+    assert grid.shape == (4, n, n)
+    for got, ref in zip(grid, one_by_one):
+        assert np.array_equal(got, ref)
+    assert speed == np.max(np.hypot(*one_by_one[:2]))
 
 
 # ----------------------------------------------------------------------
