@@ -147,7 +147,7 @@ def multiplier_of_symbol_1d(sym: DissipationSymbol, k):
         y, w = panel_nodes(edges, _ORDER)
         core = _sin2_accumulate(ks, y, w * sym.m(y) / y)
         T, al = sym.tail_coeff, sym.alpha
-        tail_full = 2.0 * T * Rc ** (-al) / al
+        tail_full = 2.0 * sym.tail_integral_over_r(Rc)
         osc = np.empty(ks.size)
         for i, kk in enumerate(ks):
             val, _ = quad(lambda r: r ** (-1.0 - al), Rc, np.inf,

@@ -385,16 +385,10 @@ class ModulusMember:
 _DELTA_FLOOR = 1e-300
 
 
-def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
-                  B: float) -> ModulusMember:
-    """Construct a family member and verify its built-in invariants.
-
-    Fails loudly, naming the violated inequality, if the smallness
-    conditions do not hold or if the constructed slope dips below B/2
-    before the crossover scale.
-    """
-    if not B >= 1.0:
-        raise ModulusConstructionError(f"requires B >= 1, got B = {B}")
+def _check_parameters(sym: DissipationSymbol, kappa: float,
+                      gamma: float) -> None:
+    """Refuse by name the smallness conditions on kappa and gamma that
+    every member of the family needs."""
     if not gamma > 0.0:
         raise ModulusConstructionError(f"requires gamma > 0, got {gamma}")
     if not 2.0 * gamma <= kappa:
@@ -405,21 +399,34 @@ def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
         raise ModulusConstructionError(
             f"requires kappa < r0/(4*C0) = {bound:.6g}, got kappa = {kappa}")
 
-    # NaN where the root is not resolved, which the refusal below names
+
+def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
+                  B: float) -> ModulusMember:
+    """Construct a family member and verify its built-in invariants.
+
+    Fails loudly, naming the violated inequality, if the smallness
+    conditions do not hold or if the constructed slope dips below B/2
+    before the crossover scale.
+    """
+    if not B >= 1.0:
+        raise ModulusConstructionError(f"requires B >= 1, got B = {B}")
+    _check_parameters(sym, kappa, gamma)
+    # NaN where the root is not resolved, which _member_at refuses
     delta = float(_crossover_roots(sym, kappa, np.array([float(B)]))[0])
-    if not delta > _DELTA_FLOOR:
-        what = "not resolved in" if math.isnan(delta) else "underflowed"
-        raise ModulusConstructionError(
-            f"crossover scale m(delta) = B/kappa {what} float64 at "
-            f"B = {B:.6g}; no representable member this high on the ladder")
     return _member_at(sym, kappa, gamma, B, delta)
 
 
 def _member_at(sym: DissipationSymbol, kappa: float, gamma: float, B: float,
                delta: float) -> ModulusMember:
-    """The member of ``build_modulus`` from its solved crossover scale
-    delta > _DELTA_FLOOR, with the parameters already validated; checks
-    the slope and the joint."""
+    """The member of ``build_modulus`` from its solved crossover scale,
+    with the parameters already checked (``_check_parameters``). Refuses
+    by name a delta that is NaN (not resolved) or not above _DELTA_FLOOR
+    (underflowed), then checks the slope and the joint."""
+    if not delta > _DELTA_FLOOR:
+        what = "not resolved in" if math.isnan(delta) else "underflowed"
+        raise ModulusConstructionError(
+            f"crossover scale m(delta) = B/kappa {what} float64 at "
+            f"B = {B:.6g}; no representable member this high on the ladder")
     alpha = sym.alpha
     C_alpha = (1.0 + 3.0 * alpha) / alpha ** 2
     slope_factor = B / (2.0 * C_alpha * kappa)
@@ -806,19 +813,20 @@ _SCREEN_SLACK = 1e-9
 
 def _coverage_bounds(sym: DissipationSymbol, kappa: float, gamma: float,
                      a: float, rungs: int):
-    """(delta_B, U_B) for B = 2, 4, ..., 2^(rungs - 1), in order, with
+    """(B, delta_B, U_B) for B = 1, 2, 4, ..., 2^(rungs - 1), in order, with
     U_B = B delta_B + (gamma/2) * integral of env over [2 min(delta_B, a), 2a].
 
     The rung intervals are nested, so the integral is a running sum of the
-    increments over [2 delta_k, 2 delta_(k-1)]. Each block of rungs gets its
-    deltas from one crossover solve and its increments from log panels per
-    block of nodes, on the rule of the member's envelope table. delta is NaN
-    where the solve fails, and U is NaN wherever delta is not above
-    _DELTA_FLOOR: the build of such a rung refuses.
+    increments over [2 delta_k, 2 delta_(k-1)] (over [2 delta_1, 2a] for
+    B = 1). Each block of rungs gets its deltas from one crossover solve
+    and its increments from log panels per block of nodes, on the rule of
+    the member's envelope table. delta is NaN where the solve fails, and U
+    is NaN wherever delta is not above _DELTA_FLOOR: ``_member_at``
+    refuses such a rung.
     """
     top = a       # 2 * top is where the next increment ends
     total = 0.0   # integral of env over [2 min(delta, a), 2a] so far
-    for first in range(1, rungs, _SCREEN_BLOCK):
+    for first in range(0, rungs, _SCREEN_BLOCK):
         Bs = np.ldexp(1.0, np.arange(first, min(first + _SCREEN_BLOCK, rungs)))
         delta = _crossover_roots(sym, kappa, Bs)
         ok = np.flatnonzero(delta > _DELTA_FLOOR)
@@ -832,7 +840,7 @@ def _coverage_bounds(sym: DissipationSymbol, kappa: float, gamma: float,
         bound[ok] = Bs[ok] * delta[ok] + 0.5 * gamma * run
         if ok.size:
             top, total = lo[-1], run[-1]
-        yield from zip(delta.tolist(), bound.tolist())
+        yield from zip(Bs.tolist(), delta.tolist(), bound.tolist())
 
 
 def find_B_for_data(fld, sym: DissipationSymbol,
@@ -851,15 +859,15 @@ def find_B_for_data(fld, sym: DissipationSymbol,
     part's moments are nonnegative. So U_B = B delta_B + (gamma/2) * that
     integral bounds the coverage from above, and needs only the crossover
     scale (``_coverage_bounds``). A rung is built only where a > delta_B
-    and U_B (1 + _SCREEN_SLACK) >= 2 sup|theta|. Every rung the screen
-    skips would fail coverage, so the ladder returns the B it returned
-    when it built every rung, with about ten builds per call instead of
-    one per rung. A built rung takes the crossover scale the screen
-    solved, which equals ``crossover_scale`` on that B bitwise. The first
-    rung goes through ``build_modulus``, and so does any rung whose
-    crossover scale leaves the float range: their refusals read as the
-    build's. The refusals report the best coverage margin met, or its
-    bound on a skipped rung.
+    and U_B (1 + _SCREEN_SLACK) >= 2 sup|theta|, or where delta_B leaves
+    the float range. Every rung the screen skips would fail coverage, so
+    the ladder returns the B it returned when it built every rung, with
+    about ten builds per call instead of one per rung. Each rung, B = 1
+    too, is built by ``_member_at`` from the crossover scale the screen
+    solved, which equals ``crossover_scale`` on that B bitwise, after the
+    parameter check of ``build_modulus`` ran once. The refusals read as
+    the build's and report the best coverage margin met, or its bound on
+    a skipped rung.
 
     Coverage of the tail grows like (gamma/2) times the envelope integral,
     which for the critical symbol means logarithmically in B: certified
@@ -880,30 +888,24 @@ def find_B_for_data(fld, sym: DissipationSymbol,
     B = 1.0
     best_cover = -math.inf
     rungs = min(max_doublings, _LADDER_CAP)
-    bounds = _coverage_bounds(sym, kappa, gamma, a, rungs)
-    for rung in range(rungs):
-        if rung:
-            delta, bound = next(bounds)
+    try:
+        _check_parameters(sym, kappa, gamma)
+        for B, delta, bound in _coverage_bounds(sym, kappa, gamma, a, rungs):
             if delta > _DELTA_FLOOR and (
                     a <= delta or bound * (1.0 + _SCREEN_SLACK) < need):
                 best_cover = max(best_cover, bound - need)
-                B *= 2.0
                 continue
-        try:
-            mem = (_member_at(sym, kappa, gamma, B, delta)
-                   if rung and delta > _DELTA_FLOOR
-                   else build_modulus(sym, kappa, gamma, B))
-        except ModulusConstructionError as err:
-            raise ModulusSearchError(
-                f"ladder stopped at B = {B:.6g} without a certificate "
-                f"(best coverage margin at most {best_cover:.6g}): "
-                f"{err}") from err
-        cover = mem.omega(max(a, mem.delta * (1.0 + 1e-12))) - need
-        best_cover = max(best_cover, cover)
-        if a > mem.delta and cover >= 0.0:
-            if check_obeys(fld, mem).margin > 0.0:
+            mem = _member_at(sym, kappa, gamma, B, delta)
+            cover = mem.omega(max(a, mem.delta * (1.0 + 1e-12))) - need
+            best_cover = max(best_cover, cover)
+            if a > mem.delta and cover >= 0.0 and \
+                    check_obeys(fld, mem).margin > 0.0:
                 return B
-        B *= 2.0
+    except ModulusConstructionError as err:
+        raise ModulusSearchError(
+            f"ladder stopped at B = {B:.6g} without a certificate "
+            f"(best coverage margin at most {best_cover:.6g}): "
+            f"{err}") from err
     if sym.sqg_admissible:
         hint = (" (coverage grows slowly for admissible symbols; gamma up "
                 "to kappa/2 certifies more data per rung)")

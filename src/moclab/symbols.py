@@ -108,29 +108,17 @@ class DissipationSymbol:
     __call__ = m
 
     def envelope(self, r):
-        """Non-increasing envelope of m; equals m wherever m is monotone."""
+        """Non-increasing envelope of m; equals m wherever m is monotone.
+
+        With a plateau (r_lo, m_flat, r_hi) it is m_flat on [r_lo, r_hi)
+        and m everywhere else: m is evaluated once on every radius, so a
+        NaN radius stays NaN and a non-positive one is refused by m."""
         if self._env_plateau is None:
             return self.m(r)
         r_lo, m_flat, r_hi = self._env_plateau
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        # a NaN radius falls in none of the three pieces and stays NaN
-        low = r < r_lo
-        high = r >= r_hi
-        if low.all():
-            out = self.m(r)
-        elif high.all():
-            out = self.tail_coeff * r ** (-self.alpha)
-        else:
-            out = np.full_like(r, np.nan)
-            mid = (r >= r_lo) & (r < r_hi)
-            if low.any():
-                out[low] = self.m(r[low])
-            out[mid] = m_flat
-            if high.any():
-                out[high] = self.tail_coeff * r[high] ** (-self.alpha)
-        return float(out[0]) if scalar else out
+        out = np.where((r_lo <= r) & (r < r_hi), m_flat, self.m(r))
+        return float(out) if out.ndim == 0 else out
 
     @property
     def breakpoints(self) -> list[float]:
@@ -151,39 +139,30 @@ class DissipationSymbol:
             return self._env_plateau[2]
         return self.core_radius
 
-    def tail_integral_over_r(self, R):
-        """Integral of m(u)/u over (R, inf) for every R > 0 (scalar or array).
-
-        Exact on the power tail, through np.power as in ``m``; the core part
-        below core_radius uses log panels, 8 per decade of order 12.
-        """
+    def _tail_integral(self, f, top, R):
+        # integral of f(u)/u over (R, inf) for f = m or its envelope, which
+        # is the exact power tail from top on: closed form through
+        # np.power as in ``m`` above top, and below it one rule for both,
+        # log panels 8 per decade of order 12 with the breakpoints pinned
         R, shape = _radii(R)
-        out = (self.tail_coeff
-               * np.power(np.maximum(R, self.core_radius), -self.alpha)
+        out = (self.tail_coeff * np.power(np.maximum(R, top), -self.alpha)
                / self.alpha)
-        inner = R < self.core_radius
-        if inner.any():
-            out[inner] += log_panel_integrals(lambda r: self.m(r) / r,
-                                              R[inner], self.core_radius,
-                                              8.0, 12, ())
+        gap = R < top
+        if gap.any():
+            out[gap] += log_panel_integrals(lambda r: f(r) / r, R[gap], top,
+                                            8.0, 12, self.breakpoints)
         return _shaped(out, shape)
+
+    def tail_integral_over_r(self, R):
+        """Integral of m(u)/u over (R, inf) for every R > 0 (scalar or
+        array): the power tail in closed form from core_radius on, log
+        panels below it (``_tail_integral``)."""
+        return self._tail_integral(self.m, self.core_radius, R)
 
     def envelope_tail_integral_over_r(self, R):
-        """Integral of envelope(u)/u over (R, inf) for every R > 0.
-
-        The far part is the power tail, in closed form; any plateau or core
-        portion of the envelope between R and tail_start is added by one
-        order-20 panel in ln(u) per gap between breakpoints.
-        """
-        R, shape = _radii(R)
-        tail_start = self.tail_start
-        out = self.tail_integral_over_r(np.maximum(R, tail_start))
-        gap = R < tail_start
-        if gap.any():
-            out[gap] += log_panel_integrals(
-                lambda r: self.envelope(r) / r, R[gap], tail_start, 0.0, 20,
-                self.breakpoints)
-        return _shaped(out, shape)
+        """Integral of envelope(u)/u over (R, inf) for every R > 0, on the
+        rule of ``tail_integral_over_r`` with tail_start for core_radius."""
+        return self._tail_integral(self.envelope, self.tail_start, R)
 
     def to_dict(self) -> dict:
         if self.family == "log":

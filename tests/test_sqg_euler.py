@@ -666,3 +666,17 @@ def test_gradient_of_velocity_sup_on_a_plane_wave():
                     rtol=1e-14)
     assert_allclose(sqg_euler.gradient_of_velocity_sup(fld, "p_euler", P=P),
                     2.0 * P(r5) / r5, rtol=1e-14)
+
+
+@pytest.mark.parametrize("law", ["sqg", "p_euler"])
+def test_gradient_of_velocity_sup_matches_one_transform_per_field(law):
+    # the batched inverse gives each field's own irfft2 bit for bit
+    P = make_multiplier("log-damped", a=1.0)
+    for n in (16, 32, 64):
+        fld = ScalarField2D.random_band_limited(n, 4, 1.0, seed=n)
+        mx, my = velocity_multipliers(n, law, P=P)
+        kx, ky = fields.wavenumber_grids_2d(n)
+        sup = max(fields.max_hypot(irfft2(1j * kx * m * fld.spec, s=(n, n)),
+                                   irfft2(1j * ky * m * fld.spec, s=(n, n)))
+                  for m in (mx, my))
+        assert sqg_euler.gradient_of_velocity_sup(fld, law, P=P) == sup

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from moclab import records
 from moclab.fields import ScalarField1D
+from moclab.quadrature import log_panel_integrals
 from moclab.symbols import (
     check_conditions,
     crossover_scale,
@@ -401,6 +402,31 @@ def test_envelope_tail_integral_matches_quad(R):
               for a, b in zip(pts[:-2], pts[1:-1]))
     ref += s.tail_coeff * max(R, s.tail_start) ** -s.alpha / s.alpha
     assert_allclose(s.envelope_tail_integral_over_r(R), ref, rtol=1e-12)
+
+
+DEEP_TAIL_SYMBOLS = {
+    "log1": make_symbol("log", a=1.0),
+    "log0.3": make_symbol("log", a=0.3),
+    "tabulated": symbol_from_table(
+        _TABLE_RADII, _TABLE_RADII ** -0.8 * (1.0 + 0.1 * np.log1p(
+            1.0 / _TABLE_RADII))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TAIL_SYMBOLS))
+def test_both_tail_integrals_match_the_refined_rule_deep_in_the_core(name):
+    # both tail integrals share one log-panel rule, 8 per decade of order
+    # 12 with the breakpoints pinned; 93 decades below the core it still
+    # agrees with 32 per decade of order 24 to rounding
+    s = DEEP_TAIL_SYMBOLS[name]
+    R = np.array([1e-8, 1e-40, 1e-93])
+    for f, top, fn in ((s.m, s.core_radius, s.tail_integral_over_r),
+                       (s.envelope, s.tail_start,
+                        s.envelope_tail_integral_over_r)):
+        ref = log_panel_integrals(lambda r: f(r) / r, R, top, 32.0, 24,
+                                  s.breakpoints)
+        ref += s.tail_coeff * top ** -s.alpha / s.alpha
+        assert_allclose(fn(R), ref, rtol=1e-14, atol=0.0)
 
 
 def test_scalar_m_refuses_non_positive_radii_and_passes_nan():
