@@ -52,10 +52,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, rfft
 
 from .fields import (_DT_FLOOR, ScalarField1D, _refuse_bad_cadence,
-                     _StagedRun, dealias_cutoff)
+                     _StagedRun, dealias_cutoff, irfft, rfft)
 from .kernels import multiplier_of_symbol_1d
 from .quadrature import (classify_decades, decade_increments, decade_sum,
                          graded_edges, log_edges, log_panel_integrals,

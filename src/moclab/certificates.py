@@ -379,6 +379,12 @@ def dissipation_lower(omega, sym: DissipationSymbol | None, xi):
     quadrature noise of zero are clamped to zero; a warning fires if the
     raw value is negative beyond its own error bar, which indicates a
     non-concave omega.
+
+    The kernel m(2e)/e is the proof's 2-D form. On a power symbol
+    m = c r^-a it is 2^-a times the kernel m(e)/e of the 1-D operator that
+    ``kernels.multiplier_of_symbol_1d`` applies, so against that operator
+    at a touching pair this D is low by 2^a: the extremal profile at
+    N = 2^17 reads 1.9998 for a = 1 and 1.4143 for a = 0.5.
     """
     x, shape = _positive(xi, "dissipation")
     sym = _symbol_of(omega, sym)
@@ -547,10 +553,13 @@ def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
 
     The advecting velocity is the solution itself, so increments are bounded
     by omega directly and only the dissipation carries the universal
-    constant, the suite's conservative estimate ``DEFAULT_A``. PASS
-    means every margin is negative beyond quadrature error. The grid is
-    evaluated per block of quadrature nodes, and ``sqg_criterion`` on the
-    same member and grid reuses the evaluation.
+    constant, the suite's conservative estimate ``DEFAULT_A``. D is the
+    2-D dissipation of ``dissipation_lower``, which on power symbols is
+    2^-a times that of the 1-D Burgers operator, so against the Burgers
+    solver the criterion is conservative by 2^a * A: 4 on critical
+    Burgers. PASS means every margin is negative beyond quadrature error.
+    The grid is evaluated per block of quadrature nodes, and
+    ``sqg_criterion`` on the same member and grid reuses the evaluation.
     """
     xi, w, wp, _, D, err = _grid_evaluation(mem, xi_grid, per_decade, order)
     side_vals = {}

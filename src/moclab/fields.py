@@ -4,6 +4,11 @@ Fields pair grid values with their FFT and are treated as immutable:
 operations hand back new instances. Wavenumbers are integers (domain is the
 2 pi torus), so band-limited fields are evaluated exactly at arbitrary
 points through their trigonometric interpolant.
+
+This is the one module that names ``scipy.fft``. It imports it at the
+first transform, not on import, so that importing moclab or certifying a
+member (which transforms nothing) loads no scipy module; ``burgers`` and
+``sqg_euler`` take ``rfft``, ``irfft``, ``rfft2`` and ``irfft2`` from here.
 """
 from __future__ import annotations
 
@@ -11,9 +16,42 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, irfft2, rfft, rfft2
 
 TWO_PI = 2.0 * math.pi
+
+# scipy.fft once the first transform has imported it. numpy.fft is not a
+# drop-in: its irfft2 differs from scipy's in the last bits at N = 98, and
+# its 2-D transforms are slower at 32^2-64^2
+_scipy_fft = None
+
+
+def _fft():
+    global _scipy_fft
+    if _scipy_fft is None:
+        import scipy.fft
+        _scipy_fft = scipy.fft
+    return _scipy_fft
+
+
+def rfft(x: np.ndarray) -> np.ndarray:
+    """``scipy.fft.rfft`` along the last axis."""
+    return _fft().rfft(x)
+
+
+def irfft(x: np.ndarray, n: int) -> np.ndarray:
+    """``scipy.fft.irfft`` to n points along the last axis."""
+    return _fft().irfft(x, n)
+
+
+def rfft2(x: np.ndarray) -> np.ndarray:
+    """``scipy.fft.rfft2`` over the last two axes."""
+    return _fft().rfft2(x)
+
+
+def irfft2(x: np.ndarray, s: tuple[int, int]) -> np.ndarray:
+    """``scipy.fft.irfft2`` to the shape s over the last two axes, so a
+    stack of spectra is inverted in one call."""
+    return _fft().irfft2(x, s)
 
 
 def dealias_cutoff(N: int) -> int:

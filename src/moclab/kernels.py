@@ -15,6 +15,11 @@ exactly through Fourier modes: the physical route computes a quadrature
 multiplier v(k) and applies it diagonally, which reproduces the pointwise
 quadrature to rounding while staying a genuinely independent computation
 from the closed-form spectral multiplier.
+
+The physical route is the only one that needs ``scipy.special`` (J0 and
+the Hurwitz zeta); ``one_minus_j0``, ``_bessel_tail`` and
+``periodized_kernel_1d`` import it where they are called, so importing
+this module loads no scipy module.
 """
 from __future__ import annotations
 
@@ -22,7 +27,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, zeta
 
 from .fields import TWO_PI, ScalarField1D, ScalarField2D, _in_chunks
 from .quadrature import (graded_edges, oscillation_resolved_edges,
@@ -84,6 +88,8 @@ def bessel_j0_osc_parts(x):
 
 def one_minus_j0(x):
     """1 - J0(x) without cancellation at small argument."""
+    from scipy.special import j0
+
     x = np.asarray(x, dtype=float)
     u = 0.25 * x * x
     series = u * (1.0 - u / 4.0 * (1.0 - u / 9.0 * (1.0 - u / 16.0)))
@@ -175,6 +181,8 @@ def periodized_kernel_1d(sym: DissipationSymbol, y):
     for y in (0, pi]. All off-origin images sit in the symbol's exact power
     tail, so the image sum is a pair of Hurwitz zeta values: the lattice
     summation carries no truncation error at all."""
+    from scipy.special import zeta
+
     if sym.core_radius > math.pi:
         raise ValueError("periodization needs the power tail to start by pi")
     y = np.asarray(y, dtype=float)
@@ -236,6 +244,7 @@ def _bessel_tail(T: float, al: float, kap: float) -> float:
     """integral_pi^inf J0(kap r) T r^(-1-al) dr, split at the Bessel
     asymptotic threshold."""
     from scipy.integrate import quad
+    from scipy.special import j0
 
     split = max(math.pi, X_ASYM / kap)
     total = 0.0

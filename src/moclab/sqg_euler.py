@@ -31,11 +31,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 
 from .fields import (_DT_FLOOR, _EPS, ScalarField2D, _spectral_tail,
-                     _StagedRun, _tail_band, dealias_cutoff, max_hypot,
-                     velocity_multipliers, wavenumber_grids_2d)
+                     _StagedRun, _tail_band, dealias_cutoff, irfft2,
+                     max_hypot, rfft2, velocity_multipliers,
+                     wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_fn
 from .quadrature import classify_decades, decade_increments
 from .records import REGULAR, UNRESOLVED, RunRecord
@@ -83,7 +83,7 @@ class _AdvectionCore:
     def fields(self, spec):
         """(ux, uy, gx, gy) of ``spec`` on the grid, stacked."""
         n = self.N
-        return irfft2(self.factors * spec, s=(n, n), axes=(-2, -1))
+        return irfft2(self.factors * spec, s=(n, n))
 
     def grid(self, spec):
         """The grid fields of ``spec`` and the sup of its velocity: a step's
@@ -467,7 +467,7 @@ def gradient_of_velocity_sup(fld, law, P=None):
     kx, ky = wavenumber_grids_2d(fld.N)
     n = fld.N
     factors = np.stack([1j * k * m for m in (mx, my) for k in (kx, ky)])
-    g = irfft2(factors * fld.spec, s=(n, n), axes=(-2, -1))
+    g = irfft2(factors * fld.spec, s=(n, n))
     return max(max_hypot(g[0], g[1]), max_hypot(g[2], g[3]))
 
 

@@ -72,6 +72,31 @@ def test_dealias_cutoff():
     assert dealias_cutoff(64) == 21
 
 
+@pytest.mark.parametrize("N", [64, 4096])
+def test_the_deferred_1d_transforms_are_scipys_bitwise(N):
+    # fields binds scipy.fft at the first transform; what it hands back is
+    # scipy's own result, not numpy.fft's
+    import scipy.fft
+    values = np.random.default_rng(N).standard_normal(N)
+    spec = fields.rfft(values)
+    assert np.array_equal(spec, scipy.fft.rfft(values))
+    assert np.array_equal(fields.irfft(spec, n=N), scipy.fft.irfft(spec, n=N))
+
+
+@pytest.mark.parametrize("n", [32, 98, 128])
+def test_the_deferred_2d_transforms_are_scipys_bitwise(n):
+    # a stack of four spectra, as the advection core inverts them; numpy's
+    # irfft2 differs from scipy's at n = 98
+    import scipy.fft
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((4, n, n))
+    spec = fields.rfft2(values)
+    assert np.array_equal(spec, scipy.fft.rfft2(values))
+    stack = spec + 1j * rng.standard_normal((4, n, n // 2 + 1))
+    assert np.array_equal(fields.irfft2(stack, s=(n, n)),
+                          scipy.fft.irfft2(stack, s=(n, n), axes=(-2, -1)))
+
+
 def test_2d_basics():
     f = ScalarField2D.from_function(
         64, lambda x, y: np.sin(x) * np.cos(2.0 * y))

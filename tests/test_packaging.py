@@ -29,24 +29,55 @@ def test_every_declared_script_target_imports():
         assert callable(obj), f"script {name!r} names {target!r}"
 
 
+def _loaded_after(code: str) -> dict:
+    # run ``code`` in a fresh interpreter; it prints one JSON line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    return json.loads(out.stdout)
+
+
+def _scipy_modules(loaded):
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
 def test_import_loads_no_adaptive_scipy():
-    # scipy.integrate, scipy.optimize and scipy.interpolate load where they
-    # are called, not on import: no bench workload needs the first or last
-    code = (
+    # no scipy module loads on import: scipy.fft at the first transform,
+    # scipy.special, scipy.integrate, scipy.optimize and scipy.interpolate
+    # where they are called
+    seen = _loaded_after(
         "import importlib, json, sys\n"
         f"for name in {MODULES!r}:\n"
         "    importlib.import_module('moclab.' + name)\n"
         "import moclab.moduli as moduli\n"
         "print(json.dumps({'loaded': sorted(sys.modules),\n"
         "                  'quad': callable(vars(moduli).get('quad'))}))\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    seen = json.loads(out.stdout)
-    for heavy in ("scipy.integrate", "scipy.optimize", "scipy.interpolate"):
-        assert heavy not in seen["loaded"], f"importing moclab loads {heavy}"
+    assert _scipy_modules(seen["loaded"]) == [], "importing moclab loads scipy"
     # bench/layertrace.py and the moduli tests patch this attribute by name
     assert seen["quad"]
+
+
+def test_a_certify_pass_loads_no_scipy_and_a_transform_loads_scipy_fft():
+    # the bench certify workload at its tiny grid: build, then both
+    # criteria at B = 1 and 2^20; certifying transforms nothing
+    seen = _loaded_after(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from moclab import certificates, fields, kernels, moduli, symbols\n"
+        "sym = symbols.make_symbol('power', a=1.0,\n"
+        "    scale=kernels.fractional_normalization(2, 1.0))\n"
+        "grid = certificates.default_xi_grid(1e-3, 1e1, 2)\n"
+        "for B in (1.0, 2.0 ** 20):\n"
+        "    mem = moduli.build_modulus(sym, 0.05, 0.01, B)\n"
+        "    for crit in (certificates.sqg_criterion,\n"
+        "                 certificates.burgers_criterion):\n"
+        "        assert crit(mem, xi_grid=grid).passed\n"
+        "certify = sorted(sys.modules)\n"
+        "fields.ScalarField1D(np.sin(fields.ScalarField1D.grid_of(8))).spec\n"
+        "print(json.dumps({'certify': certify,\n"
+        "                  'spec': sorted(sys.modules)}))\n")
+    assert _scipy_modules(seen["certify"]) == []
+    assert "scipy.fft" in seen["spec"]
 
 
 # public names that only tests call, each kept as a reference that tests
