@@ -425,10 +425,6 @@ class ScalarField1D:
 
     # -- operations --------------------------------------------------------
 
-    def apply_multiplier(self, P) -> "ScalarField1D":
-        newspec = self.spec * P(self.wavenumbers())
-        return ScalarField1D.from_spectrum(newspec, self.N)
-
     def derivative(self) -> "ScalarField1D":
         k = self.wavenumbers()
         return ScalarField1D.from_spectrum(1j * k * self.spec, self.N)
@@ -458,13 +454,6 @@ class ScalarField1D:
 
     def grad_linf(self) -> float:
         return self.derivative().linf()
-
-    def is_odd(self) -> bool:
-        """theta(-x) = -theta(x) on the grid, to 1e-10 max(1, sup|theta|)."""
-        v = self.values
-        mirrored = np.concatenate(([v[0]], v[-1:0:-1]))
-        return bool(np.max(np.abs(v + mirrored))
-                    <= 1e-10 * max(1.0, self.linf()))
 
     def spectral_tail_fraction(self) -> float:
         """Enstrophy fraction carried by the top 1/8 of the active band."""
@@ -546,10 +535,6 @@ class ScalarField2D:
         return _wavenumber_modulus(self.N, 2)
 
     # -- operations --------------------------------------------------------
-
-    def apply_multiplier(self, P) -> "ScalarField2D":
-        newspec = self.spec * P(self.wavenumber_modulus())
-        return ScalarField2D.from_spectrum(newspec, self.N)
 
     def gradient(self) -> tuple["ScalarField2D", "ScalarField2D"]:
         kx, ky = self.wavenumber_grids()

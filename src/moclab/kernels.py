@@ -3,7 +3,10 @@
 Two jobs live here:
 
 1. The exact correspondence between power-law symbols and fractional
-   multipliers (normalization constants C_{d,a} and their inverses).
+   multipliers (normalization constants C_{d,a} and their inverses), and
+   the 1-D multiplier of every symbol by one formula: its power tail
+   continued to 0 in closed form, plus a Gauss-Legendre correction over
+   the core (``multiplier_of_symbol_1d``).
 2. Application of L to periodic fields through quadrature of the
    lattice-periodized kernel against symmetrized double differences. In
    1-D the lattice sum has a closed Hurwitz-zeta form; in 2-D the far
@@ -16,10 +19,11 @@ multiplier v(k) and applies it diagonally, which reproduces the pointwise
 quadrature to rounding while staying a genuinely independent computation
 from the closed-form spectral multiplier.
 
-The physical route is the only one that needs ``scipy.special`` (J0 and
-the Hurwitz zeta); ``one_minus_j0``, ``_bessel_tail`` and
-``periodized_kernel_1d`` import it where they are called, so importing
-this module loads no scipy module.
+The physical route is the only one that needs scipy: ``scipy.special``
+(J0 and the Hurwitz zeta) and, for the 2-D far field, ``scipy.integrate``.
+``one_minus_j0``, ``_bessel_tail`` and ``periodized_kernel_1d`` import
+them where they are called, so importing this module, or computing a
+symbol's 1-D multiplier, loads no scipy module.
 """
 from __future__ import annotations
 
@@ -127,40 +131,28 @@ def _sin2_accumulate(ks: np.ndarray, y: np.ndarray, kerw: np.ndarray) -> np.ndar
 def multiplier_of_symbol_1d(sym: DissipationSymbol, k):
     """Fourier multiplier of the symbol's operator in one dimension:
 
-        P_m(k) = 2 * integral_0^inf (1 - cos(k y)) m(y) / y dy.
+        P_m(k) = integral_0^inf 4 sin^2(k y / 2) m(y) / y dy
+               = T Q |k|^alpha
+                 + integral_0^Rc 4 sin^2(k y / 2) (m(y) - T y^-alpha) / y dy,
 
-    Exact closed form for the power family; otherwise graded Gauss-Legendre
-    over the core plus analytic + cosine quadrature over the power tail.
-    Folding the integral over the period lattice leaves mode identities
-    unchanged, so this is also the multiplier of the periodic operator.
+    with T = tail_coeff, Rc = core_radius and Q that of
+    ``fractional_multiplier_constant(1, alpha)``: the power tail continued
+    down to 0 in closed form, plus a finite core correction on graded
+    Gauss-Legendre panels (from Rc 2^-48). A power symbol has Rc = 0 and no
+    correction. Folding the integral over the period lattice leaves mode
+    identities unchanged, so this is also the multiplier of the periodic
+    operator.
     """
-    karr = np.atleast_1d(np.asarray(k, dtype=float))
-    scalar = np.ndim(k) == 0
-    if sym.family == "power":
-        Q = fractional_multiplier_constant(1, sym.alpha)
-        out = sym.tail_coeff * Q * np.abs(karr) ** sym.alpha
-        return float(out[0]) if scalar else out
-
-    from scipy.integrate import quad
-
-    out = np.zeros_like(karr)
-    kabs = np.abs(karr)
-    nz = kabs > 0.0
-    if nz.any():
-        ks = kabs[nz]
-        Rc = sym.core_radius
-        edges = _graded_osc_edges(Rc, float(ks.max()), eps=Rc * 2.0 ** -48)
+    kabs = np.abs(np.atleast_1d(np.asarray(k, dtype=float)))
+    Q = fractional_multiplier_constant(1, sym.alpha)
+    out = sym.tail_coeff * Q * kabs ** sym.alpha
+    Rc = sym.core_radius
+    if Rc > 0.0 and kabs.size:
+        edges = _graded_osc_edges(Rc, float(kabs.max()), eps=Rc * 2.0 ** -48)
         y, w = panel_nodes(edges, _ORDER)
-        core = _sin2_accumulate(ks, y, w * sym.m(y) / y)
-        T, al = sym.tail_coeff, sym.alpha
-        tail_full = 2.0 * sym.tail_integral_over_r(Rc)
-        osc = np.empty(ks.size)
-        for i, kk in enumerate(ks):
-            val, _ = quad(lambda r: r ** (-1.0 - al), Rc, np.inf,
-                          weight="cos", wvar=kk, epsabs=1e-12)
-            osc[i] = 2.0 * T * val
-        out[nz] = core + tail_full - osc
-    return float(out[0]) if scalar else out
+        excess = sym.m(y) - sym.tail_coeff * y ** -sym.alpha
+        out = out + _sin2_accumulate(kabs, y, w * excess / y)
+    return float(out[0]) if np.ndim(k) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ The conventions used throughout the package:
   intervals: the integrand is evaluated per block of at most
   ``_BLOCK_NODES`` nodes and each interval's row summed on its own, so a
   row's value does not depend on its block;
-* oscillatory integrals go through QUADPACK's cos/sin weights (QAWO on a
-  finite window, QAWF for convergent tails);
+* QUADPACK's cos/sin weights (QAWF) serve only the far field of the 2-D
+  physical reference (``kernels.increment_multiplier_2d``); a symbol's 1-D
+  multiplier takes its power tail in closed form and its core on graded
+  Gauss-Legendre panels;
 * every numerical value that feeds a pass/fail decision carries an error
   estimate alongside it;
 * convergence of an integral toward an endpoint is read from the trailing

@@ -476,7 +476,9 @@ def euler_regularity_experiment(theta0, P, T, *, c_scale=1.0):
 
     The generic constant is calibrated as twice the t = 0 ratio of the
     measured |grad u| to A (1 + P(1)(1 + ln 2)); ``c_scale`` scales it
-    to stress the calibration.
+    to stress the calibration. A bound that blows up, or escapes (see
+    ``gradient_bound_ode``), before T gives UNRESOLVED with its time and
+    no run: the envelope says nothing past that time.
     """
     A = max(theta0.linf(), theta0.grad_linf(), theta0.l2())
     if A <= 0.0:
@@ -488,10 +490,17 @@ def euler_regularity_experiment(theta0, P, T, *, c_scale=1.0):
 
     bound = gradient_bound_ode(P, A, C_used, T)
     if bound.blowup_time is not None and bound.blowup_time <= T:
+        reason = (f"comparison bound blows up at t = {bound.blowup_time:.6g}"
+                  " inside the horizon; Osgood condition fails")
+    elif bound.t[-1] < T:
+        reason = (f"comparison bound escaped at t = {bound.t[-1]:.6g} "
+                  f"(ln B = {bound.log_B[-1]:.6g}) inside the horizon; "
+                  "no envelope to compare against beyond it")
+    else:
+        reason = None
+    if reason is not None:
         return EulerExperimentReport(
-            verdict=UNRESOLVED, passed=False,
-            reason=f"comparison bound blows up at t = {bound.blowup_time:.6g}"
-                   " inside the horizon; Osgood condition fails",
+            verdict=UNRESOLVED, passed=False, reason=reason,
             A=A, C=C_used, calibrated_C=calibrated,
             worst_margin=-math.inf, worst_time=float("nan"),
             record=None, bound=bound)

@@ -19,7 +19,8 @@ from moclab.certificates import (
     omega_tilde,
     sqg_criterion,
 )
-from moclab.kernels import fractional_normalization
+from moclab.fields import ScalarField1D
+from moclab.kernels import fractional_normalization, multiplier_of_symbol_1d
 from moclab.moduli import ModulusMember, build_modulus
 from moclab.symbols import make_symbol
 
@@ -397,6 +398,29 @@ def test_criteria_columns_are_the_one_point_functionals(family, B):
     assert sqg.side_values["measured_curvature_constant"] == \
         bur.side_values["measured_curvature_constant"] == \
         min(measured_curvature_constant(mem, x) for x in pick.tolist())
+
+
+@pytest.mark.parametrize("a, ratio, tol", [(1.0, 2.0, 1e-3),
+                                           (0.5, math.sqrt(2.0), 1e-2)])
+def test_the_solvers_rate_at_the_extremal_profile_is_2_to_the_a_times_D(
+        a, ratio, tol):
+    # the worst case of the dissipation lemma: theta = omega(2|x|)/2 sgn x
+    # on |x| <= pi/2, reflected as theta(pi - x) = theta(x), touches omega
+    # at the pair +-xi/2. The 1-D solver's L there gives (L theta)(xi/2) -
+    # (L theta)(-xi/2) = 2^a D: D's kernel m(2 eta)/eta is 2^-a times the
+    # solver's m(eta)/eta on a power symbol. At xi = 8 grid steps, a = 1/2
+    # reads 1.4244 at N = 2^14 and 1.4160 at N = 2^15 (a = 1: 1.9998)
+    N = 2 ** 15
+    mem = build_modulus(make_symbol("power", a=a), 0.05, 0.01, 1.0)
+    x = ScalarField1D.grid_of(N)
+    x = np.where(x > math.pi, x - 2.0 * math.pi, x)
+    near = np.where(np.abs(x) <= 0.5 * math.pi, x, np.sign(x) * math.pi - x)
+    theta = ScalarField1D(0.5 * mem.omega(2.0 * np.abs(near)) * np.sign(near))
+    P = multiplier_of_symbol_1d(mem.sym, theta.wavenumbers())
+    Ltheta = ScalarField1D.from_spectrum(theta.spec * P, N).values
+    xi = 8.0 * 2.0 * math.pi / N
+    got = (Ltheta[4] - Ltheta[-4]) / dissipation_lower(mem, mem.sym, xi)
+    assert abs(got - ratio) < tol
 
 
 def test_criteria_evaluate_any_grid_in_a_fixed_number_of_batches(monkeypatch):

@@ -49,6 +49,17 @@ def test_multiplier_of_symbol_scales_as_power():
                     rtol=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
+def test_a_power_symbols_multiplier_is_its_closed_form_bitwise(a):
+    # core radius 0: no core correction, only the tail's closed form
+    k = np.arange(4097.0)
+    for s in (make_symbol("power", a=a),
+              make_symbol("power", a=a, scale=fractional_normalization(1, a))):
+        want = s.tail_coeff * fractional_multiplier_constant(1, a) \
+            * np.abs(k) ** a
+        assert np.array_equal(multiplier_of_symbol_1d(s, k), want)
+
+
 # ---------------------------------------------------------------------------
 # periodization
 # ---------------------------------------------------------------------------
@@ -94,8 +105,8 @@ _TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
 def test_physical_route_is_the_reference_for_the_symbol_multiplier(sym):
     # two independent quadratures of the same multiplier; the physical one
     # must pin the core radius, where m jumps in slope for the log family
-    ks = np.arange(1, 21, dtype=float)
-    v, _ = periodic_increment_multiplier_1d(sym, 20)
+    ks = np.arange(1, 257, dtype=float)
+    v, _ = periodic_increment_multiplier_1d(sym, 256)
     assert_allclose(multiplier_of_symbol_1d(sym, ks), v[1:], rtol=1e-12)
 
 

@@ -80,6 +80,49 @@ def test_a_certify_pass_loads_no_scipy_and_a_transform_loads_scipy_fft():
     assert "scipy.fft" in seen["spec"]
 
 
+def test_a_symbols_multiplier_loads_no_scipy_and_a_burgers_run_no_quadpack():
+    # a log symbol's 1-D multiplier is closed form plus Gauss-Legendre: it
+    # loads no scipy module, and a Burgers run on it only scipy.fft
+    seen = _loaded_after(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from moclab import burgers, fields, kernels, symbols\n"
+        "sym = symbols.make_symbol('log', a=1.0)\n"
+        "kernels.multiplier_of_symbol_1d(sym, np.arange(33.0))\n"
+        "multiplier = sorted(sys.modules)\n"
+        "x = fields.ScalarField1D.grid_of(64)\n"
+        "burgers.simulate_burgers(fields.ScalarField1D(np.sin(x)), 0.01,\n"
+        "                         sym=sym)\n"
+        "print(json.dumps({'multiplier': multiplier,\n"
+        "                  'run': sorted(sys.modules)}))\n")
+    assert _scipy_modules(seen["multiplier"]) == []
+    assert "scipy.fft" in seen["run"]
+    assert "scipy.integrate" not in seen["run"]
+
+
+def _family_reads(tree):
+    # lines that read a symbol's family: .family or getattr(x, "family")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "family":
+            yield node.lineno
+        elif isinstance(node, ast.Call) and _callee(node.func) == "getattr" \
+                and any(isinstance(a, ast.Constant) and a.value == "family"
+                        for a in node.args):
+            yield node.lineno
+
+
+def test_no_module_but_symbols_names_a_family():
+    # a family is how a symbol was made; every other module reads only the
+    # symbol's m, envelope, tail and exponent, so a new family needs no fork
+    found = [f"{path.stem}:{line}"
+             for path in sorted((ROOT / "src" / "moclab").glob("*.py"))
+             if path.stem != "symbols"
+             for line in _family_reads(ast.parse(path.read_text()))]
+    assert found == [], found
+    fork = "if sym.family == 'power':\n    pass\ngetattr(sym, 'family')\n"
+    assert len(list(_family_reads(ast.parse(fork)))) == 2
+
+
 # public names that only tests call, each kept as a reference that tests
 # compare live code against or for a caller ROADMAP plans
 ORACLES = {
@@ -125,28 +168,54 @@ def _references(tree):
             yield node.name.rpartition(".")[2], node.lineno
 
 
+def _public_methods(tree):
+    # (Class.method, node) of every public method of a public class
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name[0] != "_":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name[0] != "_":
+                    yield f"{cls.name}.{fn.name}", fn
+
+
+def _attribute_reads(tree):
+    # (name, line) of every attribute read and every string constant (a
+    # method named as data: records.VERDICT_KEYS, the tracer's targets)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
 def test_every_public_name_has_a_caller():
-    # a public top-level name of src/moclab is referenced outside its own
-    # definition in src/, bench/ or a README, or is a listed oracle
+    # a public top-level name of src/moclab is referenced, and a public
+    # method of a public class is read as an attribute or named by a string,
+    # outside its own definition in src/ or bench/; or it is named in a
+    # README, or is a listed oracle
     sources = sorted((ROOT / "src" / "moclab").glob("*.py"))
     trees = {p: ast.parse(p.read_text())
              for p in sources + sorted((ROOT / "bench").glob("*.py"))}
     refs = [(p, n, line) for p, t in trees.items()
             for n, line in _references(t)]
+    reads = [(p, n, line) for p, t in trees.items()
+             for n, line in _attribute_reads(t)]
     docs = " ".join(p.read_text() for p in (ROOT / "README.md",
                                             ROOT / "bench" / "README.md"))
     defined, unused = set(), []
     for path in sources:
-        for name, node in _public_definitions(trees[path]):
-            if name.startswith("_"):
-                continue
-            defined.add(name)
+        public = [(name, node, refs) for name, node
+                  in _public_definitions(trees[path]) if name[0] != "_"]
+        public += [(name, node, reads) for name, node
+                   in _public_methods(trees[path])]
+        for qualified, node, uses in public:
+            name = qualified.rpartition(".")[2]
+            defined.add(qualified)
             span = range(node.lineno, node.end_lineno + 1)
-            if name in ORACLES or re.search(rf"\b{name}\b", docs) or any(
+            if qualified in ORACLES or re.search(rf"\b{name}\b", docs) or any(
                     n == name and not (p == path and line in span)
-                    for p, n, line in refs):
+                    for p, n, line in uses):
                 continue
-            unused.append(f"{path.stem}.{name}")
+            unused.append(f"{path.stem}.{qualified}")
     assert unused == [], unused
     assert set(ORACLES) <= defined, "an oracle left src/moclab"
 

@@ -632,6 +632,34 @@ def test_euler_experiment_branches(kind, params, c_scale, verdict, reason):
         assert 0.1 < rep.bound.blowup_time < 0.11 and rep.record is None
 
 
+def _saddle(n):
+    # the Constantin-Majda-Tabak saddle sin x sin y + cos y
+    return ScalarField2D.from_function(
+        n, lambda x, y: np.sin(x) * np.sin(y) + np.cos(y))
+
+
+@pytest.mark.parametrize("g, data, T", [
+    (6.0, lambda: ScalarField2D.random_band_limited(64, 4, 1.0, seed=1), 1.0),
+    (6.0, lambda: ScalarField2D.random_band_limited(64, 4, 1.0, seed=1), 2.0),
+    (1.0, lambda: _saddle(64), 3.0),
+], ids=["loglog6-random-T1", "loglog6-random-T2", "loglog1-saddle-T3"])
+def test_an_escaped_envelope_is_unresolved_by_name(monkeypatch, g, data, T):
+    # the envelope stops at its escape time before T: the experiment says
+    # so and returns before simulating, never reading the bound past it
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated past an escaped envelope")
+
+    monkeypatch.setattr(sqg_euler, "simulate_p_euler", no_run)
+    rep = sqg_euler.euler_regularity_experiment(
+        data(), make_multiplier("loglog", g=g), T)
+    assert rep.bound.t[-1] < T and rep.bound.blowup_time is None
+    assert rep.verdict == UNRESOLVED and not rep.passed
+    assert f"escaped at t = {rep.bound.t[-1]:.6g}" in rep.reason
+    assert f"ln B = {rep.bound.log_B[-1]:.6g}" in rep.reason
+    assert rep.record is None and rep.worst_margin == -math.inf
+    assert math.isnan(rep.worst_time)
+
+
 def test_user_callables_are_called_on_arrays():
     # an array-native modulus or multiplier need not take a float (a float
     # has no .clip); each entry point answers as on the same callable made
