@@ -309,6 +309,88 @@ def test_compute_Lw_refuses_uncertified_mass():
         compute_Lw(make_symbol("log", a=1.0))
 
 
+def _brent_solvers():
+    # the transcription, and scipy's brentq at the xtol compute_Lw uses
+    from scipy.optimize import brentq
+
+    return burgers._brentq, lambda f, a, b: brentq(f, a, b, xtol=1e-13)
+
+
+def _brent_runs(f, lo, hi):
+    # (root, x of every f call) of each solver; both hand f a float and
+    # return one
+    runs = []
+    for solve in _brent_solvers():
+        calls = []
+        root = solve(lambda x: calls.append(x) or f(x), lo, hi)
+        assert all(type(x) is float for x in [root, *calls])
+        runs.append((root, calls))
+    return runs
+
+
+def _lw_brackets(a, monkeypatch):
+    # the (f, lo, hi) of every sign change compute_Lw pins
+    seen, real = [], burgers._brentq
+
+    def spy(f, lo, hi):
+        seen.append((f, lo, hi))
+        return real(f, lo, hi)
+    with monkeypatch.context() as m:
+        m.setattr(burgers, "_brentq", spy)
+        compute_Lw(make_symbol("power", a=a))
+    return seen
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 0.9])
+def test_brentq_is_scipys_on_the_inside_window(a, monkeypatch):
+    # both refinements of the inside window change sign once, on the same
+    # scan cell: the transcription takes scipy's steps there bit for bit
+    brackets = _lw_brackets(a, monkeypatch)
+    assert len(brackets) == 2
+    for f, lo, hi in brackets:
+        assert 0.5 < lo < hi < 1.0
+        ours, scipys = _brent_runs(f, lo, hi)
+        assert ours == scipys
+
+
+@pytest.mark.parametrize("f,lo,hi", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.copysign(abs(x - 0.3) ** (1.0 / 3.0), x - 0.3), -1.0,
+     2.0),
+    (lambda x: x - 1.0, 1.0, 2.0),
+    (lambda x: x - 2.0, 1.0, 2.0),
+])
+def test_brentq_is_scipys_on_reference_brackets(f, lo, hi):
+    # Brent's classic cubic, the Dottie number, a cube root (whose
+    # interpolated steps often fail the short-step test), and an exact
+    # zero at either end (returned after the two end calls)
+    ours, scipys = _brent_runs(f, lo, hi)
+    assert ours == scipys
+    if f(lo) == 0.0 or f(hi) == 0.0:
+        assert len(ours[1]) == 2 and f(ours[0]) == 0.0
+
+
+@pytest.mark.parametrize("f,lo,hi,error,message,n_calls", [
+    (lambda x: x * x + 1.0, 0.0, 1.0, ValueError,
+     "f(a) and f(b) must have different signs", 2),
+    (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, ValueError,
+     "The function value at x=1.0 is NaN; solver cannot continue.", 2),
+    # a step across a bracket of 2e300 needs ~1,000 halvings to reach
+    # xtol, so the cap of 100 iterations runs out first
+    (lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300, RuntimeError,
+     "Failed to converge after 100 iterations.", 102),
+])
+def test_brentq_refuses_as_scipy_does(f, lo, hi, error, message, n_calls):
+    for solve in _brent_solvers():
+        calls = []
+        with pytest.raises(error) as caught:
+            solve(lambda x: calls.append(x) or f(x), lo, hi)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        assert len(calls) == n_calls
+
+
 # ---------------------------------------------------------------------------
 # blow-up data design
 # ---------------------------------------------------------------------------
@@ -830,6 +912,16 @@ def test_detect_verdict_stable_under_refinement():
         rep, rec = designed_run(N)
         verdicts.append(detect_blowup(rec, INST, grad_factor=50.0).verdict)
     assert verdicts[0] == verdicts[1] == BLOWUP
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: the designed power a=0.5 run at N=4096 (grad stop 50x, "
+    "T=0.5) reads BLOWUP although it left its cap unresolved at t=0.003505 "
+    "and ends with a spectral tail share of 9.7e-5"))
+def test_a_blowup_verdict_is_resolved_at_the_cap():
+    _, rec = designed_run(4096)
+    v = detect_blowup(rec, INST, grad_factor=50.0)
+    assert v.verdict != BLOWUP or rec.meta["cap_unresolved_t"] is None
 
 
 def test_detect_certified_regular():

@@ -525,6 +525,17 @@ def test_a_refined_rule_lands_inside_the_criterion_error_bars():
                   <= reps[0].margin_err)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 7: 22 of 257 points, all at xi <= 3.2e-9, do not clear "
+    "the flat near-integral noise term of their bars; at xi = 1e-10 the "
+    "margin is -6.9e-8 against a bar of 1.0e-6"))
+def test_the_criterion_passes_down_to_tiny_separations():
+    grid = default_xi_grid(1e-10, 1e6, 16)
+    rep = sqg_criterion(build_modulus(CRITICAL, 0.05, 0.01, 1.0),
+                        xi_grid=grid)
+    assert rep.passed
+
+
 def test_criteria_share_one_dissipation_per_member_and_grid(monkeypatch):
     calls = []
     real_err = certificates._dissipation_err

@@ -43,8 +43,8 @@ def _scipy_modules(loaded):
 
 def test_import_loads_no_adaptive_scipy():
     # no scipy module loads on import: scipy.fft at the first transform,
-    # scipy.special, scipy.integrate, scipy.optimize and scipy.interpolate
-    # where they are called
+    # scipy.special, scipy.integrate and scipy.interpolate where they are
+    # called
     seen = _loaded_after(
         "import importlib, json, sys\n"
         f"for name in {MODULES!r}:\n"
@@ -98,6 +98,26 @@ def test_a_symbols_multiplier_loads_no_scipy_and_a_burgers_run_no_quadpack():
     assert _scipy_modules(seen["multiplier"]) == []
     assert "scipy.fft" in seen["run"]
     assert "scipy.integrate" not in seen["run"]
+
+
+def test_compute_Lw_loads_no_scipy_and_a_blowup_pass_only_scipy_fft():
+    # the sign changes of L w are pinned by burgers._brentq, so compute_Lw
+    # loads no scipy module; a tiny blowup pass (design, simulate, detect)
+    # adds the transforms and no root finder
+    seen = _loaded_after(
+        "import json, sys\n"
+        "from moclab import burgers, symbols\n"
+        "sym = symbols.make_symbol('power', a=0.5)\n"
+        "inst = burgers.compute_Lw(sym)\n"
+        "lw = sorted(sys.modules)\n"
+        "rep = burgers.design_blowup_data(sym, N=256, instrumentation=inst)\n"
+        "rec = burgers.simulate_burgers(\n"
+        "    rep.field, 0.5, sym=sym, grad_stop=50.0 * rep.field.grad_linf())\n"
+        "burgers.detect_blowup(rec, inst, grad_factor=50.0)\n"
+        "print(json.dumps({'lw': lw, 'pass': sorted(sys.modules)}))\n")
+    assert _scipy_modules(seen["lw"]) == []
+    assert "scipy.fft" in seen["pass"]
+    assert "scipy.optimize" not in seen["pass"]
 
 
 def _family_reads(tree):
