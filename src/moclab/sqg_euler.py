@@ -21,9 +21,9 @@ advection term, which gives the semigroup oracles used by the tests.
 The module also houses the slow-growth machinery for the inviscid law:
 the Osgood partial integrals of 1/(r ln(2r) P(r)) with a decade-ratio
 classification, the comparison ODE for the Lipschitz envelope B(t)
-(integrated in log space so double-exponential solutions stay
-representable), and the experiment that pits a measured gradient history
-against the calibrated bound.
+(solved as the separable integral t(ln B), so double-exponential
+solutions stay representable), and the experiment that pits a measured
+gradient history against the calibrated bound.
 """
 
 import math
@@ -37,7 +37,7 @@ from .fields import (_DT_FLOOR, _EPS, ScalarField2D, _spectral_tail,
                      max_hypot, rfft2, velocity_multipliers,
                      wavenumber_grids_2d)
 from .moduli import StratifiedPairSearch, _omega_fn
-from .quadrature import classify_decades, decade_increments
+from .quadrature import classify_decades, decade_increments, panel_nodes
 from .records import REGULAR, UNRESOLVED, RunRecord
 
 COLUMNS_2D = ("t", "linf", "grad_linf", "l2", "obedience_margin",
@@ -330,7 +330,7 @@ def osgood_check(P):
 
 @dataclass
 class EulerBound:
-    """Comparison envelope B(t) for the Lipschitz norm, log-integrated."""
+    """Comparison envelope B(t) for the Lipschitz norm, as pairs (t, ln B)."""
 
     A: float
     C: float
@@ -348,7 +348,7 @@ class EulerBound:
             raise ValueError("comparison bound must be non-decreasing")
 
     def at(self, t) -> np.ndarray:
-        """Envelope values at arbitrary times (log-space interpolation)."""
+        """Envelope values at arbitrary times (ln B linear in t)."""
         t = np.asarray(t, dtype=float)
         if self.blowup_time is not None and np.any(t >= self.blowup_time):
             raise ValueError("comparison bound blew up inside the horizon")
@@ -358,59 +358,32 @@ class EulerBound:
             return np.exp(np.interp(t, self.t, self.log_B))
 
 
-# The escape fires once the e-folding time 1/(d ln B/dt) of the envelope
-# drops below this fraction of the horizon: past it RK45 at rtol 1e-10
-# needs steps near the float spacing of t.
+# The envelope escapes once its e-folding time 1/(d ln B/dt) drops below
+# this fraction of the horizon: B is a wall on the scale of t_end there,
+# and the envelope ends short of the blow-up time, not at it up to rounding.
 _ESCAPE_FRACTION = 1e-8
-# the envelope escapes by ln B = _MAX_LOG_B at the latest, and is sampled
-# at _BOUND_SAMPLES times up to its escape or the horizon
+# t(ln B) is tabulated up to ln B = _MAX_LOG_B at the latest, on steps of
+# 1/_LOG_B_STEPS, one Gauss-Legendre panel of order _BOUND_ORDER each
 _MAX_LOG_B = 700.0
-_BOUND_SAMPLES = 513
+_LOG_B_STEPS = 32
+_BOUND_ORDER = 8
 
 
 def gradient_bound_ode(P, A, C, t_end):
-    """Integrate dB/dt = C A (1 + P(B)(1 + ln 2B)) B from B(0) = 1.
+    """Solve dB/dt = C A (1 + P(B)(1 + ln 2B)) B from B(0) = 1.
 
-    Works in b = ln B so double-exponential growth stays representable.
-    The right-hand side is read at min(b, b_top), where b_top is the
-    largest integer b <= ``_MAX_LOG_B`` at which it is finite (one array
-    evaluation on b = 0, 1, ..., ``_MAX_LOG_B``).  The envelope stops at
-    an escape time if b reaches b_top or if its e-folding time falls below
-    ``_ESCAPE_FRACTION * t_end``.  The ODE is autonomous, so the blow-up
-    time is the separable integral of db/(db/dt) over [0, b_top], whose
-    tail is the Osgood integral of P: only a convergent Osgood
-    classification yields a blow-up time, and its bracket is the
-    quadrature error of that integral.
+    In b = ln B the ODE is db/dt = speed(b), autonomous, so its solution
+    is the pairs (t(b), b), t(b) the integral of 1/speed over [0, b]: one
+    table on steps of 1/``_LOG_B_STEPS`` up to b_top, the largest integer
+    b <= ``_MAX_LOG_B`` with a finite speed.  The envelope runs to the
+    first t >= t_end or to an escape: b_top, or the first b whose e-folding
+    time is below ``_ESCAPE_FRACTION * t_end``.  The blow-up time is
+    t(b_top), whose tail is the Osgood integral of P, and only an escape
+    with a convergent Osgood classification yields one; its bracket is the
+    distance to the half-order rule plus the rounding of the sum.
     """
-    from scipy.integrate import quad, solve_ivp
-
     if A <= 0.0 or C < 0.0:
         raise ValueError("need A > 0 and C >= 0")
-    ln2 = math.log(2.0)
-    b_top = _MAX_LOG_B
-
-    def speed(b, exp=math.exp):
-        # db/dt, autonomous, read at min(b, b_top) so it stays finite;
-        # exp=np.exp takes an array of b, and the ODE keeps math.exp,
-        # which np.exp differs from in the last bit on some arguments
-        b = np.minimum(b, b_top)
-        return C * A * (1.0 + P(np.asarray(exp(b))) * (1.0 + ln2 + b))
-
-    # the grid ends at the initial b_top, so the cap leaves it unchanged
-    grid = np.arange(b_top + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(speed(grid, np.exp))
-    b_top = float(grid[finite].max(initial=0.0))
-    escape_speed = 1.0 / (_ESCAPE_FRACTION * t_end)
-    escape = lambda t, y: max(y[0] - b_top, speed(y[0]) - escape_speed)
-    escape.terminal = True
-    escape.direction = 1.0
-    sol = solve_ivp(lambda t, y: [speed(y[0])], (0.0, t_end), [0.0],
-                    method="RK45", rtol=1e-10, atol=1e-12, dense_output=True,
-                    events=escape)
-    if not sol.success:
-        raise RuntimeError(f"comparison ODE integration failed: {sol.message}")
-
     warnings = []
     osgood = None
     try:
@@ -418,24 +391,43 @@ def gradient_bound_ode(P, A, C, t_end):
     except ValueError:
         warnings.append("multiplier not positive on [1, inf); Osgood "
                         "classification skipped")
+    if C == 0.0:  # no speed: B stays 1
+        return EulerBound(A=A, C=C, t=np.array([0.0, t_end]),
+                          log_B=np.zeros(2), osgood=osgood, warnings=warnings)
 
-    escaped = sol.t_events[0].size > 0
-    t_grid = np.linspace(0.0, sol.t_events[0][0] if escaped else t_end,
-                         _BOUND_SAMPLES)
-    log_B = sol.sol(t_grid)[0]
-    log_B[0] = 0.0
+    def speed(b):
+        return C * A * (1.0 + P(np.exp(b)) * (1.0 + math.log(2.0) + b))
+
+    grid = np.arange(_MAX_LOG_B + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_top = float(grid[np.isfinite(speed(grid))].max(initial=0.0))
+    b = np.linspace(0.0, b_top, int(b_top) * _LOG_B_STEPS + 1)
+
+    def steps(order):
+        nodes, weights = panel_nodes(b, order)
+        return (weights / speed(nodes)).reshape(-1, order).sum(axis=1)
+
+    dt = steps(_BOUND_ORDER)
+    t = np.concatenate(([0.0], np.cumsum(dt)))
+    ends = (t >= t_end) | (1.0 / speed(b) < _ESCAPE_FRACTION * t_end)
+    ends[-1] = True
+    k = int(np.argmax(ends))
+    escaped = t[k] < t_end
+
     blow_time = bracket = None
     if escaped and osgood is not None and osgood.convergent:
-        blow_time, err = quad(lambda b: 1.0 / speed(b), 0.0, b_top,
-                              limit=400)
+        blow_time = float(t[-1])
+        # a cumulative sum errs by at most eps/2 times its partial sums
+        err = float(np.abs(dt - steps(_BOUND_ORDER // 2)).sum()
+                    + np.finfo(float).eps * t.sum())
         bracket = (blow_time - err, blow_time + err)
     elif escaped:
         warnings.append(
-            f"bound escaped at t = {t_grid[-1]:.6g} (ln B = {log_B[-1]:.6g}) "
-            f"and the Osgood classification is "
-            f"{osgood.classification if osgood else 'unavailable'}; "
-            "comparison ODE taken as global, envelope truncated there")
-    return EulerBound(A=A, C=C, t=t_grid, log_B=np.maximum.accumulate(log_B),
+            f"bound escaped at t = {t[k]:.6g} (ln B = {b[k]:.6g}) and the "
+            f"Osgood classification is "
+            f"{osgood.classification if osgood else 'unavailable'}; the "
+            "envelope ends there and gives no blow-up time")
+    return EulerBound(A=A, C=C, t=t[:k + 1], log_B=b[:k + 1],
                       blowup_time=blow_time, blowup_bracket=bracket,
                       osgood=osgood, warnings=warnings)
 
@@ -506,7 +498,9 @@ def euler_regularity_experiment(theta0, P, T, *, c_scale=1.0):
             record=None, bound=bound)
 
     rec = simulate_p_euler(theta0, T, P=P)
-    growth = rec["grad_linf"] / rec["grad_linf"][0]
+    grad = rec["grad_linf"]
+    # constant data keeps its zero gradient: a growth of 1, not 0/0
+    growth = grad / grad[0] if grad[0] else np.ones_like(grad)
     envelope = bound.at(rec["t"])
     margins = envelope - growth
     i = int(np.argmin(margins))
@@ -521,7 +515,8 @@ def euler_regularity_experiment(theta0, P, T, *, c_scale=1.0):
                   f"at t = {worst_t:.6g}; calibration constant too small")
     else:
         verdict, passed = REGULAR, True
-        reason = "growth stayed below the comparison envelope"
+        reason = ("growth stayed below the comparison envelope" if grad[0]
+                  else "constant initial data is an exact steady solution")
     rec.verdict = verdict
     return EulerExperimentReport(
         verdict=verdict, passed=passed, reason=reason, A=A, C=C_used,

@@ -120,6 +120,18 @@ def test_compute_Lw_loads_no_scipy_and_a_blowup_pass_only_scipy_fft():
     assert "scipy.optimize" not in seen["pass"]
 
 
+def test_the_euler_bound_loads_no_scipy():
+    # the envelope, its escape and the blow-up time come from one
+    # Gauss-Legendre table of t(ln B): no ODE solver and no QUADPACK
+    seen = _loaded_after(
+        "import json, sys\n"
+        "from moclab import sqg_euler, symbols\n"
+        "sqg_euler.gradient_bound_ode(\n"
+        "    symbols.make_multiplier('loglog', g=1.0), 1.0, 1.0, 10.0)\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    assert _scipy_modules(seen) == []
+
+
 def _family_reads(tree):
     # lines that read a symbol's family: .family or getattr(x, "family")
     for node in ast.walk(tree):

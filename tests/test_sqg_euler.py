@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -616,6 +617,34 @@ def test_bound_with_divergent_osgood_integral_stays_global():
     assert "divergent-consistent" in bound.warnings[0]
 
 
+@pytest.mark.parametrize("c, C, A, T", [(2.0, 0.5, 1.0, 1.0),
+                                        (0.3, 1.0, 2.0, 3.0)])
+def test_bound_of_a_constant_multiplier_is_the_closed_form(c, C, A, T):
+    # for P = c the speed in b = ln B is alpha + beta b, with
+    # alpha = C A (1 + c (1 + ln 2)) and beta = C A c, so
+    # b(t) = (alpha / beta)(e^(beta t) - 1)
+    alpha = C * A * (1.0 + c * (1.0 + math.log(2.0)))
+    beta = C * A * c
+    exact = lambda t: alpha / beta * np.expm1(beta * t)
+    bound = sqg_euler.gradient_bound_ode(make_multiplier("constant", c=c),
+                                         A, C, T)
+    assert bound.t[-1] >= T and bound.blowup_time is None
+    assert_allclose(bound.log_B, exact(bound.t), rtol=1e-13, atol=0.0)
+    t = np.linspace(0.0, T, 2001)
+    assert_allclose(np.log(bound.at(t)), exact(t), rtol=0.0, atol=1e-4)
+
+
+def test_bound_with_no_speed_stays_at_one():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = sqg_euler.gradient_bound_ode(
+            make_multiplier("loglog", g=1.0), 1.0, 0.0, 2.0)
+        envelope = bound.at(np.linspace(0.0, 2.0, 11))
+    assert not bound.log_B.any() and bound.t[-1] == 2.0
+    assert_array_equal(envelope, 1.0)
+    assert bound.blowup_time is None and bound.warnings == []
+
+
 @pytest.mark.parametrize("kind, params, c_scale, verdict, reason", [
     ("power", {"s": 1.5}, 1.0, UNRESOLVED, "inside the horizon"),
     ("loglog", {"g": 1.0}, 1.0, REGULAR, "stayed below"),
@@ -630,6 +659,20 @@ def test_euler_experiment_branches(kind, params, c_scale, verdict, reason):
     assert reason in rep.reason
     if kind == "power":
         assert 0.1 < rep.bound.blowup_time < 0.11 and rep.record is None
+
+
+def test_constant_data_is_regular_as_a_steady_solution():
+    # no gradient and no velocity: the calibrated constant is 0, and the
+    # growth of a zero Lipschitz norm is 1, not 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sqg_euler.euler_regularity_experiment(
+            ScalarField2D(np.full((32, 32), 0.5)),
+            make_multiplier("loglog", g=1.0), 0.5)
+    assert rep.verdict == REGULAR and rep.passed
+    assert rep.reason == "constant initial data is an exact steady solution"
+    assert rep.C == 0.0 and rep.worst_margin == 0.0
+    assert rep.record.termination == "completed"
 
 
 def _saddle(n):
