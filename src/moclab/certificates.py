@@ -298,7 +298,8 @@ def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
 
     Past R1 both the symbol and the envelope are exact power laws and both
     modulus arguments sit past the crossover, so the increment
-    w(2e+xi) - w(2e-xi) is a closed-form power integral and no modulus
+    w(2e+xi) - w(2e-xi) is gamma/2 times the power tail's closed form over
+    [4e - 2xi, 4e + 2xi], the one the member's omega reads, and no modulus
     evaluations are needed. Returns the integral over (R1, inf) of
     (2 w(xi) - increment) m(2e)/e, with its (tiny) truncation error.
     """
@@ -311,13 +312,8 @@ def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
     R_inf = R1 * 10.0 ** (8.0 / alpha)
 
     def closed(eta, x):
-        lo = 4.0 * eta - 2.0 * x
-        hi = 4.0 * eta + 2.0 * x
-        if alpha == 1.0:
-            increment = 0.5 * mem.gamma * c * np.log(hi / lo)
-        else:
-            p = 1.0 - alpha
-            increment = 0.5 * mem.gamma * c * (hi ** p - lo ** p) / p
+        increment = 0.5 * mem.gamma * sym._power_tail_integral(
+            4.0 * eta - 2.0 * x, 4.0 * eta + 2.0 * x)
         return increment * (c * (2.0 * eta) ** (-alpha) / eta)
 
     correction = log_panel_integrals(closed, R1, R_inf, 4.0, 10, (), xi)

@@ -3,9 +3,11 @@
 Each family member joins two pieces at the crossover scale delta(B) solving
 m(delta) = B / kappa: below it the slope decays from B under an explicit
 curvature integral, above it the slope is gamma * m(2 xi), with m taken
-through its non-increasing envelope. Construction verifies on the spot that
-the slope survives to the joint at B/2 and that the joint is concave;
-violated smallness conditions on kappa and gamma are rejected by name.
+through its non-increasing envelope, whose integral omega reads from a
+core table built once up to tail_start and the power tail in closed form
+beyond. Construction verifies on the spot that the slope survives to the
+joint at B/2 and that the joint is concave; violated smallness conditions
+on kappa and gamma are rejected by name.
 
 check_obeys measures breakthrough margins, min over tested pairs of
 omega(|x - y|) - |theta(x) - theta(y)|. 1-D tests every grid pair; 2-D
@@ -103,19 +105,22 @@ class _CumulativeMoments:
         self._log_delta = math.log(delta)
         self._decades = self._FLOOR_DECADES
         self._s, self._m0, self._m1 = self._stretch(
-            self._log_delta - self._FLOOR_DECADES * _LN10, self._log_delta,
-            self._FLOOR_DECADES * self._PER_DECADE)
+            self._log_delta - self._FLOOR_DECADES * _LN10, self._log_delta)
 
-    def _stretch(self, s_lo: float, s_hi: float, panels: int):
-        # node grid on [s_lo, s_hi] and its cumulative moments, seeded by
-        # the integral below s_lo
-        n = panels + 1
-        s = np.linspace(s_lo, s_hi, n)
-        seed0, seed1 = self._seed(s_lo)
+    def _panels(self, s_lo: float, s_hi: float):
+        # node grid on [s_lo, s_hi] at the table's density and both moments
+        # over each panel, one envelope evaluation, each panel summed alone
+        n = max(1, math.ceil(self._PER_DECADE * (s_hi - s_lo) / _LN10 - 1e-6))
+        s = np.linspace(s_lo, s_hi, n + 1)
         nodes, weights = panel_nodes(s, self._ORDER)
-        f0, f1 = self._integrands(nodes)
-        p0 = (weights * f0).reshape(n - 1, self._ORDER).sum(axis=1)
-        p1 = (weights * f1).reshape(n - 1, self._ORDER).sum(axis=1)
+        return (s, *((weights * f).reshape(n, self._ORDER).sum(axis=1)
+                     for f in self._integrands(nodes)))
+
+    def _stretch(self, s_lo: float, s_hi: float):
+        # the grid on [s_lo, s_hi] and its cumulative moments, seeded by the
+        # integral below s_lo
+        seed0, seed1 = self._seed(s_lo)
+        s, p0, p1 = self._panels(s_lo, s_hi)
         return (s, np.concatenate(([seed0], seed0 + np.cumsum(p0))),
                 np.concatenate(([seed1], seed1 + np.cumsum(p1))))
 
@@ -123,11 +128,8 @@ class _CumulativeMoments:
         # double the depth until the floor is at or below s_query
         while self._s[0] > max(s_query, self._S_MIN):
             self._decades *= 2
-            s_hi = float(self._s[0])
             s_lo = max(self._log_delta - self._decades * _LN10, self._S_MIN)
-            panels = max(1, math.ceil(
-                self._PER_DECADE * (s_hi - s_lo) / _LN10 - 1e-6))
-            s, m0, m1 = self._stretch(s_lo, s_hi, panels)
+            s, m0, m1 = self._stretch(s_lo, float(self._s[0]))
             self._s = np.concatenate((s[:-1], self._s))
             self._m0 = np.concatenate((m0[:-1], self._m0))
             self._m1 = np.concatenate((m1[:-1], self._m1))
@@ -158,15 +160,10 @@ class _CumulativeMoments:
         return min(max(hi, t0 + 1.0), self._T_MAX)
 
     def _seed(self, s_lo: float) -> tuple[float, float]:
-        # integral over (0, e^s_lo] on the table's own panels, one envelope
-        # evaluation for both moments
-        s_min = -self._window(-s_lo)
-        panels = max(1, math.ceil(
-            self._PER_DECADE * (s_lo - s_min) / _LN10 - 1e-6))
-        nodes, weights = panel_nodes(np.linspace(s_min, s_lo, panels + 1),
-                                     self._ORDER)
-        f0, f1 = self._integrands(nodes)
-        return float(weights @ f0), float(weights @ f1)
+        # integral over (0, e^s_lo] on the table's own panels, summed as
+        # the table is: a BLAS dot's last bits would follow its thread count
+        _, p0, p1 = self._panels(-self._window(-s_lo), s_lo)
+        return float(p0.sum()), float(p1.sum())
 
     def moments(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """(M0, M1) at every separation of the 1-D array ``xi``."""
@@ -193,54 +190,44 @@ class _CumulativeMoments:
 class _EnvelopeIntegral:
     """Running integral of the envelope of m from a fixed left endpoint.
 
-    Log-spaced Gauss-Legendre panels with the envelope's kink radii pinned
-    as panel edges; the grid extends itself geometrically on demand.
+    The core [lo, max(lo, tail_start)] is one table, built once: log-spaced
+    Gauss-Legendre panels with the envelope's kink radii pinned as panel
+    edges. Beyond tail_start the envelope is the exact power tail, so a
+    point there reads the table's total plus the tail's closed form; a
+    power symbol, whose tail starts at 0, has no panel at all.
     """
 
     _ORDER = 20
     _PER_DECADE = 16
 
-    def __init__(self, sym: DissipationSymbol, lo: float, hi: float):
+    def __init__(self, sym: DissipationSymbol, lo: float):
         self._sym = sym
-        self._edges = np.array([lo])
-        self._cum = np.array([0.0])
-        self._grow(hi)
+        top = sym.tail_start
+        self._edges = (log_edges(lo, top, self._PER_DECADE, sym.breakpoints)
+                       if top > lo else np.array([lo]))
+        s = np.log(self._edges)
+        (vals,) = _partial_panels(s[:-1], s[1:], self._ORDER, self._integrand)
+        self._cum = np.concatenate(([0.0], np.cumsum(vals)))
 
-    def _grow(self, hi: float) -> None:
-        lo = float(self._edges[-1])
-        if hi <= lo:
-            return
-        edges = log_edges(lo, hi, self._PER_DECADE, self._sym.breakpoints)
-        s_edges = np.log(edges)
-        nodes, weights = panel_nodes(s_edges, self._ORDER)
-        eta = np.exp(nodes)
-        vals = (weights * eta * self._sym.envelope(eta)).reshape(
-            len(edges) - 1, self._ORDER).sum(axis=1)
-        self._edges = np.concatenate((self._edges, edges[1:]))
-        self._cum = np.concatenate(
-            (self._cum, self._cum[-1] + np.cumsum(vals)))
+    def _integrand(self, s: np.ndarray) -> tuple[np.ndarray]:
+        eta = np.exp(s)
+        return (eta * self._sym.envelope(eta),)
 
     def value(self, v) -> np.ndarray:
         """Integral from the origin to every point of the 1-D array ``v``."""
-        v = np.asarray(v, dtype=float)
-        if np.any(v < self._edges[0] * (1.0 - 1e-12)):
-            raise ValueError("envelope integral queried left of its origin")
-        v = np.maximum(v, self._edges[0])
-        # double the top edge until it covers the query, so the table's
-        # edges depend on the member alone, never on the queries so far
-        while v.size and v.max() > self._edges[-1]:
-            self._grow(2.0 * float(self._edges[-1]))
         edges = self._edges
-        i = np.minimum(np.searchsorted(edges, v, side="right") - 1,
-                       len(edges) - 2)
-
-        def integrand(s):
-            eta = np.exp(s)
-            return (eta * self._sym.envelope(eta),)
-
-        (part,) = _partial_panels(np.log(edges[i]), np.log(v), self._ORDER,
-                                  integrand)
-        return self._cum[i] + part
+        if np.any(v < edges[0] * (1.0 - 1e-12)):
+            raise ValueError("envelope integral queried left of its origin")
+        v = np.maximum(v, edges[0])
+        out = self._cum[-1] + self._sym._power_tail_integral(
+            edges[-1], np.maximum(v, edges[-1]))
+        core = v < edges[-1]
+        if core.any():
+            i = np.searchsorted(edges, v[core], side="right") - 1
+            (part,) = _partial_panels(np.log(edges[i]), np.log(v[core]),
+                                      self._ORDER, self._integrand)
+            out[core] = self._cum[i] + part
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +408,9 @@ def _member_at(sym: DissipationSymbol, kappa: float, gamma: float, B: float,
     """The member of ``build_modulus`` from its solved crossover scale,
     with the parameters already checked (``_check_parameters``). Refuses
     by name a delta that is NaN (not resolved) or not above _DELTA_FLOOR
-    (underflowed), then checks the slope and the joint."""
+    (underflowed), then checks the slope and the joint. The high part's
+    envelope table covers [2 delta, max(2 delta, tail_start)] and never
+    grows (``_EnvelopeIntegral``)."""
     if not delta > _DELTA_FLOOR:
         what = "not resolved in" if math.isnan(delta) else "underflowed"
         raise ModulusConstructionError(
@@ -448,7 +437,7 @@ def _member_at(sym: DissipationSymbol, kappa: float, gamma: float, B: float,
             f"joint not concave: slope jumps {slope_left:.6g} -> "
             f"{slope_right:.6g} at delta(B)")
 
-    high = _EnvelopeIntegral(sym, 2.0 * delta, max(16.0, 32.0 * delta))
+    high = _EnvelopeIntegral(sym, 2.0 * delta)
     return ModulusMember(
         sym=sym, B=float(B), kappa=kappa, gamma=gamma, delta=delta,
         C_alpha=C_alpha, doubling_bound=1.0 + 1.5 ** (-alpha),

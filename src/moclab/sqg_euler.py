@@ -249,7 +249,7 @@ def simulate_sqg(theta0, T, *, P, member=None, dt_max=None,
     (``meta["monitor_rows"]``), and that positive bound on the others.
     The bound is the last sweep's smallest lattice margin less twice the
     grid change since that sweep and a rounding charge. It covers the step
-    ends only; the time between them is left open (ROADMAP item 17).
+    ends only; the time between them is left open (ROADMAP item 19).
     ``meta["min_obedience_margin"]`` is the smallest swept margin, and
     breakthrough shows up as a non-positive margin, never as an
     exception. ``dt_max`` caps the step (default T/64); the run stops

@@ -139,6 +139,17 @@ class DissipationSymbol:
             return self._env_plateau[2]
         return self.core_radius
 
+    def _power_tail_integral(self, lo, hi):
+        # integral of c r^-alpha over [lo, hi], c = tail_coeff, as
+        # c lo^p expm1(p L) / p with p = 1 - alpha and L = ln(hi/lo), which
+        # is c L at p = 0: (hi^p - lo^p)/p would cancel as alpha nears 1
+        c, p = self.tail_coeff, 1.0 - self.alpha
+        with np.errstate(over="ignore"):
+            L = np.log(hi / lo)
+        if np.isinf(L).any():  # hi/lo past the float range: nothing cancels
+            L = np.where(np.isinf(L), np.log(hi) - np.log(lo), L)
+        return c * L if p == 0.0 else c * lo ** p * np.expm1(p * L) / p
+
     def _tail_integral(self, f, top, R):
         # integral of f(u)/u over (R, inf) for f = m or its envelope, which
         # is the exact power tail from top on: closed form through

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,8 @@ from moclab.moduli import (
     find_B_for_data,
     validate_modulus,
 )
-from moclab.symbols import (crossover_scale, make_symbol, symbol_from_json,
+from moclab.symbols import (crossover_scale, make_symbol,
+                            symbol_from_callable, symbol_from_json,
                             symbol_from_table)
 
 CRITICAL = make_symbol("power", a=1.0)
@@ -282,8 +284,8 @@ def test_omega_chunks_never_change_a_value(monkeypatch):
 
 
 def _set_sorted_edges(sym, lo, hi, per_decade):
-    # reference edges for _EnvelopeIntegral._grow: a set of the log grid
-    # and the envelope's kinks, sorted
+    # reference edges for the _EnvelopeIntegral core table: a set of the
+    # log grid and the envelope's kinks, sorted
     n = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
     pts = set(np.geomspace(lo, hi, n))
     pts.update(p for p in sym.breakpoints if lo < p < hi)
@@ -292,15 +294,94 @@ def _set_sorted_edges(sym, lo, hi, per_decade):
 
 @pytest.mark.parametrize("name", ["power1", "log1", "log0.3", "tabulated"])
 def test_envelope_integral_edges_match_the_set_builder(name):
+    # the table covers the core [2e-7, max(2e-7, tail_start)] alone, once:
+    # a power symbol's tail starts at 0, so its table is the origin alone
     sym = SEED_SYMBOLS[name]
-    integ = moduli._EnvelopeIntegral(sym, 2e-7, 16.0)
-    expect = _set_sorted_edges(sym, 2e-7, 16.0, 16)
+    top = max(2e-7, sym.tail_start)
+    integ = moduli._EnvelopeIntegral(sym, 2e-7)
+    expect = _set_sorted_edges(sym, 2e-7, top, 16)
     assert np.array_equal(integ._edges, expect)
-    integ.value(np.array([100.0]))  # doubles the top edge up to 128
-    for top in (16.0, 32.0, 64.0):
-        expect = np.concatenate(
-            (expect, _set_sorted_edges(sym, top, 2.0 * top, 16)[1:]))
+    integ.value(np.array([100.0, 7.7e5]))
     assert np.array_equal(integ._edges, expect)
+
+
+def _refuse_evaluation(*args, **kwargs):
+    raise AssertionError("symbol evaluated at a quadrature node")
+
+
+@pytest.mark.parametrize("B", [1.0, 2.0 ** 20, 2.0 ** 200, 2.0 ** 900],
+                         ids=["B=1", "B=2^20", "B=2^200", "B=2^900"])
+@pytest.mark.parametrize("c", [1.0, fractional_normalization(2, 1.0)],
+                         ids=["c=1", "c=C21"])
+def test_critical_omega_past_delta_is_the_log_closed_form(c, B, monkeypatch):
+    # for m = c/r, omega(xi) = omega(delta) + (gamma c/2) ln(xi/delta) past
+    # delta, and the member reads it without evaluating its symbol at a
+    # quadrature node. Four roundings (the log, the products by c and by
+    # gamma/2, the sum) each cost at most one ulp of omega, the last two
+    # half of one: 3 ulps. At B = 2^900, xi/delta overflows float64 from
+    # xi ~ 1e35 on
+    sym = make_symbol("power", a=1.0, scale=c)
+    mem = build_modulus(sym, 0.05, 0.01, B)
+    monkeypatch.setattr(sym, "m", _refuse_evaluation)
+    monkeypatch.setattr(sym, "envelope", _refuse_evaluation)
+    xi = np.concatenate((mem.delta * np.geomspace(1.0 + 1e-9, 1e3, 40),
+                         default_xi_grid(1e-8, 1e4, 8), [1e12, 1e300]))
+    xi = xi[xi > mem.delta]
+    with mpmath.workdps(40):
+        gc = mpmath.mpf(mem.gamma) * mpmath.mpf(c) / 2
+        for v, w in zip(xi.tolist(), mem.omega(xi).tolist()):
+            ref = mem.omega_at_delta + gc * mpmath.log(
+                mpmath.mpf(v) / mpmath.mpf(mem.delta))
+            assert abs(w - ref) <= 3.0 * math.ulp(w), (v, w, float(ref))
+
+
+def _log_envelope_mp(sym):
+    # the envelope of the unscaled log family at 40 digits: the closed
+    # form 1/(r ln^a(2/r)) on (0, 1], the power tail beyond, and the
+    # plateau where there is one
+    a, m1, alpha = sym.a, sym.tail_coeff, sym.alpha
+    plateau = sym._env_plateau
+
+    def env(r):
+        if plateau is not None and plateau[0] <= r < plateau[2]:
+            return mpmath.mpf(plateau[1])
+        if r <= 1:
+            return 1 / (r * mpmath.log(2 / r) ** a)
+        return m1 * r ** -alpha
+
+    return env
+
+
+@pytest.mark.parametrize("B", [1.0, 2.0 ** 20], ids=["B=1", "B=2^20"])
+@pytest.mark.parametrize("family,a", [("power", 0.5), ("power", 0.9),
+                                      ("power", 0.999), ("log", 0.5),
+                                      ("log", 1.0)])
+def test_omega_past_delta_is_the_envelope_integral(family, a, B):
+    # omega(xi) - omega(delta) = (gamma/2) * integral of env over
+    # [2 delta, 2 xi] against 40-digit mpmath quadrature in ln r, on
+    # both sides of tail_start/2 (log a=1 has the envelope plateau, so
+    # its tail starts at the plateau's top)
+    sym = make_symbol(family, a=a)
+    kappa = min(0.05, 0.49 * sym.r0 / (4.0 * sym.C0))
+    mem = build_modulus(sym, kappa, 0.2 * kappa, B)
+    half = 0.5 * max(sym.tail_start, 1.0)
+    xi = np.concatenate((mem.delta * np.array([1.5, 10.0]),
+                         half * np.array([0.3, 0.7, 0.99, 1.01, 1.5, 10.0,
+                                          1e3])))
+    xi = np.sort(xi[xi > mem.delta])
+    env = (_log_envelope_mp(sym) if family == "log"
+           else lambda r: r ** -mpmath.mpf(a))
+    with mpmath.workdps(40):
+        lo, total = mpmath.mpf(2.0 * mem.delta), mpmath.mpf(0)
+        for v, w in zip(xi.tolist(), mem.omega(xi).tolist()):
+            hi = 2 * mpmath.mpf(v)
+            pts = sorted(k for k in sym.breakpoints + [1.0] if lo < k < hi)
+            total += mpmath.quad(
+                lambda s: env(mpmath.exp(s)) * mpmath.exp(s),
+                [mpmath.log(p) for p in [lo, *pts, hi]])
+            lo = hi
+            ref = mem.omega_at_delta + mpmath.mpf(mem.gamma) / 2 * total
+            assert abs(w - ref) <= 2e-15 * w, (v, w, float(ref))
 
 
 def test_build_modulus_runs_no_adaptive_quadrature(monkeypatch):
@@ -661,6 +742,17 @@ def test_ladder_survives_crossover_underflow():
 def test_build_modulus_names_the_underflow():
     with pytest.raises(ModulusConstructionError, match="underflowed"):
         build_modulus(CRITICAL, 0.1, 0.01, 1e302)
+
+
+def test_build_modulus_names_a_symbol_that_vanishes_below_delta():
+    # the moment table names the radius where the envelope stopped being
+    # positive, not a division by zero
+    sym = symbol_from_callable(
+        lambda r: np.where(r < 1e-5, 0.0, r ** -0.6), core_radius=2.0,
+        alpha=0.6, r0=1.0, C0=1.0, sqg_admissible=False)
+    with pytest.raises(ModulusConstructionError,
+                       match=r"m\(\S+\) evaluates to 0 below delta"):
+        build_modulus(sym, 0.05, 0.01, 1.0)
 
 
 def test_build_modulus_names_an_unresolved_crossover():

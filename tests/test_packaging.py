@@ -29,9 +29,10 @@ def test_every_declared_script_target_imports():
         assert callable(obj), f"script {name!r} names {target!r}"
 
 
-def _loaded_after(code: str) -> dict:
-    # run ``code`` in a fresh interpreter; it prints one JSON line
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _loaded_after(code: str, **env_vars: str) -> dict:
+    # run ``code`` in a fresh interpreter, with ``env_vars`` added to its
+    # environment; it prints one JSON line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_vars)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     return json.loads(out.stdout)
@@ -130,6 +131,28 @@ def test_the_euler_bound_loads_no_scipy():
         "    symbols.make_multiplier('loglog', g=1.0), 1.0, 1.0, 10.0)\n"
         "print(json.dumps(sorted(sys.modules)))\n")
     assert _scipy_modules(seen) == []
+
+
+def test_omega_bits_do_not_depend_on_blas_threads():
+    # a threaded BLAS dot's last bits follow its thread count; a member's
+    # tables sum with numpy alone, so omega and omega' of the critical
+    # member agree to the bit under one and under two BLAS threads
+    code = (
+        "import json\n"
+        "from moclab import certificates, kernels, moduli, symbols\n"
+        "sym = symbols.make_symbol('power', a=1.0,\n"
+        "    scale=kernels.fractional_normalization(2, 1.0))\n"
+        "xi = certificates.default_xi_grid(1e-8, 1e4, 8)\n"
+        "out = []\n"
+        "for B in (1.0, 2.0 ** 20):\n"
+        "    mem = moduli.build_modulus(sym, 0.05, 0.01, B)\n"
+        "    out += [v.hex() for v in mem.omega(xi).tolist()]\n"
+        "    out += [v.hex() for v in mem.omega_prime(xi).tolist()]\n"
+        "print(json.dumps(out))\n")
+    one = _loaded_after(code, OPENBLAS_NUM_THREADS="1")
+    two = _loaded_after(code, OPENBLAS_NUM_THREADS="2")
+    assert len(one) == 2 * 2 * 97
+    assert one == two
 
 
 def _family_reads(tree):
