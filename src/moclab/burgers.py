@@ -56,9 +56,9 @@ import numpy as np
 from .fields import (_DT_FLOOR, ScalarField1D, _refuse_bad_cadence,
                      _StagedRun, dealias_cutoff, irfft, rfft)
 from .kernels import multiplier_of_symbol_1d
-from .quadrature import (classify_decades, decade_increments, decade_sum,
-                         graded_edges, log_edges, log_panel_integrals,
-                         panel_nodes)
+from .quadrature import (brentq, classify_decades, decade_increments,
+                         decade_sum, graded_edges, log_edges,
+                         log_panel_integrals, panel_nodes)
 from .records import BLOWUP, REGULAR, UNRESOLVED, RunRecord
 from .symbols import DissipationSymbol
 
@@ -76,11 +76,10 @@ _DIV_RATIO = 0.999
 # compute_Lw refines it once to check the integral of |L w|
 _LW_PER_DECADE = 4
 _LW_ORDER = 10
-# _brentq, which pins the sign changes of L w inside the support:
-# scipy.optimize.brentq's rtol and maxiter, with xtol 1e-13
+# the tolerances of the solve that pins the sign changes of L w inside the
+# support: scipy.optimize.brentq's rtol, with xtol 1e-13
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
-_BRENT_MAXITER = 100
 
 # ulps design_blowup_data may add to the closed-form amplitude
 _DESIGN_ULP_STEPS = 64
@@ -177,12 +176,6 @@ def kernel_mass(m):
 # dissipation of the hat profile
 # ----------------------------------------------------------------------
 
-def _m_over_r2_tail(sym, R):
-    """integral_R^inf m(u)/u^2 du for R at or beyond the power tail."""
-    R = max(R, sym.core_radius)
-    return sym.tail_coeff * R ** (-1.0 - sym.alpha) / (1.0 + sym.alpha)
-
-
 def wedge_dissipation(sym, x, *, per_decade=_LW_PER_DECADE, order=_LW_ORDER):
     """Pointwise L w at x (scalar or array), odd in x by construction."""
     xs = np.asarray(x, dtype=float)
@@ -228,79 +221,19 @@ def _log_slope_sup(m, lo=1e-10, hi=1e2, samples=1200):
     return float(np.max(np.abs(up - dn)) / (2.0 * h))
 
 
-def _brentq(f, lo, hi):
-    """scipy.optimize.brentq(f, lo, hi, xtol=_BRENT_XTOL): Brent's (1973)
-    iteration as scipy's Zeros/brentq.c runs it, so the root and the
-    sequence of f calls are scipy's bitwise.
-
-    Each step takes the inverse quadratic (or secant) step when it is short
-    enough and bisects otherwise, keeping the root bracketed between the
-    current iterate and the contrapoint; it stops at an exact zero or once
-    half the bracket is below (xtol + rtol |x|) / 2. Refuses as scipy does:
-    f(lo), f(hi) of one sign or a NaN value of f raise ValueError, and
-    _BRENT_MAXITER steps without convergence raise RuntimeError.
-    """
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = lo, hi
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if (fpre < 0.0) != (fcur < 0.0):  # a new contrapoint
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-        if stry is not None and 2.0 * abs(stry) < min(abs(spre),
-                                                      3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0
-                                                else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
-                       "iterations.")
-
-
 def _abs_integral(f, a, b, edges, order):
-    # integral of |f| over panels; any sign change is located and pinned so
-    # the absolute value stays smooth inside every panel. f takes arrays
-    # for the scan and the nodes, and a float (giving a float) for _brentq.
+    # integral of |f| over panels; every sign-change cell of a 63-point
+    # scan is pinned by one solve, so the absolute value stays smooth
+    # inside every panel. f takes and gives arrays.
     scan = np.linspace(a, b, 65)[1:-1]
     vals = f(np.concatenate(([a + 1e-12 * (b - a)], scan)))
-    pts = [a, b]
-    for lo, hi, v_lo, v_hi in zip(np.concatenate(([a], scan[:-1])), scan,
-                                  vals[:-1], vals[1:]):
-        if v_lo * v_hi < 0.0:
-            pts.append(_brentq(f, float(lo), float(hi)))
-    full = np.unique(np.concatenate([edges, np.asarray(pts)]))
+    lo = np.concatenate(([a], scan[:-1]))
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    roots = brentq(lambda x, i: f(x), lo[cells], scan[cells], _BRENT_XTOL,
+                   _BRENT_RTOL)
+    if np.isnan(roots).any():
+        raise RuntimeError("Failed to converge after 100 iterations.")
+    full = np.unique(np.concatenate([edges, [a, b], roots]))
     full = full[(full >= a) & (full <= b)]
     nodes, weights = panel_nodes(full, order)
     return float(np.dot(weights, np.abs(f(nodes))))
@@ -376,14 +309,19 @@ def _abs_lw_integrals(sym, per_decade, order, mass, C):
     # integrates exactly against the power tail.
     target = 1e-9 * max(i_inside, 1.0)
     X = 8.0
-    while ((C + 1.0) / 3.0) * _m_over_r2_tail(sym, X - 1.0) > target and X < 1e6:
+
+    def far(X):  # ((C + 1)/3) * integral of m(u)/u^2 over (X - 1, inf)
+        return float((C + 1.0) / 3.0 * sym._power_tail_integral(
+            max(X - 1.0, sym.core_radius), np.inf, 2))
+
+    while far(X) > target and X < 1e6:
         X *= 4.0
     out_edges = np.unique(np.concatenate([
         1.0 + graded_edges(1.0, 30),
         log_edges(2.0, X, per_decade)]))
     nodes, weights = panel_nodes(out_edges, order)
     vals = -wedge_dissipation(sym, nodes, per_decade=per_decade, order=order)
-    far_rem = ((C + 1.0) / 3.0) * _m_over_r2_tail(sym, X - 1.0)
+    far_rem = far(X)
     i_outside = float(np.dot(weights, vals)) + far_rem
     return i_inside, i_outside, far_rem
 

@@ -313,7 +313,7 @@ def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
 
     def closed(eta, x):
         increment = 0.5 * mem.gamma * sym._power_tail_integral(
-            4.0 * eta - 2.0 * x, 4.0 * eta + 2.0 * x)
+            4.0 * eta - 2.0 * x, 4.0 * eta + 2.0 * x, 0)
         return increment * (c * (2.0 * eta) ** (-alpha) / eta)
 
     correction = log_panel_integrals(closed, R1, R_inf, 4.0, 10, (), xi)

@@ -220,7 +220,7 @@ class _EnvelopeIntegral:
             raise ValueError("envelope integral queried left of its origin")
         v = np.maximum(v, edges[0])
         out = self._cum[-1] + self._sym._power_tail_integral(
-            edges[-1], np.maximum(v, edges[-1]))
+            edges[-1], np.maximum(v, edges[-1]), 0)
         core = v < edges[-1]
         if core.any():
             i = np.searchsorted(edges, v[core], side="right") - 1

@@ -19,7 +19,9 @@ The conventions used throughout the package:
   ratios of its per-decade increments (``decade_increments`` builds them,
   ``classify_decades`` reads them, ``decade_sum`` closes a convergent sum),
   each caller with its own thresholds; a tail to infinity is read through
-  r = R/u toward u = 0.
+  r = R/u toward u = 0;
+* every root is found by one solver, ``brentq``: scipy's Brent iteration
+  run elementwise over an array of brackets, bitwise scipy's per element.
 """
 from __future__ import annotations
 
@@ -269,3 +271,78 @@ def oscillation_resolved_edges(a: float, b: float, freq: float) -> np.ndarray:
     periods = abs(freq) * (b - a) / (2.0 * math.pi)
     n = int(min(4096, max(4, math.ceil(6.0 * periods))))
     return np.linspace(a, b, n + 1)
+
+
+# scipy.optimize.brentq's iteration cap
+_BRENT_MAXITER = 100
+
+
+def brentq(f, lo, hi, xtol: float, rtol: float) -> np.ndarray:
+    """scipy.optimize.brentq run elementwise over the brackets [lo, hi].
+
+    ``f(x, i)`` evaluates the function of element ``i[j]`` at ``x[j]``.
+    Each branch of scipy's Zeros/brentq.c iteration is a per-lane
+    ``np.where`` and converged lanes drop out, so an element's root and
+    the x of its f calls are scipy's bitwise. Refuses as scipy does (ends
+    of one sign or a NaN value of f raise ValueError); NaN where scipy's
+    100 iterations run out. Empty brackets make no call of f.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    out = np.full(lo.size, np.nan)
+    if not lo.size:
+        return out
+
+    def value(x, i):
+        fx = f(x, i)
+        nan = np.flatnonzero(np.isnan(fx))
+        if nan.size:
+            raise ValueError(f"The function value at x={float(x[nan[0]])} "
+                             "is NaN; solver cannot continue.")
+        return fx
+
+    every = np.arange(lo.size)
+    fpre = value(lo, every)
+    fcur = value(hi, every)
+    out = np.where(fpre == 0.0, lo, np.where(fcur == 0.0, hi, out))
+    live = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
+    xpre, xcur, fpre, fcur = lo[live], hi[live], fpre[live], fcur[live]
+    if np.any(np.signbit(fpre) == np.signbit(fcur)):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = np.zeros(live.size)
+    for _ in range(_BRENT_MAXITER):
+        new = (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        step = xcur - xpre
+        xblk, fblk, spre, scur = np.where(new, [xpre, fpre, step, step],
+                                          [xblk, fblk, spre, scur])
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+            swap, [xcur, xblk, xcur, fcur, fblk, fcur],
+            [xpre, xcur, xblk, fpre, fcur, fblk])
+        delta = (xtol + rtol * np.abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if np.count_nonzero(done):
+            out[live[done]] = xcur[done]
+            keep = ~done
+            (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis) = (v[keep] for v in (live, xpre, xcur, xblk, fpre, fcur,
+                                        fblk, spre, scur, delta, sbis))
+        if not live.size:
+            break
+        with np.errstate(all="ignore"):  # lanes that take another branch
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk,
+                            -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+        cap = 3.0 * np.abs(sbis) - delta
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2.0 * np.abs(stry)
+                    < np.where(np.abs(spre) < cap, np.abs(spre), cap)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0.0, delta, -delta))
+        fcur = value(xcur, live)
+    return out

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import _array_call, _refuse_bad_input
-from .quadrature import (classify_decades, decade_increments,
+from .quadrature import (brentq, classify_decades, decade_increments,
                          log_panel_integrals)
 
 LN2 = math.log(2.0)
@@ -88,7 +88,7 @@ class DissipationSymbol:
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         # count_nonzero: a quarter of the cost of .any() on the short arrays
-        # of the crossover bisection
+        # of the crossover solve
         if np.count_nonzero(r <= 0.0):
             raise ValueError("symbol evaluated at non-positive radius")
         # a radius set inside one branch skips the gather and the scatter
@@ -139,11 +139,12 @@ class DissipationSymbol:
             return self._env_plateau[2]
         return self.core_radius
 
-    def _power_tail_integral(self, lo, hi):
-        # integral of c r^-alpha over [lo, hi], c = tail_coeff, as
-        # c lo^p expm1(p L) / p with p = 1 - alpha and L = ln(hi/lo), which
-        # is c L at p = 0: (hi^p - lo^p)/p would cancel as alpha nears 1
-        c, p = self.tail_coeff, 1.0 - self.alpha
+    def _power_tail_integral(self, lo, hi, j):
+        # integral of c r^-(alpha + j) over [lo, hi], c = tail_coeff, as
+        # c lo^p expm1(p L) / p with p = (1 - j) - alpha and L = ln(hi/lo),
+        # which is c L at p = 0: (hi^p - lo^p)/p would cancel as alpha + j
+        # nears 1. hi = inf needs p < 0, where expm1(-inf) = -1
+        c, p = self.tail_coeff, (1.0 - j) - self.alpha
         with np.errstate(over="ignore"):
             L = np.log(hi / lo)
         if np.isinf(L).any():  # hi/lo past the float range: nothing cancels
@@ -152,12 +153,11 @@ class DissipationSymbol:
 
     def _tail_integral(self, f, top, R):
         # integral of f(u)/u over (R, inf) for f = m or its envelope, which
-        # is the exact power tail from top on: closed form through
-        # np.power as in ``m`` above top, and below it one rule for both,
-        # log panels 8 per decade of order 12 with the breakpoints pinned
+        # is the exact power tail from top on: closed form above top, and
+        # below it one rule for both, log panels 8 per decade of order 12
+        # with the breakpoints pinned
         R, shape = _radii(R)
-        out = (self.tail_coeff * np.power(np.maximum(R, top), -self.alpha)
-               / self.alpha)
+        out = self._power_tail_integral(np.maximum(R, top), np.inf, 1)
         gap = R < top
         if gap.any():
             out[gap] += log_panel_integrals(lambda r: f(r) / r, R[gap], top,
@@ -511,49 +511,21 @@ def check_conditions(sym: DissipationSymbol) -> ConditionReport:
 # crossover scale
 # ---------------------------------------------------------------------------
 
-# the bisection for ln(delta): scipy.optimize.bisect's tolerances, and a
-# cap on its steps (and on the bracket's); the residual every root meets
+# the solve for ln(delta): its tolerances, the cap on the bracket's steps
+# down from r0/4, and the residual every root meets
 _CROSS_XTOL = 1e-15
 _CROSS_RTOL = 8.9e-16
 _CROSS_MAXITER = 400
 _CROSS_RESIDUAL = 1e-12
 
 
-def _bisect(f, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """scipy.optimize.bisect run elementwise over the brackets [xa, xb].
-
-    ``f(x, i)`` evaluates the function of element ``i[j]`` at ``x[j]``, and
-    f(xa), f(xb) must not share a sign. The iteration is scipy's: halve the
-    step, move the left end while f keeps the sign it had there, stop at an
-    exact zero or once the step is below xtol + rtol |x|. An element's
-    iterates depend on its own bracket alone. NaN where maxiter runs out.
-    """
-    every = np.arange(xa.size)
-    fa, fb = f(xa, every), f(xb, every)
-    out = np.where(fa == 0.0, xa, np.where(fb == 0.0, xb, np.nan))
-    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
-    xa, fa, dm = xa[live], fa[live], (xb - xa)[live]
-    for _ in range(_CROSS_MAXITER):
-        if not live.size:
-            break
-        dm *= 0.5
-        xm = xa + dm
-        fm = f(xm, live)
-        xa = np.where(fm * fa >= 0.0, xm, xa)
-        done = (fm == 0.0) | (np.abs(dm) < _CROSS_XTOL
-                              + _CROSS_RTOL * np.abs(xm))
-        if np.count_nonzero(done):
-            out[live[done]] = xm[done]
-            keep = ~done
-            live, xa, fa, dm = live[keep], xa[keep], fa[keep], dm[keep]
-    return out
-
-
 def _crossover_roots(sym: DissipationSymbol, kappa: float,
                      B: np.ndarray) -> np.ndarray:
-    """delta with m(delta) = B / kappa for every entry of the 1-D array B;
-    NaN where no bracket exists above the float floor or the root misses
-    the residual. Refuses the preconditions by name."""
+    """delta with m(delta) = B / kappa for every entry of the 1-D array B,
+    solved in t = ln r by ``quadrature.brentq`` on all brackets at once;
+    NaN where no bracket exists above the float floor, the solve does not
+    converge or the root misses the residual. Refuses the preconditions by
+    name."""
     if not kappa > 0.0 or kappa >= sym.r0 / (4.0 * sym.C0):
         raise ValueError("kappa must lie in (0, r0 / (4 C0))")
     if np.any(B < 1.0):
@@ -573,28 +545,29 @@ def _crossover_roots(sym: DissipationSymbol, kappa: float,
     lo = np.where(bracketed, steps[np.argmax(above, axis=1)], np.nan)
     delta = np.full_like(target, np.nan)
     ok = np.flatnonzero(bracketed)
-    if ok.size:
-        ltarget = np.log(target[ok])
+    ltarget = np.log(target[ok])
 
-        def f(t, i):
-            return np.log(sym.m(np.exp(t))) - ltarget[i]
+    def f(t, i):
+        return np.log(sym.m(np.exp(t))) - ltarget[i]
 
-        delta[ok] = np.exp(_bisect(f, np.log(lo[ok]),
-                                   np.full(ok.size, math.log(hi))))
+    delta[ok] = np.exp(brentq(f, np.log(lo[ok]),
+                              np.full(ok.size, math.log(hi)), _CROSS_XTOL,
+                              _CROSS_RTOL))
     with np.errstate(over="ignore"):  # an overflowed m misses the residual
         resid = np.abs(sym.m(np.where(np.isnan(delta), hi, delta)) - target)
     return np.where(resid <= _CROSS_RESIDUAL * target, delta, np.nan)
 
 
 def crossover_scale(sym: DissipationSymbol, kappa: float, B):
-    """Solve m(delta) = B / kappa by bisection in log radius, for a scalar B
-    (a float comes back) or elementwise over an array of B.
+    """Solve m(delta) = B / kappa in log radius, for a scalar B (a float
+    comes back) or elementwise over an array of B.
 
     Needs kappa < r0 / (4 C0) and B >= 1, which place the root strictly
     below r0/4, inside the region where every built-in m is monotone. The
-    bisection is scipy.optimize.bisect's, run on all B at once; each entry
-    equals the scalar call on that B bitwise. The residual
-    |m(delta) - B/kappa| is verified to 1e-12 relative.
+    solve is scipy.optimize.brentq's iteration, run on all B at once
+    (``quadrature.brentq``); each entry equals the scalar call on that B
+    bitwise. The residual |m(delta) - B/kappa| is verified to 1e-12
+    relative.
     """
     arr = np.asarray(B, dtype=float)
     delta = _crossover_roots(sym, kappa, arr.ravel())

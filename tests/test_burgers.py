@@ -310,33 +310,41 @@ def test_compute_Lw_refuses_uncertified_mass():
 
 
 def _brent_solvers():
-    # the transcription, and scipy's brentq at the xtol compute_Lw uses
+    # the shared solver on one bracket, at the tolerances of compute_Lw,
+    # and scipy's brentq at its xtol (its default rtol is compute_Lw's)
     from scipy.optimize import brentq
 
-    return burgers._brentq, lambda f, a, b: brentq(f, a, b, xtol=1e-13)
+    def ours(f, lo, hi):
+        def lane(x, i):
+            assert i.tolist() == [0]
+            return np.array([f(float(x[0]))])
+        return float(quadrature.brentq(lane, np.array([lo]), np.array([hi]),
+                                       burgers._BRENT_XTOL,
+                                       burgers._BRENT_RTOL)[0])
+    return ours, lambda f, a, b: brentq(f, a, b, xtol=1e-13)
 
 
 def _brent_runs(f, lo, hi):
-    # (root, x of every f call) of each solver; both hand f a float and
-    # return one
+    # (root, x of every f call) of each solver
     runs = []
     for solve in _brent_solvers():
         calls = []
         root = solve(lambda x: calls.append(x) or f(x), lo, hi)
-        assert all(type(x) is float for x in [root, *calls])
         runs.append((root, calls))
     return runs
 
 
 def _lw_brackets(a, monkeypatch):
-    # the (f, lo, hi) of every sign change compute_Lw pins
-    seen, real = [], burgers._brentq
+    # the (f, lo, hi) of every sign change compute_Lw pins, f on floats
+    seen, real = [], burgers.brentq
 
-    def spy(f, lo, hi):
-        seen.append((f, lo, hi))
-        return real(f, lo, hi)
+    def spy(f, lo, hi, xtol, rtol):
+        assert (xtol, rtol) == (burgers._BRENT_XTOL, burgers._BRENT_RTOL)
+        seen.extend((lambda x: float(f(np.array([x]), np.array([0]))[0]),
+                     float(x0), float(x1)) for x0, x1 in zip(lo, hi))
+        return real(f, lo, hi, xtol, rtol)
     with monkeypatch.context() as m:
-        m.setattr(burgers, "_brentq", spy)
+        m.setattr(burgers, "brentq", spy)
         compute_Lw(make_symbol("power", a=a))
     return seen
 
@@ -344,7 +352,7 @@ def _lw_brackets(a, monkeypatch):
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 0.9])
 def test_brentq_is_scipys_on_the_inside_window(a, monkeypatch):
     # both refinements of the inside window change sign once, on the same
-    # scan cell: the transcription takes scipy's steps there bit for bit
+    # scan cell: the shared solver takes scipy's steps there bit for bit
     brackets = _lw_brackets(a, monkeypatch)
     assert len(brackets) == 2
     for f, lo, hi in brackets:
@@ -353,22 +361,41 @@ def test_brentq_is_scipys_on_the_inside_window(a, monkeypatch):
         assert ours == scipys
 
 
-@pytest.mark.parametrize("f,lo,hi", [
+# Brent's classic cubic, the Dottie number, a cube root (whose
+# interpolated steps often fail the short-step test), and an exact zero at
+# either end (returned after the two end calls)
+_REFERENCE_BRACKETS = [
     (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
     (lambda x: math.cos(x) - x, 0.0, 1.0),
     (lambda x: math.copysign(abs(x - 0.3) ** (1.0 / 3.0), x - 0.3), -1.0,
      2.0),
     (lambda x: x - 1.0, 1.0, 2.0),
     (lambda x: x - 2.0, 1.0, 2.0),
-])
+]
+
+
+@pytest.mark.parametrize("f,lo,hi", _REFERENCE_BRACKETS)
 def test_brentq_is_scipys_on_reference_brackets(f, lo, hi):
-    # Brent's classic cubic, the Dottie number, a cube root (whose
-    # interpolated steps often fail the short-step test), and an exact
-    # zero at either end (returned after the two end calls)
     ours, scipys = _brent_runs(f, lo, hi)
     assert ours == scipys
     if f(lo) == 0.0 or f(hi) == 0.0:
         assert len(ours[1]) == 2 and f(ours[0]) == 0.0
+
+
+def test_brentq_solves_every_reference_bracket_in_one_call():
+    # lanes do not interact: each root of one batched call, and the x of
+    # each element's f calls, are those of its bracket solved alone
+    fs, lo, hi = zip(*_REFERENCE_BRACKETS)
+    seen = [[] for _ in fs]
+
+    def f(x, i):
+        for xj, ij in zip(x.tolist(), i.tolist()):
+            seen[ij].append(xj)
+        return np.array([fs[k](xj) for xj, k in zip(x.tolist(), i.tolist())])
+    roots = quadrature.brentq(f, np.array(lo), np.array(hi),
+                              burgers._BRENT_XTOL, burgers._BRENT_RTOL)
+    alone, _ = zip(*(_brent_runs(*bracket) for bracket in _REFERENCE_BRACKETS))
+    assert list(zip(roots.tolist(), seen)) == list(alone)
 
 
 @pytest.mark.parametrize("f,lo,hi,error,message,n_calls", [
@@ -382,13 +409,26 @@ def test_brentq_is_scipys_on_reference_brackets(f, lo, hi):
      "Failed to converge after 100 iterations.", 102),
 ])
 def test_brentq_refuses_as_scipy_does(f, lo, hi, error, message, n_calls):
-    for solve in _brent_solvers():
+    # a ValueError is raised by both solvers alike; where scipy's cap runs
+    # out, the shared solver returns NaN after the same calls, and
+    # compute_Lw's sign-change pinning raises scipy's RuntimeError
+    ours, scipys = _brent_solvers()
+    solvers = [scipys] if error is RuntimeError else [scipys, ours]
+    for solve in solvers:
         calls = []
         with pytest.raises(error) as caught:
             solve(lambda x: calls.append(x) or f(x), lo, hi)
         assert type(caught.value) is error
         assert str(caught.value) == message
         assert len(calls) == n_calls
+    if error is RuntimeError:
+        calls = []
+        assert math.isnan(ours(lambda x: calls.append(x) or f(x), lo, hi))
+        assert len(calls) == n_calls
+        with pytest.raises(RuntimeError) as caught:
+            burgers._abs_integral(np.vectorize(f), lo, hi,
+                                  np.array([lo, hi]), 4)
+        assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,9 @@ def test_a_symbols_multiplier_loads_no_scipy_and_a_burgers_run_no_quadpack():
 
 
 def test_compute_Lw_loads_no_scipy_and_a_blowup_pass_only_scipy_fft():
-    # the sign changes of L w are pinned by burgers._brentq, so compute_Lw
-    # loads no scipy module; a tiny blowup pass (design, simulate, detect)
-    # adds the transforms and no root finder
+    # the sign changes of L w are pinned by quadrature.brentq, so
+    # compute_Lw loads no scipy module; a tiny blowup pass (design,
+    # simulate, detect) adds the transforms and no root finder
     seen = _loaded_after(
         "import json, sys\n"
         "from moclab import burgers, symbols\n"
@@ -441,3 +441,42 @@ def test_fields_owns_the_only_time_loop():
             "_REFINE_TAIL = 1e-8\n"
             "def _regrid(spec, n, m):\n    return spec\n")
     assert len(list(_second_loop_sites(ast.parse(fork)))) == 3
+
+
+ROOT_FINDERS = re.compile(r"bisect|brent|secant|newton", re.IGNORECASE)
+
+
+def _second_root_finder_sites(tree):
+    # what a second root finder would need: a function named for a
+    # root-finding method, or scipy.optimize imported
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                ROOT_FINDERS.search(node.name)):
+            yield f"defines {node.name} (line {node.lineno})"
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{alias.name}"
+                                       for alias in node.names]
+        else:
+            continue
+        if any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
+               for m in modules):
+            yield f"imports scipy.optimize (line {node.lineno})"
+
+
+def test_quadrature_owns_the_only_root_finder():
+    # every root (the crossover scale, the sign changes of L w) comes from
+    # quadrature.brentq: no other module defines or imports a solver
+    found = [f"{path.stem} {site}"
+             for path in sorted((ROOT / "src" / "moclab").glob("*.py"))
+             if path.stem != "quadrature"
+             for site in _second_root_finder_sites(
+                 ast.parse(path.read_text()))]
+    assert found == [], found
+    fork = ("import scipy.optimize\n"
+            "from scipy import optimize\n"
+            "from scipy.optimize import brentq\n"
+            "def _bisect(f, xa, xb):\n    return xa\n"
+            "def pin_by_Newton(f, x):\n    return x\n")
+    assert len(list(_second_root_finder_sites(ast.parse(fork)))) == 5

@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from moclab import records
 from moclab.fields import ScalarField1D
 from moclab.quadrature import log_panel_integrals
 from moclab.symbols import (
+    _CROSS_RTOL,
+    _CROSS_XTOL,
+    DissipationSymbol,
+    _crossover_roots,
     check_conditions,
     crossover_scale,
     make_multiplier,
@@ -245,6 +250,53 @@ def test_crossover_scale_array_refusals_match_the_scalar_ones():
     with pytest.raises(RuntimeError, match="not resolved"):
         crossover_scale(half, 0.05, np.array([2.0, 2.0 ** 600]))
     assert crossover_scale(half, 0.05, 2.0 ** 500) > 0.0
+
+
+ORACLE_SYMBOLS = {
+    "power0.5": make_symbol("power", a=0.5),
+    "critical": make_symbol("power", a=1.0),
+    "log0.5": make_symbol("log", a=0.5),
+    "log1": make_symbol("log", a=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+def test_crossover_roots_are_scipys_brentq_in_log_radius(name):
+    # every root of one batched solve is scipy.optimize.brentq's on that
+    # B's bracket in t = ln r (the first of r0/4 * 1e-3^k, k >= 1, where m
+    # exceeds B/kappa, up to r0/4) at the solve's tolerances, bitwise
+    s = ORACLE_SYMBOLS[name]
+    Bs = np.ldexp(1.0, np.arange(0, 400, 7))
+    deltas = _crossover_roots(s, 0.05, Bs)
+    hi = s.r0 / 4.0
+    for B, delta in zip(Bs.tolist(), deltas.tolist()):
+        target = B / 0.05
+        lo = hi * 1e-3
+        while not s.m(lo) > target:
+            lo *= 1e-3
+        lt = np.log(target)
+        t = brentq(lambda t: np.log(s.m(np.exp(t))) - lt, np.log(lo),
+                   np.log(hi), xtol=_CROSS_XTOL, rtol=_CROSS_RTOL)
+        assert delta == np.exp(t)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+@pytest.mark.parametrize("first", [0, 64])
+def test_a_block_of_64_rungs_calls_m_at_most_12_times(name, first,
+                                                      monkeypatch):
+    # the crossover solve of a ladder block of B = 2^first ... 2^(first+63):
+    # the precondition, the bracket step, the solve and the residual
+    s = ORACLE_SYMBOLS[name]
+    calls, real = [], DissipationSymbol.m
+
+    def spy(self, r):
+        calls.append(r)
+        return real(self, r)
+    monkeypatch.setattr(DissipationSymbol, "m", spy)
+    deltas = _crossover_roots(s, 0.05, np.ldexp(1.0, np.arange(first,
+                                                                first + 64)))
+    assert not np.isnan(deltas).any()
+    assert len(calls) <= 12
 
 
 _TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
