@@ -333,15 +333,16 @@ class _StagedRun:
             # same values
             E = np.exp(-0.5 * dt * self.Pk).astype(complex)
             E2 = E * E
+            E2_spec = E2 * spec
             if nl is None:
-                spec = E2 * spec
+                spec = E2_spec
             else:
                 a = nl(spec, aux)
                 b = nl(E * (spec + 0.5 * dt * a))
                 c = nl(E * spec + 0.5 * dt * b)
-                d = nl(E2 * spec + dt * E * c)
-                spec = E2 * spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c)
-                                                 + d)
+                d = nl(E2_spec + dt * E * c)
+                spec = E2_spec + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c)
+                                               + d)
             t += dt
             self.steps += 1
             self.stages[-1]["steps"] += 1

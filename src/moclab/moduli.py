@@ -2,7 +2,9 @@
 
 Each family member joins two pieces at the crossover scale delta(B) solving
 m(delta) = B / kappa: below it the slope decays from B under an explicit
-curvature integral, above it the slope is gamma * m(2 xi), with m taken
+curvature integral, whose two moments are closed forms for a power symbol
+and read from a moment table otherwise; above it the slope is
+gamma * m(2 xi), with m taken
 through its non-increasing envelope, whose integral omega reads from a
 core table built once up to tail_start and the power tail in closed form
 beyond. Construction verifies on the spot that the slope survives to the
@@ -26,7 +28,8 @@ from .fields import (TWO_PI, ScalarField1D, ScalarField2D, _array_call,
                      _in_chunks, _refuse_bad_input)
 from .quadrature import (gauss_legendre, log_edges, log_panel_integrals,
                          panel_nodes)
-from .symbols import DissipationSymbol, _crossover_roots, _shaped
+from .symbols import (DissipationSymbol, _crossover_roots, _log_ratio,
+                      _shaped)
 
 DEFAULT_KAPPA = 0.1
 DEFAULT_GAMMA = 0.01
@@ -66,22 +69,36 @@ def _partial_panels(left, right, order, integrand):
 
 
 class _CumulativeMoments:
-    """Running moments of the low-part integrand on a log grid over (0, delta].
+    """Running moments of the low-part integrand over (0, delta].
 
-    g(eta) = (3 + ln(delta/eta)) / (eta * m(eta)); the table stores cumulative
-    integrals of g and of eta * g, so both the slope (B - pref * M0) and the
-    value (B*xi - pref*(xi*M0 - M1), by Fubini) come out of one structure.
-    Queries land on a node plus one partial Gauss-Legendre panel, batched
-    over an array of separations. A query below the table floor first
-    deepens the table: the depth doubles (as often as needed) and each new
-    stretch is seeded by the integral below its floor and prepended, so
-    entries above the old floor never move and a query's value does not
-    depend on which queries came before it. Seeds use the table's own panel
-    rule on a truncated window. A subnormal separation, below the deepest
-    floor, is answered by the seed at its own radius, its window clipped at
-    the smallest subnormal radius.
+    g(eta) = (3 + ln(delta/eta)) / (eta * m(eta)); M0(xi) and M1(xi) are the
+    integrals of g and of eta * g over (0, xi], so both the slope
+    (B - pref * M0) and the value (B*xi - pref*(xi*M0 - M1), by Fubini) come
+    out of one structure.
 
-    ``scale`` multiplies the stored integrals. Members carry scale = B so the
+    Where m = c eta^-alpha on all of (0, delta] (tail_start = 0: every power
+    symbol) both moments are closed forms, with u = (scale/c) xi^alpha and
+    L = 3 + ln(delta/xi):
+
+        M0 = u / alpha * (L + 1/alpha),
+        M1 = u * xi / (alpha + 1) * (L + 1/(alpha + 1)),
+
+    and no table is built. u is formed before any factor xi, since
+    xi^(alpha+1) underflows at large B where u * xi does not, and L reads
+    ln delta - ln xi where delta/xi overflows (``symbols._log_ratio``).
+
+    Every other symbol reads a table on a log grid. Queries land on a node
+    plus one partial Gauss-Legendre panel, batched over an array of
+    separations. A query below the table floor first deepens the table:
+    the depth doubles (as often as needed) and each new stretch is seeded
+    by the integral below its floor and prepended, so entries above the old
+    floor never move and a query's value does not depend on which queries
+    came before it. Seeds use the table's own panel rule on a truncated
+    window. A subnormal separation, below the deepest floor, is answered by
+    the seed at its own radius, its window clipped at the smallest
+    subnormal radius.
+
+    ``scale`` multiplies the moments. Members carry scale = B so the
     slope formula reads B - [B/(2 C_alpha kappa)] * scaled_M0: certified B
     values can be so large that B^2 overflows and the raw moments underflow,
     while both rescaled factors stay comfortably representable.
@@ -103,9 +120,12 @@ class _CumulativeMoments:
         self._delta = delta
         self._scale = scale
         self._log_delta = math.log(delta)
-        self._decades = self._FLOOR_DECADES
-        self._s, self._m0, self._m1 = self._stretch(
-            self._log_delta - self._FLOOR_DECADES * _LN10, self._log_delta)
+        self._closed = sym.tail_start == 0.0
+        if not self._closed:
+            self._decades = self._FLOOR_DECADES
+            self._s, self._m0, self._m1 = self._stretch(
+                self._log_delta - self._FLOOR_DECADES * _LN10,
+                self._log_delta)
 
     def _panels(self, s_lo: float, s_hi: float):
         # node grid on [s_lo, s_hi] at the table's density and both moments
@@ -170,6 +190,8 @@ class _CumulativeMoments:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if not np.all((xi > 0.0) & (xi <= self._delta * (1.0 + 1e-12))):
             raise ValueError("low-part moment queried outside (0, delta]")
+        if self._closed:
+            return self._closed_moments(xi)
         sq = np.minimum(np.log(xi), self._log_delta)
         if xi.size and sq.min() < self._s[0]:
             self._deepen(float(sq.min()))
@@ -185,6 +207,12 @@ class _CumulativeMoments:
         for k in np.flatnonzero(deep):
             m0[k], m1[k] = self._seed(float(np.log(xi[k])))
         return m0, m1
+
+    def _closed_moments(self, xi: np.ndarray):
+        alpha, a1 = self._sym.alpha, self._sym.alpha + 1.0
+        u = self._scale / self._sym.tail_coeff * xi ** alpha
+        L = 3.0 + _log_ratio(self._delta, xi)
+        return u / alpha * (L + 1.0 / alpha), u * xi / a1 * (L + 1.0 / a1)
 
 
 class _EnvelopeIntegral:
@@ -281,7 +309,13 @@ def _obedience_omegas(omega: Callable, xi) -> np.ndarray:
 
 @dataclass(eq=False)
 class ModulusMember:
-    """One modulus of the two-piece family; immutable after construction."""
+    """One modulus of the two-piece family; immutable after construction.
+
+    Below delta, omega and omega' read the low-part moments
+    (``_CumulativeMoments``: closed forms where m = c r^-alpha on all of
+    (0, delta], a table otherwise); past delta, omega reads the envelope
+    integral (``_EnvelopeIntegral``) and omega' the envelope itself.
+    """
 
     sym: DissipationSymbol
     B: float

@@ -63,6 +63,16 @@ def _shaped(out: np.ndarray, shape: tuple | None):
     return float(out[0]) if shape is None else out.reshape(shape)
 
 
+def _log_ratio(hi, lo):
+    """ln(hi/lo) from the one rounding of hi/lo, and ln hi - ln lo where
+    hi/lo is past the float range (there nothing cancels)."""
+    with np.errstate(over="ignore"):
+        L = np.log(hi / lo)
+    if np.isinf(L).any():
+        L = np.where(np.isinf(L), np.log(hi) - np.log(lo), L)
+    return L
+
+
 @dataclass(eq=False)
 class DissipationSymbol:
     """Singular radial density m(r). Treat as immutable after construction."""
@@ -145,10 +155,7 @@ class DissipationSymbol:
         # which is c L at p = 0: (hi^p - lo^p)/p would cancel as alpha + j
         # nears 1. hi = inf needs p < 0, where expm1(-inf) = -1
         c, p = self.tail_coeff, (1.0 - j) - self.alpha
-        with np.errstate(over="ignore"):
-            L = np.log(hi / lo)
-        if np.isinf(L).any():  # hi/lo past the float range: nothing cancels
-            L = np.where(np.isinf(L), np.log(hi) - np.log(lo), L)
+        L = _log_ratio(hi, lo)
         return c * L if p == 0.0 else c * lo ** p * np.expm1(p * L) / p
 
     def _tail_integral(self, f, top, R):

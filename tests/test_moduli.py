@@ -153,40 +153,6 @@ def _adaptive_moments(low, xi):
                                    limit=200)[0] for f in (f0, f1))
 
 
-def test_moment_table_grows_below_its_floor():
-    mem = build_modulus(NORMALIZED, 0.05, 0.01, 1.0)
-    low = mem._low
-    before = [arr.copy() for arr in (low._s, low._m0, low._m1)]
-    xi = mem.delta * np.geomspace(1e-30, 1e-13, 9)
-    m0, m1 = low.moments(xi)
-    direct = np.array([_adaptive_moments(low, float(v)) for v in xi])
-    assert_allclose(m0, direct[:, 0], rtol=1e-12)
-    assert_allclose(m1, direct[:, 1], rtol=1e-12)
-    # the deeper stretch is prepended; every old entry keeps its bits
-    assert len(low._s) > len(before[0])
-    for old, new in zip(before, (low._s, low._m0, low._m1)):
-        assert np.array_equal(new[-len(old):], old)
-
-
-def test_sqg_criterion_runs_few_adaptive_quadratures(monkeypatch):
-    # the criterion probes omega twelve decades below each separation;
-    # the table deepens instead of running quadrature per query, and seeds
-    # each deeper stretch on its own panels. src/ imports quad where it
-    # calls it, so patching scipy's counts every call
-    calls = []
-    real_quad = scipy.integrate.quad
-
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return real_quad(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-    mem = build_modulus(NORMALIZED, 0.05, 0.01, 1.0)
-    rep = sqg_criterion(mem, xi_grid=default_xi_grid(1e-5, 1e2, 16))
-    assert rep.passed
-    assert calls == []
-
-
 _TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
 SEED_SYMBOLS = {
     "power1": make_symbol("power", a=1.0),
@@ -198,9 +164,55 @@ SEED_SYMBOLS = {
         _TABLE_RADII, _TABLE_RADII ** -0.8 * (1.0 + 0.1 * np.log1p(
             1.0 / _TABLE_RADII))),
 }
+# members whose m is not c r^-alpha below delta read a moment table; a
+# power symbol's moments are closed forms
+TABLE_NAMES = ["log0.3", "log1", "tabulated"]
+POWER_NAMES = ["power0.1", "power0.5", "power1"]
 
 
-@pytest.mark.parametrize("name", sorted(SEED_SYMBOLS))
+def _member_of(sym, B=1.0):
+    # kappa inside the smallness condition r0/(4 C0) of every symbol here
+    kappa = min(0.05, 0.49 * sym.r0 / (4.0 * sym.C0))
+    return build_modulus(sym, kappa, 0.2 * kappa, B)
+
+
+def test_moment_table_grows_below_its_floor():
+    for name in TABLE_NAMES:
+        low = _member_of(SEED_SYMBOLS[name])._low
+        before = [arr.copy() for arr in (low._s, low._m0, low._m1)]
+        xi = low._delta * np.geomspace(1e-30, 1e-13, 9)
+        m0, m1 = low.moments(xi)
+        direct = np.array([_adaptive_moments(low, float(v)) for v in xi])
+        assert_allclose(m0, direct[:, 0], rtol=1e-12)
+        assert_allclose(m1, direct[:, 1], rtol=1e-12)
+        # the deeper stretch is prepended; every old entry keeps its bits
+        assert len(low._s) > len(before[0])
+        for old, new in zip(before, (low._s, low._m0, low._m1)):
+            assert np.array_equal(new[-len(old):], old)
+
+
+def test_sqg_criterion_runs_few_adaptive_quadratures(monkeypatch):
+    # the criterion probes omega twelve decades below each separation: a
+    # power member reads its closed-form moments there, and a table member
+    # deepens its table instead of running quadrature per query, seeding
+    # each deeper stretch on its own panels. src/ imports quad where it
+    # calls it, so patching scipy's counts every call
+    calls = []
+    real_quad = scipy.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    for mem in (build_modulus(NORMALIZED, 0.05, 0.01, 1.0),
+                _member_of(SEED_SYMBOLS["log1"])):
+        rep = sqg_criterion(mem, xi_grid=default_xi_grid(1e-5, 1e2, 16))
+        assert rep.passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
 def test_table_seed_matches_adaptive_quadrature(name):
     # the panel-rule seed below the floor against the adaptive quad route
     # over the same truncated window
@@ -214,20 +226,56 @@ def test_table_seed_matches_adaptive_quadrature(name):
                         rtol=1e-13, atol=0.0)
 
 
+def _power_moments_mp(sym, delta, xi, scale):
+    # (M0, M1) over (0, xi] for m = c r^-alpha by 30-digit quadrature,
+    # independent of the closed forms: in t = ln(eta/xi) the integrand of
+    # M_j is scale * xi^(alpha+j) (L - t) e^((alpha+j) t) / c on (-inf, 0]
+    c, alpha = mpmath.mpf(sym.tail_coeff), mpmath.mpf(sym.alpha)
+    x = mpmath.mpf(xi)
+    L = 3 + mpmath.log(mpmath.mpf(delta) / x)
+    return tuple(
+        scale * x ** (alpha + j) / c * mpmath.quad(
+            lambda t: (L - t) * mpmath.exp((alpha + j) * t), [-mpmath.inf, 0])
+        for j in (0, 1))
+
+
+@pytest.mark.parametrize("name", POWER_NAMES)
+def test_power_moments_are_the_closed_form(name):
+    # m = c r^-alpha on all of (0, delta]: no table, and both moments
+    # against quadrature at the old table's floor (12 decades below
+    # delta), past it and at a subnormal radius
+    sym = SEED_SYMBOLS[name]
+    with mpmath.workdps(30):
+        for delta, scale in ((1e-2, 1.0), (1e-6, 2.0 ** 20),
+                             (1e-20, 1.0), (1e-60, 2.0 ** 200)):
+            low = moduli._CumulativeMoments(sym, delta, scale)
+            assert not hasattr(low, "_s")
+            xi = delta * np.array([1.0, 1e-3, 1e-12, 1e-30])
+            xi = np.append(xi, 1e-310)
+            m0, m1 = low.moments(xi)
+            for k, v in enumerate(xi.tolist()):
+                ref = _power_moments_mp(sym, delta, v, scale)
+                assert_allclose((m0[k], m1[k]), [float(r) for r in ref],
+                                rtol=4e-15, atol=0.0)
+
+
 SUBNORMAL_XI = np.array([5e-324, 1e-320, 1e-310, 2e-308, 1e-300])
 
 
 @pytest.mark.parametrize("a", [1.0, 0.5])
 def test_subnormal_separations_answer_on_the_seed(a):
-    # below the deepest table floor a query is the panel-rule seed at its
-    # own radius, its window clipped at the smallest subnormal; there
-    # omega = B xi and omega' = B to the last bit, in a batch or alone
-    mem = build_modulus(make_symbol("power", a=a), 0.05, 0.01, 1.0)
-    w, wp = mem.omega(SUBNORMAL_XI), mem.omega_prime(SUBNORMAL_XI)
-    assert np.array_equal(w, mem.B * SUBNORMAL_XI)
-    assert np.array_equal(wp, np.full(SUBNORMAL_XI.size, mem.B))
-    for k, v in enumerate(SUBNORMAL_XI.tolist()):
-        assert (mem.omega(v), mem.omega_prime(v)) == (w[k], wp[k])
+    # at subnormal separations omega = B xi and omega' = B to the last
+    # bit, in a batch or alone: on a power member (closed-form moments)
+    # and on a log member, where a query below the deepest table floor is
+    # the panel-rule seed at its own radius, its window clipped at the
+    # smallest subnormal
+    for sym in (make_symbol("power", a=a), make_symbol("log", a=a)):
+        mem = _member_of(sym)
+        w, wp = mem.omega(SUBNORMAL_XI), mem.omega_prime(SUBNORMAL_XI)
+        assert np.array_equal(w, mem.B * SUBNORMAL_XI)
+        assert np.array_equal(wp, np.full(SUBNORMAL_XI.size, mem.B))
+        for k, v in enumerate(SUBNORMAL_XI.tolist()):
+            assert (mem.omega(v), mem.omega_prime(v)) == (w[k], wp[k])
     # the seeds against the adaptive oracle where a subnormal radius still
     # carries 40-odd bits; nearer 5e-324 the integrand itself is a staircase
     low = mem._low
@@ -241,9 +289,8 @@ _INVARIANT_XI = np.concatenate(([0.0], np.geomspace(1e-9, 3e3, 97)))
 
 
 def _invariance_member(name, B):
-    sym = NORMALIZED if name == "power1" else SEED_SYMBOLS[name]
-    kappa = min(0.05, 0.49 * sym.r0 / (4.0 * sym.C0))
-    return build_modulus(sym, kappa, 0.2 * kappa, B)
+    return _member_of(NORMALIZED if name == "power1" else SEED_SYMBOLS[name],
+                      B)
 
 
 @pytest.mark.parametrize("B", [1.0, 2.0 ** 20], ids=["B=1", "B=2^20"])
@@ -333,6 +380,55 @@ def test_critical_omega_past_delta_is_the_log_closed_form(c, B, monkeypatch):
             ref = mem.omega_at_delta + gc * mpmath.log(
                 mpmath.mpf(v) / mpmath.mpf(mem.delta))
             assert abs(w - ref) <= 3.0 * math.ulp(w), (v, w, float(ref))
+
+
+_C21 = fractional_normalization(2, 1.0)
+
+
+def _buildable_power_members():
+    # every (a, c, B) that builds at kappa = 0.05: delta = (kappa c/B)^(1/a)
+    # underflows past B = 2^200 at a = 0.5 and past 2^20 at a = 0.1
+    exps = {1.0: (0, 20, 200, 900), 0.5: (0, 20, 200), 0.1: (0, 20)}
+    return [pytest.param(a, c, 2.0 ** e, id=f"a={a:g}-c={cid}-B=2^{e}")
+            for a, es in exps.items()
+            for c, cid in ((1.0, "1"), (_C21, "C21"))
+            if a == 1.0 or c == 1.0 for e in es]
+
+
+@pytest.mark.parametrize("a,c,B", _buildable_power_members())
+def test_power_omega_below_delta_is_the_closed_form(a, c, B, monkeypatch):
+    # for m = c r^-alpha, with u = (B/c) xi^a and L = 3 + ln(delta/xi):
+    # M0 = u (L + 1/a)/a, M1 = u xi (L + 1/(a+1))/(a+1), omega' = B - sf M0
+    # and omega = B xi - sf (xi M0 - M1), sf = B/(2 C_alpha kappa); the
+    # member reads them without evaluating its symbol at a quadrature node.
+    # Budget 6 ulps: the dozen roundings of the closed form bound omega'
+    # by ~14 ulps and omega by ~40 at first order, but they do not align;
+    # the largest seen on 7,000 separations per member is 3.6 ulps (omega
+    # at a = 0.1), and the table this replaced read up to 77 ulps in omega'
+    sym = make_symbol("power", a=a, scale=c)
+    mem = build_modulus(sym, 0.05, 0.01, B)
+    monkeypatch.setattr(sym, "m", _refuse_evaluation)
+    monkeypatch.setattr(sym, "envelope", _refuse_evaluation)
+    d = mem.delta
+    xi = np.concatenate((SUBNORMAL_XI, np.geomspace(5e-324, d, 120),
+                         d * (1.0 - np.geomspace(1e-15, 0.5, 20)), [d]))
+    xi = xi[xi <= d]
+    w, wp = mem.omega(xi), np.full(xi.size, np.nan)
+    wp[xi < d] = mem.omega_prime(xi[xi < d])
+    with mpmath.workdps(40):
+        Bm, dm, al = mpmath.mpf(B), mpmath.mpf(d), mpmath.mpf(sym.alpha)
+        sf = mpmath.mpf(mem._slope_factor)
+        for k, v in enumerate(xi.tolist()):
+            x = mpmath.mpf(v)
+            L = 3 + mpmath.log(dm / x)
+            u = Bm / mpmath.mpf(sym.tail_coeff) * x ** al
+            m0 = u / al * (L + 1 / al)
+            m1 = u * x / (al + 1) * (L + 1 / (al + 1))
+            ref = Bm * x - sf * (x * m0 - m1)
+            assert abs(w[k] - ref) <= 6.0 * math.ulp(w[k]), (v, w[k])
+            if v < d:
+                ref = Bm - sf * m0
+                assert abs(wp[k] - ref) <= 6.0 * math.ulp(wp[k]), (v, wp[k])
 
 
 def _log_envelope_mp(sym):
