@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .fields import (TWO_PI, ScalarField1D, ScalarField2D, _array_call,
-                     _in_chunks, _refuse_bad_input)
-from .quadrature import (gauss_legendre, log_edges, log_panel_integrals,
-                         panel_nodes)
+                     _refuse_bad_input)
+from .quadrature import (_BLOCK_NODES, gauss_legendre, log_edges,
+                         log_panel_integrals, panel_nodes)
 from .symbols import (DissipationSymbol, _crossover_roots, _log_ratio,
                       _shaped)
 
@@ -59,13 +59,21 @@ class ModulusSearchError(RuntimeError):
 
 def _partial_panels(left, right, order, integrand):
     """Gauss-Legendre integrals over [left[i], right[i]] of each array that
-    ``integrand`` returns, one panel per query. Each row is reduced by
+    ``integrand`` returns, one panel per query. ``integrand`` is called on
+    blocks of at most _BLOCK_NODES // order queries, so its (rows, order)
+    arrays stay at 64 kB however many queries come. Each row is reduced by
     itself (einsum, not a BLAS gemv whose blocking follows the batch), so a
     query's value is that of a batch of one."""
     x, w = gauss_legendre(order)
     half = 0.5 * (right - left)
-    vals = integrand(left[:, None] + half[:, None] * (x + 1.0))
-    return [half * np.einsum("ij,j->i", f, w) for f in vals]
+    rows = _BLOCK_NODES // order
+    blocks = []
+    for a in range(0, max(half.size, 1), rows):
+        h = half[a:a + rows]
+        vals = integrand(left[a:a + rows, None] + h[:, None] * (x + 1.0))
+        blocks.append([h * np.einsum("ij,j->i", f, w) for f in vals])
+    return blocks[0] if len(blocks) == 1 else [
+        np.concatenate(cols) for cols in zip(*blocks)]
 
 
 class _CumulativeMoments:
@@ -157,18 +165,21 @@ class _CumulativeMoments:
     def _integrands(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # in the log variable: g deta -> (3 + ln delta - s) / m(e^s) ds.
         # m overflowing to +inf near the float floor is its limit (the
-        # integrand vanishes there); a zero or NaN m is the floor of the
-        # float range, where the table cannot be built
+        # integrand vanishes there); a NaN m is the symbol's fault, a zero
+        # m the floor of the float range, where no table can be built
         eta = np.exp(s)
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             env = self._sym.envelope(eta)
-        bad = ~(env > 0.0)
+        nan = np.isnan(env)
+        bad = nan if nan.any() else ~(env > 0.0)
         if bad.any():
             i = int(np.argmax(np.where(bad, eta, -np.inf)))
             raise ModulusConstructionError(
-                f"moment table floor underflowed float64: m({eta[i]:.6g}) "
-                f"evaluates to {env[i]:.6g} below delta = {self._delta:.6g}; "
-                "no representable member this high on the ladder")
+                f"symbol {self._sym.label}: m({eta[i]:.6g}) evaluates to "
+                f"{env[i]:.6g} below delta = {self._delta:.6g}; " + (
+                    "a fault of the symbol, not of B" if nan.any() else
+                    "the moment table floor underflowed float64: no "
+                    "representable member this high on the ladder"))
         base = self._scale * (3.0 + self._log_delta - s) / env
         return base, eta * base
 
@@ -271,11 +282,6 @@ def _separations(xi) -> tuple[np.ndarray, tuple | None]:
     return arr.ravel(), (None if arr.ndim == 0 else arr.shape)
 
 
-# separations per chunk when a member evaluates a batch: each chunk's
-# (chunk, 20) table-panel arrays stay at 80 kB however large the batch
-_CHUNK_POINTS = 2 ** 9
-
-
 _CONTRACT = ("a modulus is a ModulusMember, an object with an omega method "
              "or an array-native callable, whose omega takes an array of "
              "separations and returns an array of its shape")
@@ -314,7 +320,8 @@ class ModulusMember:
     Below delta, omega and omega' read the low-part moments
     (``_CumulativeMoments``: closed forms where m = c r^-alpha on all of
     (0, delta], a table otherwise); past delta, omega reads the envelope
-    integral (``_EnvelopeIntegral``) and omega' the envelope itself.
+    integral (``_EnvelopeIntegral``) and omega' the envelope itself. Both
+    take a caller's batch in one pass; only ``_partial_panels`` blocks it.
     """
 
     sym: DissipationSymbol
@@ -339,10 +346,6 @@ class ModulusMember:
         x, shape = _separations(xi)
         if np.any(x < 0.0):
             raise ValueError("modulus evaluated at negative separation")
-        return _shaped(_in_chunks(self._omega_chunk, x, _CHUNK_POINTS),
-                       shape)
-
-    def _omega_chunk(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         low = (x > 0.0) & (x <= self.delta)
         if low.any():
@@ -353,16 +356,12 @@ class ModulusMember:
         if high.any():
             out[high] = (self.omega_at_delta
                          + 0.5 * self.gamma * self._high.value(2.0 * x[high]))
-        return out
+        return _shaped(out, shape)
 
     def omega_prime(self, xi):
         x, shape = _separations(xi)
         if not np.all(x > 0.0):
             raise ValueError("slope evaluated at non-positive separation")
-        return _shaped(_in_chunks(self._slope_chunk, x, _CHUNK_POINTS),
-                       shape)
-
-    def _slope_chunk(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         low = x < self.delta
         if low.any():
@@ -370,7 +369,7 @@ class ModulusMember:
             out[low] = self.B - self._slope_factor * m0
         if not low.all():
             out[~low] = self.gamma * self.sym.envelope(2.0 * x[~low])
-        return out
+        return _shaped(out, shape)
 
     def omega_second(self, xi):
         x, shape = _separations(xi)

@@ -309,6 +309,23 @@ def test_compute_Lw_refuses_uncertified_mass():
         compute_Lw(make_symbol("log", a=1.0))
 
 
+# the half-line integral of |L w| for m = r^-1/2: the closed form of L w for
+# that m, integrated with mpmath at 120 digits. The closed form reproduces
+# the pinned wedge_dissipation values at x = 0.25 and x = 2.0
+EXACT_HALF_FUNCTIONAL = 6.3758788771567856524
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP lead: _abs_lw_integrals stops at 1 - 1e-13 and starts at "
+    "1 + 2^-30, dropping the slivers next to x = 1 where |L w| ~ "
+    "4(sqrt(2) - 1) = 1.657 (1.7e-13 and 1.54e-9); both rules drop them, so "
+    "kernel_functional misses by 2.42e-10 relative against an "
+    "integral_error of 3.4e-14"))
+def test_compute_Lw_lands_within_its_error_bar_of_the_exact_integral():
+    miss = abs(INST.kernel_functional / EXACT_HALF_FUNCTIONAL - 1.0)
+    assert miss <= INST.integral_error
+
+
 def _brent_solvers():
     # the shared solver on one bracket, at the tolerances of compute_Lw,
     # and scipy's brentq at its xtol (its default rtol is compute_Lw's)

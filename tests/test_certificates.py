@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from moclab import certificates, quadrature, records
+from moclab import certificates, moduli, quadrature, records
 from moclab.certificates import (
     DEFAULT_A,
     PlainModulus,
@@ -493,6 +493,26 @@ def test_criterion_memory_stays_bounded_on_the_bench_grid(criterion):
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+def test_a_certify_pass_reads_the_moments_once_per_batch(monkeypatch):
+    # the bench certify pass: both criteria at B = 1 and 2^20 on the bench
+    # grid. Each omega or omega' batch reads the low moments in one call
+    # (311 calls while a batch was cut into chunks of 512 separations)
+    calls, points = [], []
+    real = moduli._CumulativeMoments.moments
+    monkeypatch.setattr(moduli._CumulativeMoments, "moments",
+                        lambda self, xi: calls.append(1) or real(self, xi))
+    for name in ("omega", "omega_prime", "omega_second"):
+        def counted(self, xi, real=getattr(ModulusMember, name)):
+            points.append(np.size(xi))
+            return real(self, xi)
+        monkeypatch.setattr(ModulusMember, name, counted)
+    for B in (1.0, 2.0 ** 20):
+        mem = build_modulus(BENCH_SYMBOL, 0.05, 0.01, B)
+        for criterion in (sqg_criterion, burgers_criterion):
+            criterion(mem, xi_grid=BENCH_GRID)
+    assert (len(calls), sum(points)) == (31, 203446)
 
 
 @pytest.mark.parametrize("family", ["power1", "log1"])

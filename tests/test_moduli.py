@@ -21,9 +21,9 @@ from moclab.moduli import (
     find_B_for_data,
     validate_modulus,
 )
-from moclab.symbols import (crossover_scale, make_symbol,
+from moclab.symbols import (crossover_scale, make_multiplier, make_symbol,
                             symbol_from_callable, symbol_from_json,
-                            symbol_from_table)
+                            symbol_from_multiplier, symbol_from_table)
 
 CRITICAL = make_symbol("power", a=1.0)
 
@@ -321,13 +321,65 @@ def test_omega_is_a_function_of_its_point_alone(name, B, data):
             assert v == ref[order[k]][1]
 
 
+_BATCH_XI = np.geomspace(1e-9, 3e3, 2000)
+
+
+def _panel_rows(monkeypatch):
+    # the row count of every integrand call inside _partial_panels, the
+    # one caller that hands an integrand a 2-D (rows, order) array
+    rows = []
+    for cls, name in ((moduli._CumulativeMoments, "_integrands"),
+                      (moduli._EnvelopeIntegral, "_integrand")):
+        def spy(self, s, real=getattr(cls, name)):
+            if s.ndim == 2:
+                rows.append(s.shape[0])
+            return real(self, s)
+        monkeypatch.setattr(cls, name, spy)
+    return rows
+
+
 def test_omega_chunks_never_change_a_value(monkeypatch):
+    # the table members' partial panels run in blocks of at most
+    # _BLOCK_NODES // order rows; at 7 rows every value keeps its bits
+    order = moduli._CumulativeMoments._ORDER
+    rows = _panel_rows(monkeypatch)
+    for sym in (NORMALIZED, make_symbol("log", a=0.5),
+                SEED_SYMBOLS["log1"], SEED_SYMBOLS["tabulated"]):
+        for B in (1.0, 2.0 ** 20):
+            mem = _member_of(sym, B)
+            whole = mem.omega(_BATCH_XI), mem.omega_prime(_BATCH_XI)
+            with monkeypatch.context() as small:
+                small.setattr(moduli, "_BLOCK_NODES", 7 * order)
+                rows.clear()
+                assert np.array_equal(mem.omega(_BATCH_XI), whole[0])
+                assert np.array_equal(mem.omega_prime(_BATCH_XI), whole[1])
+                assert max(rows, default=0) <= 7
+                assert len(rows) > 2 or sym is NORMALIZED
+
+
+def test_a_batch_reads_the_moments_once(monkeypatch):
+    # omega and omega' evaluate a caller's batch in one pass: a power
+    # member's closed-form moments are read once per call (3 times when
+    # the batch was cut into chunks of 512), and a table member's panel
+    # blocks stay within _BLOCK_NODES nodes
+    calls = []
+    real = moduli._CumulativeMoments.moments
+    monkeypatch.setattr(moduli._CumulativeMoments, "moments",
+                        lambda self, xi: calls.append(np.size(xi))
+                        or real(self, xi))
     mem = build_modulus(NORMALIZED, 0.05, 0.01, 1.0)
-    xi = np.geomspace(1e-9, 3e3, 2000)
-    whole = mem.omega(xi), mem.omega_prime(xi)
-    monkeypatch.setattr(moduli, "_CHUNK_POINTS", 7)
-    assert np.array_equal(mem.omega(xi), whole[0])
-    assert np.array_equal(mem.omega_prime(xi), whole[1])
+    for f in (mem.omega, mem.omega_prime):
+        calls.clear()
+        f(_BATCH_XI)
+        assert calls == [np.count_nonzero(_BATCH_XI <= mem.delta)]
+    rows = _panel_rows(monkeypatch)
+    mem = _member_of(SEED_SYMBOLS["log1"])
+    order = moduli._CumulativeMoments._ORDER
+    for f in (mem.omega, mem.omega_prime):
+        rows.clear()
+        f(_BATCH_XI)
+        assert len(rows) > 1
+        assert max(rows) * order <= moduli._BLOCK_NODES
 
 
 def _set_sorted_edges(sym, lo, hi, per_decade):
@@ -849,6 +901,20 @@ def test_build_modulus_names_a_symbol_that_vanishes_below_delta():
     with pytest.raises(ModulusConstructionError,
                        match=r"m\(\S+\) evaluates to 0 below delta"):
         build_modulus(sym, 0.05, 0.01, 1.0)
+
+
+def test_omega_names_a_symbol_whose_m_is_nan():
+    # the multiplier-derived symbol's m is NaN below r ~ 5.6e-309
+    # (z / log(2 + z)^a at z = inf): that is the symbol's fault, named
+    # with its label and radius, not the float floor of a member too high
+    # on the ladder
+    sym = symbol_from_multiplier(make_multiplier("log-damped", a=1.0))
+    mem = _member_of(sym)
+    assert mem.omega(1e-307) == 1e-307
+    with pytest.raises(ModulusConstructionError, match=(
+            r"symbol from\[log-damped\(a=1\)\]: m\(5\.5\d*e-309\) "
+            r"evaluates to nan below delta = \S+; a fault of the symbol")):
+        mem.omega(1e-308)
 
 
 def test_build_modulus_names_an_unresolved_crossover():
