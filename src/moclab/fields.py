@@ -532,9 +532,6 @@ class ScalarField2D:
     def wavenumber_grids(self) -> tuple[np.ndarray, np.ndarray]:
         return wavenumber_grids_2d(self.N)
 
-    def wavenumber_modulus(self) -> np.ndarray:
-        return _wavenumber_modulus(self.N, 2)
-
     # -- operations --------------------------------------------------------
 
     def gradient(self) -> tuple["ScalarField2D", "ScalarField2D"]:

@@ -4,14 +4,15 @@ Two jobs live here:
 
 1. The exact correspondence between power-law symbols and fractional
    multipliers (normalization constants C_{d,a} and their inverses), and
-   the 1-D multiplier of every symbol by one formula: its power tail
-   continued to 0 in closed form, plus a Gauss-Legendre correction over
-   the core (``multiplier_of_symbol_1d``).
-2. Application of L to periodic fields through quadrature of the
-   lattice-periodized kernel against symmetrized double differences. In
-   1-D the lattice sum has a closed Hurwitz-zeta form; in 2-D the far
-   field is handled by exact radial Bessel quadrature. Neither route
-   truncates the periodization, so the only error is the quadrature's.
+   the multiplier of every symbol, in 1-D and in 2-D, by one formula: its
+   power tail continued to 0 in closed form, plus a Gauss-Legendre
+   correction over the core (``multiplier_of_symbol_1d``,
+   ``multiplier_of_symbol_2d``).
+2. Application of L to periodic 1-D fields through quadrature of the
+   lattice-periodized kernel against symmetrized double differences. The
+   lattice sum has a closed Hurwitz-zeta form, so the only error is the
+   quadrature's. This route is the reference that pins the core
+   correction.
 
 Translation invariance lets the double-difference quadrature factor
 exactly through Fourier modes: the physical route computes a quadrature
@@ -19,27 +20,21 @@ multiplier v(k) and applies it diagonally, which reproduces the pointwise
 quadrature to rounding while staying a genuinely independent computation
 from the closed-form spectral multiplier.
 
-The physical route is the only one that needs scipy: ``scipy.special``
-(J0 and the Hurwitz zeta) and, for the 2-D far field, ``scipy.integrate``.
-``one_minus_j0``, ``_bessel_tail`` and ``periodized_kernel_1d`` import
-them where they are called, so importing this module, or computing a
-symbol's 1-D multiplier, loads no scipy module.
+``scipy.special`` (J0 in ``one_minus_j0``, the Hurwitz zeta in
+``periodized_kernel_1d``) is imported where it is called, so importing
+this module, a symbol's 1-D multiplier and a power symbol's 2-D
+multiplier load no scipy module.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .fields import TWO_PI, ScalarField1D, ScalarField2D, _in_chunks
-from .quadrature import (graded_edges, oscillation_resolved_edges,
-                         panel_nodes)
+from .fields import TWO_PI, ScalarField1D, _in_chunks
+from .quadrature import graded_edges, panel_nodes
 from .symbols import DissipationSymbol
 
-# beyond this argument the large-x Bessel expansion is used (7 terms each
-# series; truncation error ~ 1e-16 relative at x = 35)
-X_ASYM = 35.0
 # every panel rule here is Gauss-Legendre of this order
 _ORDER = 16
 
@@ -65,30 +60,8 @@ def fractional_normalization(d: int, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# large-argument Bessel J0 in oscillatory form
+# the multiplier of a symbol, in one and in two dimensions
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _hankel_coeffs(nterms: int = 7) -> tuple[tuple, tuple]:
-    # Hankel symbols (0, m), built by the ratio recurrence
-    sym = [1.0]
-    for mm in range(1, 2 * nterms):
-        sym.append(sym[-1] * (-((2 * mm - 1) ** 2)) / (8.0 * mm))
-    p = tuple((-1.0) ** j * sym[2 * j] for j in range(nterms))
-    q = tuple((-1.0) ** j * sym[2 * j + 1] for j in range(nterms))
-    return p, q
-
-
-def bessel_j0_osc_parts(x):
-    """A, B with J0(x) = A(x) cos x + B(x) sin x; accurate for x >= X_ASYM."""
-    x = np.asarray(x, dtype=float)
-    p, q = _hankel_coeffs()
-    xi2 = 1.0 / (x * x)
-    P0 = np.polynomial.polynomial.polyval(xi2, p)
-    Q0 = np.polynomial.polynomial.polyval(xi2, q) / x
-    s = 1.0 / np.sqrt(np.pi * x)
-    return s * (P0 + Q0), s * (P0 - Q0)
-
 
 def one_minus_j0(x):
     """1 - J0(x) without cancellation at small argument."""
@@ -100,9 +73,11 @@ def one_minus_j0(x):
     return np.where(x < 0.1, series, 1.0 - j0(x))
 
 
-# ---------------------------------------------------------------------------
-# whole-line multiplier of a symbol (1-D)
-# ---------------------------------------------------------------------------
+def _sin2_half(k: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sin^2(k y / 2) for each (k, y): a quarter of the 1-D double
+    difference 2 - e^{iky} - e^{-iky} of a mode."""
+    return np.sin(np.outer(k, 0.5 * y)) ** 2
+
 
 def _graded_osc_edges(hi: float, freq: float, eps: float,
                       kinks=()) -> np.ndarray:
@@ -121,11 +96,30 @@ def _graded_osc_edges(hi: float, freq: float, eps: float,
     return np.union1d(np.concatenate(parts), inside)
 
 
-def _sin2_accumulate(ks: np.ndarray, y: np.ndarray, kerw: np.ndarray) -> np.ndarray:
-    """sum_q 4 sin^2(k y_q / 2) kerw_q for each k, chunked to bound memory."""
-    return _in_chunks(
-        lambda k: 4.0 * (np.sin(np.outer(k, 0.5 * y)) ** 2 @ kerw), ks,
-        max(1, int(4e6 // max(y.size, 1))))
+def _accumulate(weight, ks: np.ndarray, y: np.ndarray,
+                kerw: np.ndarray) -> np.ndarray:
+    """sum_q weight(k, y_q) kerw_q for each k, chunked to bound memory."""
+    return _in_chunks(lambda k: weight(k, y) @ kerw, ks,
+                      max(1, int(4e6 // max(y.size, 1))))
+
+
+def _multiplier_of_symbol(sym: DissipationSymbol, k, d: int, factor: float,
+                          weight):
+    """T Q(d, alpha) |k|^alpha plus the core correction
+    factor * integral_0^Rc weight(k, y) (m(y) - T y^-alpha) / y dy, the
+    core on graded Gauss-Legendre panels from Rc 2^-48 to Rc = core_radius;
+    a float for a scalar k, else an array of k's shape."""
+    kabs = np.abs(np.asarray(k, dtype=float))
+    Q = fractional_multiplier_constant(d, sym.alpha)
+    out = sym.tail_coeff * Q * kabs ** sym.alpha
+    Rc = sym.core_radius
+    if Rc > 0.0 and kabs.size:
+        edges = _graded_osc_edges(Rc, float(kabs.max()), eps=Rc * 2.0 ** -48)
+        y, w = panel_nodes(edges, _ORDER)
+        excess = sym.m(y) - sym.tail_coeff * y ** -sym.alpha
+        core = _accumulate(weight, kabs.ravel(), y, w * excess / y)
+        out = out + factor * core.reshape(kabs.shape)
+    return float(out) if np.ndim(k) == 0 else out
 
 
 def multiplier_of_symbol_1d(sym: DissipationSymbol, k):
@@ -143,16 +137,23 @@ def multiplier_of_symbol_1d(sym: DissipationSymbol, k):
     identities unchanged, so this is also the multiplier of the periodic
     operator.
     """
-    kabs = np.abs(np.atleast_1d(np.asarray(k, dtype=float)))
-    Q = fractional_multiplier_constant(1, sym.alpha)
-    out = sym.tail_coeff * Q * kabs ** sym.alpha
-    Rc = sym.core_radius
-    if Rc > 0.0 and kabs.size:
-        edges = _graded_osc_edges(Rc, float(kabs.max()), eps=Rc * 2.0 ** -48)
-        y, w = panel_nodes(edges, _ORDER)
-        excess = sym.m(y) - sym.tail_coeff * y ** -sym.alpha
-        out = out + _sin2_accumulate(kabs, y, w * excess / y)
-    return float(out[0]) if np.ndim(k) == 0 else out
+    return _multiplier_of_symbol(sym, k, 1, 4.0, _sin2_half)
+
+
+def multiplier_of_symbol_2d(sym: DissipationSymbol, K):
+    """Fourier multiplier of the symbol's operator in two dimensions, at
+    radial wavenumbers ``K``:
+
+        P_m(K) = T Q |K|^alpha
+                 + integral_0^Rc 2 pi (1 - J0(K r)) (m(r) - T r^-alpha) / r dr,
+
+    the formula of ``multiplier_of_symbol_1d`` with Q that of
+    ``fractional_multiplier_constant(2, alpha)``: averaging the double
+    difference of a mode over the directions of the increment leaves
+    2 pi (1 - J0). A power symbol's is the closed form alone.
+    """
+    return _multiplier_of_symbol(sym, K, 2, TWO_PI,
+                                 lambda k, r: one_minus_j0(np.outer(k, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,84 +197,24 @@ def periodic_increment_multiplier_1d(sym: DissipationSymbol, kmax: int):
     pointwise periodized quadrature."""
     y, w = _physical_panels(sym, kmax)
     kerw = w * periodized_kernel_1d(sym, y)
-    v = _sin2_accumulate(np.arange(kmax + 1, dtype=float), y, kerw)
+    v = 4.0 * _accumulate(_sin2_half, np.arange(kmax + 1, dtype=float),
+                           y, kerw)
     return v, y.size
 
 
-def increment_multiplier_2d(sym: DissipationSymbol,
-                            kappas: np.ndarray) -> np.ndarray:
-    """Physical-route multiplier in 2-D at radial wavenumbers ``kappas``:
-
-        v(K) = 2 pi [ integral_eps^pi (1 - J0(K r)) m(r)/r dr        (near)
-                      + integral_pi^inf m(r)/r dr                    (mass)
-                      - integral_pi^inf J0(K r) m(r)/r dr ]          (osc)
-
-    with eps that of ``_physical_panels``. The angular integral over
-    directions of y is J0 in closed form, so the 2-D double-difference
-    quadrature reduces to radial integrals. The far field is exact (power
-    tail), evaluated by Bessel-asymptotic cosine/sine quadrature: no
-    lattice truncation anywhere."""
-    if sym.core_radius > math.pi:
-        raise ValueError("far-field split needs the power tail to start by pi")
-    kappas = np.asarray(kappas, dtype=float)
-    T, al = sym.tail_coeff, sym.alpha
-    mass = TWO_PI * sym.tail_integral_over_r(math.pi)
-
-    y, w = _physical_panels(sym, kappas.max() if kappas.size else 1.0)
-    kerw = TWO_PI * w * sym.m(y) / y
-
-    out = _in_chunks(lambda k: one_minus_j0(np.outer(k, y)) @ kerw, kappas,
-                     max(1, int(4e6 // max(y.size, 1))))
-    for i, kap in enumerate(kappas):
-        if kap == 0.0:
-            out[i] = 0.0  # near term vanishes and osc tail equals the mass
-            continue
-        out[i] += mass - TWO_PI * _bessel_tail(T, al, kap)
-    return out
-
-
-def _bessel_tail(T: float, al: float, kap: float) -> float:
-    """integral_pi^inf J0(kap r) T r^(-1-al) dr, split at the Bessel
-    asymptotic threshold."""
-    from scipy.integrate import quad
-    from scipy.special import j0
-
-    split = max(math.pi, X_ASYM / kap)
-    total = 0.0
-    if split > math.pi:
-        r, w = panel_nodes(oscillation_resolved_edges(math.pi, split, kap),
-                           _ORDER)
-        total += float(np.dot(w, j0(kap * r) * T * r ** (-1.0 - al)))
-
-    def fa(r):
-        return bessel_j0_osc_parts(kap * r)[0] * T * r ** (-1.0 - al)
-
-    def fb(r):
-        return bessel_j0_osc_parts(kap * r)[1] * T * r ** (-1.0 - al)
-
-    ca, _ = quad(fa, split, np.inf, weight="cos", wvar=kap)
-    cb, _ = quad(fb, split, np.inf, weight="sin", wvar=kap)
-    return total + ca + cb
-
-
-def apply_dissipation_physical(sym: DissipationSymbol, fld):
-    """Apply L by quadrature of the periodized kernel against the
-    symmetrized double difference of the field; returns a new field.
+def apply_dissipation_physical(sym: DissipationSymbol, fld: ScalarField1D):
+    """Apply L to a 1-D field by quadrature of the periodized kernel against
+    the symmetrized double difference of the field; returns a new field.
 
     Its inner cutoff is that of the multipliers (``_physical_panels``).
+    There is no 2-D physical route: a 2-D field's multiplier is
+    ``multiplier_of_symbol_2d``.
     """
-    if isinstance(fld, ScalarField1D):
-        v, _ = periodic_increment_multiplier_1d(sym, fld.N // 2)
-        result = ScalarField1D.from_spectrum(fld.spec * v, fld.N)
-    elif isinstance(fld, ScalarField2D):
-        kmod = fld.wavenumber_modulus()
-        uniq, inv = np.unique(np.round(kmod, 9), return_inverse=True)
-        v = increment_multiplier_2d(sym, uniq)
-        result = ScalarField2D.from_spectrum(
-            fld.spec * v[inv].reshape(kmod.shape), fld.N)
-    else:
-        raise TypeError("expected a 1-D or 2-D scalar field")
-    return result
+    if not isinstance(fld, ScalarField1D):
+        raise TypeError("the physical route is 1-D only; got "
+                        f"{type(fld).__name__}")
+    v, _ = periodic_increment_multiplier_1d(sym, fld.N // 2)
+    return ScalarField1D.from_spectrum(fld.spec * v, fld.N)
 
 
 def dissipation_direct_1d(sym: DissipationSymbol, fld: ScalarField1D, x):

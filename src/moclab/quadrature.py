@@ -9,10 +9,6 @@ The conventions used throughout the package:
   intervals: the integrand is evaluated per block of at most
   ``_BLOCK_NODES`` nodes and each interval's row summed on its own, so a
   row's value does not depend on its block;
-* QUADPACK's cos/sin weights (QAWF) serve only the far field of the 2-D
-  physical reference (``kernels.increment_multiplier_2d``); a symbol's 1-D
-  multiplier takes its power tail in closed form and its core on graded
-  Gauss-Legendre panels;
 * every numerical value that feeds a pass/fail decision carries an error
   estimate alongside it;
 * convergence of an integral toward an endpoint is read from the trailing
@@ -263,14 +259,6 @@ def decade_sum(increments, ratios) -> tuple[float, float]:
     r = float(np.max(ratios, initial=0.0))
     return (float(np.sum(increments)),
             float(np.asarray(increments)[-1]) * r / (1.0 - r))
-
-
-def oscillation_resolved_edges(a: float, b: float, freq: float) -> np.ndarray:
-    """Panel edges on [a, b] fine enough for GL-16 against cos(freq * r):
-    six panels per period, at least 4 and at most 4096."""
-    periods = abs(freq) * (b - a) / (2.0 * math.pi)
-    n = int(min(4096, max(4, math.ceil(6.0 * periods))))
-    return np.linspace(a, b, n + 1)
 
 
 # scipy.optimize.brentq's iteration cap

@@ -101,6 +101,27 @@ def test_a_symbols_multiplier_loads_no_scipy_and_a_burgers_run_no_quadpack():
     assert "scipy.integrate" not in seen["run"]
 
 
+def test_a_2d_multiplier_loads_scipy_special_for_a_core_alone():
+    # a power symbol's 2-D multiplier is its closed form and loads no scipy
+    # module; a core correction loads what importing scipy.special loads,
+    # for J0, and nothing else: no QUADPACK
+    seen = _loaded_after(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from moclab import kernels, symbols\n"
+        "K = np.hypot(*np.divmod(np.arange(256.0), 16.0))\n"
+        "kernels.multiplier_of_symbol_2d(symbols.make_symbol('power', a=1.0), K)\n"
+        "power = sorted(sys.modules)\n"
+        "kernels.multiplier_of_symbol_2d(symbols.make_symbol('log', a=1.0), K)\n"
+        "print(json.dumps({'power': power, 'log': sorted(sys.modules)}))\n")
+    special = _loaded_after("import json, sys\n"
+                            "import scipy.special\n"
+                            "print(json.dumps(sorted(sys.modules)))\n")
+    assert _scipy_modules(seen["power"]) == []
+    assert "scipy.special" in seen["log"]
+    assert _scipy_modules(seen["log"]) == _scipy_modules(special)
+
+
 def test_compute_Lw_loads_no_scipy_and_a_blowup_pass_only_scipy_fft():
     # the sign changes of L w are pinned by quadrature.brentq, so
     # compute_Lw loads no scipy module; a tiny blowup pass (design,
@@ -176,6 +197,48 @@ def test_no_module_but_symbols_names_a_family():
     assert found == [], found
     fork = "if sym.family == 'power':\n    pass\ngetattr(sym, 'family')\n"
     assert len(list(_family_reads(ast.parse(fork)))) == 2
+
+
+def _scipy_integrate_sites(tree):
+    # (enclosing top-level function or None, line) of every name of
+    # scipy.integrate: an import of it, or the dotted name read
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                named = any(a.name.startswith("scipy.integrate")
+                            for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                named = (node.module or "").startswith("scipy.integrate") or (
+                    node.module == "scipy"
+                    and any(a.name == "integrate" for a in node.names))
+            elif isinstance(node, ast.Attribute):
+                named = node.attr == "integrate" and getattr(
+                    node.value, "id", None) == "scipy"
+            else:
+                continue
+            if named:
+                yield owner, node.lineno
+
+
+def test_only_the_quad_shim_names_scipy_integrate():
+    # no library quadrature runs on QUADPACK: scipy.integrate is named only
+    # inside moduli.quad, which the bench patches by name
+    found = [f"{path.stem}:{line} ({owner})"
+             for path in sorted((ROOT / "src" / "moclab").glob("*.py"))
+             for owner, line in _scipy_integrate_sites(
+                 ast.parse(path.read_text()))
+             if (path.stem, owner) != ("moduli", "quad")]
+    assert found == [], found
+    shim = [owner for owner, _ in _scipy_integrate_sites(
+        ast.parse((ROOT / "src" / "moclab" / "moduli.py").read_text()))]
+    assert shim == ["quad"]
+    fork = ("import scipy.integrate\n"
+            "from scipy import integrate\n"
+            "def f():\n    from scipy.integrate import quad\n"
+            "    return scipy.integrate.quad\n")
+    assert [o for o, _ in _scipy_integrate_sites(ast.parse(fork))] == [
+        None, None, "f", "f"]
 
 
 # public names that only tests call, each kept as a reference that tests

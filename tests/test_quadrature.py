@@ -14,7 +14,6 @@ from moclab.quadrature import (
     log_edges,
     log_panel_integrals,
     log_panel_rows,
-    oscillation_resolved_edges,
     panel_nodes,
 )
 from moclab.symbols import (check_conditions, make_multiplier, make_symbol,
@@ -45,13 +44,6 @@ def test_graded_edges_geometric_toward_left():
     assert_allclose(e, [0.0625, 0.125, 0.25, 0.5, 1.0])
     # leftmost edge sits b/2^levels from 0; the open core is the caller's
     assert e[0] > 0.0
-
-
-def test_oscillation_resolved_edges_resolve_period():
-    freq = 10.0
-    e = oscillation_resolved_edges(1.0, 5.0, freq)
-    assert e[0] == 1.0 and e[-1] == pytest.approx(5.0)
-    assert np.max(np.diff(e)) <= 2.0 * math.pi / freq / 6.0 + 1e-12
 
 
 def test_log_edges_pin_kinks_and_keep_the_endpoints():
