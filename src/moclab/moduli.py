@@ -828,8 +828,9 @@ _LADDER_CAP = 1000
 # rungs whose crossover scales and coverage bounds are found together
 _SCREEN_BLOCK = 64
 # relative slack on the coverage bound: a rung is built unless the bound,
-# raised by this much, misses the data; it absorbs the rounding of the two
-# quadratures of the same envelope integral
+# raised by this much, misses the data; it absorbs the rounding of the
+# screen's running sum against omega's one-piece closed form of the same
+# envelope integral
 _SCREEN_SLACK = 1e-9
 
 
@@ -841,22 +842,28 @@ def _coverage_bounds(sym: DissipationSymbol, kappa: float, gamma: float,
     The rung intervals are nested, so the integral is a running sum of the
     increments over [2 delta_k, 2 delta_(k-1)] (over [2 delta_1, 2a] for
     B = 1). Each block of rungs gets its deltas from one crossover solve
-    and its increments from log panels per block of nodes, on the rule of
-    the member's envelope table. delta is NaN where the solve fails, and U
-    is NaN wherever delta is not above _DELTA_FLOOR: ``_member_at``
-    refuses such a rung.
+    and its increments as omega reads them (``_EnvelopeIntegral``): the
+    power tail in closed form past tail_start, log panels on the core
+    below it. A power symbol integrates no node. delta is NaN where the
+    solve fails, and U is NaN wherever delta is not above _DELTA_FLOOR:
+    ``_member_at`` refuses such a rung.
     """
-    top = a       # 2 * top is where the next increment ends
-    total = 0.0   # integral of env over [2 min(delta, a), 2a] so far
+    top = 2.0 * a  # where the next increment ends
+    total = 0.0    # integral of env over [2 min(delta, a), 2a] so far
     for first in range(0, rungs, _SCREEN_BLOCK):
         Bs = np.ldexp(1.0, np.arange(first, min(first + _SCREEN_BLOCK, rungs)))
         delta = _crossover_roots(sym, kappa, Bs)
         ok = np.flatnonzero(delta > _DELTA_FLOOR)
-        lo = np.minimum(delta[ok], a)
-        step = log_panel_integrals(
-            sym.envelope, 2.0 * lo, 2.0 * np.concatenate(([top], lo[:-1])),
-            _EnvelopeIntegral._PER_DECADE, _EnvelopeIntegral._ORDER,
-            sym.breakpoints)
+        lo = 2.0 * np.minimum(delta[ok], a)
+        hi = np.concatenate(([top], lo))[:-1]
+        step = sym._power_tail_integral(np.maximum(lo, sym.tail_start),
+                                        np.maximum(hi, sym.tail_start), 0)
+        core = lo < sym.tail_start
+        if core.any():
+            step[core] += log_panel_integrals(
+                sym.envelope, lo[core], np.minimum(hi[core], sym.tail_start),
+                _EnvelopeIntegral._PER_DECADE, _EnvelopeIntegral._ORDER,
+                sym.breakpoints)
         run = total + np.cumsum(step)
         bound = np.full(Bs.size, np.nan)
         bound[ok] = Bs[ok] * delta[ok] + 0.5 * gamma * run
@@ -879,17 +886,18 @@ def find_B_for_data(fld, sym: DissipationSymbol,
     omega_B(a) = omega_B(delta_B) + (gamma/2) * integral of env over
     [2 delta_B, 2a], and omega_B(delta_B) <= B delta_B because the low
     part's moments are nonnegative. So U_B = B delta_B + (gamma/2) * that
-    integral bounds the coverage from above, and needs only the crossover
-    scale (``_coverage_bounds``). A rung is built only where a > delta_B
-    and U_B (1 + _SCREEN_SLACK) >= 2 sup|theta|, or where delta_B leaves
-    the float range. Every rung the screen skips would fail coverage, so
-    the ladder returns the B it returned when it built every rung, with
-    about ten builds per call instead of one per rung. Each rung, B = 1
-    too, is built by ``_member_at`` from the crossover scale the screen
-    solved, which equals ``crossover_scale`` on that B bitwise, after the
-    parameter check of ``build_modulus`` ran once. The refusals read as
-    the build's and report the best coverage margin met, or its bound on
-    a skipped rung.
+    integral bounds the coverage from above. It needs only the crossover
+    scale and that integral, read as the power tail in closed form and
+    log panels on the core (``_coverage_bounds``). A rung is built only
+    where a > delta_B and U_B (1 + _SCREEN_SLACK) >= 2 sup|theta|, or where
+    delta_B leaves the float range. Every rung the screen skips would fail
+    coverage, so the ladder returns the B it returned when it built every
+    rung, with about ten builds per call instead of one per rung. Each
+    rung, B = 1 too, is built by ``_member_at`` from the crossover scale
+    the screen solved, which equals ``crossover_scale`` on that B bitwise,
+    after the parameter check of ``build_modulus`` ran once. The refusals
+    read as the build's and report the best coverage margin met, or its
+    bound on a skipped rung.
 
     Coverage of the tail grows like (gamma/2) times the envelope integral,
     which for the critical symbol means logarithmically in B: certified

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import scipy.integrate
 from scipy.integrate import quad
 
-from moclab import moduli
+from moclab import moduli, quadrature
 from moclab.certificates import default_xi_grid, sqg_criterion
 from moclab.fields import ScalarField1D, ScalarField2D
 from moclab.kernels import fractional_normalization
@@ -989,6 +989,65 @@ def test_every_rung_the_screen_skips_fails_coverage(monkeypatch, name, kappa,
     for b in skipped:
         mem = build_modulus(sym, kappa, 0.01, b)
         assert a <= mem.delta or mem.omega(a) < 2.0 * unorm, b
+
+
+@pytest.mark.parametrize("name, kappa, lam", [
+    ("power1", 0.1, 0.4), ("log1", 0.05, 0.012), ("power0.5", 0.1, 0.0072),
+    ("tabulated", 0.1, 0.04)])
+def test_the_screen_bound_is_the_members_envelope_integral(name, kappa, lam):
+    # on every rung past the crossover, U_B less B delta_B is the member's
+    # own envelope integral over [2 delta_B, 2a], read by omega in one
+    # piece; the screen sums it rung by rung. So U_B bounds omega_B(a)
+    # within the screen's slack, on the rungs it builds as on those it skips
+    sym = SEED_SYMBOLS[name]
+    fld = ScalarField1D(lam * BENCH_LADDER_BASE.values)
+    a = 2.0 * fld.linf() / fld.grad_linf()
+    checked = 0
+    for B, delta, bound in moduli._coverage_bounds(sym, kappa, 0.01, a, 200):
+        if not delta < a:
+            continue
+        mem = moduli._member_at(sym, kappa, 0.01, B, delta)
+        assert_allclose((bound - B * delta) * 2.0 / 0.01,
+                        mem._high.value(np.array([2.0 * a]))[0], rtol=1e-13)
+        assert bound * (1.0 + moduli._SCREEN_SLACK) >= mem.omega(a), B
+        checked += 1
+    assert checked > 100
+
+
+def _ladder_nodes(monkeypatch, fld, sym, kappa):
+    # (log_panel_rows calls, nodes) of one find_B_for_data call
+    counts, real = [0, 0], quadrature.log_panel_rows
+
+    def counting(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        counts[0] += 1
+        counts[1] += rows.nodes.size
+        return rows
+    monkeypatch.setattr(quadrature, "log_panel_rows", counting)
+    find_B_for_data(fld, sym, kappa=kappa, gamma=0.01)
+    monkeypatch.setattr(quadrature, "log_panel_rows", real)
+    return counts
+
+
+def test_a_power_ladder_integrates_no_node(monkeypatch):
+    # the screen reads a power envelope in closed form, and a power member
+    # has no envelope panel and no moment table
+    for lam in (0.05, 0.1, 0.2, 0.4, 0.8):
+        fld = ScalarField1D(lam * BENCH_LADDER_BASE.values)
+        assert _ladder_nodes(monkeypatch, fld, CRITICAL, 0.1) == [0, 0]
+
+
+@pytest.mark.parametrize("a, most", [(0.5, 7080), (1.0, 97140)])
+def test_a_log_ladder_panels_only_its_core(monkeypatch, a, most):
+    # past tail_start the screen takes the closed form, so a log ladder
+    # integrates no more nodes than it did with panels on the whole
+    # envelope (7,080 and 97,140 per call)
+    base = ScalarField1D.random_band_limited(256, kmax=8, amplitude=1.0,
+                                             seed=1)
+    fld = ScalarField1D(0.02 * base.values)
+    _, nodes = _ladder_nodes(monkeypatch, fld, make_symbol("log", a=a),
+                             0.05)
+    assert 0 < nodes <= most
 
 
 def test_log_member_at_the_float_floor_is_refused_by_name():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from scipy.optimize import brentq
 
 from moclab import records
 from moclab.fields import ScalarField1D
+from moclab.kernels import fractional_normalization
 from moclab.quadrature import log_panel_integrals
 from moclab.symbols import (
     _CROSS_RTOL,
@@ -297,6 +299,27 @@ def test_a_block_of_64_rungs_calls_m_at_most_12_times(name, first,
                                                                 first + 64)))
     assert not np.isnan(deltas).any()
     assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("scale", [1.0, fractional_normalization(2, 1.0)])
+@pytest.mark.parametrize("a", [0.5, 0.75, 1.0])
+def test_a_power_crossover_is_the_exact_root_to_its_tolerance(a, scale):
+    # m = c r^-a gives delta = (c kappa / B)^(1/a) exactly; at 40 digits
+    # that is the reference for every ladder rung B = 2^0 ... 2^999 whose
+    # root is a normal float. The solve in t = ln delta stops within
+    # xtol + rtol |t| of the root, so delta within twice that relative
+    s = make_symbol("power", a=a, scale=scale)
+    kappa = 0.05
+    Bs = np.ldexp(1.0, np.arange(1000))
+    with mpmath.workdps(40):
+        c, inv_a = mpmath.mpf(s.tail_coeff), 1 / mpmath.mpf(a)
+        ref = [(c * kappa / mpmath.mpf(B)) ** inv_a for B in Bs.tolist()]
+        n = sum(r >= np.finfo(float).tiny for r in ref)
+        deltas = _crossover_roots(s, kappa, Bs[:n])
+        assert not np.isnan(deltas).any()
+        for delta, r in zip(deltas.tolist(), ref):
+            bound = 2.0 * (_CROSS_XTOL + _CROSS_RTOL * abs(math.log(delta)))
+            assert abs(float(mpmath.mpf(delta) / r - 1)) <= bound, delta
 
 
 _TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
