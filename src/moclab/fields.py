@@ -149,15 +149,6 @@ def _array_call(fn, x: np.ndarray, name: str, of: str, contract: str):
     return out
 
 
-def _in_chunks(fn, x: np.ndarray, size: int) -> np.ndarray:
-    """``fn`` over the flat array ``x``, ``size`` entries at a time; ``fn``
-    is pointwise, so the chunking never changes a value."""
-    out = np.empty_like(x)
-    for a in range(0, x.size, size):
-        out[a:a + size] = fn(x[a:a + size])
-    return out
-
-
 def _multiplier_values(P, k: np.ndarray, name: str) -> np.ndarray:
     """The multiplier ``P`` on the wavenumber moduli ``k``, with the mean
     mode's entry 0: the mean is never damped and never advects. A ``P``

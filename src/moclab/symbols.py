@@ -14,7 +14,7 @@ P(|k|) plays the same role on the spectral side. Built-in families:
 * multiplier-derived: m(r) = P(1/r) for a sub-linear multiplier P.
 
 Every built-in decays as an exact power law tail_coeff * r^-alpha beyond its
-core radius, which downstream periodization exploits. The log family with
+core radius, which the multipliers take in closed form. The log family with
 a > ln 2 is not monotone on (2 e^-a, 1]; the `envelope` accessor provides the
 non-increasing envelope that modulus construction uses (the raw m is kept so
 closed-form identities on (0, 1] survive, and `check_conditions` reports the
@@ -234,7 +234,7 @@ def make_symbol(family: str, a: float | None = None, r0: float = 1.0,
         label = f"power(a={a:g})" if scale == 1.0 \
             else f"{scale:g}*power(a={a:g})"
         # the power law is its own tail: core_radius 0 routes every radius
-        # through the exact tail branch, which periodization relies on
+        # through the exact tail branch, and its multiplier has no core
         return DissipationSymbol(
             family="power", a=a, alpha=a, r0=r0, C0=C0,
             sqg_admissible=(a >= 1.0),

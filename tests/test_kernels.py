@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from moclab.fields import ScalarField1D, ScalarField2D
+from moclab.fields import ScalarField2D
 from moclab.kernels import (
-    apply_dissipation_physical,
-    dissipation_direct_1d,
     fractional_multiplier_constant,
     fractional_normalization,
     multiplier_of_symbol_1d,
     multiplier_of_symbol_2d,
-    periodic_increment_multiplier_1d,
-    periodized_kernel_1d,
 )
 from moclab.records import REGULAR
 from moclab.sqg_euler import simulate_sqg
 from moclab.symbols import (make_multiplier, make_symbol,
                             symbol_from_callable, symbol_from_multiplier,
                             symbol_from_table)
+
+from reference import multiplier_1d
 
 
 # ---------------------------------------------------------------------------
@@ -63,37 +61,6 @@ def test_a_power_symbols_multiplier_is_its_closed_form_bitwise(a):
         assert np.array_equal(multiplier_of_symbol_1d(s, k), want)
 
 
-# ---------------------------------------------------------------------------
-# periodization
-# ---------------------------------------------------------------------------
-
-def test_periodized_kernel_hurwitz_vs_lattice():
-    s = make_symbol("power", a=0.5)
-    y = 0.7
-    val = periodized_kernel_1d(s, y)
-    assert_allclose(val, 2.04258775116, rtol=1e-9)
-    direct = sum(s.m(abs(y + 2.0 * math.pi * n)) / abs(y + 2.0 * math.pi * n)
-                 for n in range(-20000, 20001))
-    # truncated lattice sum carries an O(R^-1/2) tail; Hurwitz route is exact
-    assert val > direct
-    assert_allclose(val, direct, rtol=2e-3)
-
-
-def test_periodized_kernel_domain():
-    s = make_symbol("power", a=0.5)
-    with pytest.raises(ValueError):
-        periodized_kernel_1d(s, 4.0)
-
-
-def test_periodic_increment_multiplier_matches_fractional_law():
-    s = make_symbol("power", a=0.5)
-    v, _ = periodic_increment_multiplier_1d(s, 20)
-    q = fractional_multiplier_constant(1, 0.5)
-    assert v[0] == 0.0
-    ks = np.arange(1, 21, dtype=float)
-    assert_allclose(v[1:], q * np.sqrt(ks), rtol=1e-10)
-
-
 _TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
 _NON_POWER = {
     "log1": make_symbol("log", a=1.0),
@@ -106,13 +73,18 @@ _NON_POWER = {
 }
 
 
-@pytest.mark.parametrize("sym", _NON_POWER.values(), ids=list(_NON_POWER))
-def test_physical_route_is_the_reference_for_the_symbol_multiplier(sym):
-    # two independent quadratures of the same multiplier; the physical one
-    # must pin the core radius, where m jumps in slope for the log family
-    ks = np.arange(1, 257, dtype=float)
-    v, _ = periodic_increment_multiplier_1d(sym, 256)
-    assert_allclose(multiplier_of_symbol_1d(sym, ks), v[1:], rtol=1e-12)
+_EXACT = {**_NON_POWER, "power0.5": make_symbol("power", a=0.5),
+          "power1": make_symbol("power", a=1.0)}
+
+
+@pytest.mark.parametrize("sym", _EXACT.values(), ids=list(_EXACT))
+def test_the_symbol_multiplier_is_the_exact_integral(sym):
+    # the multiplier integral at 20 digits (tests/reference.py): mpmath.quad
+    # on the core, split at half periods and at the breakpoints, where m
+    # jumps in slope for the log family, and the power tail in closed form
+    ks = np.array([1.0, 7.0, 64.0])
+    want = [float(multiplier_1d(sym, k)) for k in ks]
+    assert_allclose(multiplier_of_symbol_1d(sym, ks), want, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +133,7 @@ def _assert_2d_core_is_the_1d_core_subordinated(sym, K, points):
 
 @pytest.mark.parametrize("sym", _NON_POWER.values(), ids=list(_NON_POWER))
 def test_the_2d_core_is_the_1d_core_subordinated(sym):
-    # the 1-D core is pinned by the physical route above; the 2-D core is
+    # the 1-D core is pinned by the exact integral above; the 2-D core is
     # its average over the directions of the increment
     _assert_2d_core_is_the_1d_core_subordinated(sym, _K2, 64)
 
@@ -227,34 +199,3 @@ def test_the_2d_multiplier_matches_the_physical_route(name):
     sym = _NON_POWER.get(name) or make_symbol("power", a=1.0)
     assert_allclose(multiplier_of_symbol_2d(sym, _K2), _PHYSICAL_2D[name],
                     rtol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# physical application vs the spectral route
-# ---------------------------------------------------------------------------
-
-def test_apply_dissipation_physical_matches_spectral_1d():
-    s = make_symbol("power", a=0.5)
-    f = ScalarField1D.random_band_limited(128, kmax=20, amplitude=1.0, seed=2)
-    v, _ = periodic_increment_multiplier_1d(s, 20)
-    ks = np.abs(np.fft.fftfreq(128, d=1.0 / 128)).astype(int)
-    pk = np.where(ks <= 20, v[np.minimum(ks, 20)], 0.0)
-    spec = np.real(np.fft.ifft(pk * np.fft.fft(f.values)))
-    phys = apply_dissipation_physical(s, f)
-    assert np.max(np.abs(phys.values - spec)) < 1e-12
-
-
-def test_dissipation_direct_cross_checks_factored_route():
-    s = make_symbol("power", a=0.5)
-    f = ScalarField1D.from_function(128, np.sin)
-    x = 0.7
-    direct = dissipation_direct_1d(s, f, x)
-    factored = apply_dissipation_physical(s, f).evaluate_at(np.array([x]))
-    assert_allclose(direct, factored[0], rtol=1e-8)
-
-
-def test_apply_dissipation_physical_refuses_a_2d_field():
-    s = make_symbol("power", a=1.0)
-    f = ScalarField2D.from_function(8, lambda x, y: np.sin(x + 2.0 * y))
-    with pytest.raises(TypeError, match="ScalarField2D"):
-        apply_dissipation_physical(s, f)

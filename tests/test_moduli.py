@@ -285,6 +285,36 @@ def test_subnormal_separations_answer_on_the_seed(a):
                         rtol=1e-12, atol=0.0)
 
 
+def _log_m0_mp(low, a, xi):
+    # M0 over (0, xi] for the unscaled log symbol at 30 digits, to t = inf:
+    # in u = t - t0, t = ln(1/eta), 1/m(e^-t) = e^-t (ln 2 + t)^a, so M0 is
+    # scale xi integral_0^inf (3 + ln delta + t) e^-u (ln 2 + t)^a du. The
+    # factor xi leaves the integral O(1), where mpmath's absolute stopping
+    # tolerance is a relative one
+    with mpmath.workdps(30):
+        x = mpmath.mpf(xi)
+        t0 = -mpmath.log(x)
+        L = 3 + mpmath.log(mpmath.mpf(low._delta)) + t0
+        return low._scale * x * mpmath.quad(
+            lambda u: (L + u) * mpmath.exp(-u) * (mpmath.ln2 + t0 + u) ** a,
+            [0, 1, 10, 50, mpmath.inf])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_CumulativeMoments._window caps the seed window at t = 700, so the "
+    "deepest floor (t0 = 708.4) and every subnormal query are seeded over "
+    "1 nat: for log a in {0.5, 1} at B = 1, M0 reads low by 8.5e-9 at "
+    "xi = 1e-300 and by 8.3e-4 at 1e-305. The adaptive oracle integrates "
+    "over _window itself, so it cannot see this"))
+def test_the_moment_table_is_exact_near_the_float_floor():
+    xi = np.array([1e-300, 1e-305])
+    for a in (0.5, 1.0):
+        low = _member_of(make_symbol("log", a=a))._low
+        m0, _ = low.moments(xi)
+        want = [float(_log_m0_mp(low, a, v)) for v in xi.tolist()]
+        assert_allclose(m0, want, rtol=1e-11, atol=0.0)
+
+
 _INVARIANT_XI = np.concatenate(([0.0], np.geomspace(1e-9, 3e3, 97)))
 
 

@@ -244,8 +244,6 @@ def test_only_the_quad_shim_names_scipy_integrate():
 # public names that only tests call, each kept as a reference that tests
 # compare live code against or for a caller ROADMAP plans
 ORACLES = {
-    "apply_dissipation_physical": "physical route, against the multiplier",
-    "dissipation_direct_1d": "physical route, against the multiplier",
     "dissipation_lower": "callable route, against the criteria's D",
     "measured_curvature_constant": "one-point form of the criteria's side "
                                    "value",

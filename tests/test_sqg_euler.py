@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from scipy.integrate import quad
 from moclab import fields, sqg_euler
 from moclab.certificates import PlainModulus, omega_riesz, omega_tilde
 from moclab.fields import ScalarField1D, ScalarField2D, velocity_multipliers
-from moclab.kernels import fractional_normalization
+from moclab.kernels import fractional_normalization, multiplier_of_symbol_2d
 from moclab.moduli import (StratifiedPairSearch, build_modulus,
                            check_obeys, find_B_for_data, validate_modulus)
 from moclab.sqg_euler import (ObedienceMonitor, osgood_check,
@@ -19,6 +20,13 @@ from moclab.records import REGULAR, UNRESOLVED
 from moclab.symbols import make_multiplier, make_symbol
 
 CRITICAL = make_symbol("power", a=1.0)
+# the 2-D multiplier of CRITICAL, 2 pi |k|: the P its members dissipate by
+CRITICAL_P = functools.partial(multiplier_of_symbol_2d, CRITICAL)
+
+
+def _assert_p_is_the_members(P, mem):
+    K = np.array([1.0, 2.0, 7.0, 64.0])
+    assert np.array_equal(P(K), multiplier_of_symbol_2d(mem.sym, K))
 
 
 def _member_and_field():
@@ -76,8 +84,8 @@ def test_the_carried_bound_is_a_lower_bound_on_every_row(monkeypatch):
     # a skipped row stores a bound on its lattice margin; a scanned row
     # stores the full refined sweep's margin to the bit
     mem, fld = _member_and_field()
-    rec, states = _monitored_rows(monkeypatch, fld, 0.25, mem,
-                                  P=make_multiplier("power", s=1.0),
+    _assert_p_is_the_members(CRITICAL_P, mem)
+    rec, states = _monitored_rows(monkeypatch, fld, 0.25, mem, P=CRITICAL_P,
                                   dt_max=0.0125)
     search = StratifiedPairSearch(32, mem.omega, directions=32,
                                   separations_per_decade=8)
@@ -293,8 +301,9 @@ def test_a_monitored_run_makes_no_numpy_fft_call(monkeypatch):
 
     for name in np.fft.__all__:
         monkeypatch.setattr(np.fft, name, refused)
-    rec = simulate_sqg(theta0, 0.01, P=make_multiplier("power", s=1.0),
-                       member=mem, dt_max=0.0025)
+    _assert_p_is_the_members(CRITICAL_P, mem)
+    rec = simulate_sqg(theta0, 0.01, P=CRITICAL_P, member=mem,
+                       dt_max=0.0025)
     assert rec.meta["stages"] == [{"t": 0.0, "N": 64, "steps": 4}]
     assert np.all(np.isfinite(rec["obedience_margin"]))
 
