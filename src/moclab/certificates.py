@@ -17,12 +17,14 @@ two-piece integral); criteria reinsert the caller's A.
 Quadrature strategy: in the log of the integration variable every integrand
 here is piecewise smooth, with kinks only at the crossover scale of the
 modulus and the breakpoint radii of the symbol, so composite Gauss-Legendre
-panels with those points pinned as edges converge spectrally. Improper
-tails are never truncated blindly: for family members the tail reduces to
-the symbol's envelope integral, which is an exact power law beyond its core,
-and a generic callable's tail beyond R is read as 40 decades of u = R/eta
-in (0, 1], closed by their geometric remainder when their trailing ratios
-sit below those of omega = eta^0.995 and refused otherwise.
+panels with those points pinned as edges converge spectrally. No member's
+improper tail is truncated: past a radius where the symbol and the
+envelope are one power tail, the advective tails and the dissipation's far
+field are closed forms, the latter an odd series in xi/(2 eta) with each
+term integrated exactly. A generic callable's tail beyond R is read as 40
+decades of u = R/eta in (0, 1], closed by their geometric remainder when
+their trailing ratios sit below those of omega = eta^0.995 and refused
+otherwise.
 
 Every functional works on an array of separations, through one
 ``log_panel_integrals`` call per integral. It evaluates each set of
@@ -49,6 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .fields import _EPS
 from .moduli import ModulusMember, _omega_array, _omega_fn, _separations
 from .moduli import build_modulus  # bench/selftest.py asserts this alias
 from .quadrature import (classify_decades, decade_increments, decade_sum,
@@ -69,6 +72,8 @@ _DISS_ORDER = 12
 _TAIL_DECADES = 40
 _TAIL_WINDOW = 6
 _TAIL_RATIO = 10.0 ** -0.005
+# the near piece integrates down to this fraction of the separation
+_NEAR_FLOOR = 1e-10
 
 
 class TailDivergenceError(ValueError):
@@ -257,7 +262,7 @@ def omega_tilde(omega, xi):
 
 def _near_integral(omega_fn, sym, xi, w_xi, kinks, per_decade, order):
     """Integral over (0, xi/2) of (2w(xi) - w(xi+2e) - w(xi-2e)) m(2e)/e."""
-    floor = 1e-10 * xi
+    floor = _NEAR_FLOOR * xi
 
     def near(eta, x, w):
         up, dn = np.split(_omega_array(omega_fn, np.concatenate(
@@ -293,41 +298,80 @@ def _far_direct(omega_fn, sym, xi, w_xi, R1, kinks, per_decade, order):
     return val, 4e-16 * size
 
 
-def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
-    """Far contribution beyond R1 using the member's power-law tail.
+def _odd_series(alpha: float, t: np.ndarray):
+    """(sum over odd k of b_k t^k / (2 alpha + k - 1), the last k summed)
+    for 0 < t <= 1/4: b_1 = 1 and b_(k+2) = b_k (k - p)(k + 1 - p) /
+    ((k + 1)(k + 2)), p = 1 - alpha, so every term is positive and at most
+    t^2 <= 1/16 of the one before. The sum stops once every separation's
+    last term is below 1e-17 of its sum, which leaves less than 1e-18 of it
+    behind; a NaN term stops it too."""
+    p, b, k = 1.0 - alpha, 1.0, 1
+    term = total = t / (2.0 * alpha)
+    while np.any(term > 1e-17 * total):
+        b *= (k - p) * (k + 1 - p) / ((k + 1) * (k + 2))
+        k += 2
+        term = b * t ** k / (2.0 * alpha + k - 1)
+        total = total + term
+    return total, k
 
-    Past R1 both the symbol and the envelope are exact power laws and both
-    modulus arguments sit past the crossover, so the increment
-    w(2e+xi) - w(2e-xi) is gamma/2 times the power tail's closed form over
-    [4e - 2xi, 4e + 2xi], the one the member's omega reads, and no modulus
-    evaluations are needed. Returns the integral over (R1, inf) of
-    (2 w(xi) - increment) m(2e)/e, with its (tiny) truncation error.
+
+def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
+    """Far contribution beyond R1 = max(2 xi, 2 delta, tail_start), exact.
+
+    Past R1 the symbol and the envelope are one power tail c r^-alpha and
+    both modulus arguments sit past the crossover, so with p = 1 - alpha
+    and t = xi / (2 eta) <= 1/4 the increment is
+
+        w(2e+xi) - w(2e-xi) = (gamma/2) c (4e)^p ((1+t)^p - (1-t)^p) / p
+                            = gamma c (4e)^p sum over odd k of b_k t^k,
+
+    the odd series of ``_odd_series`` (b_k = 1/k at alpha = 1). Each term
+    integrates against m(2e)/e = c 2^-alpha e^(-1-alpha) in closed form,
+    so the integral over (R1, inf) of (2 w(xi) - increment) m(2e)/e is
+    2 w(xi) times the symbol's tail integral from 2 R1, less
+    gamma c^2 2^-alpha 4^p R1^(1 - 2 alpha) sum b_k t1^k / (2 alpha + k - 1)
+    with t1 = xi / (2 R1). The bar is the rounding of both, 8 eps of their
+    sum; the series' remainder is below 1e-18 of it.
     """
     sym = mem.sym
-    c = sym.tail_coeff
-    alpha = sym.alpha
+    c, alpha = sym.tail_coeff, sym.alpha
     base = 2.0 * w_xi * sym.tail_integral_over_r(2.0 * R1)
-    # integrand decays like eta^(-1-2 alpha); truncate where the pure-power
-    # bound drops sixteen orders, then close with the exact power remainder
-    R_inf = R1 * 10.0 ** (8.0 / alpha)
-
-    def closed(eta, x):
-        increment = 0.5 * mem.gamma * sym._power_tail_integral(
-            4.0 * eta - 2.0 * x, 4.0 * eta + 2.0 * x, 0)
-        return increment * (c * (2.0 * eta) ** (-alpha) / eta)
-
-    correction = log_panel_integrals(closed, R1, R_inf, 4.0, 10, (), xi)
-    # beyond R_inf: increment ~ 2 gamma xi c (4 eta)^-alpha, exact integral
-    rem = (2.0 * mem.gamma * xi * c ** 2 * 8.0 ** (-alpha)
-           * R_inf ** (-2.0 * alpha) / (2.0 * alpha))
-    return base - correction - rem, rem + 1e-15 * base
+    series, _ = _odd_series(alpha, 0.5 * xi / R1)
+    correction = (mem.gamma * c * c * 2.0 ** -alpha * 4.0 ** (1.0 - alpha)
+                  * R1 ** (1.0 - 2.0 * alpha) * series)
+    return base - correction, 8.0 * _EPS * (base + correction)
 
 
 def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
                      w_xi: np.ndarray, ks: Sequence[float],
                      per_decade: float, order: int):
     """(raw dissipation, error) at positive separations xi, given
-    w_xi = omega(xi) and ks = _omega_kinks(omega)."""
+    w_xi = omega(xi) and ks = _omega_kinks(omega).
+
+    A D that is not finite is refused by name, with no numpy warning on
+    the way: near a tiny xi at large B the kernel m(2 eta)/eta overflows
+    float64, and every overflow or invalid operation on the way leaves D
+    infinite or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        D, err = _dissipation_parts(omega, sym, xi, w_xi, ks, per_decade,
+                                    order)
+    bad = ~np.isfinite(D)
+    if bad.any():
+        x = xi[np.argmax(bad)]
+        eta = _NEAR_FLOOR * x
+        with np.errstate(over="ignore"):
+            kern = sym.m(2.0 * eta) / eta
+        raise ValueError(
+            f"dissipation is not finite at xi = {x:.6g} for the modulus at "
+            f"B = {getattr(omega, 'B', math.nan):.6g}: its kernel "
+            f"m(2 eta)/eta reads {kern:.6g} at the near piece's floor "
+            f"eta = {eta:.6g}, and float64 overflows past "
+            f"{np.finfo(float).max:.6g}")
+    return D, err
+
+
+def _dissipation_parts(omega, sym, xi, w_xi, ks, per_decade, order):
+    # near piece plus far piece, each with its error, summed
     omega_fn = _omega_fn(omega)
     near, err_n = _near_integral(omega_fn, sym, xi, w_xi, ks, per_decade,
                                  order)

@@ -36,7 +36,8 @@ from .fields import (_DT_FLOOR, _EPS, ScalarField2D, _spectral_tail,
                      _StagedRun, _tail_band, dealias_cutoff, irfft2,
                      max_hypot, rfft2, velocity_multipliers,
                      wavenumber_grids_2d)
-from .moduli import StratifiedPairSearch, _omega_fn
+from .kernels import multiplier_of_symbol_2d
+from .moduli import ModulusMember, StratifiedPairSearch, _omega_fn
 from .quadrature import classify_decades, decade_increments, panel_nodes
 from .records import REGULAR, UNRESOLVED, RunRecord
 
@@ -171,6 +172,23 @@ class ObedienceMonitor:
 # time stepping
 # ----------------------------------------------------------------------
 
+def _refuse_a_weaker_multiplier(P, sym, N):
+    """Refuse a run whose P dissipates less than the member's symbol
+    assumes: below its 2-D multiplier, 8 eps of slack, at |k| = 1, 2 and
+    the dealiasing cutoff."""
+    K = np.array([1.0, 2.0, float(dealias_cutoff(N))])
+    need = multiplier_of_symbol_2d(sym, K)
+    have = np.broadcast_to(np.asarray(P(K), dtype=float), K.shape)
+    short = ~(have >= need * (1.0 - 8.0 * _EPS))
+    if short.any():
+        i = int(np.argmax(short))
+        raise ValueError(
+            f"the run's multiplier P({K[i]:g}) = {have[i]:.17g} is below "
+            f"{need[i]:.17g}, the 2-D multiplier of the member's symbol "
+            f"{sym.label!r}: the run would dissipate less than its modulus "
+            "assumes")
+
+
 def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
     """The staged run of either law, one row per step end on the state
     padded to N. With a ``member`` each row's ``obedience_margin`` comes
@@ -182,6 +200,8 @@ def _run_2d(theta0, T, P, law, *, dt_max, dt_floor, member, tail_limit):
     if not isinstance(theta0, ScalarField2D):
         raise TypeError("need a ScalarField2D initial condition")
     N = theta0.N
+    if isinstance(member, ModulusMember):
+        _refuse_a_weaker_multiplier(P, member.sym, N)
     mx, my = velocity_multipliers(N, law, P=P)
     run = _StagedRun(theta0.spec, N, T, P if law == "sqg" else None,
                      lambda n, index: _AdvectionCore(n, mx[index],
@@ -252,9 +272,12 @@ def simulate_sqg(theta0, T, *, P, member=None, dt_max=None,
     ends only; the time between them is left open (ROADMAP item 19).
     ``meta["min_obedience_margin"]`` is the smallest swept margin, and
     breakthrough shows up as a non-positive margin, never as an
-    exception. ``dt_max`` caps the step (default T/64); the run stops
-    early as "dt-floor", or as "spectral-tail" once the top-eighth share
-    at N passes ``tail_limit``.  A run is REGULAR only if it completed,
+    exception. A ``ModulusMember`` whose symbol's 2-D multiplier exceeds
+    ``P`` at |k| = 1, 2 or the dealiasing cutoff is refused, since the run
+    would dissipate less than the modulus assumes. ``dt_max`` caps the
+    step (default T/64); the run stops early as "dt-floor", or as
+    "spectral-tail" once the top-eighth share at N passes
+    ``tail_limit``.  A run is REGULAR only if it completed,
     its stage at N never failed the refine rule
     (``meta["cap_unresolved_t"]`` is None) and, with a ``member``, every
     row's margin was positive; it is UNRESOLVED otherwise.

@@ -23,6 +23,8 @@ from moclab.fields import ScalarField1D
 from moclab.kernels import fractional_normalization, multiplier_of_symbol_1d
 from moclab.moduli import ModulusMember, build_modulus
 from moclab.symbols import make_symbol
+from reference import far_dissipation
+from test_moduli import SEED_SYMBOLS, _member_of
 
 CRITICAL = make_symbol("power", a=1.0)
 COARSE = default_xi_grid(1e-4, 1e2, 4)
@@ -271,6 +273,54 @@ def test_far_window_beats_doubling_floor():
         floor = ((2.0 - mem.doubling_bound) * mem.omega(xi)
                  * mem.sym.m(2.0 * xi))
         assert window[0] >= floor * (1.0 - 1e-12)
+
+
+# power a = 0.02 has no member at B = 2^20: its crossover scale
+# (c kappa / B)^50 lies below float64's range
+FAR_MEMBERS = [(make_symbol("power", a=a), B)
+               for a in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0)
+               for B in (1.0, 2.0 ** 20) if (a, B) != (0.02, 2.0 ** 20)] + [
+    (SEED_SYMBOLS[name], B) for name in ("log0.3", "log1", "tabulated")
+    for B in (1.0, 2.0 ** 20)]
+
+
+def test_the_far_dissipation_is_the_exact_integral():
+    # the far piece past R1 = max(2 xi, 2 delta, tail_start), the odd
+    # series of the increment, within its own bar of the 30-digit integral
+    xi = np.array([1e-4, 1e-2, 1.0, 75.0])
+    for sym, B in FAR_MEMBERS:
+        mem = _member_of(sym, B)
+        R1 = np.maximum(np.maximum(2.0 * xi, 2.0 * mem.delta),
+                        sym.tail_start)
+        far, bar = certificates._member_far_closed(mem, xi, mem.omega(xi),
+                                                   R1)
+        exact = np.array([float(far_dissipation(mem, x)) for x in xi])
+        assert np.all(np.abs(far - exact) <= bar), (sym.label, B,
+                                                    far / exact - 1.0)
+
+
+def test_the_criteria_report_on_a_power_member_of_small_alpha():
+    # power a = 0.02: no truncation radius R1 10^(8/alpha) to overflow
+    mem = _member_of(make_symbol("power", a=0.02))
+    for criterion in (sqg_criterion, burgers_criterion):
+        rep = criterion(mem, xi_grid=COARSE)
+        assert np.all(np.isfinite(rep.margin)) and rep.passed
+
+
+def test_a_dissipation_that_overflows_is_refused_by_name():
+    # near delta at B = 2^500, m(2 eta)/eta overflows float64 on the near
+    # piece's floor; at 2^450 both criteria still pass on the same grid
+    x = np.geomspace(1e-4, 1e4, 33)
+    mem = build_modulus(CRITICAL, 0.05, 0.01, 2.0 ** 450)
+    for criterion in (sqg_criterion, burgers_criterion):
+        assert criterion(mem, xi_grid=mem.delta * x).passed
+    mem = build_modulus(CRITICAL, 0.05, 0.01, 2.0 ** 500)
+    for criterion in (sqg_criterion, burgers_criterion):
+        with pytest.raises(ValueError, match=(
+                r"dissipation is not finite at xi = 1\.52747e-156 for the "
+                r"modulus at B = 3\.27339e\+150: its kernel m\(2 eta\)/eta "
+                r"reads inf")):
+            criterion(mem, xi_grid=mem.delta * x)
 
 
 def test_curvature_constant_below_crossover():
