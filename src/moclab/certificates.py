@@ -5,9 +5,9 @@ advective bound on velocity increments against a dissipative lower bound.
 This module evaluates the two advective functionals (the Riesz-increment
 bound and its flow-aligned variant), the dissipative functional, and
 combines them into signed per-separation criterion margins for the scalar
-(Burgers) and Riesz-velocity (SQG) cases. A modulus is a family member,
-any object with an ``omega`` method, or an array-native callable
-(``moduli._omega_fn``).
+(Burgers) and Riesz-velocity (SQG) cases. Every public function takes a
+family member (``moduli.ModulusMember``) and refuses any other modulus
+with a TypeError: the tails below are the member's closed forms.
 
 Normalization: the universal increment constant A enters every functional
 only as an outer factor, so all values are stored A-free. Advective values
@@ -17,22 +17,17 @@ two-piece integral); criteria reinsert the caller's A.
 Quadrature strategy: in the log of the integration variable every integrand
 here is piecewise smooth, with kinks only at the crossover scale of the
 modulus and the breakpoint radii of the symbol, so composite Gauss-Legendre
-panels with those points pinned as edges converge spectrally. No member's
-improper tail is truncated: past a radius where the symbol and the
-envelope are one power tail, the advective tails and the dissipation's far
-field are closed forms, the latter an odd series in xi/(2 eta) with each
-term integrated exactly. A generic callable's tail beyond R is read as 40
-decades of u = R/eta in (0, 1], closed by their geometric remainder when
-their trailing ratios sit below those of omega = eta^0.995 and refused
-otherwise.
+panels with those points pinned as edges converge spectrally. No improper
+tail is truncated: past a radius where the symbol and the envelope are one
+power tail, the advective tails and the dissipation's far field are closed
+forms, the latter an odd series in xi/(2 eta) with each term integrated
+exactly.
 
 Every functional works on an array of separations, through one
 ``log_panel_integrals`` call per integral. It evaluates each set of
 modulus arguments with one ``omega`` call per block of panels and sums
 each separation's row on its own, so a value is bitwise that of a
 one-point call; the public scalar functionals are that one-point case.
-Only a callable's tails, one ``decade_increments`` call per separation,
-run one separation at a time.
 
 The two criteria weigh different advective terms against the same
 dissipation, so they share one evaluation of a grid: omega, omega', the
@@ -40,23 +35,22 @@ kinks and the dissipation with its error, computed once per family member,
 grid and quadrature rule. A member keeps the evaluation of its most recent
 grid, and a second criterion on that grid reads it instead of recomputing;
 members are immutable and every value is a function of the point alone, so
-the reuse is exact. Other moduli recompute on every call.
+the reuse is exact.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fields import _EPS
-from .moduli import ModulusMember, _omega_array, _omega_fn, _separations
+from .moduli import ModulusMember, _separations
 from .moduli import build_modulus  # bench/selftest.py asserts this alias
-from .quadrature import (classify_decades, decade_increments, decade_sum,
-                         log_panel_integrals)
-from .symbols import DissipationSymbol, _shaped
+from .quadrature import log_panel_integrals
+from .symbols import _shaped
 
 DEFAULT_A = 2.0
 XI_GRID_LO = 1e-6
@@ -66,19 +60,8 @@ XI_POINTS_PER_DECADE = 64
 # the advective functionals take the order
 _DISS_PER_DECADE = 2.0
 _DISS_ORDER = 12
-# a callable's tail to infinity: decades of u = R/eta in (0, 1], read by
-# their trailing ratios, which must sit below those of omega = eta^q at
-# q = 0.995 (a Riesz tail of ratio 10^(q - 1) per decade)
-_TAIL_DECADES = 40
-_TAIL_WINDOW = 6
-_TAIL_RATIO = 10.0 ** -0.005
 # the near piece integrates down to this fraction of the separation
 _NEAR_FLOOR = 1e-10
-
-
-class TailDivergenceError(ValueError):
-    """A callable's tail to infinity whose decade increments do not shrink
-    faster than those of omega = eta^0.995 (linear omega, say)."""
 
 
 def default_xi_grid(lo: float = XI_GRID_LO, hi: float = XI_GRID_HI,
@@ -95,15 +78,17 @@ def default_xi_grid(lo: float = XI_GRID_LO, hi: float = XI_GRID_HI,
 # shared quadrature plumbing
 # ---------------------------------------------------------------------------
 
-def _omega_kinks(omega) -> list[float]:
-    """Argument values where a modulus may lose smoothness: a member's
-    crossover scale and symbol breakpoints, or the ``delta`` and ``kinks``
-    attributes of any other modulus (a callable's are set on it)."""
-    if isinstance(omega, ModulusMember):
-        return [omega.delta] + [0.5 * p for p in omega.sym.breakpoints]
-    delta = getattr(omega, "delta", math.inf)
-    kinks = [] if math.isinf(delta) else [delta]
-    return kinks + list(getattr(omega, "kinks", ()))
+def _member(mem, what: str) -> None:
+    # the tails here are a family member's closed forms
+    if not isinstance(mem, ModulusMember):
+        raise TypeError(f"{what} takes a ModulusMember, got "
+                        f"{type(mem).__name__}")
+
+
+def _omega_kinks(mem: ModulusMember) -> list[float]:
+    """Argument values where a member may lose smoothness: its crossover
+    scale and half of each symbol breakpoint."""
+    return [mem.delta] + [0.5 * p for p in mem.sym.breakpoints]
 
 
 def _positive(xi, what: str) -> tuple[np.ndarray, tuple | None]:
@@ -112,14 +97,6 @@ def _positive(xi, what: str) -> tuple[np.ndarray, tuple | None]:
     if not np.all(x > 0.0):
         raise ValueError(f"{what} evaluated at non-positive separation")
     return x, shape
-
-
-def _symbol_of(omega, sym: DissipationSymbol | None) -> DissipationSymbol:
-    if sym is not None:
-        return sym
-    if isinstance(omega, ModulusMember):
-        return omega.sym
-    raise ValueError("dissipation needs a symbol for a callable omega")
 
 
 def _kink_candidates(kinks: Sequence[float], xi: np.ndarray,
@@ -133,39 +110,14 @@ def _kink_candidates(kinks: Sequence[float], xi: np.ndarray,
                           + [np.full((xi.size, 1), 0.5 * core)], axis=1)
 
 
-def _decade_tail(fn, R: float, kinks, what: str) -> tuple[float, float]:
-    """(integral of fn over u in (0, 1], error) of a tail beyond R read
-    through eta = R/u: one ``decade_increments`` call (the ``kinks`` in eta
-    past R set on fn as its ``breakpoints`` in u) read by
-    ``classify_decades``, closed by ``decade_sum`` or refused."""
-    # a kink at or below R has no u in (0, 1]: a power symbol puts one at 0
-    fn.breakpoints = [R / k for k in kinks if k > R]
-    inc, quad_err = decade_increments(fn, 1.0, _TAIL_DECADES)
-    label, ratios = classify_decades(inc, _TAIL_WINDOW, _TAIL_RATIO,
-                                     _TAIL_RATIO)
-    if label != "convergent":
-        raise TailDivergenceError(
-            f"{what} beyond {R:.3g}: its decade increments read {label}, "
-            f"trailing ratios {np.array2string(ratios, precision=4)}")
-    total, rem = decade_sum(inc, ratios)
-    return total + rem, quad_err + rem
-
-
 # ---------------------------------------------------------------------------
 # advective certificates
 # ---------------------------------------------------------------------------
 
-def _riesz_tail(omega, xi: np.ndarray, w_xi: np.ndarray,
+def _riesz_tail(mem: ModulusMember, xi: np.ndarray, w_xi: np.ndarray,
                 kinks: Sequence[float], order: int):
     """(xi * integral of omega/eta^2 over (xi, inf), error) per separation."""
-    if not isinstance(omega, ModulusMember):
-        fn = _omega_fn(omega)
-        # eta = x/u: x * omega(eta)/eta^2 d(eta) = omega(x/u) du
-        return np.array([
-            _decade_tail(lambda u, x=x: _omega_array(fn, x / u), x, kinks,
-                         "Riesz tail of omega/eta^2")
-            for x in xi.tolist()]).reshape(-1, 2).T
-    sym, delta, gamma = omega.sym, omega.delta, omega.gamma
+    sym, delta, gamma = mem.sym, mem.delta, mem.gamma
     val = np.empty_like(xi)
     err = np.zeros_like(xi)
     above = xi >= delta
@@ -176,16 +128,16 @@ def _riesz_tail(omega, xi: np.ndarray, w_xi: np.ndarray,
     below = ~above
     if below.any():
         xb = xi[below]
-        mid = log_panel_integrals(lambda eta: omega.omega(eta) / eta ** 2,
-                                  xb, delta, 3.0, order, _omega_kinks(omega))
-        at_delta = (omega.omega_at_delta / delta
+        mid = log_panel_integrals(lambda eta: mem.omega(eta) / eta ** 2,
+                                  xb, delta, 3.0, order, kinks)
+        at_delta = (mem.omega_at_delta / delta
                     + gamma * sym.envelope_tail_integral_over_r(2.0 * delta))
         val[below] = xb * (mid + at_delta)
         err[below] = 1e-14 * val[below]
     return val, err
 
 
-def _low_riesz(omega_fn, xi: np.ndarray, kinks: Sequence[float], order: int):
+def _low_riesz(omega, xi: np.ndarray, kinks: Sequence[float], order: int):
     """(integral of omega/eta over (0, xi), error) per separation.
 
     In the log variable the integrand omega(e^s) decays exponentially to the
@@ -194,23 +146,24 @@ def _low_riesz(omega_fn, xi: np.ndarray, kinks: Sequence[float], order: int):
     since omega/eta is flat there.
     """
     floor = 1e-12 * xi
-    val = log_panel_integrals(lambda eta: _omega_array(omega_fn, eta) / eta,
-                              floor, xi, 2.0, order, kinks)
-    stub = _omega_array(omega_fn, floor)
+    val = log_panel_integrals(lambda eta: omega(eta) / eta, floor, xi, 2.0,
+                              order, kinks)
+    stub = omega(floor)
     return val + stub, 1e-2 * stub + 1e-14 * val
 
 
-def _advective_pair(omega, xi: np.ndarray, w_xi: np.ndarray,
+def _advective_pair(mem: ModulusMember, xi: np.ndarray, w_xi: np.ndarray,
                     kinks: Sequence[float], order: int):
     """(Omega/A, OmegaTilde/A, shared error) at positive separations xi,
-    given w_xi = omega(xi) and kinks = _omega_kinks(omega), reusing one
+    given w_xi = omega(xi) and kinks = _omega_kinks(mem), reusing one
     tail integral."""
-    low, err_low = _low_riesz(_omega_fn(omega), xi, kinks, order)
-    tail, err_tail = _riesz_tail(omega, xi, w_xi, kinks, order)
+    low, err_low = _low_riesz(mem.omega, xi, kinks, order)
+    tail, err_tail = _riesz_tail(mem, xi, w_xi, kinks, order)
     return low + tail, w_xi + tail, err_low + err_tail
 
 
-def _advective(omega, xi, which: int):
+def _advective(mem, xi, which: int, what: str):
+    _member(mem, what)
     x, shape = _separations(xi)
     if np.any(x < 0.0):
         raise ValueError("certificates need a positive separation")
@@ -218,13 +171,12 @@ def _advective(omega, xi, which: int):
     pos = x > 0.0
     if pos.any():
         xp = x[pos]
-        w = _omega_array(_omega_fn(omega), xp)
-        out[pos] = _advective_pair(omega, xp, w, _omega_kinks(omega),
+        out[pos] = _advective_pair(mem, xp, mem.omega(xp), _omega_kinks(mem),
                                    _DISS_ORDER)[which]
     return _shaped(out, shape)
 
 
-def omega_riesz(omega, xi):
+def omega_riesz(mem, xi):
     """Riesz-increment certificate at separation xi, returned as a /A value.
 
     Evaluates the two-sided weighted average of the modulus,
@@ -232,41 +184,37 @@ def omega_riesz(omega, xi):
         integral of omega(eta)/eta over (0, xi)
         + xi * integral of omega(eta)/eta^2 over (xi, inf),
 
-    which bounds velocity increments of a field obeying ``omega`` up to the
-    universal constant A (applied by the caller). ``xi`` is a scalar (a
-    float comes back) or an array of separations, all evaluated together.
-    Family members use their crossover structure for an exact tail; a
-    generic callable's tail, the integral of omega(xi/u) over u in (0, 1],
-    raises TailDivergenceError unless its decades shrink faster than those
-    of omega = eta^0.995, e.g. for linear omega (the integral of 1/eta).
-
-    A ``kinks`` attribute on a callable omega marks its non-smooth points,
-    which the quadrature pins as panel edges.
+    which bounds velocity increments of a field obeying the member's omega
+    up to the universal constant A (applied by the caller). ``xi`` is a
+    scalar (a float comes back) or an array of separations, all evaluated
+    together. The tail takes the member's crossover structure in closed
+    form; anything but a ``ModulusMember`` is refused with a TypeError.
     """
-    return _advective(omega, xi, 0)
+    return _advective(mem, xi, 0, "omega_riesz")
 
 
-def omega_tilde(omega, xi):
+def omega_tilde(mem, xi):
     """Flow-aligned advective certificate omega(xi) + tail, as a /A value.
 
     Smaller than the Riesz-increment certificate for concave moduli, since
     omega(eta)/eta >= omega(xi)/xi on (0, xi); used past the crossover scale
-    where the full two-sided average is too generous. Scalar or array xi.
+    where the full two-sided average is too generous. Scalar or array xi;
+    a ``ModulusMember`` only.
     """
-    return _advective(omega, xi, 1)
+    return _advective(mem, xi, 1, "omega_tilde")
 
 
 # ---------------------------------------------------------------------------
 # dissipative certificate
 # ---------------------------------------------------------------------------
 
-def _near_integral(omega_fn, sym, xi, w_xi, kinks, per_decade, order):
+def _near_integral(omega, sym, xi, w_xi, kinks, per_decade, order):
     """Integral over (0, xi/2) of (2w(xi) - w(xi+2e) - w(xi-2e)) m(2e)/e."""
     floor = _NEAR_FLOOR * xi
 
     def near(eta, x, w):
-        up, dn = np.split(_omega_array(omega_fn, np.concatenate(
-            (x + 2.0 * eta, x - 2.0 * eta))), 2)
+        up, dn = np.split(omega(np.concatenate((x + 2.0 * eta,
+                                                 x - 2.0 * eta))), 2)
         kern = sym.m(2.0 * eta) / eta
         return (2.0 * w - up - dn) * kern, kern
 
@@ -275,20 +223,19 @@ def _near_integral(omega_fn, sym, xi, w_xi, kinks, per_decade, order):
             kinks, xi, ((1.0, -1.0), (-1.0, 1.0)), sym.core_radius), xi, w_xi)
     # stub below the floor: g ~ |omega''(xi)| (2 eta)^2 and eta*m(2 eta) is
     # bounded by C0/2, so the remainder is linear in the floor radius
-    ends = _omega_array(omega_fn, np.concatenate((xi + 2.0 * floor,
-                                                  xi - 2.0 * floor)))
+    ends = omega(np.concatenate((xi + 2.0 * floor, xi - 2.0 * floor)))
     g_f = 2.0 * w_xi - ends[:xi.size] - ends[xi.size:]
     rem = np.where(floor < sym.r0, np.abs(g_f) * sym.C0 / (2.0 * floor), 0.0)
     noise = 4e-16 * w_xi * kern_int
     return val, rem + noise
 
 
-def _far_direct(omega_fn, sym, xi, w_xi, R1, kinks, per_decade, order):
+def _far_direct(omega, sym, xi, w_xi, R1, kinks, per_decade, order):
     """Integral over (xi/2, R1) of (2w(xi) - w(2e+xi) + w(2e-xi)) m(2e)/e."""
 
     def far(eta, x, w):
-        up, dn = np.split(_omega_array(omega_fn, np.concatenate(
-            (2.0 * eta + x, 2.0 * eta - x))), 2)
+        up, dn = np.split(omega(np.concatenate((2.0 * eta + x,
+                                                 2.0 * eta - x))), 2)
         kern = sym.m(2.0 * eta) / eta
         return (2.0 * w - up + dn) * kern, (2.0 * w + up + dn) * kern
 
@@ -342,68 +289,45 @@ def _member_far_closed(mem: ModulusMember, xi, w_xi, R1):
     return base - correction, 8.0 * _EPS * (base + correction)
 
 
-def _dissipation_err(omega, sym: DissipationSymbol, xi: np.ndarray,
-                     w_xi: np.ndarray, ks: Sequence[float],
-                     per_decade: float, order: int):
+def _dissipation_err(mem: ModulusMember, xi: np.ndarray, w_xi: np.ndarray,
+                     ks: Sequence[float], per_decade: float, order: int):
     """(raw dissipation, error) at positive separations xi, given
-    w_xi = omega(xi) and ks = _omega_kinks(omega).
+    w_xi = omega(xi) and ks = _omega_kinks(mem).
 
     A D that is not finite is refused by name, with no numpy warning on
     the way: near a tiny xi at large B the kernel m(2 eta)/eta overflows
     float64, and every overflow or invalid operation on the way leaves D
     infinite or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        D, err = _dissipation_parts(omega, sym, xi, w_xi, ks, per_decade,
-                                    order)
+        D, err = _dissipation_parts(mem, xi, w_xi, ks, per_decade, order)
     bad = ~np.isfinite(D)
     if bad.any():
         x = xi[np.argmax(bad)]
         eta = _NEAR_FLOOR * x
         with np.errstate(over="ignore"):
-            kern = sym.m(2.0 * eta) / eta
+            kern = mem.sym.m(2.0 * eta) / eta
         raise ValueError(
             f"dissipation is not finite at xi = {x:.6g} for the modulus at "
-            f"B = {getattr(omega, 'B', math.nan):.6g}: its kernel "
-            f"m(2 eta)/eta reads {kern:.6g} at the near piece's floor "
-            f"eta = {eta:.6g}, and float64 overflows past "
-            f"{np.finfo(float).max:.6g}")
+            f"B = {mem.B:.6g}: its kernel m(2 eta)/eta reads {kern:.6g} "
+            f"at the near piece's floor eta = {eta:.6g}, and float64 "
+            f"overflows past {np.finfo(float).max:.6g}")
     return D, err
 
 
-def _dissipation_parts(omega, sym, xi, w_xi, ks, per_decade, order):
-    # near piece plus far piece, each with its error, summed
-    omega_fn = _omega_fn(omega)
-    near, err_n = _near_integral(omega_fn, sym, xi, w_xi, ks, per_decade,
+def _dissipation_parts(mem, xi, w_xi, ks, per_decade, order):
+    # near piece, window (xi/2, R1) and exact far field, each with its
+    # error, summed
+    sym = mem.sym
+    near, err_n = _near_integral(mem.omega, sym, xi, w_xi, ks, per_decade,
                                  order)
-    if isinstance(omega, ModulusMember):
-        R1 = np.maximum(np.maximum(2.0 * xi, 2.0 * omega.delta),
-                        sym.tail_start)
-        direct, err_d = _far_direct(omega_fn, sym, xi, w_xi, R1, ks,
-                                    per_decade, order)
-        closed, err_c = _member_far_closed(omega, xi, w_xi, R1)
-        return near + direct + closed, err_n + err_d + err_c
-    R0 = np.maximum(np.maximum(xi, sym.core_radius), 1.0)
-    direct, err_d = _far_direct(omega_fn, sym, xi, w_xi, R0, ks, per_decade,
+    R1 = np.maximum(np.maximum(2.0 * xi, 2.0 * mem.delta), sym.tail_start)
+    direct, err_d = _far_direct(mem.omega, sym, xi, w_xi, R1, ks, per_decade,
                                 order)
-    eta_kinks = _kink_candidates(ks, xi, ((1.0, -1.0), (1.0, 1.0)),
-                                 sym.core_radius)
-
-    def tail(x, w, R, kinks):
-        def fn(u):
-            # eta = R/u: g(eta) m(2 eta)/eta d(eta) = g(R/u) m(2R/u)/u du
-            eta = R / u
-            g = 2.0 * w - _omega_array(omega_fn, 2.0 * eta + x) \
-                + _omega_array(omega_fn, 2.0 * eta - x)
-            return g * sym.m(2.0 * eta) / u
-        return _decade_tail(fn, R, kinks, "far dissipation")
-
-    far, err_f = np.array([
-        tail(*row) for row in zip(xi.tolist(), w_xi.tolist(), R0.tolist(),
-                                  eta_kinks)]).reshape(-1, 2).T
-    return near + direct + far, err_n + err_d + err_f
+    closed, err_c = _member_far_closed(mem, xi, w_xi, R1)
+    return near + direct + closed, err_n + err_d + err_c
 
 
-def dissipation_lower(omega, sym: DissipationSymbol | None, xi):
+def dissipation_lower(mem, xi):
     """Dissipative lower-bound functional at separation xi, as a *A value.
 
     Two-piece quadrature of the second-difference integrals
@@ -411,13 +335,13 @@ def dissipation_lower(omega, sym: DissipationSymbol | None, xi):
         integral over (0, xi/2)   of (2w(xi) - w(xi+2e) - w(xi-2e)) m(2e)/e
         integral over (xi/2, inf) of (2w(xi) - w(2e+xi) + w(2e-xi)) m(2e)/e,
 
-    both nonnegative for concave omega. The caller divides by A. ``xi`` is
-    a scalar (a float comes back) or an array of separations. The far
-    tail is the symbol's exact power law for family members, and for
-    callables the decades of u = R0/eta past R0 = max(xi, core, 1), which
-    must shrink geometrically (else TailDivergenceError). Values inside
-    quadrature noise of zero are clamped to zero; a warning fires if the
-    raw value is negative beyond its own error bar, which indicates a
+    both nonnegative for concave omega, with w the member's omega and m its
+    symbol. The caller divides by A. ``xi`` is a scalar (a float comes
+    back) or an array of separations. Past R1 = max(2 xi, 2 delta,
+    tail_start) the far piece is the member's exact power-tail series;
+    anything but a ``ModulusMember`` is refused with a TypeError. Values
+    inside quadrature noise of zero are clamped to zero; a warning fires if
+    the raw value is negative beyond its own error bar, which indicates a
     non-concave omega.
 
     The kernel m(2e)/e is the proof's 2-D form. On a power symbol
@@ -426,12 +350,10 @@ def dissipation_lower(omega, sym: DissipationSymbol | None, xi):
     at a touching pair this D is low by 2^a: the extremal profile at
     N = 2^17 reads 1.9998 for a = 1 and 1.4143 for a = 0.5.
     """
+    _member(mem, "dissipation_lower")
     x, shape = _positive(xi, "dissipation")
-    sym = _symbol_of(omega, sym)
-    val, err = _dissipation_err(omega, sym, x,
-                                _omega_array(_omega_fn(omega), x),
-                                _omega_kinks(omega), _DISS_PER_DECADE,
-                                _DISS_ORDER)
+    val, err = _dissipation_err(mem, x, mem.omega(x), _omega_kinks(mem),
+                                _DISS_PER_DECADE, _DISS_ORDER)
     below = val < -(err + 1e-13 * np.abs(val))
     if below.any():
         i = int(np.argmax(below))
@@ -456,10 +378,11 @@ def measured_curvature_constant(mem: ModulusMember, xi):
     with a generic constant; this reports the constant the quadrature
     actually achieves at xi (a scalar, or an array below the crossover).
     """
+    _member(mem, "measured_curvature_constant")
     x, shape = _separations(xi)
     if not np.all((0.0 < x) & (x < mem.delta)):
         raise ValueError("curvature route applies below the crossover scale")
-    D, _ = _dissipation_err(mem, mem.sym, x, mem.omega(x), _omega_kinks(mem),
+    D, _ = _dissipation_err(mem, x, mem.omega(x), _omega_kinks(mem),
                             _DISS_PER_DECADE, _DISS_ORDER)
     return _shaped(_curvature_constants(mem, x, D), shape)
 
@@ -467,32 +390,6 @@ def measured_curvature_constant(mem: ModulusMember, xi):
 # ---------------------------------------------------------------------------
 # criterion reports
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PlainModulus:
-    """Duck-typed stand-in for criterion checks on non-family moduli.
-
-    Carries array-native callables (an array of separations in, an array of
-    the same shape out) plus the metadata the reports record. Used for
-    adversarial inputs (e.g. a linear modulus, which every criterion must
-    reject with a positive margin).
-    """
-
-    omega_fn: Callable[[np.ndarray], np.ndarray]
-    omega_prime_fn: Callable[[np.ndarray], np.ndarray]
-    sym: DissipationSymbol
-    delta: float = math.inf
-    B: float = math.nan
-    kappa: float = math.nan
-    gamma: float = math.nan
-    kinks: tuple = ()
-
-    def omega(self, xi):
-        return _omega_array(self.omega_fn, xi)
-
-    def omega_prime(self, xi):
-        return _omega_array(self.omega_prime_fn, xi)
-
 
 @dataclass
 class CertificateReport:
@@ -542,33 +439,32 @@ class CertificateReport:
         return float(self.margin[self.worst_index])
 
 
-def _grid_evaluation(mem, xi_grid, per_decade, order):
+def _grid_evaluation(mem, xi_grid, per_decade, order, what):
     """(xi, omega, omega', kinks, D, err) of a criterion's grid, with D the
     raw dissipation and err its error.
 
-    A family member keeps the evaluation of its most recent grid, and a
-    call with the same separations and quadrature rule returns it. Its
-    arrays are read-only; a report copies what it keeps. Other moduli
-    evaluate on every call. An empty grid, which would pass, is refused.
+    A member keeps the evaluation of its most recent grid, and a call with
+    the same separations and quadrature rule returns it. Its arrays are
+    read-only; a report copies what it keeps. A non-member is refused, and
+    so is an empty grid, which would pass.
     """
+    _member(mem, what)
     xi, _ = _positive(default_xi_grid() if xi_grid is None else xi_grid,
                       "criterion")
     if xi.size == 0:
         raise ValueError("a criterion needs at least one separation")
     rule = (per_decade, order)
-    member = isinstance(mem, ModulusMember)
-    memo = mem._grid_memo if member else None
+    memo = mem._grid_memo
     if memo is not None and memo[0] == rule and np.array_equal(memo[1], xi):
         return memo[1:]
     xi = xi.copy()
-    w = _omega_array(mem.omega, xi)
-    wp = _omega_array(mem.omega_prime, xi)
+    w = mem.omega(xi)
+    wp = mem.omega_prime(xi)
     kinks = tuple(_omega_kinks(mem))
-    D, err = _dissipation_err(mem, mem.sym, xi, w, kinks, per_decade, order)
-    if member:
-        for a in (xi, w, wp, D, err):
-            a.setflags(write=False)
-        mem._grid_memo = (rule, xi, w, wp, kinks, D, err)
+    D, err = _dissipation_err(mem, xi, w, kinks, per_decade, order)
+    for a in (xi, w, wp, D, err):
+        a.setflags(write=False)
+    mem._grid_memo = (rule, xi, w, wp, kinks, D, err)
     return xi, w, wp, kinks, D, err
 
 
@@ -580,7 +476,7 @@ def _curvature_side_value(mem, xi: np.ndarray, D: np.ndarray):
     # smallest measured curvature constant over at most ~8 separations
     # below the crossover, read off the D column already computed
     below = np.flatnonzero(xi < mem.delta)
-    if not isinstance(mem, ModulusMember) or below.size == 0:
+    if below.size == 0:
         return None
     pick = below[:: max(1, below.size // 8)]
     return float(np.min(_curvature_constants(mem, xi[pick], D[pick])))
@@ -601,17 +497,16 @@ def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
     The grid is evaluated per block of quadrature nodes, and
     ``sqg_criterion`` on the same member and grid reuses the evaluation.
     """
-    xi, w, wp, _, D, err = _grid_evaluation(mem, xi_grid, per_decade, order)
+    xi, w, wp, _, D, err = _grid_evaluation(mem, xi_grid, per_decade, order,
+                                            "burgers_criterion")
     side_vals = {}
     C = _curvature_side_value(mem, xi, D)
     if C is not None:
         side_vals["measured_curvature_constant"] = C
     nan = np.full(xi.size, math.nan)
     return CertificateReport(
-        kind="burgers", A_used=DEFAULT_A,
-        kappa=getattr(mem, "kappa", math.nan),
-        gamma=getattr(mem, "gamma", math.nan), B=getattr(mem, "B", math.nan),
-        delta=mem.delta, xi_grid=xi.copy(), regime=_regimes(xi, mem.delta),
+        kind="burgers", A_used=DEFAULT_A, kappa=mem.kappa, gamma=mem.gamma,
+        B=mem.B, delta=mem.delta, xi_grid=xi.copy(), regime=_regimes(xi, mem.delta),
         Omega=nan, OmegaTilde=nan.copy(), D=D.copy(),
         margin=w * wp - D / DEFAULT_A, margin_err=err / DEFAULT_A,
         side_values=side_vals)
@@ -635,33 +530,29 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
     ``burgers_criterion`` on the same member and grid reuses the evaluation.
     """
     xi, w, wp, kinks, D, err_d = _grid_evaluation(mem, xi_grid, per_decade,
-                                                  order)
+                                                  order, "sqg_criterion")
     Om, Omt, err_adv = _advective_pair(mem, xi, w, kinks, order)
     below = xi < mem.delta
     margin = np.where(below, A * Om * wp, A * Omt * wp) - D / A
     low_bound_ok = True
-    B = getattr(mem, "B", math.nan)
-    if math.isfinite(B) and below.any():
+    if below.any():
         xb = xi[below]
-        envelope = B * xb * (3.0 + np.log(mem.delta / xb))
+        envelope = mem.B * xb * (3.0 + np.log(mem.delta / xb))
         low_bound_ok = bool(np.all(Om[below] <= envelope * (1.0 + 1e-9)))
-    gamma = getattr(mem, "gamma", math.nan)
     side_cond = {
-        "gate:perp_absorption": bool(gamma * A ** 2 <= 1.0),
+        "gate:perp_absorption": bool(mem.gamma * A ** 2 <= 1.0),
         "low_regime_envelope_bound": low_bound_ok,
+        "gamma_le_alpha_kappa": bool(mem.gamma <= mem.sym.alpha * mem.kappa),
     }
     side_vals = {}
-    if isinstance(mem, ModulusMember):
-        side_cond["gamma_le_alpha_kappa"] = \
-            bool(mem.gamma <= mem.sym.alpha * mem.kappa)
-        C = _curvature_side_value(mem, xi, D)
-        if C is not None:
-            side_vals["measured_curvature_constant"] = C
-            side_vals["curvature_sign_factor"] = \
-                1.0 - C / (2.0 * A ** 2 * mem.C_alpha * mem.kappa)
+    C = _curvature_side_value(mem, xi, D)
+    if C is not None:
+        side_vals["measured_curvature_constant"] = C
+        side_vals["curvature_sign_factor"] = \
+            1.0 - C / (2.0 * A ** 2 * mem.C_alpha * mem.kappa)
     return CertificateReport(
-        kind="sqg", A_used=A, kappa=getattr(mem, "kappa", math.nan),
-        gamma=gamma, B=B, delta=mem.delta, xi_grid=xi.copy(),
+        kind="sqg", A_used=A, kappa=mem.kappa, gamma=mem.gamma, B=mem.B,
+        delta=mem.delta, xi_grid=xi.copy(),
         regime=_regimes(xi, mem.delta), Omega=Om, OmegaTilde=Omt, D=D.copy(),
         margin=margin, margin_err=A * np.abs(wp) * err_adv + err_d / A,
         side_conditions=side_cond, side_values=side_vals)

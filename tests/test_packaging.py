@@ -244,7 +244,7 @@ def test_only_the_quad_shim_names_scipy_integrate():
 # public names that only tests call, each kept as a reference that tests
 # compare live code against or for a caller ROADMAP plans
 ORACLES = {
-    "dissipation_lower": "callable route, against the criteria's D",
+    "dissipation_lower": "one-point form of the criteria's D",
     "measured_curvature_constant": "one-point form of the criteria's side "
                                    "value",
     "validate_modulus": "every property the argument asks of a modulus",
@@ -541,3 +541,29 @@ def test_quadrature_owns_the_only_root_finder():
             "def _bisect(f, xa, xb):\n    return xa\n"
             "def pin_by_Newton(f, x):\n    return x\n")
     assert len(list(_second_root_finder_sites(ast.parse(fork)))) == 5
+
+
+# the tail rule and the modulus adapter of callables: a certificate takes a
+# family member, whose tails are closed forms
+_CALLABLE_ROUTE = {"decade_increments", "classify_decades", "decade_sum",
+                   "_omega_fn"}
+
+
+def _names(tree):
+    # every identifier a module reads, imports or defines an attribute by
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_the_certificates_name_no_callable_route():
+    tree = ast.parse((ROOT / "src" / "moclab" / "certificates.py").read_text())
+    assert sorted(_CALLABLE_ROUTE & set(_names(tree))) == []
+    fork = ("from .quadrature import decade_sum\n"
+            "from .moduli import _omega_fn as fn\n"
+            "quadrature.classify_decades(decade_increments(f, 1.0, 40))\n")
+    assert _CALLABLE_ROUTE <= set(_names(ast.parse(fork)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from moclab import burgers, certificates, quadrature, sqg_euler, symbols
+from moclab import burgers, quadrature, sqg_euler, symbols
 from moclab.quadrature import (
     classify_decades,
     decade_increments,
@@ -245,10 +245,6 @@ DECADE_TESTS = {
     "trend-tabulated": (symbols, lambda: symbol_from_table(
         [1e-3, 1e-2, 1e-1, 1.0], [1e3, 1e2, 1e1, 1.0])),
     "osgood_check": (sqg_euler, lambda: sqg_euler.osgood_check(_LOGLOG)),
-    "riesz-tail": (certificates, lambda: certificates.omega_riesz(np.sqrt,
-                                                                   1.0)),
-    "far-dissipation": (certificates, lambda: certificates.dissipation_lower(
-        np.sqrt, make_symbol("power", a=1.0), 2.0)),
 }
 
 

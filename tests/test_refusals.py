@@ -79,11 +79,8 @@ REFUSALS = {
     "modulus not callable": (
         lambda: moduli._omega_fn(3.0),
         TypeError, "cannot evaluate float"),
-    "dissipation of a callable without a symbol": (
-        lambda: certificates.dissipation_lower(lambda x: x, None, 0.5),
-        ValueError, "dissipation needs a symbol for a callable omega"),
     "dissipation at 0": (
-        lambda: certificates.dissipation_lower(MEMBER, None, 0.0),
+        lambda: certificates.dissipation_lower(MEMBER, 0.0),
         ValueError, "dissipation evaluated at non-positive separation"),
     "sqg on 1-D data": (
         lambda: sqg_euler.simulate_sqg(
@@ -113,6 +110,34 @@ REFUSALS = {
                           series={"t": [0.0, 1.0], "a": [1.0]}),
         ValueError, "series columns have unequal lengths"),
 }
+
+
+# every public certificate function, on a modulus: each takes a family
+# member alone, whose tails are closed forms
+CERTIFICATES = {
+    "omega_riesz": lambda m: certificates.omega_riesz(m, 0.5),
+    "omega_tilde": lambda m: certificates.omega_tilde(m, 0.5),
+    "dissipation_lower": lambda m: certificates.dissipation_lower(m, 0.5),
+    "measured_curvature_constant":
+        lambda m: certificates.measured_curvature_constant(m, 1e-3),
+    "sqg_criterion": lambda m: certificates.sqg_criterion(m),
+    "burgers_criterion": lambda m: certificates.burgers_criterion(m),
+}
+
+
+class _OmegaMethod:
+    # a member's omega, on an object that is no member
+    omega = staticmethod(MEMBER.omega)
+
+
+@pytest.mark.parametrize("modulus, kind", [(np.sqrt, "ufunc"),
+                                           (_OmegaMethod(), "_OmegaMethod")],
+                         ids=["callable", "omega method"])
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+def test_a_certificate_refuses_a_non_member_by_name(name, modulus, kind):
+    with pytest.raises(TypeError) as info:
+        CERTIFICATES[name](modulus)
+    assert str(info.value) == f"{name} takes a ModulusMember, got {kind}"
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))

@@ -9,7 +9,6 @@ from scipy.fft import irfft2
 from scipy.integrate import quad
 
 from moclab import fields, moduli, sqg_euler
-from moclab.certificates import PlainModulus, omega_riesz, omega_tilde
 from moclab.fields import ScalarField1D, ScalarField2D, velocity_multipliers
 from moclab.kernels import fractional_normalization, multiplier_of_symbol_2d
 from moclab.moduli import (StratifiedPairSearch, build_modulus,
@@ -200,11 +199,16 @@ def test_check_obeys_refuses_a_scalar_only_callable():
 
 
 def test_obedience_takes_any_object_with_an_omega_method():
-    # check_obeys and the monitor take what the criteria take: a
-    # PlainModulus gives the bare callable's margin to the bit
+    # check_obeys and the monitor take a member, a bare callable or any
+    # object with an omega method: a stand-in gives the bare callable's
+    # margin to the bit
+
+    class StandIn:
+        def __init__(self, omega):
+            self.omega = omega
+
     mem, fld = _member_and_field()
-    plain = PlainModulus(omega_fn=mem.omega, omega_prime_fn=mem.omega_prime,
-                         sym=mem.sym, delta=mem.delta)
+    plain = StandIn(mem.omega)
     line = ScalarField1D.random_band_limited(64, kmax=6, amplitude=0.05,
                                              seed=3)
     for f in (line, fld):
@@ -638,6 +642,20 @@ def test_osgood_classifies_known_multipliers():
     assert slow.classification == "divergent-consistent" and slow.divergent
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the decade-ratio classifier reads the wrong side at "
+    "the log frontier. The Osgood integrals of loglog g = 2 and 6 converge, "
+    "yet both read divergent-consistent (last ratios 0.977 and 0.966); "
+    "power s = 0.01 reads ambiguous, so gradient_bound_ode(P, 1, 1, 1e4) "
+    "gives no blow-up time and escapes at ln B = 338.2"))
+def test_osgood_labels_the_convergent_side_at_the_log_frontier():
+    for g in (2.0, 6.0):
+        assert not osgood_check(make_multiplier("loglog", g=g)).divergent, g
+    bound = sqg_euler.gradient_bound_ode(make_multiplier("power", s=0.01),
+                                         1.0, 1.0, 1e4)
+    assert bound.blowup_time is not None, bound.log_B[-1]
+
+
 def test_osgood_of_a_constant_multiplier_matches_the_closed_form():
     # integral_1^M dr / (r ln(2r) c) = (ln ln 2M - ln ln 2) / c: each decade
     # and each partial is a log of a ratio of ln(2M), free of cancellation
@@ -764,14 +782,12 @@ def test_an_escaped_envelope_is_unresolved_by_name(monkeypatch, g, data, T):
 
 def test_user_callables_are_called_on_arrays():
     # an array-native modulus or multiplier need not take a float (a float
-    # has no .clip); each entry point answers as on the same callable made
-    # to take floats too
+    # has no .clip); each entry point that takes a callable answers as on
+    # the same callable made to take floats too
     omega = lambda x: x.clip(0.0, 1.0) ** 0.5
     loglog = make_multiplier("loglog", g=1.0)
     P = lambda k: loglog(k.clip(0.0, None))
     either = lambda fn: lambda x: fn(np.asarray(x, dtype=float))
-    for certificate in (omega_riesz, omega_tilde):
-        assert certificate(omega, 0.5) == certificate(either(omega), 0.5)
     reps = [validate_modulus(fn) for fn in (omega, either(omega))]
     assert [(c.name, c.passed, c.margin) for c in reps[0].checks] == \
         [(c.name, c.passed, c.margin) for c in reps[1].checks]
