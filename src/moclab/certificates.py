@@ -137,32 +137,27 @@ def _riesz_tail(mem: ModulusMember, xi: np.ndarray, w_xi: np.ndarray,
     return val, err
 
 
-def _low_riesz(omega, xi: np.ndarray, kinks: Sequence[float], order: int):
+def _low_riesz(mem: ModulusMember, xi: np.ndarray, kinks: Sequence[float],
+               order: int):
     """(integral of omega/eta over (0, xi), error) per separation.
 
-    In the log variable the integrand omega(e^s) decays exponentially to the
-    left, so twelve decades of panels below xi capture the integral to
-    machine precision; the stub below the floor contributes omega(floor)
-    since omega/eta is flat there.
+    Below delta, omega/eta tends to B and omega(e^s) decays exponentially
+    to the left in the log variable. So the panels run down to the floor
+    1e-12 min(xi, delta), twelve decades below the smaller of the
+    separation and the crossover, and the stub below the floor contributes
+    omega(floor), since omega/eta is flat there. A floor of 1e-12 xi far
+    above delta sits where omega/eta is not flat.
     """
-    floor = 1e-12 * xi
-    val = log_panel_integrals(lambda eta: omega(eta) / eta, floor, xi, 2.0,
-                              order, kinks)
-    stub = omega(floor)
+    floor = 1e-12 * np.minimum(xi, mem.delta)
+    val = log_panel_integrals(lambda eta: mem.omega(eta) / eta, floor, xi,
+                              2.0, order, kinks)
+    stub = mem.omega(floor)
     return val + stub, 1e-2 * stub + 1e-14 * val
 
 
-def _advective_pair(mem: ModulusMember, xi: np.ndarray, w_xi: np.ndarray,
-                    kinks: Sequence[float], order: int):
-    """(Omega/A, OmegaTilde/A, shared error) at positive separations xi,
-    given w_xi = omega(xi) and kinks = _omega_kinks(mem), reusing one
-    tail integral."""
-    low, err_low = _low_riesz(mem.omega, xi, kinks, order)
-    tail, err_tail = _riesz_tail(mem, xi, w_xi, kinks, order)
-    return low + tail, w_xi + tail, err_low + err_tail
-
-
-def _advective(mem, xi, which: int, what: str):
+def _advective(mem, xi, riesz: bool, what: str):
+    # Omega/A (riesz) or OmegaTilde/A, sharing the tail: omega(xi) + tail
+    # is the flow-aligned form, the low integral + tail the Riesz one
     _member(mem, what)
     x, shape = _separations(xi)
     if np.any(x < 0.0):
@@ -171,8 +166,10 @@ def _advective(mem, xi, which: int, what: str):
     pos = x > 0.0
     if pos.any():
         xp = x[pos]
-        out[pos] = _advective_pair(mem, xp, mem.omega(xp), _omega_kinks(mem),
-                                   _DISS_ORDER)[which]
+        w, kinks = mem.omega(xp), _omega_kinks(mem)
+        tail, _ = _riesz_tail(mem, xp, w, kinks, _DISS_ORDER)
+        head = _low_riesz(mem, xp, kinks, _DISS_ORDER)[0] if riesz else w
+        out[pos] = head + tail
     return _shaped(out, shape)
 
 
@@ -190,7 +187,7 @@ def omega_riesz(mem, xi):
     together. The tail takes the member's crossover structure in closed
     form; anything but a ``ModulusMember`` is refused with a TypeError.
     """
-    return _advective(mem, xi, 0, "omega_riesz")
+    return _advective(mem, xi, True, "omega_riesz")
 
 
 def omega_tilde(mem, xi):
@@ -201,7 +198,7 @@ def omega_tilde(mem, xi):
     where the full two-sided average is too generous. Scalar or array xi;
     a ``ModulusMember`` only.
     """
-    return _advective(mem, xi, 1, "omega_tilde")
+    return _advective(mem, xi, False, "omega_tilde")
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +516,10 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
     """Riesz-velocity preservation margins with the crossover regime split.
 
     Below the crossover the margin is A * (Omega/A) * omega' - D/A; at and
-    above it the flow-aligned certificate replaces the Riesz one, and the
+    above it the flow-aligned certificate replaces the Riesz one (so Omega
+    is NaN there, and no bar carries its low integral's error), and the
     perpendicular contribution is absorbed into its dissipative counterpart
-    provided gamma * A^2 <= 1 (reported as a gating side condition). Two
+    provided gamma * A^2 <= 1 (a gating side condition). Two
     non-gating diagnostics are recorded: the low-regime envelope bound
     Omega/A <= B xi (3 + log(delta/xi)), which the construction guarantees
     when gamma <= alpha * kappa, and the sign of the curvature-route factor
@@ -531,14 +529,20 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
     """
     xi, w, wp, kinks, D, err_d = _grid_evaluation(mem, xi_grid, per_decade,
                                                   order, "sqg_criterion")
-    Om, Omt, err_adv = _advective_pair(mem, xi, w, kinks, order)
+    # below delta Omega adds the low integral and its error to the tail
+    tail, err_adv = _riesz_tail(mem, xi, w, kinks, order)
+    Omt = w + tail
+    Om = np.full(xi.size, math.nan)
     below = xi < mem.delta
-    margin = np.where(below, A * Om * wp, A * Omt * wp) - D / A
     low_bound_ok = True
     if below.any():
         xb = xi[below]
+        low, err_low = _low_riesz(mem, xb, kinks, order)
+        Om[below] = low + tail[below]
+        err_adv[below] += err_low
         envelope = mem.B * xb * (3.0 + np.log(mem.delta / xb))
         low_bound_ok = bool(np.all(Om[below] <= envelope * (1.0 + 1e-9)))
+    margin = np.where(below, A * Om * wp, A * Omt * wp) - D / A
     side_cond = {
         "gate:perp_absorption": bool(mem.gamma * A ** 2 <= 1.0),
         "low_regime_envelope_bound": low_bound_ok,

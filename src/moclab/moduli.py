@@ -297,18 +297,13 @@ def _omega_fn(modulus) -> Callable:
     return omega
 
 
-def _omega_array(omega: Callable, xi) -> np.ndarray:
-    """omega on an array of separations, in one call; a callable that is
-    not array-native is refused (``fields._array_call``)."""
-    return _array_call(omega, np.asarray(xi, dtype=float),
-                       getattr(omega, "__qualname__", type(omega).__name__),
-                       "separations", _CONTRACT)
-
-
 def _obedience_omegas(omega: Callable, xi) -> np.ndarray:
-    """``_omega_array``, refusing a non-finite omega: it bounds no
-    increment. (``validate_modulus`` reports one instead.)"""
-    out = _omega_array(omega, xi)
+    """omega on an array of separations, in one call. A callable that is
+    not array-native is refused (``fields._array_call``), and so is a
+    non-finite omega: it bounds no increment."""
+    out = _array_call(omega, np.asarray(xi, dtype=float),
+                      getattr(omega, "__qualname__", type(omega).__name__),
+                      "separations", _CONTRACT)
     _refuse_bad_input("omega", out, nonnegative=False)
     return out
 
@@ -476,139 +471,6 @@ def _member_at(sym: DissipationSymbol, kappa: float, gamma: float, B: float,
         C_alpha=C_alpha, doubling_bound=1.0 + 1.5 ** (-alpha),
         slope_at_delta_left=slope_left, omega_at_delta=omega_delta,
         _slope_factor=slope_factor, _low=low, _high=high)
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    margin: float            # raw worst margin; >= 0 means satisfied
-    scale: float             # size against which the tolerance was applied
-    at: float | None = None  # xi where the worst margin occurred
-    note: str = ""
-
-
-@dataclass
-class ValidationReport:
-    label: str
-    checks: list[CheckResult]
-    grid: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def _sampled_second(omega: Callable, xi: float,
-                    h_rel: float = 3e-2) -> float:
-    # wide relative step: the curvature varies logarithmically, and a narrow
-    # one runs into cancellation noise for members with tiny crossover scales
-    h = h_rel * xi
-    up, mid, dn = _omega_array(omega, (xi + h, xi, xi - h))
-    return (up - 2.0 * mid + dn) / h ** 2
-
-
-def validate_modulus(mem) -> ValidationReport:
-    """Check every property the preservation argument asks of a modulus.
-
-    ``mem`` is a constructed member, or any other modulus in the sense of
-    ``_omega_fn`` (adversarial inputs); for those the construction-specific
-    checks are skipped and derivatives come from sampled differences.
-    The checks read 24 separations per decade from 1e-6 delta to 1e3 and
-    allow a relative tolerance of 1e-8. Failures are report entries, never
-    exceptions.
-    """
-    is_member = isinstance(mem, ModulusMember)
-    omega = _omega_fn(mem)
-    if is_member:
-        delta = mem.delta
-        B = mem.B
-        label = (f"B={mem.B:g} kappa={mem.kappa:g} gamma={mem.gamma:g} "
-                 f"on {mem.sym.label}")
-    else:
-        delta = 1e-3
-        B = None
-        label = getattr(mem, "__name__", "callable")
-    tol = 1e-8
-    lo = 1e-6 * delta
-    xi = np.geomspace(lo, 1e3, int(math.ceil(24 * math.log10(1e3 / lo))) + 1)
-
-    w = _omega_array(omega, xi)
-    checks: list[CheckResult] = []
-
-    if B is None:
-        # sampled initial slope
-        B = _omega_array(omega, xi[0] * 1e-2) / (xi[0] * 1e-2)
-
-    # vanishing at 0 and monotonicity
-    checks.append(CheckResult(
-        "vanishes_at_zero", w[0] <= max(2.0 * B * xi[0], tol), float(w[0]),
-        B * xi[0], at=float(xi[0])))
-    slopes = np.diff(w) / np.diff(xi)
-    i = int(np.argmin(slopes))
-    checks.append(CheckResult(
-        "non_decreasing", bool(slopes[i] >= -tol * B),
-        float(slopes[i]), B, at=float(xi[i])))
-
-    # concavity via chord slopes (robust on an uneven grid)
-    dec = slopes[:-1] - slopes[1:]
-    j = int(np.argmin(dec))
-    checks.append(CheckResult(
-        "concave", bool(dec[j] >= -tol * B), float(dec[j]), B,
-        at=float(xi[j + 1])))
-
-    # initial slope and curvature blow-up from sampled differences
-    xi_a = xi[0]
-    ahead, at = _omega_array(omega, (xi_a * (1.0 + 1e-4), xi_a))
-    slope0 = (ahead - at) / (xi_a * 1e-4)
-    checks.append(CheckResult(
-        "initial_slope", abs(slope0 - B) <= 1e-3 * B, float(B - abs(slope0 - B)),
-        B, at=float(xi_a), note=f"omega'(0+) ~ {slope0:.6g} vs B = {B:.6g}"))
-    d2_small = _sampled_second(omega, min(1e-6 * delta, xi[0] * 10.0))
-    d2_mid = _sampled_second(omega, 1e-2 * delta)
-    diverges = d2_small < 0.0 and d2_mid < 0.0 and d2_small <= 2.0 * d2_mid
-    checks.append(CheckResult(
-        "curvature_blows_up", bool(diverges), float(d2_mid - d2_small),
-        max(abs(d2_mid), tol),
-        note=f"omega'' sampled {d2_small:.4g} (small xi) vs {d2_mid:.4g}"))
-
-    # linear-cap, crossover and doubling checks need the construction
-    if is_member:
-        below = xi[xi <= delta]
-        if below.size:
-            gap = B * below - omega(below)
-            k = int(np.argmin(gap))
-            checks.append(CheckResult(
-                "below_B_xi", bool(gap[k] >= -tol * B * delta), float(gap[k]),
-                B * delta, at=float(below[k])))
-        checks.append(CheckResult(
-            "slope_at_crossover", mem.slope_at_delta_left >= 0.5 * B * (1.0 - tol),
-            float(mem.slope_at_delta_left - 0.5 * B), B, at=float(delta)))
-        checks.append(CheckResult(
-            "value_at_crossover", mem.omega_at_delta >= 0.5 * delta * B * (1.0 - tol),
-            float(mem.omega_at_delta - 0.5 * delta * B), delta * B,
-            at=float(delta)))
-        above = xi[xi >= delta]
-        wa = omega(above)
-        w2 = omega(2.0 * above)
-        dmarg = mem.doubling_bound * wa - w2
-        k = int(np.argmin(dmarg / wa))
-        checks.append(CheckResult(
-            "doubling", bool(dmarg[k] >= -tol * wa[k]), float(dmarg[k]),
-            float(wa[k]), at=float(above[k]),
-            note=f"bound {mem.doubling_bound:.6g}"))
-
-    return ValidationReport(label=label, checks=checks, grid=xi)
 
 
 # ---------------------------------------------------------------------------

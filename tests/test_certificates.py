@@ -121,23 +121,21 @@ def test_member_riesz_is_the_exact_integral():
                             err_msg=family)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "omega_riesz misses far above delta: _low_riesz charges omega at its "
-    "floor 1e-12 xi as if omega/eta were flat below it, which holds only "
-    "for a floor well below delta. On power a=0.5 at B = 2^20 (delta = "
-    "9.09e-15) Omega misses by -3.82e-9 at xi = 1e-4 (floor/delta = "
-    "0.011), -7.65e-7 at xi = 0.03 and -3.34e-7 at xi = 75, against bars "
-    "of 1.7e-9, 7.2e-9 and 2.6e-9 (relative); a floor of 1e-12 min(xi, "
-    "delta) is within 4.4e-16"))
 def test_omega_riesz_lies_within_its_bar_far_above_the_crossover():
+    # on power a=0.5 at B = 2^20 (delta = 9.09e-15) a floor of 1e-12 xi
+    # sat where omega/eta is not flat: Omega missed by -7.65e-7 at xi =
+    # 0.03 against a bar of 7.2e-9 (relative); the floor 1e-12 min(xi,
+    # delta) is within 4.4e-16
     mem = build_modulus(make_symbol("power", a=0.5), 0.1, 0.01, 2.0 ** 20)
-    for xi in (1e-4, 0.03, 75.0):
-        x = np.array([xi])
-        Om, _, bar = certificates._advective_pair(
-            mem, x, mem.omega(x), certificates._omega_kinks(mem),
-            certificates._DISS_ORDER)
-        exact = float(riesz(mem, xi)[0])
-        assert abs(Om[0] - exact) <= bar[0], (xi, Om[0] / exact - 1.0)
+    x = np.array([1e-4, 0.03, 75.0])
+    kinks = certificates._omega_kinks(mem)
+    low, err_low = certificates._low_riesz(mem, x, kinks,
+                                           certificates._DISS_ORDER)
+    tail, err_tail = certificates._riesz_tail(
+        mem, x, mem.omega(x), kinks, certificates._DISS_ORDER)
+    exact = np.array([float(riesz(mem, xi)[0]) for xi in x])
+    assert np.all(np.abs(low + tail - exact) <= err_low + err_tail), \
+        (low + tail) / exact - 1.0
 
 
 def test_member_tilde_within_family_bound():
@@ -395,8 +393,11 @@ def test_criteria_columns_are_the_one_point_functionals(family, B):
     sqg = sqg_criterion(mem, DEFAULT_A, grid)
     bur = burgers_criterion(mem, grid)
     assert "below-delta" in sqg.regime and "above-delta" in sqg.regime
-    # a public functional takes the grid as an array
-    assert np.array_equal(omega_riesz(mem, grid), sqg.Omega)
+    # a public functional takes the grid as an array; the sqg margin reads
+    # Omega below delta only, and it is NaN at and above
+    below = grid < mem.delta
+    assert np.array_equal(omega_riesz(mem, grid[below]), sqg.Omega[below])
+    assert np.all(np.isnan(sqg.Omega[~below]))
     assert np.array_equal(omega_tilde(mem, grid), sqg.OmegaTilde)
     assert np.array_equal(dissipation_lower(mem, grid), sqg.D)
     for i, xi in enumerate(grid.tolist()):
@@ -408,14 +409,14 @@ def test_criteria_columns_are_the_one_point_functionals(family, B):
                                       getattr(rep, col)[i:i + 1],
                                       equal_nan=True), (col, xi)
         assert type(omega_riesz(mem, xi)) is float
-        assert sqg.Omega[i] == omega_riesz(mem, xi)
+        if below[i]:
+            assert sqg.Omega[i] == omega_riesz(mem, xi)
         assert sqg.OmegaTilde[i] == omega_tilde(mem, xi)
         d = dissipation_lower(mem, xi)
         assert sqg.D[i] == bur.D[i] == d
         assert bur.margin[i] == mem.omega(xi) * mem.omega_prime(xi) \
             - d / DEFAULT_A
-    below = grid[grid < mem.delta]
-    pick = below[:: max(1, below.size // 8)]
+    pick = grid[below][:: max(1, below.sum() // 8)]
     assert sqg.side_values["measured_curvature_constant"] == \
         bur.side_values["measured_curvature_constant"] == \
         min(measured_curvature_constant(mem, x) for x in pick.tolist())
@@ -519,7 +520,9 @@ def test_criterion_memory_stays_bounded_on_the_bench_grid(criterion):
 def test_a_certify_pass_reads_the_moments_once_per_batch(monkeypatch):
     # the bench certify pass: both criteria at B = 1 and 2^20 on the bench
     # grid. Each omega or omega' batch reads the low moments in one call
-    # (311 calls while a batch was cut into chunks of 512 separations)
+    # (311 calls while a batch was cut into chunks of 512 separations), and
+    # sqg evaluates Omega below delta only (31 calls for 203,446 points
+    # while it did so at every separation)
     calls, points = [], []
     real = moduli._CumulativeMoments.moments
     monkeypatch.setattr(moduli._CumulativeMoments, "moments",
@@ -533,7 +536,7 @@ def test_a_certify_pass_reads_the_moments_once_per_batch(monkeypatch):
         mem = build_modulus(BENCH_SYMBOL, 0.05, 0.01, B)
         for criterion in (sqg_criterion, burgers_criterion):
             criterion(mem, xi_grid=BENCH_GRID)
-    assert (len(calls), sum(points)) == (31, 203446)
+    assert (len(calls), sum(points)) == (22, 149567)
 
 
 @pytest.mark.parametrize("family", ["power1", "log1"])

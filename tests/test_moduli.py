@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -19,7 +20,6 @@ from moclab.moduli import (
     build_modulus,
     check_obeys,
     find_B_for_data,
-    validate_modulus,
 )
 from moclab.symbols import (crossover_scale, make_multiplier, make_symbol,
                             symbol_from_callable, symbol_from_json,
@@ -591,33 +591,70 @@ def test_bench_ladder_fields_keep_their_certified_B():
 
 
 # ---------------------------------------------------------------------------
-# validation battery
+# the modulus hypotheses, on every family
 # ---------------------------------------------------------------------------
 
-def test_validate_members_across_families():
-    for sym, kappa in ((CRITICAL, 0.1),
-                       (make_symbol("log", a=1.0, alpha=0.5), 0.05)):
-        for b in (1.0, 100.0):
-            rep = validate_modulus(build_modulus(sym, kappa, 0.01, b))
-            assert rep.passed, [c for c in rep.checks if not c.passed]
-            assert rep.check("doubling").margin >= 0.0
+# the seed symbols plus log a = 0.5; log a = 1 has the envelope plateau
+PROPERTY_SYMBOLS = {**SEED_SYMBOLS, "log0.5": make_symbol("log", a=0.5)}
+PROPERTY_MEMBERS = {
+    "critical": lambda B: build_modulus(CRITICAL, 0.1, 0.01, B),
+    "log1-alpha0.5": lambda B: build_modulus(
+        make_symbol("log", a=1.0, alpha=0.5), 0.05, 0.01, B),
+    **{name: functools.partial(_member_of, sym)
+       for name, sym in PROPERTY_SYMBOLS.items()},
+}
 
 
-def test_validate_rejects_linear_adversary():
-    rep = validate_modulus(lambda xi: np.asarray(xi, dtype=float))
-    assert not rep.passed
-    failed = [c.name for c in rep.checks if not c.passed]
-    assert failed == ["curvature_blows_up"]
+@functools.lru_cache(maxsize=None)
+def _property_member(name, B):
+    return PROPERTY_MEMBERS[name](B)
 
 
-MEMBER_FOR_PROPERTY = build_modulus(CRITICAL, 0.1, 0.01, 3.0)
+@pytest.mark.parametrize("name, B", [
+    (name, B) for name in ("critical", "log1-alpha0.5") for B in (1.0, 100.0)
+] + [(name, B) for name in PROPERTY_SYMBOLS for B in (1.0, 2.0 ** 20)])
+def test_members_have_the_modulus_properties(name, B):
+    # every property the argument asks of a member, on 24 separations per
+    # decade from 1e-6 delta to 1e3. omega'(0+) = B is read as a gap
+    # B - omega' that is positive and shrinks toward 0: on power a < 1 it
+    # closes only like xi^alpha ln(1/xi), 0.26 B at 1e-6 delta for a = 0.1
+    mem = _property_member(name, B)
+    delta, tol = mem.delta, 1e-8 * B
+    lo = 1e-6 * delta
+    xi = np.geomspace(lo, 1e3, math.ceil(24 * math.log10(1e3 / lo)) + 1)
+    w, wp = mem.omega(xi), mem.omega_prime(xi)
+    assert w[0] <= 2.0 * B * xi[0]
+    # non-decreasing and concave through chord slopes, robust on an uneven
+    # grid
+    chords = np.diff(w) / np.diff(xi)
+    assert chords.min() >= -tol
+    assert np.diff(chords).max() <= tol
+    assert wp.max() <= B and np.all(np.diff(wp) <= 0.0)
+    gap = B - mem.omega_prime(delta * np.array([1e-2, 1e-4, 1e-6]))
+    assert np.all(gap > 0.0) and np.all(np.diff(gap) < 0.0), gap / B
+    below = xi[xi <= delta]
+    assert np.all(mem.omega(below) <= B * below)
+    assert mem.slope_at_delta_left >= 0.5 * B * (1.0 - 1e-8)
+    assert mem.omega_at_delta >= 0.5 * delta * B * (1.0 - 1e-8)
+    above = xi[xi >= delta]
+    assert np.all(mem.omega(2.0 * above)
+                  <= mem.doubling_bound * mem.omega(above))
+    # omega'' blows up at 0+: sampled second differences with a wide step,
+    # h = 0.03 xi, since a narrow one meets cancellation noise
+    x = delta * np.array([1e-6, 1e-2])
+    h = 0.03 * x
+    up, mid, dn = mem.omega(x + np.array([[1.0], [0.0], [-1.0]]) * h)
+    second = (up - 2.0 * mid + dn) / h ** 2
+    assert np.all(second < 0.0) and second[0] <= 2.0 * second[1], second
 
 
+@pytest.mark.parametrize("B", [3.0, 2.0 ** 20], ids=["B=3", "B=2^20"])
+@pytest.mark.parametrize("name", sorted(PROPERTY_SYMBOLS))
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=5.0),
        st.floats(min_value=1e-6, max_value=5.0))
-def test_concave_and_monotone_across_the_joint(x, y):
-    mem = MEMBER_FOR_PROPERTY
+def test_concave_and_monotone_across_the_joint(name, B, x, y):
+    mem = _property_member(name, B)
     lo, hi = sorted((x, y))
     mid = 0.5 * (lo + hi)
     w_lo, w_mid, w_hi = (float(mem.omega(v)) for v in (lo, mid, hi))

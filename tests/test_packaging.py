@@ -247,7 +247,6 @@ ORACLES = {
     "dissipation_lower": "one-point form of the criteria's D",
     "measured_curvature_constant": "one-point form of the criteria's side "
                                    "value",
-    "validate_modulus": "every property the argument asks of a modulus",
     "check_lyapunov_inequality": "the inequality the blow-up design uses",
     "check_conditions": "a symbol's structure conditions, by decade",
     "omega_tilde": "closed-form pin of the SQG advective pair",

@@ -74,12 +74,15 @@ def test_record_dict_keeps_meta_and_leaves_out_live_state():
 
 
 def test_dict_nulls_non_finite_and_lists_arrays():
-    check = moduli.CheckResult(name="doubling", passed=True,
-                               margin=np.float64(1.5), scale=np.int64(3),
-                               at=math.nan)
-    assert to_dict(check) == {"name": "doubling", "passed": True,
-                              "margin": 1.5, "scale": 3, "at": None,
-                              "note": ""}
+    rec = RunRecord(equation="burgers", columns=(), series={},
+                    meta={"N": np.int64(3), "t_floor": math.nan},
+                    wall_time=np.float64(1.5))
+    doc = to_dict(rec)
+    assert doc == {"equation": "burgers", "columns": [], "series": {},
+                   "verdict": UNRESOLVED, "termination": "completed",
+                   "meta": {"N": 3, "t_floor": None}, "wall_time": 1.5,
+                   "final_state": None}
+    assert type(doc["wall_time"]) is float and type(doc["meta"]["N"]) is int
     osg = sqg_euler.OsgoodReport(
         M_values=np.array([1.0, 10.0]), partials=np.array([0.0, math.inf]),
         decade_increments=np.array([[1.0, -math.inf]]),
@@ -204,7 +207,6 @@ REPORTS = {
     "VerdictReport-constant": _constant_verdict,
     "ObedienceReport": lambda: moduli.check_obeys(
         ScalarField1D.random_band_limited(64, 6, 0.05, seed=1), _member()),
-    "ValidationReport": lambda: moduli.validate_modulus(_member()),
     "ConditionReport": lambda: symbols.check_conditions(HALF),
     "OsgoodReport": lambda: sqg_euler.osgood_check(
         symbols.make_multiplier("loglog", g=1.0)),
@@ -229,8 +231,6 @@ def test_every_report_is_strict_json_with_its_verdict(name):
             assert doc[key] == getattr(rep, key), key
     if name.startswith("CertificateReport"):
         assert {"passed", "worst_xi", "worst_margin"} <= set(doc)
-    if name == "ValidationReport":
-        assert doc["passed"] is True
     for live in ("field", "final_state"):
         assert live not in doc
     if name == "EulerExperimentReport":
