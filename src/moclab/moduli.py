@@ -232,8 +232,9 @@ class _EnvelopeIntegral:
     The core [lo, max(lo, tail_start)] is one table, built once: log-spaced
     Gauss-Legendre panels with the envelope's kink radii pinned as panel
     edges. Beyond tail_start the envelope is the exact power tail, so a
-    point there reads the table's total plus the tail's closed form; a
-    power symbol, whose tail starts at 0, has no panel at all.
+    point there reads the table's total plus the tail's closed form.
+    Where tail_start <= lo (every power member, whose tail starts at 0)
+    there is no table, and construction integrates nothing.
     """
 
     _ORDER = 20
@@ -242,8 +243,10 @@ class _EnvelopeIntegral:
     def __init__(self, sym: DissipationSymbol, lo: float):
         self._sym = sym
         top = sym.tail_start
-        self._edges = (log_edges(lo, top, self._PER_DECADE, sym.breakpoints)
-                       if top > lo else np.array([lo]))
+        if not top > lo:
+            self._edges, self._cum = np.array([lo]), np.zeros(1)
+            return
+        self._edges = log_edges(lo, top, self._PER_DECADE, sym.breakpoints)
         s = np.log(self._edges)
         (vals,) = _partial_panels(s[:-1], s[1:], self._ORDER, self._integrand)
         self._cum = np.concatenate(([0.0], np.cumsum(vals)))
@@ -433,9 +436,9 @@ def build_modulus(sym: DissipationSymbol, kappa: float, gamma: float,
 
 def _member_at(sym: DissipationSymbol, kappa: float, gamma: float, B: float,
                delta: float) -> ModulusMember:
-    """The member of ``build_modulus`` from its solved crossover scale,
-    with the parameters already checked (``_check_parameters``). Refuses
-    by name a delta that is NaN (not resolved) or not above _DELTA_FLOOR
+    """The member of ``build_modulus`` from its crossover scale, with the
+    parameters already checked (``_check_parameters``). Refuses by name a
+    delta that is NaN (not resolved) or not above _DELTA_FLOOR
     (underflowed), then checks the slope and the joint. The high part's
     envelope table covers [2 delta, max(2 delta, tail_start)] and never
     grows (``_EnvelopeIntegral``)."""
@@ -703,12 +706,14 @@ def _coverage_bounds(sym: DissipationSymbol, kappa: float, gamma: float,
 
     The rung intervals are nested, so the integral is a running sum of the
     increments over [2 delta_k, 2 delta_(k-1)] (over [2 delta_1, 2a] for
-    B = 1). Each block of rungs gets its deltas from one crossover solve
-    and its increments as omega reads them (``_EnvelopeIntegral``): the
-    power tail in closed form past tail_start, log panels on the core
-    below it. A power symbol integrates no node. delta is NaN where the
-    solve fails, and U is NaN wherever delta is not above _DELTA_FLOOR:
-    ``_member_at`` refuses such a rung.
+    B = 1). Each block of rungs gets its deltas from one
+    ``_crossover_roots`` call (closed form for a power symbol, one batched
+    solve otherwise) and its increments as omega reads them
+    (``_EnvelopeIntegral``): the power tail in closed form past
+    tail_start, log panels on the core below it. A power symbol solves no
+    root and integrates no node. delta is NaN where it is not resolved,
+    and U is NaN wherever delta is not above _DELTA_FLOOR: ``_member_at``
+    refuses such a rung.
     """
     top = 2.0 * a  # where the next increment ends
     total = 0.0    # integral of env over [2 min(delta, a), 2a] so far
@@ -749,14 +754,16 @@ def find_B_for_data(fld, sym: DissipationSymbol,
     [2 delta_B, 2a], and omega_B(delta_B) <= B delta_B because the low
     part's moments are nonnegative. So U_B = B delta_B + (gamma/2) * that
     integral bounds the coverage from above. It needs only the crossover
-    scale and that integral, read as the power tail in closed form and
-    log panels on the core (``_coverage_bounds``). A rung is built only
+    scale, closed form for a power symbol and solved otherwise, and that
+    integral, read as the power tail in closed form and log panels on the
+    core (``_coverage_bounds``). A power ladder solves no root and
+    integrates no node. A rung is built only
     where a > delta_B and U_B (1 + _SCREEN_SLACK) >= 2 sup|theta|, or where
     delta_B leaves the float range. Every rung the screen skips would fail
     coverage, so the ladder returns the B it returned when it built every
     rung, with about ten builds per call instead of one per rung. Each
     rung, B = 1 too, is built by ``_member_at`` from the crossover scale
-    the screen solved, which equals ``crossover_scale`` on that B bitwise,
+    the screen found, which equals ``crossover_scale`` on that B bitwise,
     after the parameter check of ``build_modulus`` ran once. The refusals
     read as the build's and report the best coverage margin met, or its
     bound on a skipped rung.

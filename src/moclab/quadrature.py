@@ -16,8 +16,10 @@ The conventions used throughout the package:
   ``classify_decades`` reads them, ``decade_sum`` closes a convergent sum),
   each caller with its own thresholds; a tail to infinity is read through
   r = R/u toward u = 0;
-* every root is found by one solver, ``brentq``: scipy's Brent iteration
-  run elementwise over an array of brackets, bitwise scipy's per element.
+* every root without a closed form is found by one solver, ``brentq``:
+  scipy's Brent iteration run elementwise over an array of brackets,
+  bitwise scipy's per element (a power symbol's crossover scale is closed
+  form and solves nothing).
 """
 from __future__ import annotations
 

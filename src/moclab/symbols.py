@@ -526,22 +526,26 @@ _CROSS_MAXITER = 400
 _CROSS_RESIDUAL = 1e-12
 
 
-def _crossover_roots(sym: DissipationSymbol, kappa: float,
-                     B: np.ndarray) -> np.ndarray:
-    """delta with m(delta) = B / kappa for every entry of the 1-D array B,
-    solved in t = ln r by ``quadrature.brentq`` on all brackets at once;
-    NaN where no bracket exists above the float floor, the solve does not
-    converge or the root misses the residual. Refuses the preconditions by
-    name."""
-    if not kappa > 0.0 or kappa >= sym.r0 / (4.0 * sym.C0):
-        raise ValueError("kappa must lie in (0, r0 / (4 C0))")
-    if np.any(B < 1.0):
-        raise ValueError("crossover scale defined for B >= 1")
-    target = B / kappa
-    hi = sym.r0 / 4.0
-    if np.any(sym.m(hi) >= target):
-        raise ValueError("m(r0/4) >= B/kappa; preconditions violated")
-    # the bracket steps down from r0/4 by 1e-3 until m exceeds the target.
+def _power_roots(q: np.ndarray, alpha: float) -> np.ndarray:
+    """delta with delta^alpha = q, elementwise: pow, then one Newton step
+    on that equation. 1/alpha rounds, so the pow alone is hundreds of ulps
+    off where ln q is large; the step brings it within a few. A root that
+    underflows to 0, or a NaN q, gives NaN: no root above the float
+    floor."""
+    d = q ** (1.0 / alpha)
+    ok = d > 0.0
+    delta = np.full_like(q, np.nan)
+    d = d[ok]
+    delta[ok] = d + d * ((q[ok] / d ** alpha - 1.0) / alpha)
+    return delta
+
+
+def _solved_roots(sym: DissipationSymbol, target: np.ndarray,
+                  hi: float) -> np.ndarray:
+    """delta in (0, hi) with m(delta) = target, solved in t = ln r by
+    ``quadrature.brentq`` on all brackets at once; NaN where no bracket
+    exists above the float floor."""
+    # the bracket steps down from hi by 1e-3 until m exceeds the target.
     # m is read at every positive step at once; past the first step above
     # the target nothing is used, so its overflows there are not signalled
     steps = np.cumprod(np.concatenate(([hi], np.full(_CROSS_MAXITER, 1e-3))))
@@ -560,27 +564,54 @@ def _crossover_roots(sym: DissipationSymbol, kappa: float,
     delta[ok] = np.exp(brentq(f, np.log(lo[ok]),
                               np.full(ok.size, math.log(hi)), _CROSS_XTOL,
                               _CROSS_RTOL))
+    return delta
+
+
+def _crossover_roots(sym: DissipationSymbol, kappa: float,
+                     B: np.ndarray) -> np.ndarray:
+    """delta with m(delta) = B / kappa for every entry of the 1-D array B.
+    Where tail_start is 0, m = c r^-alpha at every radius and delta =
+    (c kappa / B)^(1/alpha) in closed form (``_power_roots``); every other
+    symbol is solved (``_solved_roots``). NaN where the root is not above
+    the float floor, or misses the residual. Refuses the preconditions by
+    name."""
+    if not kappa > 0.0 or kappa >= sym.r0 / (4.0 * sym.C0):
+        raise ValueError("kappa must lie in (0, r0 / (4 C0))")
+    if np.any(B < 1.0):
+        raise ValueError("crossover scale defined for B >= 1")
+    target = B / kappa
+    hi = sym.r0 / 4.0
+    if np.any(sym.m(hi) >= target):
+        raise ValueError("m(r0/4) >= B/kappa; preconditions violated")
+    if sym.tail_start == 0.0:
+        # a target past the float range has no root m(delta) can meet
+        q = np.where(target < np.inf, sym.tail_coeff * kappa / B, np.nan)
+        delta = _power_roots(q, sym.alpha)
+    else:
+        delta = _solved_roots(sym, target, hi)
     with np.errstate(over="ignore"):  # an overflowed m misses the residual
         resid = np.abs(sym.m(np.where(np.isnan(delta), hi, delta)) - target)
     return np.where(resid <= _CROSS_RESIDUAL * target, delta, np.nan)
 
 
 def crossover_scale(sym: DissipationSymbol, kappa: float, B):
-    """Solve m(delta) = B / kappa in log radius, for a scalar B (a float
-    comes back) or elementwise over an array of B.
+    """delta with m(delta) = B / kappa, for a scalar B (a float comes
+    back) or elementwise over an array of B.
 
     Needs kappa < r0 / (4 C0) and B >= 1, which place the root strictly
-    below r0/4, inside the region where every built-in m is monotone. The
-    solve is scipy.optimize.brentq's iteration, run on all B at once
-    (``quadrature.brentq``); each entry equals the scalar call on that B
-    bitwise. The residual |m(delta) - B/kappa| is verified to 1e-12
-    relative.
+    below r0/4, inside the region where every built-in m is monotone. A
+    power symbol (tail_start 0) has delta = (c kappa / B)^(1/alpha) in
+    closed form, within a few ulps of the exact root. Every other symbol
+    is solved in log radius by scipy.optimize.brentq's iteration, run on
+    all B at once (``quadrature.brentq``). Either way each entry equals
+    the scalar call on that B bitwise, and the residual
+    |m(delta) - B/kappa| is verified to 1e-12 relative.
     """
     arr = np.asarray(B, dtype=float)
     delta = _crossover_roots(sym, kappa, arr.ravel())
     if np.isnan(delta).any():
         raise RuntimeError(
-            "crossover scale not resolved in float64: no bracket above the "
+            "crossover scale not resolved in float64: no root above the "
             "float floor, or a residual above 1e-12 relative")
     return _shaped(delta, None if arr.ndim == 0 else arr.shape)
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import scipy.integrate
 from scipy.integrate import quad
 
-from moclab import moduli, quadrature
+from moclab import moduli, quadrature, symbols
 from moclab.certificates import default_xi_grid, sqg_criterion
 from moclab.fields import ScalarField1D, ScalarField2D
 from moclab.kernels import fractional_normalization
@@ -1004,35 +1004,50 @@ BENCH_LADDER_BASE = ScalarField1D.random_band_limited(
 
 def _counted_ladder(monkeypatch, fld, sym, kappa, **kw):
     # find_B_for_data with every member construction recorded, whether
-    # through build_modulus or from a crossover scale the screen solved:
-    # (B, built rungs), B None where the ladder refused
-    built = []
-    real = moduli._member_at
+    # through build_modulus or from a crossover scale the screen solved,
+    # and its root-finder and table-panel calls counted: (B, built rungs,
+    # counts), B None where the ladder refused
+    built, counts = [], {"brentq": 0, "_partial_panels": 0}
+    real = {"_member_at": moduli._member_at, "brentq": symbols.brentq,
+            "_partial_panels": moduli._partial_panels}
 
     def counting(sym, kappa, gamma, B, delta):
         built.append(B)
-        return real(sym, kappa, gamma, B, delta)
+        return real["_member_at"](sym, kappa, gamma, B, delta)
+
+    def counted(name):
+        def call(*args):
+            counts[name] += 1
+            return real[name](*args)
+        return call
 
     monkeypatch.setattr(moduli, "_member_at", counting)
+    monkeypatch.setattr(symbols, "brentq", counted("brentq"))
+    monkeypatch.setattr(moduli, "_partial_panels",
+                        counted("_partial_panels"))
     try:
         B = find_B_for_data(fld, sym, kappa=kappa, gamma=0.01, **kw)
     except ModulusSearchError:
         B = None
-    monkeypatch.setattr(moduli, "_member_at", real)
-    return B, built
+    monkeypatch.setattr(moduli, "_member_at", real["_member_at"])
+    monkeypatch.setattr(symbols, "brentq", real["brentq"])
+    monkeypatch.setattr(moduli, "_partial_panels", real["_partial_panels"])
+    return B, built, counts
 
 
 def test_the_screen_builds_a_few_members_per_ladder(monkeypatch):
     # the bench ladder fields: 7 + 9 + 9 + 9 + 9 builds, where the
     # unscreened ladder builds one member per rung (up to 440); B = 1 is
     # screened like every other rung, so it is built only where the
-    # screen cannot skip it
+    # screen cannot skip it. A power ladder solves no root and integrates
+    # no table panel
     for lam, k in zip((0.05, 0.1, 0.2, 0.4, 0.8), (6, 35, 93, 208, 439)):
         fld = ScalarField1D(lam * BENCH_LADDER_BASE.values)
-        B, built = _counted_ladder(monkeypatch, fld, CRITICAL, 0.1)
+        B, built, counts = _counted_ladder(monkeypatch, fld, CRITICAL, 0.1)
         assert B == 2.0 ** k
         assert len(built) <= 12
         assert built[-1] == B
+        assert counts == {"brentq": 0, "_partial_panels": 0}
 
 
 @pytest.mark.parametrize("name, kappa, lam, doublings", [
@@ -1045,8 +1060,14 @@ def test_every_rung_the_screen_skips_fails_coverage(monkeypatch, name, kappa,
                                                     lam, doublings):
     sym = SEED_SYMBOLS[name]
     fld = ScalarField1D(lam * BENCH_LADDER_BASE.values)
-    B, built = _counted_ladder(monkeypatch, fld, sym, kappa,
-                               max_doublings=doublings)
+    B, built, counts = _counted_ladder(monkeypatch, fld, sym, kappa,
+                                       max_doublings=doublings)
+    # a power ladder, in closed form, calls neither; every other solves
+    # its crossovers and panels its tables
+    if sym.tail_start == 0.0:
+        assert counts == {"brentq": 0, "_partial_panels": 0}
+    else:
+        assert min(counts.values()) > 0
     # from B = 2^0: the first rung is screened too
     top = doublings if B is None else int(math.log2(B))
     skipped = [2.0 ** k for k in range(top) if 2.0 ** k not in built]

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from moclab import records
+from moclab import records, symbols
 from moclab.fields import ScalarField1D
 from moclab.kernels import fractional_normalization
 from moclab.quadrature import log_panel_integrals
@@ -254,20 +254,24 @@ def test_crossover_scale_array_refusals_match_the_scalar_ones():
     assert crossover_scale(half, 0.05, 2.0 ** 500) > 0.0
 
 
-ORACLE_SYMBOLS = {
-    "power0.5": make_symbol("power", a=0.5),
-    "critical": make_symbol("power", a=1.0),
+SOLVED_SYMBOLS = {
     "log0.5": make_symbol("log", a=0.5),
     "log1": make_symbol("log", a=1.0),
 }
+ORACLE_SYMBOLS = {
+    "power0.5": make_symbol("power", a=0.5),
+    "critical": make_symbol("power", a=1.0),
+    **SOLVED_SYMBOLS,
+}
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+@pytest.mark.parametrize("name", sorted(SOLVED_SYMBOLS))
 def test_crossover_roots_are_scipys_brentq_in_log_radius(name):
     # every root of one batched solve is scipy.optimize.brentq's on that
     # B's bracket in t = ln r (the first of r0/4 * 1e-3^k, k >= 1, where m
-    # exceeds B/kappa, up to r0/4) at the solve's tolerances, bitwise
-    s = ORACLE_SYMBOLS[name]
+    # exceeds B/kappa, up to r0/4) at the solve's tolerances, bitwise. A
+    # power root is closed form, pinned by the exact-root test below
+    s = SOLVED_SYMBOLS[name]
     Bs = np.ldexp(1.0, np.arange(0, 400, 7))
     deltas = _crossover_roots(s, 0.05, Bs)
     hi = s.r0 / 4.0
@@ -286,40 +290,51 @@ def test_crossover_roots_are_scipys_brentq_in_log_radius(name):
 @pytest.mark.parametrize("first", [0, 64])
 def test_a_block_of_64_rungs_calls_m_at_most_12_times(name, first,
                                                       monkeypatch):
-    # the crossover solve of a ladder block of B = 2^first ... 2^(first+63):
-    # the precondition, the bracket step, the solve and the residual
+    # the crossover of a ladder block of B = 2^first ... 2^(first+63): a
+    # solved symbol reads m for the precondition, the bracket step, the
+    # solve and the residual, in one root-finder call; a power symbol, in
+    # closed form, for the precondition and the residual alone
     s = ORACLE_SYMBOLS[name]
     calls, real = [], DissipationSymbol.m
+    solves, real_solve = [], symbols.brentq
 
     def spy(self, r):
         calls.append(r)
         return real(self, r)
+
+    def solve(*args):
+        solves.append(args)
+        return real_solve(*args)
     monkeypatch.setattr(DissipationSymbol, "m", spy)
+    monkeypatch.setattr(symbols, "brentq", solve)
     deltas = _crossover_roots(s, 0.05, np.ldexp(1.0, np.arange(first,
                                                                 first + 64)))
     assert not np.isnan(deltas).any()
-    assert len(calls) <= 12
+    power = s.tail_start == 0.0
+    assert len(calls) <= (2 if power else 12)
+    assert len(solves) == (0 if power else 1)
 
 
 @pytest.mark.parametrize("scale", [1.0, fractional_normalization(2, 1.0)])
-@pytest.mark.parametrize("a", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 0.9, 0.95, 1.0])
 def test_a_power_crossover_is_the_exact_root_to_its_tolerance(a, scale):
     # m = c r^-a gives delta = (c kappa / B)^(1/a) exactly; at 40 digits
     # that is the reference for every ladder rung B = 2^0 ... 2^999 whose
-    # root is a normal float. The solve in t = ln delta stops within
-    # xtol + rtol |t| of the root, so delta within twice that relative
+    # root is a normal float. The closed form is within 6 ulps of it
+    # (relative error 6 eps), where 1/a rounding alone costs hundreds
     s = make_symbol("power", a=a, scale=scale)
-    kappa = 0.05
     Bs = np.ldexp(1.0, np.arange(1000))
-    with mpmath.workdps(40):
-        c, inv_a = mpmath.mpf(s.tail_coeff), 1 / mpmath.mpf(a)
-        ref = [(c * kappa / mpmath.mpf(B)) ** inv_a for B in Bs.tolist()]
-        n = sum(r >= np.finfo(float).tiny for r in ref)
-        deltas = _crossover_roots(s, kappa, Bs[:n])
-        assert not np.isnan(deltas).any()
-        for delta, r in zip(deltas.tolist(), ref):
-            bound = 2.0 * (_CROSS_XTOL + _CROSS_RTOL * abs(math.log(delta)))
-            assert abs(float(mpmath.mpf(delta) / r - 1)) <= bound, delta
+    for kappa in (0.05, 0.1):
+        with mpmath.workdps(40):
+            c, inv_a = mpmath.mpf(s.tail_coeff), 1 / mpmath.mpf(a)
+            ref = [(c * mpmath.mpf(kappa) / mpmath.mpf(B)) ** inv_a
+                   for B in Bs.tolist()]
+            n = sum(r >= np.finfo(float).tiny for r in ref)
+            deltas = _crossover_roots(s, kappa, Bs[:n])
+            assert not np.isnan(deltas).any()
+            for delta, r in zip(deltas.tolist(), ref):
+                err = abs(float(mpmath.mpf(delta) / r - 1))
+                assert err <= 6.0 * np.finfo(float).eps, (kappa, delta)
 
 
 _TABLE_RADII = np.geomspace(1e-6, 2.0, 40)
