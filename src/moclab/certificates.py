@@ -2,17 +2,18 @@
 
 The breakthrough argument compares, at a candidate separation xi, an
 advective bound on velocity increments against a dissipative lower bound.
-This module evaluates the two advective functionals (the Riesz-increment
-bound and its flow-aligned variant), the dissipative functional, and
-combines them into signed per-separation criterion margins for the scalar
-(Burgers) and Riesz-velocity (SQG) cases. Every public function takes a
-family member (``moduli.ModulusMember``) and refuses any other modulus
-with a TypeError: the tails below are the member's closed forms.
+The two criteria, the public entry points, evaluate the advective
+functionals (the Riesz-increment bound and its flow-aligned variant) and
+the dissipative one as columns over a grid of separations, and combine
+them into signed margins for the scalar (Burgers) and Riesz-velocity (SQG)
+cases. Both take a family member (``moduli.ModulusMember``) and refuse any
+other modulus with a TypeError: the tails below are the member's closed
+forms.
 
 Normalization: the universal increment constant A enters every functional
-only as an outer factor, so all values are stored A-free. Advective values
-are returned divided by A, dissipative values multiplied by A (the raw
-two-piece integral); criteria reinsert the caller's A.
+only as an outer factor, so all values are stored A-free. Advective columns
+are divided by A, the dissipation multiplied by A (the raw two-piece
+integral); criteria reinsert the caller's A.
 
 Quadrature strategy: in the log of the integration variable every integrand
 here is piecewise smooth, with kinks only at the crossover scale of the
@@ -27,7 +28,7 @@ Every functional works on an array of separations, through one
 ``log_panel_integrals`` call per integral. It evaluates each set of
 modulus arguments with one ``omega`` call per block of panels and sums
 each separation's row on its own, so a value is bitwise that of a
-one-point call; the public scalar functionals are that one-point case.
+one-point grid.
 
 The two criteria weigh different advective terms against the same
 dissipation, so they share one evaluation of a grid: omega, omega', the
@@ -40,7 +41,6 @@ the reuse is exact.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,14 +50,13 @@ from .fields import _EPS
 from .moduli import ModulusMember, _separations
 from .moduli import build_modulus  # bench/selftest.py asserts this alias
 from .quadrature import log_panel_integrals
-from .symbols import _shaped
 
 DEFAULT_A = 2.0
 XI_GRID_LO = 1e-6
 XI_GRID_HI = 1e3
 XI_POINTS_PER_DECADE = 64
 # panels per decade and Gauss-Legendre order of the dissipation quadrature;
-# the advective functionals take the order
+# the advective integrals take the order
 _DISS_PER_DECADE = 2.0
 _DISS_ORDER = 12
 # the near piece integrates down to this fraction of the separation
@@ -67,11 +66,13 @@ _NEAR_FLOOR = 1e-10
 def default_xi_grid(lo: float = XI_GRID_LO, hi: float = XI_GRID_HI,
                     per_decade: int = XI_POINTS_PER_DECADE) -> np.ndarray:
     """Geometric separations from lo to hi, ``per_decade`` per decade."""
-    if not 0.0 < lo <= hi < math.inf:
-        raise ValueError("a separation grid needs finite bounds with "
-                         f"0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
+    if not (0.0 < lo <= hi < math.inf and per_decade > 0):
+        raise ValueError("a separation grid needs finite bounds with 0 < lo "
+                         f"<= hi and per_decade > 0, got lo={lo!r}, "
+                         f"hi={hi!r}, per_decade={per_decade!r}")
     n = int(round(per_decade * math.log10(hi / lo)))
-    return np.geomspace(lo, hi, n + 1)
+    # at least one interval, so that the grid ends at hi
+    return np.geomspace(lo, hi, max(n, 1) + 1) if lo < hi else np.array([lo])
 
 
 # ---------------------------------------------------------------------------
@@ -153,52 +154,6 @@ def _low_riesz(mem: ModulusMember, xi: np.ndarray, kinks: Sequence[float],
                               2.0, order, kinks)
     stub = mem.omega(floor)
     return val + stub, 1e-2 * stub + 1e-14 * val
-
-
-def _advective(mem, xi, riesz: bool, what: str):
-    # Omega/A (riesz) or OmegaTilde/A, sharing the tail: omega(xi) + tail
-    # is the flow-aligned form, the low integral + tail the Riesz one
-    _member(mem, what)
-    x, shape = _separations(xi)
-    if np.any(x < 0.0):
-        raise ValueError("certificates need a positive separation")
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    if pos.any():
-        xp = x[pos]
-        w, kinks = mem.omega(xp), _omega_kinks(mem)
-        tail, _ = _riesz_tail(mem, xp, w, kinks, _DISS_ORDER)
-        head = _low_riesz(mem, xp, kinks, _DISS_ORDER)[0] if riesz else w
-        out[pos] = head + tail
-    return _shaped(out, shape)
-
-
-def omega_riesz(mem, xi):
-    """Riesz-increment certificate at separation xi, returned as a /A value.
-
-    Evaluates the two-sided weighted average of the modulus,
-
-        integral of omega(eta)/eta over (0, xi)
-        + xi * integral of omega(eta)/eta^2 over (xi, inf),
-
-    which bounds velocity increments of a field obeying the member's omega
-    up to the universal constant A (applied by the caller). ``xi`` is a
-    scalar (a float comes back) or an array of separations, all evaluated
-    together. The tail takes the member's crossover structure in closed
-    form; anything but a ``ModulusMember`` is refused with a TypeError.
-    """
-    return _advective(mem, xi, True, "omega_riesz")
-
-
-def omega_tilde(mem, xi):
-    """Flow-aligned advective certificate omega(xi) + tail, as a /A value.
-
-    Smaller than the Riesz-increment certificate for concave moduli, since
-    omega(eta)/eta >= omega(xi)/xi on (0, xi); used past the crossover scale
-    where the full two-sided average is too generous. Scalar or array xi;
-    a ``ModulusMember`` only.
-    """
-    return _advective(mem, xi, False, "omega_tilde")
 
 
 # ---------------------------------------------------------------------------
@@ -324,64 +279,11 @@ def _dissipation_parts(mem, xi, w_xi, ks, per_decade, order):
     return near + direct + closed, err_n + err_d + err_c
 
 
-def dissipation_lower(mem, xi):
-    """Dissipative lower-bound functional at separation xi, as a *A value.
-
-    Two-piece quadrature of the second-difference integrals
-
-        integral over (0, xi/2)   of (2w(xi) - w(xi+2e) - w(xi-2e)) m(2e)/e
-        integral over (xi/2, inf) of (2w(xi) - w(2e+xi) + w(2e-xi)) m(2e)/e,
-
-    both nonnegative for concave omega, with w the member's omega and m its
-    symbol. The caller divides by A. ``xi`` is a scalar (a float comes
-    back) or an array of separations. Past R1 = max(2 xi, 2 delta,
-    tail_start) the far piece is the member's exact power-tail series;
-    anything but a ``ModulusMember`` is refused with a TypeError. Values
-    inside quadrature noise of zero are clamped to zero; a warning fires if
-    the raw value is negative beyond its own error bar, which indicates a
-    non-concave omega.
-
-    The kernel m(2e)/e is the proof's 2-D form. On a power symbol
-    m = c r^-a it is 2^-a times the kernel m(e)/e of the 1-D operator that
-    ``kernels.multiplier_of_symbol_1d`` applies, so against that operator
-    at a touching pair this D is low by 2^a: the extremal profile at
-    N = 2^17 reads 1.9998 for a = 1 and 1.4143 for a = 0.5.
-    """
-    _member(mem, "dissipation_lower")
-    x, shape = _positive(xi, "dissipation")
-    val, err = _dissipation_err(mem, x, mem.omega(x), _omega_kinks(mem),
-                                _DISS_PER_DECADE, _DISS_ORDER)
-    below = val < -(err + 1e-13 * np.abs(val))
-    if below.any():
-        i = int(np.argmax(below))
-        warnings.warn(
-            f"dissipation quadrature returned {val[i]:.3g} at xi = "
-            f"{x[i]:.3g}, below its error bar; is omega concave?",
-            RuntimeWarning, stacklevel=2)
-    return _shaped(np.where(val < 0.0, 0.0, val), shape)
-
-
 def _curvature_constants(mem: ModulusMember, xi: np.ndarray,
                          D: np.ndarray) -> np.ndarray:
     # D / (|omega''(xi)| xi^2 m(xi)), D the raw dissipation at xi
     curv = np.abs(mem.omega_second(xi))
     return D / (curv * xi ** 2 * mem.sym.m(xi))
-
-
-def measured_curvature_constant(mem: ModulusMember, xi):
-    """Ratio of the dissipation integral to |omega''(xi)| xi^2 m(xi).
-
-    Below the crossover the dissipation admits a curvature-route lower bound
-    with a generic constant; this reports the constant the quadrature
-    actually achieves at xi (a scalar, or an array below the crossover).
-    """
-    _member(mem, "measured_curvature_constant")
-    x, shape = _separations(xi)
-    if not np.all((0.0 < x) & (x < mem.delta)):
-        raise ValueError("curvature route applies below the crossover scale")
-    D, _ = _dissipation_err(mem, x, mem.omega(x), _omega_kinks(mem),
-                            _DISS_PER_DECADE, _DISS_ORDER)
-    return _shaped(_curvature_constants(mem, x, D), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +294,18 @@ def measured_curvature_constant(mem: ModulusMember, xi):
 class CertificateReport:
     """Per-separation criterion margins plus the side conditions checked.
 
-    ``D`` holds the raw dissipation integral (the *A value); ``Omega`` and
-    ``OmegaTilde`` hold /A values, NaN where a criterion does not use them.
+    Every column is one array over ``xi_grid``. ``D`` holds the raw
+    dissipation (the *A value of ``burgers_criterion``); ``Omega`` and
+    ``OmegaTilde`` hold /A values, NaN where a criterion does not use
+    them: the Riesz-increment bound, the integral of omega(eta)/eta over
+    (0, xi) plus the tail xi * integral of omega(eta)/eta^2 over (xi, inf),
+    and the flow-aligned omega(xi) + tail, smaller for a concave omega.
     ``margin`` is the signed criterion value: negative means the modulus is
     preserved at that separation. PASS requires every margin to be strictly
     negative by more than its quadrature error, plus the report's gating
-    side conditions.
+    side conditions. ``side_values["measured_curvature_constant"]`` is the
+    least D / (|omega''(xi)| xi^2 m(xi)) over at most ~8 separations below
+    the crossover: the measured constant of the curvature-route bound on D.
     """
 
     kind: str
@@ -487,12 +395,20 @@ def burgers_criterion(mem, xi_grid: np.ndarray | None = None, *,
     The advecting velocity is the solution itself, so increments are bounded
     by omega directly and only the dissipation carries the universal
     constant, the suite's conservative estimate ``DEFAULT_A``. D is the
-    2-D dissipation of ``dissipation_lower``, which on power symbols is
-    2^-a times that of the 1-D Burgers operator, so against the Burgers
-    solver the criterion is conservative by 2^a * A: 4 on critical
-    Burgers. PASS means every margin is negative beyond quadrature error.
-    The grid is evaluated per block of quadrature nodes, and
-    ``sqg_criterion`` on the same member and grid reuses the evaluation.
+    sum of two integrals, each nonnegative for a concave omega = w,
+
+        over (0, xi/2)   of (2w(xi) - w(xi+2e) - w(xi-2e)) m(2e)/e
+        over (xi/2, inf) of (2w(xi) - w(2e+xi) + w(2e-xi)) m(2e)/e,
+
+    its far field past max(2 xi, 2 delta, tail_start) an exact series. On
+    a power symbol m = c r^-a the kernel m(2e)/e is 2^-a times the kernel
+    m(e)/e of ``kernels.multiplier_of_symbol_1d``, whose operator reads
+    2^a D at the extremal profile (ratios 1.9998 at a = 1 and 1.4143 at
+    a = 0.5, N = 2^17). So against the Burgers solver the criterion is
+    conservative by 2^a * A: 4 on critical Burgers. PASS means every margin
+    is negative beyond quadrature error. The grid is evaluated per block of
+    quadrature nodes, and ``sqg_criterion`` on the same member and grid
+    reuses it.
     """
     xi, w, wp, _, D, err = _grid_evaluation(mem, xi_grid, per_decade, order,
                                             "burgers_criterion")
@@ -527,6 +443,8 @@ def sqg_criterion(mem, A: float = DEFAULT_A,
     The grid is evaluated per block of quadrature nodes, and
     ``burgers_criterion`` on the same member and grid reuses the evaluation.
     """
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"sqg_criterion needs a finite A > 0, got A={A!r}")
     xi, w, wp, kinks, D, err_d = _grid_evaluation(mem, xi_grid, per_decade,
                                                   order, "sqg_criterion")
     # below delta Omega adds the low integral and its error to the tail

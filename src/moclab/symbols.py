@@ -579,7 +579,8 @@ def _crossover_roots(sym: DissipationSymbol, kappa: float,
         raise ValueError("kappa must lie in (0, r0 / (4 C0))")
     if np.any(B < 1.0):
         raise ValueError("crossover scale defined for B >= 1")
-    target = B / kappa
+    with np.errstate(over="ignore"):  # an infinite target is not resolved
+        target = B / kappa
     hi = sym.r0 / 4.0
     if np.any(sym.m(hi) >= target):
         raise ValueError("m(r0/4) >= B/kappa; preconditions violated")

@@ -11,10 +11,6 @@ from moclab.certificates import (
     DEFAULT_A,
     burgers_criterion,
     default_xi_grid,
-    dissipation_lower,
-    measured_curvature_constant,
-    omega_riesz,
-    omega_tilde,
     sqg_criterion,
 )
 from moclab.fields import ScalarField1D
@@ -50,53 +46,54 @@ def test_criteria_reach_separations_far_above_the_crossover():
 
 def test_riesz_vanishes_with_separation():
     mem = base_member()
-    vals = [omega_riesz(mem, xi) for xi in (1e-2, 1e-5, 1e-8)]
+    vals = sqg_criterion(mem, xi_grid=[1e-2, 1e-5, 1e-8]).Omega
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-6
 
 
-def test_tilde_zero_at_zero_and_rejects_negative():
-    mem = base_member()
-    assert omega_tilde(mem, 0.0) == 0.0
-    assert omega_riesz(mem, 0.0) == 0.0
-    for certificate in (omega_riesz, omega_tilde):
+def test_a_criterion_rejects_a_negative_separation():
+    for criterion in (sqg_criterion, burgers_criterion):
         with pytest.raises(ValueError, match="positive separation"):
-            certificate(mem, -1.0)
+            criterion(base_member(), xi_grid=[1e-3, -1.0])
 
 
 def test_riesz_dominates_tilde_for_concave():
-    # omega(eta)/eta >= omega(xi)/xi on (0, xi) for concave omega, on
-    # both sides of the crossover
+    # omega(eta)/eta >= omega(xi)/xi on (0, xi) for concave omega; Omega is
+    # read below the crossover only
     for mem in (base_member(), MEMBERS["power0.5"]()):
-        for xi in (1e-3, 0.3, 1.0, 7.0):
-            r = omega_riesz(mem, xi)
-            t = omega_tilde(mem, xi)
-            assert r >= t - 1e-12 * r
+        rep = sqg_criterion(mem, xi_grid=[1e-3, 0.3, 1.0, 7.0])
+        below = rep.xi_grid < mem.delta
+        assert below.any()
+        r, t = rep.Omega[below], rep.OmegaTilde[below]
+        assert np.all(r >= t - 1e-12 * r)
 
 
 def test_riesz_monotone_in_omega():
-    # a larger gamma keeps omega below delta and raises it past delta
+    # a larger gamma keeps omega below delta and raises Omega's tail there
     mem, bigger = base_member(), build_modulus(CRITICAL, 0.1, 0.02, 1.0)
     assert bigger.delta == mem.delta
-    for xi in (1e-3, 0.25, 1.0, 4.0):
-        assert omega_riesz(bigger, xi) > omega_riesz(mem, xi)
+    xi = [1e-3, 0.25, 1.0, 4.0]
+    below = np.array(xi) < mem.delta
+    assert below.any()
+    assert np.all(sqg_criterion(bigger, xi_grid=xi).Omega[below]
+                  > sqg_criterion(mem, xi_grid=xi).Omega[below])
 
 
 def test_member_tilde_closed_form_critical():
     # past the crossover the tail reduces to omega(xi) + gamma/2 exactly
     mem = base_member()
-    for xi in (mem.delta, 0.3, 2.0, 50.0):
-        assert_allclose(omega_tilde(mem, xi),
-                        2.0 * float(mem.omega(xi)) + 0.005, rtol=1e-12)
+    xi = np.array([mem.delta, 0.3, 2.0, 50.0])
+    assert_allclose(sqg_criterion(mem, xi_grid=xi).OmegaTilde,
+                    2.0 * mem.omega(xi) + 0.005, rtol=1e-12)
 
 
 def test_member_tilde_closed_form_subcritical_tail():
     # alpha = 1/2: tail integral of the envelope is a pure power
     mem = build_modulus(make_symbol("power", a=0.5), 0.1, 0.01, 1.0)
-    for xi in (mem.delta, 1.0, 30.0):
-        tail = 0.01 * float(mem.sym.m(1.0)) * (2.0 * xi) ** -0.5 / 0.5 * xi
-        assert_allclose(omega_tilde(mem, xi),
-                        2.0 * float(mem.omega(xi)) + tail, rtol=1e-12)
+    xi = np.array([mem.delta, 1.0, 30.0])
+    tail = 0.01 * float(mem.sym.m(1.0)) * (2.0 * xi) ** -0.5 / 0.5 * xi
+    assert_allclose(sqg_criterion(mem, xi_grid=xi).OmegaTilde,
+                    2.0 * mem.omega(xi) + tail, rtol=1e-12)
 
 
 MEMBERS = {
@@ -109,15 +106,17 @@ MEMBERS = {
 
 
 def test_member_riesz_is_the_exact_integral():
-    # Omega and OmegaTilde against tests/reference.riesz (30 digits, omega
-    # in float64): within 6.7e-16 relative here
+    # Omega (below delta) and OmegaTilde against tests/reference.riesz (30
+    # digits, omega in float64): within 6.7e-16 relative here
     for family, member in MEMBERS.items():
         mem = member()
-        for xi in (0.02, 0.5, 8.0):
+        rep = sqg_criterion(mem, xi_grid=[1e-3, 0.02, 0.5, 8.0])
+        for i, xi in enumerate(rep.xi_grid.tolist()):
             exact = [float(v) for v in riesz(mem, xi)]
-            assert_allclose(omega_riesz(mem, xi), exact[0], rtol=1e-13,
-                            err_msg=family)
-            assert_allclose(omega_tilde(mem, xi), exact[1], rtol=1e-13,
+            if xi < mem.delta:
+                assert_allclose(rep.Omega[i], exact[0], rtol=1e-13,
+                                err_msg=family)
+            assert_allclose(rep.OmegaTilde[i], exact[1], rtol=1e-13,
                             err_msg=family)
 
 
@@ -141,9 +140,9 @@ def test_omega_riesz_lies_within_its_bar_far_above_the_crossover():
 def test_member_tilde_within_family_bound():
     for a in (1.0, 0.5):
         mem = build_modulus(make_symbol("power", a=a), 0.1, 0.01, 1.0)
-        for xi in np.geomspace(mem.delta, 1e3, 9):
-            bound = (2.0 + 2.0 / a) * float(mem.omega(xi))
-            assert omega_tilde(mem, float(xi)) <= bound
+        xi = np.geomspace(mem.delta, 1e3, 9)
+        bound = (2.0 + 2.0 / a) * mem.omega(xi)
+        assert np.all(sqg_criterion(mem, xi_grid=xi).OmegaTilde <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +173,9 @@ _D_TOLERANCE = {("power1", 20.0): 2e-5, ("power0.5", 20.0): 2e-5}
 def test_member_dissipation_is_the_exact_integral():
     for family, member in MEMBERS.items():
         mem = member()
-        for xi in (0.03, 0.5, 20.0):
-            assert_allclose(dissipation_lower(mem, xi),
-                            float(dissipation(mem, xi)),
+        rep = burgers_criterion(mem, [0.03, 0.5, 20.0])
+        for xi, d in zip(rep.xi_grid.tolist(), rep.D):
+            assert_allclose(d, float(dissipation(mem, xi)),
                             rtol=_D_TOLERANCE.get((family, xi), 1e-6),
                             err_msg=(family, xi))
 
@@ -206,8 +205,8 @@ def test_dissipation_nonnegative_battery():
     syms = [CRITICAL, make_symbol("power", a=0.5), make_symbol("log", a=1.0)]
     for sym in syms:
         mem = build_modulus(sym, 0.05, 0.005, 1.0)
-        for xi in np.geomspace(1e-4, 1e2, 7):
-            assert dissipation_lower(mem, float(xi)) >= 0.0
+        assert np.all(burgers_criterion(mem, np.geomspace(1e-4, 1e2, 7)).D
+                      >= 0.0)
 
 
 def test_far_window_beats_doubling_floor():
@@ -273,12 +272,16 @@ def test_a_dissipation_that_overflows_is_refused_by_name():
 
 
 def test_curvature_constant_below_crossover():
+    # the side value is the least constant below the crossover, and a grid
+    # with no separation there reports none
     mem = base_member()
-    c_small = measured_curvature_constant(mem, 1e-5)
-    c_mid = measured_curvature_constant(mem, 1e-3)
+    x = np.array([1e-5, 1e-3])
+    rep = burgers_criterion(mem, x)
+    c_small, c_mid = certificates._curvature_constants(mem, x, rep.D)
     assert c_small > c_mid > 1.0
-    with pytest.raises(ValueError):
-        measured_curvature_constant(mem, 2.0 * mem.delta)
+    assert rep.side_values["measured_curvature_constant"] == c_mid
+    assert "measured_curvature_constant" not in burgers_criterion(
+        mem, [2.0 * mem.delta]).side_values
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +361,31 @@ def test_a_separation_grid_refuses_bounds_it_cannot_span(lo, hi):
         default_xi_grid(lo, hi)
 
 
+@pytest.mark.parametrize("lo, hi, per_decade", [(1.0, 2.0, 1), (1e-3, 1e2, 3),
+                                                (1.0, 10.0, 0.4)])
+def test_a_separation_grid_ends_at_hi(lo, hi, per_decade):
+    # a per_decade * log10(hi / lo) that rounded to 0 gave [lo] alone
+    grid = default_xi_grid(lo, hi, per_decade)
+    assert grid[0] == lo and grid[-1] == hi and grid.size >= 2
+    assert default_xi_grid(lo, lo, per_decade).tolist() == [lo]
+
+
+@pytest.mark.parametrize("per_decade", [0, -3, math.nan])
+def test_a_separation_grid_refuses_a_density_it_cannot_span(per_decade):
+    # -3 asked numpy for a negative number of samples, and NaN failed to
+    # round
+    with pytest.raises(ValueError, match="per_decade > 0"):
+        default_xi_grid(1.0, 10.0, per_decade)
+
+
+@pytest.mark.parametrize("A", [0.0, -2.0, math.inf, math.nan])
+def test_sqg_criterion_refuses_a_bad_A_by_name(A):
+    # A = 0 raised numpy's divide warning, and A = inf an invalid multiply
+    with pytest.raises(ValueError, match=r"sqg_criterion needs a finite "
+                                         r"A > 0, got A="):
+        sqg_criterion(base_member(), A, COARSE)
+
+
 @pytest.mark.parametrize("criterion", [sqg_criterion, burgers_criterion])
 def test_a_criterion_refuses_an_empty_grid(criterion):
     # an empty grid has no margin to fail, so its report would pass
@@ -393,13 +421,12 @@ def test_criteria_columns_are_the_one_point_functionals(family, B):
     sqg = sqg_criterion(mem, DEFAULT_A, grid)
     bur = burgers_criterion(mem, grid)
     assert "below-delta" in sqg.regime and "above-delta" in sqg.regime
-    # a public functional takes the grid as an array; the sqg margin reads
-    # Omega below delta only, and it is NaN at and above
+    # the sqg margin reads Omega below delta only, and it is NaN at and
+    # above; both criteria read one D
     below = grid < mem.delta
-    assert np.array_equal(omega_riesz(mem, grid[below]), sqg.Omega[below])
     assert np.all(np.isnan(sqg.Omega[~below]))
-    assert np.array_equal(omega_tilde(mem, grid), sqg.OmegaTilde)
-    assert np.array_equal(dissipation_lower(mem, grid), sqg.D)
+    assert np.array_equal(sqg.D, bur.D)
+    curvature = []
     for i, xi in enumerate(grid.tolist()):
         for rep, criterion in ((sqg, sqg_criterion),
                                (bur, burgers_criterion)):
@@ -408,18 +435,13 @@ def test_criteria_columns_are_the_one_point_functionals(family, B):
                 assert np.array_equal(getattr(one, col),
                                       getattr(rep, col)[i:i + 1],
                                       equal_nan=True), (col, xi)
-        assert type(omega_riesz(mem, xi)) is float
-        if below[i]:
-            assert sqg.Omega[i] == omega_riesz(mem, xi)
-        assert sqg.OmegaTilde[i] == omega_tilde(mem, xi)
-        d = dissipation_lower(mem, xi)
-        assert sqg.D[i] == bur.D[i] == d
+        curvature.append(one.side_values.get("measured_curvature_constant"))
         assert bur.margin[i] == mem.omega(xi) * mem.omega_prime(xi) \
-            - d / DEFAULT_A
-    pick = grid[below][:: max(1, below.sum() // 8)]
+            - bur.D[i] / DEFAULT_A
+    pick = np.flatnonzero(below)[:: max(1, below.sum() // 8)]
     assert sqg.side_values["measured_curvature_constant"] == \
         bur.side_values["measured_curvature_constant"] == \
-        min(measured_curvature_constant(mem, x) for x in pick.tolist())
+        min(curvature[i] for i in pick)
 
 
 @pytest.mark.parametrize("a, ratio, tol", [(1.0, 2.0, 1e-3),
@@ -441,7 +463,7 @@ def test_the_solvers_rate_at_the_extremal_profile_is_2_to_the_a_times_D(
     P = multiplier_of_symbol_1d(mem.sym, theta.wavenumbers())
     Ltheta = ScalarField1D.from_spectrum(theta.spec * P, N).values
     xi = 8.0 * 2.0 * math.pi / N
-    got = (Ltheta[4] - Ltheta[-4]) / dissipation_lower(mem, xi)
+    got = (Ltheta[4] - Ltheta[-4]) / burgers_criterion(mem, [xi]).D[0]
     assert abs(got - ratio) < tol
 
 

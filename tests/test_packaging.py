@@ -244,12 +244,8 @@ def test_only_the_quad_shim_names_scipy_integrate():
 # public names that only tests call, each kept as a reference that tests
 # compare live code against or for a caller ROADMAP plans
 ORACLES = {
-    "dissipation_lower": "one-point form of the criteria's D",
-    "measured_curvature_constant": "one-point form of the criteria's side "
-                                   "value",
     "check_lyapunov_inequality": "the inequality the blow-up design uses",
     "check_conditions": "a symbol's structure conditions, by decade",
-    "omega_tilde": "closed-form pin of the SQG advective pair",
     "VERDICTS": "the closed set a record's verdict is checked against",
     "save_checkpoint": "restart, ROADMAP item 4",
     "load_checkpoint": "restart, ROADMAP item 4",

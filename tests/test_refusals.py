@@ -80,8 +80,8 @@ REFUSALS = {
         lambda: moduli._omega_fn(3.0),
         TypeError, "cannot evaluate float"),
     "dissipation at 0": (
-        lambda: certificates.dissipation_lower(MEMBER, 0.0),
-        ValueError, "dissipation evaluated at non-positive separation"),
+        lambda: certificates.burgers_criterion(MEMBER, [0.0, 0.5]),
+        ValueError, "criterion evaluated at non-positive separation"),
     "sqg on 1-D data": (
         lambda: sqg_euler.simulate_sqg(
             ScalarField1D(np.zeros(8)), 0.1, P=P15),
@@ -115,11 +115,6 @@ REFUSALS = {
 # every public certificate function, on a modulus: each takes a family
 # member alone, whose tails are closed forms
 CERTIFICATES = {
-    "omega_riesz": lambda m: certificates.omega_riesz(m, 0.5),
-    "omega_tilde": lambda m: certificates.omega_tilde(m, 0.5),
-    "dissipation_lower": lambda m: certificates.dissipation_lower(m, 0.5),
-    "measured_curvature_constant":
-        lambda m: certificates.measured_curvature_constant(m, 1e-3),
     "sqg_criterion": lambda m: certificates.sqg_criterion(m),
     "burgers_criterion": lambda m: certificates.burgers_criterion(m),
 }

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.optimize import brentq
 from moclab import records, symbols
 from moclab.fields import ScalarField1D
 from moclab.kernels import fractional_normalization
+from moclab.moduli import ModulusConstructionError, build_modulus
 from moclab.quadrature import log_panel_integrals
 from moclab.symbols import (
     _CROSS_RTOL,
@@ -252,6 +254,20 @@ def test_crossover_scale_array_refusals_match_the_scalar_ones():
     with pytest.raises(RuntimeError, match="not resolved"):
         crossover_scale(half, 0.05, np.array([2.0, 2.0 ** 600]))
     assert crossover_scale(half, 0.05, 2.0 ** 500) > 0.0
+
+
+@pytest.mark.parametrize("name", ["power", "log"])
+def test_a_crossover_target_past_the_float_range_is_not_resolved(name):
+    # B / kappa = 2e308 overflows: numpy's divide warning came first, and
+    # now the infinite target takes the "not resolved" path
+    sym = make_symbol(name, a=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(_crossover_roots(sym, 0.05, np.array([1e307]))[0])
+        with pytest.raises(RuntimeError, match="not resolved"):
+            crossover_scale(sym, 0.05, 1e307)
+        with pytest.raises(ModulusConstructionError, match="not resolved"):
+            build_modulus(sym, 0.05, 0.01, 1e307)
 
 
 SOLVED_SYMBOLS = {
